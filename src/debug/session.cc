@@ -1,5 +1,6 @@
 #include "debug/session.hh"
 
+#include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <iostream>
@@ -28,11 +29,15 @@ split(const std::string &line)
     return words;
 }
 
-/** Parse a decimal or 0x-prefixed number; false on junk. */
+/**
+ * Parse a decimal or 0x-prefixed number; false on junk. A leading
+ * sign is junk: std::stoull would silently negate a '-' into a huge
+ * unsigned value.
+ */
 bool
 parseU64(const std::string &s, std::uint64_t &out)
 {
-    if (s.empty())
+    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
         return false;
     try {
         std::size_t pos = 0;

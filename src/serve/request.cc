@@ -1,7 +1,9 @@
 #include "serve/request.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "kernels/dispatch.hh"
@@ -54,6 +56,24 @@ parseNumber(const std::string &tok, const std::string &what,
     return v;
 }
 
+/**
+ * Parse a count field that must be an integer in [1, @p max]. The
+ * range is checked before any cast: converting a fractional value
+ * truncates silently, and converting a non-finite or out-of-range
+ * double to an integer is undefined.
+ */
+std::uint64_t
+parseCount(const std::string &tok, const std::string &what,
+           const std::string &cls, std::uint64_t max)
+{
+    const double v = parseNumber(tok, what, cls);
+    if (!(v >= 1.0 && v <= double(max)) || v != std::floor(v))
+        via_fatal("mix class '", cls, "': ", what,
+                  " must be an integer in [1, ", max, "], got '", tok,
+                  "'");
+    return std::uint64_t(v);
+}
+
 } // namespace
 
 std::vector<RequestClass>
@@ -80,9 +100,12 @@ parseMix(const std::string &spec)
         RequestClass cls;
         cls.kernel = fields[0];
         cls.format = fields[1];
-        cls.rows = Index(parseNumber(fields[2], "rows", entry));
+        cls.rows = Index(parseCount(fields[2], "rows", entry,
+                                    std::numeric_limits<Index>::max()));
         cls.density = parseNumber(fields[3], "density", entry);
-        cls.vecs = unsigned(parseNumber(fields[4], "vecs", entry));
+        cls.vecs =
+            unsigned(parseCount(fields[4], "vecs", entry,
+                                std::numeric_limits<unsigned>::max()));
         cls.weight = weight;
 
         if (cls.kernel != "spmv")
@@ -91,13 +114,9 @@ parseMix(const std::string &spec)
         if (!kernels::isSpmvFormat(cls.format))
             via_fatal("mix class '", entry, "': unknown format '",
                       cls.format, "'");
-        if (cls.rows <= 0)
-            via_fatal("mix class '", entry, "': rows must be > 0");
         if (!(cls.density > 0.0) || cls.density > 1.0)
             via_fatal("mix class '", entry,
                       "': density must be in (0, 1]");
-        if (cls.vecs == 0)
-            via_fatal("mix class '", entry, "': vecs must be > 0");
         if (!(cls.weight > 0.0))
             via_fatal("mix class '", entry,
                       "': weight must be > 0");

@@ -49,7 +49,8 @@ struct RequestClass
  *   spmv:csr:256:0.05:1@3,spmv:csb:512:0.02:4@1
  *
  * Fatal (usage error) on malformed fields, unknown kernels or
- * formats, or non-positive weights.
+ * formats, rows or vecs that are not integers in [1, max of their
+ * type], or non-positive weights.
  */
 std::vector<RequestClass> parseMix(const std::string &spec);
 

@@ -1,6 +1,7 @@
 #include "sparse/generators.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "simcore/log.hh"
@@ -15,6 +16,92 @@ Value
 randValue(Rng &rng)
 {
     return Value(rng.uniform() * 2.0 - 1.0);
+}
+
+/**
+ * The RMAT recursive descent (a=0.57, b=c=0.19, d=0.05), one
+ * quadrant per level from the top bit down, without data-dependent
+ * branches. uniform() is k * 2^-53 for the raw 53-bit draw k, and
+ * the cumulative thresholds a, a+b and a+b+c are doubles in
+ * [0.5, 1), hence multiples of 2^-53: comparing k against them
+ * scaled by 2^53 decides exactly as `uniform() < p` does. The same
+ * draws therefore make the same choices as a per-level if/else
+ * chain, and the Rng ends in the same state.
+ */
+class RmatDescent
+{
+  public:
+    explicit RmatDescent(Index n)
+    {
+        via_assert(n > 0 && (n & (n - 1)) == 0,
+                   "RMAT needs a power-of-two size, got ", n);
+        _levels = std::countr_zero(std::uint32_t(n));
+        const double a = 0.57, b = 0.19, c = 0.19;
+        _a = scaled(a);
+        _ab = scaled(a + b);
+        _abc = scaled(a + b + c);
+    }
+
+    /** Draw one edge. */
+    void
+    edge(Rng &rng, Index &row, Index &col) const
+    {
+        std::uint32_t r = 0, c = 0;
+        for (int l = 0; l < _levels; ++l) {
+            const std::uint64_t k = rng.next() >> 11;
+            const auto ge_a = std::uint32_t(k >= _a);
+            const auto ge_ab = std::uint32_t(k >= _ab);
+            const auto ge_abc = std::uint32_t(k >= _abc);
+            // q = ge_a + ge_ab + ge_abc is the quadrant: 0 top-left,
+            // 1 top-right, 2 bottom-left, 3 bottom-right. The row
+            // bit is q >= 2 and the col bit is q odd.
+            r = (r << 1) | ge_ab;
+            c = (c << 1) | (ge_a ^ ge_ab ^ ge_abc);
+        }
+        row = Index(r);
+        col = Index(c);
+    }
+
+    /** Draw one edge's row only, consuming the same draws as edge(). */
+    Index
+    row(Rng &rng) const
+    {
+        std::uint32_t r = 0;
+        for (int l = 0; l < _levels; ++l)
+            r = (r << 1) | std::uint32_t((rng.next() >> 11) >= _ab);
+        return Index(r);
+    }
+
+  private:
+    static std::uint64_t
+    scaled(double p)
+    {
+        constexpr double two53 = 9007199254740992.0;
+        const auto t = std::uint64_t(p * two53);
+        via_assert(double(t) / two53 == p, "RMAT threshold ", p,
+                   " is not a multiple of 2^-53");
+        return t;
+    }
+
+    int _levels = 0;
+    std::uint64_t _a = 0, _ab = 0, _abc = 0;
+};
+
+/** Stable in-place insertion sort of one short row by column. */
+void
+insertionSortRow(Index *cols, Value *vals, std::size_t len)
+{
+    for (std::size_t i = 1; i < len; ++i) {
+        const Index c = cols[i];
+        const Value v = vals[i];
+        std::size_t j = i;
+        for (; j > 0 && cols[j - 1] > c; --j) {
+            cols[j] = cols[j - 1];
+            vals[j] = vals[j - 1];
+        }
+        cols[j] = c;
+        vals[j] = v;
+    }
 }
 
 } // namespace
@@ -73,25 +160,11 @@ genUniform(Index rows, Index cols, double density, Rng &rng)
 Csr
 genRmat(Index n, std::size_t nnz_target, Rng &rng)
 {
-    via_assert(n > 0 && (n & (n - 1)) == 0,
-               "RMAT needs a power-of-two size, got ", n);
-    const double a = 0.57, b = 0.19, c = 0.19; // d = 0.05
+    const RmatDescent descent(n);
     Coo coo(n, n);
     for (std::size_t e = 0; e < nnz_target; ++e) {
         Index row = 0, col = 0;
-        for (Index bit = n >> 1; bit > 0; bit >>= 1) {
-            double p = rng.uniform();
-            if (p < a) {
-                // top-left: nothing to add
-            } else if (p < a + b) {
-                col |= bit;
-            } else if (p < a + b + c) {
-                row |= bit;
-            } else {
-                row |= bit;
-                col |= bit;
-            }
-        }
+        descent.edge(rng, row, col);
         coo.add(row, col, randValue(rng));
     }
     coo.canonicalize();
@@ -125,38 +198,27 @@ genBandedCsr(Index n, Index bandwidth, double fill, Rng &rng)
 Csr
 genRmatCsr(Index n, std::size_t nnz_target, Rng &rng)
 {
-    via_assert(n > 0 && (n & (n - 1)) == 0,
-               "RMAT needs a power-of-two size, got ", n);
-    const double a = 0.57, b = 0.19, c = 0.19; // d = 0.05
-    auto draw_edge = [n, a, b, c](Rng &r, Index &row, Index &col) {
-        row = 0;
-        col = 0;
-        for (Index bit = n >> 1; bit > 0; bit >>= 1) {
-            double p = r.uniform();
-            if (p < a) {
-                // top-left: nothing to add
-            } else if (p < a + b) {
-                col |= bit;
-            } else if (p < a + b + c) {
-                row |= bit;
-            } else {
-                row |= bit;
-                col |= bit;
-            }
-        }
-    };
+    const RmatDescent descent(n);
+    // Both passes draw a block of edges before counting or placing
+    // them, so the block's scattered row accesses are independent
+    // and their cache misses overlap.
+    constexpr std::size_t block = 512;
 
-    // Pass 1: count edges per row on a copy of the stream. The
-    // value draw is consumed and discarded so both passes read the
-    // random sequence identically.
+    // Pass 1: count edges per row on a copy of the stream. Only the
+    // row is computed; the value draw is consumed and discarded so
+    // both passes read the random sequence identically.
     std::vector<Index> row_ptr(std::size_t(n) + 1, 0);
     {
         Rng probe = rng;
-        for (std::size_t e = 0; e < nnz_target; ++e) {
-            Index row = 0, col = 0;
-            draw_edge(probe, row, col);
-            (void)randValue(probe);
-            ++row_ptr[std::size_t(row) + 1];
+        Index rows[block]{};
+        for (std::size_t e0 = 0; e0 < nnz_target; e0 += block) {
+            const std::size_t m = std::min(block, nnz_target - e0);
+            for (std::size_t i = 0; i < m; ++i) {
+                rows[i] = descent.row(probe);
+                probe.next();
+            }
+            for (std::size_t i = 0; i < m; ++i)
+                ++row_ptr[std::size_t(rows[i]) + 1];
         }
     }
     for (Index r = 0; r < n; ++r)
@@ -166,47 +228,68 @@ genRmatCsr(Index n, std::size_t nnz_target, Rng &rng)
     // caller's rng, which therefore ends exactly as after genRmat).
     std::vector<Index> col_idx(nnz_target);
     std::vector<Value> values(nnz_target);
-    std::vector<Index> next(row_ptr.begin(), row_ptr.end() - 1);
-    for (std::size_t e = 0; e < nnz_target; ++e) {
-        Index row = 0, col = 0;
-        draw_edge(rng, row, col);
-        const Value v = randValue(rng);
-        const auto slot = std::size_t(next[std::size_t(row)]++);
-        col_idx[slot] = col;
-        values[slot] = v;
+    {
+        std::vector<Index> next(row_ptr.begin(), row_ptr.end() - 1);
+        Index rows[block]{}, cols[block]{};
+        Value vals[block]{};
+        for (std::size_t e0 = 0; e0 < nnz_target; e0 += block) {
+            const std::size_t m = std::min(block, nnz_target - e0);
+            for (std::size_t i = 0; i < m; ++i) {
+                descent.edge(rng, rows[i], cols[i]);
+                vals[i] = randValue(rng);
+            }
+            for (std::size_t i = 0; i < m; ++i) {
+                const auto slot =
+                    std::size_t(next[std::size_t(rows[i])]++);
+                col_idx[slot] = cols[i];
+                values[slot] = vals[i];
+            }
+        }
     }
 
-    // Per-row sort + duplicate merge (summing in draw order via the
-    // stable sort; exact zeros are kept, as in Coo::canonicalize).
-    std::vector<Index> out_ptr(std::size_t(n) + 1, 0);
+    // Per-row stable sort by column, then an in-place duplicate
+    // merge that sums in draw order (exact zeros are kept, as in
+    // Coo::canonicalize). Short rows sort in place; longer ones go
+    // through std::stable_sort on a pair copy. row_ptr is rewritten
+    // to the merged offsets as the walk passes each row.
+    constexpr std::size_t insertion_max = 32;
     std::vector<std::pair<Index, Value>> tmp;
-    std::size_t w = 0;
+    std::size_t w = 0, lo = 0;
     for (Index r = 0; r < n; ++r) {
-        const auto lo = std::size_t(row_ptr[std::size_t(r)]);
         const auto hi = std::size_t(row_ptr[std::size_t(r) + 1]);
-        tmp.clear();
-        for (std::size_t i = lo; i < hi; ++i)
-            tmp.emplace_back(col_idx[i], values[i]);
-        std::stable_sort(tmp.begin(), tmp.end(),
-                         [](const auto &x, const auto &y) {
-                             return x.first < y.first;
-                         });
-        for (std::size_t i = 0; i < tmp.size();) {
-            Index col = tmp[i].first;
-            Value sum = tmp[i].second;
+        if (hi - lo <= insertion_max) {
+            insertionSortRow(col_idx.data() + lo, values.data() + lo,
+                             hi - lo);
+        } else {
+            tmp.clear();
+            for (std::size_t i = lo; i < hi; ++i)
+                tmp.emplace_back(col_idx[i], values[i]);
+            std::stable_sort(tmp.begin(), tmp.end(),
+                             [](const auto &x, const auto &y) {
+                                 return x.first < y.first;
+                             });
+            for (std::size_t i = lo; i < hi; ++i) {
+                col_idx[i] = tmp[i - lo].first;
+                values[i] = tmp[i - lo].second;
+            }
+        }
+        for (std::size_t i = lo; i < hi;) {
+            const Index col = col_idx[i];
+            Value sum = values[i];
             std::size_t j = i + 1;
-            for (; j < tmp.size() && tmp[j].first == col; ++j)
-                sum += tmp[j].second;
+            for (; j < hi && col_idx[j] == col; ++j)
+                sum += values[j];
             col_idx[w] = col;
             values[w] = sum;
             ++w;
             i = j;
         }
-        out_ptr[std::size_t(r) + 1] = Index(w);
+        row_ptr[std::size_t(r) + 1] = Index(w);
+        lo = hi;
     }
     col_idx.resize(w);
     values.resize(w);
-    return Csr::fromParts(n, n, std::move(out_ptr),
+    return Csr::fromParts(n, n, std::move(row_ptr),
                           std::move(col_idx), std::move(values));
 }
 

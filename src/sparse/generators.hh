@@ -68,14 +68,26 @@ Csr genBandedCsr(Index n, Index bandwidth, double fill, Rng &rng);
 
 /**
  * genRmat emitting CSR directly: two passes over a replayed random
- * stream (pass one counts per-row edges on a copy of @p rng, pass
- * two places them), then per-row sort + duplicate merge. @p rng
- * ends in the same state as after genRmat, the structure (row_ptr /
- * col_idx) matches genRmat exactly, and values match except that
- * 3+-way duplicate edges may sum in a different association order
- * than Coo::canonicalize's global unstable sort (allClose, not
- * bit-equal). Peak memory is O(n + nnz_target), with no global
- * triplet sort.
+ * stream, then a per-row sort + duplicate merge. Pass one counts
+ * per-row edges on a copy of @p rng and computes only each edge's
+ * row; pass two draws whole edges on @p rng and places them. Both
+ * passes draw blocks of edges before touching the per-row arrays,
+ * so the scattered accesses of a block overlap in the cache.
+ *
+ * Both RMAT generators share one branch-free descent: each level
+ * compares the raw 53-bit draw against the quadrant thresholds
+ * scaled by 2^53, which decides exactly as comparing uniform()
+ * does, so the draws and the Rng end state are those of a per-level
+ * if/else descent. Rows of up to 32 entries sort in place with a
+ * stable insertion sort, longer ones with std::stable_sort, and
+ * duplicates sum in draw order. @p rng ends in the same state as
+ * after genRmat and the structure (row_ptr / col_idx) matches
+ * genRmat exactly; values match except that 3+-way duplicate edges
+ * may sum in a different association order than
+ * Coo::canonicalize's global unstable sort (allClose, not
+ * bit-equal). Golden hashes in tests/test_debug.cc pin the output
+ * and end state of both generators bit for bit. Peak memory is
+ * O(n + nnz_target), with no global triplet sort.
  */
 Csr genRmatCsr(Index n, std::size_t nnz_target, Rng &rng);
 

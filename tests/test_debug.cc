@@ -15,8 +15,10 @@
  * The streaming generators must agree with their Coo-based
  * counterparts: genBandedCsr bit-identically (same draw order, no
  * reordering), genRmatCsr structurally with allClose values and
- * identical Rng end state. The streaming .mtx reader and writer
- * must round-trip against the one-pass implementations.
+ * identical Rng end state. Golden hashes pin both RMAT generators'
+ * output bit for bit, so a change that alters both alike still
+ * fails. The streaming .mtx reader and writer must round-trip
+ * against the one-pass implementations.
  */
 
 #include <gtest/gtest.h>
@@ -365,6 +367,71 @@ TEST(StreamingGenerators, RmatCsrMatchesAtLargerScale)
         EXPECT_NEAR(coo_path.values()[i], direct.values()[i], 1e-5)
             << "value " << i;
     EXPECT_EQ(rng_a.state(), rng_b.state());
+}
+
+/** FNV-1a-64 of @p bytes bytes at @p data, continuing from @p h. */
+std::uint64_t
+fnv1a64(std::uint64_t h, const void *data, std::size_t bytes)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+        h ^= p[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** Hex FNV-1a-64 of a matrix's arrays and the Rng state after it. */
+std::string
+generatorHash(const Csr &m, const Rng &rng)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    h = fnv1a64(h, m.rowPtr().data(),
+                m.rowPtr().size() * sizeof(Index));
+    h = fnv1a64(h, m.colIdx().data(),
+                m.colIdx().size() * sizeof(Index));
+    h = fnv1a64(h, m.values().data(),
+                m.values().size() * sizeof(Value));
+    const auto state = rng.state();
+    h = fnv1a64(h, state.data(), sizeof(state));
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx", (unsigned long long)h);
+    return buf;
+}
+
+TEST(StreamingGenerators, RmatGeneratorsMatchGoldenHashes)
+{
+    // Both RMAT generators, bit for bit: row_ptr, col_idx and value
+    // bytes plus the end Rng state. The cases cover n=1 (no descent
+    // levels), tiny n with heavy duplication, the two allClose cases
+    // above, and a 2^16-row instance whose hub rows are longer than
+    // the insertion-sort cutoff.
+    struct Case
+    {
+        Index n;
+        std::size_t nnz;
+        std::uint64_t seed;
+        const char *csr;
+        const char *coo;
+    };
+    const Case cases[] = {
+        {1, 10, 3, "df152c934b17ccc1", "df152c934b17ccc1"},
+        {2, 100, 4, "bf3ff665a0f7fc5c", "61a53b3c259a61ac"},
+        {64, 2000, 5, "3f797d8e08f736f3", "9cb4a8ebb8d735bd"},
+        {1024, 3000, 9, "97133c4393e134d8", "290c95700a0661c5"},
+        {65536, 524288, 7, "f082ea5d566fe5a7", "b0e5443f298210d7"},
+    };
+    for (const Case &c : cases) {
+        Rng rng_csr(c.seed), rng_coo(c.seed);
+        const Csr direct = genRmatCsr(c.n, c.nnz, rng_csr);
+        const Csr coo_path = genRmat(c.n, c.nnz, rng_coo);
+        EXPECT_EQ(generatorHash(direct, rng_csr), c.csr)
+            << "genRmatCsr(" << c.n << ", " << c.nnz << ", seed "
+            << c.seed << ")";
+        EXPECT_EQ(generatorHash(coo_path, rng_coo), c.coo)
+            << "genRmat(" << c.n << ", " << c.nnz << ", seed "
+            << c.seed << ")";
+    }
 }
 
 // ------------------------------------------------------------------

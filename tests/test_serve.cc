@@ -52,6 +52,16 @@ TEST(ParseMix, RejectsMalformedSpecs)
     EXPECT_DEATH(parseMix("spmv:csr:64:1.5:1"), "density");
     EXPECT_DEATH(parseMix("spmv:csr:64:0.05:1@0"), "weight");
     EXPECT_DEATH(parseMix("spmv:csr:64"), "");
+    // Counts are range-checked before the cast to Index / unsigned.
+    EXPECT_DEATH(parseMix("spmv:csr:64.7:0.05:1"), "rows");
+    EXPECT_DEATH(parseMix("spmv:csr:-64:0.05:1"), "rows");
+    EXPECT_DEATH(parseMix("spmv:csr:inf:0.05:1"), "rows");
+    EXPECT_DEATH(parseMix("spmv:csr:nan:0.05:1"), "rows");
+    EXPECT_DEATH(parseMix("spmv:csr:3e9:0.05:1"), "rows");
+    EXPECT_DEATH(parseMix("spmv:csr:64:0.05:-1"), "vecs");
+    EXPECT_DEATH(parseMix("spmv:csr:64:0.05:0"), "vecs");
+    EXPECT_DEATH(parseMix("spmv:csr:64:0.05:1.5"), "vecs");
+    EXPECT_DEATH(parseMix("spmv:csr:64:0.05:5e9"), "vecs");
 }
 
 TEST(ClassMatrix, DependsOnlyOnSeedAndIndex)

@@ -23,116 +23,91 @@ isSpmvFormat(const std::string &fmt)
     return std::find(f.begin(), f.end(), fmt) != f.end();
 }
 
+namespace
+{
+
+/**
+ * Convert @p a to @p fmt with the machine's geometry (SPC5 window
+ * and SELL chunk height from the vector length, the CSB block side
+ * from viaCsbBeta) and upload it. csr uploads @p a itself, so the
+ * one-shot path never copies the matrix.
+ */
+SpmvStorage
+convertAndUpload(Machine &m, const Csr &a, const std::string &fmt)
+{
+    SpmvStorage s;
+    const auto vl = Index(m.vl());
+    if (fmt == "csr") {
+        s.csrImg = uploadCsr(m, a);
+    } else if (fmt == "spc5") {
+        s.spc5Img = uploadSpc5(m, s.spc5.emplace(Spc5::fromCsr(a, vl)));
+    } else if (fmt == "sell") {
+        s.sellImg = uploadSell(
+            m, s.sell.emplace(SellCSigma::fromCsr(a, vl, 4 * vl)));
+    } else if (fmt == "csb") {
+        s.csbImg =
+            uploadCsb(m, s.csb.emplace(Csb::fromCsr(a, viaCsbBeta(m))));
+    } else {
+        via_fatal("unknown SpMV format '", fmt, "'");
+    }
+    return s;
+}
+
+template <typename Mat, typename Img>
+using SpmvAt = SpmvResult (*)(Machine &, const Mat &, const Img &,
+                              const DenseVector &);
+
+// The *At kernel of each format, indexed by BackendKind
+// (Base, Via, Ssr, IndexMac).
+static_assert(std::size_t(BackendKind::IndexMac) == 3);
+constexpr SpmvAt<Csr, CsrImage> kCsrAt[] = {
+    spmvVectorCsrAt, spmvViaCsrAt, spmvSsrCsrAt, spmvImacCsrAt};
+constexpr SpmvAt<Spc5, Spc5Image> kSpc5At[] = {
+    spmvVectorSpc5At, spmvViaSpc5At, spmvSsrSpc5At, spmvImacSpc5At};
+constexpr SpmvAt<SellCSigma, SellImage> kSellAt[] = {
+    spmvVectorSellAt, spmvViaSellAt, spmvSsrSellAt, spmvImacSellAt};
+constexpr SpmvAt<Csb, CsbImage> kCsbAt[] = {
+    spmvVectorCsbAt, spmvViaCsbAt, spmvSsrCsbAt, spmvImacCsbAt};
+
+/** Emit y = A x with the @p kind kernel against @p s. */
+SpmvResult
+spmvAt(Machine &m, BackendKind kind, const Csr &a,
+       const SpmvStorage &s, const DenseVector &x)
+{
+    const auto k = std::size_t(kind);
+    if (s.spc5)
+        return kSpc5At[k](m, *s.spc5, s.spc5Img, x);
+    if (s.sell)
+        return kSellAt[k](m, *s.sell, s.sellImg, x);
+    if (s.csb)
+        return kCsbAt[k](m, *s.csb, s.csbImg, x);
+    return kCsrAt[k](m, a, s.csrImg, x);
+}
+
+} // namespace
+
 SpmvResult
 spmvVia(Machine &m, const Csr &a, const DenseVector &x,
         const std::string &fmt)
 {
-    if (fmt == "csr")
-        return spmvViaCsr(m, a, x);
-    if (fmt == "spc5") {
-        Spc5 s = Spc5::fromCsr(a, Index(m.vl()));
-        return spmvViaSpc5(m, s, x);
-    }
-    if (fmt == "sell") {
-        auto vl = Index(m.vl());
-        SellCSigma s = SellCSigma::fromCsr(a, vl, 4 * vl);
-        return spmvViaSell(m, s, x);
-    }
-    if (fmt == "csb") {
-        Csb csb = Csb::fromCsr(a, viaCsbBeta(m));
-        return spmvViaCsb(m, csb, x);
-    }
-    via_fatal("unknown SpMV format '", fmt, "'");
+    return spmvAt(m, BackendKind::Via, a, convertAndUpload(m, a, fmt),
+                  x);
 }
 
 SpmvResult
 spmvBaseline(Machine &m, const Csr &a, const DenseVector &x,
              const std::string &fmt)
 {
-    if (fmt == "csr")
-        return spmvVectorCsr(m, a, x);
-    if (fmt == "spc5") {
-        Spc5 s = Spc5::fromCsr(a, Index(m.vl()));
-        return spmvVectorSpc5(m, s, x);
-    }
-    if (fmt == "sell") {
-        auto vl = Index(m.vl());
-        SellCSigma s = SellCSigma::fromCsr(a, vl, 4 * vl);
-        return spmvVectorSell(m, s, x);
-    }
-    if (fmt == "csb") {
-        Csb csb = Csb::fromCsr(a, viaCsbBeta(m));
-        return spmvVectorCsb(m, csb, x);
-    }
-    via_fatal("unknown SpMV format '", fmt, "'");
+    return spmvAt(m, BackendKind::Base, a, convertAndUpload(m, a, fmt),
+                  x);
 }
-
-namespace
-{
-
-/** SSR SpMV by format name (one-shot). */
-SpmvResult
-spmvSsr(Machine &m, const Csr &a, const DenseVector &x,
-        const std::string &fmt)
-{
-    if (fmt == "csr")
-        return spmvSsrCsr(m, a, x);
-    if (fmt == "spc5") {
-        Spc5 s = Spc5::fromCsr(a, Index(m.vl()));
-        return spmvSsrSpc5(m, s, x);
-    }
-    if (fmt == "sell") {
-        auto vl = Index(m.vl());
-        SellCSigma s = SellCSigma::fromCsr(a, vl, 4 * vl);
-        return spmvSsrSell(m, s, x);
-    }
-    if (fmt == "csb") {
-        Csb csb = Csb::fromCsr(a, viaCsbBeta(m));
-        return spmvSsrCsb(m, csb, x);
-    }
-    via_fatal("unknown SpMV format '", fmt, "'");
-}
-
-/** IndexMAC SpMV by format name (one-shot). */
-SpmvResult
-spmvImac(Machine &m, const Csr &a, const DenseVector &x,
-         const std::string &fmt)
-{
-    if (fmt == "csr")
-        return spmvImacCsr(m, a, x);
-    if (fmt == "spc5") {
-        Spc5 s = Spc5::fromCsr(a, Index(m.vl()));
-        return spmvImacSpc5(m, s, x);
-    }
-    if (fmt == "sell") {
-        auto vl = Index(m.vl());
-        SellCSigma s = SellCSigma::fromCsr(a, vl, 4 * vl);
-        return spmvImacSell(m, s, x);
-    }
-    if (fmt == "csb") {
-        Csb csb = Csb::fromCsr(a, viaCsbBeta(m));
-        return spmvImacCsb(m, csb, x);
-    }
-    via_fatal("unknown SpMV format '", fmt, "'");
-}
-
-} // namespace
 
 SpmvResult
 spmvAccel(Machine &m, const Csr &a, const DenseVector &x,
           const std::string &fmt)
 {
-    switch (m.backendKind()) {
-    case BackendKind::Base:
-        return spmvBaseline(m, a, x, fmt);
-    case BackendKind::Via:
-        return spmvVia(m, a, x, fmt);
-    case BackendKind::Ssr:
-        return spmvSsr(m, a, x, fmt);
-    case BackendKind::IndexMac:
-        return spmvImac(m, a, x, fmt);
-    }
-    via_fatal("unhandled backend kind");
+    return spmvAt(m, m.backendKind(), a, convertAndUpload(m, a, fmt),
+                  x);
 }
 
 SpmaResult
@@ -201,80 +176,14 @@ stencilAccel(Machine &m, const DenseMatrix &img)
 
 SpmvResident::SpmvResident(Machine &m, const Csr &a,
                            const std::string &fmt, BackendKind kind)
-    : _fmt(fmt), _kind(kind), _csr(a)
-{
-    // Same conversion geometry as the one-shot dispatchers above, so
-    // the first run() on the constructing machine emits the exact
-    // one-shot stream.
-    if (fmt == "csr") {
-        _csrImg = uploadCsr(m, _csr);
-    } else if (fmt == "spc5") {
-        _spc5.emplace(Spc5::fromCsr(a, Index(m.vl())));
-        _spc5Img = uploadSpc5(m, *_spc5);
-    } else if (fmt == "sell") {
-        auto vl = Index(m.vl());
-        _sell.emplace(SellCSigma::fromCsr(a, vl, 4 * vl));
-        _sellImg = uploadSell(m, *_sell);
-    } else if (fmt == "csb") {
-        _csb.emplace(Csb::fromCsr(a, viaCsbBeta(m)));
-        _csbImg = uploadCsb(m, *_csb);
-    } else {
-        via_fatal("unknown SpMV format '", fmt, "'");
-    }
-}
+    : _fmt(fmt), _kind(kind), _csr(a),
+      _storage(convertAndUpload(m, _csr, fmt))
+{}
 
 SpmvResult
 SpmvResident::run(Machine &m, const DenseVector &x) const
 {
-    if (_fmt == "csr") {
-        switch (_kind) {
-        case BackendKind::Base:
-            return spmvVectorCsrAt(m, _csr, _csrImg, x);
-        case BackendKind::Via:
-            return spmvViaCsrAt(m, _csr, _csrImg, x);
-        case BackendKind::Ssr:
-            return spmvSsrCsrAt(m, _csr, _csrImg, x);
-        case BackendKind::IndexMac:
-            return spmvImacCsrAt(m, _csr, _csrImg, x);
-        }
-    }
-    if (_fmt == "spc5") {
-        switch (_kind) {
-        case BackendKind::Base:
-            return spmvVectorSpc5At(m, *_spc5, _spc5Img, x);
-        case BackendKind::Via:
-            return spmvViaSpc5At(m, *_spc5, _spc5Img, x);
-        case BackendKind::Ssr:
-            return spmvSsrSpc5At(m, *_spc5, _spc5Img, x);
-        case BackendKind::IndexMac:
-            return spmvImacSpc5At(m, *_spc5, _spc5Img, x);
-        }
-    }
-    if (_fmt == "sell") {
-        switch (_kind) {
-        case BackendKind::Base:
-            return spmvVectorSellAt(m, *_sell, _sellImg, x);
-        case BackendKind::Via:
-            return spmvViaSellAt(m, *_sell, _sellImg, x);
-        case BackendKind::Ssr:
-            return spmvSsrSellAt(m, *_sell, _sellImg, x);
-        case BackendKind::IndexMac:
-            return spmvImacSellAt(m, *_sell, _sellImg, x);
-        }
-    }
-    if (_fmt == "csb") {
-        switch (_kind) {
-        case BackendKind::Base:
-            return spmvVectorCsbAt(m, *_csb, _csbImg, x);
-        case BackendKind::Via:
-            return spmvViaCsbAt(m, *_csb, _csbImg, x);
-        case BackendKind::Ssr:
-            return spmvSsrCsbAt(m, *_csb, _csbImg, x);
-        case BackendKind::IndexMac:
-            return spmvImacCsbAt(m, *_csb, _csbImg, x);
-        }
-    }
-    via_fatal("unknown SpMV format '", _fmt, "'");
+    return spmvAt(m, _kind, _csr, _storage, x);
 }
 
 } // namespace via::kernels

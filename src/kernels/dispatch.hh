@@ -71,6 +71,23 @@ HistResult histAccel(Machine &m, const std::vector<Index> &keys,
 StencilResult stencilAccel(Machine &m, const DenseMatrix &img);
 
 /**
+ * A CSR matrix converted to one SpMV format and uploaded onto a
+ * machine: the converted copy (none for csr, whose kernels read the
+ * source matrix) and the base addresses the *At kernels emit
+ * against. The one-shot entry points and SpmvResident share it.
+ */
+struct SpmvStorage
+{
+    std::optional<Spc5> spc5;
+    std::optional<SellCSigma> sell;
+    std::optional<Csb> csb;
+    CsrImage csrImg;
+    Spc5Image spc5Img;
+    SellImage sellImg;
+    CsbImage csbImg;
+};
+
+/**
  * A matrix made resident on a machine: the format conversion and
  * the matrix-operand upload happen once in the constructor, and
  * every run() emits the kernel body against the recorded base
@@ -117,13 +134,7 @@ class SpmvResident
     std::string _fmt;
     BackendKind _kind;
     Csr _csr; //!< owned copy; also the conversion source
-    std::optional<Spc5> _spc5;
-    std::optional<SellCSigma> _sell;
-    std::optional<Csb> _csb;
-    CsrImage _csrImg;
-    Spc5Image _spc5Img;
-    SellImage _sellImg;
-    CsbImage _csbImg;
+    SpmvStorage _storage;
 };
 
 } // namespace via::kernels

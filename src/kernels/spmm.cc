@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "kernels/kernel_utils.hh"
+#include "kernels/ranges.hh"
 #include "simcore/log.hh"
 
 namespace via::kernels
@@ -15,18 +16,37 @@ namespace
 constexpr ElemType VT = ElemType::F32;
 constexpr ElemType IT = ElemType::I32;
 
-/** Output arrays sized for the worst realistic case. */
-struct COut
+/** Single-core setup: upload, one output region, c_ptr[0]. */
+template <typename Rows>
+SpmmResult
+runSpmm(Machine &m, const Csr &a, const Csc &b, Rows &&rows)
 {
-    Addr col = 0;
-    Addr val = 0;
-    Addr ptr = 0;
-    std::vector<Index> rowPtr;
-    Index out = 0;
-};
+    PairImage img = uploadPair(m, a, b);
+    RowOutput out(m, 1, a.rows(), spmmOutputBound(a, b));
+    SReg s_out{7};
+    m.sstore(out.regions[0].ptr, s_out, 4);
+    rows(m, a, b, img, out, 0, 0, a.rows());
+    return SpmmResult{spmmCollect(m, out, a.rows(), b.cols()),
+                      m.cycles()};
+}
 
-COut
-allocOut(Machine &m, const Csr &a, const Csc &b)
+} // namespace
+
+PairImage
+uploadPair(Machine &m, const Csr &a, const Csc &b)
+{
+    PairImage img;
+    img.aPtr = upload(m, a.rowPtr());
+    img.aIdx = upload(m, a.colIdx());
+    img.aVal = upload(m, a.values());
+    img.bPtr = upload(m, b.colPtr());
+    img.bIdx = upload(m, b.rowIdx());
+    img.bVal = upload(m, b.values());
+    return img;
+}
+
+std::size_t
+spmmOutputBound(const Csr &a, const Csc &b)
 {
     // The inner-product result has at most rows*cols entries, but
     // allocating that is wasteful; a safe, tight-enough bound is
@@ -34,57 +54,73 @@ allocOut(Machine &m, const Csr &a, const Csc &b)
     std::size_t bound = std::size_t(a.rows()) * std::size_t(b.cols());
     std::size_t alt = a.nnz() * std::size_t(std::max<Index>(
                                     b.maxColNnz(), 1));
-    bound = std::min(bound, alt + 1);
-    COut c;
-    c.col = m.mem().alloc(bound * sizeof(Index));
-    c.val = m.mem().alloc(bound * sizeof(Value));
-    c.ptr = m.mem().alloc((std::size_t(a.rows()) + 1) *
-                          sizeof(Index));
-    c.rowPtr.assign(std::size_t(a.rows()) + 1, 0);
-    return c;
+    return std::min(bound, alt + 1);
+}
+
+void
+spmmAssertCamFit(const Machine &m, const Csr &a)
+{
+    const auto cam_cap = Index(m.sspm().config().camEntries());
+    via_assert(a.maxRowNnz() <= cam_cap,
+               "A row exceeds the CAM (", cam_cap, " entries): the "
+               "VIA SpMM kernel requires rows to fit (paper "
+               "Section IV: highly sparse inputs)");
 }
 
 Csr
-assemble(const Machine &m, const COut &c, Index rows, Index cols)
+spmmCollect(const Machine &m, const RowOutput &out, Index rows,
+            Index cols)
 {
-    auto nnz = std::size_t(c.rowPtr.back());
-    std::vector<Index> cols_out = downloadIndices(m, c.col, nnz);
-    DenseVector vals_out = downloadValues(m, c.val, nnz);
-    std::vector<Index> ptr = c.rowPtr;
+    std::vector<Index> ptr(1, 0);
+    for (const RowOutput::Span &span : out.rows)
+        ptr.push_back(ptr.back() + span.count);
+    std::vector<Index> col_idx;
+    DenseVector vals;
+    out.forEach(m, [&](Index, Index c, Value v) {
+        col_idx.push_back(c);
+        vals.push_back(v);
+    });
     return Csr::fromParts(rows, cols, std::move(ptr),
-                          std::move(cols_out), std::move(vals_out));
+                          std::move(col_idx), std::move(vals));
 }
-
-} // namespace
 
 SpmmResult
 spmmScalarInner(Machine &m, const Csr &a, const Csc &b)
 {
     via_assert(a.cols() == b.rows(), "SpMM shape mismatch");
-    Addr a_ptr = upload(m, a.rowPtr());
-    Addr a_col = upload(m, a.colIdx());
-    Addr a_val = upload(m, a.values());
-    Addr b_ptr = upload(m, b.colPtr());
-    Addr b_row = upload(m, b.rowIdx());
-    Addr b_val = upload(m, b.values());
-    COut c = allocOut(m, a, b);
+    return runSpmm(m, a, b, spmmScalarRows);
+}
 
+SpmmResult
+spmmViaInner(Machine &m, const Csr &a, const Csc &b)
+{
+    via_assert(a.cols() == b.rows(), "SpMM shape mismatch");
+    spmmAssertCamFit(m, a);
+    return runSpmm(m, a, b, spmmViaRows);
+}
+
+void
+spmmScalarRows(Machine &m, const Csr &a, const Csc &b,
+               const PairImage &img, RowOutput &out, unsigned region,
+               Index lo, Index hi)
+{
+    RowOutput::Region &c = out.regions[region];
     SReg s_ka{0}, s_kb{1}, s_ai{2}, s_bi{3}, s_v{4}, s_v2{5},
         s_acc{6}, s_out{7}, s_j{8}, s_r{9};
 
-    m.sstore(c.ptr, s_out, 4);
-    for (Index r = 0; r < a.rows(); ++r) {
-        m.sload(s_ka, a_ptr + 4 * (Addr(r) + 1), 4);
+    for (Index r = lo; r < hi; ++r) {
+        const Index row_start = c.used;
+        m.sload(s_ka, img.aPtr + 4 * (Addr(r) + 1), 4);
         Index a_lo = a.rowPtr()[std::size_t(r)];
         Index a_hi = a.rowPtr()[std::size_t(r) + 1];
         if (a_lo == a_hi) {
             m.sbranch(s_ka); // empty row: skip all columns
             m.sstore(c.ptr + 4 * (Addr(r) + 1), s_out, 4);
-            c.rowPtr[std::size_t(r) + 1] = c.out;
+            out.rows[std::size_t(r)] = {region, row_start, 0};
             continue;
         }
         for (Index j = 0; j < b.cols(); ++j) {
-            m.sload(s_kb, b_ptr + 4 * (Addr(j) + 1), 4);
+            m.sload(s_kb, img.bPtr + 4 * (Addr(j) + 1), 4);
             m.sbranch(s_kb);
             Index b_lo = b.colPtr()[std::size_t(j)];
             Index b_hi = b.colPtr()[std::size_t(j) + 1];
@@ -96,8 +132,8 @@ spmmScalarInner(Machine &m, const Csr &a, const Csc &b)
             Index ka = a_lo, kb = b_lo;
             bool any = false;
             while (ka < a_hi && kb < b_hi) {
-                m.sload(s_ai, a_col + 4 * Addr(ka), 4);
-                m.sload(s_bi, b_row + 4 * Addr(kb), 4);
+                m.sload(s_ai, img.aIdx + 4 * Addr(ka), 4);
+                m.sload(s_bi, img.bIdx + 4 * Addr(kb), 4);
                 m.salu(s_v, 0, s_ai, s_bi); // compare
                 Index ca = a.colIdx()[std::size_t(ka)];
                 Index cb = b.rowIdx()[std::size_t(kb)];
@@ -106,8 +142,8 @@ spmmScalarInner(Machine &m, const Csr &a, const Csc &b)
                 if (ca != cb)
                     m.sbranchData(s_v, 12, ca < cb);
                 if (ca == cb) {
-                    m.sloadF(s_v, a_val + 4 * Addr(ka), VT);
-                    m.sloadF(s_v2, b_val + 4 * Addr(kb), VT);
+                    m.sloadF(s_v, img.aVal + 4 * Addr(ka), VT);
+                    m.sloadF(s_v2, img.bVal + 4 * Addr(kb), VT);
                     m.sfmul(s_v, s_v, s_v2);
                     m.sfadd(s_acc, s_acc, s_v);
                     m.salu(s_ka, ka + 1, s_ka);
@@ -125,10 +161,10 @@ spmmScalarInner(Machine &m, const Csr &a, const Csc &b)
             }
             if (any) {
                 m.simm(s_v, j);
-                m.sstore(c.col + 4 * Addr(c.out), s_v, 4);
-                m.sstoreF(c.val + 4 * Addr(c.out), s_acc, VT);
-                m.salu(s_out, c.out + 1, s_out);
-                ++c.out;
+                m.sstore(c.col + 4 * Addr(c.used), s_v, 4);
+                m.sstoreF(c.val + 4 * Addr(c.used), s_acc, VT);
+                m.salu(s_out, c.used + 1, s_out);
+                ++c.used;
             }
             m.salu(s_j, j + 1, s_j);
             m.sbranch(s_j);
@@ -136,44 +172,30 @@ spmmScalarInner(Machine &m, const Csr &a, const Csc &b)
         m.sstore(c.ptr + 4 * (Addr(r) + 1), s_out, 4);
         m.salu(s_r, r + 1, s_r);
         m.sbranch(s_r);
-        c.rowPtr[std::size_t(r) + 1] = c.out;
+        out.rows[std::size_t(r)] = {region, row_start, c.used - row_start};
     }
-    return SpmmResult{assemble(m, c, a.rows(), b.cols()),
-                      m.cycles()};
 }
 
-SpmmResult
-spmmViaInner(Machine &m, const Csr &a, const Csc &b)
+void
+spmmViaRows(Machine &m, const Csr &a, const Csc &b,
+            const PairImage &img, RowOutput &out, unsigned region,
+            Index lo, Index hi)
 {
-    via_assert(a.cols() == b.rows(), "SpMM shape mismatch");
-    Addr a_ptr = upload(m, a.rowPtr());
-    Addr a_col = upload(m, a.colIdx());
-    Addr a_val = upload(m, a.values());
-    Addr b_ptr = upload(m, b.colPtr());
-    Addr b_row = upload(m, b.rowIdx());
-    Addr b_val = upload(m, b.values());
-    COut c = allocOut(m, a, b);
-
+    RowOutput::Region &c = out.regions[region];
     const int vl = int(m.vl());
-    const auto cam_cap = Index(m.sspm().config().camEntries());
-    via_assert(a.maxRowNnz() <= cam_cap,
-               "A row exceeds the CAM (", cam_cap, " entries): the "
-               "VIA SpMM kernel requires rows to fit (paper "
-               "Section IV: highly sparse inputs)");
-
     VReg v_col{0}, v_val{1}, v_prod{2}, v_acc{3};
     SReg s_ka{0}, s_kb{1}, s_acc{2}, s_out{7}, s_j{8}, s_r{9},
         s_k{10};
 
-    m.sstore(c.ptr, s_out, 4);
-    for (Index r = 0; r < a.rows(); ++r) {
-        m.sload(s_ka, a_ptr + 4 * (Addr(r) + 1), 4);
+    for (Index r = lo; r < hi; ++r) {
+        const Index row_start = c.used;
+        m.sload(s_ka, img.aPtr + 4 * (Addr(r) + 1), 4);
         Index a_lo = a.rowPtr()[std::size_t(r)];
         Index a_hi = a.rowPtr()[std::size_t(r) + 1];
         if (a_lo == a_hi) {
             m.sbranch(s_ka);
             m.sstore(c.ptr + 4 * (Addr(r) + 1), s_out, 4);
-            c.rowPtr[std::size_t(r) + 1] = c.out;
+            out.rows[std::size_t(r)] = {region, row_start, 0};
             continue;
         }
 
@@ -182,15 +204,15 @@ spmmViaInner(Machine &m, const Csr &a, const Csc &b)
         m.vidxClear();
         for (Index k = a_lo; k < a_hi; k += vl) {
             int n = std::min<Index>(vl, a_hi - k);
-            m.vload(v_col, a_col + 4 * Addr(k), IT, n);
-            m.vload(v_val, a_val + 4 * Addr(k), VT, n);
+            m.vload(v_col, img.aIdx + 4 * Addr(k), IT, n);
+            m.vload(v_val, img.aVal + 4 * Addr(k), VT, n);
             m.vidxLoadC(v_val, v_col, n);
             m.salu(s_k, k + vl, s_k);
             m.sbranch(s_k);
         }
 
         for (Index j = 0; j < b.cols(); ++j) {
-            m.sload(s_kb, b_ptr + 4 * (Addr(j) + 1), 4);
+            m.sload(s_kb, img.bPtr + 4 * (Addr(j) + 1), 4);
             m.sbranch(s_kb);
             Index b_lo = b.colPtr()[std::size_t(j)];
             Index b_hi = b.colPtr()[std::size_t(j) + 1];
@@ -203,8 +225,8 @@ spmmViaInner(Machine &m, const Csr &a, const Csc &b)
             bool any = false;
             for (Index k = b_lo; k < b_hi; k += vl) {
                 int n = std::min<Index>(vl, b_hi - k);
-                m.vload(v_col, b_row + 4 * Addr(k), IT, n);
-                m.vload(v_val, b_val + 4 * Addr(k), VT, n);
+                m.vload(v_col, img.bIdx + 4 * Addr(k), IT, n);
+                m.vload(v_val, img.bVal + 4 * Addr(k), VT, n);
                 m.vidxMulC(v_val, v_col, ViaOut::Vrf, v_prod, n);
                 m.vaddF(v_acc, v_acc, v_prod, n);
                 m.salu(s_k, k + vl, s_k);
@@ -220,10 +242,10 @@ spmmViaInner(Machine &m, const Csr &a, const Csc &b)
             m.vredsumF(s_acc, v_acc);
             if (any) {
                 m.simm(s_k, j);
-                m.sstore(c.col + 4 * Addr(c.out), s_k, 4);
-                m.sstoreF(c.val + 4 * Addr(c.out), s_acc, VT);
-                m.salu(s_out, c.out + 1, s_out);
-                ++c.out;
+                m.sstore(c.col + 4 * Addr(c.used), s_k, 4);
+                m.sstoreF(c.val + 4 * Addr(c.used), s_acc, VT);
+                m.salu(s_out, c.used + 1, s_out);
+                ++c.used;
             }
             m.salu(s_j, j + 1, s_j);
             m.sbranch(s_j);
@@ -231,10 +253,8 @@ spmmViaInner(Machine &m, const Csr &a, const Csc &b)
         m.sstore(c.ptr + 4 * (Addr(r) + 1), s_out, 4);
         m.salu(s_r, r + 1, s_r);
         m.sbranch(s_r);
-        c.rowPtr[std::size_t(r) + 1] = c.out;
+        out.rows[std::size_t(r)] = {region, row_start, c.used - row_start};
     }
-    return SpmmResult{assemble(m, c, a.rows(), b.cols()),
-                      m.cycles()};
 }
 
 } // namespace via::kernels

@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "kernels/kernel_utils.hh"
+#include "kernels/ranges.hh"
 #include "simcore/log.hh"
 
 namespace via::kernels
@@ -294,58 +295,64 @@ SpmvResult
 spmvVectorCsbAt(Machine &m, const Csb &a, const CsbImage &img,
                 const DenseVector &x)
 {
-    Addr packed = img.packedIdx;
-    Addr values = img.values;
-    Addr block_ptr = img.blockPtr;
     XY xy = uploadXY(m, x, a.rows());
+    spmvVectorCsbRows(m, a, img, xy.x, xy.y, 0, a.blockRows());
+    return SpmvResult{downloadValues(m, xy.y,
+                                     std::size_t(a.rows())),
+                      m.cycles()};
+}
 
+void
+spmvVectorCsbRows(Machine &m, const Csb &a, const CsbImage &img,
+                  Addr x, Addr y, Index lo, Index hi)
+{
     const int vl = int(m.vl());
     const Index beta = a.beta();
     const auto col_bits = a.colBits();
+    const Index bcols = a.blockCols();
 
     VReg v_idx{0}, v_val{1}, v_col{2}, v_row{3}, v_x{4}, v_y{5},
         v_prod{6};
     SReg s_end{1}, s_k{0}, s_b{7};
 
-    Index bcols = a.blockCols();
-    for (Index b = 0; b < a.numBlocks(); ++b) {
-        m.sload(s_end, block_ptr + 4 * (Addr(b) + 1), 4);
-        Index lo = a.blockPtr()[std::size_t(b)];
-        Index end = a.blockPtr()[std::size_t(b) + 1];
-        if (lo == end) {
-            m.sbranch(s_end); // skip empty block
-            continue;
+    for (Index br = lo; br < hi; ++br) {
+        for (Index bc = 0; bc < bcols; ++bc) {
+            const std::int64_t b = std::int64_t(br) * bcols + bc;
+            m.sload(s_end, img.blockPtr + 4 * (Addr(b) + 1), 4);
+            Index k_lo = a.blockPtr()[std::size_t(b)];
+            Index end = a.blockPtr()[std::size_t(b) + 1];
+            if (k_lo == end) {
+                m.sbranch(s_end); // skip empty block
+                continue;
+            }
+            Addr row_base = y + 4 * Addr(br) * Addr(beta);
+            Addr col_base = x + 4 * Addr(bc) * Addr(beta);
+            for (Index k = k_lo; k < end; k += vl) {
+                int n = std::min<Index>(vl, end - k);
+                m.vload(v_idx, img.packedIdx + 4 * Addr(k), IT, n);
+                m.vload(v_val, img.values + 4 * Addr(k), VT, n);
+                // Unpack the merged in-block index.
+                m.vandI(v_col, v_idx, beta - 1, n);
+                m.vshrI(v_row, v_idx, col_bits, n);
+                // Gather x, gather-update-scatter the y partials: the
+                // BBF store-load forwarding traffic of Section II-C.
+                m.vgather(v_x, col_base, v_col, VT, n);
+                m.vmulF(v_prod, v_val, v_x, n);
+                // Duplicate rows in one vector must be combined
+                // before the scatter (conflict detection + merge, as
+                // AVX-512 BBF kernels do).
+                m.vconflict(v_y, v_row, n);
+                m.vmergeIdx(v_prod, v_prod, v_row, n);
+                m.vgather(v_y, row_base, v_row, VT, n);
+                m.vaddF(v_y, v_y, v_prod, n);
+                m.vscatter(row_base, v_row, v_y, VT, n);
+                m.salu(s_k, k + vl, s_k);
+                m.sbranch(s_k);
+            }
+            m.salu(s_b, b + 1, s_b);
+            m.sbranch(s_b);
         }
-        Addr row_base = xy.y + 4 * Addr(b / bcols) * Addr(beta);
-        Addr col_base = xy.x + 4 * Addr(b % bcols) * Addr(beta);
-        for (Index k = lo; k < end; k += vl) {
-            int n = std::min<Index>(vl, end - k);
-            m.vload(v_idx, packed + 4 * Addr(k), IT, n);
-            m.vload(v_val, values + 4 * Addr(k), VT, n);
-            // Unpack the merged in-block index.
-            m.vandI(v_col, v_idx, beta - 1, n);
-            m.vshrI(v_row, v_idx, col_bits, n);
-            // Gather x, gather-update-scatter the y partials: the
-            // BBF store-load forwarding traffic of Section II-C.
-            m.vgather(v_x, col_base, v_col, VT, n);
-            m.vmulF(v_prod, v_val, v_x, n);
-            // Duplicate rows in one vector must be combined before
-            // the scatter (conflict detection + merge, as AVX-512
-            // BBF kernels do).
-            m.vconflict(v_y, v_row, n);
-            m.vmergeIdx(v_prod, v_prod, v_row, n);
-            m.vgather(v_y, row_base, v_row, VT, n);
-            m.vaddF(v_y, v_y, v_prod, n);
-            m.vscatter(row_base, v_row, v_y, VT, n);
-            m.salu(s_k, k + vl, s_k);
-            m.sbranch(s_k);
-        }
-        m.salu(s_b, b + 1, s_b);
-        m.sbranch(s_b);
     }
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
 }
 
 SpmvResult
@@ -405,45 +412,56 @@ SpmvResult
 spmvViaCsrAt(Machine &m, const Csr &a, const CsrImage &img,
              const DenseVector &x)
 {
-    Addr row_ptr = img.rowPtr;
-    Addr col_idx = img.colIdx;
-    Addr values = img.values;
     XY xy = uploadXY(m, x, a.rows());
-
-    const int vl = int(m.vl());
     bool x_fits =
         std::uint64_t(a.cols()) <= m.sspm().config().sramEntries();
+    if (x_fits)
+        spmvCsrStageX(m, a.cols(), xy.x);
+    spmvViaCsrRows(m, a, img, xy.x, xy.y, x_fits, 0, a.rows());
+    return SpmvResult{downloadValues(m, xy.y,
+                                     std::size_t(a.rows())),
+                      m.cycles()};
+}
 
-    VReg v_val{0}, v_col{1}, v_x{2}, v_acc{3}, v_idx{4}, v_prod{5};
-    SReg s_end{1}, s_acc{5}, s_k{0}, s_r{7}, s_i{2};
-
-    if (x_fits) {
-        // Stage the whole dense vector in the scratchpad once.
-        m.vidxClear();
-        for (Index i = 0; i < a.cols(); i += vl) {
-            int n = std::min<Index>(vl, a.cols() - i);
-            m.vload(v_x, xy.x + 4 * Addr(i), VT, n);
-            m.viotaI(v_idx, i);
-            m.vidxLoadD(v_x, v_idx, n);
-            m.salu(s_i, i + vl, s_i);
-            m.sbranch(s_i);
-        }
+void
+spmvCsrStageX(Machine &m, Index cols, Addr x)
+{
+    const int vl = int(m.vl());
+    VReg v_x{2}, v_idx{4};
+    SReg s_i{2};
+    m.vidxClear();
+    for (Index i = 0; i < cols; i += vl) {
+        int n = std::min<Index>(vl, cols - i);
+        m.vload(v_x, x + 4 * Addr(i), VT, n);
+        m.viotaI(v_idx, i);
+        m.vidxLoadD(v_x, v_idx, n);
+        m.salu(s_i, i + vl, s_i);
+        m.sbranch(s_i);
     }
+}
 
-    for (Index r = 0; r < a.rows(); ++r) {
-        m.sload(s_end, row_ptr + 4 * (Addr(r) + 1), 4);
+void
+spmvViaCsrRows(Machine &m, const Csr &a, const CsrImage &img, Addr x,
+               Addr y, bool x_fits, Index lo, Index hi)
+{
+    const int vl = int(m.vl());
+    VReg v_val{0}, v_col{1}, v_x{2}, v_acc{3}, v_prod{5};
+    SReg s_end{1}, s_acc{5}, s_k{0}, s_r{7};
+
+    for (Index r = lo; r < hi; ++r) {
+        m.sload(s_end, img.rowPtr + 4 * (Addr(r) + 1), 4);
         m.vbroadcastF(v_acc, 0.0);
-        Index lo = a.rowPtr()[std::size_t(r)];
+        Index k_lo = a.rowPtr()[std::size_t(r)];
         Index end = a.rowPtr()[std::size_t(r) + 1];
-        for (Index k = lo; k < end; k += vl) {
+        for (Index k = k_lo; k < end; k += vl) {
             int n = std::min<Index>(vl, end - k);
-            m.vload(v_val, values + 4 * Addr(k), VT, n);
-            m.vload(v_col, col_idx + 4 * Addr(k), IT, n);
+            m.vload(v_val, img.values + 4 * Addr(k), VT, n);
+            m.vload(v_col, img.colIdx + 4 * Addr(k), IT, n);
             if (x_fits) {
                 // x[col] * val straight out of the SSPM.
                 m.vidxMulD(v_val, v_col, ViaOut::Vrf, v_prod, 0, n);
             } else {
-                m.vgather(v_x, xy.x, v_col, VT, n);
+                m.vgather(v_x, x, v_col, VT, n);
                 m.vmulF(v_prod, v_val, v_x, n);
             }
             m.vaddF(v_acc, v_acc, v_prod, n);
@@ -451,13 +469,10 @@ spmvViaCsrAt(Machine &m, const Csr &a, const CsrImage &img,
             m.sbranch(s_k);
         }
         m.vredsumF(s_acc, v_acc);
-        m.sstoreF(xy.y + 4 * Addr(r), s_acc, VT);
+        m.sstoreF(y + 4 * Addr(r), s_acc, VT);
         m.salu(s_r, r + 1, s_r);
         m.sbranch(s_r);
     }
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
 }
 
 SpmvResult
@@ -617,11 +632,17 @@ SpmvResult
 spmvViaCsbAt(Machine &m, const Csb &a, const CsbImage &img,
              const DenseVector &x)
 {
-    Addr packed = img.packedIdx;
-    Addr values = img.values;
-    Addr block_ptr = img.blockPtr;
     XY xy = uploadXY(m, x, a.rows());
+    spmvViaCsbRows(m, a, img, xy.x, xy.y, 0, a.blockRows());
+    return SpmvResult{downloadValues(m, xy.y,
+                                     std::size_t(a.rows())),
+                      m.cycles()};
+}
 
+void
+spmvViaCsbRows(Machine &m, const Csb &a, const CsbImage &img, Addr x,
+               Addr y, Index lo, Index hi)
+{
     const int vl = int(m.vl());
     const Index beta = a.beta();
     via_assert(std::uint64_t(2 * beta) <=
@@ -633,20 +654,19 @@ spmvViaCsbAt(Machine &m, const Csb &a, const CsbImage &img,
     SReg s_end{1}, s_k{0}, s_b{7}, s_i{2};
 
     const Index bcols = a.blockCols();
-    const Index brows = a.blockRows();
     // y accumulators live at SSPM[beta ..), x chunks at SSPM[0..beta).
     const std::int64_t y_off = beta;
 
     m.vidxClear();
-    for (Index br = 0; br < brows; ++br) {
+    for (Index br = lo; br < hi; ++br) {
         Index row_lo = br * beta;
         Index row_hi = std::min<Index>(row_lo + beta, a.rows());
         for (Index bc = 0; bc < bcols; ++bc) {
-            Index b = br * bcols + bc;
-            m.sload(s_end, block_ptr + 4 * (Addr(b) + 1), 4);
-            Index lo = a.blockPtr()[std::size_t(b)];
+            const std::int64_t b = std::int64_t(br) * bcols + bc;
+            m.sload(s_end, img.blockPtr + 4 * (Addr(b) + 1), 4);
+            Index k_lo = a.blockPtr()[std::size_t(b)];
             Index end = a.blockPtr()[std::size_t(b) + 1];
-            if (lo == end) {
+            if (k_lo == end) {
                 m.sbranch(s_end); // skip empty block
                 continue;
             }
@@ -655,17 +675,17 @@ spmvViaCsbAt(Machine &m, const Csb &a, const CsbImage &img,
             Index col_hi = std::min<Index>(col_lo + beta, a.cols());
             for (Index i = col_lo; i < col_hi; i += vl) {
                 int n = std::min<Index>(vl, col_hi - i);
-                m.vload(v_x, xy.x + 4 * Addr(i), VT, n);
+                m.vload(v_x, x + 4 * Addr(i), VT, n);
                 m.viotaI(v_idx, i - col_lo);
                 m.vidxLoadD(v_x, v_idx, n);
                 m.salu(s_i, i + vl, s_i);
                 m.sbranch(s_i);
             }
             // Algorithm 4 lines 11-15: multiply-accumulate blocks.
-            for (Index k = lo; k < end; k += vl) {
+            for (Index k = k_lo; k < end; k += vl) {
                 int n = std::min<Index>(vl, end - k);
-                m.vload(v_idx, packed + 4 * Addr(k), IT, n);
-                m.vload(v_val, values + 4 * Addr(k), VT, n);
+                m.vload(v_idx, img.packedIdx + 4 * Addr(k), IT, n);
+                m.vload(v_val, img.values + 4 * Addr(k), VT, n);
                 m.vidxBlkMulD(v_val, v_idx, a.colBits(), y_off, n);
                 m.salu(s_k, k + vl, s_k);
                 m.sbranch(s_k);
@@ -678,16 +698,13 @@ spmvViaCsbAt(Machine &m, const Csb &a, const CsbImage &img,
             int n = std::min<Index>(vl, row_hi - i);
             m.viotaI(v_idx, y_off + (i - row_lo));
             m.vidxMov(v_out, v_idx, n);
-            m.vstore(xy.y + 4 * Addr(i), v_out, VT, n, s_i);
+            m.vstore(y + 4 * Addr(i), v_out, VT, n, s_i);
             m.salu(s_i, i + vl, s_i);
             m.sbranch(s_i);
         }
         m.vidxClearSegment(std::uint64_t(y_off),
                            std::uint64_t(y_off + beta));
     }
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
 }
 
 } // namespace via::kernels

@@ -137,6 +137,14 @@ class Options
     /** Sorted registered keys (help, docs, error messages). */
     std::vector<std::string> keys() const;
 
+    /**
+     * Report a user error the way parse() does: @p message, then
+     * the sorted valid-key list; exits with status 2. Harnesses use
+     * it for values a key's type cannot check (a kernel= or
+     * format= name outside the known set).
+     */
+    [[noreturn]] void usageError(const std::string &message) const;
+
     const std::string &binary() const { return _binary; }
     const std::string &description() const { return _description; }
 
@@ -148,7 +156,6 @@ class Options
      *  the empty string when the value is well-formed. */
     std::string checkValue(const OptionSpec &spec,
                            const std::string &value) const;
-    [[noreturn]] void usageError(const std::string &message) const;
 
     std::string _binary;
     std::string _description;

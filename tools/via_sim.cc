@@ -12,7 +12,10 @@
  *   via_sim <kernel> [key=value ...]
  *   via_sim kernel=<kernel> [key=value ...]
  *
- * Kernels: spmv | spma | spmm | histogram | stencil
+ * Kernels (kernels/registry.hh): spmv | spma | spmm | histogram |
+ * stencil. An unknown kernel, a format= the kernel has no variant
+ * for at the run's core count, or an unknown partition= is a usage
+ * error (exit 2), caught before any input is built.
  *
  * Keys are registered with the shared Options registry
  * (simcore/options.hh): help=1 / --help prints the generated key
@@ -80,15 +83,13 @@
  * thread count. Each point self-checks against the host reference
  * and the exit code is nonzero on any mismatch.
  *
- * Testing hook: inject_error=1 (stencil) perturbs the VIA result
- * before the reference check to exercise the failure path.
+ * Testing hook: inject_error=1 (stencil) fails the VIA result check
+ * to exercise the mismatch exit path.
  */
 
-#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 
@@ -97,27 +98,16 @@
 #include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
 #include "cpu/multi_machine.hh"
-#include "kernels/backend_kernels.hh"
-#include "kernels/dispatch.hh"
-#include "kernels/parallel.hh"
-#include "kernels/histogram.hh"
-#include "kernels/reference.hh"
+#include "kernels/registry.hh"
 #include "kernels/runner.hh"
-#include "kernels/spma.hh"
-#include "kernels/stencil.hh"
-#include "kernels/spmm.hh"
-#include "kernels/spmv.hh"
 #include "sample/checkpoint.hh"
 #include "sample/sampling.hh"
 #include "simcore/config.hh"
 #include "simcore/log.hh"
 #include "simcore/options.hh"
-#include "simcore/serialize.hh"
 #include "simcore/parallel.hh"
 #include "simcore/rng.hh"
-#include "sparse/convert.hh"
-#include "sparse/generators.hh"
-#include "sparse/mm_io.hh"
+#include "simcore/serialize.hh"
 #include "trace/trace_io.hh"
 
 using namespace via;
@@ -139,24 +129,6 @@ simOptions()
                  "runs a grid of SSPM configurations instead");
     opts.addString("kernel", "",
                    "kernel to run (or first positional argument)")
-        .addString("mtx", "",
-                   "Matrix Market input (default: synthetic)")
-        .addString("matrix", "", "alias for mtx=")
-        .addUInt("rows", 512, "synthetic matrix dimension", 1)
-        .addDouble("density", 0.01, "synthetic matrix density",
-                   0.0, 1.0)
-        .addString("family", "uniform",
-                   "synthetic family: "
-                   "banded|uniform|rmat|blocked|diag")
-        .addUInt("seed", 1, "input generator seed")
-        .addFlag("stream",
-                 "stream the input with no triplet intermediates "
-                 "(family=banded|rmat or mtx=; million-row inputs)")
-        .addString("format", "csb",
-                   "spmv sparse format: csr|spc5|sell|csb")
-        .addUInt("keys", 16384, "histogram input size", 1)
-        .addUInt("buckets", 1024, "histogram buckets", 1)
-        .addUInt("px", 256, "stencil image side", 1)
         .addFlag("stats", "dump the full statistics tables")
         .addFlag("json", "dump statistics as JSON instead")
         .addUInt("timeline", 0,
@@ -175,6 +147,7 @@ simOptions()
                    "SSPM sizes in KB to sweep (comma list)")
         .addString("sweep_ports", "2,4",
                    "SSPM port counts to sweep (comma list)");
+    kernels::addInputOptions(opts, 256, true);
     addThreadsOption(opts);
     addSelfProfOption(opts);
     addMachineOptions(opts);
@@ -182,56 +155,6 @@ simOptions()
     sample::addSampleOptions(opts);
     addTraceOptions(opts);
     return opts;
-}
-
-/** True when no Matrix Market file was given (mtx= or matrix=). */
-bool
-syntheticInput(const Config &cfg)
-{
-    return !cfg.has("mtx") && !cfg.has("matrix");
-}
-
-Csr
-loadMatrix(const Config &cfg, Rng &rng)
-{
-    const bool stream = cfg.getBool("stream", false);
-    if (cfg.has("matrix") || cfg.has("mtx")) {
-        const std::string path = cfg.has("matrix")
-                                     ? cfg.getString("matrix", "")
-                                     : cfg.getString("mtx", "");
-        return stream ? readMatrixMarketStreaming(path)
-                      : readMatrixMarket(path);
-    }
-    auto n = Index(cfg.getUInt("rows", 512));
-    double density = cfg.getDouble("density", 0.01);
-    std::string family = cfg.getString("family", "uniform");
-    if (stream && family != "banded" && family != "rmat")
-        via_fatal("stream=1 needs family=banded|rmat or mtx= "
-                  "(got family=", family, ")");
-    if (family == "banded") {
-        const auto bw = std::max<Index>(1, n / 32);
-        const double fill = std::min(1.0, density * n / 16.0);
-        return stream ? genBandedCsr(n, bw, fill, rng)
-                      : genBanded(n, bw, fill, rng);
-    }
-    if (family == "rmat") {
-        Index n2 = 1;
-        while (2 * n2 <= n)
-            n2 *= 2;
-        const auto target =
-            std::size_t(density * double(n2) * double(n2));
-        return stream ? genRmatCsr(n2, target, rng)
-                      : genRmat(n2, target, rng);
-    }
-    if (family == "blocked")
-        return genBlocked(n, 16, std::sqrt(density),
-                          std::min(0.8, 8 * std::sqrt(density)),
-                          rng);
-    if (family == "diag")
-        return genDiagHeavy(n, std::max(1.0, density * n), rng);
-    if (family != "uniform")
-        via_fatal("unknown family '", family, "'");
-    return genUniform(n, n, density, rng);
 }
 
 void
@@ -246,50 +169,6 @@ report(const char *name, const Machine &m, Tick baseline_cycles)
     std::printf("  ipc %.2f  dram %.1f MB  energy %.1f uJ\n",
                 metrics.ipc, double(metrics.dramBytes()) / 1e6,
                 metrics.energy.totalPj() / 1e6);
-}
-
-// ==================================================================
-// backend=: the accelerated column of every comparison follows the
-// machine's vector backend. backend=via (the default) runs the
-// historical VIA kernels and keeps the historical labels, so default
-// output is byte-identical to the pre-backend driver.
-// ==================================================================
-
-/** Display prefix for the accelerated column. */
-const char *
-accelPrefix(BackendKind k)
-{
-    switch (k) {
-      case BackendKind::Base: return "vector";
-      case BackendKind::Via: return "VIA";
-      case BackendKind::Ssr: return "SSR";
-      case BackendKind::IndexMac: return "IndexMAC";
-    }
-    return "?";
-}
-
-const char *
-spmaAccelName(BackendKind k)
-{
-    switch (k) {
-      case BackendKind::Base: return "scalar merge";
-      case BackendKind::Via: return "VIA CAM";
-      case BackendKind::Ssr: return "SSR merge";
-      case BackendKind::IndexMac: return "IndexMAC merge";
-    }
-    return "?";
-}
-
-const char *
-spmmAccelName(BackendKind k)
-{
-    switch (k) {
-      case BackendKind::Base: return "scalar inner";
-      case BackendKind::Via: return "VIA CAM";
-      case BackendKind::Ssr: return "SSR inner";
-      case BackendKind::IndexMac: return "IndexMAC rows";
-    }
-    return "?";
 }
 
 /** json=1/stats=1 statistics dump, uniform across all kernels. */
@@ -450,212 +329,54 @@ struct Timeline
     Tick _window = 0;
 };
 
-int
-runSpmv(const Config &cfg, const MachineParams &params, Rng &rng)
+/** inject_error=1: fail the result check to exercise the mismatch
+ *  exit path (stencil only; sweep points ignore it). */
+bool
+injectError(const kernels::KernelSpec &spec, const Config &cfg)
 {
-    Csr a = loadMatrix(cfg, rng);
-    DenseVector x = randomVector(a.cols(), rng);
-    std::printf("SpMV: %dx%d, %zu nnz\n", a.rows(), a.cols(),
-                a.nnz());
-
-    std::string fmt = cfg.getString("format", "csb");
-    std::string label =
-        std::string(accelPrefix(params.backend.kind)) + " " + fmt;
-    auto sopts = sample::SampleOptions::fromConfig(cfg);
-    if (sopts.mode != sample::SimMode::Detailed)
-        return runModal(cfg, params, sopts, label,
-                        [&](Machine &m) {
-                            auto res =
-                                kernels::spmvAccel(m, a, x, fmt);
-                            return allClose(res.y, a.multiply(x));
-                        });
-
-    Machine base(params);
-    auto bres = kernels::spmvVectorCsr(base, a, x);
-    report("vector CSR", base, 0);
-
-    Machine viam(params);
-    maybeRestore(cfg, viam);
-    TraceOptions topts = TraceOptions::fromConfig(cfg);
-    enableTracing(viam, topts);
-    viam.tracePhase("spmv_" + fmt);
-    Timeline timeline;
-    timeline.install(viam, Tick(cfg.getUInt("timeline", 0)));
-    kernels::SpmvResult vres = kernels::spmvAccel(viam, a, x, fmt);
-    report(label.c_str(), viam, bres.cycles);
-    timeline.print();
-
-    bool ok = allClose(vres.y, a.multiply(x));
-    std::printf("result check: %s\n", ok ? "ok" : "MISMATCH");
-    ok = finishTracing(viam, topts) && ok;
-    maybeCheckpoint(cfg, viam);
-    dumpStats(cfg, viam);
-    return ok ? 0 : 1;
+    return spec.injectable && cfg.getBool("inject_error", false);
 }
 
+/**
+ * The single-core comparison: each software baseline on its own
+ * machine, then the accelerated kernel on a machine that takes the
+ * restore=, trace=, timeline= and checkpoint= keys.
+ */
 int
-runSpma(const Config &cfg, const MachineParams &params, Rng &rng)
+runSingle(const kernels::KernelSpec &spec, const kernels::KernelInput &k,
+          const Config &cfg, const MachineParams &params)
 {
-    Csr a = loadMatrix(cfg, rng);
-    Csr b = loadMatrix(cfg, rng);
-    std::printf("SpMA: %dx%d, %zu + %zu nnz\n", a.rows(), a.cols(),
-                a.nnz(), b.nnz());
-
-    const char *label = spmaAccelName(params.backend.kind);
+    std::printf("%s: %s\n", spec.title.c_str(), k.shape.c_str());
+    const bool inject = injectError(spec, cfg);
     auto sopts = sample::SampleOptions::fromConfig(cfg);
     if (sopts.mode != sample::SimMode::Detailed)
-        return runModal(cfg, params, sopts, label,
+        return runModal(cfg, params, sopts, k.accelLabel,
                         [&](Machine &m) {
-                            auto res = kernels::spmaAccel(m, a, b);
-                            return closeElements(res.c,
-                                                 addCsr(a, b), 1e-3);
+                            return k.accel(m).ok && !inject;
                         });
 
-    Machine base(params);
-    auto bres = kernels::spmaScalarCsr(base, a, b);
-    report("scalar merge", base, 0);
-
-    Machine viam(params);
-    maybeRestore(cfg, viam);
-    TraceOptions topts = TraceOptions::fromConfig(cfg);
-    enableTracing(viam, topts);
-    viam.tracePhase("spma");
-    auto vres = kernels::spmaAccel(viam, a, b);
-    report(label, viam, bres.cycles);
-
-    bool ok = closeElements(vres.c, addCsr(a, b), 1e-3);
-    std::printf("result check: %s\n", ok ? "ok" : "MISMATCH");
-    ok = finishTracing(viam, topts) && ok;
-    maybeCheckpoint(cfg, viam);
-    dumpStats(cfg, viam);
-    return ok ? 0 : 1;
-}
-
-int
-runSpmm(const Config &cfg, const MachineParams &params, Rng &rng)
-{
-    Config small = cfg;
-    if (!cfg.has("rows") && syntheticInput(cfg))
-        small.set("rows", "160");
-    Csr a = loadMatrix(small, rng);
-    Csr b_csr = loadMatrix(small, rng);
-    Csc b = Csc::fromCsr(b_csr);
-    std::printf("SpMM: %dx%d (%zu nnz) * %dx%d (%zu nnz)\n",
-                a.rows(), a.cols(), a.nnz(), b.rows(), b.cols(),
-                b.nnz());
-
-    const char *label = spmmAccelName(params.backend.kind);
-    auto sopts = sample::SampleOptions::fromConfig(cfg);
-    if (sopts.mode != sample::SimMode::Detailed)
-        return runModal(cfg, params, sopts, label,
-                        [&](Machine &m) {
-                            auto res = kernels::spmmAccel(m, a, b);
-                            return closeElements(
-                                res.c, mulCsr(a, b_csr), 1e-2);
-                        });
-
-    Machine base(params);
-    auto bres = kernels::spmmScalarInner(base, a, b);
-    report("scalar inner", base, 0);
-
-    Machine viam(params);
-    maybeRestore(cfg, viam);
-    TraceOptions topts = TraceOptions::fromConfig(cfg);
-    enableTracing(viam, topts);
-    viam.tracePhase("spmm");
-    auto vres = kernels::spmmAccel(viam, a, b);
-    report(label, viam, bres.cycles);
-
-    bool ok = closeElements(vres.c, mulCsr(a, b_csr), 1e-2);
-    std::printf("result check: %s\n", ok ? "ok" : "MISMATCH");
-    ok = finishTracing(viam, topts) && ok;
-    maybeCheckpoint(cfg, viam);
-    dumpStats(cfg, viam);
-    return ok ? 0 : 1;
-}
-
-int
-runHistogram(const Config &cfg, const MachineParams &params,
-             Rng &rng)
-{
-    auto count = std::size_t(cfg.getUInt("keys", 16384));
-    auto buckets = Index(cfg.getUInt("buckets", 1024));
-    std::vector<Index> keys(count);
-    for (auto &k : keys)
-        k = Index(rng.below(std::uint64_t(buckets)));
-    std::printf("histogram: %zu keys, %d buckets\n", count, buckets);
-
-    const char *label = accelPrefix(params.backend.kind);
-    auto sopts = sample::SampleOptions::fromConfig(cfg);
-    if (sopts.mode != sample::SimMode::Detailed)
-        return runModal(cfg, params, sopts, label,
-                        [&](Machine &m) {
-                            auto res = kernels::histAccel(m, keys, buckets);
-                            return res.hist ==
-                                   kernels::refHistogram(keys,
-                                                         buckets);
-                        });
-
-    Machine m1(params), m2(params), m3(params);
-    maybeRestore(cfg, m3);
-    TraceOptions topts = TraceOptions::fromConfig(cfg);
-    enableTracing(m3, topts);
-    m3.tracePhase("histogram");
-    auto sres = kernels::histScalar(m1, keys, buckets);
-    report("scalar", m1, 0);
-    kernels::histVector(m2, keys, buckets);
-    report("vector CD", m2, sres.cycles);
-    auto vres = kernels::histAccel(m3, keys, buckets);
-    report(label, m3, sres.cycles);
-
-    bool ok = vres.hist == kernels::refHistogram(keys, buckets);
-    std::printf("result check: %s\n", ok ? "ok" : "MISMATCH");
-    ok = finishTracing(m3, topts) && ok;
-    maybeCheckpoint(cfg, m3);
-    dumpStats(cfg, m3);
-    return ok ? 0 : 1;
-}
-
-int
-runStencil(const Config &cfg, const MachineParams &params, Rng &rng)
-{
-    auto side = Index(cfg.getUInt("px", 256));
-    DenseMatrix img(side, side);
-    for (auto &p : img.data())
-        p = Value(rng.uniform() * 255.0);
-    std::printf("stencil: 4x4 Gaussian on %dx%d px\n", side, side);
-
-    const char *label = accelPrefix(params.backend.kind);
-    auto sopts = sample::SampleOptions::fromConfig(cfg);
-    if (sopts.mode != sample::SimMode::Detailed) {
-        DenseMatrix ref = kernels::refConvolve4x4(img);
-        return runModal(cfg, params, sopts, label,
-                        [&](Machine &m) {
-                            auto res = kernels::stencilAccel(m, img);
-                            if (cfg.getBool("inject_error", false))
-                                res.out.at(0, 0) += Value(1.0);
-                            return allClose(res.out.data(),
-                                            ref.data());
-                        });
+    Tick base_cycles = 0;
+    for (const kernels::KernelInput::Baseline &b : k.baselines) {
+        Machine base(params);
+        Tick cycles = b.run(base);
+        report(b.label.c_str(), base, base_cycles);
+        if (base_cycles == 0)
+            base_cycles = cycles;
     }
 
-    Machine base(params);
-    auto bres = kernels::stencilVector(base, img);
-    report("vector", base, 0);
-
     Machine viam(params);
     maybeRestore(cfg, viam);
     TraceOptions topts = TraceOptions::fromConfig(cfg);
     enableTracing(viam, topts);
-    viam.tracePhase("stencil");
-    auto vres = kernels::stencilAccel(viam, img);
-    report(label, viam, bres.cycles);
+    viam.tracePhase(k.phase);
+    Timeline timeline;
+    if (spec.timeline)
+        timeline.install(viam, Tick(cfg.getUInt("timeline", 0)));
+    kernels::RunOutcome vres = k.accel(viam);
+    report(k.accelLabel.c_str(), viam, base_cycles);
+    timeline.print();
 
-    if (cfg.getBool("inject_error", false))
-        vres.out.at(0, 0) += Value(1.0);
-
-    DenseMatrix ref = kernels::refConvolve4x4(img);
-    bool ok = allClose(vres.out.data(), ref.data());
+    bool ok = vres.ok && !inject;
     std::printf("result check: %s\n", ok ? "ok" : "MISMATCH");
     ok = finishTracing(viam, topts) && ok;
     maybeCheckpoint(cfg, viam);
@@ -718,148 +439,37 @@ finishTracingMulti(MultiMachine &mm, const TraceOptions &topts)
     return ok;
 }
 
+/** cores>1: the parallel baseline, then the parallel VIA kernel,
+ *  each on a fresh machine set; a run's cycles are the makespan,
+ *  the slowest core's commit front. */
 int
-runParallel(const std::string &kernel, const Config &cfg,
-            const MachineParams &params, Rng &rng, unsigned cores)
+runParallel(const kernels::KernelSpec &spec,
+            const kernels::KernelInput &k, const Config &cfg,
+            const MachineParams &params, unsigned cores)
 {
-    auto sopts = sample::SampleOptions::fromConfig(cfg);
-    if (sopts.mode != sample::SimMode::Detailed)
-        via_fatal("cores>1 supports mode=detailed only (sampling "
-                  "and checkpoints are single-core)");
-    if (cfg.has("checkpoint") || cfg.has("restore"))
-        via_fatal("cores>1 cannot checkpoint/restore: the cores "
-                  "share one memory image");
     auto part =
         kernels::parsePartition(cfg.getString("partition", "static"));
     SharedLlcParams llcp = sharedLlcParamsFrom(cfg, params, cores);
     TraceOptions topts = TraceOptions::fromConfig(cfg);
+    std::printf("%s: %s  (%u cores, %s)\n", spec.title.c_str(),
+                k.shape.c_str(), cores, kernels::partitionName(part));
 
-    // Baseline and VIA each get a fresh machine set; the reported
-    // makespan is the slowest core's commit front.
-    auto runPair = [&](const char *base_name, const char *via_name,
-                       auto &&body, auto &&check) {
-        MultiMachine base(params, cores, llcp);
-        Tick bcycles = body(base, false);
-        reportMulti(base_name, base, bcycles, 0);
+    MultiMachine base(params, cores, llcp);
+    Tick bcycles = k.parallel(base, part, false).cycles;
+    reportMulti(k.parallelBaseLabel.c_str(), base, bcycles, 0);
 
-        MultiMachine viam(params, cores, llcp);
-        if (topts.active())
-            viam.enableTracing(topts.limit);
-        Tick vcycles = body(viam, true);
-        reportMulti(via_name, viam, vcycles, bcycles);
+    MultiMachine viam(params, cores, llcp);
+    if (topts.active())
+        viam.enableTracing(topts.limit);
+    kernels::RunOutcome vres = k.parallel(viam, part, true);
+    reportMulti(k.accelLabel.c_str(), viam, vres.cycles, bcycles);
 
-        bool ok = check();
-        std::printf("result check: %s\n", ok ? "ok" : "MISMATCH");
-        if (topts.active())
-            ok = finishTracingMulti(viam, topts) && ok;
-        dumpStatsMulti(cfg, viam);
-        return ok ? 0 : 1;
-    };
-
-    const char *pname = kernels::partitionName(part);
-    if (kernel == "spmv") {
-        Csr a = loadMatrix(cfg, rng);
-        DenseVector x = randomVector(a.cols(), rng);
-        std::string fmt = cfg.getString("format", "csb");
-        std::printf("SpMV: %dx%d, %zu nnz  (%u cores, %s)\n",
-                    a.rows(), a.cols(), a.nnz(), cores, pname);
-        kernels::SpmvResult vres;
-        auto body = [&](MultiMachine &mm, bool via) {
-            auto res = kernels::spmvParallel(mm, a, x, fmt, part,
-                                             via);
-            if (via)
-                vres = res;
-            return res.cycles;
-        };
-        std::string base_name = "vector " + fmt;
-        std::string via_name = "VIA " + fmt;
-        return runPair(base_name.c_str(), via_name.c_str(), body,
-                       [&] { return allClose(vres.y, a.multiply(x)); });
-    }
-    if (kernel == "spma") {
-        Csr a = loadMatrix(cfg, rng);
-        Csr b = loadMatrix(cfg, rng);
-        std::printf("SpMA: %dx%d, %zu + %zu nnz  (%u cores, %s)\n",
-                    a.rows(), a.cols(), a.nnz(), b.nnz(), cores,
-                    pname);
-        kernels::SpmaResult vres;
-        auto body = [&](MultiMachine &mm, bool via) {
-            auto res = kernels::spmaParallel(mm, a, b, part, via);
-            if (via)
-                vres = res;
-            return res.cycles;
-        };
-        return runPair("scalar merge", "VIA CAM", body, [&] {
-            return closeElements(vres.c, addCsr(a, b), 1e-3);
-        });
-    }
-    if (kernel == "spmm") {
-        Config small = cfg;
-        if (!cfg.has("rows") && syntheticInput(cfg))
-            small.set("rows", "160");
-        Csr a = loadMatrix(small, rng);
-        Csr b_csr = loadMatrix(small, rng);
-        Csc b = Csc::fromCsr(b_csr);
-        std::printf("SpMM: %dx%d (%zu nnz) * %dx%d (%zu nnz)  "
-                    "(%u cores, %s)\n",
-                    a.rows(), a.cols(), a.nnz(), b.rows(), b.cols(),
-                    b.nnz(), cores, pname);
-        kernels::SpmmResult vres;
-        auto body = [&](MultiMachine &mm, bool via) {
-            auto res = kernels::spmmParallel(mm, a, b, part, via);
-            if (via)
-                vres = res;
-            return res.cycles;
-        };
-        return runPair("scalar inner", "VIA CAM", body, [&] {
-            return closeElements(vres.c, mulCsr(a, b_csr), 1e-2);
-        });
-    }
-    if (kernel == "histogram") {
-        auto count = std::size_t(cfg.getUInt("keys", 16384));
-        auto buckets = Index(cfg.getUInt("buckets", 1024));
-        std::vector<Index> keys(count);
-        for (auto &k : keys)
-            k = Index(rng.below(std::uint64_t(buckets)));
-        std::printf("histogram: %zu keys, %d buckets  (%u cores, "
-                    "%s)\n",
-                    count, buckets, cores, pname);
-        kernels::HistResult vres;
-        auto body = [&](MultiMachine &mm, bool via) {
-            auto res =
-                kernels::histParallel(mm, keys, buckets, part, via);
-            if (via)
-                vres = res;
-            return res.cycles;
-        };
-        return runPair("vector CD", "VIA", body, [&] {
-            return vres.hist == kernels::refHistogram(keys, buckets);
-        });
-    }
-    if (kernel == "stencil") {
-        auto side = Index(cfg.getUInt("px", 256));
-        DenseMatrix img(side, side);
-        for (auto &p : img.data())
-            p = Value(rng.uniform() * 255.0);
-        std::printf("stencil: 4x4 Gaussian on %dx%d px  (%u cores, "
-                    "%s)\n",
-                    side, side, cores, pname);
-        kernels::StencilResult vres;
-        auto body = [&](MultiMachine &mm, bool via) {
-            auto res = kernels::stencilParallel(mm, img, part, via);
-            if (via)
-                vres = res;
-            return res.cycles;
-        };
-        DenseMatrix ref = kernels::refConvolve4x4(img);
-        return runPair("vector", "VIA", body, [&] {
-            if (cfg.getBool("inject_error", false))
-                vres.out.at(0, 0) += Value(1.0);
-            return allClose(vres.out.data(), ref.data());
-        });
-    }
-    std::fprintf(stderr, "unknown kernel '%s'\n", kernel.c_str());
-    return 2;
+    bool ok = vres.ok && !injectError(spec, cfg);
+    std::printf("result check: %s\n", ok ? "ok" : "MISMATCH");
+    if (topts.active())
+        ok = finishTracingMulti(viam, topts) && ok;
+    dumpStatsMulti(cfg, viam);
+    return ok ? 0 : 1;
 }
 
 // ==================================================================
@@ -895,11 +505,9 @@ parseU64List(const std::string &text, const char *what)
 }
 
 int
-runSweep(const std::string &kernel, const Config &cfg, Rng &rng)
+runSweep(const kernels::KernelSpec &spec, const kernels::KernelInput &k,
+         const Config &cfg)
 {
-    using PointFn = std::function<SweepPoint(const MachineParams &)>;
-    PointFn point;
-
     // Each sweep point has its own Machine, so tracing stays
     // race-free: every point writes its own file, distinguished by
     // a _<kb>_<ports>p suffix before the extension. The stdout
@@ -912,115 +520,20 @@ runSweep(const std::string &kernel, const Config &cfg, Rng &rng)
         topts.summary = false;
     }
 
-    // Build the kernel input once; points share it read-only.
-    if (kernel == "spmv") {
-        auto a = std::make_shared<Csr>(loadMatrix(cfg, rng));
-        auto x = std::make_shared<DenseVector>(
-            randomVector(a->cols(), rng));
-        auto y = std::make_shared<DenseVector>(a->multiply(*x));
-        std::string fmt = cfg.getString("format", "csb");
-        std::printf("sweep SpMV (%s): %dx%d, %zu nnz\n",
-                    fmt.c_str(), a->rows(), a->cols(), a->nnz());
-        point = [a, x, y, fmt, topts](const MachineParams &params) {
-            Machine m(params);
-            enableTracing(m, topts);
-            m.tracePhase("spmv_" + fmt);
-            auto res = kernels::spmvVia(m, *a, *x, fmt);
-            bool ok = finishTracing(m, topts,
-                                    "_" + params.via.name());
-            return SweepPoint{res.cycles,
-                              ok && allClose(res.y, *y), false};
-        };
-    } else if (kernel == "spma") {
-        auto a = std::make_shared<Csr>(loadMatrix(cfg, rng));
-        auto b = std::make_shared<Csr>(loadMatrix(cfg, rng));
-        auto golden = std::make_shared<Csr>(addCsr(*a, *b));
-        std::printf("sweep SpMA: %dx%d, %zu + %zu nnz\n", a->rows(),
-                    a->cols(), a->nnz(), b->nnz());
-        point = [a, b, golden, topts](const MachineParams &params) {
-            Machine m(params);
-            enableTracing(m, topts);
-            m.tracePhase("spma");
-            auto res = kernels::spmaViaCsr(m, *a, *b);
-            bool ok = finishTracing(m, topts,
-                                    "_" + params.via.name());
-            return SweepPoint{res.cycles,
-                              ok && closeElements(res.c, *golden,
-                                                  1e-3),
-                              false};
-        };
-    } else if (kernel == "spmm") {
-        Config small = cfg;
-        if (!cfg.has("rows") && syntheticInput(cfg))
-            small.set("rows", "160");
-        auto a = std::make_shared<Csr>(loadMatrix(small, rng));
-        auto b_csr = std::make_shared<Csr>(loadMatrix(small, rng));
-        auto b = std::make_shared<Csc>(Csc::fromCsr(*b_csr));
-        auto golden = std::make_shared<Csr>(mulCsr(*a, *b_csr));
-        std::printf("sweep SpMM: %dx%d (%zu nnz) * %dx%d (%zu "
-                    "nnz)\n",
-                    a->rows(), a->cols(), a->nnz(), b->rows(),
-                    b->cols(), b->nnz());
-        point = [a, b, golden, topts](const MachineParams &params) {
-            if (a->maxRowNnz() > Index(params.via.camEntries()))
-                return SweepPoint{0, true, true};
-            Machine m(params);
-            enableTracing(m, topts);
-            m.tracePhase("spmm");
-            auto res = kernels::spmmViaInner(m, *a, *b);
-            bool ok = finishTracing(m, topts,
-                                    "_" + params.via.name());
-            return SweepPoint{res.cycles,
-                              ok && closeElements(res.c, *golden,
-                                                  1e-2),
-                              false};
-        };
-    } else if (kernel == "histogram") {
-        auto count = std::size_t(cfg.getUInt("keys", 16384));
-        auto buckets = Index(cfg.getUInt("buckets", 1024));
-        auto keys =
-            std::make_shared<std::vector<Index>>(count);
-        for (auto &k : *keys)
-            k = Index(rng.below(std::uint64_t(buckets)));
-        auto golden = std::make_shared<std::vector<Value>>(
-            kernels::refHistogram(*keys, buckets));
-        std::printf("sweep histogram: %zu keys, %d buckets\n",
-                    count, buckets);
-        point = [keys, buckets, golden, topts](
-                    const MachineParams &params) {
-            Machine m(params);
-            enableTracing(m, topts);
-            m.tracePhase("histogram");
-            auto res = kernels::histVia(m, *keys, buckets);
-            bool ok = finishTracing(m, topts,
-                                    "_" + params.via.name());
-            return SweepPoint{res.cycles,
-                              ok && res.hist == *golden, false};
-        };
-    } else if (kernel == "stencil") {
-        auto side = Index(cfg.getUInt("px", 256));
-        auto img = std::make_shared<DenseMatrix>(side, side);
-        for (auto &p : img->data())
-            p = Value(rng.uniform() * 255.0);
-        auto golden = std::make_shared<DenseMatrix>(
-            kernels::refConvolve4x4(*img));
-        std::printf("sweep stencil: 4x4 Gaussian on %dx%d px\n",
-                    side, side);
-        point = [img, golden, topts](const MachineParams &params) {
-            Machine m(params);
-            enableTracing(m, topts);
-            m.tracePhase("stencil");
-            auto res = kernels::stencilVia(m, *img);
-            bool ok = finishTracing(m, topts,
-                                    "_" + params.via.name());
-            return SweepPoint{res.cycles,
-                              ok && allClose(res.out.data(),
-                                             golden->data()),
-                              false};
-        };
-    } else {
-        via_fatal("unknown kernel '", kernel, "'");
-    }
+    std::string tag = k.variant.empty() ? "" : " (" + k.variant + ")";
+    std::printf("sweep %s%s: %s\n", spec.title.c_str(), tag.c_str(),
+                k.shape.c_str());
+    // The points run concurrently and share the input read-only.
+    auto point = [&](const MachineParams &params) {
+        if (k.fits && !k.fits(params))
+            return SweepPoint{0, true, true};
+        Machine m(params);
+        enableTracing(m, topts);
+        m.tracePhase(k.phase);
+        kernels::RunOutcome res = k.accel(m);
+        bool ok = finishTracing(m, topts, "_" + params.via.name());
+        return SweepPoint{res.cycles, ok && res.ok, false};
+    };
 
     auto kbs = parseU64List(cfg.getString("sweep_kb", "4,8,16"),
                             "sweep_kb");
@@ -1103,46 +616,51 @@ main(int argc, char **argv)
     if (kernel.empty())
         kernel = opts.getString("kernel");
     if (kernel.empty()) {
+        std::string names;
+        for (const kernels::KernelSpec &spec : kernels::kernelRegistry())
+            names += (names.empty() ? "" : "|") + spec.name;
         std::fprintf(stderr,
-                     "usage: via_sim <spmv|spma|spmm|histogram|"
-                     "stencil> [key=value ...]\n"
-                     "       (via_sim help=1 for the key table)\n");
+                     "usage: via_sim <%s> [key=value ...]\n"
+                     "       (via_sim help=1 for the key table)\n",
+                     names.c_str());
         return 2;
     }
+    auto cores = unsigned(cfg.getUInt("cores", 1));
+    const kernels::KernelSpec &spec =
+        kernels::selectKernel(opts, kernel, cores);
 
     if (cfg.getBool("debug", false))
         setLogLevel(LogLevel::Debug);
     Rng rng(cfg.getUInt("seed", 1));
 
-    auto cores = unsigned(cfg.getUInt("cores", 1));
     MachineParams params = machineParamsFrom(cfg);
-    if (cfg.getBool("sweep", false)) {
+    const bool sweep = cfg.getBool("sweep", false);
+    if (sweep) {
         if (cores > 1)
             via_fatal("sweep=1 is single-core; drop cores=");
         if (params.backend.kind != BackendKind::Via)
             via_fatal("sweep=1 sweeps VIA SSPM configurations; "
                       "it requires backend=via");
-        return runSweep(kernel, cfg, rng);
-    }
-
-    if (cores > 1) {
+    } else if (cores > 1) {
         if (params.backend.kind != BackendKind::Via)
             via_fatal("cores>1 runs the VIA parallel kernels; "
                       "backend=",
                       backendName(params.backend.kind),
                       " is single-core only");
-        return runParallel(kernel, cfg, params, rng, cores);
+        if (sample::SampleOptions::fromConfig(cfg).mode !=
+            sample::SimMode::Detailed)
+            via_fatal("cores>1 supports mode=detailed only (sampling "
+                      "and checkpoints are single-core)");
+        if (cfg.has("checkpoint") || cfg.has("restore"))
+            via_fatal("cores>1 cannot checkpoint/restore: the cores "
+                      "share one memory image");
     }
-    if (kernel == "spmv")
-        return runSpmv(cfg, params, rng);
-    if (kernel == "spma")
-        return runSpma(cfg, params, rng);
-    if (kernel == "spmm")
-        return runSpmm(cfg, params, rng);
-    if (kernel == "histogram")
-        return runHistogram(cfg, params, rng);
-    if (kernel == "stencil")
-        return runStencil(cfg, params, rng);
-    std::fprintf(stderr, "unknown kernel '%s'\n", kernel.c_str());
-    return 2;
+
+    const kernels::KernelInput k =
+        spec.build(opts, params.backend.kind, rng);
+    if (sweep)
+        return runSweep(spec, k, cfg);
+    if (cores > 1)
+        return runParallel(spec, k, cfg, params, cores);
+    return runSingle(spec, k, cfg, params);
 }

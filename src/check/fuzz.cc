@@ -198,9 +198,7 @@ fuzzSpmv(const SeedCtx &ctx, const MachineParams &params, Rng &rng)
     }
     if (ctx.opts.cores > 1) {
         kernels::Partition part = seedPartition(ctx.seed);
-        // Only csr and csb have parallel variants (spc5/sell are
-        // sequential over their block/chunk streams).
-        for (const std::string &fmt : {"csr", "csb"}) {
+        for (const std::string &fmt : kernels::spmvParallelFormats()) {
             for (bool via : {false, true}) {
                 if (!runOneMulti(
                         ctx, params, "spmv",

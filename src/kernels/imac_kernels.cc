@@ -5,6 +5,7 @@
 #include "kernels/kernel_utils.hh"
 #include "kernels/reference.hh"
 #include "simcore/log.hh"
+#include "sparse/convert.hh"
 
 namespace via::kernels
 {
@@ -29,24 +30,6 @@ uploadXY(Machine &m, const DenseVector &x, Index rows)
     a.x = upload(m, x);
     a.y = allocValues(m, std::size_t(rows));
     return a;
-}
-
-/** Canonicalize the merge output (mirrors spma.cc). */
-Csr
-assembleResult(const Machine &m, Addr c_col, Addr c_val,
-               const std::vector<Index> &c_row_ptr, Index rows,
-               Index cols)
-{
-    auto nnz = std::size_t(c_row_ptr.back());
-    std::vector<Index> cols_out = downloadIndices(m, c_col, nnz);
-    DenseVector vals_out = downloadValues(m, c_val, nnz);
-    Coo coo(rows, cols);
-    for (Index r = 0; r < rows; ++r)
-        for (Index k = c_row_ptr[std::size_t(r)];
-             k < c_row_ptr[std::size_t(r) + 1]; ++k)
-            coo.add(r, cols_out[std::size_t(k)],
-                    vals_out[std::size_t(k)]);
-    return Csr::fromCoo(std::move(coo));
 }
 
 } // namespace
@@ -342,8 +325,11 @@ spmaImacCsr(Machine &m, const Csr &a, const Csr &b)
         c_row_ptr[std::size_t(r) + 1] = out;
     }
 
-    return SpmaResult{assembleResult(m, c_col, c_val, c_row_ptr,
-                                     a.rows(), a.cols()),
+    const auto nnz = std::size_t(c_row_ptr.back());
+    return SpmaResult{Csr::fromRows(a.rows(), a.cols(),
+                                    std::move(c_row_ptr),
+                                    downloadIndices(m, c_col, nnz),
+                                    downloadValues(m, c_val, nnz)),
                       m.cycles()};
 }
 
@@ -354,13 +340,7 @@ spmmImacGustavson(Machine &m, const Csr &a, const Csc &b)
     // Gustavson walks B by rows; transpose the CSC operand
     // host-side (a format conversion, like Spc5::fromCsr — outside
     // the measured instruction stream, as all conversions are).
-    Coo bt(b.rows(), b.cols());
-    for (Index j = 0; j < b.cols(); ++j)
-        for (Index k = b.colPtr()[std::size_t(j)];
-             k < b.colPtr()[std::size_t(j) + 1]; ++k)
-            bt.add(b.rowIdx()[std::size_t(k)], j,
-                   b.values()[std::size_t(k)]);
-    Csr bs = Csr::fromCoo(std::move(bt));
+    const Csr bs = cscToCsr(b);
 
     Addr a_ptr = upload(m, a.rowPtr());
     Addr a_col = upload(m, a.colIdx());

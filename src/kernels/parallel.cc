@@ -231,8 +231,7 @@ spmaParallel(MultiMachine &mm, const Csr &a, const Csr &b,
                   [&](unsigned c, Index lo, Index hi) {
                       rows(mm.core(c), a, b, img, out, c, lo, hi);
                   });
-    return SpmaResult{spmaCollect(m0, out, a.rows(), a.cols()),
-                      mm.cycles()};
+    return SpmaResult{out.collect(m0, a.cols()), mm.cycles()};
 }
 
 SpmmResult
@@ -250,8 +249,7 @@ spmmParallel(MultiMachine &mm, const Csr &a, const Csc &b,
                   [&](unsigned c, Index lo, Index hi) {
                       rows(mm.core(c), a, b, img, out, c, lo, hi);
                   });
-    return SpmmResult{spmmCollect(m0, out, a.rows(), b.cols()),
-                      mm.cycles()};
+    return SpmmResult{out.collect(m0, b.cols()), mm.cycles()};
 }
 
 HistResult

@@ -30,6 +30,7 @@
 #include "cpu/machine.hh"
 #include "kernels/kernel_utils.hh"
 #include "kernels/spmv.hh"
+#include "simcore/log.hh"
 #include "sparse/csc.hh"
 #include "sparse/csr.hh"
 #include "sparse/dense.hh"
@@ -91,7 +92,7 @@ struct RowOutput
 
     RowOutput(Machine &m, unsigned regions, Index rows,
               std::size_t entries)
-        : regions(regions), rows(std::size_t(rows))
+        : regions(regions), rows(std::size_t(rows)), capacity(entries)
     {
         for (Region &r : this->regions) {
             r.col = m.mem().alloc(entries * sizeof(Index));
@@ -101,29 +102,45 @@ struct RowOutput
         }
     }
 
-    /** Visit every entry in row order as fn(row, col, value). */
-    template <typename Fn>
-    void
-    forEach(const Machine &m, Fn &&fn) const
+    /**
+     * The result matrix: each row's span is read from its region
+     * straight into its final slot, then every row goes through
+     * Csr::fromRows (the SpMA CAM extracts in insertion order; the
+     * other kernels' rows are sorted already). Panics if a kernel
+     * wrote past a region's capacity.
+     */
+    Csr
+    collect(const Machine &m, Index cols) const
     {
-        std::vector<std::vector<Index>> cols;
-        std::vector<DenseVector> vals;
-        for (const Region &r : regions) {
-            cols.push_back(
-                downloadIndices(m, r.col, std::size_t(r.used)));
-            vals.push_back(
-                downloadValues(m, r.val, std::size_t(r.used)));
-        }
+        for (const Region &r : regions)
+            if (std::size_t(r.used) > capacity)
+                via_panic("row output region overflowed: ", r.used,
+                          " entries written, room for ", capacity);
+        std::vector<Index> ptr(rows.size() + 1, 0);
+        for (std::size_t row = 0; row < rows.size(); ++row)
+            ptr[row + 1] = ptr[row] + rows[row].count;
+        std::vector<Index> col_idx(std::size_t(ptr.back()));
+        std::vector<Value> vals(col_idx.size());
         for (std::size_t row = 0; row < rows.size(); ++row) {
             const Span &s = rows[row];
-            for (Index k = s.start; k < s.start + s.count; ++k)
-                fn(Index(row), cols[s.region][std::size_t(k)],
-                   vals[s.region][std::size_t(k)]);
+            if (s.count == 0)
+                continue;
+            const Region &r = regions[s.region];
+            const auto at = std::size_t(ptr[row]);
+            m.mem().read(r.col + sizeof(Index) * Addr(s.start),
+                         col_idx.data() + at,
+                         std::size_t(s.count) * sizeof(Index));
+            m.mem().read(r.val + sizeof(Value) * Addr(s.start),
+                         vals.data() + at,
+                         std::size_t(s.count) * sizeof(Value));
         }
+        return Csr::fromRows(Index(rows.size()), cols, std::move(ptr),
+                             std::move(col_idx), std::move(vals));
     }
 
     std::vector<Region> regions;
     std::vector<Span> rows;
+    std::size_t capacity = 0; //!< entries each region holds
 };
 
 void spmaScalarRows(Machine &m, const Csr &a, const Csr &b,
@@ -132,13 +149,12 @@ void spmaScalarRows(Machine &m, const Csr &a, const Csr &b,
 void spmaViaRows(Machine &m, const Csr &a, const Csr &b,
                  const PairImage &img, RowOutput &out,
                  unsigned region, Index lo, Index hi);
-/** The SpMA result: CAM extraction order is insertion order, so the
- *  rows are canonicalized through triplets. */
-Csr spmaCollect(const Machine &m, const RowOutput &out, Index rows,
-                Index cols);
-
-/** Output entries an SpMM needs at most: min(rows * cols,
- *  nnz(A) * max column nnz of B). */
+/**
+ * Output entries an SpMM region holds: min(rows * cols, nnz(A) *
+ * max column nnz of B + 1), the historical sizing that fixes every
+ * run's address layout, or the product's exact nnz where that is
+ * larger (a B whose rows are denser than its columns).
+ */
 std::size_t spmmOutputBound(const Csr &a, const Csc &b);
 /** The VIA SpMM needs every row of A to fit the CAM. */
 void spmmAssertCamFit(const Machine &m, const Csr &a);
@@ -148,9 +164,6 @@ void spmmScalarRows(Machine &m, const Csr &a, const Csc &b,
 void spmmViaRows(Machine &m, const Csr &a, const Csc &b,
                  const PairImage &img, RowOutput &out,
                  unsigned region, Index lo, Index hi);
-/** The SpMM result (rows come out sorted by column). */
-Csr spmmCollect(const Machine &m, const RowOutput &out, Index rows,
-                Index cols);
 
 // -------------------------------------------------------- Histogram
 

@@ -4,7 +4,6 @@
 
 #include "kernels/kernel_utils.hh"
 #include "kernels/ranges.hh"
-#include "sparse/coo.hh"
 #include "simcore/log.hh"
 
 namespace via::kernels
@@ -28,8 +27,7 @@ runSpma(Machine &m, const Csr &a, const Csr &b, Rows &&rows)
     SReg s_out{6};
     m.sstore(out.regions[0].ptr, s_out, 4);
     rows(m, a, b, img, out, 0, 0, a.rows());
-    return SpmaResult{spmaCollect(m, out, a.rows(), a.cols()),
-                      m.cycles()};
+    return SpmaResult{out.collect(m, a.cols()), m.cycles()};
 }
 
 } // namespace
@@ -45,17 +43,6 @@ uploadPair(Machine &m, const Csr &a, const Csr &b)
     img.bIdx = upload(m, b.colIdx());
     img.bVal = upload(m, b.values());
     return img;
-}
-
-Csr
-spmaCollect(const Machine &m, const RowOutput &out, Index rows,
-            Index cols)
-{
-    // CAM extraction order is insertion order; canonicalize by
-    // rebuilding from triplets.
-    Coo coo(rows, cols);
-    out.forEach(m, [&](Index r, Index c, Value v) { coo.add(r, c, v); });
-    return Csr::fromCoo(std::move(coo));
 }
 
 SpmaResult

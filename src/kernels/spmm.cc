@@ -6,6 +6,7 @@
 #include "kernels/kernel_utils.hh"
 #include "kernels/ranges.hh"
 #include "simcore/log.hh"
+#include "sparse/convert.hh"
 
 namespace via::kernels
 {
@@ -26,8 +27,7 @@ runSpmm(Machine &m, const Csr &a, const Csc &b, Rows &&rows)
     SReg s_out{7};
     m.sstore(out.regions[0].ptr, s_out, 4);
     rows(m, a, b, img, out, 0, 0, a.rows());
-    return SpmmResult{spmmCollect(m, out, a.rows(), b.cols()),
-                      m.cycles()};
+    return SpmmResult{out.collect(m, b.cols()), m.cycles()};
 }
 
 } // namespace
@@ -48,13 +48,49 @@ uploadPair(Machine &m, const Csr &a, const Csc &b)
 std::size_t
 spmmOutputBound(const Csr &a, const Csc &b)
 {
-    // The inner-product result has at most rows*cols entries, but
-    // allocating that is wasteful; a safe, tight-enough bound is
-    // min(rows*cols, nnzA * max col nnz).
-    std::size_t bound = std::size_t(a.rows()) * std::size_t(b.cols());
-    std::size_t alt = a.nnz() * std::size_t(std::max<Index>(
-                                    b.maxColNnz(), 1));
-    return std::min(bound, alt + 1);
+    // The historical region size, kept wherever it holds the
+    // product so those runs keep their address layout and cycles.
+    // It assumed a row of C holds at most nnz(A row) * max col nnz
+    // of B entries, but the limit depends on B's row counts.
+    const std::size_t cells =
+        std::size_t(a.rows()) * std::size_t(b.cols());
+    const auto max_col = std::size_t(std::max<Index>(b.maxColNnz(), 1));
+    const std::size_t sized = std::min(cells, a.nnz() * max_col + 1);
+
+    // Cheap check first: C has at most sum_k colNnz_A(k) * rowNnz_B(k)
+    // entries.
+    std::vector<std::size_t> a_col(std::size_t(a.cols()), 0);
+    std::vector<std::size_t> b_row(std::size_t(b.rows()), 0);
+    for (Index c : a.colIdx())
+        ++a_col[std::size_t(c)];
+    for (Index r : b.rowIdx())
+        ++b_row[std::size_t(r)];
+    std::size_t products = 0;
+    for (std::size_t k = 0; k < a_col.size(); ++k)
+        products += a_col[k] * b_row[k];
+    if (std::min(cells, products) <= sized)
+        return sized;
+
+    // Otherwise count the product's distinct columns row by row.
+    const Csr bt = cscToCsr(b);
+    std::vector<Index> seen(std::size_t(b.cols()), -1);
+    std::size_t exact = 0;
+    for (Index r = 0; r < a.rows(); ++r) {
+        for (Index ka = a.rowPtr()[std::size_t(r)];
+             ka < a.rowPtr()[std::size_t(r) + 1]; ++ka) {
+            const auto k = std::size_t(a.colIdx()[std::size_t(ka)]);
+            for (Index kb = bt.rowPtr()[k]; kb < bt.rowPtr()[k + 1];
+                 ++kb) {
+                Index &mark =
+                    seen[std::size_t(bt.colIdx()[std::size_t(kb)])];
+                if (mark != r) {
+                    mark = r;
+                    ++exact;
+                }
+            }
+        }
+    }
+    return std::max(sized, exact);
 }
 
 void
@@ -65,23 +101,6 @@ spmmAssertCamFit(const Machine &m, const Csr &a)
                "A row exceeds the CAM (", cam_cap, " entries): the "
                "VIA SpMM kernel requires rows to fit (paper "
                "Section IV: highly sparse inputs)");
-}
-
-Csr
-spmmCollect(const Machine &m, const RowOutput &out, Index rows,
-            Index cols)
-{
-    std::vector<Index> ptr(1, 0);
-    for (const RowOutput::Span &span : out.rows)
-        ptr.push_back(ptr.back() + span.count);
-    std::vector<Index> col_idx;
-    DenseVector vals;
-    out.forEach(m, [&](Index, Index c, Value v) {
-        col_idx.push_back(c);
-        vals.push_back(v);
-    });
-    return Csr::fromParts(rows, cols, std::move(ptr),
-                          std::move(col_idx), std::move(vals));
 }
 
 SpmmResult

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "kernels/kernel_utils.hh"
+#include "kernels/ranges.hh"
 #include "kernels/reference.hh"
 #include "simcore/log.hh"
 
@@ -29,24 +30,6 @@ uploadXY(Machine &m, const DenseVector &x, Index rows)
     a.x = upload(m, x);
     a.y = allocValues(m, std::size_t(rows));
     return a;
-}
-
-/** Canonicalize the merge output (mirrors spma.cc). */
-Csr
-assembleResult(const Machine &m, Addr c_col, Addr c_val,
-               const std::vector<Index> &c_row_ptr, Index rows,
-               Index cols)
-{
-    auto nnz = std::size_t(c_row_ptr.back());
-    std::vector<Index> cols_out = downloadIndices(m, c_col, nnz);
-    DenseVector vals_out = downloadValues(m, c_val, nnz);
-    Coo coo(rows, cols);
-    for (Index r = 0; r < rows; ++r)
-        for (Index k = c_row_ptr[std::size_t(r)];
-             k < c_row_ptr[std::size_t(r) + 1]; ++k)
-            coo.add(r, cols_out[std::size_t(k)],
-                    vals_out[std::size_t(k)]);
-    return Csr::fromCoo(std::move(coo));
 }
 
 } // namespace
@@ -396,8 +379,11 @@ spmaSsrCsr(Machine &m, const Csr &a, const Csr &b)
         c_row_ptr[std::size_t(r) + 1] = out;
     }
 
-    return SpmaResult{assembleResult(m, c_col, c_val, c_row_ptr,
-                                     a.rows(), a.cols()),
+    const auto nnz = std::size_t(c_row_ptr.back());
+    return SpmaResult{Csr::fromRows(a.rows(), a.cols(),
+                                    std::move(c_row_ptr),
+                                    downloadIndices(m, c_col, nnz),
+                                    downloadValues(m, c_val, nnz)),
                       m.cycles()};
 }
 
@@ -412,11 +398,7 @@ spmmSsrInner(Machine &m, const Csr &a, const Csc &b)
     Addr b_row = upload(m, b.rowIdx());
     Addr b_val = upload(m, b.values());
 
-    std::size_t bound = std::size_t(a.rows()) *
-                        std::size_t(b.cols());
-    std::size_t alt = a.nnz() * std::size_t(std::max<Index>(
-                                    b.maxColNnz(), 1));
-    bound = std::min(bound, alt + 1);
+    const std::size_t bound = spmmOutputBound(a, b);
     Addr c_col = m.mem().alloc(bound * sizeof(Index));
     Addr c_val = m.mem().alloc(bound * sizeof(Value));
     Addr c_ptr = m.mem().alloc((std::size_t(a.rows()) + 1) *

@@ -15,19 +15,20 @@
 namespace via
 {
 
-/** Csb -> Csr via canonical triplets. */
+/** Csb -> Csr by a count-and-scatter over the rows. */
 Csr csbToCsr(const Csb &m);
 
-/** Csc -> Csr via canonical triplets. */
+/** Csc -> Csr by a counting-sort transpose. */
 Csr cscToCsr(const Csc &m);
 
-/** Element-wise equality through canonical COO (exact values). */
+/** Element-wise equality (exact values; CSR is canonical). */
 bool sameElements(const Csr &a, const Csr &b);
 
 /** Element-wise closeness (|diff| <= atol per element). */
 bool closeElements(const Csr &a, const Csr &b, double atol = 1e-4);
 
-/** A + B with exact merge semantics (golden SpMA). */
+/** A + B (golden SpMA): each row concatenates A's and B's entries
+ *  and goes through Csr::fromRows. */
 Csr addCsr(const Csr &a, const Csr &b);
 
 /** A * B with double accumulation (golden SpMM). */

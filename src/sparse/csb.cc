@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "simcore/log.hh"
 
@@ -18,37 +19,58 @@ Csb::fromCsr(const Csr &csr, Index beta)
     m._cols = csr.cols();
     m._beta = beta;
     m._colBits = std::uint32_t(std::countr_zero(std::uint32_t(beta)));
+    const std::uint32_t shift = m._colBits;
+    const Index mask = beta - 1;
 
-    Index brows = m.blockRows();
-    Index bcols = m.blockCols();
-    std::size_t nblocks = std::size_t(brows) * std::size_t(bcols);
-
-    // Count elements per block, prefix-sum, then scatter in order.
-    std::vector<Index> counts(nblocks, 0);
-    Coo coo = csr.toCoo();
-    for (const Triplet &t : coo.elems()) {
-        std::size_t b = std::size_t(t.row / beta) *
-                            std::size_t(bcols) +
-                        std::size_t(t.col / beta);
-        ++counts[b];
+    // The largest packed index must fit an Index: at beta = 65536 an
+    // in-block row of 32768 or more would wrap.
+    if (m._rows > 0 && m._cols > 0) {
+        const std::int64_t top_row = std::min(beta, m._rows) - 1;
+        const std::int64_t top_col = std::min(beta, m._cols) - 1;
+        if (((top_row << shift) | top_col) >
+            std::numeric_limits<Index>::max())
+            via_fatal("CSB block side ", beta, " cannot pack the "
+                      "in-block indices of a ", m._rows, "x", m._cols,
+                      " matrix into 32 bits; use a smaller block "
+                      "side (a smaller sspm_kb)");
     }
-    m._blockPtr.assign(nblocks + 1, 0);
-    for (std::size_t b = 0; b < nblocks; ++b)
-        m._blockPtr[b + 1] = m._blockPtr[b] + counts[b];
 
-    m._packedIdx.assign(coo.nnz(), 0);
-    m._values.assign(coo.nnz(), Value(0));
-    std::vector<Index> cursor(m._blockPtr.begin(),
-                              m._blockPtr.end() - 1);
-    for (const Triplet &t : coo.elems()) {
-        std::size_t b = std::size_t(t.row / beta) *
-                            std::size_t(bcols) +
-                        std::size_t(t.col / beta);
-        auto slot = std::size_t(cursor[b]++);
-        Index in_row = t.row % beta;
-        Index in_col = t.col % beta;
-        m._packedIdx[slot] = (in_row << m._colBits) | in_col;
-        m._values[slot] = t.value;
+    const Index bcols = m.blockCols();
+    const std::size_t nblocks =
+        std::size_t(m.blockRows()) * std::size_t(bcols);
+    const auto &row_ptr = csr.rowPtr();
+    const auto &col_idx = csr.colIdx();
+    const auto &values = csr.values();
+    auto block_of = [&](Index r, Index c) {
+        return std::size_t(r >> shift) * std::size_t(bcols) +
+               std::size_t(c >> shift);
+    };
+
+    // Count elements per block, prefix-sum, then scatter in CSR
+    // order, so each block keeps its elements row-major. The counts
+    // become the scatter cursors.
+    std::vector<Index> next(nblocks, 0);
+    for (Index r = 0; r < m._rows; ++r)
+        for (Index k = row_ptr[std::size_t(r)];
+             k < row_ptr[std::size_t(r) + 1]; ++k)
+            ++next[block_of(r, col_idx[std::size_t(k)])];
+    m._blockPtr.assign(nblocks + 1, 0);
+    for (std::size_t b = 0; b < nblocks; ++b) {
+        m._blockPtr[b + 1] = m._blockPtr[b] + next[b];
+        next[b] = m._blockPtr[b];
+    }
+
+    m._packedIdx.resize(csr.nnz());
+    m._values.resize(csr.nnz());
+    for (Index r = 0; r < m._rows; ++r) {
+        const Index in_row = (r & mask) << shift;
+        for (Index k = row_ptr[std::size_t(r)];
+             k < row_ptr[std::size_t(r) + 1]; ++k) {
+            const Index c = col_idx[std::size_t(k)];
+            const auto slot = std::size_t(next[block_of(r, c)]++);
+            m._packedIdx[slot] = in_row | (c & mask);
+            m._values[slot] = values[std::size_t(k)];
+        }
     }
     m.validate();
     return m;
@@ -115,26 +137,6 @@ Csb::meanNnzPerNonEmptyBlock() const
         if (_blockPtr[b + 1] > _blockPtr[b])
             ++nonempty;
     return nonempty ? double(nnz()) / double(nonempty) : 0.0;
-}
-
-Coo
-Csb::toCoo() const
-{
-    Coo coo(_rows, _cols);
-    std::int64_t bcols = blockCols();
-    for (std::int64_t b = 0; b < numBlocks(); ++b) {
-        Index base_row = Index(b / bcols) * _beta;
-        Index base_col = Index(b % bcols) * _beta;
-        for (Index k = _blockPtr[std::size_t(b)];
-             k < _blockPtr[std::size_t(b) + 1]; ++k) {
-            Index packed = _packedIdx[std::size_t(k)];
-            Index in_col = packed & (_beta - 1);
-            Index in_row = packed >> _colBits;
-            coo.add(base_row + in_row, base_col + in_col,
-                    _values[std::size_t(k)]);
-        }
-    }
-    return coo;
 }
 
 void

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sparse/coo.hh"
 #include "sparse/csr.hh"
 #include "sparse/sparse_types.hh"
 
@@ -31,7 +30,9 @@ class Csb
     Csb() = default;
 
     /**
-     * Tile @p csr into beta x beta blocks.
+     * Tile @p csr into beta x beta blocks, elements row-major inside
+     * each block. Fatal if the largest packed in-block index does
+     * not fit an Index (at beta = 65536, 32768 rows or more).
      * @param beta block side; must be a power of two
      */
     static Csb fromCsr(const Csr &csr, Index beta);
@@ -76,7 +77,6 @@ class Csb
     /** Mean non-zeros over non-empty blocks (Fig 10's x-axis). */
     double meanNnzPerNonEmptyBlock() const;
 
-    Coo toCoo() const;
     void validate() const;
 
   private:

@@ -7,6 +7,33 @@
 namespace via
 {
 
+void
+transposeCompressed(Index inner, const std::vector<Index> &ptr,
+                    const std::vector<Index> &idx,
+                    const std::vector<Value> &val,
+                    std::vector<Index> &t_ptr, std::vector<Index> &t_idx,
+                    std::vector<Value> &t_val)
+{
+    // Count per inner index, prefix-sum, then scatter the lines in
+    // order through per-index cursors.
+    t_ptr.assign(std::size_t(inner) + 1, 0);
+    for (Index i : idx)
+        ++t_ptr[std::size_t(i) + 1];
+    for (std::size_t i = 1; i < t_ptr.size(); ++i)
+        t_ptr[i] += t_ptr[i - 1];
+    std::vector<Index> next(t_ptr.begin(), t_ptr.end() - 1);
+    t_idx.resize(idx.size());
+    t_val.resize(val.size());
+    for (std::size_t line = 0; line + 1 < ptr.size(); ++line) {
+        for (Index k = ptr[line]; k < ptr[line + 1]; ++k) {
+            const auto slot =
+                std::size_t(next[std::size_t(idx[std::size_t(k)])]++);
+            t_idx[slot] = Index(line);
+            t_val[slot] = val[std::size_t(k)];
+        }
+    }
+}
+
 Csc
 Csc::fromCoo(Coo coo)
 {
@@ -36,7 +63,13 @@ Csc::fromCoo(Coo coo)
 Csc
 Csc::fromCsr(const Csr &csr)
 {
-    return fromCoo(csr.toCoo());
+    Csc m;
+    m._rows = csr.rows();
+    m._cols = csr.cols();
+    transposeCompressed(csr.cols(), csr.rowPtr(), csr.colIdx(),
+                        csr.values(), m._colPtr, m._rowIdx, m._values);
+    m.validate();
+    return m;
 }
 
 Index
@@ -53,18 +86,6 @@ Csc::maxColNnz() const
     for (Index c = 0; c < _cols; ++c)
         best = std::max(best, colNnz(c));
     return best;
-}
-
-Coo
-Csc::toCoo() const
-{
-    Coo coo(_rows, _cols);
-    for (Index c = 0; c < _cols; ++c)
-        for (Index k = _colPtr[std::size_t(c)];
-             k < _colPtr[std::size_t(c) + 1]; ++k)
-            coo.add(_rowIdx[std::size_t(k)], c,
-                    _values[std::size_t(k)]);
-    return coo;
 }
 
 void

@@ -39,7 +39,6 @@ class Csc
     Index colNnz(Index c) const;
     Index maxColNnz() const;
 
-    Coo toCoo() const;
     void validate() const;
 
   private:
@@ -49,6 +48,20 @@ class Csc
     std::vector<Index> _rowIdx;
     std::vector<Value> _values;
 };
+
+/**
+ * Counting-sort transpose of compressed arrays: @p ptr delimits the
+ * (idx, val) entries of each line (a CSR row or a CSC column), with
+ * every idx in [0, @p inner). The t_ arrays regroup the entries by
+ * idx, each group in line order, so sorted lines give sorted
+ * groups. CSR -> CSC and CSC -> CSR are both this.
+ */
+void transposeCompressed(Index inner, const std::vector<Index> &ptr,
+                         const std::vector<Index> &idx,
+                         const std::vector<Value> &val,
+                         std::vector<Index> &t_ptr,
+                         std::vector<Index> &t_idx,
+                         std::vector<Value> &t_val);
 
 } // namespace via
 

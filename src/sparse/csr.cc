@@ -7,6 +7,28 @@
 namespace via
 {
 
+namespace
+{
+
+/** Stable in-place insertion sort of one short row by column. */
+void
+insertionSortRow(Index *cols, Value *vals, std::size_t len)
+{
+    for (std::size_t i = 1; i < len; ++i) {
+        const Index c = cols[i];
+        const Value v = vals[i];
+        std::size_t j = i;
+        for (; j > 0 && cols[j - 1] > c; --j) {
+            cols[j] = cols[j - 1];
+            vals[j] = vals[j - 1];
+        }
+        cols[j] = c;
+        vals[j] = v;
+    }
+}
+
+} // namespace
+
 Csr
 Csr::fromCoo(Coo coo)
 {
@@ -41,6 +63,60 @@ Csr::fromParts(Index rows, Index cols, std::vector<Index> row_ptr,
     m._values = std::move(values);
     m.validate();
     return m;
+}
+
+Csr
+Csr::fromRows(Index rows, Index cols, std::vector<Index> row_ptr,
+              std::vector<Index> col_idx, std::vector<Value> values)
+{
+    via_assert(row_ptr.size() == std::size_t(rows) + 1 &&
+                   row_ptr.front() == 0 &&
+                   col_idx.size() == values.size(),
+               "malformed row arrays");
+    // Per-row stable sort by column, then an in-place duplicate
+    // merge that sums in stored order (exact zeros are kept, as in
+    // Coo::canonicalize). Short rows sort in place; longer ones go
+    // through std::stable_sort on a pair copy. row_ptr is rewritten
+    // to the merged offsets as the walk passes each row.
+    constexpr std::size_t insertion_max = 32;
+    std::vector<std::pair<Index, Value>> tmp;
+    std::size_t w = 0, lo = 0;
+    for (Index r = 0; r < rows; ++r) {
+        const auto hi = std::size_t(row_ptr[std::size_t(r) + 1]);
+        if (hi - lo <= insertion_max) {
+            insertionSortRow(col_idx.data() + lo, values.data() + lo,
+                             hi - lo);
+        } else {
+            tmp.clear();
+            for (std::size_t i = lo; i < hi; ++i)
+                tmp.emplace_back(col_idx[i], values[i]);
+            std::stable_sort(tmp.begin(), tmp.end(),
+                             [](const auto &x, const auto &y) {
+                                 return x.first < y.first;
+                             });
+            for (std::size_t i = lo; i < hi; ++i) {
+                col_idx[i] = tmp[i - lo].first;
+                values[i] = tmp[i - lo].second;
+            }
+        }
+        for (std::size_t i = lo; i < hi;) {
+            const Index col = col_idx[i];
+            Value sum = values[i];
+            std::size_t j = i + 1;
+            for (; j < hi && col_idx[j] == col; ++j)
+                sum += values[j];
+            col_idx[w] = col;
+            values[w] = sum;
+            ++w;
+            i = j;
+        }
+        row_ptr[std::size_t(r) + 1] = Index(w);
+        lo = hi;
+    }
+    col_idx.resize(w);
+    values.resize(w);
+    return fromParts(rows, cols, std::move(row_ptr), std::move(col_idx),
+                     std::move(values));
 }
 
 Index

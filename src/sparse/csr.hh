@@ -33,6 +33,19 @@ class Csr
                          std::vector<Index> col_idx,
                          std::vector<Value> values);
 
+    /**
+     * Build from rows in any column order, with repeated columns
+     * allowed: @p row_ptr delimits each row's entries. Each row is
+     * stably sorted by column (insertion sort up to 32 entries,
+     * std::stable_sort beyond) and equal columns are summed in their
+     * stored order; exact zeros are kept. The arrays are compacted
+     * in place, with no triplet copy and no global sort.
+     */
+    static Csr fromRows(Index rows, Index cols,
+                        std::vector<Index> row_ptr,
+                        std::vector<Index> col_idx,
+                        std::vector<Value> values);
+
     Index rows() const { return _rows; }
     Index cols() const { return _cols; }
     std::size_t nnz() const { return _values.size(); }

@@ -78,11 +78,11 @@ Csr genBandedCsr(Index n, Index bandwidth, double fill, Rng &rng);
  * compares the raw 53-bit draw against the quadrant thresholds
  * scaled by 2^53, which decides exactly as comparing uniform()
  * does, so the draws and the Rng end state are those of a per-level
- * if/else descent. Rows of up to 32 entries sort in place with a
- * stable insertion sort, longer ones with std::stable_sort, and
- * duplicates sum in draw order. @p rng ends in the same state as
- * after genRmat and the structure (row_ptr / col_idx) matches
- * genRmat exactly; values match except that 3+-way duplicate edges
+ * if/else descent. The rows then go through Csr::fromRows, which
+ * sorts each one stably and sums duplicates in draw order. @p rng
+ * ends in the same state as after genRmat and the structure
+ * (row_ptr / col_idx) matches genRmat exactly; values match except
+ * that 3+-way duplicate edges
  * may sum in a different association order than
  * Coo::canonicalize's global unstable sort (allClose, not
  * bit-equal). Golden hashes in tests/test_debug.cc pin the output

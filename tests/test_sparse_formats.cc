@@ -152,6 +152,33 @@ TEST(CsbDeathTest, BlockSideMustBePowerOfTwo)
     EXPECT_DEATH(Csb::fromCsr(tiny(), 3), "power of two");
 }
 
+/** An n x n matrix with one element, at (n - 1, 5). */
+Csr
+lastRowOnly(Index n)
+{
+    std::vector<Index> row_ptr(std::size_t(n) + 1, 0);
+    row_ptr.back() = 1;
+    return Csr::fromParts(n, n, std::move(row_ptr), {5}, {1.0f});
+}
+
+TEST(CsbDeathTest, PackedIndexOverflowIsFatal)
+{
+    // beta = 65536 (sspm_kb=512) packs (row % beta) << 16 into an
+    // Index: in-block row 39999 would wrap to a negative index that
+    // still passes validate(). Refuse the shape instead.
+    const Csr m = lastRowOnly(40000);
+    EXPECT_EXIT(Csb::fromCsr(m, 65536), ::testing::ExitedWithCode(1),
+                "block side 65536 cannot pack.*40000x40000.*sspm_kb");
+}
+
+TEST(Csb, PackedIndexFitsUpTo32768RowsAtBeta65536)
+{
+    const Csr m = lastRowOnly(32768);
+    const Csb csb = Csb::fromCsr(m, 65536);
+    EXPECT_EQ(csb.packedIdx().at(0), (32767 << 16) | 5);
+    EXPECT_TRUE(csbToCsr(csb) == m);
+}
+
 TEST(Csb, GridBlockCountDoesNotOverflow32Bits)
 {
     // A 4M x 4M matrix tiled at beta = 16 has 250'000^2 = 6.25e10

@@ -7,6 +7,10 @@
 #include <gtest/gtest.h>
 
 #include "cpu/machine.hh"
+#include "cpu/multi_machine.hh"
+#include "kernels/backend_kernels.hh"
+#include "kernels/parallel.hh"
+#include "kernels/ranges.hh"
 #include "kernels/spma.hh"
 #include "kernels/spmm.hh"
 #include "simcore/rng.hh"
@@ -147,6 +151,47 @@ TEST(SpmmKernels, ViaHandlesEmptyRowsAndColumns)
     Machine m(defaultParams());
     auto res = kernels::spmmViaInner(m, a, b);
     EXPECT_TRUE(closeElements(res.c, mulCsr(a, b_csr)));
+}
+
+TEST(SpmmKernels, OutputFitsRowsDenserThanColumns)
+{
+    // A has one entry, at (0, 0); B's row 0 is full. The region
+    // sizing min(rows * cols, nnz(A) * max col nnz(B) + 1) gives 2,
+    // but the product has 64 entries.
+    Coo ca(4, 4), cb(4, 64);
+    ca.add(0, 0, 2.0f);
+    for (Index c = 0; c < 64; ++c)
+        cb.add(0, c, Value(c + 1));
+    Csr a = Csr::fromCoo(std::move(ca));
+    Csr b_csr = Csr::fromCoo(std::move(cb));
+    Csc b = Csc::fromCsr(b_csr);
+    Csr golden = mulCsr(a, b_csr);
+    ASSERT_EQ(golden.nnz(), 64u);
+    EXPECT_EQ(kernels::spmmOutputBound(a, b), 64u);
+
+    Machine m1(defaultParams()), m2(defaultParams());
+    EXPECT_TRUE(
+        closeElements(kernels::spmmScalarInner(m1, a, b).c, golden));
+    EXPECT_TRUE(closeElements(kernels::spmmViaInner(m2, a, b).c, golden));
+    MachineParams ssr = defaultParams();
+    ssr.backend.kind = BackendKind::Ssr;
+    Machine m3(ssr);
+    EXPECT_TRUE(closeElements(kernels::spmmSsrInner(m3, a, b).c, golden));
+    for (bool via : {false, true}) {
+        MultiMachine mm(defaultParams(), 2);
+        auto res = kernels::spmmParallel(mm, a, b,
+                                         kernels::Partition::Static, via);
+        EXPECT_TRUE(closeElements(res.c, golden)) << "via=" << via;
+    }
+}
+
+TEST(RowOutputDeathTest, OverflowedRegionPanics)
+{
+    Machine m(defaultParams());
+    kernels::RowOutput out(m, 1, 1, 2);
+    out.regions[0].used = 3;
+    out.rows[0] = {0, 0, 3};
+    EXPECT_DEATH(out.collect(m, 4), "region overflowed");
 }
 
 TEST(SpmmKernels, ViaBeatsScalarInner)

@@ -1,26 +1,37 @@
-# The drivers gate: via_sim, via_db and via_fuzz must print exactly
-# what they printed when the golden was captured. Every line of
-# tools/goldens/drivers.sha256 is one command:
+# The byte-identity gates: a binary must print exactly what it
+# printed when the golden was captured. Every line of a golden file
+# is one command:
 #
-#   <sha256 of stdout> <exit code> <driver> <arguments ...>
+#   <sha256 of stdout> <exit code> <binary> [<arguments ...>]
+#
+# tools/goldens/drivers.sha256 pins via_sim, via_db and via_fuzz:
+# every kernel on every backend, the cores>1, functional, sampled
+# and sweep paths, each synthetic family and input loader, the
+# debugger at one and two cores, the fuzzer, and each driver's
+# help=1 table (which pins the option set).
+# tools/goldens/bench.sha256 pins the bench/ harnesses the same way:
+# each figure and ablation at a small size, fig10_spmv on every
+# backend, at cores=2 and in mode=sampled, and every help=1 table.
 #
 # The commands run from the source tree, so input paths in the
 # arguments (examples/*.mtx, tools/dbg/*.dbg) are relative to it.
-# The matrix covers every kernel on every backend, the cores>1,
-# functional, sampled and sweep paths, each synthetic family and
-# input loader, the debugger at one and two cores, the fuzzer, and
-# each driver's help=1 table (which pins the option set). Stderr is
-# not hashed: it carries sweep progress lines.
+# Stderr is not hashed: it carries sweep progress lines.
 #
-# Usage (one driver's lines, as the ctests run it):
-#   cmake -DBIN_DIR=<dir with the drivers> -DSRC_DIR=<source root>
-#         -DDRIVER=via_sim -P check_drivers_identical.cmake
-# Recapture every hash and exit code in place, only when an output
+# Usage (one binary's lines, as the ctests run it):
+#   cmake -DBIN_DIR=<dir with the binaries> -DSRC_DIR=<source root>
+#         [-DGOLDEN=<golden file>] -DDRIVER=<binary>
+#         -P check_drivers_identical.cmake
+# GOLDEN defaults to tools/goldens/drivers.sha256. Recapture every
+# hash and exit code of a golden file in place, only when an output
 # change is intended:
-#   cmake -DBIN_DIR=... -DSRC_DIR=... -DUPDATE=1
+#   cmake -DBIN_DIR=... -DSRC_DIR=... [-DGOLDEN=...] -DUPDATE=1
 #         -P check_drivers_identical.cmake
 
-set(golden "${SRC_DIR}/tools/goldens/drivers.sha256")
+if(GOLDEN)
+    set(golden "${GOLDEN}")
+else()
+    set(golden "${SRC_DIR}/tools/goldens/drivers.sha256")
+endif()
 file(STRINGS "${golden}" lines)
 
 # The invariant checker adds an audit line to sampled runs; the
@@ -31,13 +42,13 @@ set(updated "")
 set(ran 0)
 set(failed 0)
 foreach(line IN LISTS lines)
-    if(NOT line MATCHES "^([0-9a-f]+) ([0-9]+) ([a-z_]+) (.*)$")
+    if(NOT line MATCHES "^([0-9a-f]+) ([0-9]+) ([a-z0-9_]+)( (.*))?$")
         message(FATAL_ERROR "malformed line in ${golden}: ${line}")
     endif()
     set(want_hash "${CMAKE_MATCH_1}")
     set(want_rc "${CMAKE_MATCH_2}")
     set(driver "${CMAKE_MATCH_3}")
-    set(args "${CMAKE_MATCH_4}")
+    set(args "${CMAKE_MATCH_5}")
     if(NOT UPDATE AND NOT driver STREQUAL DRIVER)
         continue()
     endif()
@@ -50,7 +61,8 @@ foreach(line IN LISTS lines)
     string(SHA256 hash "${out}")
     math(EXPR ran "${ran} + 1")
     if(UPDATE)
-        list(APPEND updated "${hash} ${rc} ${driver} ${args}")
+        string(STRIP "${hash} ${rc} ${driver} ${args}" entry)
+        list(APPEND updated "${entry}")
     elseif(NOT hash STREQUAL want_hash OR NOT rc STREQUAL want_rc)
         math(EXPR failed "${failed} + 1")
         message("MISMATCH: ${driver} ${args}\n"

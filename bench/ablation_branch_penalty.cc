@@ -27,17 +27,15 @@ main(int argc, char **argv)
     Options opts = bench::benchOptions(
         "ablation_branch_penalty",
         "Ablation: branch mispredict penalty vs SpMA speedup");
-    opts.addUInt("count", 6, "corpus matrices", 1)
-        .addUInt("seed", 1, "corpus generator seed");
+    const CorpusSpec corpus_dflt{.count = 6,
+                                 .minRows = 512,
+                                 .maxRows = 2048,
+                                 .minDensity = 0.004};
+    bench::addCorpusOptions(opts, corpus_dflt, "corpus matrices",
+                            false);
     opts.parse(argc, argv);
     applySelfProfOption(opts);
-    CorpusSpec spec;
-    spec.count = opts.getUInt("count");
-    spec.minRows = 512;
-    spec.maxRows = 2048;
-    spec.minDensity = 0.004;
-    spec.seed = opts.getUInt("seed");
-    auto corpus = buildCorpus(spec);
+    auto corpus = buildCorpus(bench::corpusSpec(opts, corpus_dflt));
 
     std::printf("== Ablation: mispredict penalty vs SpMA speedup "
                 "==\n");

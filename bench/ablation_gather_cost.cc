@@ -30,16 +30,11 @@ main(int argc, char **argv)
     Options opts = bench::benchOptions(
         "ablation_gather_cost",
         "Ablation: gather cost vs VIA-CSB speedup");
-    opts.addUInt("count", 6, "corpus matrices", 1)
-        .addUInt("max_rows", 2048, "largest corpus dimension", 1)
-        .addUInt("seed", 1, "corpus generator seed");
+    const CorpusSpec corpus_dflt{.count = 6, .maxRows = 2048};
+    bench::addCorpusOptions(opts, corpus_dflt);
     opts.parse(argc, argv);
     applySelfProfOption(opts);
-    CorpusSpec spec;
-    spec.count = opts.getUInt("count");
-    spec.maxRows = Index(opts.getUInt("max_rows"));
-    spec.seed = opts.getUInt("seed");
-    auto corpus = buildCorpus(spec);
+    auto corpus = buildCorpus(bench::corpusSpec(opts, corpus_dflt));
 
     struct Point
     {

@@ -27,18 +27,14 @@ main(int argc, char **argv)
     Options opts = bench::benchOptions(
         "ablation_prefetch",
         "Ablation: L2 next-N-line prefetcher");
-    opts.addUInt("count", 6, "corpus matrices", 1)
-        .addUInt("max_rows", 4096, "largest corpus dimension", 1)
-        .addUInt("seed", 1, "corpus generator seed");
+    const CorpusSpec corpus_dflt{.count = 6,
+                                 .minRows = 1024,
+                                 .maxRows = 4096,
+                                 .minDensity = 0.002};
+    bench::addCorpusOptions(opts, corpus_dflt);
     opts.parse(argc, argv);
     applySelfProfOption(opts);
-    CorpusSpec spec;
-    spec.count = opts.getUInt("count");
-    spec.minRows = 1024;
-    spec.maxRows = Index(opts.getUInt("max_rows"));
-    spec.minDensity = 0.002;
-    spec.seed = opts.getUInt("seed");
-    auto corpus = buildCorpus(spec);
+    auto corpus = buildCorpus(bench::corpusSpec(opts, corpus_dflt));
 
     std::printf("== Ablation: L2 next-N-line prefetcher ==\n");
     // The serial sweep re-seeded Rng(21) per degree; draw once so

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "simcore/log.hh"
+#include "sparse/structure_stats.hh"
 
 namespace via::bench
 {
@@ -25,6 +26,28 @@ makeSibling(const Csr &a, Rng &rng)
     }
     coo.canonicalize();
     return Csr::fromCoo(std::move(coo));
+}
+
+void
+addCorpusOptions(Options &opts, const CorpusSpec &dflt,
+                 const std::string &count_help, bool max_rows_key)
+{
+    opts.addUInt("count", dflt.count, count_help, 1)
+        .addUInt("seed", dflt.seed, "corpus generator seed");
+    if (max_rows_key)
+        opts.addUInt("max_rows", std::uint64_t(dflt.maxRows),
+                     "largest corpus dimension",
+                     std::uint64_t(dflt.minRows));
+}
+
+CorpusSpec
+corpusSpec(const Options &opts, CorpusSpec dflt)
+{
+    dflt.count = opts.getUInt("count");
+    dflt.seed = opts.getUInt("seed");
+    if (opts.knows("max_rows"))
+        dflt.maxRows = Index(opts.getUInt("max_rows"));
+    return dflt;
 }
 
 Options
@@ -66,6 +89,39 @@ traceOptions(const Options &opts)
         topts.summary = false;
     }
     return topts;
+}
+
+std::vector<std::vector<std::string>>
+categoryRows(const std::string &key_name,
+             const std::vector<double> &keys,
+             const std::vector<std::vector<double>> &columns)
+{
+    constexpr std::size_t num_cats = 4;
+    auto bucket = evenBuckets(keys, num_cats);
+    std::vector<std::vector<std::string>> rows;
+    for (std::size_t cat = 0; cat < num_cats; ++cat) {
+        std::vector<double> key;
+        std::vector<std::vector<double>> values(columns.size());
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            if (bucket[i] != cat)
+                continue;
+            key.push_back(keys[i]);
+            for (std::size_t c = 0; c < columns.size(); ++c)
+                values[c].push_back(columns[c][i]);
+        }
+        if (key.empty())
+            continue;
+        std::sort(key.begin(), key.end());
+        rows.push_back({"cat" + std::to_string(cat + 1) + " (" +
+                        key_name + "~" + fmt(key[key.size() / 2], 0) +
+                        ")"});
+        for (const auto &v : values)
+            rows.back().push_back(fmt(geomean(v)));
+    }
+    rows.push_back({"average"});
+    for (const auto &column : columns)
+        rows.back().push_back(fmt(geomean(column)));
+    return rows;
 }
 
 void

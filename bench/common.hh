@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared support for the benchmark harnesses: option parsing and
- * paper-style table printing.
+ * Shared support for the benchmark harnesses: option parsing, the
+ * corpus keys, and paper-style table printing.
  */
 
 #ifndef VIA_BENCH_COMMON_HH
@@ -15,6 +15,7 @@
 #include "simcore/options.hh"
 #include "simcore/parallel.hh"
 #include "simcore/rng.hh"
+#include "sparse/corpus.hh"
 #include "sparse/csr.hh"
 #include "trace/trace_io.hh"
 
@@ -36,6 +37,21 @@ Csr makeSibling(const Csr &a, Rng &rng);
  */
 Options benchOptions(const std::string &binary,
                      const std::string &description);
+
+/**
+ * The corpus keys of a harness that sweeps a generated corpus:
+ * count= and seed=, and max_rows= unless @p max_rows_key is false
+ * (the largest dimension is then fixed), defaulting to @p dflt's
+ * count, seed and maxRows. max_rows= is bounded below by
+ * dflt.minRows, so a size buildCorpus cannot honour exits 2 naming
+ * the range.
+ */
+void addCorpusOptions(Options &opts, const CorpusSpec &dflt,
+                      const std::string &count_help = "corpus matrices",
+                      bool max_rows_key = true);
+
+/** @p dflt with the parsed corpus keys applied. */
+CorpusSpec corpusSpec(const Options &opts, CorpusSpec dflt);
 
 /**
  * The sweep executor for a harness: honors the shared threads=N
@@ -63,6 +79,18 @@ TraceOptions traceOptions(const Options &opts);
  * error bound (docs/sampling.md).
  */
 sample::SampleOptions sampleOptions(const Options &opts);
+
+/**
+ * The rows of a paper-style category table: the matrices split into
+ * four even buckets by @p keys (sorted ascending, as the paper
+ * does), one "catN (<key_name>~median)" row per non-empty bucket
+ * with the geomean of each column, then an "average" row over every
+ * matrix. columns[c][i] is matrix i's value in column c.
+ */
+std::vector<std::vector<std::string>>
+categoryRows(const std::string &key_name,
+             const std::vector<double> &keys,
+             const std::vector<std::vector<double>> &columns);
 
 /** Print an aligned table: header row + data rows. */
 void printTable(const std::vector<std::string> &header,

@@ -7,7 +7,11 @@
  * Compares the software CSB kernel against VIA-CSB on the corpus
  * and reports energy breakdown ratios and DRAM bytes/cycle.
  *
+ * backend= picks the accelerated CSB kernel (kernels/dispatch.hh):
+ * VIA by default, or the SSR or IndexMAC variant.
+ *
  * Usage: energy_bw [count=N] [seed=S] [max_rows=R]
+ *                  [backend=base|via|ssr|indexmac]
  */
 
 #include <cstdio>
@@ -16,8 +20,8 @@
 #include "common.hh"
 #include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
+#include "kernels/dispatch.hh"
 #include "kernels/runner.hh"
-#include "kernels/spmv.hh"
 #include "simcore/rng.hh"
 #include "sparse/corpus.hh"
 
@@ -32,21 +36,17 @@ main(int argc, char **argv)
                  "vectorized CSB");
     addSelfProfOption(opts);
     addMachineOptions(opts);
-    opts.addUInt("count", 10, "corpus matrices", 1)
-        .addUInt("max_rows", 4096, "largest corpus dimension", 1)
-        .addUInt("seed", 1, "corpus generator seed");
-    opts.parse(argc, argv);
-    applySelfProfOption(opts);
     // The paper reports these numbers for the *best usage case*
     // (Section VII-A), so the corpus leans on the larger, denser
     // matrices where CSB blocks actually fill.
-    CorpusSpec spec;
-    spec.count = opts.getUInt("count");
-    spec.minRows = 1024;
-    spec.maxRows = Index(opts.getUInt("max_rows"));
-    spec.minDensity = 0.004;
-    spec.seed = opts.getUInt("seed");
-    auto corpus = buildCorpus(spec);
+    const CorpusSpec corpus_dflt{.count = 10,
+                                 .minRows = 1024,
+                                 .maxRows = 4096,
+                                 .minDensity = 0.004};
+    bench::addCorpusOptions(opts, corpus_dflt);
+    opts.parse(argc, argv);
+    applySelfProfOption(opts);
+    auto corpus = buildCorpus(bench::corpusSpec(opts, corpus_dflt));
 
     MachineParams params = machineParamsFrom(opts.config());
     Rng rng(55);
@@ -57,13 +57,12 @@ main(int argc, char **argv)
         DenseVector x = randomVector(a.cols(), rng);
 
         Machine m1(params);
-        Csb csb1 = Csb::fromCsr(a, kernels::viaCsbBeta(m1));
-        kernels::spmvVectorCsb(m1, csb1, x);
+        kernels::spmvBaseline(m1, a, x, "csb");
         auto base = kernels::collectMetrics(m1);
 
         Machine m2(params);
-        kernels::spmvViaCsb(m2, csb1, x);
-        auto viam = kernels::collectMetrics(m2);
+        kernels::spmvAccel(m2, a, x, "csb");
+        auto accel = kernels::collectMetrics(m2);
 
         // The paper's 3.8x is McPAT scope: processor energy
         // (leakage + dynamic), not DRAM device energy — both
@@ -71,16 +70,16 @@ main(int argc, char **argv)
         // would cap the ratio regardless of the architecture.
         double base_cpu = base.energy.totalPj() -
                           base.energy.dramPj;
-        double via_cpu = viam.energy.totalPj() -
-                         viam.energy.dramPj;
-        energy_ratio.push_back(base_cpu / via_cpu);
-        if (viam.dramBytesPerCycle > 0 &&
+        double accel_cpu = accel.energy.totalPj() -
+                           accel.energy.dramPj;
+        energy_ratio.push_back(base_cpu / accel_cpu);
+        if (accel.dramBytesPerCycle > 0 &&
             base.dramBytesPerCycle > 0)
-            bw_ratio.push_back(viam.dramBytesPerCycle /
+            bw_ratio.push_back(accel.dramBytesPerCycle /
                                base.dramBytesPerCycle);
         energy_ratio.back() = std::max(energy_ratio.back(), 1e-9);
         cache_ratio.push_back(base.energy.totalPj() /
-                              viam.energy.totalPj());
+                              accel.energy.totalPj());
         std::printf("  %-28s energy %5.2fx  bandwidth %5.2fx\n",
                     entry.name.c_str(), energy_ratio.back(),
                     bw_ratio.empty() ? 0.0 : bw_ratio.back());

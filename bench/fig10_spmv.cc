@@ -33,11 +33,17 @@
  * corpora with far larger matrices (max_rows in the hundreds of
  * thousands) tractable at a bounded cycle error.
  *
- * With trace=PATH, the VIA CSB run of every matrix writes its own
- * event trace, suffixed with the matrix name before the extension
- * (e.g. trace=fig10.json -> fig10_uniform_03.json).
+ * backend= picks the accelerated column's kernels through the
+ * format dispatch (kernels/dispatch.hh): VIA by default, or the SSR
+ * or IndexMAC variants; backend=base compares software with itself
+ * (every speedup 1.0 by construction).
+ *
+ * With trace=PATH, the accelerated CSB run of every matrix writes
+ * its own event trace, suffixed with the matrix name before the
+ * extension (e.g. trace=fig10.json -> fig10_uniform_03.json).
  */
 
+#include <array>
 #include <cstdio>
 #include <vector>
 
@@ -45,13 +51,11 @@
 #include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
 #include "cpu/multi_machine.hh"
-#include "kernels/backend_kernels.hh"
+#include "kernels/dispatch.hh"
 #include "kernels/parallel.hh"
-#include "kernels/runner.hh"
 #include "kernels/spmv.hh"
 #include "simcore/rng.hh"
 #include "sparse/corpus.hh"
-#include "sparse/structure_stats.hh"
 
 using namespace via;
 
@@ -61,56 +65,11 @@ namespace
 struct PerMatrix
 {
     double nnzPerBlock = 0.0;
-    double spCsr = 0.0;  //!< VIA speedup over software, per format
-    double spSpc5 = 0.0;
-    double spSell = 0.0;
-    double spCsb = 0.0;       //!< vs the vectorized CSB kernel
-    double spCsbScalar = 0.0; //!< vs the scalar CSB reference
-    std::string line;         //!< per-matrix report, printed in order
+    /** Accelerated speedup over software for CSR, SPC5, Sell-C-sigma
+     *  and CSB, then CSB over the scalar CSB reference. */
+    std::array<double, 5> speedup{};
+    std::string line; //!< per-matrix report, printed in order
 };
-
-MachineParams
-makeParams(const Config &cfg)
-{
-    return machineParamsFrom(cfg);
-}
-
-/**
- * The accelerated column's kernel per format, selected by backend=.
- * backend=via (the default) runs the historical VIA kernels, so the
- * default output is unchanged; backend=base degenerates to software
- * vs software (every speedup 1.0 by construction).
- */
-struct AccelKernels
-{
-    kernels::SpmvResult (*csr)(Machine &, const Csr &,
-                               const DenseVector &);
-    kernels::SpmvResult (*spc5)(Machine &, const Spc5 &,
-                                const DenseVector &);
-    kernels::SpmvResult (*sell)(Machine &, const SellCSigma &,
-                                const DenseVector &);
-    kernels::SpmvResult (*csb)(Machine &, const Csb &,
-                               const DenseVector &);
-};
-
-AccelKernels
-accelKernels(BackendKind kind)
-{
-    using namespace kernels;
-    switch (kind) {
-      case BackendKind::Base:
-        return {spmvVectorCsr, spmvVectorSpc5, spmvVectorSell,
-                spmvVectorCsb};
-      case BackendKind::Via:
-        return {spmvViaCsr, spmvViaSpc5, spmvViaSell, spmvViaCsb};
-      case BackendKind::Ssr:
-        return {spmvSsrCsr, spmvSsrSpc5, spmvSsrSell, spmvSsrCsb};
-      case BackendKind::IndexMac:
-        return {spmvImacCsr, spmvImacSpc5, spmvImacSell,
-                spmvImacCsb};
-    }
-    via_fatal("unhandled backend kind");
-}
 
 } // namespace
 
@@ -124,27 +83,21 @@ main(int argc, char **argv)
     addMultiCoreOptions(opts);
     sample::addSampleOptions(opts);
     addTraceOptions(opts);
+    const CorpusSpec corpus_dflt{.count = 24, .maxRows = 4096};
+    bench::addCorpusOptions(opts, corpus_dflt,
+                            "generated corpus matrices");
     opts.addString("corpus_dir", "",
                    "load MatrixMarket corpus from this directory "
                    "instead of generating one")
-        .addUInt("count", 24, "generated corpus matrices", 1)
-        .addUInt("max_rows", 4096, "largest corpus dimension", 1)
-        .addUInt("seed", 1, "corpus generator seed")
         .addUInt("vec_seed", 1234, "dense-vector seed");
     opts.parse(argc, argv);
     applySelfProfOption(opts);
-    MachineParams params = makeParams(opts.config());
+    MachineParams params = machineParamsFrom(opts.config());
 
-    std::vector<CorpusEntry> corpus;
-    if (opts.given("corpus_dir")) {
-        corpus = loadCorpusDir(opts.getString("corpus_dir"));
-    } else {
-        CorpusSpec spec;
-        spec.count = opts.getUInt("count");
-        spec.maxRows = Index(opts.getUInt("max_rows"));
-        spec.seed = opts.getUInt("seed");
-        corpus = buildCorpus(spec);
-    }
+    std::vector<CorpusEntry> corpus =
+        opts.given("corpus_dir")
+            ? loadCorpusDir(opts.getString("corpus_dir"))
+            : buildCorpus(bench::corpusSpec(opts, corpus_dflt));
 
     SweepExecutor exec = bench::makeExecutor(opts);
     std::uint64_t vec_seed = opts.getUInt("vec_seed");
@@ -160,7 +113,6 @@ main(int argc, char **argv)
         via_fatal("cores>1 runs the VIA parallel kernels; backend=",
                   backendName(params.backend.kind),
                   " is single-core only");
-    AccelKernels accel = accelKernels(params.backend.kind);
     SharedLlcParams llcp =
         sharedLlcParamsFrom(opts.config(), params, cores);
 
@@ -171,23 +123,23 @@ main(int argc, char **argv)
         DenseVector x = randomVector(a.cols(), rng);
         PerMatrix pm;
 
-        // Under mode=sampled the estimate replaces the detailed
-        // makespan; in detailed mode runWith returns it exactly.
-        auto run = [&](auto &&kernel, auto &&fmt) {
+        // Each kernel runs on a fresh machine. Under mode=sampled the
+        // estimate replaces the detailed makespan; in detailed mode
+        // runWith returns it exactly.
+        auto cycles = [&](auto &&kernel) {
             Machine m(params);
-            auto est = sample::runWith(m, sopts,
-                                       [&] { kernel(m, fmt, x); });
-            return est.cycles;
+            return sample::runWith(m, sopts, [&] { kernel(m); })
+                .cycles;
         };
-
-        Index beta = [&] {
-            Machine probe(params);
-            return kernels::viaCsbBeta(probe);
-        }();
-        Csb csb = Csb::fromCsr(a, beta);
-        auto vl = Index(lanesFor(params.valueType));
-        Spc5 spc5 = Spc5::fromCsr(a, vl);
-        SellCSigma sell = SellCSigma::fromCsr(a, vl, 4 * vl);
+        auto software = [&](const std::string &fmt) {
+            return cycles([&](Machine &m) {
+                kernels::spmvBaseline(m, a, x, fmt);
+            });
+        };
+        auto accel = [&](const std::string &fmt) {
+            return cycles(
+                [&](Machine &m) { kernels::spmvAccel(m, a, x, fmt); });
+        };
 
         // cores>1: the csr/csb columns compare the parallel kernel
         // variants on the multi-core machine; each run gets a fresh
@@ -199,94 +151,62 @@ main(int argc, char **argv)
                               .cycles);
         };
 
+        Csb csb = [&] {
+            Machine probe(params);
+            return Csb::fromCsr(a, kernels::viaCsbBeta(probe));
+        }();
         pm.nnzPerBlock = csb.meanNnzPerNonEmptyBlock();
-        pm.spCsr = cores == 1
-                       ? run(kernels::spmvVectorCsr, a) /
-                             run(accel.csr, a)
-                       : run_par("csr", false) / run_par("csr", true);
-        pm.spSpc5 = run(kernels::spmvVectorSpc5, spc5) /
-                    run(accel.spc5, spc5);
-        pm.spSell = run(kernels::spmvVectorSell, sell) /
-                    run(accel.sell, sell);
+        pm.speedup[0] = cores == 1 ? software("csr") / accel("csr")
+                                   : run_par("csr", false) /
+                                         run_par("csr", true);
+        pm.speedup[1] = software("spc5") / accel("spc5");
+        pm.speedup[2] = software("sell") / accel("sell");
         // The headline kernel (the backend's CSB) is the traced one.
-        double via_csb = [&] {
+        double accel_csb = [&] {
             Machine m(params);
             enableTracing(m, topts);
             m.tracePhase("spmv_csb");
-            auto est = sample::runWith(
-                m, sopts, [&] { accel.csb(m, csb, x); });
+            auto est = sample::runWith(m, sopts, [&] {
+                kernels::spmvAccel(m, a, x, "csb");
+            });
             finishTracing(m, topts, "_" + entry.name);
             return est.cycles;
         }();
-        pm.spCsb = cores == 1
-                       ? run(kernels::spmvVectorCsb, csb) / via_csb
-                       : run_par("csb", false) / run_par("csb", true);
+        pm.speedup[3] = cores == 1 ? software("csb") / accel_csb
+                                   : run_par("csb", false) /
+                                         run_par("csb", true);
         // The vs-scalar reference column stays single-core: there is
         // no parallel scalar-CSB kernel to compare against.
-        pm.spCsbScalar =
-            run(kernels::spmvScalarCsb, csb) / via_csb;
+        pm.speedup[4] = cycles([&](Machine &m) {
+                            kernels::spmvScalarCsb(m, csb, x);
+                        }) /
+                        accel_csb;
 
         char buf[160];
         std::snprintf(buf, sizeof(buf),
                       "  %-28s nnz/blk %8.1f  csr %5.2fx  spc5 "
                       "%5.2fx  sell %5.2fx  csb %5.2fx (%5.2fx vs "
                       "scalar)",
-                      entry.name.c_str(), pm.nnzPerBlock, pm.spCsr,
-                      pm.spSpc5, pm.spSell, pm.spCsb,
-                      pm.spCsbScalar);
+                      entry.name.c_str(), pm.nnzPerBlock,
+                      pm.speedup[0], pm.speedup[1], pm.speedup[2],
+                      pm.speedup[3], pm.speedup[4]);
         pm.line = buf;
         return pm;
     });
-    for (const PerMatrix &pm : results)
-        std::printf("%s\n", pm.line.c_str());
 
     // Bucket by block density as the paper does.
     std::vector<double> keys;
-    for (const auto &r : results)
-        keys.push_back(r.nnzPerBlock);
-    auto bucket = evenBuckets(keys, 4);
+    std::vector<std::vector<double>> columns(5);
+    for (const PerMatrix &pm : results) {
+        std::printf("%s\n", pm.line.c_str());
+        keys.push_back(pm.nnzPerBlock);
+        for (std::size_t c = 0; c < columns.size(); ++c)
+            columns[c].push_back(pm.speedup[c]);
+    }
 
     std::printf("\n== Figure 10: VIA-SpMV speedup over software, by "
                 "CSB block density ==\n");
-    std::vector<std::vector<std::string>> rows;
-    std::vector<double> all_csr, all_spc5, all_sell, all_csb,
-        all_csb_s;
-    for (std::size_t cat = 0; cat < 4; ++cat) {
-        std::vector<double> med_key, csr, spc5, sell, csb, csb_s;
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            if (bucket[i] != cat)
-                continue;
-            med_key.push_back(results[i].nnzPerBlock);
-            csr.push_back(results[i].spCsr);
-            spc5.push_back(results[i].spSpc5);
-            sell.push_back(results[i].spSell);
-            csb.push_back(results[i].spCsb);
-            csb_s.push_back(results[i].spCsbScalar);
-        }
-        if (csr.empty())
-            continue;
-        all_csr.insert(all_csr.end(), csr.begin(), csr.end());
-        all_spc5.insert(all_spc5.end(), spc5.begin(), spc5.end());
-        all_sell.insert(all_sell.end(), sell.begin(), sell.end());
-        all_csb.insert(all_csb.end(), csb.begin(), csb.end());
-        all_csb_s.insert(all_csb_s.end(), csb_s.begin(),
-                         csb_s.end());
-        std::sort(med_key.begin(), med_key.end());
-        rows.push_back({"cat" + std::to_string(cat + 1) +
-                            " (nnz/blk~" +
-                            bench::fmt(med_key[med_key.size() / 2],
-                                       0) + ")",
-                        bench::fmt(bench::geomean(csr)),
-                        bench::fmt(bench::geomean(spc5)),
-                        bench::fmt(bench::geomean(sell)),
-                        bench::fmt(bench::geomean(csb)),
-                        bench::fmt(bench::geomean(csb_s))});
-    }
-    rows.push_back({"average", bench::fmt(bench::geomean(all_csr)),
-                    bench::fmt(bench::geomean(all_spc5)),
-                    bench::fmt(bench::geomean(all_sell)),
-                    bench::fmt(bench::geomean(all_csb)),
-                    bench::fmt(bench::geomean(all_csb_s))});
+    auto rows = bench::categoryRows("nnz/blk", keys, columns);
     rows.push_back({"paper avg", "1.25", "1.24", "1.31", "4.22",
                     "-"});
     bench::printTable({"category", "CSR", "SPC5", "Sell-C-s",

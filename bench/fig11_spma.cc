@@ -12,7 +12,11 @@
  * (threads=N); the sibling of each matrix is drawn from a
  * per-point seed, so output is bit-identical at any thread count.
  *
+ * backend= picks the accelerated kernel (kernels/dispatch.hh): the
+ * VIA CAM merge by default, or the SSR or IndexMAC merge.
+ *
  * Usage: fig11_spma [count=N] [seed=S] [max_rows=R] [threads=T]
+ *                   [backend=base|via|ssr|indexmac]
  */
 
 #include <cstdio>
@@ -21,14 +25,12 @@
 #include "common.hh"
 #include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
-#include "kernels/spma.hh"
+#include "kernels/dispatch.hh"
 #include "simcore/rng.hh"
 #include "sparse/corpus.hh"
 #include "sparse/csr.hh"
-#include "sparse/structure_stats.hh"
 
 using namespace via;
-
 
 int
 main(int argc, char **argv)
@@ -37,17 +39,12 @@ main(int argc, char **argv)
         "fig11_spma",
         "Figure 11: SpMA speedup of VIA over the scalar merge");
     addMachineOptions(opts);
-    opts.addUInt("count", 16, "corpus matrices", 1)
-        .addUInt("max_rows", 4096, "largest corpus dimension", 1)
-        .addUInt("seed", 1, "corpus generator seed")
-        .addUInt("sibling_seed", 77, "sibling-matrix seed");
+    const CorpusSpec corpus_dflt{.count = 16, .maxRows = 4096};
+    bench::addCorpusOptions(opts, corpus_dflt);
+    opts.addUInt("sibling_seed", 77, "sibling-matrix seed");
     opts.parse(argc, argv);
     applySelfProfOption(opts);
-    CorpusSpec spec;
-    spec.count = opts.getUInt("count");
-    spec.maxRows = Index(opts.getUInt("max_rows"));
-    spec.seed = opts.getUInt("seed");
-    auto corpus = buildCorpus(spec);
+    auto corpus = buildCorpus(bench::corpusSpec(opts, corpus_dflt));
 
     MachineParams params = machineParamsFrom(opts.config());
     SweepExecutor exec = bench::makeExecutor(opts);
@@ -65,10 +62,10 @@ main(int argc, char **argv)
 
         Machine m1(params), m2(params);
         auto scalar = kernels::spmaScalarCsr(m1, a, b);
-        auto viak = kernels::spmaViaCsr(m2, a, b);
+        auto accel = kernels::spmaAccel(m2, a, b);
         return PerMatrix{double(a.nnz() + b.nnz()),
                          double(scalar.cycles) /
-                             double(viak.cycles)};
+                             double(accel.cycles)};
     });
 
     std::vector<double> nnzs, speedups;
@@ -80,26 +77,9 @@ main(int argc, char **argv)
                     results[i].speedup);
     }
 
-    auto bucket = evenBuckets(nnzs, 4);
     std::printf("\n== Figure 11: VIA-SpMA speedup over scalar merge,"
                 " by nnz ==\n");
-    std::vector<std::vector<std::string>> rows;
-    for (std::size_t cat = 0; cat < 4; ++cat) {
-        std::vector<double> key, sp;
-        for (std::size_t i = 0; i < speedups.size(); ++i) {
-            if (bucket[i] == cat) {
-                key.push_back(nnzs[i]);
-                sp.push_back(speedups[i]);
-            }
-        }
-        if (sp.empty())
-            continue;
-        std::sort(key.begin(), key.end());
-        rows.push_back({"cat" + std::to_string(cat + 1) + " (nnz~" +
-                            bench::fmt(key[key.size() / 2], 0) + ")",
-                        bench::fmt(bench::geomean(sp))});
-    }
-    rows.push_back({"average", bench::fmt(bench::geomean(speedups))});
+    auto rows = bench::categoryRows("nnz", nnzs, {speedups});
     rows.push_back({"paper avg", "6.14"});
     bench::printTable({"category", "speedup"}, rows);
     return 0;

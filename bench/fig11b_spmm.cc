@@ -13,7 +13,13 @@
  * Matrices run as independent points on a SweepExecutor
  * (threads=N); output is bit-identical at any thread count.
  *
+ * backend= picks the accelerated kernel (kernels/dispatch.hh): the
+ * VIA CAM kernel by default, or the SSR inner product or the
+ * IndexMAC row-wise product. Only the VIA kernel needs every row of
+ * A to fit its CAM; matrices that do not are skipped.
+ *
  * Usage: fig11b_spmm [count=N] [seed=S] [max_rows=R] [threads=T]
+ *                    [backend=base|via|ssr|indexmac]
  */
 
 #include <cstdio>
@@ -22,11 +28,10 @@
 #include "common.hh"
 #include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
-#include "kernels/spmm.hh"
+#include "kernels/dispatch.hh"
 #include "simcore/rng.hh"
 #include "sparse/corpus.hh"
 #include "sparse/csc.hh"
-#include "sparse/structure_stats.hh"
 
 using namespace via;
 
@@ -37,17 +42,12 @@ main(int argc, char **argv)
         "fig11b_spmm",
         "Figure 11.b: SpMM speedup of VIA over scalar CSR x CSC");
     addMachineOptions(opts);
-    opts.addUInt("count", 8, "corpus matrices", 1)
-        .addUInt("max_rows", 320, "largest corpus dimension", 1)
-        .addUInt("seed", 1, "corpus generator seed");
+    const CorpusSpec corpus_dflt{
+        .count = 8, .minRows = 96, .maxRows = 320};
+    bench::addCorpusOptions(opts, corpus_dflt);
     opts.parse(argc, argv);
     applySelfProfOption(opts);
-    CorpusSpec spec;
-    spec.count = opts.getUInt("count");
-    spec.minRows = 96;
-    spec.maxRows = Index(opts.getUInt("max_rows"));
-    spec.seed = opts.getUInt("seed");
-    auto corpus = buildCorpus(spec);
+    auto corpus = buildCorpus(bench::corpusSpec(opts, corpus_dflt));
 
     MachineParams params = machineParamsFrom(opts.config());
     SweepExecutor exec = bench::makeExecutor(opts);
@@ -56,8 +56,7 @@ main(int argc, char **argv)
     // and only fitting matrices become sweep points.
     std::vector<std::size_t> fits;
     for (std::size_t i = 0; i < corpus.size(); ++i) {
-        if (corpus[i].matrix.maxRowNnz() >
-            Index(params.via.camEntries()))
+        if (!kernels::spmmFits(params, corpus[i].matrix))
             std::printf("  %-28s skipped (row exceeds CAM)\n",
                         corpus[i].name.c_str());
         else
@@ -77,45 +76,27 @@ main(int argc, char **argv)
 
         Machine m1(params), m2(params);
         auto scalar = kernels::spmmScalarInner(m1, a, b);
-        auto viak = kernels::spmmViaInner(m2, a, b);
-        return double(scalar.cycles) / double(viak.cycles);
+        auto accel = kernels::spmmAccel(m2, a, b);
+        return double(scalar.cycles) / double(accel.cycles);
     });
 
-    std::vector<double> nnzs, speedups;
+    std::vector<double> nnzs;
     for (std::size_t p = 0; p < fits.size(); ++p) {
         const auto &entry = corpus[fits[p]];
         nnzs.push_back(double(entry.matrix.nnz()));
-        speedups.push_back(speedup_of[p]);
         std::printf("  %-28s nnz %7.0f  speedup %5.2fx\n",
                     entry.name.c_str(), nnzs.back(),
                     speedup_of[p]);
     }
 
-    if (speedups.empty()) {
+    if (speedup_of.empty()) {
         std::printf("no matrices fit the CAM; lower max_rows\n");
         return 1;
     }
 
-    auto bucket = evenBuckets(nnzs, 4);
     std::printf("\n== SpMM: VIA speedup over scalar inner product, "
                 "by nnz ==\n");
-    std::vector<std::vector<std::string>> rows;
-    for (std::size_t cat = 0; cat < 4; ++cat) {
-        std::vector<double> key, sp;
-        for (std::size_t i = 0; i < speedups.size(); ++i) {
-            if (bucket[i] == cat) {
-                key.push_back(nnzs[i]);
-                sp.push_back(speedups[i]);
-            }
-        }
-        if (sp.empty())
-            continue;
-        std::sort(key.begin(), key.end());
-        rows.push_back({"cat" + std::to_string(cat + 1) + " (nnz~" +
-                            bench::fmt(key[key.size() / 2], 0) + ")",
-                        bench::fmt(bench::geomean(sp))});
-    }
-    rows.push_back({"average", bench::fmt(bench::geomean(speedups))});
+    auto rows = bench::categoryRows("nnz", nnzs, {speedup_of});
     rows.push_back({"paper avg", "6.00"});
     bench::printTable({"category", "speedup"}, rows);
     return 0;

@@ -12,7 +12,11 @@
  * points on a SweepExecutor (threads=N), bit-identical at any
  * thread count.
  *
+ * backend= picks the accelerated kernel (kernels/dispatch.hh): VIA
+ * by default, or the SSR or IndexMAC histogram.
+ *
  * Usage: fig12a_histogram [keys=N] [buckets=B] [seed=S] [threads=T]
+ *                         [backend=base|via|ssr|indexmac]
  */
 
 #include <cstdio>
@@ -21,7 +25,7 @@
 #include "common.hh"
 #include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
-#include "kernels/histogram.hh"
+#include "kernels/dispatch.hh"
 #include "simcore/rng.hh"
 
 using namespace via;
@@ -98,10 +102,10 @@ main(int argc, char **argv)
             auto scalar = kernels::histScalar(m1, inputs[i],
                                               buckets);
             auto vec = kernels::histVector(m2, inputs[i], buckets);
-            auto viak = kernels::histVia(m3, inputs[i], buckets);
+            auto accel = kernels::histAccel(m3, inputs[i], buckets);
             return Speedups{
-                double(scalar.cycles) / double(viak.cycles),
-                double(vec.cycles) / double(viak.cycles)};
+                double(scalar.cycles) / double(accel.cycles),
+                double(vec.cycles) / double(accel.cycles)};
         });
 
     std::vector<std::vector<std::string>> rows;

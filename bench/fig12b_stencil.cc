@@ -7,7 +7,11 @@
  * independent points on a SweepExecutor (threads=N), bit-identical
  * at any thread count.
  *
+ * backend= picks the accelerated kernel (kernels/dispatch.hh): VIA
+ * by default, or the SSR or IndexMAC stencil.
+ *
  * Usage: fig12b_stencil [seed=S] [sspm_kb=K] [ports=P] [threads=T]
+ *                       [backend=base|via|ssr|indexmac]
  */
 
 #include <cstdio>
@@ -16,7 +20,7 @@
 #include "common.hh"
 #include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
-#include "kernels/stencil.hh"
+#include "kernels/dispatch.hh"
 #include "simcore/rng.hh"
 
 using namespace via;
@@ -59,24 +63,24 @@ main(int argc, char **argv)
     struct Point
     {
         Tick vecCycles = 0;
-        Tick viaCycles = 0;
+        Tick accelCycles = 0;
     };
     auto results = exec.run(images.size(), [&](std::size_t i) {
         Machine m1(params), m2(params);
         auto vec = kernels::stencilVector(m1, images[i]);
-        auto viak = kernels::stencilVia(m2, images[i]);
-        return Point{vec.cycles, viak.cycles};
+        auto accel = kernels::stencilAccel(m2, images[i]);
+        return Point{vec.cycles, accel.cycles};
     });
 
     std::vector<std::vector<std::string>> rows;
     std::vector<double> speedups;
     for (std::size_t i = 0; i < results.size(); ++i) {
         double sp = double(results[i].vecCycles) /
-                    double(results[i].viaCycles);
+                    double(results[i].accelCycles);
         speedups.push_back(sp);
         rows.push_back({std::to_string(sides[i]) + "px",
                         std::to_string(results[i].vecCycles),
-                        std::to_string(results[i].viaCycles),
+                        std::to_string(results[i].accelCycles),
                         bench::fmt(sp)});
     }
     rows.push_back({"average", "-", "-",

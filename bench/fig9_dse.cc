@@ -15,15 +15,17 @@
  * count. Dense vectors are drawn per matrix (pointSeed) so every
  * configuration sees the same input.
  *
- * Usage: fig9_dse [count=N] [seed=S] [max_rows=R] [spmm_rows=R2]
- *                 [threads=T]
+ * Usage: fig9_dse [count=N] [seed=S] [max_rows=R] [spma_rows=R1]
+ *                 [spmm_rows=R2] [threads=T]
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "common.hh"
 #include "cpu/machine.hh"
+#include "kernels/dispatch.hh"
 #include "kernels/spma.hh"
 #include "kernels/spmm.hh"
 #include "kernels/spmv.hh"
@@ -75,37 +77,35 @@ main(int argc, char **argv)
 {
     Options opts = bench::benchOptions(
         "fig9_dse", "Figure 9: SSPM size x port design space");
-    opts.addUInt("count", 8, "corpus matrices", 1)
-        .addUInt("max_rows", 8192, "largest corpus dimension", 1)
-        .addUInt("seed", 1, "corpus generator seed")
-        .addUInt("spma_rows", 4096,
-                 "largest SpMA corpus dimension", 1)
-        .addUInt("spmm_rows", 256,
-                 "largest SpMM corpus dimension", 1);
+    // Large matrices are needed for the SSPM-size axis to matter:
+    // small inputs fit a single CSB block / CAM tile at every size.
+    // The SpMA corpus shares that floor; SpMM's quadratic pair
+    // enumeration keeps its matrices small.
+    const Index spmm_min_rows = 96;
+    const CorpusSpec corpus_dflt{
+        .count = 8, .minRows = 1024, .maxRows = 8192};
+    bench::addCorpusOptions(opts, corpus_dflt);
+    opts.addUInt("spma_rows", 4096, "largest SpMA corpus dimension",
+                 std::uint64_t(corpus_dflt.minRows))
+        .addUInt("spmm_rows", 256, "largest SpMM corpus dimension",
+                 std::uint64_t(spmm_min_rows));
     opts.parse(argc, argv);
     applySelfProfOption(opts);
     SweepExecutor exec = bench::makeExecutor(opts);
 
-    CorpusSpec spec;
-    spec.count = opts.getUInt("count");
-    // Large matrices are needed for the SSPM-size axis to matter:
-    // small inputs fit a single CSB block / CAM tile at every size.
-    spec.minRows = 1024;
-    spec.maxRows = Index(opts.getUInt("max_rows"));
-    spec.seed = opts.getUInt("seed");
+    const CorpusSpec spec = bench::corpusSpec(opts, corpus_dflt);
     auto corpus = buildCorpus(spec);
 
     // SpMA stresses the CAM: denser rows so the 4 KB configuration
     // has to tile where the 16 KB one does not.
     CorpusSpec add_spec = spec;
-    add_spec.minRows = 1024;
     add_spec.maxRows = Index(opts.getUInt("spma_rows"));
     add_spec.minDensity = 0.01;
     auto add_corpus = buildCorpus(add_spec);
 
     CorpusSpec mm_spec = spec;
     mm_spec.maxRows = Index(opts.getUInt("spmm_rows"));
-    mm_spec.minRows = 96;
+    mm_spec.minRows = spmm_min_rows;
     mm_spec.minDensity = 0.01;
     mm_spec.count = std::min<std::size_t>(spec.count, 6);
     auto mm_corpus = buildCorpus(mm_spec);
@@ -119,15 +119,16 @@ main(int argc, char **argv)
         xs.push_back(randomVector(corpus[i].matrix.cols(), rng));
     }
 
-    // Matrices whose densest row exceeds a configuration's CAM are
-    // excluded for *all* configurations (smallest CAM in the sweep)
-    // so the per-config cycle vectors stay aligned.
-    std::uint64_t min_cam = paramsFor(configs[0]).via.camEntries();
-    for (const Cfg &c : configs)
-        min_cam = std::min(min_cam, paramsFor(c).via.camEntries());
+    // Matrices whose densest row exceeds any configuration's CAM
+    // are excluded for *all* configurations, so the per-config
+    // cycle vectors stay aligned.
     std::vector<std::size_t> mm_ok;
     for (std::size_t i = 0; i < mm_corpus.size(); ++i)
-        if (mm_corpus[i].matrix.maxRowNnz() <= Index(min_cam))
+        if (std::all_of(std::begin(configs), std::end(configs),
+                        [&](const Cfg &c) {
+                            return kernels::spmmFits(
+                                paramsFor(c), mm_corpus[i].matrix);
+                        }))
             mm_ok.push_back(i);
 
     std::vector<Point> points;

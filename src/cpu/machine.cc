@@ -327,13 +327,6 @@ Machine::salu(SReg dst, std::int64_t result, SReg a, SReg b)
 }
 
 void
-Machine::smul(SReg dst, std::int64_t result, SReg a, SReg b)
-{
-    setSregI(dst, result);
-    issue(makeInst(Op::SMul, 0, sid(dst), sid(a), sid(b)));
-}
-
-void
 Machine::sfadd(SReg dst, SReg a, SReg b)
 {
     setSregF(dst, sregF(a) + sregF(b));

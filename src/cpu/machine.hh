@@ -222,10 +222,6 @@ class Machine
     void salu(SReg dst, std::int64_t result, SReg a = NO_SREG,
               SReg b = NO_SREG);
 
-    /** Scalar multiply (3-cycle class). */
-    void smul(SReg dst, std::int64_t result, SReg a = NO_SREG,
-              SReg b = NO_SREG);
-
     /** Scalar FP add: dst(F) = a(F) + b(F) as doubles. */
     void sfadd(SReg dst, SReg a, SReg b);
     /** Scalar FP multiply: dst(F) = a(F) * b(F) as doubles. */

@@ -80,12 +80,6 @@ isSsrOp(Op op)
     }
 }
 
-bool
-isImacOp(Op op)
-{
-    return op == Op::VImacF || op == Op::VImacStF;
-}
-
 FuClass
 fuClassOf(Op op)
 {

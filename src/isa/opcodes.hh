@@ -120,9 +120,6 @@ bool isCamOp(Op op);
 /** True for the SSR stream ops (backend=ssr only). */
 bool isSsrOp(Op op);
 
-/** True for the IndexMAC indexed-MAC ops (backend=indexmac only). */
-bool isImacOp(Op op);
-
 /** The functional unit class an op issues to. */
 FuClass fuClassOf(Op op);
 

@@ -57,18 +57,12 @@ namespace via::kernels
 
 // ----- SSR ------------------------------------------------------
 
-SpmvResult spmvSsrCsr(Machine &m, const Csr &a, const DenseVector &x);
 SpmvResult spmvSsrCsrAt(Machine &m, const Csr &a, const CsrImage &img,
                         const DenseVector &x);
-SpmvResult spmvSsrSpc5(Machine &m, const Spc5 &a,
-                       const DenseVector &x);
 SpmvResult spmvSsrSpc5At(Machine &m, const Spc5 &a,
                          const Spc5Image &img, const DenseVector &x);
-SpmvResult spmvSsrSell(Machine &m, const SellCSigma &a,
-                       const DenseVector &x);
 SpmvResult spmvSsrSellAt(Machine &m, const SellCSigma &a,
                          const SellImage &img, const DenseVector &x);
-SpmvResult spmvSsrCsb(Machine &m, const Csb &a, const DenseVector &x);
 SpmvResult spmvSsrCsbAt(Machine &m, const Csb &a, const CsbImage &img,
                         const DenseVector &x);
 
@@ -88,20 +82,12 @@ StencilResult stencilSsr(Machine &m, const DenseMatrix &img);
 
 // ----- IndexMAC -------------------------------------------------
 
-SpmvResult spmvImacCsr(Machine &m, const Csr &a,
-                       const DenseVector &x);
 SpmvResult spmvImacCsrAt(Machine &m, const Csr &a,
                          const CsrImage &img, const DenseVector &x);
-SpmvResult spmvImacSpc5(Machine &m, const Spc5 &a,
-                        const DenseVector &x);
 SpmvResult spmvImacSpc5At(Machine &m, const Spc5 &a,
                           const Spc5Image &img, const DenseVector &x);
-SpmvResult spmvImacSell(Machine &m, const SellCSigma &a,
-                        const DenseVector &x);
 SpmvResult spmvImacSellAt(Machine &m, const SellCSigma &a,
                           const SellImage &img, const DenseVector &x);
-SpmvResult spmvImacCsb(Machine &m, const Csb &a,
-                       const DenseVector &x);
 SpmvResult spmvImacCsbAt(Machine &m, const Csb &a,
                          const CsbImage &img, const DenseVector &x);
 

@@ -142,6 +142,13 @@ spmmAccel(Machine &m, const Csr &a, const Csc &b)
     via_fatal("unhandled backend kind");
 }
 
+bool
+spmmFits(const MachineParams &params, const Csr &a)
+{
+    return params.backend.kind != BackendKind::Via ||
+           a.maxRowNnz() <= Index(params.via.camEntries());
+}
+
 HistResult
 histAccel(Machine &m, const std::vector<Index> &keys, Index buckets)
 {

@@ -1,13 +1,15 @@
 /**
  * @file
- * SpMV format dispatch shared by the drivers (via_sim, via_fuzz).
+ * Kernel dispatch shared by the drivers (via_sim, via_db, via_fuzz)
+ * and the bench harnesses.
  *
- * A format name selects the storage conversion (CSR stays as-is,
- * SPC5/SELL-C-sigma/CSB are built from the CSR with the
- * machine-appropriate geometry) and the kernel pair: the baseline
- * vector variant and the VIA variant. Keeping the mapping in one
- * place means the fuzzer exercises exactly the conversions the
- * interactive driver runs.
+ * A format name selects the SpMV storage conversion (CSR stays
+ * as-is, SPC5/SELL-C-sigma/CSB are built from the CSR with the
+ * machine-appropriate geometry) and the kernel: the baseline vector
+ * variant or the variant of the machine's backend. The *Accel entry
+ * points pick every kernel's backend variant the same way. Keeping
+ * the mapping in one place means the fuzzer and the figures exercise
+ * exactly the conversions the interactive driver runs.
  */
 
 #ifndef VIA_KERNELS_DISPATCH_HH
@@ -69,6 +71,13 @@ SpmmResult spmmAccel(Machine &m, const Csr &a, const Csc &b);
 HistResult histAccel(Machine &m, const std::vector<Index> &keys,
                      Index buckets);
 StencilResult stencilAccel(Machine &m, const DenseMatrix &img);
+
+/**
+ * True when spmmAccel can run @p a on a machine built from
+ * @p params: the VIA kernel does not tile, so on backend=via every
+ * row of A must fit the CAM; the other backends take any input.
+ */
+bool spmmFits(const MachineParams &params, const Csr &a);
 
 /**
  * A CSR matrix converted to one SpMV format and uploaded onto a

@@ -35,12 +35,6 @@ uploadXY(Machine &m, const DenseVector &x, Index rows)
 } // namespace
 
 SpmvResult
-spmvImacCsr(Machine &m, const Csr &a, const DenseVector &x)
-{
-    return spmvImacCsrAt(m, a, uploadCsr(m, a), x);
-}
-
-SpmvResult
 spmvImacCsrAt(Machine &m, const Csr &a, const CsrImage &img,
               const DenseVector &x)
 {
@@ -79,12 +73,6 @@ spmvImacCsrAt(Machine &m, const Csr &a, const CsrImage &img,
 }
 
 SpmvResult
-spmvImacSpc5(Machine &m, const Spc5 &a, const DenseVector &x)
-{
-    return spmvImacSpc5At(m, a, uploadSpc5(m, a), x);
-}
-
-SpmvResult
 spmvImacSpc5At(Machine &m, const Spc5 &a, const Spc5Image &img,
                const DenseVector &x)
 {
@@ -92,12 +80,6 @@ spmvImacSpc5At(Machine &m, const Spc5 &a, const Spc5Image &img,
     // traffic for the MAC unit to capture, so the plain vector
     // kernel is the IndexMAC machine's best SPC5 code.
     return spmvVectorSpc5At(m, a, img, x);
-}
-
-SpmvResult
-spmvImacSell(Machine &m, const SellCSigma &a, const DenseVector &x)
-{
-    return spmvImacSellAt(m, a, uploadSell(m, a), x);
 }
 
 SpmvResult
@@ -139,12 +121,6 @@ spmvImacSellAt(Machine &m, const SellCSigma &a, const SellImage &img,
     return SpmvResult{downloadValues(m, xy.y,
                                      std::size_t(a.rows())),
                       m.cycles()};
-}
-
-SpmvResult
-spmvImacCsb(Machine &m, const Csb &a, const DenseVector &x)
-{
-    return spmvImacCsbAt(m, a, uploadCsb(m, a), x);
 }
 
 SpmvResult

@@ -217,7 +217,7 @@ buildSpmm(const Options &opts, BackendKind backend, Rng &rng)
         return check(spmmParallel(mm, *a, *b, p, via));
     };
     k.fits = [a](const MachineParams &params) {
-        return a->maxRowNnz() <= Index(params.via.camEntries());
+        return spmmFits(params, *a);
     };
     return k;
 }
@@ -331,6 +331,17 @@ addInputOptions(Options &opts, std::uint64_t px, bool stream)
         opts.addFlag("stream",
                      "stream the input with no triplet intermediates "
                      "(family=banded|rmat or mtx=; million-row inputs)");
+}
+
+void
+requireFits(const KernelSpec &spec, const KernelInput &k,
+            const MachineParams &params)
+{
+    if (!k.fits || k.fits(params))
+        return;
+    via_fatal(spec.title, ": the input does not fit the VIA CAM (",
+              params.via.camEntries(), " entries); raise sspm_kb= "
+              "(the CAM is a quarter of the SSPM) or cam_kb=");
 }
 
 const KernelSpec &

@@ -72,7 +72,8 @@ struct KernelInput
         parallel;
 
     /** False when the accelerated kernel cannot run on a machine
-     *  (SpMM: every row of A must fit the CAM); unset: always. */
+     *  (SpMM on backend=via: every row of A must fit the CAM);
+     *  unset: always. */
     std::function<bool(const MachineParams &)> fits;
 };
 
@@ -104,6 +105,15 @@ const std::vector<KernelSpec> &kernelRegistry();
  * @p px) and, with @p stream, stream=.
  */
 void addInputOptions(Options &opts, std::uint64_t px, bool stream);
+
+/**
+ * Exit 1 when the accelerated kernel cannot run @p k on a machine
+ * built from @p params (KernelInput::fits), naming the CAM size and
+ * the keys that raise it. Drivers call it as soon as the input is
+ * built, so such an input fails before any baseline is simulated.
+ */
+void requireFits(const KernelSpec &spec, const KernelInput &k,
+                 const MachineParams &params);
 
 /**
  * The entry named @p name, once it and format= / partition= (when

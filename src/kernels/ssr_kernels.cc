@@ -35,12 +35,6 @@ uploadXY(Machine &m, const DenseVector &x, Index rows)
 } // namespace
 
 SpmvResult
-spmvSsrCsr(Machine &m, const Csr &a, const DenseVector &x)
-{
-    return spmvSsrCsrAt(m, a, uploadCsr(m, a), x);
-}
-
-SpmvResult
 spmvSsrCsrAt(Machine &m, const Csr &a, const CsrImage &img,
              const DenseVector &x)
 {
@@ -77,12 +71,6 @@ spmvSsrCsrAt(Machine &m, const Csr &a, const CsrImage &img,
     return SpmvResult{downloadValues(m, xy.y,
                                      std::size_t(a.rows())),
                       m.cycles()};
-}
-
-SpmvResult
-spmvSsrSpc5(Machine &m, const Spc5 &a, const DenseVector &x)
-{
-    return spmvSsrSpc5At(m, a, uploadSpc5(m, a), x);
 }
 
 SpmvResult
@@ -150,12 +138,6 @@ spmvSsrSpc5At(Machine &m, const Spc5 &a, const Spc5Image &img,
 }
 
 SpmvResult
-spmvSsrSell(Machine &m, const SellCSigma &a, const DenseVector &x)
-{
-    return spmvSsrSellAt(m, a, uploadSell(m, a), x);
-}
-
-SpmvResult
 spmvSsrSellAt(Machine &m, const SellCSigma &a, const SellImage &img,
               const DenseVector &x)
 {
@@ -193,12 +175,6 @@ spmvSsrSellAt(Machine &m, const SellCSigma &a, const SellImage &img,
     return SpmvResult{downloadValues(m, xy.y,
                                      std::size_t(a.rows())),
                       m.cycles()};
-}
-
-SpmvResult
-spmvSsrCsb(Machine &m, const Csb &a, const DenseVector &x)
-{
-    return spmvSsrCsbAt(m, a, uploadCsb(m, a), x);
 }
 
 SpmvResult

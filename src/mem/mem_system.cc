@@ -66,14 +66,6 @@ MemSystem::lineBytes() const
     return _params.levels.front().lineBytes;
 }
 
-void
-MemSystem::flush()
-{
-    for (auto &lvl : _levels)
-        lvl->flush();
-    _dram.resetTiming();
-}
-
 MemResult
 MemSystem::accessLine(Addr line_addr, bool is_write, Tick when)
 {

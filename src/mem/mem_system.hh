@@ -81,9 +81,6 @@ class MemSystem
     /** Line size of the first level. */
     std::uint32_t lineBytes() const;
 
-    /** Invalidate caches and reset DRAM pipe (not statistics). */
-    void flush();
-
     std::size_t numLevels() const { return _levels.size(); }
     Cache &level(std::size_t i) { return *_levels.at(i); }
     const Cache &level(std::size_t i) const { return *_levels.at(i); }

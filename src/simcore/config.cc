@@ -100,14 +100,4 @@ Config::getBool(const std::string &key, bool dflt) const
     via_fatal("config key '", key, "' is not a boolean: '", v, "'");
 }
 
-std::vector<std::string>
-Config::keys() const
-{
-    std::vector<std::string> out;
-    out.reserve(_values.size());
-    for (const auto &kv : _values)
-        out.push_back(kv.first);
-    return out;
-}
-
 } // namespace via

@@ -43,9 +43,6 @@ class Config
     double getDouble(const std::string &key, double dflt) const;
     bool getBool(const std::string &key, bool dflt) const;
 
-    /** All keys, for validation / help output. */
-    std::vector<std::string> keys() const;
-
   private:
     std::map<std::string, std::string> _values;
 };

@@ -49,20 +49,6 @@ fatalImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-warnImpl(const std::string &msg)
-{
-    if (logLevel() >= LogLevel::Warn)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (logLevel() >= LogLevel::Inform)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-void
 debugImpl(const std::string &msg)
 {
     if (logLevel() >= LogLevel::Debug)

@@ -37,8 +37,6 @@ namespace detail
                             const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
-void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 void debugImpl(const std::string &msg);
 
 /** Fold a parameter pack into a string via ostringstream. */
@@ -64,14 +62,6 @@ fmtCat(Args &&...args)
 #define via_fatal(...) \
     ::via::detail::fatalImpl(__FILE__, __LINE__, \
                              ::via::detail::fmtCat(__VA_ARGS__))
-
-/** Non-fatal: functionality may be modelled imperfectly. */
-#define via_warn(...) \
-    ::via::detail::warnImpl(::via::detail::fmtCat(__VA_ARGS__))
-
-/** Status message for the user. */
-#define via_inform(...) \
-    ::via::detail::informImpl(::via::detail::fmtCat(__VA_ARGS__))
 
 /** Developer chatter, hidden unless LogLevel::Debug. */
 #define via_debug(...) \

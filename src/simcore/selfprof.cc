@@ -37,15 +37,6 @@ enable(bool on)
     detail::gEnabled.store(on, std::memory_order_relaxed);
 }
 
-void
-reset()
-{
-    for (auto &acc : detail::gAccum) {
-        acc.ns.store(0, std::memory_order_relaxed);
-        acc.calls.store(0, std::memory_order_relaxed);
-    }
-}
-
 DomainStats
 stats(Domain d)
 {

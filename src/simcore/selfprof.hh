@@ -69,9 +69,6 @@ enabled()
 /** Turn profiling on or off (on: scopes start accumulating). */
 void enable(bool on);
 
-/** Zero all accumulators. */
-void reset();
-
 /** Per-domain totals. */
 struct DomainStats
 {

@@ -61,12 +61,6 @@ cscToCsr(const Csc &m)
 }
 
 bool
-sameElements(const Csr &a, const Csr &b)
-{
-    return a == b; // CSR is canonical already
-}
-
-bool
 closeElements(const Csr &a, const Csr &b, double atol)
 {
     if (a.rows() != b.rows() || a.cols() != b.cols() ||

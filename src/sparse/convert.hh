@@ -21,9 +21,6 @@ Csr csbToCsr(const Csb &m);
 /** Csc -> Csr by a counting-sort transpose. */
 Csr cscToCsr(const Csc &m);
 
-/** Element-wise equality (exact values; CSR is canonical). */
-bool sameElements(const Csr &a, const Csr &b);
-
 /** Element-wise closeness (|diff| <= atol per element). */
 bool closeElements(const Csr &a, const Csr &b, double atol = 1e-4);
 

@@ -89,13 +89,6 @@ class RmatDescent
 
 } // namespace
 
-void
-randomizeValues(Coo &coo, Rng &rng)
-{
-    for (Triplet &t : coo.elems())
-        t.value = randValue(rng);
-}
-
 Csr
 genBanded(Index n, Index bandwidth, double fill, Rng &rng)
 {

@@ -48,9 +48,6 @@ Csr genBlocked(Index n, Index block_side, double block_fill,
  */
 Csr genDiagHeavy(Index n, double off_diag, Rng &rng);
 
-/** Assign a uniform random value in [-1,1) to every element. */
-void randomizeValues(Coo &coo, Rng &rng);
-
 // --- streaming variants (million-row inputs) ---------------------
 //
 // The Coo-based generators above hold every triplet plus a global

@@ -2,15 +2,17 @@
 # PASS_REGULAR_EXPRESSION replaces exit-status checking, so the
 # options-contract smoke tests (help=1 -> 0, unknown key -> 2) go
 # through this script instead. With -DEMPTY_STDOUT=1 the binary must
-# also print nothing on stdout (a usage error caught before any work).
+# also print nothing on stdout (a usage error caught before any work),
+# and with -DSTDERR_MATCH=<regex> its stderr must match the regex.
 #
 # Usage:
 #   cmake -DBIN=<path> -DARGS=<space-separated args> -DEXPECT=<code>
-#         [-DEMPTY_STDOUT=1] -P check_exit_code.cmake
+#         [-DEMPTY_STDOUT=1] [-DSTDERR_MATCH=<regex>]
+#         -P check_exit_code.cmake
 separate_arguments(ARG_LIST UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND ${BIN} ${ARG_LIST}
                 RESULT_VARIABLE rc
-                OUTPUT_VARIABLE out ERROR_QUIET)
+                OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL "${EXPECT}")
     message(FATAL_ERROR
             "${BIN} ${ARGS}: exited ${rc}, expected ${EXPECT}")
@@ -18,4 +20,9 @@ endif()
 if(EMPTY_STDOUT AND NOT out STREQUAL "")
     message(FATAL_ERROR
             "${BIN} ${ARGS}: expected no stdout, got:\n${out}")
+endif()
+if(DEFINED STDERR_MATCH AND NOT err MATCHES "${STDERR_MATCH}")
+    message(FATAL_ERROR
+            "${BIN} ${ARGS}: stderr does not match "
+            "'${STDERR_MATCH}':\n${err}")
 endif()

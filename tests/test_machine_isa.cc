@@ -310,6 +310,45 @@ TEST_F(MachineIsa, VidxCamUnionUpdate)
     EXPECT_FLOAT_EQ(VecValue{{raw}}.f32(0), 100.0f);
 }
 
+TEST_F(MachineIsa, VidxCamSubtract)
+{
+    setF(v0, {10, 20, 30, 40, 0, 0, 0, 0});
+    setI(v1, {1, 2, 3, 4, 0, 0, 0, 0});
+    m.vidxClear();
+    m.vidxLoadC(v0, v1, 4); // keys 1..4 hold 10..40
+
+    // out=Vrf: a match reads SSPM[slot] - data, a miss reads zero,
+    // and nothing is inserted.
+    setI(v2, {1, 9, 3, 8, 0, 0, 0, 0});
+    setF(v3, {1, 1, 2, 2, 0, 0, 0, 0});
+    m.vidxSubC(v3, v2, ViaOut::Vrf, v0, 4);
+    EXPECT_FLOAT_EQ(m.vreg(v0).f32(0), 9.0f);  // 10 - 1
+    EXPECT_FLOAT_EQ(m.vreg(v0).f32(1), 0.0f);  // miss
+    EXPECT_FLOAT_EQ(m.vreg(v0).f32(2), 28.0f); // 30 - 2
+    EXPECT_FLOAT_EQ(m.vreg(v0).f32(3), 0.0f);  // miss
+    m.vidxCount(s0);
+    EXPECT_EQ(m.sregI(s0), 4);
+
+    // out=Sspm: union read-modify-write — a match subtracts in
+    // place, a miss inserts the incoming value.
+    setI(v2, {2, 4, 90, 0, 0, 0, 0, 0});
+    setF(v3, {5, 15, 7, 0, 0, 0, 0, 0});
+    m.vidxSubC(v3, v2, ViaOut::Sspm, v0, 3);
+    m.vidxCount(s0);
+    EXPECT_EQ(m.sregI(s0), 5); // 4 original + 1 new
+    bool found = false;
+    auto raw = m.sspm().camRead(2, found);
+    EXPECT_TRUE(found);
+    EXPECT_FLOAT_EQ(VecValue{{raw}}.f32(0), 15.0f); // 20 - 5
+    raw = m.sspm().camRead(4, found);
+    EXPECT_FLOAT_EQ(VecValue{{raw}}.f32(0), 25.0f); // 40 - 15
+    raw = m.sspm().camRead(90, found);
+    EXPECT_TRUE(found);
+    EXPECT_FLOAT_EQ(VecValue{{raw}}.f32(0), 7.0f);
+    raw = m.sspm().camRead(1, found);
+    EXPECT_FLOAT_EQ(VecValue{{raw}}.f32(0), 10.0f); // untouched
+}
+
 TEST_F(MachineIsa, VidxKeysValsExtraction)
 {
     setF(v0, {1, 2, 3, 4, 5, 6, 7, 8});

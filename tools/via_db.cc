@@ -93,6 +93,7 @@ main(int argc, char **argv)
     Rng rng(cfg.getUInt("seed", 1));
     auto k = std::make_shared<const kernels::KernelInput>(
         spec.build(opts, params.backend.kind, rng));
+    kernels::requireFits(spec, *k, params);
     std::string tag = k->variant.empty() ? "" : " (" + k->variant + ")";
     std::printf("target: %s%s, %s\n", spec.name.c_str(), tag.c_str(),
                 k->shape.c_str());

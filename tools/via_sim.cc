@@ -15,7 +15,10 @@
  * Kernels (kernels/registry.hh): spmv | spma | spmm | histogram |
  * stencil. An unknown kernel, a format= the kernel has no variant
  * for at the run's core count, or an unknown partition= is a usage
- * error (exit 2), caught before any input is built.
+ * error (exit 2), caught before any input is built. An input the
+ * VIA kernel cannot run (an SpMM row that overflows the CAM) exits
+ * 1 as soon as it is built, before any baseline is simulated;
+ * sweep=1 instead reports each such configuration as skipped.
  *
  * Keys are registered with the shared Options registry
  * (simcore/options.hh): help=1 / --help prints the generated key
@@ -660,6 +663,7 @@ main(int argc, char **argv)
         spec.build(opts, params.backend.kind, rng);
     if (sweep)
         return runSweep(spec, k, cfg);
+    kernels::requireFits(spec, k, params);
     if (cores > 1)
         return runParallel(spec, k, cfg, params, cores);
     return runSingle(spec, k, cfg, params);

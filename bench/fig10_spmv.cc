@@ -22,7 +22,8 @@
  *                   [cores=N] [partition=static|steal] [llc_banks=B]
  *
  * With cores>1 the CSR and CSB columns compare the parallel kernel
- * variants on the multi-core machine (docs/multicore.md); SPC5 and
+ * variants of the backend= machine on the multi-core machine
+ * (docs/multicore.md); SPC5 and
  * Sell-C-sigma are inherently sequential over their block/chunk
  * streams and keep their single-core numbers. cores>1 requires
  * mode=detailed. cores=1 (the default) is the unchanged,
@@ -109,10 +110,6 @@ main(int argc, char **argv)
         kernels::parsePartition(opts.getString("partition"));
     if (cores > 1 && sopts.mode != sample::SimMode::Detailed)
         via_fatal("cores>1 supports mode=detailed only");
-    if (cores > 1 && params.backend.kind != BackendKind::Via)
-        via_fatal("cores>1 runs the VIA parallel kernels; backend=",
-                  backendName(params.backend.kind),
-                  " is single-core only");
     SharedLlcParams llcp =
         sharedLlcParamsFrom(opts.config(), params, cores);
 
@@ -144,10 +141,10 @@ main(int argc, char **argv)
         // cores>1: the csr/csb columns compare the parallel kernel
         // variants on the multi-core machine; each run gets a fresh
         // machine set, and the makespan is the slowest core.
-        auto run_par = [&](const std::string &fmt, bool via) {
+        auto run_par = [&](const std::string &fmt, bool accel) {
             MultiMachine mm(params, cores, llcp);
             return double(kernels::spmvParallel(mm, a, x, fmt, part,
-                                                via)
+                                                accel)
                               .cycles);
         };
 

@@ -89,6 +89,13 @@ accelTag(const MachineParams &params)
            std::string(backendName(params.backend.kind));
 }
 
+/** A parallel run's variant= tag: the backend's, or @p baseline. */
+std::string
+multiTag(const MachineParams &params, bool accel, const char *baseline)
+{
+    return accel ? accelTag(params) : std::string("variant=") + baseline;
+}
+
 /**
  * Run one kernel variant on a fresh machine with an invariant
  * checker attached; @p body executes the kernel and returns whether
@@ -199,15 +206,15 @@ fuzzSpmv(const SeedCtx &ctx, const MachineParams &params, Rng &rng)
     if (ctx.opts.cores > 1) {
         kernels::Partition part = seedPartition(ctx.seed);
         for (const std::string &fmt : kernels::spmvParallelFormats()) {
-            for (bool via : {false, true}) {
+            for (bool accel : {false, true}) {
                 if (!runOneMulti(
                         ctx, params, "spmv",
-                        "kernel=spmv format=" + fmt + " variant=" +
-                            (via ? "via" : "base"),
+                        "kernel=spmv format=" + fmt + " " +
+                            multiTag(params, accel, "base"),
                         [&](MultiMachine &mm) {
                             return allClose(
                                 kernels::spmvParallel(mm, a, x, fmt,
-                                                      part, via)
+                                                      part, accel)
                                     .y,
                                 golden);
                         }))
@@ -244,13 +251,13 @@ fuzzSpma(const SeedCtx &ctx, const MachineParams &params, Rng &rng)
         return false;
     if (ctx.opts.cores > 1) {
         kernels::Partition part = seedPartition(ctx.seed);
-        for (bool via : {false, true}) {
+        for (bool accel : {false, true}) {
             if (!runOneMulti(ctx, params, "spma",
-                             std::string("kernel=spma variant=") +
-                                 (via ? "via" : "scalar"),
+                             "kernel=spma " +
+                                 multiTag(params, accel, "scalar"),
                              [&](MultiMachine &mm) {
                                  return diff(kernels::spmaParallel(
-                                     mm, a, b, part, via));
+                                     mm, a, b, part, accel));
                              }))
                 return false;
         }
@@ -292,17 +299,17 @@ fuzzSpmm(const SeedCtx &ctx, const MachineParams &params, Rng &rng)
         return false;
     if (ctx.opts.cores > 1) {
         kernels::Partition part = seedPartition(ctx.seed);
-        for (bool via : {false, true}) {
-            if (via && !via_fits) {
+        for (bool accel : {false, true}) {
+            if (accel && !via_fits) {
                 ++ctx.stats.skipped;
                 continue;
             }
             if (!runOneMulti(ctx, params, "spmm",
-                             std::string("kernel=spmm variant=") +
-                                 (via ? "via" : "scalar"),
+                             "kernel=spmm " +
+                                 multiTag(params, accel, "scalar"),
                              [&](MultiMachine &mm) {
                                  return diff(kernels::spmmParallel(
-                                     mm, a, b, part, via));
+                                     mm, a, b, part, accel));
                              }))
                 return false;
         }
@@ -350,14 +357,14 @@ fuzzHistogram(const SeedCtx &ctx, const MachineParams &params,
         return false;
     if (ctx.opts.cores > 1) {
         kernels::Partition part = seedPartition(ctx.seed);
-        for (bool via : {false, true}) {
+        for (bool accel : {false, true}) {
             if (!runOneMulti(
                     ctx, params, "histogram",
-                    std::string("kernel=histogram variant=") +
-                        (via ? "via" : "vector"),
+                    "kernel=histogram " +
+                        multiTag(params, accel, "vector"),
                     [&](MultiMachine &mm) {
                         return diff(kernels::histParallel(
-                            mm, keys, buckets, part, via));
+                            mm, keys, buckets, part, accel));
                     }))
                 return false;
         }
@@ -392,14 +399,14 @@ fuzzStencil(const SeedCtx &ctx, const MachineParams &params,
         return false;
     if (ctx.opts.cores > 1) {
         kernels::Partition part = seedPartition(ctx.seed);
-        for (bool via : {false, true}) {
+        for (bool accel : {false, true}) {
             if (!runOneMulti(
                     ctx, params, "stencil",
-                    std::string("kernel=stencil variant=") +
-                        (via ? "via" : "vector"),
+                    "kernel=stencil " +
+                        multiTag(params, accel, "vector"),
                     [&](MultiMachine &mm) {
                         return diff(kernels::stencilParallel(
-                            mm, img, part, via));
+                            mm, img, part, accel));
                     }))
                 return false;
         }

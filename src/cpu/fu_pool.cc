@@ -26,12 +26,6 @@ FuPool::forClass(FuClass cls)
     return _resources[std::size_t(cls)];
 }
 
-const Resource &
-FuPool::forClass(FuClass cls) const
-{
-    return const_cast<FuPool *>(this)->forClass(cls);
-}
-
 void
 FuPool::resetTiming()
 {

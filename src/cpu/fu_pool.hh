@@ -34,7 +34,6 @@ class FuPool
     explicit FuPool(const CoreParams &params);
 
     Resource &forClass(FuClass cls);
-    const Resource &forClass(FuClass cls) const;
 
     void resetTiming();
 

@@ -4,7 +4,13 @@
  *
  * These are the baseline accelerators the VIA paper competes with,
  * each using its own instruction family on a Machine built over the
- * matching backend (Machine::backendKind() must be Ssr / IndexMac):
+ * matching backend (Machine::backendKind() must be Ssr / IndexMac).
+ * The CSR, CSB, SpMA, SpMM, histogram and stencil variants are range
+ * bodies (kernels/ranges.hh), listed in each kernel's backend table
+ * and run by both the single-core and the parallel runner; SPC5 and
+ * SELL stay single-core. Where an SSR variant only streams a
+ * software baseline's loads (CSB SpMV, SpMA, SpMM, histogram), it is
+ * that baseline's body with Streamed set, next to it:
  *
  * SSR (arXiv 2011.08070) — data movement becomes stream register
  * reads. Affine streams replace unit-stride loads, indirect streams
@@ -12,9 +18,10 @@
  * into one instruction. Streams are bound with ssr.cfg at a setup
  * cost, which the kernels amortize where the access pattern allows
  * (CSR/SELL walk their arrays contiguously, so one bind pair covers
- * the kernel) and pay repeatedly where it does not (inner-product
- * SpMM re-binds per (row, column) pair — an honest weakness of
- * stream semantics on index-matching workloads).
+ * the kernel, or each core's run of contiguous ranges) and pay
+ * repeatedly where it does not (inner-product SpMM re-binds per
+ * (row, column) pair — an honest weakness of stream semantics on
+ * index-matching workloads).
  *
  * IndexMAC (arXiv 2311.07241) — indexed multiply-accumulate executes
  * in a MAC unit next to the L1: vimac.f reads data[idx[l]] and
@@ -46,69 +53,67 @@
 #ifndef VIA_KERNELS_BACKEND_KERNELS_HH
 #define VIA_KERNELS_BACKEND_KERNELS_HH
 
-#include "kernels/histogram.hh"
-#include "kernels/spma.hh"
-#include "kernels/spmm.hh"
-#include "kernels/spmv.hh"
-#include "kernels/stencil.hh"
+#include "kernels/ranges.hh"
 
 namespace via::kernels
 {
 
 // ----- SSR ------------------------------------------------------
 
-SpmvResult spmvSsrCsrAt(Machine &m, const Csr &a, const CsrImage &img,
-                        const DenseVector &x);
 SpmvResult spmvSsrSpc5At(Machine &m, const Spc5 &a,
                          const Spc5Image &img, const DenseVector &x);
 SpmvResult spmvSsrSellAt(Machine &m, const SellCSigma &a,
                          const SellImage &img, const DenseVector &x);
-SpmvResult spmvSsrCsbAt(Machine &m, const Csb &a, const CsbImage &img,
-                        const DenseVector &x);
 
-/** Sorted merge over four streams (cols streamed, values popped). */
-SpmaResult spmaSsrCsr(Machine &m, const Csr &a, const Csr &b);
-
-/** Inner-product index matching; streams re-bound per (r, j). */
-SpmmResult spmmSsrInner(Machine &m, const Csr &a, const Csc &b);
-
-/** histVector with the key loads replaced by an affine stream. */
-HistResult histSsr(Machine &m, const std::vector<Index> &keys,
-                   Index buckets);
+/** ssr.fma over a value stream and an x stream indirect through the
+ *  column indices. */
+void spmvSsrCsrRows(Machine &m, CsrOp &op, CoreState &core, Index lo,
+                    Index hi);
 
 /** Tap gathers via an indirect stream over a precomputed index
  *  array (see the file comment on the 1-D stream simplification). */
-StencilResult stencilSsr(Machine &m, const DenseMatrix &img);
+void stencilSsrSetup(Machine &m, StencilOp &op, CoreState &core,
+                     Index lo);
+void stencilSsrRows(Machine &m, StencilOp &op, CoreState &core,
+                    Index lo, Index hi);
 
 // ----- IndexMAC -------------------------------------------------
 
-SpmvResult spmvImacCsrAt(Machine &m, const Csr &a,
-                         const CsrImage &img, const DenseVector &x);
-SpmvResult spmvImacSpc5At(Machine &m, const Spc5 &a,
-                          const Spc5Image &img, const DenseVector &x);
 SpmvResult spmvImacSellAt(Machine &m, const SellCSigma &a,
                           const SellImage &img, const DenseVector &x);
-SpmvResult spmvImacCsbAt(Machine &m, const Csb &a,
-                         const CsbImage &img, const DenseVector &x);
+
+/** vimac.f fuses the x gather and the FMA. */
+void spmvImacCsrRows(Machine &m, CsrOp &op, CoreState &core, Index lo,
+                     Index hi);
+/** x gather and y update both through the MAC unit. */
+void spmvImacCsbRows(Machine &m, CsbOp &op, CoreState &core, Index lo,
+                     Index hi);
 
 /** vimac.st.f both rows into a dense accumulator, then a col-only
  *  scalar merge names the union and a gather/scatter pass extracts
  *  and clears the touched slots. */
-SpmaResult spmaImacCsr(Machine &m, const Csr &a, const Csr &b);
+void spmaImacSetup(Machine &m, SpmaOp &op, CoreState &core, Index lo);
+void spmaImacRows(Machine &m, SpmaOp &op, CoreState &core, Index lo,
+                  Index hi);
 
 /** Row-wise Gustavson product: B is transposed host-side (a format
  *  conversion, like Spc5::fromCsr), partials accumulate through
  *  vimac.st.f into a dense row buffer with a touch-mark array. */
-SpmmResult spmmImacGustavson(Machine &m, const Csr &a, const Csc &b);
+SpmmOp spmmImacPrepare(Machine &m0, const Csr &a, const Csc &b,
+                       unsigned regions);
+void spmmImacSetup(Machine &m, SpmmOp &op, CoreState &core, Index lo);
+void spmmImacRows(Machine &m, SpmmOp &op, CoreState &core, Index lo,
+                  Index hi);
 
 /** One vimac.st.f per key vector; duplicates need no conflict
  *  sequence (lanes accumulate in order inside the MAC unit). */
-HistResult histImac(Machine &m, const std::vector<Index> &keys,
-                    Index buckets);
+void histImacKeys(Machine &m, HistOp &op, CoreState &core,
+                  const HistPass &pass, Index lo, Index hi);
 
 /** Two vimac.f per pixel; the row buffer catches the overlap of
  *  neighbouring 4x4 windows. */
-StencilResult stencilImac(Machine &m, const DenseMatrix &img);
+void stencilImacRows(Machine &m, StencilOp &op, CoreState &core,
+                     Index lo, Index hi);
 
 } // namespace via::kernels
 

@@ -57,17 +57,15 @@ template <typename Mat, typename Img>
 using SpmvAt = SpmvResult (*)(Machine &, const Mat &, const Img &,
                               const DenseVector &);
 
-// The *At kernel of each format, indexed by BackendKind
-// (Base, Via, Ssr, IndexMac).
+// The single-core SPC5 and SELL kernels, indexed by BackendKind
+// (Base, Via, Ssr, IndexMac). SPC5 reads x unit-stride per block:
+// there is no indexed traffic for the MAC unit to capture, so the
+// plain vector kernel is the IndexMAC machine's best SPC5 code.
 static_assert(std::size_t(BackendKind::IndexMac) == 3);
-constexpr SpmvAt<Csr, CsrImage> kCsrAt[] = {
-    spmvVectorCsrAt, spmvViaCsrAt, spmvSsrCsrAt, spmvImacCsrAt};
 constexpr SpmvAt<Spc5, Spc5Image> kSpc5At[] = {
-    spmvVectorSpc5At, spmvViaSpc5At, spmvSsrSpc5At, spmvImacSpc5At};
+    spmvVectorSpc5At, spmvViaSpc5At, spmvSsrSpc5At, spmvVectorSpc5At};
 constexpr SpmvAt<SellCSigma, SellImage> kSellAt[] = {
     spmvVectorSellAt, spmvViaSellAt, spmvSsrSellAt, spmvImacSellAt};
-constexpr SpmvAt<Csb, CsbImage> kCsbAt[] = {
-    spmvVectorCsbAt, spmvViaCsbAt, spmvSsrCsbAt, spmvImacCsbAt};
 
 /** Emit y = A x with the @p kind kernel against @p s. */
 SpmvResult
@@ -80,19 +78,11 @@ spmvAt(Machine &m, BackendKind kind, const Csr &a,
     if (s.sell)
         return kSellAt[k](m, *s.sell, s.sellImg, x);
     if (s.csb)
-        return kCsbAt[k](m, *s.csb, s.csbImg, x);
-    return kCsrAt[k](m, a, s.csrImg, x);
+        return spmvCsbRun(m, kind, *s.csb, s.csbImg, x);
+    return spmvCsrRun(m, kind, a, s.csrImg, x);
 }
 
 } // namespace
-
-SpmvResult
-spmvVia(Machine &m, const Csr &a, const DenseVector &x,
-        const std::string &fmt)
-{
-    return spmvAt(m, BackendKind::Via, a, convertAndUpload(m, a, fmt),
-                  x);
-}
 
 SpmvResult
 spmvBaseline(Machine &m, const Csr &a, const DenseVector &x,
@@ -113,33 +103,13 @@ spmvAccel(Machine &m, const Csr &a, const DenseVector &x,
 SpmaResult
 spmaAccel(Machine &m, const Csr &a, const Csr &b)
 {
-    switch (m.backendKind()) {
-    case BackendKind::Base:
-        return spmaScalarCsr(m, a, b);
-    case BackendKind::Via:
-        return spmaViaCsr(m, a, b);
-    case BackendKind::Ssr:
-        return spmaSsrCsr(m, a, b);
-    case BackendKind::IndexMac:
-        return spmaImacCsr(m, a, b);
-    }
-    via_fatal("unhandled backend kind");
+    return spmaRun(m, m.backendKind(), a, b);
 }
 
 SpmmResult
 spmmAccel(Machine &m, const Csr &a, const Csc &b)
 {
-    switch (m.backendKind()) {
-    case BackendKind::Base:
-        return spmmScalarInner(m, a, b);
-    case BackendKind::Via:
-        return spmmViaInner(m, a, b);
-    case BackendKind::Ssr:
-        return spmmSsrInner(m, a, b);
-    case BackendKind::IndexMac:
-        return spmmImacGustavson(m, a, b);
-    }
-    via_fatal("unhandled backend kind");
+    return spmmRun(m, m.backendKind(), a, b);
 }
 
 bool
@@ -152,39 +122,18 @@ spmmFits(const MachineParams &params, const Csr &a)
 HistResult
 histAccel(Machine &m, const std::vector<Index> &keys, Index buckets)
 {
-    switch (m.backendKind()) {
-    case BackendKind::Base:
-        return histVector(m, keys, buckets);
-    case BackendKind::Via:
-        return histVia(m, keys, buckets);
-    case BackendKind::Ssr:
-        return histSsr(m, keys, buckets);
-    case BackendKind::IndexMac:
-        return histImac(m, keys, buckets);
-    }
-    via_fatal("unhandled backend kind");
+    return histRun(m, m.backendKind(), keys, buckets);
 }
 
 StencilResult
 stencilAccel(Machine &m, const DenseMatrix &img)
 {
-    switch (m.backendKind()) {
-    case BackendKind::Base:
-        return stencilVector(m, img);
-    case BackendKind::Via:
-        return stencilVia(m, img);
-    case BackendKind::Ssr:
-        return stencilSsr(m, img);
-    case BackendKind::IndexMac:
-        return stencilImac(m, img);
-    }
-    via_fatal("unhandled backend kind");
+    return stencilRun(m, m.backendKind(), img);
 }
 
 SpmvResident::SpmvResident(Machine &m, const Csr &a,
                            const std::string &fmt, BackendKind kind)
-    : _fmt(fmt), _kind(kind), _csr(a),
-      _storage(convertAndUpload(m, _csr, fmt))
+    : _kind(kind), _csr(a), _storage(convertAndUpload(m, _csr, fmt))
 {}
 
 SpmvResult

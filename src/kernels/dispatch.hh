@@ -35,18 +35,12 @@ const std::vector<std::string> &spmvFormats();
 bool isSpmvFormat(const std::string &fmt);
 
 /**
- * Run the VIA SpMV kernel for @p fmt (converting @p a as needed).
- * Fatal on an unknown format name.
- */
-SpmvResult spmvVia(Machine &m, const Csr &a, const DenseVector &x,
-                   const std::string &fmt);
-
-/**
  * Run the baseline (non-VIA) vector SpMV kernel for @p fmt on the
- * same converted storage the VIA variant uses.
+ * same converted storage the accelerated variant uses. Fatal on an
+ * unknown format name.
  *
- * spmvVia/spmvBaseline convert and upload the matrix on every call,
- * so repeated runs on one machine touch fresh cold addresses.
+ * spmvBaseline/spmvAccel convert and upload the matrix on every
+ * call, so repeated runs on one machine touch fresh cold addresses.
  */
 SpmvResult spmvBaseline(Machine &m, const Csr &a,
                         const DenseVector &x, const std::string &fmt);
@@ -64,7 +58,8 @@ SpmvResult spmvAccel(Machine &m, const Csr &a, const DenseVector &x,
 /**
  * The other kernels' backend-following entry points: the accelerated
  * variant matching Machine::backendKind() (VIA CAM / SSR streams /
- * IndexMAC), or the software baseline on backend=base.
+ * IndexMAC), or the software baseline on backend=base. Each runs
+ * its kernel's body table (kernels/ranges.hh) at that kind.
  */
 SpmaResult spmaAccel(Machine &m, const Csr &a, const Csr &b);
 SpmmResult spmmAccel(Machine &m, const Csr &a, const Csc &b);
@@ -110,7 +105,7 @@ struct SpmvStorage
  * run() must only be called on that machine, or on machines
  * restored from its checkpoints / built from the same MachineConfig.
  * The first run() on the constructing machine is bit-identical to
- * the matching spmvVia/spmvBaseline one-shot call.
+ * the matching spmvAccel/spmvBaseline one-shot call.
  */
 class SpmvResident
 {
@@ -133,14 +128,7 @@ class SpmvResident
     /** Emit y = A x against the resident matrix. */
     SpmvResult run(Machine &m, const DenseVector &x) const;
 
-    const std::string &format() const { return _fmt; }
-    bool via() const { return _kind == BackendKind::Via; }
-    BackendKind kind() const { return _kind; }
-    /** Rows of the resident matrix (the result vector's length). */
-    Index rows() const { return _csr.rows(); }
-
   private:
-    std::string _fmt;
     BackendKind _kind;
     Csr _csr; //!< owned copy; also the conversion source
     SpmvStorage _storage;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "kernels/backend_kernels.hh"
 #include "kernels/kernel_utils.hh"
-#include "kernels/ranges.hh"
 #include "simcore/log.hh"
 
 namespace via::kernels
@@ -15,69 +15,62 @@ namespace
 constexpr ElemType VT = ElemType::F32;
 constexpr ElemType IT = ElemType::I32;
 
-} // namespace
-
+/** Load the ones vector the vector bodies add: once per core. */
 void
-histCheckKeys(const std::vector<Index> &keys, Index buckets)
-{
-    for (Index k : keys)
-        via_assert(k >= 0 && k < buckets, "key ", k,
-                   " outside [0, ", buckets, ")");
-}
-
-HistResult
-histScalar(Machine &m, const std::vector<Index> &keys, Index buckets)
-{
-    histCheckKeys(keys, buckets);
-    Addr key_arr = upload(m, keys);
-    Addr hist = allocValues(m, std::size_t(buckets));
-
-    SReg s_key{0}, s_v{1}, s_one{2}, s_i{3};
-    m.simm(s_one, 0);
-    m.setSregF(s_one, 1.0);
-
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        m.sload(s_key, key_arr + 4 * Addr(i), 4);
-        Addr slot = hist + 4 * Addr(keys[i]);
-        m.sloadF(s_v, slot, VT, s_key);
-        m.sfadd(s_v, s_v, s_one);
-        m.sstoreF(slot, s_v, VT, s_key);
-        m.salu(s_i, Index(i) + 1, s_i);
-        m.sbranch(s_i);
-    }
-    return HistResult{downloadValues(m, hist, std::size_t(buckets)),
-                      m.cycles()};
-}
-
-void
-histLoadOnes(Machine &m)
+loadOnes(Machine &m, HistOp &, CoreState &, Index)
 {
     VReg v_ones{2};
     m.vbroadcastF(v_ones, 1.0);
 }
 
-HistResult
-histVector(Machine &m, const std::vector<Index> &keys, Index buckets)
+/** One pass over every bucket (all but VIA). */
+std::vector<HistPass>
+onePass(const Machine &, Index buckets)
 {
-    histCheckKeys(keys, buckets);
-    Addr key_arr = upload(m, keys);
-    Addr hist = allocValues(m, std::size_t(buckets));
-    histLoadOnes(m);
-    histVectorKeys(m, key_arr, hist, 0, Index(keys.size()));
-    return HistResult{downloadValues(m, hist, std::size_t(buckets)),
-                      m.cycles()};
+    return {{0, buckets, false}};
 }
 
+/** SSR: bind the key stream at key @p lo unless it stands there. */
 void
-histVectorKeys(Machine &m, Addr keys, Addr hist, Index lo, Index hi)
+bindKeys(Machine &m, const HistOp &op, CoreState &core, Index lo)
 {
+    if (rebind(core, lo))
+        m.ssrBindAffine(0, op.keys + 4 * Addr(lo), IT);
+}
+
+/** SSR: the key array is a pure sequential read, so one affine
+ *  stream replaces every key load; it is bound first. */
+void
+ssrSetup(Machine &m, HistOp &op, CoreState &core, Index lo)
+{
+    bindKeys(m, op, core, lo);
+    loadOnes(m, op, core, lo);
+}
+
+/**
+ * Vector (conflict-detect) keys [lo, hi). With Streamed (SSR) the
+ * keys are popped from stream 0; the bucket read-modify-write stays
+ * in the cache hierarchy either way.
+ */
+template <bool Streamed>
+void
+vectorKeys(Machine &m, HistOp &op, CoreState &core, const HistPass &,
+           Index lo, Index hi)
+{
+    if (Streamed)
+        bindKeys(m, op, core, lo);
+    core.next = hi;
+    const Addr hist = op.out[core.region];
     const int vl = int(m.vl());
     VReg v_keys{0}, v_cf{1}, v_ones{2}, v_cnt{3}, v_old{4};
     SReg s_i{3};
 
     for (Index i = lo; i < hi; i += vl) {
         int n = std::min<Index>(vl, hi - i);
-        m.vload(v_keys, keys + 4 * Addr(i), IT, n);
+        if (Streamed)
+            m.ssrPopV(v_keys, 0, n);
+        else
+            m.vload(v_keys, op.keys + 4 * Addr(i), IT, n);
         // Detect and merge duplicate buckets within the vector.
         m.vconflict(v_cf, v_keys, n);
         m.vmergeIdx(v_cnt, v_ones, v_keys, n);
@@ -90,24 +83,8 @@ histVectorKeys(Machine &m, Addr keys, Addr hist, Index lo, Index hi)
     }
 }
 
-HistResult
-histVia(Machine &m, const std::vector<Index> &keys, Index buckets)
-{
-    histCheckKeys(keys, buckets);
-    Addr key_arr = upload(m, keys);
-    Addr hist = allocValues(m, std::size_t(buckets));
-    histLoadOnes(m);
-    for (const HistPass &pass : histViaPasses(m, buckets)) {
-        histViaBegin(m, pass);
-        histViaKeys(m, key_arr, pass, 0, Index(keys.size()));
-        histViaDrain(m, hist, pass);
-    }
-    return HistResult{downloadValues(m, hist, std::size_t(buckets)),
-                      m.cycles()};
-}
-
 std::vector<HistPass>
-histViaPasses(const Machine &m, Index buckets)
+viaPasses(const Machine &m, Index buckets)
 {
     // Bucket ranges beyond the SSPM capacity run as multiple
     // passes over the key stream, one scratchpad-sized range each.
@@ -120,7 +97,7 @@ histViaPasses(const Machine &m, Index buckets)
 }
 
 void
-histViaBegin(Machine &m, const HistPass &pass)
+viaBegin(Machine &m, const HistPass &pass)
 {
     VReg v_lo{6}, v_hi{7};
     m.vidxClear();
@@ -131,8 +108,8 @@ histViaBegin(Machine &m, const HistPass &pass)
 }
 
 void
-histViaKeys(Machine &m, Addr keys, const HistPass &pass, Index lo,
-            Index hi)
+viaKeys(Machine &m, HistOp &op, CoreState &, const HistPass &pass,
+        Index lo, Index hi)
 {
     const int vl = int(m.vl());
     VReg v_keys{0}, v_cf{1}, v_ones{2}, v_dummy{5}, v_lo{6}, v_hi{7},
@@ -141,7 +118,7 @@ histViaKeys(Machine &m, Addr keys, const HistPass &pass, Index lo,
 
     for (Index i = lo; i < hi; i += vl) {
         int n = std::min<Index>(vl, hi - i);
-        m.vload(v_keys, keys + 4 * Addr(i), IT, n);
+        m.vload(v_keys, op.keys + 4 * Addr(i), IT, n);
         if (pass.tiled) {
             // Keep only lanes inside the pass's bucket range: mask,
             // rebase and compress them to the front.
@@ -175,8 +152,9 @@ histViaKeys(Machine &m, Addr keys, const HistPass &pass, Index lo,
 }
 
 void
-histViaDrain(Machine &m, Addr hist, const HistPass &pass)
+viaDrain(Machine &m, HistOp &op, CoreState &core, const HistPass &pass)
 {
+    const Addr hist = op.out[core.region];
     // Algorithm 5 line 7: drain this range of the histogram.
     const int vl = int(m.vl());
     VReg v_idx{3}, v_out{4};
@@ -189,6 +167,89 @@ histViaDrain(Machine &m, Addr hist, const HistPass &pass)
         m.salu(s_i, i + vl, s_i);
         m.sbranch(s_i);
     }
+}
+
+} // namespace
+
+const HistBody &
+histBody(BackendKind kind)
+{
+    // Indexed by BackendKind: base, VIA, SSR, IndexMAC.
+    static constexpr HistBody table[] = {
+        {.setup = loadOnes, .passes = onePass, .keys = vectorKeys<false>},
+        {.setup = loadOnes,
+         .passes = viaPasses,
+         .begin = viaBegin,
+         .keys = viaKeys,
+         .drain = viaDrain},
+        {.setup = ssrSetup, .passes = onePass, .keys = vectorKeys<true>},
+        {.setup = loadOnes, .passes = onePass, .keys = histImacKeys},
+    };
+    return table[std::size_t(kind)];
+}
+
+HistResult
+histRun(Machine &m, BackendKind kind, const std::vector<Index> &keys,
+        Index buckets)
+{
+    histCheckKeys(keys, buckets);
+    HistOp op{upload(m, keys), {allocValues(m, std::size_t(buckets))}};
+    const HistBody &body = histBody(kind);
+    CoreState core;
+    body.setup(m, op, core, 0);
+    for (const HistPass &pass : body.passes(m, buckets)) {
+        if (body.begin)
+            body.begin(m, pass);
+        body.keys(m, op, core, pass, 0, Index(keys.size()));
+        if (body.drain)
+            body.drain(m, op, core, pass);
+    }
+    return HistResult{downloadValues(m, op.out[0], std::size_t(buckets)),
+                      m.cycles()};
+}
+
+void
+histCheckKeys(const std::vector<Index> &keys, Index buckets)
+{
+    for (Index k : keys)
+        via_assert(k >= 0 && k < buckets, "key ", k,
+                   " outside [0, ", buckets, ")");
+}
+
+HistResult
+histScalar(Machine &m, const std::vector<Index> &keys, Index buckets)
+{
+    histCheckKeys(keys, buckets);
+    Addr key_arr = upload(m, keys);
+    Addr hist = allocValues(m, std::size_t(buckets));
+
+    SReg s_key{0}, s_v{1}, s_one{2}, s_i{3};
+    m.simm(s_one, 0);
+    m.setSregF(s_one, 1.0);
+
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        m.sload(s_key, key_arr + 4 * Addr(i), 4);
+        Addr slot = hist + 4 * Addr(keys[i]);
+        m.sloadF(s_v, slot, VT, s_key);
+        m.sfadd(s_v, s_v, s_one);
+        m.sstoreF(slot, s_v, VT, s_key);
+        m.salu(s_i, Index(i) + 1, s_i);
+        m.sbranch(s_i);
+    }
+    return HistResult{downloadValues(m, hist, std::size_t(buckets)),
+                      m.cycles()};
+}
+
+HistResult
+histVector(Machine &m, const std::vector<Index> &keys, Index buckets)
+{
+    return histRun(m, BackendKind::Base, keys, buckets);
+}
+
+HistResult
+histVia(Machine &m, const std::vector<Index> &keys, Index buckets)
+{
+    return histRun(m, BackendKind::Via, keys, buckets);
 }
 
 } // namespace via::kernels

@@ -164,48 +164,67 @@ spmvParallelFormats()
 
 // The kernels below own the partitioning, the per-core output
 // regions and the stitching of results; every instruction a core
-// runs comes from the range bodies in kernels/ranges.hh, except the
-// histogram's core-0 reduction.
+// runs comes from its kernel's body table (kernels/ranges.hh), at
+// the machine's backend when accelerated and at BackendKind::Base
+// for the baseline, except the histogram's core-0 reduction.
+
+namespace
+{
+
+/** The body kind a parallel run emits. */
+BackendKind
+bodyKind(const MultiMachine &mm, bool accel)
+{
+    return accel ? mm.core(0).backendKind() : BackendKind::Base;
+}
+
+/** Run @p body over [0, n): its setup once per core, before the
+ *  first range dispatchUnits hands that core. */
+template <typename Op, typename Body>
+void
+runRanges(MultiMachine &mm, Index n, Partition part, Op &op,
+          const Body &body)
+{
+    std::vector<CoreState> state(mm.cores());
+    std::vector<char> ready(mm.cores(), 0);
+    for (unsigned c = 0; c < mm.cores(); ++c)
+        state[c].region = c;
+    dispatchUnits(mm, n, part, [&](unsigned c, Index lo, Index hi) {
+        if (!ready[c]) {
+            if (body.setup)
+                body.setup(mm.core(c), op, state[c], lo);
+            ready[c] = 1;
+        }
+        body.rows(mm.core(c), op, state[c], lo, hi);
+    });
+}
+
+} // namespace
 
 SpmvResult
 spmvParallel(MultiMachine &mm, const Csr &a, const DenseVector &x,
-             const std::string &fmt, Partition part, bool via)
+             const std::string &fmt, Partition part, bool accel)
 {
     via_assert(a.cols() == Index(x.size()), "SpMV shape mismatch");
     Machine &m0 = mm.core(0);
+    const BackendKind kind = bodyKind(mm, accel);
     if (fmt == "csr") {
-        CsrImage img = uploadCsr(m0, a);
-        Addr xa = upload(m0, x);
-        Addr ya = allocValues(m0, std::size_t(a.rows()));
-        // The baseline is the VIA body with x gathered from memory.
-        const bool x_fits =
-            via && std::uint64_t(a.cols()) <=
-                       m0.sspm().config().sramEntries();
-        std::vector<char> staged(mm.cores(), 0);
-        dispatchUnits(mm, a.rows(), part, [&](unsigned c, Index lo,
-                                              Index hi) {
-            if (x_fits && !staged[c]) {
-                spmvCsrStageX(mm.core(c), a.cols(), xa);
-                staged[c] = 1;
-            }
-            spmvViaCsrRows(mm.core(c), a, img, xa, ya, x_fits, lo, hi);
-        });
-        return SpmvResult{downloadValues(m0, ya, std::size_t(a.rows())),
-                          mm.cycles()};
+        CsrOp op(m0, a, uploadCsr(m0, a), x);
+        // The one body that differs from single-core: the vector
+        // CSR baseline gathers x in the VIA body (see ranges.hh).
+        static constexpr RangeBody<CsrOp> gather{
+            .rows = spmvGatherCsrRows};
+        runRanges(mm, a.rows(), part, op,
+                  kind == BackendKind::Base ? gather
+                                            : spmvCsrBody(kind));
+        return SpmvResult{op.readY(m0), mm.cycles()};
     }
     if (fmt == "csb") {
         // Block rows partition: each owns y rows [br*beta, (br+1)*beta).
         const Csb csb = Csb::fromCsr(a, viaCsbBeta(m0));
-        CsbImage img = uploadCsb(m0, csb);
-        Addr xa = upload(m0, x);
-        Addr ya = allocValues(m0, std::size_t(a.rows()));
-        auto rows = via ? spmvViaCsbRows : spmvVectorCsbRows;
-        dispatchUnits(mm, csb.blockRows(), part,
-                      [&](unsigned c, Index lo, Index hi) {
-                          rows(mm.core(c), csb, img, xa, ya, lo, hi);
-                      });
-        return SpmvResult{downloadValues(m0, ya, std::size_t(a.rows())),
-                          mm.cycles()};
+        CsbOp op(m0, csb, uploadCsb(m0, csb), x);
+        runRanges(mm, csb.blockRows(), part, op, spmvCsbBody(kind));
+        return SpmvResult{op.readY(m0), mm.cycles()};
     }
     std::string valid;
     for (const std::string &f : spmvParallelFormats())
@@ -216,54 +235,44 @@ spmvParallel(MultiMachine &mm, const Csr &a, const DenseVector &x,
 
 SpmaResult
 spmaParallel(MultiMachine &mm, const Csr &a, const Csr &b,
-             Partition part, bool via)
+             Partition part, bool accel)
 {
     via_assert(a.rows() == b.rows() && a.cols() == b.cols(),
                "SpMA shape mismatch");
     Machine &m0 = mm.core(0);
-    PairImage img = uploadPair(m0, a, b);
     // Chunks move between cores under stealing, so every core gets a
     // full worst-case output region; the host stitches rows back
     // together afterwards.
-    RowOutput out(m0, mm.cores(), a.rows(), a.nnz() + b.nnz());
-    auto rows = via ? spmaViaRows : spmaScalarRows;
-    dispatchUnits(mm, a.rows(), part,
-                  [&](unsigned c, Index lo, Index hi) {
-                      rows(mm.core(c), a, b, img, out, c, lo, hi);
-                  });
-    return SpmaResult{out.collect(m0, a.cols()), mm.cycles()};
+    SpmaOp op{a, b, uploadPair(m0, a, b),
+              RowOutput(m0, mm.cores(), a.rows(), a.nnz() + b.nnz())};
+    runRanges(mm, a.rows(), part, op, spmaBody(bodyKind(mm, accel)));
+    return SpmaResult{op.out.collect(m0, a.cols()), mm.cycles()};
 }
 
 SpmmResult
 spmmParallel(MultiMachine &mm, const Csr &a, const Csc &b,
-             Partition part, bool via)
+             Partition part, bool accel)
 {
     via_assert(a.cols() == b.rows(), "SpMM shape mismatch");
     Machine &m0 = mm.core(0);
-    PairImage img = uploadPair(m0, a, b);
-    RowOutput out(m0, mm.cores(), a.rows(), spmmOutputBound(a, b));
-    if (via)
-        spmmAssertCamFit(m0, a);
-    auto rows = via ? spmmViaRows : spmmScalarRows;
-    dispatchUnits(mm, a.rows(), part,
-                  [&](unsigned c, Index lo, Index hi) {
-                      rows(mm.core(c), a, b, img, out, c, lo, hi);
-                  });
-    return SpmmResult{out.collect(m0, b.cols()), mm.cycles()};
+    const SpmmBody &body = spmmBody(bodyKind(mm, accel));
+    SpmmOp op = body.prepare(m0, a, b, mm.cores());
+    runRanges(mm, a.rows(), part, op, body);
+    return SpmmResult{op.out.collect(m0, b.cols()), mm.cycles()};
 }
 
 HistResult
 histParallel(MultiMachine &mm, const std::vector<Index> &keys,
-             Index buckets, Partition part, bool via)
+             Index buckets, Partition part, bool accel)
 {
     histCheckKeys(keys, buckets);
     Machine &m0 = mm.core(0);
-    Addr key_arr = upload(m0, keys);
+    HistOp op{upload(m0, keys), {}};
     Addr hist = allocValues(m0, std::size_t(buckets));
     const unsigned cores = mm.cores();
-    std::vector<Addr> partial(cores);
     for (unsigned c = 0; c < cores; ++c)
-        partial[c] = allocValues(m0, std::size_t(buckets));
+        op.out.push_back(allocValues(m0, std::size_t(buckets)));
+    const HistBody &body = histBody(bodyKind(mm, accel));
 
     // The bucket-tiled VIA flow re-walks a core's whole key share
     // once per bucket range, so each core needs its full range list
@@ -272,10 +281,13 @@ histParallel(MultiMachine &mm, const std::vector<Index> &keys,
     std::size_t rounds = 0;
     for (unsigned c = 0; c < cores; ++c)
         rounds = std::max(rounds, shares[c].size());
+    std::vector<CoreState> state(cores);
+    for (unsigned c = 0; c < cores; ++c)
+        state[c].region = c;
     auto each_core = [&](auto &&fn) {
         for (unsigned c = 0; c < cores; ++c)
             if (!shares[c].empty())
-                fn(c, mm.core(c));
+                fn(mm.core(c), state[c], shares[c].front().first);
     };
     // Emission interleaves across cores, one range per core per
     // round: the cores run concurrently, and emitting one core's
@@ -285,26 +297,25 @@ histParallel(MultiMachine &mm, const std::vector<Index> &keys,
         for (std::size_t j = 0; j < rounds; ++j)
             for (unsigned c = 0; c < cores; ++c)
                 if (j < shares[c].size())
-                    fn(c, mm.core(c), shares[c][j].first,
+                    fn(mm.core(c), state[c], shares[c][j].first,
                        shares[c][j].second);
     };
 
-    each_core([](unsigned, Machine &m) { histLoadOnes(m); });
-    if (!via) {
-        each_range([&](unsigned c, Machine &m, Index lo, Index hi) {
-            histVectorKeys(m, key_arr, partial[c], lo, hi);
+    each_core([&](Machine &m, CoreState &core, Index lo) {
+        body.setup(m, op, core, lo);
+    });
+    for (const HistPass &pass : body.passes(m0, buckets)) {
+        if (body.begin)
+            each_core([&](Machine &m, CoreState &, Index) {
+                body.begin(m, pass);
+            });
+        each_range([&](Machine &m, CoreState &core, Index lo, Index hi) {
+            body.keys(m, op, core, pass, lo, hi);
         });
-    } else {
-        for (const HistPass &pass : histViaPasses(m0, buckets)) {
-            each_core(
-                [&](unsigned, Machine &m) { histViaBegin(m, pass); });
-            each_range([&](unsigned, Machine &m, Index lo, Index hi) {
-                histViaKeys(m, key_arr, pass, lo, hi);
+        if (body.drain)
+            each_core([&](Machine &m, CoreState &core, Index) {
+                body.drain(m, op, core, pass);
             });
-            each_core([&](unsigned c, Machine &m) {
-                histViaDrain(m, partial[c], pass);
-            });
-        }
     }
 
     // Core 0 reduces the partial histograms. The reduction runs on
@@ -317,7 +328,7 @@ histParallel(MultiMachine &mm, const std::vector<Index> &keys,
         int n = std::min<Index>(vl, buckets - i);
         m0.vbroadcastF(v_acc, 0.0);
         for (unsigned c = 0; c < cores; ++c) {
-            m0.vload(v_p, partial[c] + 4 * Addr(i), VT, n);
+            m0.vload(v_p, op.out[c] + 4 * Addr(i), VT, n);
             m0.vaddF(v_acc, v_acc, v_p, n);
         }
         m0.vstore(hist + 4 * Addr(i), v_acc, VT, n, s_i);
@@ -330,23 +341,15 @@ histParallel(MultiMachine &mm, const std::vector<Index> &keys,
 
 StencilResult
 stencilParallel(MultiMachine &mm, const DenseMatrix &img,
-                Partition part, bool via)
+                Partition part, bool accel)
 {
     via_assert(img.rows() >= 4 && img.cols() >= 4, "image too small");
     Machine &m0 = mm.core(0);
-    StencilImage s = uploadStencil(m0, img);
     // Output-row stripes; each core loads the taps once.
-    std::vector<char> loaded(mm.cores(), 0);
-    auto rows = via ? stencilViaRows : stencilVectorRows;
-    dispatchUnits(mm, img.rows() - 3, part, [&](unsigned c, Index lo,
-                                                Index hi) {
-        if (!loaded[c]) {
-            stencilLoadTaps(mm.core(c), s, img.cols());
-            loaded[c] = 1;
-        }
-        rows(mm.core(c), s, img, lo, hi);
-    });
-    return StencilResult{stencilCollect(m0, s, img), mm.cycles()};
+    StencilOp op{img, uploadStencil(m0, img)};
+    runRanges(mm, img.rows() - 3, part, op,
+              stencilBody(bodyKind(mm, accel)));
+    return StencilResult{stencilCollect(m0, op.s, img), mm.cycles()};
 }
 
 } // namespace via::kernels

@@ -4,8 +4,11 @@
  *
  * Each kernel uploads its operands once into the shared backing
  * store, partitions the work across the cores, and emits one
- * independent instruction stream per core by running the
- * single-core kernel's range body (kernels/ranges.hh) on each chunk.
+ * independent instruction stream per core by running the range body
+ * the single-core kernel runs (kernels/ranges.hh) on each chunk. The
+ * bool accel argument picks the machine's backend variant (VIA,
+ * SSR, IndexMAC) over the software baseline; on backend=base both
+ * are the baseline.
  * Output regions are disjoint per core (rows, block rows, key
  * chunks, image stripes), so the kernels need no locks; the shared
  * LLC resolves the timing side (bank contention, coherence)
@@ -71,22 +74,23 @@ std::vector<std::pair<Index, Index>> staticRanges(Index n,
 const std::vector<std::string> &spmvParallelFormats();
 
 /**
- * Multi-core SpMV. @p fmt is one of spmvParallelFormats(); @p via
- * picks the VIA kernel over the vector baseline. Rows (csr) or
- * block rows (csb) partition.
+ * Multi-core SpMV. @p fmt is one of spmvParallelFormats(); @p accel
+ * picks the kernel of the machine's backend (VIA, SSR, IndexMAC)
+ * over the vector baseline. Rows (csr) or block rows (csb)
+ * partition.
  */
 SpmvResult spmvParallel(MultiMachine &mm, const Csr &a,
                         const DenseVector &x, const std::string &fmt,
-                        Partition part, bool via);
+                        Partition part, bool accel);
 
 /** Multi-core SpMA over row ranges; per-core output regions are
  *  assembled host-side. */
 SpmaResult spmaParallel(MultiMachine &mm, const Csr &a, const Csr &b,
-                        Partition part, bool via);
+                        Partition part, bool accel);
 
 /** Multi-core SpMM partitioning A's rows. */
 SpmmResult spmmParallel(MultiMachine &mm, const Csr &a, const Csc &b,
-                        Partition part, bool via);
+                        Partition part, bool accel);
 
 /**
  * Multi-core histogram: contiguous key chunks per core into private
@@ -95,12 +99,12 @@ SpmmResult spmmParallel(MultiMachine &mm, const Csr &a, const Csc &b,
  */
 HistResult histParallel(MultiMachine &mm,
                         const std::vector<Index> &keys, Index buckets,
-                        Partition part, bool via);
+                        Partition part, bool accel);
 
 /** Multi-core 4x4 stencil over output-row stripes (each core reads
  *  a 3-row halo of its neighbour's input rows). */
 StencilResult stencilParallel(MultiMachine &mm, const DenseMatrix &img,
-                              Partition part, bool via);
+                              Partition part, bool accel);
 
 } // namespace via::kernels
 

@@ -1,35 +1,54 @@
 /**
  * @file
  * The kernels' range bodies: each kernel split into its setup and a
- * body that emits one [lo, hi) range of its iteration space.
+ * body that emits one [lo, hi) range of its iteration space, on
+ * every vector backend.
  *
- * A single-core kernel (spmv.cc, spma.cc, ...) is its setup plus one
- * body call over the whole range. A parallel kernel (parallel.cc)
- * uploads the same operands once into core 0's memory image (the
- * cores share one backing store), cuts the range into chunks and
- * runs the same body per chunk on the core it assigns. So every
- * kernel's emit loop exists once, and a parallel run on one core
- * emits the single-core instruction stream.
+ * Each kernel has one table of bodies indexed by BackendKind (base,
+ * VIA, SSR, IndexMAC), and two runners read it. The single-core
+ * runner (spmv.cc, spma.cc, ...) uploads the operands, then runs the
+ * setup and one body call over the whole range. The parallel runner
+ * (parallel.cc) uploads the same operands once into core 0's memory
+ * image (the cores share one backing store), cuts the range into
+ * chunks, runs the setup once per core and the body per chunk on
+ * the core it assigns. So every kernel's emit loop exists once per
+ * backend.
+ *
+ * A parallel run on one core emits the single-core instruction
+ * stream, with two exceptions:
+ *   - the single-core SpMA and SpMM runners store c_ptr[0] (the
+ *     CoreState::head store); the parallel runner does not;
+ *   - the cores>1 vector CSR baseline is the VIA body with x
+ *     gathered (vgather, vmulF, vaddF), where single-core vector
+ *     CSR runs its own body with vfmaF.
  *
  * The ranges:
- *   - SpMV: CSR rows, CSB block rows
+ *   - SpMV: CSR rows, CSB block rows (SPC5 and SELL stay
+ *     single-core on every backend)
  *   - SpMA, SpMM: rows of A
  *   - histogram: keys (for VIA, inside one bucket pass)
  *   - stencil: output rows
  *
  * Per-core state a body relies on (x staged in the SSPM, the filter
- * taps in registers, the histogram's ones vector) is set up by a
- * separate call, once per core before its first range.
+ * taps in registers, the histogram's ones vector, the IndexMAC
+ * accumulators) is set up by a separate call, once per core before
+ * its first range, in the order the single-core kernel emits it. An
+ * SSR body binds its streams at its range's first element unless
+ * the core's previous range ended there.
  */
 
 #ifndef VIA_KERNELS_RANGES_HH
 #define VIA_KERNELS_RANGES_HH
 
+#include <algorithm>
 #include <vector>
 
-#include "cpu/machine.hh"
+#include "kernels/histogram.hh"
 #include "kernels/kernel_utils.hh"
+#include "kernels/spma.hh"
+#include "kernels/spmm.hh"
 #include "kernels/spmv.hh"
+#include "kernels/stencil.hh"
 #include "simcore/log.hh"
 #include "sparse/csc.hh"
 #include "sparse/csr.hh"
@@ -38,25 +57,161 @@
 namespace via::kernels
 {
 
+/** What a core keeps between the ranges it runs. */
+struct CoreState
+{
+    unsigned region = 0; //!< its output region or partial histogram
+    /** Set by the single-core SpMA/SpMM runner: the setup stores
+     *  c_ptr[0]. */
+    bool head = false;
+    /** SSR: the range start its streams are bound for (-1: none). */
+    Index next = -1;
+    /** IndexMAC SpMA/SpMM: the core's dense accumulators. */
+    Addr acc = 0, mark = 0;
+};
+
+/** SSR: whether a range starting at @p lo must bind its streams,
+ *  which already stand there when the core's last range ended at
+ *  lo. Marks them bound at lo. */
+inline bool
+rebind(CoreState &core, Index lo)
+{
+    const bool bind = core.next != lo;
+    core.next = lo;
+    return bind;
+}
+
+/** One backend's variant of a kernel in range form. */
+template <typename Op>
+struct RangeBody
+{
+    /** Once per core before its first range, which starts at @p lo;
+     *  null: nothing to set up. */
+    void (*setup)(Machine &m, Op &op, CoreState &core,
+                  Index lo) = nullptr;
+    /** Emit the range [lo, hi). */
+    void (*rows)(Machine &m, Op &op, CoreState &core, Index lo,
+                 Index hi) = nullptr;
+};
+
+/** The single-core run of a body: its setup, then [0, n). */
+template <typename Op, typename Body>
+void
+runWhole(Machine &m, Op &op, const Body &body, Index n,
+         CoreState core = {})
+{
+    if (body.setup)
+        body.setup(m, op, core, 0);
+    body.rows(m, op, core, 0, n);
+}
+
 // ------------------------------------------------------------- SpMV
 
-/** Stage the dense x in the SSPM (VIA CSR when x fits): once per
- *  core, before its first rows. */
-void spmvCsrStageX(Machine &m, Index cols, Addr x);
+/** One SpMV run: the uploaded matrix, x uploaded and y allocated. */
+template <typename Mat, typename Img>
+struct SpmvOp
+{
+    SpmvOp(Machine &m, const Mat &a, const Img &img,
+           const DenseVector &xv)
+        : a(a), img(img), x(upload(m, xv)),
+          y(allocValues(m, std::size_t(a.rows())))
+    {}
 
-/** VIA CSR rows [lo, hi) into y. With @p x_fits the x operand comes
- *  from the SSPM; otherwise it is gathered, which is also the
- *  parallel CSR baseline. */
-void spmvViaCsrRows(Machine &m, const Csr &a, const CsrImage &img,
-                    Addr x, Addr y, bool x_fits, Index lo, Index hi);
+    /** Read y back. */
+    DenseVector
+    readY(const Machine &m) const
+    {
+        return downloadValues(m, y, std::size_t(a.rows()));
+    }
 
-/** Vector CSB block rows [lo, hi): gather x, gather/scatter y. */
-void spmvVectorCsbRows(Machine &m, const Csb &a, const CsbImage &img,
-                       Addr x, Addr y, Index lo, Index hi);
+    const Mat &a;
+    Img img;
+    Addr x = 0, y = 0;
+};
 
-/** VIA CSB block rows [lo, hi); the SSPM must hold 2 * beta. */
-void spmvViaCsbRows(Machine &m, const Csb &a, const CsbImage &img,
-                    Addr x, Addr y, Index lo, Index hi);
+using CsrOp = SpmvOp<Csr, CsrImage>;
+using CsbOp = SpmvOp<Csb, CsbImage>;
+
+/** The CSR (rows) and CSB (block rows) bodies of @p kind. */
+const RangeBody<CsrOp> &spmvCsrBody(BackendKind kind);
+const RangeBody<CsbOp> &spmvCsbBody(BackendKind kind);
+
+/** Single-core SpMV of @p kind against an uploaded matrix. */
+SpmvResult spmvCsrRun(Machine &m, BackendKind kind, const Csr &a,
+                      const CsrImage &img, const DenseVector &x);
+SpmvResult spmvCsbRun(Machine &m, BackendKind kind, const Csb &a,
+                      const CsbImage &img, const DenseVector &x);
+
+/**
+ * The CSR row loop every backend's body runs: per row of [lo, hi),
+ * zero the accumulator v3, emit @p step(k, n) for each vector of the
+ * row's elements, then reduce v3 into y[r].
+ */
+template <typename Step>
+void
+csrRowLoop(Machine &m, const CsrOp &op, Index lo, Index hi,
+           Step &&step)
+{
+    const int vl = int(m.vl());
+    VReg v_acc{3};
+    SReg s_end{1}, s_acc{5}, s_k{0}, s_r{7};
+    for (Index r = lo; r < hi; ++r) {
+        m.sload(s_end, op.img.rowPtr + 4 * (Addr(r) + 1), 4);
+        m.vbroadcastF(v_acc, 0.0);
+        const Index k_lo = op.a.rowPtr()[std::size_t(r)];
+        const Index end = op.a.rowPtr()[std::size_t(r) + 1];
+        for (Index k = k_lo; k < end; k += vl) {
+            step(k, int(std::min<Index>(vl, end - k)));
+            m.salu(s_k, k + vl, s_k);
+            m.sbranch(s_k);
+        }
+        m.vredsumF(s_acc, v_acc);
+        m.sstoreF(op.y + 4 * Addr(r), s_acc, ElemType::F32);
+        m.salu(s_r, r + 1, s_r);
+        m.sbranch(s_r);
+    }
+}
+
+/**
+ * The CSB block loop of the vector, SSR and IndexMAC bodies: for each
+ * non-empty block of block rows [lo, hi), emit @p step(k, n, y, x)
+ * per vector of its elements, where y and x address the block's
+ * chunks of the two vectors.
+ */
+template <typename Step>
+void
+csbBlockLoop(Machine &m, const CsbOp &op, Index lo, Index hi,
+             Step &&step)
+{
+    const int vl = int(m.vl());
+    const Index beta = op.a.beta();
+    const std::int64_t bcols = op.a.blockCols();
+    SReg s_end{1}, s_k{0}, s_b{7};
+    for (std::int64_t b = lo * bcols; b < hi * bcols; ++b) {
+        m.sload(s_end, op.img.blockPtr + 4 * (Addr(b) + 1), 4);
+        const Index k_lo = op.a.blockPtr()[std::size_t(b)];
+        const Index end = op.a.blockPtr()[std::size_t(b) + 1];
+        if (k_lo == end) {
+            m.sbranch(s_end); // skip empty block
+            continue;
+        }
+        const Addr row_base = op.y + 4 * Addr(b / bcols) * Addr(beta);
+        const Addr col_base = op.x + 4 * Addr(b % bcols) * Addr(beta);
+        for (Index k = k_lo; k < end; k += vl) {
+            step(k, int(std::min<Index>(vl, end - k)), row_base,
+                 col_base);
+            m.salu(s_k, k + vl, s_k);
+            m.sbranch(s_k);
+        }
+        m.salu(s_b, b + 1, s_b);
+        m.sbranch(s_b);
+    }
+}
+
+/** The VIA CSR rows with x always gathered: the cores>1 vector CSR
+ *  baseline. */
+void spmvGatherCsrRows(Machine &m, CsrOp &op, CoreState &core,
+                       Index lo, Index hi);
 
 // ------------------------------------------------------ SpMA, SpMM
 
@@ -138,17 +293,63 @@ struct RowOutput
                              std::move(col_idx), std::move(vals));
     }
 
+    /** The single-core runner's c_ptr[0] store (CoreState::head),
+     *  through the kernel's output-count register @p s_out. */
+    void
+    storeHead(Machine &m, const CoreState &core, SReg s_out) const
+    {
+        if (core.head)
+            m.sstore(regions[core.region].ptr, s_out, 4);
+    }
+
     std::vector<Region> regions;
     std::vector<Span> rows;
     std::size_t capacity = 0; //!< entries each region holds
 };
 
-void spmaScalarRows(Machine &m, const Csr &a, const Csr &b,
-                    const PairImage &img, RowOutput &out,
-                    unsigned region, Index lo, Index hi);
-void spmaViaRows(Machine &m, const Csr &a, const Csr &b,
-                 const PairImage &img, RowOutput &out,
-                 unsigned region, Index lo, Index hi);
+/** One SpMA run: the operands, their upload and the output. */
+struct SpmaOp
+{
+    const Csr &a, &b;
+    PairImage img;
+    RowOutput out;
+};
+
+/** The SpMA rows body of @p kind. */
+const RangeBody<SpmaOp> &spmaBody(BackendKind kind);
+/** Single-core SpMA of @p kind. */
+SpmaResult spmaRun(Machine &m, BackendKind kind, const Csr &a,
+                   const Csr &b);
+
+/** One SpMM run: the operands, their upload and the output. */
+struct SpmmOp
+{
+    const Csr &a;
+    const Csc &b;
+    Csr bRows; //!< IndexMAC: B transposed host-side; empty otherwise
+    PairImage img;
+    RowOutput out;
+};
+
+/** One backend's SpMM: its own operand upload plus a range body. */
+struct SpmmBody
+{
+    /** Upload the operands and allocate @p regions output regions
+     *  (IndexMAC walks B by rows, so it uploads B transposed). */
+    SpmmOp (*prepare)(Machine &m0, const Csr &a, const Csc &b,
+                      unsigned regions) = nullptr;
+    void (*setup)(Machine &m, SpmmOp &op, CoreState &core,
+                  Index lo) = nullptr;
+    void (*rows)(Machine &m, SpmmOp &op, CoreState &core, Index lo,
+                 Index hi) = nullptr;
+};
+
+/** The SpMM variant of @p kind. */
+const SpmmBody &spmmBody(BackendKind kind);
+/** Single-core SpMM of @p kind. */
+SpmmResult spmmRun(Machine &m, BackendKind kind, const Csr &a,
+                   const Csc &b);
+
 /**
  * Output entries an SpMM region holds: min(rows * cols, nnz(A) *
  * max column nnz of B + 1), the historical sizing that fixes every
@@ -156,39 +357,48 @@ void spmaViaRows(Machine &m, const Csr &a, const Csr &b,
  * larger (a B whose rows are denser than its columns).
  */
 std::size_t spmmOutputBound(const Csr &a, const Csc &b);
-/** The VIA SpMM needs every row of A to fit the CAM. */
-void spmmAssertCamFit(const Machine &m, const Csr &a);
-void spmmScalarRows(Machine &m, const Csr &a, const Csc &b,
-                    const PairImage &img, RowOutput &out,
-                    unsigned region, Index lo, Index hi);
-void spmmViaRows(Machine &m, const Csr &a, const Csc &b,
-                 const PairImage &img, RowOutput &out,
-                 unsigned region, Index lo, Index hi);
 
 // -------------------------------------------------------- Histogram
 
-/** Fatal unless every key lies in [0, buckets). */
-void histCheckKeys(const std::vector<Index> &keys, Index buckets);
-/** Load the ones vector both vector bodies add: once per core. */
-void histLoadOnes(Machine &m);
-/** Vector (conflict-detect) keys [lo, hi) into @p hist. */
-void histVectorKeys(Machine &m, Addr keys, Addr hist, Index lo,
-                    Index hi);
-/** Bucket passes the VIA histogram makes, one SSPM-sized range
- *  [lo, hi) each; @p tiled when there is more than one. */
+/** One histogram run: the uploaded keys and one output array per
+ *  region (the histogram, or each core's partial histogram). */
+struct HistOp
+{
+    Addr keys = 0;
+    std::vector<Addr> out;
+};
+
+/** Bucket passes over the keys, one bucket range [lo, hi) each;
+ *  @p tiled when there is more than one. */
 struct HistPass
 {
     Index lo = 0, hi = 0;
     bool tiled = false;
 };
-std::vector<HistPass> histViaPasses(const Machine &m, Index buckets);
-/** Open a pass on one core: clear the SSPM, load the bounds. */
-void histViaBegin(Machine &m, const HistPass &pass);
-/** VIA keys [lo, hi) of one pass, accumulated in the SSPM. */
-void histViaKeys(Machine &m, Addr keys, const HistPass &pass,
-                 Index lo, Index hi);
-/** Drain a pass's buckets from the SSPM to @p hist. */
-void histViaDrain(Machine &m, Addr hist, const HistPass &pass);
+
+/** One backend's histogram: per-core setup, the passes, and per
+ *  pass an optional per-core open and drain around the key ranges. */
+struct HistBody
+{
+    void (*setup)(Machine &m, HistOp &op, CoreState &core,
+                  Index lo) = nullptr;
+    std::vector<HistPass> (*passes)(const Machine &m,
+                                    Index buckets) = nullptr;
+    void (*begin)(Machine &m, const HistPass &pass) = nullptr;
+    void (*keys)(Machine &m, HistOp &op, CoreState &core,
+                 const HistPass &pass, Index lo, Index hi) = nullptr;
+    void (*drain)(Machine &m, HistOp &op, CoreState &core,
+                  const HistPass &pass) = nullptr;
+};
+
+/** The histogram variant of @p kind. */
+const HistBody &histBody(BackendKind kind);
+/** Single-core histogram of @p kind. */
+HistResult histRun(Machine &m, BackendKind kind,
+                   const std::vector<Index> &keys, Index buckets);
+
+/** Fatal unless every key lies in [0, buckets). */
+void histCheckKeys(const std::vector<Index> &keys, Index buckets);
 
 // ---------------------------------------------------------- Stencil
 
@@ -199,18 +409,49 @@ struct StencilImage
 };
 
 StencilImage uploadStencil(Machine &m, const DenseMatrix &img);
-/** Load the filter taps and neighbourhood patterns: once per core. */
-void stencilLoadTaps(Machine &m, const StencilImage &s, Index width);
-/** Vector (gather) output rows [lo, hi). */
-void stencilVectorRows(Machine &m, const StencilImage &s,
-                       const DenseMatrix &img, Index lo, Index hi);
-/** VIA output rows [lo, hi): the rows stage their own image
- *  segments in the SSPM, halo rows included. */
-void stencilViaRows(Machine &m, const StencilImage &s,
-                    const DenseMatrix &img, Index lo, Index hi);
 /** Read the output image back. */
 DenseMatrix stencilCollect(const Machine &m, const StencilImage &s,
                            const DenseMatrix &img);
+
+/** One stencil run. */
+struct StencilOp
+{
+    const DenseMatrix &img;
+    StencilImage s;
+    /** SSR: the per-pixel tap indices, uploaded by the first core's
+     *  setup. */
+    Addr taps = 0;
+};
+
+/** The stencil rows body of @p kind. */
+const RangeBody<StencilOp> &stencilBody(BackendKind kind);
+/** Single-core stencil of @p kind. */
+StencilResult stencilRun(Machine &m, BackendKind kind,
+                         const DenseMatrix &img);
+
+/** The output-pixel loop every backend's body runs: @p pixel(y, x)
+ *  emits the pixel's taps and reduces them into s0, which the loop
+ *  stores. */
+template <typename Pixel>
+void
+stencilPixels(Machine &m, const StencilOp &op, Index lo, Index hi,
+              Pixel &&pixel)
+{
+    const Index out_cols = op.img.cols() - 3;
+    SReg s_acc{0}, s_x{1}, s_y{2};
+    for (Index y = lo; y < hi; ++y) {
+        for (Index x = 0; x < out_cols; ++x) {
+            pixel(y, x);
+            m.sstoreF(op.s.out + 4 * Addr(y * out_cols + x), s_acc,
+                      ElemType::F32);
+            m.salu(s_x, x + 1, s_x);
+            m.sbranch(s_x);
+        }
+        m.salu(s_y, y + 1, s_y);
+        m.sbranch(s_y);
+    }
+}
+
 
 } // namespace via::kernels
 

@@ -157,8 +157,8 @@ buildSpmv(const Options &opts, BackendKind backend, Rng &rng)
         return check(spmvAccel(m, *a, *x, fmt));
     };
     k.parallelBaseLabel = "vector " + fmt;
-    k.parallel = [=](MultiMachine &mm, Partition p, bool via) {
-        return check(spmvParallel(mm, *a, *x, fmt, p, via));
+    k.parallel = [=](MultiMachine &mm, Partition p, bool accel) {
+        return check(spmvParallel(mm, *a, *x, fmt, p, accel));
     };
     return k;
 }
@@ -183,8 +183,8 @@ buildSpma(const Options &opts, BackendKind backend, Rng &rng)
     k.accelLabel = spmaAccelName(backend);
     k.accel = [=](Machine &m) { return check(spmaAccel(m, *a, *b)); };
     k.parallelBaseLabel = "scalar merge";
-    k.parallel = [=](MultiMachine &mm, Partition p, bool via) {
-        return check(spmaParallel(mm, *a, *b, p, via));
+    k.parallel = [=](MultiMachine &mm, Partition p, bool accel) {
+        return check(spmaParallel(mm, *a, *b, p, accel));
     };
     return k;
 }
@@ -213,8 +213,8 @@ buildSpmm(const Options &opts, BackendKind backend, Rng &rng)
     k.accelLabel = spmmAccelName(backend);
     k.accel = [=](Machine &m) { return check(spmmAccel(m, *a, *b)); };
     k.parallelBaseLabel = "scalar inner";
-    k.parallel = [=](MultiMachine &mm, Partition p, bool via) {
-        return check(spmmParallel(mm, *a, *b, p, via));
+    k.parallel = [=](MultiMachine &mm, Partition p, bool accel) {
+        return check(spmmParallel(mm, *a, *b, p, accel));
     };
     k.fits = [a](const MachineParams &params) {
         return spmmFits(params, *a);
@@ -251,8 +251,8 @@ buildHistogram(const Options &opts, BackendKind backend, Rng &rng)
         return check(histAccel(m, *keys, buckets));
     };
     k.parallelBaseLabel = "vector CD";
-    k.parallel = [=](MultiMachine &mm, Partition p, bool via) {
-        return check(histParallel(mm, *keys, buckets, p, via));
+    k.parallel = [=](MultiMachine &mm, Partition p, bool accel) {
+        return check(histParallel(mm, *keys, buckets, p, accel));
     };
     return k;
 }
@@ -280,8 +280,8 @@ buildStencil(const Options &opts, BackendKind backend, Rng &rng)
     k.accelLabel = accelPrefix(backend);
     k.accel = [=](Machine &m) { return check(stencilAccel(m, *img)); };
     k.parallelBaseLabel = "vector";
-    k.parallel = [=](MultiMachine &mm, Partition p, bool via) {
-        return check(stencilParallel(mm, *img, p, via));
+    k.parallel = [=](MultiMachine &mm, Partition p, bool accel) {
+        return check(stencilParallel(mm, *img, p, accel));
     };
     return k;
 }

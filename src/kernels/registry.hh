@@ -11,8 +11,9 @@
  * each checked against a host golden computed once. A driver is
  * then one generic loop over an entry, whatever the kernel.
  *
- * Adding a kernel: write its range bodies (kernels/ranges.hh), its
- * single-core and parallel entry points, and one builder here.
+ * Adding a kernel: write its range bodies and their backend table
+ * (kernels/ranges.hh), its single-core and parallel entry points,
+ * and one builder here.
  */
 
 #ifndef VIA_KERNELS_REGISTRY_HH
@@ -67,8 +68,9 @@ struct KernelInput
     std::function<RunOutcome(Machine &)> accel;
 
     std::string parallelBaseLabel;
-    /** cores>1: the VIA kernel, or with via=false the baseline. */
-    std::function<RunOutcome(MultiMachine &, Partition, bool via)>
+    /** cores>1: the kernel of the machine's backend, or with
+     *  accel=false the baseline. */
+    std::function<RunOutcome(MultiMachine &, Partition, bool accel)>
         parallel;
 
     /** False when the accelerated kernel cannot run on a machine

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "kernels/backend_kernels.hh"
 #include "kernels/kernel_utils.hh"
-#include "kernels/ranges.hh"
 #include "simcore/log.hh"
 
 namespace via::kernels
@@ -15,56 +15,71 @@ namespace
 constexpr ElemType VT = ElemType::F32;
 constexpr ElemType IT = ElemType::I32;
 
-/** Single-core setup: upload, one output region, c_ptr[0]. */
-template <typename Rows>
-SpmaResult
-runSpma(Machine &m, const Csr &a, const Csr &b, Rows &&rows)
-{
-    via_assert(a.rows() == b.rows() && a.cols() == b.cols(),
-               "SpMA shape mismatch");
-    PairImage img = uploadPair(m, a, b);
-    RowOutput out(m, 1, a.rows(), a.nnz() + b.nnz());
-    SReg s_out{6};
-    m.sstore(out.regions[0].ptr, s_out, 4);
-    rows(m, a, b, img, out, 0, 0, a.rows());
-    return SpmaResult{out.collect(m, a.cols()), m.cycles()};
-}
-
-} // namespace
-
-PairImage
-uploadPair(Machine &m, const Csr &a, const Csr &b)
-{
-    PairImage img;
-    img.aPtr = upload(m, a.rowPtr());
-    img.aIdx = upload(m, a.colIdx());
-    img.aVal = upload(m, a.values());
-    img.bPtr = upload(m, b.rowPtr());
-    img.bIdx = upload(m, b.colIdx());
-    img.bVal = upload(m, b.values());
-    return img;
-}
-
-SpmaResult
-spmaScalarCsr(Machine &m, const Csr &a, const Csr &b)
-{
-    return runSpma(m, a, b, spmaScalarRows);
-}
-
-SpmaResult
-spmaViaCsr(Machine &m, const Csr &a, const Csr &b)
-{
-    return runSpma(m, a, b, spmaViaRows);
-}
-
 void
-spmaScalarRows(Machine &m, const Csr &a, const Csr &b,
-               const PairImage &img, RowOutput &out, unsigned region,
-               Index lo, Index hi)
+headSetup(Machine &m, SpmaOp &op, CoreState &core, Index)
 {
-    RowOutput::Region &c = out.regions[region];
+    op.out.storeHead(m, core, SReg{6});
+}
+
+/** SSR: bind the four element streams (A cols, A values, B cols, B
+ *  values) at row @p lo's first elements, unless they stand there. */
+void
+bindRows(Machine &m, const SpmaOp &op, CoreState &core, Index lo)
+{
+    if (!rebind(core, lo))
+        return;
+    const Addr ka = 4 * Addr(op.a.rowPtr()[std::size_t(lo)]);
+    const Addr kb = 4 * Addr(op.b.rowPtr()[std::size_t(lo)]);
+    m.ssrBindAffine(0, op.img.aIdx + ka, IT);
+    m.ssrBindAffine(1, op.img.aVal + ka, VT);
+    m.ssrBindAffine(2, op.img.bIdx + kb, IT);
+    m.ssrBindAffine(3, op.img.bVal + kb, VT);
+}
+
+/** SSR: all four element arrays are consumed monotonically across
+ *  the merge, so one bind each covers a core's contiguous rows; they
+ *  are bound ahead of the head store. */
+void
+ssrSetup(Machine &m, SpmaOp &op, CoreState &core, Index lo)
+{
+    bindRows(m, op, core, lo);
+    headSetup(m, op, core, lo);
+}
+
+/**
+ * The sorted two-pointer merge per row, the algorithm state-of-the-art
+ * C++ libraries (Eigen) effectively run. With Streamed (SSR) the
+ * streams make the loads: the merge pops a column head once per
+ * element and holds it in its register until consumed, and pops a
+ * value only when its element is consumed; the branches remain.
+ */
+template <bool Streamed>
+void
+mergeRows(Machine &m, SpmaOp &op, CoreState &core, Index lo, Index hi)
+{
+    const Csr &a = op.a, &b = op.b;
+    const PairImage &img = op.img;
+    RowOutput::Region &c = op.out.regions[core.region];
     SReg s_ka{0}, s_kb{1}, s_acol{2}, s_bcol{3}, s_v{4}, s_v2{5},
         s_out{6}, s_r{7};
+
+    if (Streamed)
+        bindRows(m, op, core, lo);
+    core.next = hi;
+    auto col = [&](SReg dst, Addr idx, Index k, std::uint32_t s,
+                   bool &need) {
+        if (!Streamed)
+            m.sload(dst, idx + 4 * Addr(k), 4);
+        else if (need)
+            m.ssrPopS(dst, s);
+        need = false;
+    };
+    auto val = [&](SReg dst, Addr vals, Index k, std::uint32_t s) {
+        if (Streamed)
+            m.ssrPopS(dst, s);
+        else
+            m.sloadF(dst, vals + 4 * Addr(k), VT);
+    };
 
     for (Index r = lo; r < hi; ++r) {
         const Index row_start = c.used;
@@ -74,20 +89,24 @@ spmaScalarRows(Machine &m, const Csr &a, const Csr &b,
         Index kb = b.rowPtr()[std::size_t(r)];
         Index ea = a.rowPtr()[std::size_t(r) + 1];
         Index eb = b.rowPtr()[std::size_t(r) + 1];
+        // Every row ends with both held heads consumed.
+        bool need_a = true, need_b = true;
 
-        auto emit_copy = [&](Addr col_arr, Addr val_arr, Index k,
-                             SReg cursor) {
-            m.sload(s_acol, col_arr + 4 * Addr(k), 4);
-            m.sloadF(s_v, val_arr + 4 * Addr(k), VT);
-            m.sstore(c.col + 4 * Addr(c.used), s_acol, 4);
+        // One element copied from a single row's tail.
+        auto copy = [&](SReg col_reg, Addr idx, Addr vals, Index k,
+                        std::uint32_t s, bool &need, SReg cursor) {
+            col(col_reg, idx, k, s, need);
+            need = true;
+            val(s_v, vals, k, s + 1);
+            m.sstore(c.col + 4 * Addr(c.used), col_reg, 4);
             m.sstoreF(c.val + 4 * Addr(c.used), s_v, VT);
             m.salu(cursor, k + 1, cursor);
             m.sbranch(cursor);
         };
 
         while (ka < ea && kb < eb) {
-            m.sload(s_acol, img.aIdx + 4 * Addr(ka), 4);
-            m.sload(s_bcol, img.bIdx + 4 * Addr(kb), 4);
+            col(s_acol, img.aIdx, ka, 0, need_a);
+            col(s_bcol, img.bIdx, kb, 2, need_b);
             m.salu(s_v, 0, s_acol, s_bcol); // compare
             Index ca = a.colIdx()[std::size_t(ka)];
             Index cb = b.colIdx()[std::size_t(kb)];
@@ -97,8 +116,8 @@ spmaScalarRows(Machine &m, const Csr &a, const Csr &b,
             if (ca != cb)
                 m.sbranchData(s_v, 2, ca < cb);
             if (ca == cb) {
-                m.sloadF(s_v, img.aVal + 4 * Addr(ka), VT);
-                m.sloadF(s_v2, img.bVal + 4 * Addr(kb), VT);
+                val(s_v, img.aVal, ka, 1);
+                val(s_v2, img.bVal, kb, 3);
                 m.sfadd(s_v, s_v, s_v2);
                 m.sstore(c.col + 4 * Addr(c.used), s_acol, 4);
                 m.sstoreF(c.val + 4 * Addr(c.used), s_v, VT);
@@ -106,45 +125,44 @@ spmaScalarRows(Machine &m, const Csr &a, const Csr &b,
                 m.salu(s_kb, kb + 1, s_kb);
                 ++ka;
                 ++kb;
+                need_a = need_b = true;
             } else if (ca < cb) {
-                m.sloadF(s_v, img.aVal + 4 * Addr(ka), VT);
+                val(s_v, img.aVal, ka, 1);
                 m.sstore(c.col + 4 * Addr(c.used), s_acol, 4);
                 m.sstoreF(c.val + 4 * Addr(c.used), s_v, VT);
                 m.salu(s_ka, ka + 1, s_ka);
                 ++ka;
+                need_a = true;
             } else {
-                m.sloadF(s_v, img.bVal + 4 * Addr(kb), VT);
+                val(s_v, img.bVal, kb, 3);
                 m.sstore(c.col + 4 * Addr(c.used), s_bcol, 4);
                 m.sstoreF(c.val + 4 * Addr(c.used), s_v, VT);
                 m.salu(s_kb, kb + 1, s_kb);
                 ++kb;
+                need_b = true;
             }
             m.salu(s_out, c.used + 1, s_out);
             ++c.used;
         }
-        while (ka < ea) {
-            emit_copy(img.aIdx, img.aVal, ka, s_ka);
-            ++ka;
-            ++c.used;
-        }
-        while (kb < eb) {
-            emit_copy(img.bIdx, img.bVal, kb, s_kb);
-            ++kb;
-            ++c.used;
-        }
+        for (; ka < ea; ++ka, ++c.used)
+            copy(s_acol, img.aIdx, img.aVal, ka, 0, need_a, s_ka);
+        for (; kb < eb; ++kb, ++c.used)
+            copy(Streamed ? s_bcol : s_acol, img.bIdx, img.bVal, kb, 2,
+                 need_b, s_kb);
         m.sstore(c.ptr + 4 * (Addr(r) + 1), s_out, 4);
         m.salu(s_r, r + 1, s_r);
         m.sbranch(s_r);
-        out.rows[std::size_t(r)] = {region, row_start, c.used - row_start};
+        op.out.rows[std::size_t(r)] = {core.region, row_start,
+                                       c.used - row_start};
     }
 }
 
 void
-spmaViaRows(Machine &m, const Csr &a, const Csr &b,
-            const PairImage &img, RowOutput &out, unsigned region,
-            Index lo, Index hi)
+viaRows(Machine &m, SpmaOp &op, CoreState &core, Index lo, Index hi)
 {
-    RowOutput::Region &c = out.regions[region];
+    const Csr &a = op.a, &b = op.b;
+    const PairImage &img = op.img;
+    RowOutput::Region &c = op.out.regions[core.region];
     const int vl = int(m.vl());
     const auto cam_cap = Index(m.sspm().config().camEntries());
 
@@ -221,8 +239,60 @@ spmaViaRows(Machine &m, const Csr &a, const Csr &b,
         m.sstore(c.ptr + 4 * (Addr(r) + 1), s_out, 4);
         m.salu(s_r, r + 1, s_r);
         m.sbranch(s_r);
-        out.rows[std::size_t(r)] = {region, row_start, c.used - row_start};
+        op.out.rows[std::size_t(r)] = {core.region, row_start,
+                                       c.used - row_start};
     }
+}
+
+} // namespace
+
+const RangeBody<SpmaOp> &
+spmaBody(BackendKind kind)
+{
+    // Indexed by BackendKind: base, VIA, SSR, IndexMAC.
+    static constexpr RangeBody<SpmaOp> table[] = {
+        {headSetup, mergeRows<false>},
+        {headSetup, viaRows},
+        {ssrSetup, mergeRows<true>},
+        {spmaImacSetup, spmaImacRows},
+    };
+    return table[std::size_t(kind)];
+}
+
+SpmaResult
+spmaRun(Machine &m, BackendKind kind, const Csr &a, const Csr &b)
+{
+    via_assert(a.rows() == b.rows() && a.cols() == b.cols(),
+               "SpMA shape mismatch");
+    SpmaOp op{a, b, uploadPair(m, a, b),
+              RowOutput(m, 1, a.rows(), a.nnz() + b.nnz())};
+    runWhole(m, op, spmaBody(kind), a.rows(), CoreState{.head = true});
+    return SpmaResult{op.out.collect(m, a.cols()), m.cycles()};
+}
+
+PairImage
+uploadPair(Machine &m, const Csr &a, const Csr &b)
+{
+    PairImage img;
+    img.aPtr = upload(m, a.rowPtr());
+    img.aIdx = upload(m, a.colIdx());
+    img.aVal = upload(m, a.values());
+    img.bPtr = upload(m, b.rowPtr());
+    img.bIdx = upload(m, b.colIdx());
+    img.bVal = upload(m, b.values());
+    return img;
+}
+
+SpmaResult
+spmaScalarCsr(Machine &m, const Csr &a, const Csr &b)
+{
+    return spmaRun(m, BackendKind::Base, a, b);
+}
+
+SpmaResult
+spmaViaCsr(Machine &m, const Csr &a, const Csr &b)
+{
+    return spmaRun(m, BackendKind::Via, a, b);
 }
 
 } // namespace via::kernels

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "kernels/backend_kernels.hh"
 #include "kernels/kernel_utils.hh"
 #include "kernels/ranges.hh"
 #include "simcore/log.hh"
@@ -16,23 +17,229 @@ namespace
 constexpr ElemType VT = ElemType::F32;
 constexpr ElemType IT = ElemType::I32;
 
-/** Shared upload of the dense operand and output buffer. */
-struct XY
+/** VIA CSR reads x from the SSPM when it fits there. */
+bool
+xFits(const Machine &m, const Csr &a)
 {
-    Addr x = 0;
-    Addr y = 0;
-};
+    return std::uint64_t(a.cols()) <= m.sspm().config().sramEntries();
+}
 
-XY
-uploadXY(Machine &m, const DenseVector &x, Index rows)
+/** The VIA CSR rows; without @p x_fits x is gathered. */
+void
+csrRows(Machine &m, const CsrOp &op, bool x_fits, Index lo, Index hi)
 {
-    XY a;
-    a.x = upload(m, x);
-    a.y = allocValues(m, std::size_t(rows));
-    return a;
+    VReg v_val{0}, v_col{1}, v_x{2}, v_acc{3}, v_prod{5};
+    csrRowLoop(m, op, lo, hi, [&](Index k, int n) {
+        m.vload(v_val, op.img.values + 4 * Addr(k), VT, n);
+        m.vload(v_col, op.img.colIdx + 4 * Addr(k), IT, n);
+        if (x_fits) {
+            // x[col] * val straight out of the SSPM.
+            m.vidxMulD(v_val, v_col, ViaOut::Vrf, v_prod, 0, n);
+        } else {
+            m.vgather(v_x, op.x, v_col, VT, n);
+            m.vmulF(v_prod, v_val, v_x, n);
+        }
+        m.vaddF(v_acc, v_acc, v_prod, n);
+    });
+}
+
+/** Vector CSR rows: gather x, one vfmaF per vector. */
+void
+vectorCsrRows(Machine &m, CsrOp &op, CoreState &, Index lo, Index hi)
+{
+    VReg v_val{0}, v_col{1}, v_x{2}, v_acc{3};
+    csrRowLoop(m, op, lo, hi, [&](Index k, int n) {
+        m.vload(v_val, op.img.values + 4 * Addr(k), VT, n);
+        m.vload(v_col, op.img.colIdx + 4 * Addr(k), IT, n);
+        m.vgather(v_x, op.x, v_col, VT, n);
+        m.vfmaF(v_acc, v_val, v_x, v_acc, n);
+    });
+}
+
+void
+viaCsrSetup(Machine &m, CsrOp &op, CoreState &, Index)
+{
+    if (!xFits(m, op.a))
+        return;
+    const int vl = int(m.vl());
+    const Index cols = op.a.cols();
+    VReg v_x{2}, v_idx{4};
+    SReg s_i{2};
+    m.vidxClear();
+    for (Index i = 0; i < cols; i += vl) {
+        int n = std::min<Index>(vl, cols - i);
+        m.vload(v_x, op.x + 4 * Addr(i), VT, n);
+        m.viotaI(v_idx, i);
+        m.vidxLoadD(v_x, v_idx, n);
+        m.salu(s_i, i + vl, s_i);
+        m.sbranch(s_i);
+    }
+}
+
+void
+viaCsrRows(Machine &m, CsrOp &op, CoreState &, Index lo, Index hi)
+{
+    csrRows(m, op, xFits(m, op.a), lo, hi);
+}
+
+/**
+ * Vector CSB block rows: gather x, gather/scatter y. With Streamed
+ * (SSR) two affine streams replace the index and value loads; the
+ * gather-update-scatter traffic on the y partials stays (it is
+ * data-dependent, which streams cannot express).
+ */
+template <bool Streamed>
+void
+csbRows(Machine &m, CsbOp &op, CoreState &core, Index lo, Index hi)
+{
+    if (Streamed && rebind(core, lo)) {
+        const auto b0 = std::size_t(lo) * std::size_t(op.a.blockCols());
+        const Addr k0 = 4 * Addr(op.a.blockPtr()[b0]);
+        m.ssrBindAffine(0, op.img.packedIdx + k0, IT);
+        m.ssrBindAffine(1, op.img.values + k0, VT);
+    }
+    core.next = hi;
+    VReg v_idx{0}, v_val{1}, v_col{2}, v_row{3}, v_x{4}, v_y{5},
+        v_prod{6};
+    csbBlockLoop(m, op, lo, hi, [&](Index k, int n, Addr y, Addr x) {
+        if (Streamed) {
+            m.ssrPopV(v_idx, 0, n);
+            m.ssrPopV(v_val, 1, n);
+        } else {
+            m.vload(v_idx, op.img.packedIdx + 4 * Addr(k), IT, n);
+            m.vload(v_val, op.img.values + 4 * Addr(k), VT, n);
+        }
+        // Unpack the merged in-block index.
+        m.vandI(v_col, v_idx, op.a.beta() - 1, n);
+        m.vshrI(v_row, v_idx, op.a.colBits(), n);
+        // Gather x, gather-update-scatter the y partials: the BBF
+        // store-load forwarding traffic of Section II-C.
+        m.vgather(v_x, x, v_col, VT, n);
+        m.vmulF(v_prod, v_val, v_x, n);
+        // Duplicate rows in one vector must be combined before the
+        // scatter (conflict detection + merge, as AVX-512 BBF
+        // kernels do).
+        m.vconflict(v_y, v_row, n);
+        m.vmergeIdx(v_prod, v_prod, v_row, n);
+        m.vgather(v_y, y, v_row, VT, n);
+        m.vaddF(v_y, v_y, v_prod, n);
+        m.vscatter(y, v_row, v_y, VT, n);
+    });
+}
+
+void
+viaCsbRows(Machine &m, CsbOp &op, CoreState &, Index lo, Index hi)
+{
+    const Csb &a = op.a;
+    const CsbImage &img = op.img;
+    const int vl = int(m.vl());
+    const Index beta = a.beta();
+    via_assert(std::uint64_t(2 * beta) <=
+                   m.sspm().config().sramEntries(),
+               "CSB block side ", beta, " does not fit the SSPM; "
+               "use viaCsbBeta()");
+
+    VReg v_idx{0}, v_val{1}, v_x{2}, v_out{3};
+    SReg s_end{1}, s_k{0}, s_b{7}, s_i{2};
+
+    const Index bcols = a.blockCols();
+    // y accumulators live at SSPM[beta ..), x chunks at SSPM[0..beta).
+    const std::int64_t y_off = beta;
+
+    m.vidxClear();
+    for (Index br = lo; br < hi; ++br) {
+        Index row_lo = br * beta;
+        Index row_hi = std::min<Index>(row_lo + beta, a.rows());
+        for (Index bc = 0; bc < bcols; ++bc) {
+            const std::int64_t b = std::int64_t(br) * bcols + bc;
+            m.sload(s_end, img.blockPtr + 4 * (Addr(b) + 1), 4);
+            Index k_lo = a.blockPtr()[std::size_t(b)];
+            Index end = a.blockPtr()[std::size_t(b) + 1];
+            if (k_lo == end) {
+                m.sbranch(s_end); // skip empty block
+                continue;
+            }
+            // Algorithm 4 lines 4-8: stage this block's x chunk.
+            Index col_lo = bc * beta;
+            Index col_hi = std::min<Index>(col_lo + beta, a.cols());
+            for (Index i = col_lo; i < col_hi; i += vl) {
+                int n = std::min<Index>(vl, col_hi - i);
+                m.vload(v_x, op.x + 4 * Addr(i), VT, n);
+                m.viotaI(v_idx, i - col_lo);
+                m.vidxLoadD(v_x, v_idx, n);
+                m.salu(s_i, i + vl, s_i);
+                m.sbranch(s_i);
+            }
+            // Algorithm 4 lines 11-15: multiply-accumulate blocks.
+            for (Index k = k_lo; k < end; k += vl) {
+                int n = std::min<Index>(vl, end - k);
+                m.vload(v_idx, img.packedIdx + 4 * Addr(k), IT, n);
+                m.vload(v_val, img.values + 4 * Addr(k), VT, n);
+                m.vidxBlkMulD(v_val, v_idx, a.colBits(), y_off, n);
+                m.salu(s_k, k + vl, s_k);
+                m.sbranch(s_k);
+            }
+            m.salu(s_b, b + 1, s_b);
+            m.sbranch(s_b);
+        }
+        // Drain the accumulators for this block row, then reset.
+        for (Index i = row_lo; i < row_hi; i += vl) {
+            int n = std::min<Index>(vl, row_hi - i);
+            m.viotaI(v_idx, y_off + (i - row_lo));
+            m.vidxMov(v_out, v_idx, n);
+            m.vstore(op.y + 4 * Addr(i), v_out, VT, n, s_i);
+            m.salu(s_i, i + vl, s_i);
+            m.sbranch(s_i);
+        }
+        m.vidxClearSegment(std::uint64_t(y_off),
+                           std::uint64_t(y_off + beta));
+    }
 }
 
 } // namespace
+
+const RangeBody<CsrOp> &
+spmvCsrBody(BackendKind kind)
+{
+    // Indexed by BackendKind: base, VIA, SSR, IndexMAC.
+    static constexpr RangeBody<CsrOp> table[] = {
+        {.rows = vectorCsrRows},
+        {.setup = viaCsrSetup, .rows = viaCsrRows},
+        {.rows = spmvSsrCsrRows},
+        {.rows = spmvImacCsrRows},
+    };
+    return table[std::size_t(kind)];
+}
+
+const RangeBody<CsbOp> &
+spmvCsbBody(BackendKind kind)
+{
+    static constexpr RangeBody<CsbOp> table[] = {
+        {.rows = csbRows<false>},
+        {.rows = viaCsbRows},
+        {.rows = csbRows<true>},
+        {.rows = spmvImacCsbRows},
+    };
+    return table[std::size_t(kind)];
+}
+
+SpmvResult
+spmvCsrRun(Machine &m, BackendKind kind, const Csr &a,
+           const CsrImage &img, const DenseVector &x)
+{
+    CsrOp op(m, a, img, x);
+    runWhole(m, op, spmvCsrBody(kind), a.rows());
+    return SpmvResult{op.readY(m), m.cycles()};
+}
+
+SpmvResult
+spmvCsbRun(Machine &m, BackendKind kind, const Csb &a,
+           const CsbImage &img, const DenseVector &x)
+{
+    CsbOp op(m, a, img, x);
+    runWhole(m, op, spmvCsbBody(kind), a.blockRows());
+    return SpmvResult{op.readY(m), m.cycles()};
+}
 
 Index
 viaCsbBeta(const Machine &m)
@@ -91,35 +298,30 @@ uploadCsb(Machine &m, const Csb &a)
 SpmvResult
 spmvScalarCsr(Machine &m, const Csr &a, const DenseVector &x)
 {
-    Addr row_ptr = upload(m, a.rowPtr());
-    Addr col_idx = upload(m, a.colIdx());
-    Addr values = upload(m, a.values());
-    XY xy = uploadXY(m, x, a.rows());
+    CsrOp op(m, a, uploadCsr(m, a), x);
 
     SReg s_end{1}, s_col{2}, s_val{3}, s_x{4}, s_acc{5}, s_prod{6},
         s_k{0}, s_r{7};
 
     for (Index r = 0; r < a.rows(); ++r) {
-        m.sload(s_end, row_ptr + 4 * (Addr(r) + 1), 4);
+        m.sload(s_end, op.img.rowPtr + 4 * (Addr(r) + 1), 4);
         m.salu(s_acc, 0); // acc = 0 (FP zero shares the bit pattern)
         Index end = a.rowPtr()[std::size_t(r) + 1];
         for (Index k = a.rowPtr()[std::size_t(r)]; k < end; ++k) {
-            m.sload(s_col, col_idx + 4 * Addr(k), 4);
-            m.sloadF(s_val, values + 4 * Addr(k), VT);
+            m.sload(s_col, op.img.colIdx + 4 * Addr(k), 4);
+            m.sloadF(s_val, op.img.values + 4 * Addr(k), VT);
             Index col = a.colIdx()[std::size_t(k)];
-            m.sloadF(s_x, xy.x + 4 * Addr(col), VT, s_col);
+            m.sloadF(s_x, op.x + 4 * Addr(col), VT, s_col);
             m.sfmul(s_prod, s_val, s_x);
             m.sfadd(s_acc, s_acc, s_prod);
             m.salu(s_k, k + 1, s_k);
             m.sbranch(s_k);
         }
-        m.sstoreF(xy.y + 4 * Addr(r), s_acc, VT);
+        m.sstoreF(op.y + 4 * Addr(r), s_acc, VT);
         m.salu(s_r, r + 1, s_r);
         m.sbranch(s_r);
     }
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
+    return SpmvResult{op.readY(m), m.cycles()};
 }
 
 SpmvResult
@@ -132,37 +334,7 @@ SpmvResult
 spmvVectorCsrAt(Machine &m, const Csr &a, const CsrImage &img,
                 const DenseVector &x)
 {
-    Addr row_ptr = img.rowPtr;
-    Addr col_idx = img.colIdx;
-    Addr values = img.values;
-    XY xy = uploadXY(m, x, a.rows());
-
-    const int vl = int(m.vl());
-    VReg v_val{0}, v_col{1}, v_x{2}, v_acc{3};
-    SReg s_end{1}, s_acc{5}, s_k{0}, s_r{7};
-
-    for (Index r = 0; r < a.rows(); ++r) {
-        m.sload(s_end, row_ptr + 4 * (Addr(r) + 1), 4);
-        m.vbroadcastF(v_acc, 0.0);
-        Index lo = a.rowPtr()[std::size_t(r)];
-        Index end = a.rowPtr()[std::size_t(r) + 1];
-        for (Index k = lo; k < end; k += vl) {
-            int n = std::min<Index>(vl, end - k);
-            m.vload(v_val, values + 4 * Addr(k), VT, n);
-            m.vload(v_col, col_idx + 4 * Addr(k), IT, n);
-            m.vgather(v_x, xy.x, v_col, VT, n);
-            m.vfmaF(v_acc, v_val, v_x, v_acc, n);
-            m.salu(s_k, k + vl, s_k);
-            m.sbranch(s_k);
-        }
-        m.vredsumF(s_acc, v_acc);
-        m.sstoreF(xy.y + 4 * Addr(r), s_acc, VT);
-        m.salu(s_r, r + 1, s_r);
-        m.sbranch(s_r);
-    }
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
+    return spmvCsrRun(m, BackendKind::Base, a, img, x);
 }
 
 SpmvResult
@@ -175,11 +347,11 @@ SpmvResult
 spmvVectorSpc5At(Machine &m, const Spc5 &a, const Spc5Image &img,
                  const DenseVector &x)
 {
+    SpmvOp<Spc5, Spc5Image> xy(m, a, img, x);
     Addr values = img.values;
     Addr brow = img.blockRow;
     Addr bcol = img.blockCol;
     Addr bmask = img.blockMask;
-    XY xy = uploadXY(m, x, a.rows());
 
     const int vl = int(m.vl());
     via_assert(a.window() == Index(vl),
@@ -230,9 +402,7 @@ spmvVectorSpc5At(Machine &m, const Spc5 &a, const Spc5Image &img,
     if (acc_live)
         flush_row(cur_row);
 
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
+    return SpmvResult{xy.readY(m), m.cycles()};
 }
 
 SpmvResult
@@ -245,11 +415,11 @@ SpmvResult
 spmvVectorSellAt(Machine &m, const SellCSigma &a,
                  const SellImage &img, const DenseVector &x)
 {
+    SpmvOp<SellCSigma, SellImage> xy(m, a, img, x);
     Addr col_idx = img.colIdx;
     Addr values = img.values;
     Addr chunk_ptr = img.chunkPtr;
     Addr row_perm = img.rowPerm;
-    XY xy = uploadXY(m, x, a.rows());
 
     const int vl = int(m.vl());
     via_assert(a.c() == Index(vl),
@@ -280,9 +450,7 @@ spmvVectorSellAt(Machine &m, const SellCSigma &a,
         m.salu(s_ch, ch + 1, s_ch);
         m.sbranch(s_ch);
     }
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
+    return SpmvResult{xy.readY(m), m.cycles()};
 }
 
 SpmvResult
@@ -295,73 +463,16 @@ SpmvResult
 spmvVectorCsbAt(Machine &m, const Csb &a, const CsbImage &img,
                 const DenseVector &x)
 {
-    XY xy = uploadXY(m, x, a.rows());
-    spmvVectorCsbRows(m, a, img, xy.x, xy.y, 0, a.blockRows());
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
-}
-
-void
-spmvVectorCsbRows(Machine &m, const Csb &a, const CsbImage &img,
-                  Addr x, Addr y, Index lo, Index hi)
-{
-    const int vl = int(m.vl());
-    const Index beta = a.beta();
-    const auto col_bits = a.colBits();
-    const Index bcols = a.blockCols();
-
-    VReg v_idx{0}, v_val{1}, v_col{2}, v_row{3}, v_x{4}, v_y{5},
-        v_prod{6};
-    SReg s_end{1}, s_k{0}, s_b{7};
-
-    for (Index br = lo; br < hi; ++br) {
-        for (Index bc = 0; bc < bcols; ++bc) {
-            const std::int64_t b = std::int64_t(br) * bcols + bc;
-            m.sload(s_end, img.blockPtr + 4 * (Addr(b) + 1), 4);
-            Index k_lo = a.blockPtr()[std::size_t(b)];
-            Index end = a.blockPtr()[std::size_t(b) + 1];
-            if (k_lo == end) {
-                m.sbranch(s_end); // skip empty block
-                continue;
-            }
-            Addr row_base = y + 4 * Addr(br) * Addr(beta);
-            Addr col_base = x + 4 * Addr(bc) * Addr(beta);
-            for (Index k = k_lo; k < end; k += vl) {
-                int n = std::min<Index>(vl, end - k);
-                m.vload(v_idx, img.packedIdx + 4 * Addr(k), IT, n);
-                m.vload(v_val, img.values + 4 * Addr(k), VT, n);
-                // Unpack the merged in-block index.
-                m.vandI(v_col, v_idx, beta - 1, n);
-                m.vshrI(v_row, v_idx, col_bits, n);
-                // Gather x, gather-update-scatter the y partials: the
-                // BBF store-load forwarding traffic of Section II-C.
-                m.vgather(v_x, col_base, v_col, VT, n);
-                m.vmulF(v_prod, v_val, v_x, n);
-                // Duplicate rows in one vector must be combined
-                // before the scatter (conflict detection + merge, as
-                // AVX-512 BBF kernels do).
-                m.vconflict(v_y, v_row, n);
-                m.vmergeIdx(v_prod, v_prod, v_row, n);
-                m.vgather(v_y, row_base, v_row, VT, n);
-                m.vaddF(v_y, v_y, v_prod, n);
-                m.vscatter(row_base, v_row, v_y, VT, n);
-                m.salu(s_k, k + vl, s_k);
-                m.sbranch(s_k);
-            }
-            m.salu(s_b, b + 1, s_b);
-            m.sbranch(s_b);
-        }
-    }
+    return spmvCsbRun(m, BackendKind::Base, a, img, x);
 }
 
 SpmvResult
 spmvScalarCsb(Machine &m, const Csb &a, const DenseVector &x)
 {
-    Addr packed = upload(m, a.packedIdx());
-    Addr values = upload(m, a.values());
-    Addr block_ptr = upload(m, a.blockPtr());
-    XY xy = uploadXY(m, x, a.rows());
+    CsbOp op(m, a, uploadCsb(m, a), x);
+    Addr packed = op.img.packedIdx;
+    Addr values = op.img.values;
+    Addr block_ptr = op.img.blockPtr;
 
     const Index beta = a.beta();
     const auto col_bits = a.colBits();
@@ -375,8 +486,8 @@ spmvScalarCsb(Machine &m, const Csb &a, const DenseVector &x)
         m.sbranch(s_end);
         Index lo = a.blockPtr()[std::size_t(b)];
         Index end = a.blockPtr()[std::size_t(b) + 1];
-        Addr row_base = xy.y + 4 * Addr(b / bcols) * Addr(beta);
-        Addr col_base = xy.x + 4 * Addr(b % bcols) * Addr(beta);
+        Addr row_base = op.y + 4 * Addr(b / bcols) * Addr(beta);
+        Addr col_base = op.x + 4 * Addr(b % bcols) * Addr(beta);
         for (Index k = lo; k < end; ++k) {
             Index pk = a.packedIdx()[std::size_t(k)];
             Index in_col = pk & (beta - 1);
@@ -397,9 +508,7 @@ spmvScalarCsb(Machine &m, const Csb &a, const DenseVector &x)
         m.salu(s_b, b + 1, s_b);
         m.sbranch(s_b);
     }
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
+    return SpmvResult{op.readY(m), m.cycles()};
 }
 
 SpmvResult
@@ -412,67 +521,14 @@ SpmvResult
 spmvViaCsrAt(Machine &m, const Csr &a, const CsrImage &img,
              const DenseVector &x)
 {
-    XY xy = uploadXY(m, x, a.rows());
-    bool x_fits =
-        std::uint64_t(a.cols()) <= m.sspm().config().sramEntries();
-    if (x_fits)
-        spmvCsrStageX(m, a.cols(), xy.x);
-    spmvViaCsrRows(m, a, img, xy.x, xy.y, x_fits, 0, a.rows());
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
+    return spmvCsrRun(m, BackendKind::Via, a, img, x);
 }
 
 void
-spmvCsrStageX(Machine &m, Index cols, Addr x)
+spmvGatherCsrRows(Machine &m, CsrOp &op, CoreState &, Index lo,
+                  Index hi)
 {
-    const int vl = int(m.vl());
-    VReg v_x{2}, v_idx{4};
-    SReg s_i{2};
-    m.vidxClear();
-    for (Index i = 0; i < cols; i += vl) {
-        int n = std::min<Index>(vl, cols - i);
-        m.vload(v_x, x + 4 * Addr(i), VT, n);
-        m.viotaI(v_idx, i);
-        m.vidxLoadD(v_x, v_idx, n);
-        m.salu(s_i, i + vl, s_i);
-        m.sbranch(s_i);
-    }
-}
-
-void
-spmvViaCsrRows(Machine &m, const Csr &a, const CsrImage &img, Addr x,
-               Addr y, bool x_fits, Index lo, Index hi)
-{
-    const int vl = int(m.vl());
-    VReg v_val{0}, v_col{1}, v_x{2}, v_acc{3}, v_prod{5};
-    SReg s_end{1}, s_acc{5}, s_k{0}, s_r{7};
-
-    for (Index r = lo; r < hi; ++r) {
-        m.sload(s_end, img.rowPtr + 4 * (Addr(r) + 1), 4);
-        m.vbroadcastF(v_acc, 0.0);
-        Index k_lo = a.rowPtr()[std::size_t(r)];
-        Index end = a.rowPtr()[std::size_t(r) + 1];
-        for (Index k = k_lo; k < end; k += vl) {
-            int n = std::min<Index>(vl, end - k);
-            m.vload(v_val, img.values + 4 * Addr(k), VT, n);
-            m.vload(v_col, img.colIdx + 4 * Addr(k), IT, n);
-            if (x_fits) {
-                // x[col] * val straight out of the SSPM.
-                m.vidxMulD(v_val, v_col, ViaOut::Vrf, v_prod, 0, n);
-            } else {
-                m.vgather(v_x, x, v_col, VT, n);
-                m.vmulF(v_prod, v_val, v_x, n);
-            }
-            m.vaddF(v_acc, v_acc, v_prod, n);
-            m.salu(s_k, k + vl, s_k);
-            m.sbranch(s_k);
-        }
-        m.vredsumF(s_acc, v_acc);
-        m.sstoreF(y + 4 * Addr(r), s_acc, VT);
-        m.salu(s_r, r + 1, s_r);
-        m.sbranch(s_r);
-    }
+    csrRows(m, op, false, lo, hi);
 }
 
 SpmvResult
@@ -485,11 +541,11 @@ SpmvResult
 spmvViaSpc5At(Machine &m, const Spc5 &a, const Spc5Image &img,
               const DenseVector &x)
 {
+    SpmvOp<Spc5, Spc5Image> xy(m, a, img, x);
     Addr values = img.values;
     Addr brow = img.blockRow;
     Addr bcol = img.blockCol;
     Addr bmask = img.blockMask;
-    XY xy = uploadXY(m, x, a.rows());
 
     const int vl = int(m.vl());
     via_assert(a.window() == Index(vl),
@@ -548,9 +604,7 @@ spmvViaSpc5At(Machine &m, const Spc5 &a, const Spc5Image &img,
     }
     flush_segment(std::min(seg_base + seg_rows, a.rows()));
 
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
+    return SpmvResult{xy.readY(m), m.cycles()};
 }
 
 SpmvResult
@@ -563,11 +617,11 @@ SpmvResult
 spmvViaSellAt(Machine &m, const SellCSigma &a, const SellImage &img,
               const DenseVector &x)
 {
+    SpmvOp<SellCSigma, SellImage> xy(m, a, img, x);
     Addr col_idx = img.colIdx;
     Addr values = img.values;
     Addr chunk_ptr = img.chunkPtr;
     Addr row_perm = img.rowPerm;
-    XY xy = uploadXY(m, x, a.rows());
 
     const int vl = int(m.vl());
     via_assert(a.c() == Index(vl), "chunk height mismatch");
@@ -617,9 +671,7 @@ spmvViaSellAt(Machine &m, const SellCSigma &a, const SellImage &img,
         m.salu(s_ch, ch + 1, s_ch);
         m.sbranch(s_ch);
     }
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
+    return SpmvResult{xy.readY(m), m.cycles()};
 }
 
 SpmvResult
@@ -632,79 +684,7 @@ SpmvResult
 spmvViaCsbAt(Machine &m, const Csb &a, const CsbImage &img,
              const DenseVector &x)
 {
-    XY xy = uploadXY(m, x, a.rows());
-    spmvViaCsbRows(m, a, img, xy.x, xy.y, 0, a.blockRows());
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
-}
-
-void
-spmvViaCsbRows(Machine &m, const Csb &a, const CsbImage &img, Addr x,
-               Addr y, Index lo, Index hi)
-{
-    const int vl = int(m.vl());
-    const Index beta = a.beta();
-    via_assert(std::uint64_t(2 * beta) <=
-                   m.sspm().config().sramEntries(),
-               "CSB block side ", beta, " does not fit the SSPM; "
-               "use viaCsbBeta()");
-
-    VReg v_idx{0}, v_val{1}, v_x{2}, v_out{3};
-    SReg s_end{1}, s_k{0}, s_b{7}, s_i{2};
-
-    const Index bcols = a.blockCols();
-    // y accumulators live at SSPM[beta ..), x chunks at SSPM[0..beta).
-    const std::int64_t y_off = beta;
-
-    m.vidxClear();
-    for (Index br = lo; br < hi; ++br) {
-        Index row_lo = br * beta;
-        Index row_hi = std::min<Index>(row_lo + beta, a.rows());
-        for (Index bc = 0; bc < bcols; ++bc) {
-            const std::int64_t b = std::int64_t(br) * bcols + bc;
-            m.sload(s_end, img.blockPtr + 4 * (Addr(b) + 1), 4);
-            Index k_lo = a.blockPtr()[std::size_t(b)];
-            Index end = a.blockPtr()[std::size_t(b) + 1];
-            if (k_lo == end) {
-                m.sbranch(s_end); // skip empty block
-                continue;
-            }
-            // Algorithm 4 lines 4-8: stage this block's x chunk.
-            Index col_lo = bc * beta;
-            Index col_hi = std::min<Index>(col_lo + beta, a.cols());
-            for (Index i = col_lo; i < col_hi; i += vl) {
-                int n = std::min<Index>(vl, col_hi - i);
-                m.vload(v_x, x + 4 * Addr(i), VT, n);
-                m.viotaI(v_idx, i - col_lo);
-                m.vidxLoadD(v_x, v_idx, n);
-                m.salu(s_i, i + vl, s_i);
-                m.sbranch(s_i);
-            }
-            // Algorithm 4 lines 11-15: multiply-accumulate blocks.
-            for (Index k = k_lo; k < end; k += vl) {
-                int n = std::min<Index>(vl, end - k);
-                m.vload(v_idx, img.packedIdx + 4 * Addr(k), IT, n);
-                m.vload(v_val, img.values + 4 * Addr(k), VT, n);
-                m.vidxBlkMulD(v_val, v_idx, a.colBits(), y_off, n);
-                m.salu(s_k, k + vl, s_k);
-                m.sbranch(s_k);
-            }
-            m.salu(s_b, b + 1, s_b);
-            m.sbranch(s_b);
-        }
-        // Drain the accumulators for this block row, then reset.
-        for (Index i = row_lo; i < row_hi; i += vl) {
-            int n = std::min<Index>(vl, row_hi - i);
-            m.viotaI(v_idx, y_off + (i - row_lo));
-            m.vidxMov(v_out, v_idx, n);
-            m.vstore(y + 4 * Addr(i), v_out, VT, n, s_i);
-            m.salu(s_i, i + vl, s_i);
-            m.sbranch(s_i);
-        }
-        m.vidxClearSegment(std::uint64_t(y_off),
-                           std::uint64_t(y_off + beta));
-    }
+    return spmvCsbRun(m, BackendKind::Via, a, img, x);
 }
 
 } // namespace via::kernels

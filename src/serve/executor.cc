@@ -37,7 +37,8 @@ measureSingleCore(const std::vector<RequestClass> &mix,
         Csr a = classMatrix(mix[i], i, cfg.seed);
         WarmState w;
         w.resident = std::make_unique<kernels::SpmvResident>(
-            m, a, mix[i].format, cfg.via);
+            m, a, mix[i].format,
+            cfg.via ? cfg.params.backend.kind : BackendKind::Base);
         Rng rx(SweepExecutor::pointSeed(cfg.seed,
                                         mix.size() + i));
         w.resident->run(m, randomVector(a.cols(), rx));

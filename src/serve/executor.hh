@@ -49,7 +49,9 @@ struct ExecutorConfig
     unsigned cores = 1;
     SharedLlcParams llc{}; //!< used when cores > 1
     kernels::Partition partition = kernels::Partition::Static;
-    bool via = false;       //!< VIA kernels vs vector baseline
+    /** The kernels of the machine's backend (VIA, SSR, IndexMAC)
+     *  vs the vector baseline. */
+    bool via = false;
     unsigned batchMax = 8;  //!< largest batch to price
     unsigned threads = 1;   //!< measurement pool width (0 = auto)
     std::uint64_t seed = 1;

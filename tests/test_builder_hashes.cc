@@ -21,7 +21,7 @@
 
 #include "cpu/machine.hh"
 #include "cpu/multi_machine.hh"
-#include "kernels/backend_kernels.hh"
+#include "kernels/dispatch.hh"
 #include "kernels/parallel.hh"
 #include "kernels/spma.hh"
 #include "kernels/spmm.hh"
@@ -251,9 +251,9 @@ TEST(BuilderHashes, SpmaKernelResults)
         {"scalar", paramsFor(BackendKind::Via), kernels::spmaScalarCsr},
         {"via", paramsFor(BackendKind::Via), kernels::spmaViaCsr},
         {"via, 64-entry CAM", small_cam, kernels::spmaViaCsr},
-        {"ssr", paramsFor(BackendKind::Ssr), kernels::spmaSsrCsr},
+        {"ssr", paramsFor(BackendKind::Ssr), kernels::spmaAccel},
         {"indexmac", paramsFor(BackendKind::IndexMac),
-         kernels::spmaImacCsr},
+         kernels::spmaAccel},
     };
     for (const Run &run : runs) {
         Machine mab(run.params);

@@ -258,7 +258,7 @@ TEST(SpmvDispatch, BaselineAndViaAgreeWithGolden)
             << "baseline " << fmt;
         Machine mv{MachineParams{}};
         EXPECT_TRUE(
-            allClose(kernels::spmvVia(mv, a, x, fmt).y, golden))
+            allClose(kernels::spmvAccel(mv, a, x, fmt).y, golden))
             << "via " << fmt;
     }
 }

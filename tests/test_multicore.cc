@@ -235,10 +235,16 @@ TEST(SharedLlcCoherence, TransitionTable)
 // ------------------------------------------- parallel kernels
 
 MachineParams
-smallParams()
+smallParams(BackendKind kind = BackendKind::Via)
 {
-    return MachineParams{};
+    MachineParams params{};
+    params.backend.kind = kind;
+    return params;
 }
+
+// The accelerated backends every parallel-kernel test runs on.
+constexpr BackendKind kAccelKinds[] = {
+    BackendKind::Via, BackendKind::Ssr, BackendKind::IndexMac};
 
 TEST(ParallelKernels, SpmvMatchesGolden)
 {
@@ -246,17 +252,21 @@ TEST(ParallelKernels, SpmvMatchesGolden)
     Csr a = genUniform(96, 96, 0.06, rng);
     DenseVector x = randomVector(a.cols(), rng);
     DenseVector golden = a.multiply(x);
-    for (unsigned cores : {2u, 3u}) {
-        for (Partition part : {Partition::Static, Partition::Steal}) {
-            for (const char *fmt : {"csr", "csb"}) {
-                for (bool via : {false, true}) {
-                    MultiMachine mm(smallParams(), cores);
-                    auto res = kernels::spmvParallel(mm, a, x, fmt,
-                                                     part, via);
-                    EXPECT_TRUE(allClose(res.y, golden))
-                        << fmt << " cores=" << cores
-                        << " via=" << via;
-                    EXPECT_GT(res.cycles, 0u);
+    for (BackendKind kind : kAccelKinds) {
+        for (unsigned cores : {2u, 3u}) {
+            for (Partition part :
+                 {Partition::Static, Partition::Steal}) {
+                for (const char *fmt : {"csr", "csb"}) {
+                    for (bool accel : {false, true}) {
+                        MultiMachine mm(smallParams(kind), cores);
+                        auto res = kernels::spmvParallel(
+                            mm, a, x, fmt, part, accel);
+                        EXPECT_TRUE(allClose(res.y, golden))
+                            << backendName(kind) << " " << fmt
+                            << " cores=" << cores
+                            << " accel=" << accel;
+                        EXPECT_GT(res.cycles, 0u);
+                    }
                 }
             }
         }
@@ -269,12 +279,14 @@ TEST(ParallelKernels, SpmaMatchesGolden)
     Csr a = genUniform(64, 48, 0.08, rng);
     Csr b = genUniform(64, 48, 0.10, rng);
     Csr golden = addCsr(a, b);
-    for (bool via : {false, true}) {
-        MultiMachine mm(smallParams(), 2);
-        auto res =
-            kernels::spmaParallel(mm, a, b, Partition::Static, via);
-        EXPECT_TRUE(closeElements(res.c, golden, 1e-3))
-            << "via=" << via;
+    for (BackendKind kind : kAccelKinds) {
+        for (bool accel : {false, true}) {
+            MultiMachine mm(smallParams(kind), 2);
+            auto res = kernels::spmaParallel(mm, a, b,
+                                             Partition::Static, accel);
+            EXPECT_TRUE(closeElements(res.c, golden, 1e-3))
+                << backendName(kind) << " accel=" << accel;
+        }
     }
 }
 
@@ -285,12 +297,14 @@ TEST(ParallelKernels, SpmmMatchesGolden)
     Csr b_csr = genUniform(32, 24, 0.15, rng);
     Csc b = Csc::fromCsr(b_csr);
     Csr golden = mulCsr(a, b_csr);
-    for (bool via : {false, true}) {
-        MultiMachine mm(smallParams(), 3);
-        auto res =
-            kernels::spmmParallel(mm, a, b, Partition::Steal, via);
-        EXPECT_TRUE(closeElements(res.c, golden, 1e-2))
-            << "via=" << via;
+    for (BackendKind kind : kAccelKinds) {
+        for (bool accel : {false, true}) {
+            MultiMachine mm(smallParams(kind), 3);
+            auto res = kernels::spmmParallel(mm, a, b,
+                                             Partition::Steal, accel);
+            EXPECT_TRUE(closeElements(res.c, golden, 1e-2))
+                << backendName(kind) << " accel=" << accel;
+        }
     }
 }
 
@@ -302,11 +316,14 @@ TEST(ParallelKernels, HistogramMatchesGolden)
     for (auto &k : keys)
         k = Index(rng.below(std::uint64_t(buckets)));
     std::vector<Value> golden = kernels::refHistogram(keys, buckets);
-    for (bool via : {false, true}) {
-        MultiMachine mm(smallParams(), 2);
-        auto res = kernels::histParallel(mm, keys, buckets,
-                                         Partition::Static, via);
-        EXPECT_EQ(res.hist, golden) << "via=" << via;
+    for (BackendKind kind : kAccelKinds) {
+        for (bool accel : {false, true}) {
+            MultiMachine mm(smallParams(kind), 2);
+            auto res = kernels::histParallel(mm, keys, buckets,
+                                             Partition::Static, accel);
+            EXPECT_EQ(res.hist, golden)
+                << backendName(kind) << " accel=" << accel;
+        }
     }
 }
 
@@ -317,12 +334,14 @@ TEST(ParallelKernels, StencilMatchesGolden)
     for (auto &p : img.data())
         p = Value(rng.uniform() * 255.0);
     DenseMatrix golden = kernels::refConvolve4x4(img);
-    for (bool via : {false, true}) {
-        MultiMachine mm(smallParams(), 4);
-        auto res = kernels::stencilParallel(mm, img,
-                                            Partition::Steal, via);
-        EXPECT_TRUE(allClose(res.out.data(), golden.data()))
-            << "via=" << via;
+    for (BackendKind kind : kAccelKinds) {
+        for (bool accel : {false, true}) {
+            MultiMachine mm(smallParams(kind), 4);
+            auto res = kernels::stencilParallel(mm, img,
+                                                Partition::Steal, accel);
+            EXPECT_TRUE(allClose(res.out.data(), golden.data()))
+                << backendName(kind) << " accel=" << accel;
+        }
     }
 }
 

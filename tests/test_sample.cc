@@ -54,7 +54,7 @@ kernelBody(const std::string &name)
             Rng rng(11);
             Csr a = genUniform(96, 96, 0.05, rng);
             DenseVector x = randomVector(a.cols(), rng);
-            auto res = kernels::spmvVia(m, a, x, "csb");
+            auto res = kernels::spmvAccel(m, a, x, "csb");
             ASSERT_TRUE(allClose(res.y, a.multiply(x)));
         };
     }
@@ -362,13 +362,13 @@ TEST(Functional, WarmsCachesLikeDetailed)
     DenseVector x = randomVector(a.cols(), rng);
 
     Machine det(params);
-    kernels::spmvVia(det, a, x, "csb");
+    kernels::spmvAccel(det, a, x, "csb");
 
     Machine warm(params);
     sample::SampleOptions fopts;
     fopts.mode = sample::SimMode::Functional;
     auto est = sample::runWith(warm, fopts, [&] {
-        auto res = kernels::spmvVia(warm, a, x, "csb");
+        auto res = kernels::spmvAccel(warm, a, x, "csb");
         EXPECT_TRUE(allClose(res.y, a.multiply(x)));
     });
     EXPECT_GT(est.totalInsts, 0u);
@@ -424,7 +424,7 @@ TEST(Sampling, EstimateWithinAuditBound)
     opts.measure = 700;
     check::SamplingAudit audit = check::auditSampling(
         params, opts,
-        [&](Machine &m) { kernels::spmvVia(m, a, x, "csb"); },
+        [&](Machine &m) { kernels::spmvAccel(m, a, x, "csb"); },
         /*bound=*/0.10);
     EXPECT_TRUE(audit.ok) << audit.summary();
     EXPECT_GT(audit.intervals, 3u);

@@ -8,7 +8,7 @@
 
 #include "cpu/machine.hh"
 #include "cpu/multi_machine.hh"
-#include "kernels/backend_kernels.hh"
+#include "kernels/dispatch.hh"
 #include "kernels/parallel.hh"
 #include "kernels/ranges.hh"
 #include "kernels/spma.hh"
@@ -169,19 +169,23 @@ TEST(SpmmKernels, OutputFitsRowsDenserThanColumns)
     ASSERT_EQ(golden.nnz(), 64u);
     EXPECT_EQ(kernels::spmmOutputBound(a, b), 64u);
 
-    Machine m1(defaultParams()), m2(defaultParams());
+    Machine m1(defaultParams());
     EXPECT_TRUE(
         closeElements(kernels::spmmScalarInner(m1, a, b).c, golden));
-    EXPECT_TRUE(closeElements(kernels::spmmViaInner(m2, a, b).c, golden));
-    MachineParams ssr = defaultParams();
-    ssr.backend.kind = BackendKind::Ssr;
-    Machine m3(ssr);
-    EXPECT_TRUE(closeElements(kernels::spmmSsrInner(m3, a, b).c, golden));
-    for (bool via : {false, true}) {
-        MultiMachine mm(defaultParams(), 2);
-        auto res = kernels::spmmParallel(mm, a, b,
-                                         kernels::Partition::Static, via);
-        EXPECT_TRUE(closeElements(res.c, golden)) << "via=" << via;
+    for (BackendKind kind : {BackendKind::Base, BackendKind::Via,
+                             BackendKind::Ssr, BackendKind::IndexMac}) {
+        MachineParams params = defaultParams();
+        params.backend.kind = kind;
+        Machine m(params);
+        EXPECT_TRUE(closeElements(kernels::spmmAccel(m, a, b).c, golden))
+            << backendName(kind);
+        for (bool accel : {false, true}) {
+            MultiMachine mm(params, 2);
+            auto res = kernels::spmmParallel(
+                mm, a, b, kernels::Partition::Static, accel);
+            EXPECT_TRUE(closeElements(res.c, golden))
+                << backendName(kind) << " accel=" << accel;
+        }
     }
 }
 

@@ -220,7 +220,7 @@ TEST(SpmvResident, FirstRunIsBitIdenticalToOneShot)
         for (bool via : {false, true}) {
             Machine one_shot(defaultParams());
             auto r1 = via
-                ? kernels::spmvVia(one_shot, a, x, fmt)
+                ? kernels::spmvAccel(one_shot, a, x, fmt)
                 : kernels::spmvBaseline(one_shot, a, x, fmt);
 
             Machine warm(defaultParams());

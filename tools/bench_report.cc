@@ -224,7 +224,7 @@ runSimspeed(const Options &opts)
         DenseVector x = randomVector(a.cols(), rng);
         legs.push_back(timeLeg("spmv", kSeedWallSpmv, repeats,
                                [&](Machine &m) {
-                                   kernels::spmvVia(m, a, x, "csb");
+                                   kernels::spmvAccel(m, a, x, "csb");
                                }));
     }
     {

@@ -22,7 +22,7 @@
  *   script=PATH     read commands from PATH instead of stdin
  *   echo=0          suppress command echo in script mode
  *   cores=N         debug the parallel kernels on a MultiMachine
- *                   (backend=via only; checkpoints unsupported)
+ *                   (checkpoints unsupported)
  *
  * The machine group (backend=, sspm_kb=, rob=, ...) matches every
  * other harness. The observer-based stop engine cannot perturb the
@@ -83,10 +83,6 @@ main(int argc, char **argv)
     const kernels::KernelSpec &spec =
         kernels::selectKernel(opts, opts.getString("kernel"), cores);
     MachineParams params = machineParamsFrom(cfg);
-    if (cores > 1 && params.backend.kind != BackendKind::Via)
-        via_fatal("cores>1 runs the VIA parallel kernels; "
-                  "backend=", backendName(params.backend.kind),
-                  " is single-core only");
 
     // The input and its golden are built once here, so every rewind
     // replay re-runs the identical work.

@@ -23,13 +23,12 @@
  *              fuzz the baseline-accelerator kernels on machines
  *              built over the matching VectorBackend; base re-runs
  *              the software kernels in the accelerated slot.
- *              cores>1 requires backend=via (only the VIA kernels
- *              have parallel variants).
  *   threads=N  parallel seed workers; 0 = hardware (default 1).
  *              Per-seed verdicts and output are identical at any
  *              thread count.
  *   cores=N    with N > 1, each seed also runs the parallel kernel
- *              variants on an N-core machine (docs/multicore.md);
+ *              variants, baseline and backend=, on an N-core
+ *              machine (docs/multicore.md);
  *              the partition policy alternates with seed parity
  *              (even = static, odd = steal)
  *   verbose=1  per-seed progress on stderr
@@ -97,13 +96,6 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "via_fuzz: unknown backend '%s' (expected "
                      "base|via|ssr|indexmac)\n",
-                     backend.c_str());
-        return 2;
-    }
-    if (opts.cores > 1 && opts.backend != BackendKind::Via) {
-        std::fprintf(stderr,
-                     "via_fuzz: cores>1 fuzzes the VIA parallel "
-                     "kernels; backend=%s is single-core only\n",
                      backend.c_str());
         return 2;
     }

@@ -9,7 +9,9 @@
  * (class, batch size) pair with the cycle-level simulator — warm
  * checkpoint fan-out on one core, fresh parallel machines on
  * cores>1. Reports end-to-end latency percentiles, throughput, and
- * energy per request, for the vector baseline and VIA side by side.
+ * energy per request, for the vector baseline and the kernels of
+ * the backend= machine (VIA by default; the "via" report) side by
+ * side.
  *
  * Usage: via_serve [key=value ...]
  *

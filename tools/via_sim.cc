@@ -442,9 +442,9 @@ finishTracingMulti(MultiMachine &mm, const TraceOptions &topts)
     return ok;
 }
 
-/** cores>1: the parallel baseline, then the parallel VIA kernel,
- *  each on a fresh machine set; a run's cycles are the makespan,
- *  the slowest core's commit front. */
+/** cores>1: the parallel baseline, then the parallel kernel of the
+ *  machine's backend, each on a fresh machine set; a run's cycles
+ *  are the makespan, the slowest core's commit front. */
 int
 runParallel(const kernels::KernelSpec &spec,
             const kernels::KernelInput &k, const Config &cfg,
@@ -645,11 +645,6 @@ main(int argc, char **argv)
             via_fatal("sweep=1 sweeps VIA SSPM configurations; "
                       "it requires backend=via");
     } else if (cores > 1) {
-        if (params.backend.kind != BackendKind::Via)
-            via_fatal("cores>1 runs the VIA parallel kernels; "
-                      "backend=",
-                      backendName(params.backend.kind),
-                      " is single-core only");
         if (sample::SampleOptions::fromConfig(cfg).mode !=
             sample::SimMode::Detailed)
             via_fatal("cores>1 supports mode=detailed only (sampling "

@@ -42,7 +42,7 @@ struct SeedCtx
     std::string &out;
 };
 
-void
+[[gnu::format(printf, 2, 3)]] void
 appendf(std::string &out, const char *fmt, ...)
 {
     char buf[512];
@@ -63,9 +63,12 @@ printReplay(const SeedCtx &ctx, const std::string &kernel,
             kernel.c_str());
     // Single-core replay lines stay byte-identical to the
     // pre-multicore fuzzer; only a multi-core failure needs the
-    // extra knob to reproduce.
+    // extra knob to reproduce, and only another backend than the
+    // default needs backend=.
     if (multicore)
         appendf(ctx.out, " cores=%u", ctx.opts.cores);
+    if (ctx.opts.backend != BackendKind::Via)
+        ctx.out += " backend=" + std::string(backendName(ctx.opts.backend));
     appendf(ctx.out, "\n");
 }
 

@@ -23,9 +23,9 @@
  *
  * With cores>1 the CSR and CSB columns compare the parallel kernel
  * variants of the backend= machine on the multi-core machine
- * (docs/multicore.md); SPC5 and
- * Sell-C-sigma are inherently sequential over their block/chunk
- * streams and keep their single-core numbers. cores>1 requires
+ * (docs/multicore.md). The SPC5 and Sell-C-sigma columns keep their
+ * single-core numbers by choice, which keeps the harness's pinned
+ * output; both formats have parallel kernels too. cores>1 requires
  * mode=detailed. cores=1 (the default) is the unchanged,
  * bit-identical single-core path.
  *
@@ -138,9 +138,9 @@ main(int argc, char **argv)
                 [&](Machine &m) { kernels::spmvAccel(m, a, x, fmt); });
         };
 
-        // cores>1: the csr/csb columns compare the parallel kernel
-        // variants on the multi-core machine; each run gets a fresh
-        // machine set, and the makespan is the slowest core.
+        // cores>1: the CSR and CSB columns compare the parallel
+        // kernel variants on the multi-core machine; each run gets a
+        // fresh machine set, and the makespan is the slowest core.
         auto run_par = [&](const std::string &fmt, bool accel) {
             MultiMachine mm(params, cores, llcp);
             return double(kernels::spmvParallel(mm, a, x, fmt, part,

@@ -5,11 +5,10 @@
  * These are the baseline accelerators the VIA paper competes with,
  * each using its own instruction family on a Machine built over the
  * matching backend (Machine::backendKind() must be Ssr / IndexMac).
- * The CSR, CSB, SpMA, SpMM, histogram and stencil variants are range
- * bodies (kernels/ranges.hh), listed in each kernel's backend table
- * and run by both the single-core and the parallel runner; SPC5 and
- * SELL stay single-core. Where an SSR variant only streams a
- * software baseline's loads (CSB SpMV, SpMA, SpMM, histogram), it is
+ * Every variant is a range body (kernels/ranges.hh), listed in its
+ * kernel's backend table and run by both the single-core and the
+ * parallel runner. Where an SSR variant only streams a software
+ * baseline's loads (SPC5 and CSB SpMV, SpMA, SpMM, histogram), it is
  * that baseline's body with Streamed set, next to it:
  *
  * SSR (arXiv 2011.08070) — data movement becomes stream register
@@ -17,7 +16,7 @@
  * replace gathers, and ssr.fma fuses a whole value*gather(x) chain
  * into one instruction. Streams are bound with ssr.cfg at a setup
  * cost, which the kernels amortize where the access pattern allows
- * (CSR/SELL walk their arrays contiguously, so one bind pair covers
+ * (CSR/SPC5/SELL walk their arrays contiguously, so one bind covers
  * the kernel, or each core's run of contiguous ranges) and pay
  * repeatedly where it does not (inner-product SpMM re-binds per
  * (row, column) pair — an honest weakness of stream semantics on
@@ -42,9 +41,9 @@
  *     index array through an indirect stream (the model has 1-D
  *     streams only; the paper's 2-D affine streams would generate
  *     these indices in hardware).
- *   - IndexMAC SPC5 falls back to the plain vector kernel: SPC5's x
- *     accesses are unit-stride, so there is no indexed traffic for
- *     the MAC unit to capture.
+ *   - IndexMAC SPC5 runs the plain vector body: SPC5's x accesses
+ *     are unit-stride, so there is no indexed traffic for the MAC
+ *     unit to capture.
  *   - The IndexMAC SpMA/SpMM kernels accumulate into a dense column
  *     buffer (Gustavson style), trading memory footprint for
  *     conflict-free vimac.st.f updates.
@@ -60,15 +59,12 @@ namespace via::kernels
 
 // ----- SSR ------------------------------------------------------
 
-SpmvResult spmvSsrSpc5At(Machine &m, const Spc5 &a,
-                         const Spc5Image &img, const DenseVector &x);
-SpmvResult spmvSsrSellAt(Machine &m, const SellCSigma &a,
-                         const SellImage &img, const DenseVector &x);
-
 /** ssr.fma over a value stream and an x stream indirect through the
  *  column indices. */
 void spmvSsrCsrRows(Machine &m, CsrOp &op, CoreState &core, Index lo,
                     Index hi);
+void spmvSsrSellRows(Machine &m, SellOp &op, CoreState &core, Index lo,
+                     Index hi);
 
 /** Tap gathers via an indirect stream over a precomputed index
  *  array (see the file comment on the 1-D stream simplification). */
@@ -79,12 +75,11 @@ void stencilSsrRows(Machine &m, StencilOp &op, CoreState &core,
 
 // ----- IndexMAC -------------------------------------------------
 
-SpmvResult spmvImacSellAt(Machine &m, const SellCSigma &a,
-                          const SellImage &img, const DenseVector &x);
-
 /** vimac.f fuses the x gather and the FMA. */
 void spmvImacCsrRows(Machine &m, CsrOp &op, CoreState &core, Index lo,
                      Index hi);
+void spmvImacSellRows(Machine &m, SellOp &op, CoreState &core,
+                      Index lo, Index hi);
 /** x gather and y update both through the MAC unit. */
 void spmvImacCsbRows(Machine &m, CsbOp &op, CoreState &core, Index lo,
                      Index hi);

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "kernels/backend_kernels.hh"
+#include "kernels/ranges.hh"
 #include "simcore/log.hh"
 
 namespace via::kernels
@@ -23,15 +23,6 @@ isSpmvFormat(const std::string &fmt)
     return std::find(f.begin(), f.end(), fmt) != f.end();
 }
 
-namespace
-{
-
-/**
- * Convert @p a to @p fmt with the machine's geometry (SPC5 window
- * and SELL chunk height from the vector length, the CSB block side
- * from viaCsbBeta) and upload it. csr uploads @p a itself, so the
- * one-shot path never copies the matrix.
- */
 SpmvStorage
 convertAndUpload(Machine &m, const Csr &a, const std::string &fmt)
 {
@@ -53,33 +44,19 @@ convertAndUpload(Machine &m, const Csr &a, const std::string &fmt)
     return s;
 }
 
-template <typename Mat, typename Img>
-using SpmvAt = SpmvResult (*)(Machine &, const Mat &, const Img &,
-                              const DenseVector &);
+namespace
+{
 
-// The single-core SPC5 and SELL kernels, indexed by BackendKind
-// (Base, Via, Ssr, IndexMac). SPC5 reads x unit-stride per block:
-// there is no indexed traffic for the MAC unit to capture, so the
-// plain vector kernel is the IndexMAC machine's best SPC5 code.
-static_assert(std::size_t(BackendKind::IndexMac) == 3);
-constexpr SpmvAt<Spc5, Spc5Image> kSpc5At[] = {
-    spmvVectorSpc5At, spmvViaSpc5At, spmvSsrSpc5At, spmvVectorSpc5At};
-constexpr SpmvAt<SellCSigma, SellImage> kSellAt[] = {
-    spmvVectorSellAt, spmvViaSellAt, spmvSsrSellAt, spmvImacSellAt};
-
-/** Emit y = A x with the @p kind kernel against @p s. */
+/** Emit y = A x with the @p kind body against @p s. */
 SpmvResult
 spmvAt(Machine &m, BackendKind kind, const Csr &a,
        const SpmvStorage &s, const DenseVector &x)
 {
-    const auto k = std::size_t(kind);
-    if (s.spc5)
-        return kSpc5At[k](m, *s.spc5, s.spc5Img, x);
-    if (s.sell)
-        return kSellAt[k](m, *s.sell, s.sellImg, x);
-    if (s.csb)
-        return spmvCsbRun(m, kind, *s.csb, s.csbImg, x);
-    return spmvCsrRun(m, kind, a, s.csrImg, x);
+    return visitSpmv(kind, a, s,
+                     [&](const auto &mat, const auto &img,
+                         const auto &body) {
+                         return spmvWhole(m, body, mat, img, x);
+                     });
 }
 
 } // namespace

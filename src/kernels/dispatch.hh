@@ -77,8 +77,8 @@ bool spmmFits(const MachineParams &params, const Csr &a);
 /**
  * A CSR matrix converted to one SpMV format and uploaded onto a
  * machine: the converted copy (none for csr, whose kernels read the
- * source matrix) and the base addresses the *At kernels emit
- * against. The one-shot entry points and SpmvResident share it.
+ * source matrix) and the base addresses the kernels emit against.
+ * The one-shot entry points, SpmvResident and spmvParallel share it.
  */
 struct SpmvStorage
 {
@@ -90,6 +90,15 @@ struct SpmvStorage
     SellImage sellImg;
     CsbImage csbImg;
 };
+
+/**
+ * Convert @p a to @p fmt with the machine's geometry (SPC5 window
+ * and SELL chunk height from the vector length, the CSB block side
+ * from viaCsbBeta) and upload it. csr uploads @p a itself, so the
+ * one-shot path never copies the matrix. Fatal on an unknown format.
+ */
+SpmvStorage convertAndUpload(Machine &m, const Csr &a,
+                             const std::string &fmt);
 
 /**
  * A matrix made resident on a machine: the format conversion and

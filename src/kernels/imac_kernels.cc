@@ -15,59 +15,34 @@ namespace
 constexpr ElemType VT = ElemType::F32;
 constexpr ElemType IT = ElemType::I32;
 
+/** vimac.f fuses the x gather and the FMA into v3; lanes whose x
+ *  line sits in the row buffer skip the cache. */
+template <typename Op>
+void
+imacMac(Machine &m, const Op &op, Index k, int n)
+{
+    VReg v_val{0}, v_col{1}, v_acc{3};
+    m.vload(v_val, op.img.values + 4 * Addr(k), VT, n);
+    m.vload(v_col, op.img.colIdx + 4 * Addr(k), IT, n);
+    m.vimacF(v_acc, op.x, v_col, v_val, n);
+}
+
 } // namespace
 
 void
 spmvImacCsrRows(Machine &m, CsrOp &op, CoreState &, Index lo,
                 Index hi)
 {
-    VReg v_val{0}, v_col{1}, v_acc{3};
-    csrRowLoop(m, op, lo, hi, [&](Index k, int n) {
-        m.vload(v_val, op.img.values + 4 * Addr(k), VT, n);
-        m.vload(v_col, op.img.colIdx + 4 * Addr(k), IT, n);
-        // Gather + FMA fuse into the MAC unit; lanes whose x line
-        // sits in the row buffer skip the cache.
-        m.vimacF(v_acc, op.x, v_col, v_val, n);
-    });
+    csrRowLoop(m, op, lo, hi,
+               [&](Index k, int n) { imacMac(m, op, k, n); });
 }
 
-SpmvResult
-spmvImacSellAt(Machine &m, const SellCSigma &a, const SellImage &img,
-               const DenseVector &x)
+void
+spmvImacSellRows(Machine &m, SellOp &op, CoreState &, Index lo,
+                 Index hi)
 {
-    SpmvOp<SellCSigma, SellImage> xy(m, a, img, x);
-    Addr col_idx = img.colIdx;
-    Addr values = img.values;
-    Addr chunk_ptr = img.chunkPtr;
-    Addr row_perm = img.rowPerm;
-
-    const int vl = int(m.vl());
-    via_assert(a.c() == Index(vl), "chunk height mismatch");
-
-    VReg v_val{0}, v_col{1}, v_acc{3}, v_rows{4};
-    SReg s_w{1}, s_j{0}, s_ch{7};
-
-    for (Index ch = 0; ch < a.numChunks(); ++ch) {
-        m.sload(s_w, chunk_ptr + 4 * (Addr(ch) + 1), 4);
-        m.vbroadcastF(v_acc, 0.0);
-        Index base = a.chunkPtr()[std::size_t(ch)];
-        Index width = a.chunkWidth()[std::size_t(ch)];
-        int lanes = int(std::min<Index>(vl, a.rows() - ch * vl));
-        for (Index j = 0; j < width; ++j) {
-            Addr slice = 4 * Addr(base + j * vl);
-            m.vload(v_val, values + slice, VT, lanes);
-            m.vload(v_col, col_idx + slice, IT, lanes);
-            m.vimacF(v_acc, xy.x, v_col, v_val, lanes);
-            m.salu(s_j, j + 1, s_j);
-            m.sbranch(s_j);
-        }
-        m.vload(v_rows, row_perm + 4 * Addr(ch) * Addr(vl), IT,
-                lanes);
-        m.vscatter(xy.y, v_rows, v_acc, VT, lanes);
-        m.salu(s_ch, ch + 1, s_ch);
-        m.sbranch(s_ch);
-    }
-    return SpmvResult{xy.readY(m), m.cycles()};
+    sellChunkLoop(m, op, lo, hi,
+                  [&](Index k, int n) { imacMac(m, op, k, n); });
 }
 
 void

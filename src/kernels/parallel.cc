@@ -155,13 +155,6 @@ staticRanges(Index n, unsigned cores)
     return out;
 }
 
-const std::vector<std::string> &
-spmvParallelFormats()
-{
-    static const std::vector<std::string> formats = {"csr", "csb"};
-    return formats;
-}
-
 // The kernels below own the partitioning, the per-core output
 // regions and the stitching of results; every instruction a core
 // runs comes from its kernel's body table (kernels/ranges.hh), at
@@ -199,6 +192,22 @@ runRanges(MultiMachine &mm, Index n, Partition part, Op &op,
     });
 }
 
+/** The body a parallel SpMV runs: its format's, except that the
+ *  vector CSR baseline gathers x in the VIA body (see ranges.hh). */
+template <typename Body>
+const Body &
+parallelBody(const Body &body, BackendKind)
+{
+    return body;
+}
+
+const RangeBody<CsrOp> &
+parallelBody(const RangeBody<CsrOp> &body, BackendKind kind)
+{
+    static constexpr RangeBody<CsrOp> gather{.rows = spmvGatherCsrRows};
+    return kind == BackendKind::Base ? gather : body;
+}
+
 } // namespace
 
 SpmvResult
@@ -208,29 +217,14 @@ spmvParallel(MultiMachine &mm, const Csr &a, const DenseVector &x,
     via_assert(a.cols() == Index(x.size()), "SpMV shape mismatch");
     Machine &m0 = mm.core(0);
     const BackendKind kind = bodyKind(mm, accel);
-    if (fmt == "csr") {
-        CsrOp op(m0, a, uploadCsr(m0, a), x);
-        // The one body that differs from single-core: the vector
-        // CSR baseline gathers x in the VIA body (see ranges.hh).
-        static constexpr RangeBody<CsrOp> gather{
-            .rows = spmvGatherCsrRows};
-        runRanges(mm, a.rows(), part, op,
-                  kind == BackendKind::Base ? gather
-                                            : spmvCsrBody(kind));
-        return SpmvResult{op.readY(m0), mm.cycles()};
-    }
-    if (fmt == "csb") {
-        // Block rows partition: each owns y rows [br*beta, (br+1)*beta).
-        const Csb csb = Csb::fromCsr(a, viaCsbBeta(m0));
-        CsbOp op(m0, csb, uploadCsb(m0, csb), x);
-        runRanges(mm, csb.blockRows(), part, op, spmvCsbBody(kind));
-        return SpmvResult{op.readY(m0), mm.cycles()};
-    }
-    std::string valid;
-    for (const std::string &f : spmvParallelFormats())
-        valid += (valid.empty() ? "" : ", ") + f;
-    via_fatal("spmv format '", fmt, "' has no multi-core variant (",
-              valid, ")");
+    return visitSpmv(kind, a, convertAndUpload(m0, a, fmt),
+                     [&](const auto &mat, const auto &img,
+                         const auto &body) {
+                         SpmvOp op(m0, mat, img, x);
+                         runRanges(mm, op.units(), part, op,
+                                   parallelBody(body, kind));
+                         return SpmvResult{op.readY(m0), mm.cycles()};
+                     });
 }
 
 SpmaResult

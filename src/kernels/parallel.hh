@@ -68,16 +68,11 @@ const char *partitionName(Partition p);
 std::vector<std::pair<Index, Index>> staticRanges(Index n,
                                                   unsigned cores);
 
-/** The SpMV formats spmvParallel accepts: csr and csb (the spc5 and
- *  sell kernels are inherently sequential over their block/chunk
- *  streams and stay single-core). */
-const std::vector<std::string> &spmvParallelFormats();
-
 /**
- * Multi-core SpMV. @p fmt is one of spmvParallelFormats(); @p accel
- * picks the kernel of the machine's backend (VIA, SSR, IndexMAC)
- * over the vector baseline. Rows (csr) or block rows (csb)
- * partition.
+ * Multi-core SpMV. @p fmt is any of spmvFormats() (fatal otherwise);
+ * @p accel picks the kernel of the machine's backend (VIA, SSR,
+ * IndexMAC) over the vector baseline. Rows (csr, spc5), block rows
+ * (csb) or chunks (sell) partition.
  */
 SpmvResult spmvParallel(MultiMachine &mm, const Csr &a,
                         const DenseVector &x, const std::string &fmt,

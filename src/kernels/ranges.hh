@@ -15,16 +15,18 @@
  * backend.
  *
  * A parallel run on one core emits the single-core instruction
- * stream, with two exceptions:
+ * stream, with three exceptions:
  *   - the single-core SpMA and SpMM runners store c_ptr[0] (the
  *     CoreState::head store); the parallel runner does not;
  *   - the cores>1 vector CSR baseline is the VIA body with x
  *     gathered (vgather, vmulF, vaddF), where single-core vector
- *     CSR runs its own body with vfmaF.
+ *     CSR runs its own body with vfmaF;
+ *   - the parallel histogram ends with core 0 reducing the per-core
+ *     partial histograms, six instructions per vector of buckets.
  *
  * The ranges:
- *   - SpMV: CSR rows, CSB block rows (SPC5 and SELL stay
- *     single-core on every backend)
+ *   - SpMV: rows (CSR, and SPC5, whose blocks are sorted by row),
+ *     CSB block rows, SELL chunks
  *   - SpMA, SpMM: rows of A
  *   - histogram: keys (for VIA, inside one bucket pass)
  *   - stencil: output rows
@@ -41,8 +43,10 @@
 #define VIA_KERNELS_RANGES_HH
 
 #include <algorithm>
+#include <type_traits>
 #include <vector>
 
+#include "kernels/dispatch.hh"
 #include "kernels/histogram.hh"
 #include "kernels/kernel_utils.hh"
 #include "kernels/spma.hh"
@@ -124,6 +128,19 @@ struct SpmvOp
         return downloadValues(m, y, std::size_t(a.rows()));
     }
 
+    /** The bodies' iteration space: rows, CSB block rows or SELL
+     *  chunks. */
+    Index
+    units() const
+    {
+        if constexpr (std::is_same_v<Mat, Csb>)
+            return a.blockRows();
+        else if constexpr (std::is_same_v<Mat, SellCSigma>)
+            return a.numChunks();
+        else
+            return a.rows();
+    }
+
     const Mat &a;
     Img img;
     Addr x = 0, y = 0;
@@ -131,16 +148,43 @@ struct SpmvOp
 
 using CsrOp = SpmvOp<Csr, CsrImage>;
 using CsbOp = SpmvOp<Csb, CsbImage>;
+using Spc5Op = SpmvOp<Spc5, Spc5Image>;
+using SellOp = SpmvOp<SellCSigma, SellImage>;
 
-/** The CSR (rows) and CSB (block rows) bodies of @p kind. */
+/** Each SpMV format's bodies, indexed by BackendKind. */
 const RangeBody<CsrOp> &spmvCsrBody(BackendKind kind);
 const RangeBody<CsbOp> &spmvCsbBody(BackendKind kind);
+const RangeBody<Spc5Op> &spmvSpc5Body(BackendKind kind);
+const RangeBody<SellOp> &spmvSellBody(BackendKind kind);
 
-/** Single-core SpMV of @p kind against an uploaded matrix. */
-SpmvResult spmvCsrRun(Machine &m, BackendKind kind, const Csr &a,
-                      const CsrImage &img, const DenseVector &x);
-SpmvResult spmvCsbRun(Machine &m, BackendKind kind, const Csb &a,
-                      const CsbImage &img, const DenseVector &x);
+/** Single-core SpMV of @p body against an uploaded matrix. */
+template <typename Mat, typename Img>
+SpmvResult
+spmvWhole(Machine &m, const RangeBody<SpmvOp<Mat, Img>> &body,
+          const Mat &a, const Img &img, const DenseVector &x)
+{
+    SpmvOp<Mat, Img> op(m, a, img, x);
+    runWhole(m, op, body, op.units());
+    return SpmvResult{op.readY(m), m.cycles()};
+}
+
+/**
+ * Call @p fn(matrix, image, body) for the format convertAndUpload
+ * put in @p s (csr reads @p a itself), with the format's @p kind
+ * body. Every SpMV run, single-core or parallel, goes through here.
+ */
+template <typename Fn>
+SpmvResult
+visitSpmv(BackendKind kind, const Csr &a, const SpmvStorage &s, Fn &&fn)
+{
+    if (s.spc5)
+        return fn(*s.spc5, s.spc5Img, spmvSpc5Body(kind));
+    if (s.sell)
+        return fn(*s.sell, s.sellImg, spmvSellBody(kind));
+    if (s.csb)
+        return fn(*s.csb, s.csbImg, spmvCsbBody(kind));
+    return fn(a, s.csrImg, spmvCsrBody(kind));
+}
 
 /**
  * The CSR row loop every backend's body runs: per row of [lo, hi),
@@ -205,6 +249,41 @@ csbBlockLoop(Machine &m, const CsbOp &op, Index lo, Index hi,
         }
         m.salu(s_b, b + 1, s_b);
         m.sbranch(s_b);
+    }
+}
+
+/**
+ * The Sell-C-sigma chunk loop every backend's body runs: per chunk
+ * of [lo, hi), zero the accumulator v3, emit @p step(k, n) for each
+ * of its column slices (k: the slice's first element, n: the chunk's
+ * live lanes), then scatter v3 to the chunk's rows.
+ */
+template <typename Step>
+void
+sellChunkLoop(Machine &m, const SellOp &op, Index lo, Index hi,
+              Step &&step)
+{
+    const int vl = int(m.vl());
+    via_assert(op.a.c() == Index(vl),
+               "Sell-C-sigma chunk height must equal the vector length");
+    VReg v_acc{3}, v_rows{4};
+    SReg s_w{1}, s_j{0}, s_ch{7};
+    for (Index ch = lo; ch < hi; ++ch) {
+        m.sload(s_w, op.img.chunkPtr + 4 * (Addr(ch) + 1), 4);
+        m.vbroadcastF(v_acc, 0.0);
+        const Index base = op.a.chunkPtr()[std::size_t(ch)];
+        const Index width = op.a.chunkWidth()[std::size_t(ch)];
+        const int n = int(std::min<Index>(vl, op.a.rows() - ch * vl));
+        for (Index j = 0; j < width; ++j) {
+            step(base + j * vl, n);
+            m.salu(s_j, j + 1, s_j);
+            m.sbranch(s_j);
+        }
+        m.vload(v_rows, op.img.rowPerm + 4 * Addr(ch) * Addr(vl),
+                ElemType::I32, n);
+        m.vscatter(op.y, v_rows, v_acc, ElemType::F32, n);
+        m.salu(s_ch, ch + 1, s_ch);
+        m.sbranch(s_ch);
     }
 }
 

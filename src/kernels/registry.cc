@@ -295,7 +295,6 @@ kernelRegistry()
         {.name = "spmv",
          .title = "SpMV",
          .formats = spmvFormats(),
-         .parallelFormats = spmvParallelFormats(),
          .timeline = true,
          .build = buildSpmv},
         {.name = "spma", .title = "SpMA", .build = buildSpma},
@@ -345,8 +344,7 @@ requireFits(const KernelSpec &spec, const KernelInput &k,
 }
 
 const KernelSpec &
-selectKernel(const Options &opts, const std::string &name,
-             unsigned cores)
+selectKernel(const Options &opts, const std::string &name)
 {
     std::vector<std::string> names;
     const KernelSpec *spec = nullptr;
@@ -359,13 +357,11 @@ selectKernel(const Options &opts, const std::string &name,
         opts.usageError("unknown kernel '" + name + "' (" +
                         join(names) + ")");
 
-    const auto &formats =
-        cores > 1 ? spec->parallelFormats : spec->formats;
+    const auto &formats = spec->formats;
     const std::string fmt = opts.getString("format");
-    if (!spec->formats.empty() &&
+    if (!formats.empty() &&
         std::find(formats.begin(), formats.end(), fmt) == formats.end())
-        opts.usageError("format '" + fmt + "' is not a " +
-                        (cores > 1 ? "cores>1 " : "") + name +
+        opts.usageError("format '" + fmt + "' is not a " + name +
                         " format (" + join(formats) + ")");
 
     if (!opts.knows("partition"))

@@ -86,8 +86,6 @@ struct KernelSpec
     std::string title; //!< header title ("SpMV")
     /** format= values; empty when the kernel takes no format. */
     std::vector<std::string> formats{};
-    /** format= values with a cores>1 kernel. */
-    std::vector<std::string> parallelFormats{};
     /** timeline= samples the accelerated run (SpMV only). */
     bool timeline = false;
     /** inject_error= fails the result check (stencil only). */
@@ -119,13 +117,12 @@ void requireFits(const KernelSpec &spec, const KernelInput &k,
 
 /**
  * The entry named @p name, once it and format= / partition= (when
- * the harness registers the multi-core keys) are known to be valid
- * for a run on @p cores. Anything else is a usage error (exit 2)
- * naming the valid values, before any input is built.
+ * the harness registers the multi-core keys) are known to be valid.
+ * Anything else is a usage error (exit 2) naming the valid values,
+ * before any input is built.
  */
 const KernelSpec &selectKernel(const Options &opts,
-                               const std::string &name,
-                               unsigned cores);
+                               const std::string &name);
 
 } // namespace via::kernels
 

@@ -17,58 +17,24 @@ namespace
 constexpr ElemType VT = ElemType::F32;
 constexpr ElemType IT = ElemType::I32;
 
-/** VIA CSR reads x from the SSPM when it fits there. */
+/** VIA CSR and SELL read x from the SSPM when it fits there. */
 bool
-xFits(const Machine &m, const Csr &a)
+xFits(const Machine &m, Index cols)
 {
-    return std::uint64_t(a.cols()) <= m.sspm().config().sramEntries();
+    return std::uint64_t(cols) <= m.sspm().config().sramEntries();
 }
 
-/** The VIA CSR rows; without @p x_fits x is gathered. */
+/** Stage x[0, cols) into the SSPM (its index vector in @p v_idx). */
 void
-csrRows(Machine &m, const CsrOp &op, bool x_fits, Index lo, Index hi)
+stageX(Machine &m, Addr x, Index cols, VReg v_idx)
 {
-    VReg v_val{0}, v_col{1}, v_x{2}, v_acc{3}, v_prod{5};
-    csrRowLoop(m, op, lo, hi, [&](Index k, int n) {
-        m.vload(v_val, op.img.values + 4 * Addr(k), VT, n);
-        m.vload(v_col, op.img.colIdx + 4 * Addr(k), IT, n);
-        if (x_fits) {
-            // x[col] * val straight out of the SSPM.
-            m.vidxMulD(v_val, v_col, ViaOut::Vrf, v_prod, 0, n);
-        } else {
-            m.vgather(v_x, op.x, v_col, VT, n);
-            m.vmulF(v_prod, v_val, v_x, n);
-        }
-        m.vaddF(v_acc, v_acc, v_prod, n);
-    });
-}
-
-/** Vector CSR rows: gather x, one vfmaF per vector. */
-void
-vectorCsrRows(Machine &m, CsrOp &op, CoreState &, Index lo, Index hi)
-{
-    VReg v_val{0}, v_col{1}, v_x{2}, v_acc{3};
-    csrRowLoop(m, op, lo, hi, [&](Index k, int n) {
-        m.vload(v_val, op.img.values + 4 * Addr(k), VT, n);
-        m.vload(v_col, op.img.colIdx + 4 * Addr(k), IT, n);
-        m.vgather(v_x, op.x, v_col, VT, n);
-        m.vfmaF(v_acc, v_val, v_x, v_acc, n);
-    });
-}
-
-void
-viaCsrSetup(Machine &m, CsrOp &op, CoreState &, Index)
-{
-    if (!xFits(m, op.a))
-        return;
     const int vl = int(m.vl());
-    const Index cols = op.a.cols();
-    VReg v_x{2}, v_idx{4};
+    VReg v_x{2};
     SReg s_i{2};
     m.vidxClear();
     for (Index i = 0; i < cols; i += vl) {
         int n = std::min<Index>(vl, cols - i);
-        m.vload(v_x, op.x + 4 * Addr(i), VT, n);
+        m.vload(v_x, x + 4 * Addr(i), VT, n);
         m.viotaI(v_idx, i);
         m.vidxLoadD(v_x, v_idx, n);
         m.salu(s_i, i + vl, s_i);
@@ -76,10 +42,64 @@ viaCsrSetup(Machine &m, CsrOp &op, CoreState &, Index)
     }
 }
 
+/** Vector CSR and SELL step: gather x, one vfmaF into v3. */
+template <typename Op>
+void
+vectorMac(Machine &m, const Op &op, Index k, int n)
+{
+    VReg v_val{0}, v_col{1}, v_x{2}, v_acc{3};
+    m.vload(v_val, op.img.values + 4 * Addr(k), VT, n);
+    m.vload(v_col, op.img.colIdx + 4 * Addr(k), IT, n);
+    m.vgather(v_x, op.x, v_col, VT, n);
+    m.vfmaF(v_acc, v_val, v_x, v_acc, n);
+}
+
+/** VIA CSR and SELL step: x[col] * val straight out of the SSPM
+ *  when @p x_fits, else gathered, added into v3 via @p v_prod. */
+template <typename Op>
+void
+viaMac(Machine &m, const Op &op, Index k, int n, bool x_fits,
+       VReg v_prod)
+{
+    VReg v_val{0}, v_col{1}, v_x{2}, v_acc{3};
+    m.vload(v_val, op.img.values + 4 * Addr(k), VT, n);
+    m.vload(v_col, op.img.colIdx + 4 * Addr(k), IT, n);
+    if (x_fits) {
+        m.vidxMulD(v_val, v_col, ViaOut::Vrf, v_prod, 0, n);
+    } else {
+        m.vgather(v_x, op.x, v_col, VT, n);
+        m.vmulF(v_prod, v_val, v_x, n);
+    }
+    m.vaddF(v_acc, v_acc, v_prod, n);
+}
+
+/** The VIA CSR rows; without @p x_fits x is gathered. */
+void
+csrRows(Machine &m, const CsrOp &op, bool x_fits, Index lo, Index hi)
+{
+    csrRowLoop(m, op, lo, hi, [&](Index k, int n) {
+        viaMac(m, op, k, n, x_fits, VReg{5});
+    });
+}
+
+void
+vectorCsrRows(Machine &m, CsrOp &op, CoreState &, Index lo, Index hi)
+{
+    csrRowLoop(m, op, lo, hi,
+               [&](Index k, int n) { vectorMac(m, op, k, n); });
+}
+
+void
+viaCsrSetup(Machine &m, CsrOp &op, CoreState &, Index)
+{
+    if (xFits(m, op.a.cols()))
+        stageX(m, op.x, op.a.cols(), VReg{4});
+}
+
 void
 viaCsrRows(Machine &m, CsrOp &op, CoreState &, Index lo, Index hi)
 {
-    csrRows(m, op, xFits(m, op.a), lo, hi);
+    csrRows(m, op, xFits(m, op.a.cols()), lo, hi);
 }
 
 /**
@@ -196,6 +216,163 @@ viaCsbRows(Machine &m, CsbOp &op, CoreState &, Index lo, Index hi)
     }
 }
 
+/** The first SPC5 block of row @p r or later (blocks are sorted by
+ *  row, so a row range is one contiguous block range). */
+std::size_t
+spc5Block(const Spc5 &a, Index r)
+{
+    const auto &rows = a.blockRow();
+    return std::size_t(std::lower_bound(rows.begin(), rows.end(), r) -
+                       rows.begin());
+}
+
+/**
+ * The SPC5 block loop of rows [lo, hi), whose blocks are contiguous
+ * (blocks are sorted by row): per block, @p row(r) with its row r,
+ * the header loads, the packed values (popped from stream 0 when
+ * @p streamed) expanded by the mask into v1 and x loaded unit-stride
+ * into v2, then @p step(r, n) over its n columns.
+ */
+template <typename Row, typename Step>
+void
+spc5BlockLoop(Machine &m, const Spc5Op &op, Index lo, Index hi,
+              bool streamed, Row &&row, Step &&step)
+{
+    const Spc5 &a = op.a;
+    const int vl = int(m.vl());
+    via_assert(a.window() == Index(vl),
+               "SPC5 window must equal the vector length");
+    VReg v_packed{0}, v_val{1}, v_x{2};
+    SReg s_hdr{1}, s_b{0};
+    const auto &rows = a.blockRow();
+    for (std::size_t b = spc5Block(a, lo), end = spc5Block(a, hi);
+         b < end; ++b) {
+        row(rows[b]);
+        m.sload(s_hdr, op.img.blockRow + 4 * Addr(b), 4);
+        m.sload(s_hdr, op.img.blockCol + 4 * Addr(b), 4);
+        m.sload(s_hdr, op.img.blockMask + 4 * Addr(b), 4);
+        const Index first = a.blockCol()[b];
+        const Index v0 = a.blockPtr()[b];
+        const int packed = int(a.blockPtr()[b + 1] - v0);
+        if (streamed)
+            m.ssrPopV(v_packed, 0, packed);
+        else
+            m.vload(v_packed, op.img.values + 4 * Addr(v0), VT, packed);
+        m.vexpandMask(v_val, v_packed, a.blockMask()[b], vl, s_hdr);
+        const int n = int(std::min<Index>(vl, a.cols() - first));
+        m.vload(v_x, op.x + 4 * Addr(first), VT, n);
+        step(rows[b], n);
+        m.salu(s_b, Index(b) + 1, s_b);
+        m.sbranch(s_b);
+    }
+}
+
+/**
+ * Vector SPC5 rows: FMA each block into v3, and add each row's
+ * reduction into y (rows span several blocks, so the software
+ * baseline re-reads and re-writes y: the store-load forwarding
+ * pattern). With Streamed (SSR) one affine stream, consumed in block
+ * order, replaces every packed-value load; x stays unit-stride,
+ * which is SPC5's selling point.
+ */
+template <bool Streamed>
+void
+spc5Rows(Machine &m, Spc5Op &op, CoreState &core, Index lo, Index hi)
+{
+    if (Streamed && rebind(core, lo)) {
+        const Index k0 = op.a.blockPtr()[spc5Block(op.a, lo)];
+        m.ssrBindAffine(0, op.img.values + 4 * Addr(k0), VT);
+    }
+    core.next = hi;
+    VReg v_val{1}, v_x{2}, v_acc{3};
+    SReg s_acc{5}, s_row{7};
+    Index cur = -1;
+    auto flush = [&] {
+        if (cur < 0)
+            return;
+        m.vredsumF(s_acc, v_acc);
+        m.sloadF(s_row, op.y + 4 * Addr(cur), VT);
+        m.sfadd(s_acc, s_acc, s_row);
+        m.sstoreF(op.y + 4 * Addr(cur), s_acc, VT);
+    };
+    spc5BlockLoop(
+        m, op, lo, hi, Streamed,
+        [&](Index row) {
+            if (row == cur)
+                return;
+            flush();
+            m.vbroadcastF(v_acc, 0.0);
+            cur = row;
+        },
+        [&](Index, int n) { m.vfmaF(v_acc, v_val, v_x, v_acc, n); });
+    flush();
+}
+
+/**
+ * VIA SPC5 rows: each block's partials accumulate straight into the
+ * SSPM slot of its row (no reduce, no y re-load). The SSPM holds one
+ * segment of rows at a time, opened at the range's first row and
+ * drained to y when a block leaves it, and at the range's end.
+ */
+void
+viaSpc5Rows(Machine &m, Spc5Op &op, CoreState &, Index lo, Index hi)
+{
+    const int vl = int(m.vl());
+    const auto seg_rows = Index(m.sspm().config().sramEntries());
+    VReg v_val{1}, v_x{2}, v_prod{3}, v_rowb{4}, v_idx{5}, v_out{6};
+    SReg s_i{2};
+    Index seg_base = lo;
+    auto drain = [&](Index upto) {
+        for (Index i = seg_base; i < upto; i += vl) {
+            int n = std::min<Index>(vl, upto - i);
+            m.viotaI(v_idx, i - seg_base);
+            m.vidxMov(v_out, v_idx, n);
+            m.vstore(op.y + 4 * Addr(i), v_out, VT, n, s_i);
+            m.salu(s_i, i + vl, s_i);
+            m.sbranch(s_i);
+        }
+        m.vidxClear();
+    };
+    m.vidxClear();
+    spc5BlockLoop(
+        m, op, lo, hi, false,
+        [&](Index row) {
+            if (row < seg_base + seg_rows)
+                return;
+            drain(seg_base + seg_rows);
+            seg_base += (row - seg_base) / seg_rows * seg_rows;
+        },
+        [&](Index row, int n) {
+            m.vmulF(v_prod, v_val, v_x, n);
+            m.vbroadcastI(v_rowb, row - seg_base);
+            m.vidxAddD(v_prod, v_rowb, ViaOut::Sspm, v_out, 0, n);
+        });
+    drain(std::min(seg_base + seg_rows, hi));
+}
+
+void
+vectorSellRows(Machine &m, SellOp &op, CoreState &, Index lo, Index hi)
+{
+    sellChunkLoop(m, op, lo, hi,
+                  [&](Index k, int n) { vectorMac(m, op, k, n); });
+}
+
+void
+viaSellSetup(Machine &m, SellOp &op, CoreState &, Index)
+{
+    if (xFits(m, op.a.cols()))
+        stageX(m, op.x, op.a.cols(), VReg{5});
+}
+
+void
+viaSellRows(Machine &m, SellOp &op, CoreState &, Index lo, Index hi)
+{
+    const bool x_fits = xFits(m, op.a.cols());
+    sellChunkLoop(m, op, lo, hi, [&](Index k, int n) {
+        viaMac(m, op, k, n, x_fits, VReg{6});
+    });
+}
+
 } // namespace
 
 const RangeBody<CsrOp> &
@@ -223,22 +400,30 @@ spmvCsbBody(BackendKind kind)
     return table[std::size_t(kind)];
 }
 
-SpmvResult
-spmvCsrRun(Machine &m, BackendKind kind, const Csr &a,
-           const CsrImage &img, const DenseVector &x)
+const RangeBody<Spc5Op> &
+spmvSpc5Body(BackendKind kind)
 {
-    CsrOp op(m, a, img, x);
-    runWhole(m, op, spmvCsrBody(kind), a.rows());
-    return SpmvResult{op.readY(m), m.cycles()};
+    // SPC5 reads x unit-stride per block: there is no indexed traffic
+    // for the MAC unit to capture, so IndexMAC runs the vector body.
+    static constexpr RangeBody<Spc5Op> table[] = {
+        {.rows = spc5Rows<false>},
+        {.rows = viaSpc5Rows},
+        {.rows = spc5Rows<true>},
+        {.rows = spc5Rows<false>},
+    };
+    return table[std::size_t(kind)];
 }
 
-SpmvResult
-spmvCsbRun(Machine &m, BackendKind kind, const Csb &a,
-           const CsbImage &img, const DenseVector &x)
+const RangeBody<SellOp> &
+spmvSellBody(BackendKind kind)
 {
-    CsbOp op(m, a, img, x);
-    runWhole(m, op, spmvCsbBody(kind), a.blockRows());
-    return SpmvResult{op.readY(m), m.cycles()};
+    static constexpr RangeBody<SellOp> table[] = {
+        {.rows = vectorSellRows},
+        {.setup = viaSellSetup, .rows = viaSellRows},
+        {.rows = spmvSsrSellRows},
+        {.rows = spmvImacSellRows},
+    };
+    return table[std::size_t(kind)];
 }
 
 Index
@@ -334,136 +519,14 @@ SpmvResult
 spmvVectorCsrAt(Machine &m, const Csr &a, const CsrImage &img,
                 const DenseVector &x)
 {
-    return spmvCsrRun(m, BackendKind::Base, a, img, x);
-}
-
-SpmvResult
-spmvVectorSpc5(Machine &m, const Spc5 &a, const DenseVector &x)
-{
-    return spmvVectorSpc5At(m, a, uploadSpc5(m, a), x);
-}
-
-SpmvResult
-spmvVectorSpc5At(Machine &m, const Spc5 &a, const Spc5Image &img,
-                 const DenseVector &x)
-{
-    SpmvOp<Spc5, Spc5Image> xy(m, a, img, x);
-    Addr values = img.values;
-    Addr brow = img.blockRow;
-    Addr bcol = img.blockCol;
-    Addr bmask = img.blockMask;
-
-    const int vl = int(m.vl());
-    via_assert(a.window() == Index(vl),
-               "SPC5 window must equal the vector length");
-
-    VReg v_packed{0}, v_val{1}, v_x{2}, v_acc{3};
-    SReg s_hdr{1}, s_acc{5}, s_b{0}, s_row{7};
-
-    Index cur_row = -1;
-    bool acc_live = false;
-
-    auto flush_row = [&](Index row) {
-        // y[row] += reduce(acc): rows can span several blocks, so
-        // the software baseline re-reads and re-writes y (the
-        // store-load forwarding pattern).
-        m.vredsumF(s_acc, v_acc);
-        m.sloadF(s_row, xy.y + 4 * Addr(row), VT);
-        m.sfadd(s_acc, s_acc, s_row);
-        m.sstoreF(xy.y + 4 * Addr(row), s_acc, VT);
-    };
-
-    for (std::size_t b = 0; b < a.numBlocks(); ++b) {
-        Index row = a.blockRow()[b];
-        if (row != cur_row) {
-            if (acc_live)
-                flush_row(cur_row);
-            m.vbroadcastF(v_acc, 0.0);
-            cur_row = row;
-            acc_live = true;
-        }
-        // Header loads: row, first column, mask.
-        m.sload(s_hdr, brow + 4 * Addr(b), 4);
-        m.sload(s_hdr, bcol + 4 * Addr(b), 4);
-        m.sload(s_hdr, bmask + 4 * Addr(b), 4);
-
-        Index first = a.blockCol()[b];
-        Index v0 = a.blockPtr()[b];
-        Index packed = a.blockPtr()[b + 1] - v0;
-
-        m.vload(v_packed, values + 4 * Addr(v0), VT, int(packed));
-        m.vexpandMask(v_val, v_packed, a.blockMask()[b], vl, s_hdr);
-        int n = int(std::min<Index>(vl, a.cols() - first));
-        m.vload(v_x, xy.x + 4 * Addr(first), VT, n);
-        m.vfmaF(v_acc, v_val, v_x, v_acc, n);
-        m.salu(s_b, Index(b) + 1, s_b);
-        m.sbranch(s_b);
-    }
-    if (acc_live)
-        flush_row(cur_row);
-
-    return SpmvResult{xy.readY(m), m.cycles()};
-}
-
-SpmvResult
-spmvVectorSell(Machine &m, const SellCSigma &a, const DenseVector &x)
-{
-    return spmvVectorSellAt(m, a, uploadSell(m, a), x);
-}
-
-SpmvResult
-spmvVectorSellAt(Machine &m, const SellCSigma &a,
-                 const SellImage &img, const DenseVector &x)
-{
-    SpmvOp<SellCSigma, SellImage> xy(m, a, img, x);
-    Addr col_idx = img.colIdx;
-    Addr values = img.values;
-    Addr chunk_ptr = img.chunkPtr;
-    Addr row_perm = img.rowPerm;
-
-    const int vl = int(m.vl());
-    via_assert(a.c() == Index(vl),
-               "Sell-C-sigma chunk height must equal the vector "
-               "length");
-
-    VReg v_val{0}, v_col{1}, v_x{2}, v_acc{3}, v_rows{4};
-    SReg s_w{1}, s_j{0}, s_ch{7};
-
-    for (Index ch = 0; ch < a.numChunks(); ++ch) {
-        m.sload(s_w, chunk_ptr + 4 * (Addr(ch) + 1), 4);
-        m.vbroadcastF(v_acc, 0.0);
-        Index base = a.chunkPtr()[std::size_t(ch)];
-        Index width = a.chunkWidth()[std::size_t(ch)];
-        int lanes = int(std::min<Index>(vl, a.rows() - ch * vl));
-        for (Index j = 0; j < width; ++j) {
-            Addr slice = 4 * Addr(base + j * vl);
-            m.vload(v_val, values + slice, VT, lanes);
-            m.vload(v_col, col_idx + slice, IT, lanes);
-            m.vgather(v_x, xy.x, v_col, VT, lanes);
-            m.vfmaF(v_acc, v_val, v_x, v_acc, lanes);
-            m.salu(s_j, j + 1, s_j);
-            m.sbranch(s_j);
-        }
-        m.vload(v_rows, row_perm + 4 * Addr(ch) * Addr(vl), IT,
-                lanes);
-        m.vscatter(xy.y, v_rows, v_acc, VT, lanes);
-        m.salu(s_ch, ch + 1, s_ch);
-        m.sbranch(s_ch);
-    }
-    return SpmvResult{xy.readY(m), m.cycles()};
+    return spmvWhole(m, spmvCsrBody(BackendKind::Base), a, img, x);
 }
 
 SpmvResult
 spmvVectorCsb(Machine &m, const Csb &a, const DenseVector &x)
 {
-    return spmvVectorCsbAt(m, a, uploadCsb(m, a), x);
-}
-
-SpmvResult
-spmvVectorCsbAt(Machine &m, const Csb &a, const CsbImage &img,
-                const DenseVector &x)
-{
-    return spmvCsbRun(m, BackendKind::Base, a, img, x);
+    return spmvWhole(m, spmvCsbBody(BackendKind::Base), a,
+                     uploadCsb(m, a), x);
 }
 
 SpmvResult
@@ -521,7 +584,7 @@ SpmvResult
 spmvViaCsrAt(Machine &m, const Csr &a, const CsrImage &img,
              const DenseVector &x)
 {
-    return spmvCsrRun(m, BackendKind::Via, a, img, x);
+    return spmvWhole(m, spmvCsrBody(BackendKind::Via), a, img, x);
 }
 
 void
@@ -529,149 +592,6 @@ spmvGatherCsrRows(Machine &m, CsrOp &op, CoreState &, Index lo,
                   Index hi)
 {
     csrRows(m, op, false, lo, hi);
-}
-
-SpmvResult
-spmvViaSpc5(Machine &m, const Spc5 &a, const DenseVector &x)
-{
-    return spmvViaSpc5At(m, a, uploadSpc5(m, a), x);
-}
-
-SpmvResult
-spmvViaSpc5At(Machine &m, const Spc5 &a, const Spc5Image &img,
-              const DenseVector &x)
-{
-    SpmvOp<Spc5, Spc5Image> xy(m, a, img, x);
-    Addr values = img.values;
-    Addr brow = img.blockRow;
-    Addr bcol = img.blockCol;
-    Addr bmask = img.blockMask;
-
-    const int vl = int(m.vl());
-    via_assert(a.window() == Index(vl),
-               "SPC5 window must equal the vector length");
-
-    // y accumulators live in the SSPM, segmented over the rows.
-    auto seg_rows = Index(m.sspm().config().sramEntries());
-
-    VReg v_packed{0}, v_val{1}, v_x{2}, v_prod{3}, v_rowb{4},
-        v_idx{5}, v_out{6};
-    SReg s_hdr{1}, s_b{0}, s_i{2};
-
-    Index seg_base = 0;
-    m.vidxClear();
-
-    auto flush_segment = [&](Index upto) {
-        // Drain SSPM accumulators [seg_base, upto) to memory.
-        for (Index i = seg_base; i < upto; i += vl) {
-            int n = std::min<Index>(vl, upto - i);
-            m.viotaI(v_idx, i - seg_base);
-            m.vidxMov(v_out, v_idx, n);
-            m.vstore(xy.y + 4 * Addr(i), v_out, VT, n, s_i);
-            m.salu(s_i, i + vl, s_i);
-            m.sbranch(s_i);
-        }
-        m.vidxClear();
-    };
-
-    for (std::size_t b = 0; b < a.numBlocks(); ++b) {
-        Index row = a.blockRow()[b];
-        if (row >= seg_base + seg_rows) {
-            flush_segment(std::min(seg_base + seg_rows, a.rows()));
-            seg_base += seg_rows;
-            while (row >= seg_base + seg_rows)
-                seg_base += seg_rows; // empty segments
-        }
-        m.sload(s_hdr, brow + 4 * Addr(b), 4);
-        m.sload(s_hdr, bcol + 4 * Addr(b), 4);
-        m.sload(s_hdr, bmask + 4 * Addr(b), 4);
-
-        Index first = a.blockCol()[b];
-        Index v0 = a.blockPtr()[b];
-        Index packed = a.blockPtr()[b + 1] - v0;
-
-        m.vload(v_packed, values + 4 * Addr(v0), VT, int(packed));
-        m.vexpandMask(v_val, v_packed, a.blockMask()[b], vl, s_hdr);
-        int n = int(std::min<Index>(vl, a.cols() - first));
-        m.vload(v_x, xy.x + 4 * Addr(first), VT, n);
-        m.vmulF(v_prod, v_val, v_x, n);
-        // Accumulate the block's partials straight into the SSPM
-        // slot of this row: no reduce, no y re-load.
-        m.vbroadcastI(v_rowb, row - seg_base);
-        m.vidxAddD(v_prod, v_rowb, ViaOut::Sspm, v_out, 0, n);
-        m.salu(s_b, Index(b) + 1, s_b);
-        m.sbranch(s_b);
-    }
-    flush_segment(std::min(seg_base + seg_rows, a.rows()));
-
-    return SpmvResult{xy.readY(m), m.cycles()};
-}
-
-SpmvResult
-spmvViaSell(Machine &m, const SellCSigma &a, const DenseVector &x)
-{
-    return spmvViaSellAt(m, a, uploadSell(m, a), x);
-}
-
-SpmvResult
-spmvViaSellAt(Machine &m, const SellCSigma &a, const SellImage &img,
-              const DenseVector &x)
-{
-    SpmvOp<SellCSigma, SellImage> xy(m, a, img, x);
-    Addr col_idx = img.colIdx;
-    Addr values = img.values;
-    Addr chunk_ptr = img.chunkPtr;
-    Addr row_perm = img.rowPerm;
-
-    const int vl = int(m.vl());
-    via_assert(a.c() == Index(vl), "chunk height mismatch");
-    bool x_fits =
-        std::uint64_t(a.cols()) <= m.sspm().config().sramEntries();
-
-    VReg v_val{0}, v_col{1}, v_x{2}, v_acc{3}, v_rows{4}, v_idx{5},
-        v_prod{6};
-    SReg s_w{1}, s_j{0}, s_ch{7}, s_i{2};
-
-    if (x_fits) {
-        m.vidxClear();
-        for (Index i = 0; i < a.cols(); i += vl) {
-            int n = std::min<Index>(vl, a.cols() - i);
-            m.vload(v_x, xy.x + 4 * Addr(i), VT, n);
-            m.viotaI(v_idx, i);
-            m.vidxLoadD(v_x, v_idx, n);
-            m.salu(s_i, i + vl, s_i);
-            m.sbranch(s_i);
-        }
-    }
-
-    for (Index ch = 0; ch < a.numChunks(); ++ch) {
-        m.sload(s_w, chunk_ptr + 4 * (Addr(ch) + 1), 4);
-        m.vbroadcastF(v_acc, 0.0);
-        Index base = a.chunkPtr()[std::size_t(ch)];
-        Index width = a.chunkWidth()[std::size_t(ch)];
-        int lanes = int(std::min<Index>(vl, a.rows() - ch * vl));
-        for (Index j = 0; j < width; ++j) {
-            Addr slice = 4 * Addr(base + j * vl);
-            m.vload(v_val, values + slice, VT, lanes);
-            m.vload(v_col, col_idx + slice, IT, lanes);
-            if (x_fits) {
-                m.vidxMulD(v_val, v_col, ViaOut::Vrf, v_prod, 0,
-                           lanes);
-            } else {
-                m.vgather(v_x, xy.x, v_col, VT, lanes);
-                m.vmulF(v_prod, v_val, v_x, lanes);
-            }
-            m.vaddF(v_acc, v_acc, v_prod, lanes);
-            m.salu(s_j, j + 1, s_j);
-            m.sbranch(s_j);
-        }
-        m.vload(v_rows, row_perm + 4 * Addr(ch) * Addr(vl), IT,
-                lanes);
-        m.vscatter(xy.y, v_rows, v_acc, VT, lanes);
-        m.salu(s_ch, ch + 1, s_ch);
-        m.sbranch(s_ch);
-    }
-    return SpmvResult{xy.readY(m), m.cycles()};
 }
 
 SpmvResult
@@ -684,7 +604,7 @@ SpmvResult
 spmvViaCsbAt(Machine &m, const Csb &a, const CsbImage &img,
              const DenseVector &x)
 {
-    return spmvCsbRun(m, BackendKind::Via, a, img, x);
+    return spmvWhole(m, spmvCsbBody(BackendKind::Via), a, img, x);
 }
 
 } // namespace via::kernels

@@ -17,6 +17,10 @@
  *                           y partials — the store-load forwarding
  *                           pattern Section II-C describes)
  *   - VIA CSR / SPC5 / Sell-C-sigma / CSB (Section IV)
+ *
+ * The vector and VIA variants of every format are range bodies
+ * (kernels/ranges.hh); SPC5 and Sell-C-sigma are reached by format
+ * name through kernels/dispatch.hh (spmvBaseline, spmvAccel).
  */
 
 #ifndef VIA_KERNELS_SPMV_HH
@@ -43,10 +47,6 @@ SpmvResult spmvScalarCsr(Machine &m, const Csr &a,
                          const DenseVector &x);
 SpmvResult spmvVectorCsr(Machine &m, const Csr &a,
                          const DenseVector &x);
-SpmvResult spmvVectorSpc5(Machine &m, const Spc5 &a,
-                          const DenseVector &x);
-SpmvResult spmvVectorSell(Machine &m, const SellCSigma &a,
-                          const DenseVector &x);
 SpmvResult spmvVectorCsb(Machine &m, const Csb &a,
                          const DenseVector &x);
 /**
@@ -57,10 +57,6 @@ SpmvResult spmvScalarCsb(Machine &m, const Csb &a,
                          const DenseVector &x);
 
 SpmvResult spmvViaCsr(Machine &m, const Csr &a, const DenseVector &x);
-SpmvResult spmvViaSpc5(Machine &m, const Spc5 &a,
-                       const DenseVector &x);
-SpmvResult spmvViaSell(Machine &m, const SellCSigma &a,
-                       const DenseVector &x);
 SpmvResult spmvViaCsb(Machine &m, const Csb &a, const DenseVector &x);
 
 /**
@@ -110,18 +106,6 @@ SpmvResult spmvVectorCsrAt(Machine &m, const Csr &a,
                            const CsrImage &img, const DenseVector &x);
 SpmvResult spmvViaCsrAt(Machine &m, const Csr &a, const CsrImage &img,
                         const DenseVector &x);
-SpmvResult spmvVectorSpc5At(Machine &m, const Spc5 &a,
-                            const Spc5Image &img,
-                            const DenseVector &x);
-SpmvResult spmvViaSpc5At(Machine &m, const Spc5 &a,
-                         const Spc5Image &img, const DenseVector &x);
-SpmvResult spmvVectorSellAt(Machine &m, const SellCSigma &a,
-                            const SellImage &img,
-                            const DenseVector &x);
-SpmvResult spmvViaSellAt(Machine &m, const SellCSigma &a,
-                         const SellImage &img, const DenseVector &x);
-SpmvResult spmvVectorCsbAt(Machine &m, const Csb &a,
-                           const CsbImage &img, const DenseVector &x);
 SpmvResult spmvViaCsbAt(Machine &m, const Csb &a, const CsbImage &img,
                         const DenseVector &x);
 

@@ -14,6 +14,16 @@ namespace
 constexpr ElemType VT = ElemType::F32;
 constexpr ElemType IT = ElemType::I32;
 
+/** Bind stream 0 to the values and stream 1 to x indirect through
+ *  the column indices, both from element @p k0 on. */
+template <typename Op>
+void
+bindMacStreams(Machine &m, const Op &op, Index k0)
+{
+    m.ssrBindAffine(0, op.img.values + 4 * Addr(k0), VT);
+    m.ssrBindIndirect(1, op.img.colIdx + 4 * Addr(k0), IT, op.x, VT);
+}
+
 } // namespace
 
 void
@@ -22,117 +32,30 @@ spmvSsrCsrRows(Machine &m, CsrOp &op, CoreState &core, Index lo,
 {
     // CSR walks values and colIdx contiguously across rows, so one
     // bind pair amortizes the stream setup over a core's contiguous
-    // rows: stream 0 delivers the values, stream 1 gathers x through
-    // the column indices, and ssr.fma consumes both.
-    if (rebind(core, lo)) {
-        const Addr k0 = 4 * Addr(op.a.rowPtr()[std::size_t(lo)]);
-        m.ssrBindAffine(0, op.img.values + k0, VT);
-        m.ssrBindIndirect(1, op.img.colIdx + k0, IT, op.x, VT);
-    }
+    // rows, and ssr.fma consumes both streams.
+    if (rebind(core, lo))
+        bindMacStreams(m, op, op.a.rowPtr()[std::size_t(lo)]);
     core.next = hi;
     VReg v_acc{3};
     csrRowLoop(m, op, lo, hi,
                [&](Index, int n) { m.ssrFma(v_acc, 0, 1, n); });
 }
 
-SpmvResult
-spmvSsrSpc5At(Machine &m, const Spc5 &a, const Spc5Image &img,
-              const DenseVector &x)
+void
+spmvSsrSellRows(Machine &m, SellOp &op, CoreState &core, Index lo,
+                Index hi)
 {
-    SpmvOp<Spc5, Spc5Image> xy(m, a, img, x);
-    Addr brow = img.blockRow;
-    Addr bcol = img.blockCol;
-    Addr bmask = img.blockMask;
-
+    // SELL stores its chunks back to back, so the same bind pair
+    // covers a core's contiguous chunks. Slices advance by a fixed vl
+    // stride even when the last chunk has fewer live lanes, so the
+    // streams pop with advance = vl.
+    if (rebind(core, lo))
+        bindMacStreams(m, op, op.a.chunkPtr()[std::size_t(lo)]);
+    core.next = hi;
     const int vl = int(m.vl());
-    via_assert(a.window() == Index(vl),
-               "SPC5 window must equal the vector length");
-
-    VReg v_packed{0}, v_val{1}, v_x{2}, v_acc{3};
-    SReg s_hdr{1}, s_acc{5}, s_b{0}, s_row{7};
-
-    // The packed values are consumed in block order — one affine
-    // stream replaces every values load. x stays unit-stride per
-    // block (ordinary vload), which is SPC5's selling point.
-    m.ssrBindAffine(0, img.values, VT);
-
-    Index cur_row = -1;
-    bool acc_live = false;
-
-    auto flush_row = [&](Index row) {
-        m.vredsumF(s_acc, v_acc);
-        m.sloadF(s_row, xy.y + 4 * Addr(row), VT);
-        m.sfadd(s_acc, s_acc, s_row);
-        m.sstoreF(xy.y + 4 * Addr(row), s_acc, VT);
-    };
-
-    for (std::size_t b = 0; b < a.numBlocks(); ++b) {
-        Index row = a.blockRow()[b];
-        if (row != cur_row) {
-            if (acc_live)
-                flush_row(cur_row);
-            m.vbroadcastF(v_acc, 0.0);
-            cur_row = row;
-            acc_live = true;
-        }
-        m.sload(s_hdr, brow + 4 * Addr(b), 4);
-        m.sload(s_hdr, bcol + 4 * Addr(b), 4);
-        m.sload(s_hdr, bmask + 4 * Addr(b), 4);
-
-        Index first = a.blockCol()[b];
-        Index v0 = a.blockPtr()[b];
-        Index packed = a.blockPtr()[b + 1] - v0;
-
-        m.ssrPopV(v_packed, 0, int(packed));
-        m.vexpandMask(v_val, v_packed, a.blockMask()[b], vl, s_hdr);
-        int n = int(std::min<Index>(vl, a.cols() - first));
-        m.vload(v_x, xy.x + 4 * Addr(first), VT, n);
-        m.vfmaF(v_acc, v_val, v_x, v_acc, n);
-        m.salu(s_b, Index(b) + 1, s_b);
-        m.sbranch(s_b);
-    }
-    if (acc_live)
-        flush_row(cur_row);
-
-    return SpmvResult{xy.readY(m), m.cycles()};
-}
-
-SpmvResult
-spmvSsrSellAt(Machine &m, const SellCSigma &a, const SellImage &img,
-              const DenseVector &x)
-{
-    SpmvOp<SellCSigma, SellImage> xy(m, a, img, x);
-    Addr chunk_ptr = img.chunkPtr;
-    Addr row_perm = img.rowPerm;
-
-    const int vl = int(m.vl());
-    via_assert(a.c() == Index(vl), "chunk height mismatch");
-
-    VReg v_acc{3}, v_rows{4};
-    SReg s_w{1}, s_j{0}, s_ch{7};
-
-    // Slices advance by a fixed vl stride even when the last chunk
-    // has fewer live lanes, so the streams pop with advance = vl.
-    m.ssrBindAffine(0, img.values, VT);
-    m.ssrBindIndirect(1, img.colIdx, IT, xy.x, VT);
-
-    for (Index ch = 0; ch < a.numChunks(); ++ch) {
-        m.sload(s_w, chunk_ptr + 4 * (Addr(ch) + 1), 4);
-        m.vbroadcastF(v_acc, 0.0);
-        Index width = a.chunkWidth()[std::size_t(ch)];
-        int lanes = int(std::min<Index>(vl, a.rows() - ch * vl));
-        for (Index j = 0; j < width; ++j) {
-            m.ssrFma(v_acc, 0, 1, lanes, vl);
-            m.salu(s_j, j + 1, s_j);
-            m.sbranch(s_j);
-        }
-        m.vload(v_rows, row_perm + 4 * Addr(ch) * Addr(vl), IT,
-                lanes);
-        m.vscatter(xy.y, v_rows, v_acc, VT, lanes);
-        m.salu(s_ch, ch + 1, s_ch);
-        m.sbranch(s_ch);
-    }
-    return SpmvResult{xy.readY(m), m.cycles()};
+    VReg v_acc{3};
+    sellChunkLoop(m, op, lo, hi,
+                  [&](Index, int n) { m.ssrFma(v_acc, 0, 1, n, vl); });
 }
 
 void

@@ -109,11 +109,6 @@ TableServiceModel
 measureMultiCore(const std::vector<RequestClass> &mix,
                  const ExecutorConfig &cfg)
 {
-    for (const RequestClass &c : mix)
-        if (c.format != "csr" && c.format != "csb")
-            via_fatal("class ", c.name(), ": only csr and csb are "
-                      "servable with cores > 1");
-
     SweepExecutor exec(cfg.threads);
     std::size_t points = mix.size() * cfg.batchMax;
     struct Point

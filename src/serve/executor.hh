@@ -16,8 +16,8 @@
  * Multi-core path (cores=N): MultiMachine cannot checkpoint (the
  * shared LLC carries unserializable in-flight analytic state), so
  * each (class, n) point builds a fresh machine, warms it with one
- * parallel run, and measures n more runs. Only csr and csb classes
- * are servable multi-core (kernels::spmvParallel's formats), and
+ * parallel run, and measures n more runs. Every SpMV format is
+ * servable multi-core (kernels::spmvParallel runs them all), but
  * because the parallel kernels re-upload per run, multi-core
  * batches amortize scheduling only, not residency — the documented
  * PR-6 limitation.
@@ -64,8 +64,7 @@ struct ExecutorConfig
 
 /**
  * Measure cost/energy for every (class, batch size in 1..batchMax)
- * pair. Fatal when a class cannot run on the requested machine
- * (non-csr/csb formats with cores > 1).
+ * pair. Fatal when a class names an unknown SpMV format.
  */
 TableServiceModel measureServiceTable(
     const std::vector<RequestClass> &mix, const ExecutorConfig &cfg);

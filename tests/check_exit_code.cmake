@@ -3,12 +3,13 @@
 # options-contract smoke tests (help=1 -> 0, unknown key -> 2) go
 # through this script instead. With -DEMPTY_STDOUT=1 the binary must
 # also print nothing on stdout (a usage error caught before any work),
-# and with -DSTDERR_MATCH=<regex> its stderr must match the regex.
+# and with -DSTDOUT_MATCH=<regex> or -DSTDERR_MATCH=<regex> that
+# stream must match the regex.
 #
 # Usage:
 #   cmake -DBIN=<path> -DARGS=<space-separated args> -DEXPECT=<code>
-#         [-DEMPTY_STDOUT=1] [-DSTDERR_MATCH=<regex>]
-#         -P check_exit_code.cmake
+#         [-DEMPTY_STDOUT=1] [-DSTDOUT_MATCH=<regex>]
+#         [-DSTDERR_MATCH=<regex>] -P check_exit_code.cmake
 separate_arguments(ARG_LIST UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND ${BIN} ${ARG_LIST}
                 RESULT_VARIABLE rc
@@ -20,6 +21,11 @@ endif()
 if(EMPTY_STDOUT AND NOT out STREQUAL "")
     message(FATAL_ERROR
             "${BIN} ${ARGS}: expected no stdout, got:\n${out}")
+endif()
+if(DEFINED STDOUT_MATCH AND NOT out MATCHES "${STDOUT_MATCH}")
+    message(FATAL_ERROR
+            "${BIN} ${ARGS}: stdout does not match "
+            "'${STDOUT_MATCH}':\n${out}")
 endif()
 if(DEFINED STDERR_MATCH AND NOT err MATCHES "${STDERR_MATCH}")
     message(FATAL_ERROR

@@ -12,6 +12,7 @@
 #include <tuple>
 
 #include "cpu/machine.hh"
+#include "kernels/dispatch.hh"
 #include "kernels/histogram.hh"
 #include "kernels/reference.hh"
 #include "kernels/spma.hh"
@@ -104,11 +105,9 @@ TEST(KernelCorners, ViaSellFallsBackToGathersWhenXTooBig)
     Machine m(p);
     Rng rng(5);
     Csr a = genUniform(64, 2048, 0.01, rng);
-    auto vl = Index(m.vl());
-    SellCSigma s = SellCSigma::fromCsr(a, vl, 4 * vl);
     DenseVector x = randomVector(a.cols(), rng);
-    EXPECT_TRUE(
-        allClose(kernels::spmvViaSell(m, s, x).y, a.multiply(x)));
+    EXPECT_TRUE(allClose(kernels::spmvAccel(m, a, x, "sell").y,
+                         a.multiply(x)));
     EXPECT_GT(m.core().stats().gatherElements, 0u);
 }
 
@@ -122,10 +121,9 @@ TEST(KernelCorners, ViaSpc5SegmentsTallMatrices)
     Csr a = genUniform(2048, 256, 0.01, rng);
     ASSERT_GT(std::uint64_t(a.rows()),
               m.sspm().config().sramEntries());
-    Spc5 s = Spc5::fromCsr(a, Index(m.vl()));
     DenseVector x = randomVector(a.cols(), rng);
-    EXPECT_TRUE(
-        allClose(kernels::spmvViaSpc5(m, s, x).y, a.multiply(x)));
+    EXPECT_TRUE(allClose(kernels::spmvAccel(m, a, x, "spc5").y,
+                         a.multiply(x)));
 }
 
 TEST(KernelCorners, OneByOneMatrixWorksEverywhere)

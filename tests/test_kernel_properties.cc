@@ -12,6 +12,7 @@
 #include <tuple>
 
 #include "cpu/machine.hh"
+#include "kernels/dispatch.hh"
 #include "kernels/spmv.hh"
 #include "simcore/rng.hh"
 #include "sparse/generators.hh"
@@ -75,16 +76,13 @@ TEST_P(SpmvProperty, AllVariantsMatchGolden)
     }
     {
         Machine m(params);
-        auto vl = Index(m.vl());
-        SellCSigma s = SellCSigma::fromCsr(a, vl, 4 * vl);
-        EXPECT_TRUE(allClose(
-            kernels::spmvViaSell(m, s, x).y, golden));
+        EXPECT_TRUE(
+            allClose(kernels::spmvAccel(m, a, x, "sell").y, golden));
     }
     {
         Machine m(params);
-        Spc5 s = Spc5::fromCsr(a, Index(m.vl()));
-        EXPECT_TRUE(allClose(
-            kernels::spmvViaSpc5(m, s, x).y, golden));
+        EXPECT_TRUE(
+            allClose(kernels::spmvAccel(m, a, x, "spc5").y, golden));
     }
 }
 

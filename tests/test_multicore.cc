@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "cpu/multi_machine.hh"
+#include "kernels/dispatch.hh"
 #include "kernels/parallel.hh"
 #include "kernels/reference.hh"
 #include "mem/mem_system.hh"
@@ -256,7 +257,7 @@ TEST(ParallelKernels, SpmvMatchesGolden)
         for (unsigned cores : {2u, 3u}) {
             for (Partition part :
                  {Partition::Static, Partition::Steal}) {
-                for (const char *fmt : {"csr", "csb"}) {
+                for (const std::string &fmt : kernels::spmvFormats()) {
                     for (bool accel : {false, true}) {
                         MultiMachine mm(smallParams(kind), cores);
                         auto res = kernels::spmvParallel(

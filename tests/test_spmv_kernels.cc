@@ -87,9 +87,8 @@ TEST(SpmvKernels, VectorSpc5MatchesGolden)
     Rng rng(8);
     for (const auto &c : smallCases()) {
         Machine m(defaultParams());
-        Spc5 a = Spc5::fromCsr(c.matrix, Index(m.vl()));
         DenseVector x = randomVector(c.matrix.cols(), rng);
-        auto res = kernels::spmvVectorSpc5(m, a, x);
+        auto res = kernels::spmvBaseline(m, c.matrix, x, "spc5");
         EXPECT_TRUE(allClose(res.y, c.matrix.multiply(x)))
             << "spc5 wrong on " << c.name;
     }
@@ -100,9 +99,8 @@ TEST(SpmvKernels, ViaSpc5MatchesGolden)
     Rng rng(9);
     for (const auto &c : smallCases()) {
         Machine m(defaultParams());
-        Spc5 a = Spc5::fromCsr(c.matrix, Index(m.vl()));
         DenseVector x = randomVector(c.matrix.cols(), rng);
-        auto res = kernels::spmvViaSpc5(m, a, x);
+        auto res = kernels::spmvAccel(m, c.matrix, x, "spc5");
         EXPECT_TRUE(allClose(res.y, c.matrix.multiply(x)))
             << "via-spc5 wrong on " << c.name;
     }
@@ -113,10 +111,8 @@ TEST(SpmvKernels, VectorSellMatchesGolden)
     Rng rng(10);
     for (const auto &c : smallCases()) {
         Machine m(defaultParams());
-        auto vl = Index(m.vl());
-        SellCSigma a = SellCSigma::fromCsr(c.matrix, vl, 4 * vl);
         DenseVector x = randomVector(c.matrix.cols(), rng);
-        auto res = kernels::spmvVectorSell(m, a, x);
+        auto res = kernels::spmvBaseline(m, c.matrix, x, "sell");
         EXPECT_TRUE(allClose(res.y, c.matrix.multiply(x)))
             << "sell wrong on " << c.name;
     }
@@ -127,10 +123,8 @@ TEST(SpmvKernels, ViaSellMatchesGolden)
     Rng rng(11);
     for (const auto &c : smallCases()) {
         Machine m(defaultParams());
-        auto vl = Index(m.vl());
-        SellCSigma a = SellCSigma::fromCsr(c.matrix, vl, 4 * vl);
         DenseVector x = randomVector(c.matrix.cols(), rng);
-        auto res = kernels::spmvViaSell(m, a, x);
+        auto res = kernels::spmvAccel(m, c.matrix, x, "sell");
         EXPECT_TRUE(allClose(res.y, c.matrix.multiply(x)))
             << "via-sell wrong on " << c.name;
     }

@@ -81,7 +81,7 @@ main(int argc, char **argv)
 
     const auto cores = unsigned(cfg.getUInt("cores", 1));
     const kernels::KernelSpec &spec =
-        kernels::selectKernel(opts, opts.getString("kernel"), cores);
+        kernels::selectKernel(opts, opts.getString("kernel"));
     MachineParams params = machineParamsFrom(cfg);
 
     // The input and its golden are built once here, so every rewind

@@ -14,8 +14,8 @@
  *
  * Kernels (kernels/registry.hh): spmv | spma | spmm | histogram |
  * stencil. An unknown kernel, a format= the kernel has no variant
- * for at the run's core count, or an unknown partition= is a usage
- * error (exit 2), caught before any input is built. An input the
+ * for, or an unknown partition= is a usage error (exit 2), caught
+ * before any input is built. An input the
  * VIA kernel cannot run (an SpMM row that overflows the CAM) exits
  * 1 as soon as it is built, before any baseline is simulated;
  * sweep=1 instead reports each such configuration as skipped.
@@ -630,7 +630,7 @@ main(int argc, char **argv)
     }
     auto cores = unsigned(cfg.getUInt("cores", 1));
     const kernels::KernelSpec &spec =
-        kernels::selectKernel(opts, kernel, cores);
+        kernels::selectKernel(opts, kernel);
 
     if (cfg.getBool("debug", false))
         setLogLevel(LogLevel::Debug);

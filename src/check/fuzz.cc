@@ -208,7 +208,7 @@ fuzzSpmv(const SeedCtx &ctx, const MachineParams &params, Rng &rng)
     }
     if (ctx.opts.cores > 1) {
         kernels::Partition part = seedPartition(ctx.seed);
-        for (std::string fmt : {"csr", "csb"}) {
+        for (const std::string &fmt : kernels::spmvFormats()) {
             for (bool accel : {false, true}) {
                 if (!runOneMulti(
                         ctx, params, "spmv",

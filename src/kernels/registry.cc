@@ -325,7 +325,7 @@ addInputOptions(Options &opts, std::uint64_t px, bool stream)
                    "spmv sparse format: csr|spc5|sell|csb")
         .addUInt("keys", 16384, "histogram input size", 1)
         .addUInt("buckets", 1024, "histogram buckets", 1)
-        .addUInt("px", px, "stencil image side", 1);
+        .addUInt("px", px, "stencil image side", 4);
     if (stream)
         opts.addFlag("stream",
                      "stream the input with no triplet intermediates "

@@ -102,7 +102,8 @@ const std::vector<KernelSpec> &kernelRegistry();
 /**
  * Register the input keys the builders read: mtx=/matrix=, rows=,
  * density=, family=, seed=, format=, keys=, buckets=, px= (default
- * @p px) and, with @p stream, stream=.
+ * @p px; at least 4, the stencil filter's side) and, with @p stream,
+ * stream=.
  */
 void addInputOptions(Options &opts, std::uint64_t px, bool stream);
 

@@ -109,11 +109,13 @@ Csr
 genUniform(Index rows, Index cols, double density, Rng &rng)
 {
     via_assert(rows > 0 && cols > 0, "bad shape");
-    via_assert(density > 0.0 && density <= 1.0, "bad density ",
+    via_assert(density >= 0.0 && density <= 1.0, "bad density ",
                density);
+    Coo coo(rows, cols);
+    if (density == 0.0)
+        return Csr::fromCoo(std::move(coo));
     // Sample nnz positions without materializing the dense grid:
     // geometric skipping over the linearized index space.
-    Coo coo(rows, cols);
     double total = double(rows) * double(cols);
     auto target = std::size_t(total * density);
     double skip_mean = total / double(std::max<std::size_t>(target,

@@ -25,7 +25,8 @@ namespace via
  */
 Csr genBanded(Index n, Index bandwidth, double fill, Rng &rng);
 
-/** Uniformly random: each position non-zero with prob `density`. */
+/** Uniformly random: each position non-zero with prob `density`
+ *  (0 gives the empty matrix). */
 Csr genUniform(Index rows, Index cols, double density, Rng &rng);
 
 /**

@@ -4,10 +4,11 @@
 #
 #   <sha256 of stdout> <exit code> <binary> [<arguments ...>]
 #
-# tools/goldens/drivers.sha256 pins via_sim, via_db and via_fuzz:
-# every kernel on every backend, the cores>1, functional, sampled
-# and sweep paths, each synthetic family and input loader, the
-# debugger at one and two cores, the fuzzer, and each driver's
+# tools/goldens/drivers.sha256 pins via_sim, via_db, via_fuzz and
+# via_serve: every kernel on every backend, every SpMV format at
+# cores>1, the functional, sampled and sweep paths, each synthetic
+# family and input loader, the debugger at one and two cores, the
+# fuzzer, the serving table at one and two cores, and each driver's
 # help=1 table (which pins the option set).
 # tools/goldens/bench.sha256 pins the bench/ harnesses the same way:
 # each figure and ablation at a small size, fig10_spmv on every

@@ -27,7 +27,7 @@
  *   seed=S          traffic + matrix seed          (default 1)
  *
  * Execution:
- *   cores=N, partition=, llc_banks=   multi-core machine (csr/csb)
+ *   cores=N, partition=, llc_banks=   multi-core machine
  *   machine keys (sspm_kb=, rob=, ...) as in via_sim
  *   warm_dir=PATH   round-trip warm images through this directory
  *                   (cores=1; exercises the checkpoint-cache disk

@@ -24,19 +24,37 @@ xFits(const Machine &m, Index cols)
     return std::uint64_t(cols) <= m.sspm().config().sramEntries();
 }
 
-/** Stage x[0, cols) into the SSPM (its index vector in @p v_idx). */
+/** Stage x[lo, hi) into SSPM entries [0, hi - lo), through the
+ *  index register @p v_idx. */
 void
-stageX(Machine &m, Addr x, Index cols, VReg v_idx)
+stageX(Machine &m, Addr x, Index lo, Index hi, VReg v_idx)
 {
     const int vl = int(m.vl());
     VReg v_x{2};
     SReg s_i{2};
-    m.vidxClear();
-    for (Index i = 0; i < cols; i += vl) {
-        int n = std::min<Index>(vl, cols - i);
+    for (Index i = lo; i < hi; i += vl) {
+        int n = std::min<Index>(vl, hi - i);
         m.vload(v_x, x + 4 * Addr(i), VT, n);
-        m.viotaI(v_idx, i);
+        m.viotaI(v_idx, i - lo);
         m.vidxLoadD(v_x, v_idx, n);
+        m.salu(s_i, i + vl, s_i);
+        m.sbranch(s_i);
+    }
+}
+
+/** Drain SSPM entries from @p off on into y[lo, hi), through
+ *  @p v_idx and @p v_out. */
+void
+drainY(Machine &m, Addr y, Index lo, Index hi, std::int64_t off,
+       VReg v_idx, VReg v_out)
+{
+    const int vl = int(m.vl());
+    SReg s_i{2};
+    for (Index i = lo; i < hi; i += vl) {
+        int n = std::min<Index>(vl, hi - i);
+        m.viotaI(v_idx, off + (i - lo));
+        m.vidxMov(v_out, v_idx, n);
+        m.vstore(y + 4 * Addr(i), v_out, VT, n, s_i);
         m.salu(s_i, i + vl, s_i);
         m.sbranch(s_i);
     }
@@ -92,8 +110,10 @@ vectorCsrRows(Machine &m, CsrOp &op, CoreState &, Index lo, Index hi)
 void
 viaCsrSetup(Machine &m, CsrOp &op, CoreState &, Index)
 {
-    if (xFits(m, op.a.cols()))
-        stageX(m, op.x, op.a.cols(), VReg{4});
+    if (!xFits(m, op.a.cols()))
+        return;
+    m.vidxClear();
+    stageX(m, op.x, 0, op.a.cols(), VReg{4});
 }
 
 void
@@ -159,8 +179,8 @@ viaCsbRows(Machine &m, CsbOp &op, CoreState &, Index lo, Index hi)
                "CSB block side ", beta, " does not fit the SSPM; "
                "use viaCsbBeta()");
 
-    VReg v_idx{0}, v_val{1}, v_x{2}, v_out{3};
-    SReg s_end{1}, s_k{0}, s_b{7}, s_i{2};
+    VReg v_idx{0}, v_val{1}, v_out{3};
+    SReg s_end{1}, s_k{0}, s_b{7};
 
     const Index bcols = a.blockCols();
     // y accumulators live at SSPM[beta ..), x chunks at SSPM[0..beta).
@@ -180,16 +200,9 @@ viaCsbRows(Machine &m, CsbOp &op, CoreState &, Index lo, Index hi)
                 continue;
             }
             // Algorithm 4 lines 4-8: stage this block's x chunk.
-            Index col_lo = bc * beta;
-            Index col_hi = std::min<Index>(col_lo + beta, a.cols());
-            for (Index i = col_lo; i < col_hi; i += vl) {
-                int n = std::min<Index>(vl, col_hi - i);
-                m.vload(v_x, op.x + 4 * Addr(i), VT, n);
-                m.viotaI(v_idx, i - col_lo);
-                m.vidxLoadD(v_x, v_idx, n);
-                m.salu(s_i, i + vl, s_i);
-                m.sbranch(s_i);
-            }
+            const Index col_lo = bc * beta;
+            stageX(m, op.x, col_lo,
+                   std::min<Index>(col_lo + beta, a.cols()), v_idx);
             // Algorithm 4 lines 11-15: multiply-accumulate blocks.
             for (Index k = k_lo; k < end; k += vl) {
                 int n = std::min<Index>(vl, end - k);
@@ -203,14 +216,7 @@ viaCsbRows(Machine &m, CsbOp &op, CoreState &, Index lo, Index hi)
             m.sbranch(s_b);
         }
         // Drain the accumulators for this block row, then reset.
-        for (Index i = row_lo; i < row_hi; i += vl) {
-            int n = std::min<Index>(vl, row_hi - i);
-            m.viotaI(v_idx, y_off + (i - row_lo));
-            m.vidxMov(v_out, v_idx, n);
-            m.vstore(op.y + 4 * Addr(i), v_out, VT, n, s_i);
-            m.salu(s_i, i + vl, s_i);
-            m.sbranch(s_i);
-        }
+        drainY(m, op.y, row_lo, row_hi, y_off, v_idx, v_out);
         m.vidxClearSegment(std::uint64_t(y_off),
                            std::uint64_t(y_off + beta));
     }
@@ -317,20 +323,11 @@ spc5Rows(Machine &m, Spc5Op &op, CoreState &core, Index lo, Index hi)
 void
 viaSpc5Rows(Machine &m, Spc5Op &op, CoreState &, Index lo, Index hi)
 {
-    const int vl = int(m.vl());
     const auto seg_rows = Index(m.sspm().config().sramEntries());
     VReg v_val{1}, v_x{2}, v_prod{3}, v_rowb{4}, v_idx{5}, v_out{6};
-    SReg s_i{2};
     Index seg_base = lo;
     auto drain = [&](Index upto) {
-        for (Index i = seg_base; i < upto; i += vl) {
-            int n = std::min<Index>(vl, upto - i);
-            m.viotaI(v_idx, i - seg_base);
-            m.vidxMov(v_out, v_idx, n);
-            m.vstore(op.y + 4 * Addr(i), v_out, VT, n, s_i);
-            m.salu(s_i, i + vl, s_i);
-            m.sbranch(s_i);
-        }
+        drainY(m, op.y, seg_base, upto, 0, v_idx, v_out);
         m.vidxClear();
     };
     m.vidxClear();
@@ -360,8 +357,10 @@ vectorSellRows(Machine &m, SellOp &op, CoreState &, Index lo, Index hi)
 void
 viaSellSetup(Machine &m, SellOp &op, CoreState &, Index)
 {
-    if (xFits(m, op.a.cols()))
-        stageX(m, op.x, op.a.cols(), VReg{5});
+    if (!xFits(m, op.a.cols()))
+        return;
+    m.vidxClear();
+    stageX(m, op.x, 0, op.a.cols(), VReg{5});
 }
 
 void

@@ -33,11 +33,18 @@ namespace
 using kernels::Partition;
 using Stream = std::vector<std::uint64_t>;
 
-/** Records an FNV-1a hash of every committed instruction. Accesses
- *  inside [from, from + bytes) hash as if they were at @p to. */
+/** An array the hasher reads at @p to although it sits at @p from. */
+struct Relocation
+{
+    Addr from = 0, to = 0, bytes = 0;
+};
+
+/** Records an FNV-1a hash of every committed instruction. */
 class StreamHasher : public TimingObserver
 {
   public:
+    explicit StreamHasher(Relocation moved = {}) : _moved(moved) {}
+
     void
     onInstTiming(const Inst &inst, const InstTiming &) override
     {
@@ -52,8 +59,9 @@ class StreamHasher : public TimingObserver
             mix(std::uint64_t(std::int64_t(s)));
         for (std::uint8_t i = 0; i < inst.numAccesses; ++i) {
             const MemAccess &a = inst.accesses[i];
-            const bool moved = a.addr >= from && a.addr < from + bytes;
-            mix(moved ? a.addr - from + to : a.addr);
+            const bool moved = a.addr >= _moved.from &&
+                               a.addr < _moved.from + _moved.bytes;
+            mix(moved ? a.addr - _moved.from + _moved.to : a.addr);
             mix(a.bytes);
             mix(a.isWrite);
         }
@@ -65,8 +73,10 @@ class StreamHasher : public TimingObserver
 
     void onTimingReset() override {}
 
-    Addr from = 0, to = 0, bytes = 0;
     Stream stream;
+
+  private:
+    Relocation _moved;
 };
 
 MachineParams
@@ -93,8 +103,9 @@ singleStream(BackendKind kind, const std::function<void(Machine &)> &run)
 Stream
 parallelStream(BackendKind kind,
                const std::function<void(MultiMachine &)> &run,
-               StreamHasher hasher = {})
+               Relocation moved = {})
 {
+    StreamHasher hasher(moved);
     MultiMachine mm(paramsOf(kind), 1);
     mm.core(0).core().addTimingObserver(&hasher);
     run(mm);
@@ -191,7 +202,7 @@ TEST(StreamIdentity, HistogramAddsOnlyTheReduction)
         // that array is relocated before hashing.
         Machine probe(paramsOf(kind));
         kernels::upload(probe, keys);
-        StreamHasher moved;
+        Relocation moved;
         moved.to = kernels::allocValues(probe, std::size_t(buckets));
         moved.bytes = 4 * Addr(buckets);
         moved.from = moved.to + moved.bytes;

@@ -15,7 +15,8 @@
  * backend.
  *
  * A parallel run on one core emits the single-core instruction
- * stream, with three exceptions:
+ * stream, with three exceptions (tests/test_stream_identity.cc pins
+ * each by its instruction count):
  *   - the single-core SpMA and SpMM runners store c_ptr[0] (the
  *     CoreState::head store); the parallel runner does not;
  *   - the cores>1 vector CSR baseline is the VIA body with x

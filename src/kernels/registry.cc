@@ -79,7 +79,7 @@ loadMatrix(const Options &opts, Index rows, Rng &rng)
                       : genRmat(n2, target, rng);
     }
     if (family == "blocked")
-        return genBlocked(n, 16, std::sqrt(density),
+        return genBlocked(n, std::min<Index>(16, n), std::sqrt(density),
                           std::min(0.8, 8 * std::sqrt(density)),
                           rng);
     if (family == "diag")

@@ -274,12 +274,12 @@ PairImage
 uploadPair(Machine &m, const Csr &a, const Csr &b)
 {
     PairImage img;
-    img.aPtr = upload(m, a.rowPtr());
-    img.aIdx = upload(m, a.colIdx());
-    img.aVal = upload(m, a.values());
-    img.bPtr = upload(m, b.rowPtr());
-    img.bIdx = upload(m, b.colIdx());
-    img.bVal = upload(m, b.values());
+    img.aPtr = upload(m, a.storage(), a.rowPtr());
+    img.aIdx = upload(m, a.storage(), a.colIdx());
+    img.aVal = upload(m, a.storage(), a.values());
+    img.bPtr = upload(m, b.storage(), b.rowPtr());
+    img.bIdx = upload(m, b.storage(), b.colIdx());
+    img.bVal = upload(m, b.storage(), b.values());
     return img;
 }
 

@@ -271,12 +271,12 @@ PairImage
 uploadPair(Machine &m, const Csr &a, const Csc &b)
 {
     PairImage img;
-    img.aPtr = upload(m, a.rowPtr());
-    img.aIdx = upload(m, a.colIdx());
-    img.aVal = upload(m, a.values());
-    img.bPtr = upload(m, b.colPtr());
-    img.bIdx = upload(m, b.rowIdx());
-    img.bVal = upload(m, b.values());
+    img.aPtr = upload(m, a.storage(), a.rowPtr());
+    img.aIdx = upload(m, a.storage(), a.colIdx());
+    img.aVal = upload(m, a.storage(), a.values());
+    img.bPtr = upload(m, b.storage(), b.colPtr());
+    img.bIdx = upload(m, b.storage(), b.rowIdx());
+    img.bVal = upload(m, b.storage(), b.values());
     return img;
 }
 

@@ -441,9 +441,9 @@ CsrImage
 uploadCsr(Machine &m, const Csr &a)
 {
     CsrImage img;
-    img.rowPtr = upload(m, a.rowPtr());
-    img.colIdx = upload(m, a.colIdx());
-    img.values = upload(m, a.values());
+    img.rowPtr = upload(m, a.storage(), a.rowPtr());
+    img.colIdx = upload(m, a.storage(), a.colIdx());
+    img.values = upload(m, a.storage(), a.values());
     return img;
 }
 
@@ -451,10 +451,10 @@ Spc5Image
 uploadSpc5(Machine &m, const Spc5 &a)
 {
     Spc5Image img;
-    img.values = upload(m, a.values());
-    img.blockRow = upload(m, a.blockRow());
-    img.blockCol = upload(m, a.blockCol());
-    img.blockMask = upload(m, a.blockMask());
+    img.values = upload(m, a.storage(), a.values());
+    img.blockRow = upload(m, a.storage(), a.blockRow());
+    img.blockCol = upload(m, a.storage(), a.blockCol());
+    img.blockMask = upload(m, a.storage(), a.blockMask());
     return img;
 }
 
@@ -462,10 +462,10 @@ SellImage
 uploadSell(Machine &m, const SellCSigma &a)
 {
     SellImage img;
-    img.colIdx = upload(m, a.colIdx());
-    img.values = upload(m, a.values());
-    img.chunkPtr = upload(m, a.chunkPtr());
-    img.rowPerm = upload(m, a.rowPerm());
+    img.colIdx = upload(m, a.storage(), a.colIdx());
+    img.values = upload(m, a.storage(), a.values());
+    img.chunkPtr = upload(m, a.storage(), a.chunkPtr());
+    img.rowPerm = upload(m, a.storage(), a.rowPerm());
     return img;
 }
 
@@ -473,9 +473,9 @@ CsbImage
 uploadCsb(Machine &m, const Csb &a)
 {
     CsbImage img;
-    img.packedIdx = upload(m, a.packedIdx());
-    img.values = upload(m, a.values());
-    img.blockPtr = upload(m, a.blockPtr());
+    img.packedIdx = upload(m, a.storage(), a.packedIdx());
+    img.values = upload(m, a.storage(), a.values());
+    img.blockPtr = upload(m, a.storage(), a.blockPtr());
     return img;
 }
 

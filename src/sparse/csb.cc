@@ -54,24 +54,26 @@ Csb::fromCsr(const Csr &csr, Index beta)
         for (Index k = row_ptr[std::size_t(r)];
              k < row_ptr[std::size_t(r) + 1]; ++k)
             ++next[block_of(r, col_idx[std::size_t(k)])];
-    m._blockPtr.assign(nblocks + 1, 0);
+    Arrays a;
+    a.blockPtr.assign(nblocks + 1, 0);
     for (std::size_t b = 0; b < nblocks; ++b) {
-        m._blockPtr[b + 1] = m._blockPtr[b] + next[b];
-        next[b] = m._blockPtr[b];
+        a.blockPtr[b + 1] = a.blockPtr[b] + next[b];
+        next[b] = a.blockPtr[b];
     }
 
-    m._packedIdx.resize(csr.nnz());
-    m._values.resize(csr.nnz());
+    a.packedIdx.resize(csr.nnz());
+    a.values.resize(csr.nnz());
     for (Index r = 0; r < m._rows; ++r) {
         const Index in_row = (r & mask) << shift;
         for (Index k = row_ptr[std::size_t(r)];
              k < row_ptr[std::size_t(r) + 1]; ++k) {
             const Index c = col_idx[std::size_t(k)];
             const auto slot = std::size_t(next[block_of(r, c)]++);
-            m._packedIdx[slot] = in_row | (c & mask);
-            m._values[slot] = values[std::size_t(k)];
+            a.packedIdx[slot] = in_row | (c & mask);
+            a.values[slot] = values[std::size_t(k)];
         }
     }
+    m._a = SharedArrays(std::move(a));
     m.validate();
     return m;
 }
@@ -119,7 +121,7 @@ Index
 Csb::blockNnz(Index block_row, Index block_col) const
 {
     auto b = std::size_t(blockId(block_row, block_col));
-    return _blockPtr[b + 1] - _blockPtr[b];
+    return blockPtr()[b + 1] - blockPtr()[b];
 }
 
 double
@@ -132,9 +134,10 @@ Csb::blockDensity(Index block_row, Index block_col) const
 double
 Csb::meanNnzPerNonEmptyBlock() const
 {
+    const auto &block_ptr = blockPtr();
     std::size_t nonempty = 0;
-    for (std::size_t b = 0; b + 1 < _blockPtr.size(); ++b)
-        if (_blockPtr[b + 1] > _blockPtr[b])
+    for (std::size_t b = 0; b + 1 < block_ptr.size(); ++b)
+        if (block_ptr[b + 1] > block_ptr[b])
             ++nonempty;
     return nonempty ? double(nnz()) / double(nonempty) : 0.0;
 }
@@ -142,20 +145,21 @@ Csb::meanNnzPerNonEmptyBlock() const
 void
 Csb::validate() const
 {
-    via_assert(_blockPtr.size() ==
+    const Arrays &a = *_a;
+    via_assert(a.blockPtr.size() ==
                    std::size_t(numBlocks()) + 1,
                "block_ptr size mismatch");
-    via_assert(_packedIdx.size() == _values.size(),
+    via_assert(a.packedIdx.size() == a.values.size(),
                "index / data length mismatch");
-    via_assert(std::size_t(_blockPtr.back()) == _values.size(),
+    via_assert(std::size_t(a.blockPtr.back()) == a.values.size(),
                "block_ptr end does not match nnz");
     std::int64_t bcols = blockCols();
     for (std::int64_t b = 0; b < numBlocks(); ++b) {
         Index base_row = Index(b / bcols) * _beta;
         Index base_col = Index(b % bcols) * _beta;
-        for (Index k = _blockPtr[std::size_t(b)];
-             k < _blockPtr[std::size_t(b) + 1]; ++k) {
-            Index packed = _packedIdx[std::size_t(k)];
+        for (Index k = a.blockPtr[std::size_t(b)];
+             k < a.blockPtr[std::size_t(b) + 1]; ++k) {
+            Index packed = a.packedIdx[std::size_t(k)];
             Index in_col = packed & (_beta - 1);
             Index in_row = packed >> _colBits;
             via_assert(base_row + in_row < _rows &&

@@ -18,12 +18,16 @@
 #include <vector>
 
 #include "sparse/csr.hh"
+#include "sparse/shared_arrays.hh"
 #include "sparse/sparse_types.hh"
 
 namespace via
 {
 
-/** CSB sparse matrix with merged in-block indices. */
+/**
+ * CSB sparse matrix with merged in-block indices; its arrays are
+ * immutable and shared on copy.
+ */
 class Csb
 {
   public:
@@ -40,7 +44,7 @@ class Csb
     Index rows() const { return _rows; }
     Index cols() const { return _cols; }
     Index beta() const { return _beta; }
-    std::size_t nnz() const { return _values.size(); }
+    std::size_t nnz() const { return values().size(); }
 
     /** Bits used for the column part of a packed index. */
     std::uint32_t colBits() const { return _colBits; }
@@ -61,9 +65,15 @@ class Csb
      */
     static std::int64_t gridBlocks(Index rows, Index cols, Index beta);
 
-    const std::vector<Index> &blockPtr() const { return _blockPtr; }
-    const std::vector<Index> &packedIdx() const { return _packedIdx; }
-    const std::vector<Value> &values() const { return _values; }
+    const std::vector<Index> &blockPtr() const { return _a->blockPtr; }
+    const std::vector<Index> &packedIdx() const
+    {
+        return _a->packedIdx;
+    }
+    const std::vector<Value> &values() const { return _a->values; }
+
+    /** Keeps the arrays alive (see BackingStore::mapArray). */
+    std::shared_ptr<const void> storage() const { return _a.owner(); }
 
     /** Elements in block (block_row, block_col). */
     Index blockNnz(Index block_row, Index block_col) const;
@@ -84,9 +94,14 @@ class Csb
     Index _cols = 0;
     Index _beta = 0;
     std::uint32_t _colBits = 0;
-    std::vector<Index> _blockPtr;
-    std::vector<Index> _packedIdx;
-    std::vector<Value> _values;
+
+    struct Arrays
+    {
+        std::vector<Index> blockPtr;
+        std::vector<Index> packedIdx;
+        std::vector<Value> values;
+    };
+    SharedArrays<Arrays> _a;
 };
 
 } // namespace via

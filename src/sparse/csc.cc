@@ -46,16 +46,18 @@ Csc::fromCoo(Coo coo)
     Csc m;
     m._rows = coo.rows();
     m._cols = coo.cols();
-    m._colPtr.assign(std::size_t(coo.cols()) + 1, 0);
-    m._rowIdx.reserve(coo.nnz());
-    m._values.reserve(coo.nnz());
+    Arrays a;
+    a.colPtr.assign(std::size_t(coo.cols()) + 1, 0);
+    a.rowIdx.reserve(coo.nnz());
+    a.values.reserve(coo.nnz());
     for (const Triplet &t : coo.elems()) {
-        ++m._colPtr[std::size_t(t.col) + 1];
-        m._rowIdx.push_back(t.row);
-        m._values.push_back(t.value);
+        ++a.colPtr[std::size_t(t.col) + 1];
+        a.rowIdx.push_back(t.row);
+        a.values.push_back(t.value);
     }
-    for (std::size_t c = 1; c < m._colPtr.size(); ++c)
-        m._colPtr[c] += m._colPtr[c - 1];
+    for (std::size_t c = 1; c < a.colPtr.size(); ++c)
+        a.colPtr[c] += a.colPtr[c - 1];
+    m._a = SharedArrays(std::move(a));
     m.validate();
     return m;
 }
@@ -66,8 +68,10 @@ Csc::fromCsr(const Csr &csr)
     Csc m;
     m._rows = csr.rows();
     m._cols = csr.cols();
+    Arrays a;
     transposeCompressed(csr.cols(), csr.rowPtr(), csr.colIdx(),
-                        csr.values(), m._colPtr, m._rowIdx, m._values);
+                        csr.values(), a.colPtr, a.rowIdx, a.values);
+    m._a = SharedArrays(std::move(a));
     m.validate();
     return m;
 }
@@ -76,7 +80,7 @@ Index
 Csc::colNnz(Index c) const
 {
     via_assert(c >= 0 && c < _cols, "column ", c, " out of range");
-    return _colPtr[std::size_t(c) + 1] - _colPtr[std::size_t(c)];
+    return colPtr()[std::size_t(c) + 1] - colPtr()[std::size_t(c)];
 }
 
 Index
@@ -91,22 +95,23 @@ Csc::maxColNnz() const
 void
 Csc::validate() const
 {
-    via_assert(_colPtr.size() == std::size_t(_cols) + 1,
-               "col_ptr has ", _colPtr.size(), " entries for ",
+    const Arrays &a = *_a;
+    via_assert(a.colPtr.size() == std::size_t(_cols) + 1,
+               "col_ptr has ", a.colPtr.size(), " entries for ",
                _cols, " cols");
-    via_assert(_rowIdx.size() == _values.size(),
+    via_assert(a.rowIdx.size() == a.values.size(),
                "row_idx / data length mismatch");
-    via_assert(_colPtr.front() == 0, "col_ptr must start at 0");
-    via_assert(std::size_t(_colPtr.back()) == _values.size(),
+    via_assert(a.colPtr.front() == 0, "col_ptr must start at 0");
+    via_assert(std::size_t(a.colPtr.back()) == a.values.size(),
                "col_ptr end does not match nnz");
     for (Index c = 0; c < _cols; ++c) {
-        for (Index k = _colPtr[std::size_t(c)];
-             k < _colPtr[std::size_t(c) + 1]; ++k) {
-            Index r = _rowIdx[std::size_t(k)];
+        for (Index k = a.colPtr[std::size_t(c)];
+             k < a.colPtr[std::size_t(c) + 1]; ++k) {
+            Index r = a.rowIdx[std::size_t(k)];
             via_assert(r >= 0 && r < _rows, "row ", r,
                        " out of range in column ", c);
-            if (k > _colPtr[std::size_t(c)])
-                via_assert(_rowIdx[std::size_t(k) - 1] < r,
+            if (k > a.colPtr[std::size_t(c)])
+                via_assert(a.rowIdx[std::size_t(k) - 1] < r,
                            "rows not strictly increasing in col ",
                            c);
         }

@@ -12,12 +12,13 @@
 
 #include "sparse/coo.hh"
 #include "sparse/csr.hh"
+#include "sparse/shared_arrays.hh"
 #include "sparse/sparse_types.hh"
 
 namespace via
 {
 
-/** CSC sparse matrix. */
+/** CSC sparse matrix; its arrays are immutable and shared on copy. */
 class Csc
 {
   public:
@@ -30,11 +31,14 @@ class Csc
 
     Index rows() const { return _rows; }
     Index cols() const { return _cols; }
-    std::size_t nnz() const { return _values.size(); }
+    std::size_t nnz() const { return values().size(); }
 
-    const std::vector<Index> &colPtr() const { return _colPtr; }
-    const std::vector<Index> &rowIdx() const { return _rowIdx; }
-    const std::vector<Value> &values() const { return _values; }
+    const std::vector<Index> &colPtr() const { return _a->colPtr; }
+    const std::vector<Index> &rowIdx() const { return _a->rowIdx; }
+    const std::vector<Value> &values() const { return _a->values; }
+
+    /** Keeps the arrays alive (see BackingStore::mapArray). */
+    std::shared_ptr<const void> storage() const { return _a.owner(); }
 
     Index colNnz(Index c) const;
     Index maxColNnz() const;
@@ -42,11 +46,16 @@ class Csc
     void validate() const;
 
   private:
+    struct Arrays
+    {
+        std::vector<Index> colPtr;
+        std::vector<Index> rowIdx;
+        std::vector<Value> values;
+    };
+
     Index _rows = 0;
     Index _cols = 0;
-    std::vector<Index> _colPtr;
-    std::vector<Index> _rowIdx;
-    std::vector<Value> _values;
+    SharedArrays<Arrays> _a;
 };
 
 /**

@@ -33,22 +33,21 @@ Csr
 Csr::fromCoo(Coo coo)
 {
     coo.canonicalize();
-    Csr m;
-    m._rows = coo.rows();
-    m._cols = coo.cols();
-    m._rowPtr.assign(std::size_t(coo.rows()) + 1, 0);
-    m._colIdx.reserve(coo.nnz());
-    m._values.reserve(coo.nnz());
+    std::vector<Index> row_ptr(std::size_t(coo.rows()) + 1, 0);
+    std::vector<Index> col_idx;
+    std::vector<Value> values;
+    col_idx.reserve(coo.nnz());
+    values.reserve(coo.nnz());
 
     for (const Triplet &t : coo.elems()) {
-        ++m._rowPtr[std::size_t(t.row) + 1];
-        m._colIdx.push_back(t.col);
-        m._values.push_back(t.value);
+        ++row_ptr[std::size_t(t.row) + 1];
+        col_idx.push_back(t.col);
+        values.push_back(t.value);
     }
-    for (std::size_t r = 1; r < m._rowPtr.size(); ++r)
-        m._rowPtr[r] += m._rowPtr[r - 1];
-    m.validate();
-    return m;
+    for (std::size_t r = 1; r < row_ptr.size(); ++r)
+        row_ptr[r] += row_ptr[r - 1];
+    return fromParts(coo.rows(), coo.cols(), std::move(row_ptr),
+                     std::move(col_idx), std::move(values));
 }
 
 Csr
@@ -58,9 +57,8 @@ Csr::fromParts(Index rows, Index cols, std::vector<Index> row_ptr,
     Csr m;
     m._rows = rows;
     m._cols = cols;
-    m._rowPtr = std::move(row_ptr);
-    m._colIdx = std::move(col_idx);
-    m._values = std::move(values);
+    m._a = SharedArrays(Arrays{std::move(row_ptr), std::move(col_idx),
+                               std::move(values)});
     m.validate();
     return m;
 }
@@ -123,7 +121,7 @@ Index
 Csr::rowNnz(Index r) const
 {
     via_assert(r >= 0 && r < _rows, "row ", r, " out of range");
-    return _rowPtr[std::size_t(r) + 1] - _rowPtr[std::size_t(r)];
+    return rowPtr()[std::size_t(r) + 1] - rowPtr()[std::size_t(r)];
 }
 
 Index
@@ -140,13 +138,14 @@ Csr::multiply(const DenseVector &x) const
 {
     via_assert(Index(x.size()) == _cols, "SpMV shape mismatch: ",
                _cols, " cols vs vector of ", x.size());
+    const Arrays &a = *_a;
     DenseVector y(std::size_t(_rows), Value(0));
     for (Index r = 0; r < _rows; ++r) {
         double acc = 0.0;
-        for (Index k = _rowPtr[std::size_t(r)];
-             k < _rowPtr[std::size_t(r) + 1]; ++k) {
-            acc += double(_values[std::size_t(k)]) *
-                   double(x[std::size_t(_colIdx[std::size_t(k)])]);
+        for (Index k = a.rowPtr[std::size_t(r)];
+             k < a.rowPtr[std::size_t(r) + 1]; ++k) {
+            acc += double(a.values[std::size_t(k)]) *
+                   double(x[std::size_t(a.colIdx[std::size_t(k)])]);
         }
         y[std::size_t(r)] = Value(acc);
     }
@@ -156,12 +155,13 @@ Csr::multiply(const DenseVector &x) const
 Coo
 Csr::toCoo() const
 {
+    const Arrays &a = *_a;
     Coo coo(_rows, _cols);
     for (Index r = 0; r < _rows; ++r)
-        for (Index k = _rowPtr[std::size_t(r)];
-             k < _rowPtr[std::size_t(r) + 1]; ++k)
-            coo.add(r, _colIdx[std::size_t(k)],
-                    _values[std::size_t(k)]);
+        for (Index k = a.rowPtr[std::size_t(r)];
+             k < a.rowPtr[std::size_t(r) + 1]; ++k)
+            coo.add(r, a.colIdx[std::size_t(k)],
+                    a.values[std::size_t(k)]);
     return coo;
 }
 
@@ -169,32 +169,33 @@ bool
 Csr::operator==(const Csr &o) const
 {
     return _rows == o._rows && _cols == o._cols &&
-           _rowPtr == o._rowPtr && _colIdx == o._colIdx &&
-           _values == o._values;
+           rowPtr() == o.rowPtr() && colIdx() == o.colIdx() &&
+           values() == o.values();
 }
 
 void
 Csr::validate() const
 {
-    via_assert(_rowPtr.size() == std::size_t(_rows) + 1,
-               "row_ptr has ", _rowPtr.size(), " entries for ",
+    const Arrays &a = *_a;
+    via_assert(a.rowPtr.size() == std::size_t(_rows) + 1,
+               "row_ptr has ", a.rowPtr.size(), " entries for ",
                _rows, " rows");
-    via_assert(_colIdx.size() == _values.size(),
+    via_assert(a.colIdx.size() == a.values.size(),
                "col_idx / data length mismatch");
-    via_assert(_rowPtr.front() == 0, "row_ptr must start at 0");
-    via_assert(std::size_t(_rowPtr.back()) == _values.size(),
+    via_assert(a.rowPtr.front() == 0, "row_ptr must start at 0");
+    via_assert(std::size_t(a.rowPtr.back()) == a.values.size(),
                "row_ptr end does not match nnz");
-    for (std::size_t r = 1; r < _rowPtr.size(); ++r)
-        via_assert(_rowPtr[r] >= _rowPtr[r - 1],
+    for (std::size_t r = 1; r < a.rowPtr.size(); ++r)
+        via_assert(a.rowPtr[r] >= a.rowPtr[r - 1],
                    "row_ptr not monotone at row ", r);
     for (Index r = 0; r < _rows; ++r) {
-        for (Index k = _rowPtr[std::size_t(r)];
-             k < _rowPtr[std::size_t(r) + 1]; ++k) {
-            Index c = _colIdx[std::size_t(k)];
+        for (Index k = a.rowPtr[std::size_t(r)];
+             k < a.rowPtr[std::size_t(r) + 1]; ++k) {
+            Index c = a.colIdx[std::size_t(k)];
             via_assert(c >= 0 && c < _cols, "column ", c,
                        " out of range in row ", r);
-            if (k > _rowPtr[std::size_t(r)])
-                via_assert(_colIdx[std::size_t(k) - 1] < c,
+            if (k > a.rowPtr[std::size_t(r)])
+                via_assert(a.colIdx[std::size_t(k) - 1] < c,
                            "columns not strictly increasing in row ",
                            r);
         }

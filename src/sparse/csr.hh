@@ -13,12 +13,13 @@
 
 #include "sparse/coo.hh"
 #include "sparse/dense.hh"
+#include "sparse/shared_arrays.hh"
 #include "sparse/sparse_types.hh"
 
 namespace via
 {
 
-/** CSR sparse matrix. */
+/** CSR sparse matrix; its arrays are immutable and shared on copy. */
 class Csr
 {
   public:
@@ -48,11 +49,14 @@ class Csr
 
     Index rows() const { return _rows; }
     Index cols() const { return _cols; }
-    std::size_t nnz() const { return _values.size(); }
+    std::size_t nnz() const { return values().size(); }
 
-    const std::vector<Index> &rowPtr() const { return _rowPtr; }
-    const std::vector<Index> &colIdx() const { return _colIdx; }
-    const std::vector<Value> &values() const { return _values; }
+    const std::vector<Index> &rowPtr() const { return _a->rowPtr; }
+    const std::vector<Index> &colIdx() const { return _a->colIdx; }
+    const std::vector<Value> &values() const { return _a->values; }
+
+    /** Keeps the arrays alive (see BackingStore::mapArray). */
+    std::shared_ptr<const void> storage() const { return _a.owner(); }
 
     /** Number of non-zeros in one row. */
     Index rowNnz(Index r) const;
@@ -73,11 +77,16 @@ class Csr
     void validate() const;
 
   private:
+    struct Arrays
+    {
+        std::vector<Index> rowPtr;
+        std::vector<Index> colIdx;
+        std::vector<Value> values;
+    };
+
     Index _rows = 0;
     Index _cols = 0;
-    std::vector<Index> _rowPtr;
-    std::vector<Index> _colIdx;
-    std::vector<Value> _values;
+    SharedArrays<Arrays> _a;
 };
 
 } // namespace via

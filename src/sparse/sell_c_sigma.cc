@@ -21,22 +21,23 @@ SellCSigma::fromCsr(const Csr &csr, Index c, Index sigma)
     m._c = c;
     m._sigma = sigma;
     m._nnz = csr.nnz();
+    Arrays a;
 
     // Sort rows by descending length inside each sigma window.
-    m._rowPerm.resize(std::size_t(m._rows));
-    std::iota(m._rowPerm.begin(), m._rowPerm.end(), Index(0));
+    a.rowPerm.resize(std::size_t(m._rows));
+    std::iota(a.rowPerm.begin(), a.rowPerm.end(), Index(0));
     for (Index w = 0; w < m._rows; w += sigma) {
         Index hi = std::min<Index>(w + sigma, m._rows);
-        std::stable_sort(m._rowPerm.begin() + w,
-                         m._rowPerm.begin() + hi,
-                         [&](Index a, Index b) {
-                             return csr.rowNnz(a) > csr.rowNnz(b);
+        std::stable_sort(a.rowPerm.begin() + w,
+                         a.rowPerm.begin() + hi,
+                         [&](Index lhs, Index rhs) {
+                             return csr.rowNnz(lhs) > csr.rowNnz(rhs);
                          });
     }
 
     Index nchunks = (m._rows + c - 1) / c;
-    m._chunkPtr.assign(std::size_t(nchunks) + 1, 0);
-    m._chunkWidth.assign(std::size_t(nchunks), 0);
+    a.chunkPtr.assign(std::size_t(nchunks) + 1, 0);
+    a.chunkWidth.assign(std::size_t(nchunks), 0);
 
     for (Index ch = 0; ch < nchunks; ++ch) {
         Index width = 0;
@@ -44,29 +45,29 @@ SellCSigma::fromCsr(const Csr &csr, Index c, Index sigma)
             Index pos = ch * c + i;
             if (pos < m._rows)
                 width = std::max(width,
-                                 csr.rowNnz(m._rowPerm[
+                                 csr.rowNnz(a.rowPerm[
                                      std::size_t(pos)]));
         }
-        m._chunkWidth[std::size_t(ch)] = width;
-        m._chunkPtr[std::size_t(ch) + 1] =
-            m._chunkPtr[std::size_t(ch)] + width * c;
+        a.chunkWidth[std::size_t(ch)] = width;
+        a.chunkPtr[std::size_t(ch) + 1] =
+            a.chunkPtr[std::size_t(ch)] + width * c;
     }
 
-    auto total = std::size_t(m._chunkPtr.back());
-    m._colIdx.assign(total, 0);
-    m._values.assign(total, Value(0));
+    auto total = std::size_t(a.chunkPtr.back());
+    a.colIdx.assign(total, 0);
+    a.values.assign(total, Value(0));
 
     const auto &row_ptr = csr.rowPtr();
     const auto &col_idx = csr.colIdx();
     const auto &values = csr.values();
     for (Index ch = 0; ch < nchunks; ++ch) {
-        Index base = m._chunkPtr[std::size_t(ch)];
-        Index width = m._chunkWidth[std::size_t(ch)];
+        Index base = a.chunkPtr[std::size_t(ch)];
+        Index width = a.chunkWidth[std::size_t(ch)];
         for (Index i = 0; i < c; ++i) {
             Index pos = ch * c + i;
             if (pos >= m._rows)
                 continue;
-            Index row = m._rowPerm[std::size_t(pos)];
+            Index row = a.rowPerm[std::size_t(pos)];
             Index len = csr.rowNnz(row);
             for (Index j = 0; j < width; ++j) {
                 // Column-major inside the chunk: lane i, column j.
@@ -74,12 +75,13 @@ SellCSigma::fromCsr(const Csr &csr, Index c, Index sigma)
                 if (j < len) {
                     auto k = std::size_t(
                         row_ptr[std::size_t(row)] + j);
-                    m._colIdx[slot] = col_idx[k];
-                    m._values[slot] = values[k];
+                    a.colIdx[slot] = col_idx[k];
+                    a.values[slot] = values[k];
                 }
             }
         }
     }
+    m._a = SharedArrays(std::move(a));
     m.validate();
     return m;
 }
@@ -87,23 +89,24 @@ SellCSigma::fromCsr(const Csr &csr, Index c, Index sigma)
 Index
 SellCSigma::numChunks() const
 {
-    return Index(_chunkWidth.size());
+    return Index(chunkWidth().size());
 }
 
 double
 SellCSigma::fillRatio() const
 {
-    return _nnz ? double(_chunkPtr.back()) / double(_nnz) : 1.0;
+    return _nnz ? double(chunkPtr().back()) / double(_nnz) : 1.0;
 }
 
 DenseVector
 SellCSigma::multiply(const DenseVector &x) const
 {
+    const Arrays &a = *_a;
     via_assert(Index(x.size()) == _cols, "SpMV shape mismatch");
     DenseVector y(std::size_t(_rows), Value(0));
     for (Index ch = 0; ch < numChunks(); ++ch) {
-        Index base = _chunkPtr[std::size_t(ch)];
-        Index width = _chunkWidth[std::size_t(ch)];
+        Index base = a.chunkPtr[std::size_t(ch)];
+        Index width = a.chunkWidth[std::size_t(ch)];
         for (Index i = 0; i < _c; ++i) {
             Index pos = ch * _c + i;
             if (pos >= _rows)
@@ -111,10 +114,10 @@ SellCSigma::multiply(const DenseVector &x) const
             double acc = 0.0;
             for (Index j = 0; j < width; ++j) {
                 auto slot = std::size_t(base + j * _c + i);
-                acc += double(_values[slot]) *
-                       double(x[std::size_t(_colIdx[slot])]);
+                acc += double(a.values[slot]) *
+                       double(x[std::size_t(a.colIdx[slot])]);
             }
-            y[std::size_t(_rowPerm[std::size_t(pos)])] = Value(acc);
+            y[std::size_t(a.rowPerm[std::size_t(pos)])] = Value(acc);
         }
     }
     return y;
@@ -123,16 +126,17 @@ SellCSigma::multiply(const DenseVector &x) const
 void
 SellCSigma::validate() const
 {
-    via_assert(_colIdx.size() == _values.size(),
+    const Arrays &a = *_a;
+    via_assert(a.colIdx.size() == a.values.size(),
                "col/value length mismatch");
-    via_assert(_chunkPtr.size() == _chunkWidth.size() + 1,
+    via_assert(a.chunkPtr.size() == a.chunkWidth.size() + 1,
                "chunk_ptr size mismatch");
-    via_assert(std::size_t(_chunkPtr.back()) == _colIdx.size(),
+    via_assert(std::size_t(a.chunkPtr.back()) == a.colIdx.size(),
                "chunk_ptr end mismatch");
-    for (Index c : _colIdx)
+    for (Index c : a.colIdx)
         via_assert(c >= 0 && c < _cols, "column out of range");
     std::vector<bool> seen(std::size_t(_rows), false);
-    for (Index r : _rowPerm) {
+    for (Index r : a.rowPerm) {
         via_assert(r >= 0 && r < _rows, "bad row permutation entry");
         via_assert(!seen[std::size_t(r)],
                    "row permutation repeats row ", r);

@@ -16,12 +16,13 @@
 #include <vector>
 
 #include "sparse/csr.hh"
+#include "sparse/shared_arrays.hh"
 #include "sparse/sparse_types.hh"
 
 namespace via
 {
 
-/** Sell-C-sigma sparse matrix. */
+/** Sell-C-sigma sparse matrix; arrays immutable, shared on copy. */
 class SellCSigma
 {
   public:
@@ -42,18 +43,21 @@ class SellCSigma
     Index numChunks() const;
 
     /** Offset of a chunk's first entry in colIdx()/values(). */
-    const std::vector<Index> &chunkPtr() const { return _chunkPtr; }
+    const std::vector<Index> &chunkPtr() const { return _a->chunkPtr; }
     /** Padded width (longest row) of each chunk. */
     const std::vector<Index> &chunkWidth() const
     {
-        return _chunkWidth;
+        return _a->chunkWidth;
     }
     /** Column indices, chunk-column-major; padding stores 0. */
-    const std::vector<Index> &colIdx() const { return _colIdx; }
+    const std::vector<Index> &colIdx() const { return _a->colIdx; }
     /** Values, same layout; padding stores 0. */
-    const std::vector<Value> &values() const { return _values; }
+    const std::vector<Value> &values() const { return _a->values; }
     /** rowPerm[k] = original row of sorted position k. */
-    const std::vector<Index> &rowPerm() const { return _rowPerm; }
+    const std::vector<Index> &rowPerm() const { return _a->rowPerm; }
+
+    /** Keeps the arrays alive (see BackingStore::mapArray). */
+    std::shared_ptr<const void> storage() const { return _a.owner(); }
 
     /** Padding overhead: stored slots / nnz. */
     double fillRatio() const;
@@ -69,11 +73,16 @@ class SellCSigma
     Index _c = 0;
     Index _sigma = 0;
     std::size_t _nnz = 0;
-    std::vector<Index> _chunkPtr;
-    std::vector<Index> _chunkWidth;
-    std::vector<Index> _colIdx;
-    std::vector<Value> _values;
-    std::vector<Index> _rowPerm;
+
+    struct Arrays
+    {
+        std::vector<Index> chunkPtr;
+        std::vector<Index> chunkWidth;
+        std::vector<Index> colIdx;
+        std::vector<Value> values;
+        std::vector<Index> rowPerm;
+    };
+    SharedArrays<Arrays> _a;
 };
 
 } // namespace via

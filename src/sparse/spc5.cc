@@ -16,7 +16,8 @@ Spc5::fromCsr(const Csr &csr, Index window)
     m._rows = csr.rows();
     m._cols = csr.cols();
     m._window = window;
-    m._blockPtr.push_back(0);
+    Arrays a;
+    a.blockPtr.push_back(0);
 
     const auto &row_ptr = csr.rowPtr();
     const auto &col_idx = csr.colIdx();
@@ -33,16 +34,17 @@ Spc5::fromCsr(const Csr &csr, Index window)
             while (k < end &&
                    col_idx[std::size_t(k)] < first + window) {
                 mask |= 1u << (col_idx[std::size_t(k)] - first);
-                m._values.push_back(values[std::size_t(k)]);
+                a.values.push_back(values[std::size_t(k)]);
                 ++packed;
                 ++k;
             }
-            m._blockRow.push_back(r);
-            m._blockCol.push_back(first);
-            m._blockMask.push_back(mask);
-            m._blockPtr.push_back(m._blockPtr.back() + packed);
+            a.blockRow.push_back(r);
+            a.blockCol.push_back(first);
+            a.blockMask.push_back(mask);
+            a.blockPtr.push_back(a.blockPtr.back() + packed);
         }
     }
+    m._a = SharedArrays(std::move(a));
     m.validate();
     return m;
 }
@@ -56,18 +58,19 @@ Spc5::meanBlockFill() const
 DenseVector
 Spc5::multiply(const DenseVector &x) const
 {
+    const Arrays &a = *_a;
     via_assert(Index(x.size()) == _cols, "SpMV shape mismatch");
     DenseVector y(std::size_t(_rows), Value(0));
     for (std::size_t b = 0; b < numBlocks(); ++b) {
         double acc = 0.0;
-        Index v = _blockPtr[b];
+        Index v = a.blockPtr[b];
         for (Index off = 0; off < _window; ++off) {
-            if (_blockMask[b] & (1u << off)) {
-                acc += double(_values[std::size_t(v++)]) *
-                       double(x[std::size_t(_blockCol[b] + off)]);
+            if (a.blockMask[b] & (1u << off)) {
+                acc += double(a.values[std::size_t(v++)]) *
+                       double(x[std::size_t(a.blockCol[b] + off)]);
             }
         }
-        y[std::size_t(_blockRow[b])] += Value(acc);
+        y[std::size_t(a.blockRow[b])] += Value(acc);
     }
     return y;
 }
@@ -75,23 +78,24 @@ Spc5::multiply(const DenseVector &x) const
 void
 Spc5::validate() const
 {
-    via_assert(_blockRow.size() == _blockCol.size() &&
-                   _blockRow.size() == _blockMask.size(),
+    const Arrays &a = *_a;
+    via_assert(a.blockRow.size() == a.blockCol.size() &&
+                   a.blockRow.size() == a.blockMask.size(),
                "block array length mismatch");
-    via_assert(_blockPtr.size() == _blockRow.size() + 1,
+    via_assert(a.blockPtr.size() == a.blockRow.size() + 1,
                "block_ptr size mismatch");
-    via_assert(std::size_t(_blockPtr.back()) == _values.size(),
+    via_assert(std::size_t(a.blockPtr.back()) == a.values.size(),
                "block_ptr end does not match packed values");
     for (std::size_t b = 0; b < numBlocks(); ++b) {
-        via_assert(_blockMask[b] != 0, "empty block ", b);
-        via_assert(std::popcount(_blockMask[b]) ==
-                       _blockPtr[b + 1] - _blockPtr[b],
+        via_assert(a.blockMask[b] != 0, "empty block ", b);
+        via_assert(std::popcount(a.blockMask[b]) ==
+                       a.blockPtr[b + 1] - a.blockPtr[b],
                    "mask popcount does not match packed count in "
                    "block ", b);
-        via_assert(_blockCol[b] >= 0 &&
-                       _blockCol[b] < _cols,
+        via_assert(a.blockCol[b] >= 0 &&
+                       a.blockCol[b] < _cols,
                    "block column out of range");
-        via_assert((_blockMask[b] & 1u) != 0,
+        via_assert((a.blockMask[b] & 1u) != 0,
                    "block ", b, " mask must anchor at its first "
                    "column");
     }

@@ -17,12 +17,13 @@
 #include <vector>
 
 #include "sparse/csr.hh"
+#include "sparse/shared_arrays.hh"
 #include "sparse/sparse_types.hh"
 
 namespace via
 {
 
-/** beta(1, VL) SPC5-style matrix. */
+/** beta(1, VL) SPC5-style matrix; arrays immutable, shared on copy. */
 class Spc5
 {
   public:
@@ -36,21 +37,24 @@ class Spc5
     Index rows() const { return _rows; }
     Index cols() const { return _cols; }
     Index window() const { return _window; }
-    std::size_t nnz() const { return _values.size(); }
-    std::size_t numBlocks() const { return _blockRow.size(); }
+    std::size_t nnz() const { return values().size(); }
+    std::size_t numBlocks() const { return blockRow().size(); }
 
     /** Row of each block (blocks sorted by row, then column). */
-    const std::vector<Index> &blockRow() const { return _blockRow; }
+    const std::vector<Index> &blockRow() const { return _a->blockRow; }
     /** First column of each block's window. */
-    const std::vector<Index> &blockCol() const { return _blockCol; }
+    const std::vector<Index> &blockCol() const { return _a->blockCol; }
     /** Presence mask over the window's columns. */
     const std::vector<std::uint32_t> &blockMask() const
     {
-        return _blockMask;
+        return _a->blockMask;
     }
     /** Offset of each block's packed values (numBlocks+1). */
-    const std::vector<Index> &blockPtr() const { return _blockPtr; }
-    const std::vector<Value> &values() const { return _values; }
+    const std::vector<Index> &blockPtr() const { return _a->blockPtr; }
+    const std::vector<Value> &values() const { return _a->values; }
+
+    /** Keeps the arrays alive (see BackingStore::mapArray). */
+    std::shared_ptr<const void> storage() const { return _a.owner(); }
 
     /** Mean packed values per block (vector utilization proxy). */
     double meanBlockFill() const;
@@ -64,11 +68,16 @@ class Spc5
     Index _rows = 0;
     Index _cols = 0;
     Index _window = 0;
-    std::vector<Index> _blockRow;
-    std::vector<Index> _blockCol;
-    std::vector<std::uint32_t> _blockMask;
-    std::vector<Index> _blockPtr;
-    std::vector<Value> _values;
+
+    struct Arrays
+    {
+        std::vector<Index> blockRow;
+        std::vector<Index> blockCol;
+        std::vector<std::uint32_t> blockMask;
+        std::vector<Index> blockPtr;
+        std::vector<Value> values;
+    };
+    SharedArrays<Arrays> _a;
 };
 
 } // namespace via

@@ -1,20 +1,44 @@
 /**
  * @file
  * Memory subsystem tests: backing store, cache tag behaviour, DRAM
- * pipe, and the assembled hierarchy.
+ * pipe, and the assembled hierarchy; and the mapped uploads of the
+ * sparse formats (read-only view pages, copied on first write).
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "cpu/machine.hh"
+#include "cpu/multi_machine.hh"
+#include "kernels/parallel.hh"
+#include "kernels/ranges.hh"
 #include "mem/backing_store.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "mem/mem_system.hh"
+#include "simcore/rng.hh"
+#include "simcore/serialize.hh"
+#include "sparse/generators.hh"
 
 namespace via
 {
 namespace
 {
+
+/** The bytes of @p arrays, concatenated: a deep snapshot. */
+template <typename... V>
+std::string
+bytesOf(const V &...arrays)
+{
+    std::string out;
+    (out.append(reinterpret_cast<const char *>(arrays.data()),
+                arrays.size() * sizeof(typename V::value_type)),
+     ...);
+    return out;
+}
 
 // ---------------- BackingStore ---------------------------------
 
@@ -64,6 +88,157 @@ TEST(BackingStoreDeathTest, BadAlignmentPanics)
 {
     BackingStore mem;
     EXPECT_DEATH(mem.alloc(8, 3), "power of two");
+}
+
+/** Four pages and a bit of distinct floats, held like a format's. */
+std::shared_ptr<const std::vector<float>>
+fourPagesOfFloats()
+{
+    std::vector<float> v(4 * BackingStore::pageBytes / 4 + 100);
+    for (std::size_t i = 0; i < v.size(); ++i)
+        v[i] = float(i) * 0.5f;
+    return std::make_shared<const std::vector<float>>(std::move(v));
+}
+
+TEST(BackingStore, MapArrayPlacesAndReadsLikeAllocArray)
+{
+    auto host = fourPagesOfFloats();
+    BackingStore copied, mapped;
+    std::vector<std::uint8_t> head{1, 2, 3};
+    EXPECT_EQ(copied.allocArray(head), mapped.allocArray(head));
+    const Addr base = copied.allocArray(*host);
+    EXPECT_EQ(mapped.mapArray(host, *host), base);
+    EXPECT_EQ(copied.allocArray(head), mapped.allocArray(head));
+
+    // The head page and the tail page hold a neighbour's bytes too
+    // and are copied; the three pages between them are views.
+    EXPECT_EQ(mapped.pagesTouched(), copied.pagesTouched());
+    EXPECT_EQ(mapped.pagesTouched(), 5u);
+    EXPECT_EQ(mapped.pagesShared(), 3u);
+    EXPECT_EQ(copied.pagesShared(), 0u);
+    EXPECT_EQ(mapped.readArray<float>(base, host->size()), *host);
+    EXPECT_EQ(mapped.allocated(), copied.allocated());
+}
+
+TEST(BackingStore, StoresIntoAViewCopyItAndLeaveTheHostArray)
+{
+    auto host = fourPagesOfFloats();
+    const std::string before = bytesOf(*host);
+    BackingStore mem;
+    const Addr base = mem.mapArray(host, *host);
+    const auto page = BackingStore::pageBytes;
+    ASSERT_EQ(base % page, 0u); // the first page is a view
+    ASSERT_EQ(mem.pagesShared(), 4u);
+
+    // The read fast path caches the view; the store must copy it
+    // and the next read must see the owned copy.
+    const Addr at = base + 40;
+    EXPECT_EQ(mem.load<float>(at), (*host)[10]);
+    mem.store<float>(at, -1.0f);
+    EXPECT_EQ(mem.load<float>(at), -1.0f);
+    EXPECT_EQ(mem.load<float>(at + 4), (*host)[11]);
+    EXPECT_EQ(mem.pagesShared(), 3u);
+
+    // A store straddling two views copies both.
+    const Addr edge = base + 2 * page - 4;
+    mem.store<std::uint64_t>(edge, 0x1122334455667788ull);
+    EXPECT_EQ(mem.load<std::uint64_t>(edge), 0x1122334455667788ull);
+    EXPECT_EQ(mem.pagesShared(), 1u);
+    EXPECT_EQ(mem.load<float>(edge - 4), (*host)[2 * page / 4 - 2]);
+    EXPECT_EQ(mem.load<float>(edge + 8), (*host)[2 * page / 4 + 1]);
+
+    EXPECT_EQ(bytesOf(*host), before);
+    EXPECT_EQ(mem.pagesTouched(), 5u);
+}
+
+TEST(BackingStore, MapArrayReplacesPagesAlreadyMaterialized)
+{
+    auto host = fourPagesOfFloats();
+    BackingStore mem;
+    // A stray write above the brk materializes the page the array's
+    // second page will occupy, and leaves it in the write cache.
+    const Addr second = 0x10000 + BackingStore::pageBytes;
+    mem.store<float>(second, 7.0f);
+    const Addr base = mem.mapArray(host, *host);
+    ASSERT_EQ(base, 0x10000u);
+    EXPECT_EQ(mem.load<float>(second), (*host)[second / 4 - base / 4]);
+    mem.store<float>(second, 9.0f);
+    EXPECT_EQ(mem.load<float>(second), 9.0f);
+    EXPECT_EQ(host->at(BackingStore::pageBytes / 4), float(16384) * 0.5f);
+}
+
+/** A backing-store image: @p brk, then one zero page per number. */
+std::vector<std::uint8_t>
+storeImage(Addr brk, const std::vector<std::uint64_t> &pns)
+{
+    std::vector<std::uint8_t> out;
+    Serializer ser(out);
+    ser.tag("BSTR");
+    ser.put(BackingStore::pageBytes);
+    ser.put(brk);
+    ser.put(std::uint64_t(pns.size()));
+    const std::vector<std::uint8_t> zeros(BackingStore::pageBytes, 0);
+    for (std::uint64_t pn : pns) {
+        ser.put(pn);
+        ser.putBytes(zeros.data(), zeros.size());
+    }
+    return out;
+}
+
+/** Load @p image into @p mem. */
+void
+loadImage(BackingStore &mem, const std::vector<std::uint8_t> &image)
+{
+    Deserializer des(image);
+    mem.loadState(des);
+}
+
+constexpr std::uint64_t kTopPage = ~std::uint64_t(0) /
+                                   BackingStore::pageBytes;
+
+TEST(BackingStore, LoadAcceptsIncreasingPagesUpToTheTopPage)
+{
+    BackingStore mem;
+    loadImage(mem, storeImage(0x20000, {1, 3, kTopPage}));
+    EXPECT_EQ(mem.pagesTouched(), 3u);
+    EXPECT_EQ(mem.allocated(), 0x10000u);
+    EXPECT_EQ(mem.load<std::uint8_t>(~Addr(0)), 0u);
+}
+
+TEST(BackingStore, LoadRejectsADuplicatePage)
+{
+    BackingStore mem;
+    mem.store<int>(0x10000, 5);
+    EXPECT_THROW(loadImage(mem, storeImage(0x20000, {2, 2})),
+                 SerializeError);
+    // A rejected image leaves the store as it was.
+    EXPECT_EQ(mem.load<int>(0x10000), 5);
+    EXPECT_EQ(mem.pagesTouched(), 1u);
+}
+
+TEST(BackingStore, LoadRejectsPagesOutOfOrder)
+{
+    BackingStore mem;
+    EXPECT_THROW(loadImage(mem, storeImage(0x20000, {3, 2})),
+                 SerializeError);
+}
+
+TEST(BackingStore, LoadRejectsAPageBeyond64BitAddresses)
+{
+    BackingStore mem;
+    EXPECT_THROW(loadImage(mem, storeImage(0x20000, {kTopPage + 1})),
+                 SerializeError);
+}
+
+TEST(BackingStore, LoadRejectsABrkBelowTheAllocatorBase)
+{
+    // The allocator hands out its first address at 0x10000.
+    BackingStore mem;
+    EXPECT_THROW(loadImage(mem, storeImage(0x10000 - 64, {})),
+                 SerializeError);
+    EXPECT_EQ(mem.allocated(), 0u);
+    loadImage(mem, storeImage(0x10000, {}));
+    EXPECT_EQ(mem.allocated(), 0u);
 }
 
 // ---------------- Cache -----------------------------------------
@@ -323,6 +498,144 @@ TEST(MemSystem, PrefetchVictimWritebackChargedAfterFill)
     // its burst starts no earlier than the fill (issue + DRAM
     // latency), not right after the demand burst.
     EXPECT_GE(write_burst->start, Tick(1000 + p.dram.latency));
+}
+
+// ---------------- Mapped uploads --------------------------------
+
+TEST(MappedUploads, MachineReadsItsImageAfterTheCsrIsGone)
+{
+    Machine m(MachineParams{});
+    Rng rng(5);
+    kernels::CsrImage img;
+    std::vector<Index> row_ptr, col_idx;
+    std::vector<Value> values;
+    {
+        Csr a = genUniform(512, 512, 0.25, rng);
+        img = kernels::uploadCsr(m, a);
+        ASSERT_GT(m.mem().pagesShared(), 0u);
+        row_ptr = a.rowPtr();
+        col_idx = a.colIdx();
+        values = a.values();
+    }
+    // The views hold the arrays: the image is intact (and ASan sees
+    // no use after free).
+    EXPECT_EQ(m.mem().readArray<Index>(img.rowPtr, row_ptr.size()),
+              row_ptr);
+    EXPECT_EQ(m.mem().readArray<Index>(img.colIdx, col_idx.size()),
+              col_idx);
+    EXPECT_EQ(bytesOf(m.mem().readArray<Value>(img.values,
+                                               values.size())),
+              bytesOf(values));
+}
+
+constexpr BackendKind kKinds[] = {BackendKind::Base, BackendKind::Via,
+                                  BackendKind::Ssr,
+                                  BackendKind::IndexMac};
+
+TEST(MappedUploads, KernelsLeaveTheirInputsBitIdentical)
+{
+    using kernels::Partition;
+    // The first array of every upload starts a page and spans one
+    // (16384 row pointers; about 32768 entries in two per row), so
+    // each upload maps at least one page; short rows and a one-column
+    // B keep the runs short.
+    Rng rng(8);
+    const Csr a = genUniform(16384, 32, 1.0 / 16, rng);
+    const Csr b = genUniform(16384, 32, 1.0 / 16, rng);
+    const Csc bc = Csc::fromCsr(genUniform(32, 1, 0.5, rng));
+    const DenseVector x = randomVector(a.cols(), rng);
+    std::vector<Index> keys(3000);
+    for (Index &k : keys)
+        k = Index(rng.below(100));
+    DenseMatrix img(16, 16);
+    for (Value &px : img.data())
+        px = Value(rng.uniform());
+
+    auto snapshot = [&] {
+        return bytesOf(a.rowPtr(), a.colIdx(), a.values(), b.rowPtr(),
+                       b.colIdx(), b.values(), bc.colPtr(),
+                       bc.rowIdx(), bc.values(), x, keys, img.data());
+    };
+    const std::string before = snapshot();
+    for (BackendKind kind : kKinds) {
+        MachineParams params{};
+        params.backend.kind = kind;
+        const std::string name(backendName(kind));
+        for (const std::string &fmt : kernels::spmvFormats()) {
+            Machine m(params);
+            kernels::SpmvStorage st = kernels::convertAndUpload(m, a, fmt);
+            EXPECT_GT(m.mem().pagesShared(), 0u) << name << " " << fmt;
+            auto formats = [&] {
+                return st.spc5 ? bytesOf(st.spc5->values(),
+                                         st.spc5->blockRow(),
+                                         st.spc5->blockCol(),
+                                         st.spc5->blockMask())
+                       : st.sell ? bytesOf(st.sell->colIdx(),
+                                           st.sell->values(),
+                                           st.sell->chunkPtr(),
+                                           st.sell->rowPerm())
+                       : st.csb  ? bytesOf(st.csb->packedIdx(),
+                                           st.csb->values(),
+                                           st.csb->blockPtr())
+                                 : std::string();
+            };
+            const std::string converted = formats();
+            kernels::visitSpmv(kind, a, st,
+                               [&](const auto &mat, const auto &im,
+                                   const auto &body) {
+                                   return kernels::spmvWhole(m, body, mat,
+                                                             im, x);
+                               });
+            EXPECT_EQ(formats(), converted) << name << " " << fmt;
+
+            MultiMachine mm(params, 2);
+            kernels::spmvParallel(mm, a, x, fmt, Partition::Static, true);
+            EXPECT_GT(mm.mem().pagesShared(), 0u) << name << " " << fmt;
+        }
+        Machine m1(params), m2(params), m3(params), m4(params);
+        kernels::spmaRun(m1, kind, a, b);
+        kernels::spmmRun(m2, kind, a, bc);
+        EXPECT_GT(m1.mem().pagesShared(), 0u) << name;
+        EXPECT_GT(m2.mem().pagesShared(), 0u) << name;
+        kernels::histRun(m3, kind, keys, 100);
+        kernels::stencilRun(m4, kind, img);
+
+        MultiMachine p1(params, 2), p2(params, 2), p3(params, 2),
+            p4(params, 2);
+        kernels::spmaParallel(p1, a, b, Partition::Static, true);
+        kernels::spmmParallel(p2, a, bc, Partition::Static, true);
+        kernels::histParallel(p3, keys, 100, Partition::Static, true);
+        kernels::stencilParallel(p4, img, Partition::Static, true);
+        EXPECT_EQ(snapshot(), before) << name;
+    }
+}
+
+// The spmv_csb benchmark inputs (seed 1): the vector-CSR machine
+// maps a 16384^2 CSR at 0.5% and the VIA machine its CSB at the
+// machine's block side. Only the pages an array shares with a
+// neighbour are copied.
+TEST(MappedUploads, SpmvCsbBenchmarkPagesAreMapped)
+{
+    Rng rng(1);
+    const Csr a = genUniform(16384, 16384, 0.005, rng);
+    const DenseVector x = randomVector(a.cols(), rng);
+    Machine base(MachineParams{}), viam(MachineParams{});
+    ASSERT_EQ(kernels::viaCsbBeta(viam), 2048);
+    const Csb csb = Csb::fromCsr(a, kernels::viaCsbBeta(viam));
+
+    kernels::CsrImage bimg = kernels::uploadCsr(base, a);
+    kernels::CsbImage vimg = kernels::uploadCsb(viam, csb);
+    EXPECT_EQ(base.mem().pagesTouched(), 165u);
+    EXPECT_EQ(base.mem().pagesShared(), 162u);
+    EXPECT_EQ(viam.mem().pagesTouched(), 164u);
+    EXPECT_EQ(viam.mem().pagesShared(), 162u);
+
+    kernels::spmvVectorCsrAt(base, a, bimg, x);
+    kernels::spmvViaCsbAt(viam, csb, vimg, x);
+    EXPECT_EQ(base.mem().pagesTouched(), 167u);
+    EXPECT_EQ(base.mem().pagesShared(), 162u);
+    EXPECT_EQ(viam.mem().pagesTouched(), 166u);
+    EXPECT_EQ(viam.mem().pagesShared(), 162u);
 }
 
 } // namespace

@@ -158,6 +158,31 @@ TEST(Checkpoint, CaptureRestoreCaptureIsByteIdentical)
     EXPECT_EQ(cp.bytes(), Checkpoint::capture(m2).bytes());
 }
 
+// A format's arrays are mapped into simulated memory, not copied;
+// the image must not show it. A restore owns every page.
+TEST(Checkpoint, MappedUploadMatchesCopiedUpload)
+{
+    Rng rng(21);
+    const Csr a = genUniform(512, 512, 0.2, rng);
+    Machine mapped(MachineParams{}), copied(MachineParams{});
+    kernels::CsrImage img = kernels::uploadCsr(mapped, a);
+    ASSERT_GT(mapped.mem().pagesShared(), 0u);
+    EXPECT_EQ(copied.mem().allocArray(a.rowPtr()), img.rowPtr);
+    EXPECT_EQ(copied.mem().allocArray(a.colIdx()), img.colIdx);
+    EXPECT_EQ(copied.mem().allocArray(a.values()), img.values);
+    EXPECT_EQ(copied.mem().pagesShared(), 0u);
+
+    Checkpoint cp = Checkpoint::capture(mapped);
+    EXPECT_EQ(cp.bytes(), Checkpoint::capture(copied).bytes());
+
+    Machine restored(MachineParams{});
+    cp.restore(restored);
+    EXPECT_EQ(restored.mem().pagesTouched(),
+              mapped.mem().pagesTouched());
+    EXPECT_EQ(restored.mem().pagesShared(), 0u);
+    EXPECT_EQ(Checkpoint::capture(restored).bytes(), cp.bytes());
+}
+
 TEST(Checkpoint, DiskRoundTrip)
 {
     MachineParams params{};

@@ -94,7 +94,7 @@ struct SpmvStorage
 /**
  * Convert @p a to @p fmt with the machine's geometry (SPC5 window
  * and SELL chunk height from the vector length, the CSB block side
- * from viaCsbBeta) and upload it. csr uploads @p a itself, so the
+ * from viaCsbBeta) and upload it. csr maps @p a itself, so the
  * one-shot path never copies the matrix. Fatal on an unknown format.
  */
 SpmvStorage convertAndUpload(Machine &m, const Csr &a,
@@ -139,7 +139,7 @@ class SpmvResident
 
   private:
     BackendKind _kind;
-    Csr _csr; //!< owned copy; also the conversion source
+    Csr _csr; //!< shares @p a's arrays; also the conversion source
     SpmvStorage _storage;
 };
 

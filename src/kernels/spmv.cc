@@ -433,7 +433,8 @@ viaCsbBeta(const Machine &m)
 }
 
 // The matrix-operand uploads, shared by the one-shot wrappers and
-// the resident-matrix path. Upload order matches the historical
+// the resident-matrix path. Each array is mapped, not copied, at
+// the address a copy would get. Upload order matches the historical
 // one-shot functions exactly, so the emitted streams (and the
 // BENCH_simspeed fingerprints) are unchanged.
 

@@ -7,8 +7,8 @@
  * lanes. Indices are 32-bit, which covers the paper's input set
  * (matrices up to 20k rows).
  *
- * Index is part of the *simulated* memory layout — kernels upload
- * these arrays byte-for-byte into the machine's backing store — so
+ * Index is part of the *simulated* memory layout — kernels map
+ * these arrays byte for byte into the machine's backing store — so
  * it must stay 32 bits for the stats fingerprints to hold. Host-side
  * arithmetic whose result scales with the matrix (block-grid sizes,
  * Matrix Market entry counts) is carried in std::int64_t instead;

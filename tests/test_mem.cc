@@ -90,11 +90,11 @@ TEST(BackingStoreDeathTest, BadAlignmentPanics)
     EXPECT_DEATH(mem.alloc(8, 3), "power of two");
 }
 
-/** Four pages and a bit of distinct floats, held like a format's. */
+/** @p bytes of distinct floats, held the way a format holds them. */
 std::shared_ptr<const std::vector<float>>
-fourPagesOfFloats()
+sharedFloats(std::uint64_t bytes = 4 * BackingStore::pageBytes + 400)
 {
-    std::vector<float> v(4 * BackingStore::pageBytes / 4 + 100);
+    std::vector<float> v(bytes / 4);
     for (std::size_t i = 0; i < v.size(); ++i)
         v[i] = float(i) * 0.5f;
     return std::make_shared<const std::vector<float>>(std::move(v));
@@ -102,7 +102,7 @@ fourPagesOfFloats()
 
 TEST(BackingStore, MapArrayPlacesAndReadsLikeAllocArray)
 {
-    auto host = fourPagesOfFloats();
+    auto host = sharedFloats();
     BackingStore copied, mapped;
     std::vector<std::uint8_t> head{1, 2, 3};
     EXPECT_EQ(copied.allocArray(head), mapped.allocArray(head));
@@ -122,7 +122,7 @@ TEST(BackingStore, MapArrayPlacesAndReadsLikeAllocArray)
 
 TEST(BackingStore, StoresIntoAViewCopyItAndLeaveTheHostArray)
 {
-    auto host = fourPagesOfFloats();
+    auto host = sharedFloats();
     const std::string before = bytesOf(*host);
     BackingStore mem;
     const Addr base = mem.mapArray(host, *host);
@@ -153,14 +153,17 @@ TEST(BackingStore, StoresIntoAViewCopyItAndLeaveTheHostArray)
 
 TEST(BackingStore, MapArrayReplacesPagesAlreadyMaterialized)
 {
-    auto host = fourPagesOfFloats();
+    // Whole pages from a page-aligned base: nothing to copy, so the
+    // mapping itself must drop the page it replaces from the caches.
+    auto host = sharedFloats(4 * BackingStore::pageBytes);
     BackingStore mem;
     // A stray write above the brk materializes the page the array's
-    // second page will occupy, and leaves it in the write cache.
+    // second page will occupy, and leaves it in both caches.
     const Addr second = 0x10000 + BackingStore::pageBytes;
     mem.store<float>(second, 7.0f);
     const Addr base = mem.mapArray(host, *host);
     ASSERT_EQ(base, 0x10000u);
+    EXPECT_EQ(mem.pagesShared(), 4u);
     EXPECT_EQ(mem.load<float>(second), (*host)[second / 4 - base / 4]);
     mem.store<float>(second, 9.0f);
     EXPECT_EQ(mem.load<float>(second), 9.0f);

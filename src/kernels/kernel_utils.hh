@@ -7,7 +7,6 @@
 #ifndef VIA_KERNELS_KERNEL_UTILS_HH
 #define VIA_KERNELS_KERNEL_UTILS_HH
 
-#include <memory>
 #include <vector>
 
 #include "cpu/machine.hh"
@@ -19,26 +18,14 @@ namespace via::kernels
 
 /**
  * Copy a plain host array (x, histogram keys, a stencil image) into
- * simulated memory; returns its base.
+ * simulated memory; returns its base. A sparse format's arrays are
+ * mapped instead (BackingStore::mapArray with the format's storage()).
  */
 template <typename T>
 Addr
 upload(Machine &m, const std::vector<T> &host)
 {
     return m.mem().allocArray(host);
-}
-
-/**
- * Map an array of a sparse format into simulated memory at the
- * address upload would give it, sharing its pages instead of
- * copying them; @p owner is the format's storage().
- */
-template <typename T>
-Addr
-upload(Machine &m, std::shared_ptr<const void> owner,
-       const std::vector<T> &host)
-{
-    return m.mem().mapArray(std::move(owner), host);
 }
 
 /** Read a Value array back from simulated memory. */

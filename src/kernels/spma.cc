@@ -274,12 +274,12 @@ PairImage
 uploadPair(Machine &m, const Csr &a, const Csr &b)
 {
     PairImage img;
-    img.aPtr = upload(m, a.storage(), a.rowPtr());
-    img.aIdx = upload(m, a.storage(), a.colIdx());
-    img.aVal = upload(m, a.storage(), a.values());
-    img.bPtr = upload(m, b.storage(), b.rowPtr());
-    img.bIdx = upload(m, b.storage(), b.colIdx());
-    img.bVal = upload(m, b.storage(), b.values());
+    img.aPtr = m.mem().mapArray(a.storage(), a.rowPtr());
+    img.aIdx = m.mem().mapArray(a.storage(), a.colIdx());
+    img.aVal = m.mem().mapArray(a.storage(), a.values());
+    img.bPtr = m.mem().mapArray(b.storage(), b.rowPtr());
+    img.bIdx = m.mem().mapArray(b.storage(), b.colIdx());
+    img.bVal = m.mem().mapArray(b.storage(), b.values());
     return img;
 }
 

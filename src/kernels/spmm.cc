@@ -271,12 +271,12 @@ PairImage
 uploadPair(Machine &m, const Csr &a, const Csc &b)
 {
     PairImage img;
-    img.aPtr = upload(m, a.storage(), a.rowPtr());
-    img.aIdx = upload(m, a.storage(), a.colIdx());
-    img.aVal = upload(m, a.storage(), a.values());
-    img.bPtr = upload(m, b.storage(), b.colPtr());
-    img.bIdx = upload(m, b.storage(), b.rowIdx());
-    img.bVal = upload(m, b.storage(), b.values());
+    img.aPtr = m.mem().mapArray(a.storage(), a.rowPtr());
+    img.aIdx = m.mem().mapArray(a.storage(), a.colIdx());
+    img.aVal = m.mem().mapArray(a.storage(), a.values());
+    img.bPtr = m.mem().mapArray(b.storage(), b.colPtr());
+    img.bIdx = m.mem().mapArray(b.storage(), b.rowIdx());
+    img.bVal = m.mem().mapArray(b.storage(), b.values());
     return img;
 }
 

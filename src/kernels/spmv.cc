@@ -442,9 +442,9 @@ CsrImage
 uploadCsr(Machine &m, const Csr &a)
 {
     CsrImage img;
-    img.rowPtr = upload(m, a.storage(), a.rowPtr());
-    img.colIdx = upload(m, a.storage(), a.colIdx());
-    img.values = upload(m, a.storage(), a.values());
+    img.rowPtr = m.mem().mapArray(a.storage(), a.rowPtr());
+    img.colIdx = m.mem().mapArray(a.storage(), a.colIdx());
+    img.values = m.mem().mapArray(a.storage(), a.values());
     return img;
 }
 
@@ -452,10 +452,10 @@ Spc5Image
 uploadSpc5(Machine &m, const Spc5 &a)
 {
     Spc5Image img;
-    img.values = upload(m, a.storage(), a.values());
-    img.blockRow = upload(m, a.storage(), a.blockRow());
-    img.blockCol = upload(m, a.storage(), a.blockCol());
-    img.blockMask = upload(m, a.storage(), a.blockMask());
+    img.values = m.mem().mapArray(a.storage(), a.values());
+    img.blockRow = m.mem().mapArray(a.storage(), a.blockRow());
+    img.blockCol = m.mem().mapArray(a.storage(), a.blockCol());
+    img.blockMask = m.mem().mapArray(a.storage(), a.blockMask());
     return img;
 }
 
@@ -463,10 +463,10 @@ SellImage
 uploadSell(Machine &m, const SellCSigma &a)
 {
     SellImage img;
-    img.colIdx = upload(m, a.storage(), a.colIdx());
-    img.values = upload(m, a.storage(), a.values());
-    img.chunkPtr = upload(m, a.storage(), a.chunkPtr());
-    img.rowPerm = upload(m, a.storage(), a.rowPerm());
+    img.colIdx = m.mem().mapArray(a.storage(), a.colIdx());
+    img.values = m.mem().mapArray(a.storage(), a.values());
+    img.chunkPtr = m.mem().mapArray(a.storage(), a.chunkPtr());
+    img.rowPerm = m.mem().mapArray(a.storage(), a.rowPerm());
     return img;
 }
 
@@ -474,9 +474,9 @@ CsbImage
 uploadCsb(Machine &m, const Csb &a)
 {
     CsbImage img;
-    img.packedIdx = upload(m, a.storage(), a.packedIdx());
-    img.values = upload(m, a.storage(), a.values());
-    img.blockPtr = upload(m, a.storage(), a.blockPtr());
+    img.packedIdx = m.mem().mapArray(a.storage(), a.packedIdx());
+    img.values = m.mem().mapArray(a.storage(), a.values());
+    img.blockPtr = m.mem().mapArray(a.storage(), a.blockPtr());
     return img;
 }
 

@@ -90,17 +90,17 @@ class Csb
     void validate() const;
 
   private:
-    Index _rows = 0;
-    Index _cols = 0;
-    Index _beta = 0;
-    std::uint32_t _colBits = 0;
-
     struct Arrays
     {
         std::vector<Index> blockPtr;
         std::vector<Index> packedIdx;
         std::vector<Value> values;
     };
+
+    Index _rows = 0;
+    Index _cols = 0;
+    Index _beta = 0;
+    std::uint32_t _colBits = 0;
     SharedArrays<Arrays> _a;
 };
 

@@ -68,12 +68,6 @@ class SellCSigma
     void validate() const;
 
   private:
-    Index _rows = 0;
-    Index _cols = 0;
-    Index _c = 0;
-    Index _sigma = 0;
-    std::size_t _nnz = 0;
-
     struct Arrays
     {
         std::vector<Index> chunkPtr;
@@ -82,6 +76,12 @@ class SellCSigma
         std::vector<Value> values;
         std::vector<Index> rowPerm;
     };
+
+    Index _rows = 0;
+    Index _cols = 0;
+    Index _c = 0;
+    Index _sigma = 0;
+    std::size_t _nnz = 0;
     SharedArrays<Arrays> _a;
 };
 

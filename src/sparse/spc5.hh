@@ -65,10 +65,6 @@ class Spc5
     void validate() const;
 
   private:
-    Index _rows = 0;
-    Index _cols = 0;
-    Index _window = 0;
-
     struct Arrays
     {
         std::vector<Index> blockRow;
@@ -77,6 +73,10 @@ class Spc5
         std::vector<Index> blockPtr;
         std::vector<Value> values;
     };
+
+    Index _rows = 0;
+    Index _cols = 0;
+    Index _window = 0;
     SharedArrays<Arrays> _a;
 };
 

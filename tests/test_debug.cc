@@ -381,22 +381,33 @@ fnv1a64(std::uint64_t h, const void *data, std::size_t bytes)
     return h;
 }
 
-/** Hex FNV-1a-64 of a matrix's arrays and the Rng state after it. */
-std::string
-generatorHash(const Csr &m, const Rng &rng)
+/** FNV-1a-64 of a matrix's row_ptr, col_idx and value bytes. */
+std::uint64_t
+arraysHash(const Csr &m)
 {
     std::uint64_t h = 1469598103934665603ull;
     h = fnv1a64(h, m.rowPtr().data(),
                 m.rowPtr().size() * sizeof(Index));
     h = fnv1a64(h, m.colIdx().data(),
                 m.colIdx().size() * sizeof(Index));
-    h = fnv1a64(h, m.values().data(),
-                m.values().size() * sizeof(Value));
-    const auto state = rng.state();
-    h = fnv1a64(h, state.data(), sizeof(state));
+    return fnv1a64(h, m.values().data(),
+                   m.values().size() * sizeof(Value));
+}
+
+std::string
+hex(std::uint64_t h)
+{
     char buf[17];
     std::snprintf(buf, sizeof(buf), "%016llx", (unsigned long long)h);
     return buf;
+}
+
+/** Hex FNV-1a-64 of a matrix's arrays and the Rng state after it. */
+std::string
+generatorHash(const Csr &m, const Rng &rng)
+{
+    const auto state = rng.state();
+    return hex(fnv1a64(arraysHash(m), state.data(), sizeof(state)));
 }
 
 TEST(StreamingGenerators, RmatGeneratorsMatchGoldenHashes)
@@ -434,6 +445,41 @@ TEST(StreamingGenerators, RmatGeneratorsMatchGoldenHashes)
     }
 }
 
+TEST(StreamingGenerators, BandedCsrMatchesGoldenHashes)
+{
+    // genBandedCsr bit for bit, hashed as above: n=1 (the diagonal
+    // alone), a band wider than the matrix (every position is in
+    // band), the 300-row case genBanded was once checked against,
+    // and a few thousand rows.
+    struct Case
+    {
+        Index n;
+        Index bandwidth;
+        double fill;
+        std::uint64_t seed;
+        const char *hash;
+    };
+    const Case cases[] = {
+        {1, 4, 0.5, 1, "50f7f2e54b54c5b8"},
+        {20, 50, 0.5, 2, "94c677e7636efe88"},
+        {300, 9, 0.4, 11, "03bc29fe8579c9aa"},
+        {4000, 24, 0.3, 12, "8a5a4053640660cc"},
+    };
+    for (const Case &c : cases) {
+        Rng rng_csr(c.seed), rng_coo(c.seed);
+        const Csr direct = genBandedCsr(c.n, c.bandwidth, c.fill,
+                                        rng_csr);
+        const Csr coo_path = genBanded(c.n, c.bandwidth, c.fill,
+                                       rng_coo);
+        EXPECT_EQ(generatorHash(direct, rng_csr), c.hash)
+            << "genBandedCsr(" << c.n << ", " << c.bandwidth << ", "
+            << c.fill << ", seed " << c.seed << ")";
+        EXPECT_EQ(generatorHash(coo_path, rng_coo), c.hash)
+            << "genBanded(" << c.n << ", " << c.bandwidth << ", "
+            << c.fill << ", seed " << c.seed << ")";
+    }
+}
+
 // ------------------------------------------------------------------
 // Streaming Matrix Market I/O.
 // ------------------------------------------------------------------
@@ -459,6 +505,78 @@ slurp(const std::string &path)
     std::stringstream ss;
     ss << in.rdbuf();
     return ss.str();
+}
+
+TEST(StreamingMmIo, ReaderMatchesGoldenHashes)
+{
+    // The .mtx reader bit for bit: row_ptr, col_idx and value bytes
+    // for symmetric expansion, a pattern field, an integer field,
+    // comments and blank lines between entries, and one position
+    // given three times. Its three values sum to 0 only in file
+    // order (1e8 + 1 rounds back to 1e8 in float), and the exact
+    // zero is kept.
+    struct Case
+    {
+        const char *text;
+        Index rows;
+        Index cols;
+        const char *hash;
+    };
+    const Case cases[] = {
+        {"%%MatrixMarket matrix coordinate real symmetric\n"
+         "5 5 6\n"
+         "1 1 4.0\n"
+         "2 1 -1.25\n"
+         "3 2 0.5\n"
+         "5 3 2.0\n"
+         "4 4 1.0\n"
+         "5 5 -3.5\n",
+         5, 5, "8fbcad50116b269f"},
+        {"%%MatrixMarket matrix coordinate pattern general\n"
+         "3 4 4\n"
+         "1 4\n"
+         "3 4\n"
+         "2 1\n"
+         "1 2\n",
+         3, 4, "d3f4a4ee2b9a7547"},
+        {"%%MatrixMarket matrix coordinate integer general\n"
+         "3 3 4\n"
+         "1 1 7\n"
+         "2 3 -2\n"
+         "3 1 100000\n"
+         "3 3 0\n",
+         3, 3, "e73829bbdd05ea06"},
+        {"%%MatrixMarket matrix coordinate real general\n"
+         "% a header comment\n"
+         "4 3 3\n"
+         "1 1 1.5\n"
+         "% a comment between entries\n"
+         "\n"
+         "4 3 2.5\n"
+         "%\n"
+         "2 2 -0.75\n",
+         4, 3, "40ad27ec6fc14a62"},
+        {"%%MatrixMarket matrix coordinate real general\n"
+         "2 2 4\n"
+         "1 2 100000000\n"
+         "2 1 1.0\n"
+         "1 2 1\n"
+         "1 2 -100000000\n",
+         2, 2, "5e8b54452005ebfc"},
+    };
+    for (std::size_t i = 0; i < std::size(cases); ++i) {
+        const Case &c = cases[i];
+        TempMtx file(("via_mm_golden_" + std::to_string(i) + ".mtx")
+                         .c_str());
+        {
+            std::ofstream out(file.path());
+            out << c.text;
+        }
+        const Csr m = readMatrixMarketStreaming(file.path());
+        EXPECT_EQ(m.rows(), c.rows) << "fixture " << i;
+        EXPECT_EQ(m.cols(), c.cols) << "fixture " << i;
+        EXPECT_EQ(hex(arraysHash(m)), c.hash) << "fixture " << i;
+    }
 }
 
 TEST(StreamingMmIo, WriterOutputMatchesWriteMatrixMarket)

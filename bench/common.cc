@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "simcore/log.hh"
-#include "sparse/structure_stats.hh"
 
 namespace via::bench
 {

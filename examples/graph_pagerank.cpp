@@ -48,7 +48,7 @@ main()
     const float alpha = 0.85f;
 
     Rng rng(2024);
-    Csr adj = genRmat(n, 8 * std::size_t(n), rng);
+    Csr adj = genRmatCsr(n, 8 * std::size_t(n), rng);
     Csr op = pagerankOperator(adj);
     std::printf("graph: %d vertices, %zu edges\n", n, adj.nnz());
 

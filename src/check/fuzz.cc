@@ -514,19 +514,19 @@ genAdversarial(Rng &rng)
         base = genUniform(n, n, 0.02 + rng.uniform() * 0.3, rng);
         break;
     case 1:
-        base = genBanded(n,
-                         Index(1 + rng.below(std::uint64_t(
-                                   std::max<Index>(1, n / 4)))),
-                         0.2 + rng.uniform() * 0.8, rng);
+        base = genBandedCsr(n,
+                            Index(1 + rng.below(std::uint64_t(
+                                      std::max<Index>(1, n / 4)))),
+                            0.2 + rng.uniform() * 0.8, rng);
         break;
     case 2: {
         Index n2 = 2;
         while (2 * n2 <= n)
             n2 *= 2;
-        base = genRmat(n2,
-                       1 + rng.below(std::uint64_t(n2) *
-                                     std::uint64_t(n2) / 2),
-                       rng);
+        base = genRmatCsr(n2,
+                          1 + rng.below(std::uint64_t(n2) *
+                                        std::uint64_t(n2) / 2),
+                          rng);
         break;
     }
     case 3:

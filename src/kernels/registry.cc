@@ -50,33 +50,21 @@ share(T value)
 Csr
 loadMatrix(const Options &opts, Index rows, Rng &rng)
 {
-    const bool stream = opts.knows("stream") && opts.getBool("stream");
-    if (opts.given("matrix") || opts.given("mtx")) {
-        const std::string path =
-            opts.getString(opts.given("matrix") ? "matrix" : "mtx");
-        return stream ? readMatrixMarketStreaming(path)
-                      : readMatrixMarket(path);
-    }
+    if (opts.given("matrix") || opts.given("mtx"))
+        return readMatrixMarket(
+            opts.getString(opts.given("matrix") ? "matrix" : "mtx"));
     const Index n = rows;
     const double density = opts.getDouble("density");
     const std::string family = opts.getString("family");
-    if (stream && family != "banded" && family != "rmat")
-        via_fatal("stream=1 needs family=banded|rmat or mtx= "
-                  "(got family=", family, ")");
-    if (family == "banded") {
-        const auto bw = std::max<Index>(1, n / 32);
-        const double fill = std::min(1.0, density * n / 16.0);
-        return stream ? genBandedCsr(n, bw, fill, rng)
-                      : genBanded(n, bw, fill, rng);
-    }
+    if (family == "banded")
+        return genBandedCsr(n, std::max<Index>(1, n / 32),
+                            std::min(1.0, density * n / 16.0), rng);
     if (family == "rmat") {
         Index n2 = 1;
         while (2 * n2 <= n)
             n2 *= 2;
-        const auto target =
-            std::size_t(density * double(n2) * double(n2));
-        return stream ? genRmatCsr(n2, target, rng)
-                      : genRmat(n2, target, rng);
+        return genRmatCsr(
+            n2, std::size_t(density * double(n2) * double(n2)), rng);
     }
     if (family == "blocked")
         return genBlocked(n, std::min<Index>(16, n), std::sqrt(density),
@@ -311,7 +299,7 @@ kernelRegistry()
 }
 
 void
-addInputOptions(Options &opts, std::uint64_t px, bool stream)
+addInputOptions(Options &opts, std::uint64_t px)
 {
     opts.addString("mtx", "", "Matrix Market input (default: synthetic)")
         .addString("matrix", "", "alias for mtx=")
@@ -326,10 +314,6 @@ addInputOptions(Options &opts, std::uint64_t px, bool stream)
         .addUInt("keys", 16384, "histogram input size", 1)
         .addUInt("buckets", 1024, "histogram buckets", 1)
         .addUInt("px", px, "stencil image side", 4);
-    if (stream)
-        opts.addFlag("stream",
-                     "stream the input with no triplet intermediates "
-                     "(family=banded|rmat or mtx=; million-row inputs)");
 }
 
 void

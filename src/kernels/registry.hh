@@ -101,11 +101,10 @@ const std::vector<KernelSpec> &kernelRegistry();
 
 /**
  * Register the input keys the builders read: mtx=/matrix=, rows=,
- * density=, family=, seed=, format=, keys=, buckets=, px= (default
- * @p px; at least 4, the stencil filter's side) and, with @p stream,
- * stream=.
+ * density=, family=, seed=, format=, keys=, buckets= and px=
+ * (default @p px; at least 4, the stencil filter's side).
  */
-void addInputOptions(Options &opts, std::uint64_t px, bool stream);
+void addInputOptions(Options &opts, std::uint64_t px);
 
 /**
  * Exit 1 when the accelerated kernel cannot run @p k on a machine

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <filesystem>
+#include <numeric>
 #include <sstream>
 
 #include "simcore/log.hh"
@@ -76,7 +77,7 @@ buildCorpus(const CorpusSpec &spec)
             auto bw = Index(std::max<double>(
                 1.0, density * double(n) * (2.0 + rng.uniform())));
             double fill = density * double(n) / (2.0 * bw + 1.0);
-            m = genBanded(n, bw, std::min(fill, 0.9), rng);
+            m = genBandedCsr(n, bw, std::min(fill, 0.9), rng);
             break;
           }
           case 1: {
@@ -92,7 +93,7 @@ buildCorpus(const CorpusSpec &spec)
             Index n2 = roundToPow2(n);
             auto nnz = std::size_t(density * double(n2) *
                                    double(n2));
-            m = genRmat(n2, std::max<std::size_t>(nnz, n2), rng);
+            m = genRmatCsr(n2, std::max<std::size_t>(nnz, n2), rng);
             break;
           }
           case 3:
@@ -130,6 +131,24 @@ loadCorpusDir(const std::string &dir)
                                      readMatrixMarket(path.string())});
     }
     return corpus;
+}
+
+std::vector<std::size_t>
+evenBuckets(const std::vector<double> &keys, std::size_t buckets)
+{
+    via_assert(buckets > 0, "need at least one bucket");
+    std::vector<std::size_t> order(keys.size());
+    std::iota(order.begin(), order.end(), std::size_t(0));
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return keys[a] < keys[b];
+                     });
+    std::vector<std::size_t> bucket(keys.size(), 0);
+    for (std::size_t pos = 0; pos < order.size(); ++pos) {
+        bucket[order[pos]] = std::min(buckets - 1,
+                                      pos * buckets / order.size());
+    }
+    return bucket;
 }
 
 } // namespace via

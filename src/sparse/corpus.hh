@@ -47,6 +47,16 @@ std::vector<CorpusEntry> buildCorpus(const CorpusSpec &spec);
 /** Load every .mtx file in a directory as corpus entries. */
 std::vector<CorpusEntry> loadCorpusDir(const std::string &dir);
 
+/**
+ * Split items into `buckets` near-equal categories after sorting by
+ * key ascending (the paper sorts matrices by block density / nnz and
+ * splits evenly into four).
+ *
+ * @return bucket id (0..buckets-1) per item, aligned with items
+ */
+std::vector<std::size_t> evenBuckets(const std::vector<double> &keys,
+                                     std::size_t buckets);
+
 } // namespace via
 
 #endif // VIA_SPARSE_CORPUS_HH

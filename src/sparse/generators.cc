@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "simcore/log.hh"
+#include "sparse/coo.hh"
 
 namespace via
 {
@@ -90,22 +91,6 @@ class RmatDescent
 } // namespace
 
 Csr
-genBanded(Index n, Index bandwidth, double fill, Rng &rng)
-{
-    via_assert(n > 0 && bandwidth >= 0, "bad band parameters");
-    Coo coo(n, n);
-    for (Index r = 0; r < n; ++r) {
-        Index lo = std::max<Index>(0, r - bandwidth);
-        Index hi = std::min<Index>(n - 1, r + bandwidth);
-        for (Index c = lo; c <= hi; ++c) {
-            if (c == r || rng.chance(fill))
-                coo.add(r, c, randValue(rng));
-        }
-    }
-    return Csr::fromCoo(std::move(coo));
-}
-
-Csr
 genUniform(Index rows, Index cols, double density, Rng &rng)
 {
     via_assert(rows > 0 && cols > 0, "bad shape");
@@ -139,20 +124,6 @@ genUniform(Index rows, Index cols, double density, Rng &rng)
     // the rows directly (Csr::fromRows) sums in draw order, which at
     // 16384^2 and 0.5% density gives the same structure but
     // different values for 6 of seeds 1-20.
-    return Csr::fromCoo(std::move(coo));
-}
-
-Csr
-genRmat(Index n, std::size_t nnz_target, Rng &rng)
-{
-    const RmatDescent descent(n);
-    Coo coo(n, n);
-    for (std::size_t e = 0; e < nnz_target; ++e) {
-        Index row = 0, col = 0;
-        descent.edge(rng, row, col);
-        coo.add(row, col, randValue(rng));
-    }
-    coo.canonicalize();
     return Csr::fromCoo(std::move(coo));
 }
 
@@ -209,8 +180,8 @@ genRmatCsr(Index n, std::size_t nnz_target, Rng &rng)
     for (Index r = 0; r < n; ++r)
         row_ptr[std::size_t(r) + 1] += row_ptr[std::size_t(r)];
 
-    // Pass 2: place each edge into its row's segment (consuming the
-    // caller's rng, which therefore ends exactly as after genRmat).
+    // Pass 2: place each edge into its row's segment, consuming the
+    // caller's rng.
     std::vector<Index> col_idx(nnz_target);
     std::vector<Value> values(nnz_target);
     {

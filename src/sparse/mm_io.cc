@@ -38,8 +38,7 @@ struct MmHeader
 
 /**
  * Parse banner, comments, and size line, leaving @p in positioned
- * at the first entry line. Shared by the one-pass and streaming
- * readers so both accept exactly the same dialect.
+ * at the first entry line.
  */
 MmHeader
 parseMmHeader(std::istream &in, const std::string &what)
@@ -106,29 +105,83 @@ parseEntry(const std::string &line, const MmHeader &h,
     return true;
 }
 
+/** Read the header again and compare it with pass one's. */
+void
+rereadHeader(std::istream &in, std::istream::pos_type start,
+             const MmHeader &h, const std::string &what)
+{
+    in.clear();
+    in.seekg(start);
+    if (!in)
+        via_fatal(what, ": cannot rewind the input for its second "
+                  "pass");
+    const MmHeader h2 = parseMmHeader(in, what);
+    if (h2.rows != h.rows || h2.cols != h.cols ||
+        h2.entries != h.entries || h2.pattern != h.pattern ||
+        h2.symmetric != h.symmetric)
+        via_fatal(what, ": input changed between passes");
+}
+
 } // namespace
 
 Csr
 readMatrixMarketStream(std::istream &in, const std::string &what)
 {
+    const auto start = in.tellg();
+    if (start == std::istream::pos_type(-1))
+        via_fatal(what, ": the input cannot be rewound (the reader "
+                  "makes two passes)");
+
+    // Pass 1: count entries per row (symmetric mirrors included).
     const MmHeader h = parseMmHeader(in, what);
+    const auto n_rows = std::size_t(h.rows);
+    std::vector<Index> row_ptr(n_rows + 1, 0);
     std::string line;
-    Coo coo(static_cast<Index>(h.rows), static_cast<Index>(h.cols));
-    for (std::int64_t e = 0; e < h.entries; ++e) {
-        if (!std::getline(in, line))
-            via_fatal(what, ": truncated after ", e, " of ",
-                      h.entries, " entries");
-        std::int64_t r = 0, c = 0;
-        double v = 1.0;
-        if (!parseEntry(line, h, what, r, c, v)) {
-            --e;
-            continue;
+    auto forEachEntry = [&](auto &&visit) {
+        for (std::int64_t e = 0; e < h.entries; ++e) {
+            if (!std::getline(in, line))
+                via_fatal(what, ": truncated after ", e, " of ",
+                          h.entries, " entries");
+            std::int64_t r = 0, c = 0;
+            double v = 1.0;
+            if (!parseEntry(line, h, what, r, c, v)) {
+                --e;
+                continue;
+            }
+            visit(r - 1, c - 1, v);
+            if (h.symmetric && r != c)
+                visit(c - 1, r - 1, v);
         }
-        coo.add(Index(r - 1), Index(c - 1), Value(v));
-        if (h.symmetric && r != c)
-            coo.add(Index(c - 1), Index(r - 1), Value(v));
-    }
-    return Csr::fromCoo(std::move(coo));
+    };
+    forEachEntry([&](std::int64_t r, std::int64_t, double) {
+        ++row_ptr[std::size_t(r) + 1];
+    });
+    for (std::size_t r = 0; r < n_rows; ++r)
+        row_ptr[r + 1] += row_ptr[r];
+    const auto total = std::size_t(row_ptr[n_rows]);
+
+    // Pass 2: place entries into their rows' segments in file order.
+    rereadHeader(in, start, h, what);
+    std::vector<Index> col_idx(total);
+    std::vector<Value> values(total);
+    std::vector<Index> next(row_ptr.begin(), row_ptr.end() - 1);
+    std::size_t placed = 0;
+    forEachEntry([&](std::int64_t r, std::int64_t c, double v) {
+        const auto row = std::size_t(r);
+        if (next[row] == row_ptr[row + 1])
+            via_fatal(what, ": input changed between passes");
+        const auto slot = std::size_t(next[row]++);
+        col_idx[slot] = Index(c);
+        values[slot] = Value(v);
+        ++placed;
+    });
+    if (placed != total)
+        via_fatal(what, ": input changed between passes");
+
+    // Duplicates sum in file order; exact zeros are kept.
+    return Csr::fromRows(Index(h.rows), Index(h.cols),
+                         std::move(row_ptr), std::move(col_idx),
+                         std::move(values));
 }
 
 Csr
@@ -138,100 +191,6 @@ readMatrixMarket(const std::string &path)
     if (!in)
         via_fatal("cannot open '", path, "'");
     return readMatrixMarketStream(in, path);
-}
-
-Csr
-readMatrixMarketStreaming(const std::string &path)
-{
-    // Pass 1: count entries per row (symmetric mirrors included).
-    std::ifstream in(path);
-    if (!in)
-        via_fatal("cannot open '", path, "'");
-    const MmHeader h = parseMmHeader(in, path);
-    const auto n_rows = std::size_t(h.rows);
-    std::vector<Index> row_ptr(n_rows + 1, 0);
-    std::string line;
-    for (std::int64_t e = 0; e < h.entries; ++e) {
-        if (!std::getline(in, line))
-            via_fatal(path, ": truncated after ", e, " of ",
-                      h.entries, " entries");
-        std::int64_t r = 0, c = 0;
-        double v = 1.0;
-        if (!parseEntry(line, h, path, r, c, v)) {
-            --e;
-            continue;
-        }
-        ++row_ptr[std::size_t(r - 1) + 1];
-        if (h.symmetric && r != c)
-            ++row_ptr[std::size_t(c - 1) + 1];
-    }
-    for (std::size_t r = 0; r < n_rows; ++r)
-        row_ptr[r + 1] += row_ptr[r];
-    const auto total = std::size_t(row_ptr[n_rows]);
-
-    // Pass 2: place entries into their rows' segments.
-    std::ifstream in2(path);
-    if (!in2)
-        via_fatal("cannot open '", path, "'");
-    const MmHeader h2 = parseMmHeader(in2, path);
-    if (h2.rows != h.rows || h2.entries != h.entries)
-        via_fatal(path, ": file changed between passes");
-    std::vector<Index> col_idx(total);
-    std::vector<Value> values(total);
-    std::vector<Index> next(row_ptr.begin(), row_ptr.end() - 1);
-    auto place = [&](std::int64_t r, std::int64_t c, double v) {
-        const auto slot = std::size_t(next[std::size_t(r - 1)]++);
-        col_idx[slot] = Index(c - 1);
-        values[slot] = Value(v);
-    };
-    for (std::int64_t e = 0; e < h.entries; ++e) {
-        if (!std::getline(in2, line))
-            via_fatal(path, ": truncated after ", e, " of ",
-                      h.entries, " entries");
-        std::int64_t r = 0, c = 0;
-        double v = 1.0;
-        if (!parseEntry(line, h, path, r, c, v)) {
-            --e;
-            continue;
-        }
-        place(r, c, v);
-        if (h.symmetric && r != c)
-            place(c, r, v);
-    }
-
-    // Per-row sort + duplicate merge (duplicates sum in file order,
-    // exact zeros kept — matching Coo::canonicalize semantics).
-    std::vector<std::pair<Index, Value>> tmp;
-    std::size_t w = 0;
-    std::vector<Index> out_ptr(n_rows + 1, 0);
-    for (std::size_t r = 0; r < n_rows; ++r) {
-        const auto lo = std::size_t(row_ptr[r]);
-        const auto hi = std::size_t(row_ptr[r + 1]);
-        tmp.clear();
-        for (std::size_t i = lo; i < hi; ++i)
-            tmp.emplace_back(col_idx[i], values[i]);
-        std::stable_sort(tmp.begin(), tmp.end(),
-                         [](const auto &x, const auto &y) {
-                             return x.first < y.first;
-                         });
-        for (std::size_t i = 0; i < tmp.size();) {
-            Index col = tmp[i].first;
-            Value sum = tmp[i].second;
-            std::size_t j = i + 1;
-            for (; j < tmp.size() && tmp[j].first == col; ++j)
-                sum += tmp[j].second;
-            col_idx[w] = col;
-            values[w] = sum;
-            ++w;
-            i = j;
-        }
-        out_ptr[r + 1] = Index(w);
-    }
-    col_idx.resize(w);
-    values.resize(w);
-    return Csr::fromParts(Index(h.rows), Index(h.cols),
-                          std::move(out_ptr), std::move(col_idx),
-                          std::move(values));
 }
 
 void
@@ -258,51 +217,6 @@ writeMatrixMarket(const Csr &matrix, const std::string &path)
     if (!out)
         via_fatal("cannot open '", path, "' for writing");
     writeMatrixMarket(matrix, out);
-}
-
-MatrixMarketWriter::MatrixMarketWriter(const std::string &path,
-                                       Index rows, Index cols,
-                                       std::size_t nnz)
-    : _out(path), _path(path), _declared(nnz)
-{
-    if (!_out)
-        via_fatal("cannot open '", path, "' for writing");
-    _out << "%%MatrixMarket matrix coordinate real general\n";
-    _out << "% written by the VIA reproduction library\n";
-    _out << rows << ' ' << cols << ' ' << nnz << '\n';
-}
-
-MatrixMarketWriter::~MatrixMarketWriter()
-{
-    // No count validation here: a fatal() in a destructor would
-    // mask the error that is unwinding. Callers close() to verify.
-    if (!_closed)
-        _out.flush();
-}
-
-void
-MatrixMarketWriter::add(Index r, Index c, Value v)
-{
-    if (_written >= _declared)
-        via_fatal(_path, ": more entries than the declared ",
-                  _declared);
-    _out << (r + 1) << ' ' << (c + 1) << ' ' << v << '\n';
-    ++_written;
-}
-
-void
-MatrixMarketWriter::close()
-{
-    if (_closed)
-        return;
-    if (_written != _declared)
-        via_fatal(_path, ": wrote ", _written, " of ", _declared,
-                  " declared entries");
-    _out.flush();
-    if (!_out)
-        via_fatal(_path, ": write failed");
-    _out.close();
-    _closed = true;
 }
 
 } // namespace via

@@ -11,7 +11,6 @@
 #ifndef VIA_SPARSE_MM_IO_HH
 #define VIA_SPARSE_MM_IO_HH
 
-#include <fstream>
 #include <iosfwd>
 #include <string>
 
@@ -20,58 +19,25 @@
 namespace via
 {
 
-/** Parse a Matrix Market stream; fatal() on malformed input. */
+/**
+ * Parse a Matrix Market stream; fatal() on malformed input. The
+ * reader makes two passes: pass one counts entries per row, then it
+ * rewinds @p in (which must therefore be seekable, as files and
+ * string streams are) and pass two places each entry into its row's
+ * segment of pre-sized CSR arrays. Csr::fromRows then sorts each row
+ * and sums duplicates in file order. Peak memory is the final CSR
+ * plus one counter per row: no triplet set and no global sort, so
+ * 10^6+-row files stay tractable.
+ */
 Csr readMatrixMarketStream(std::istream &in,
                            const std::string &what = "<stream>");
 
-/** Read a .mtx file. */
+/** Read a .mtx file (readMatrixMarketStream on the opened file). */
 Csr readMatrixMarket(const std::string &path);
-
-/**
- * Read a .mtx file in two streaming passes: pass one counts
- * entries per row, pass two places them into pre-sized CSR arrays,
- * then each row is sorted and duplicates merged in place. Peak
- * memory is the final CSR plus one counter per row — no triplet
- * set and no global sort, which is what makes 10^6+-row files
- * tractable. For duplicate-free inputs (the normal case) the
- * result is bit-identical to readMatrixMarket.
- */
-Csr readMatrixMarketStreaming(const std::string &path);
 
 /** Write coordinate/real/general .mtx. */
 void writeMatrixMarket(const Csr &matrix, std::ostream &out);
 void writeMatrixMarket(const Csr &matrix, const std::string &path);
-
-/**
- * Incremental coordinate/real/general .mtx writer: the entry count
- * is declared up front and entries stream straight to disk, so a
- * matrix can be written without ever holding a second copy (e.g.
- * piping a streaming generator to a file row by row).
- *
- * Output is byte-identical to writeMatrixMarket when entries are
- * added in CSR order. close() validates the declared count.
- */
-class MatrixMarketWriter
-{
-  public:
-    MatrixMarketWriter(const std::string &path, Index rows,
-                       Index cols, std::size_t nnz);
-    ~MatrixMarketWriter();
-
-    /** Append one entry (0-based indices, emitted 1-based). */
-    void add(Index r, Index c, Value v);
-
-    /** Flush and verify the declared entry count; fatal on short
-     *  or excess writes. Idempotent. */
-    void close();
-
-  private:
-    std::ofstream _out;
-    std::string _path;
-    std::size_t _declared = 0;
-    std::size_t _written = 0;
-    bool _closed = false;
-};
 
 } // namespace via
 

@@ -12,13 +12,9 @@
  * opcode matches, access-window overlap, line alignment, once
  * removal, and the edge-trigger/re-arm latch on threshold watches.
  *
- * The streaming generators must agree with their Coo-based
- * counterparts: genBandedCsr bit-identically (same draw order, no
- * reordering), genRmatCsr structurally with allClose values and
- * identical Rng end state. Golden hashes pin both RMAT generators'
- * output bit for bit, so a change that alters both alike still
- * fails. The streaming .mtx reader and writer must round-trip
- * against the one-pass implementations.
+ * Golden hashes pin the banded and RMAT generators' arrays and Rng
+ * end state, and the two-pass .mtx reader's arrays on hand-written
+ * fixtures, bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -321,54 +317,6 @@ TEST(DebugSession, CheckpointRewindReplaysBitIdentical)
 // Streaming generators.
 // ------------------------------------------------------------------
 
-TEST(StreamingGenerators, BandedCsrBitIdenticalToGenBanded)
-{
-    Rng rng_a(11), rng_b(11);
-    Csr coo_path = genBanded(300, 9, 0.4, rng_a);
-    Csr direct = genBandedCsr(300, 9, 0.4, rng_b);
-
-    EXPECT_EQ(coo_path.rowPtr(), direct.rowPtr());
-    EXPECT_EQ(coo_path.colIdx(), direct.colIdx());
-    EXPECT_EQ(coo_path.values(), direct.values()); // bit-identical
-    EXPECT_EQ(rng_a.state(), rng_b.state());
-}
-
-TEST(StreamingGenerators, RmatCsrMatchesGenRmat)
-{
-    // Small n with a high edge target forces duplicate edges, so
-    // the merge path is exercised. Structure must match exactly;
-    // values are allClose (3+-way duplicate sums may associate
-    // differently than the global canonicalize sort).
-    Rng rng_a(5), rng_b(5);
-    Csr coo_path = genRmat(64, 2000, rng_a);
-    Csr direct = genRmatCsr(64, 2000, rng_b);
-
-    EXPECT_EQ(coo_path.rowPtr(), direct.rowPtr());
-    EXPECT_EQ(coo_path.colIdx(), direct.colIdx());
-    ASSERT_EQ(coo_path.values().size(), direct.values().size());
-    for (std::size_t i = 0; i < direct.values().size(); ++i)
-        EXPECT_NEAR(coo_path.values()[i], direct.values()[i], 1e-5)
-            << "value " << i;
-    // Both consume the random stream identically.
-    EXPECT_EQ(rng_a.state(), rng_b.state());
-}
-
-TEST(StreamingGenerators, RmatCsrMatchesAtLargerScale)
-{
-    // A larger, sparser instance (hub rows still collide — RMAT
-    // always has duplicate pressure at the top-left corner).
-    Rng rng_a(9), rng_b(9);
-    Csr coo_path = genRmat(1024, 3000, rng_a);
-    Csr direct = genRmatCsr(1024, 3000, rng_b);
-    EXPECT_EQ(coo_path.rowPtr(), direct.rowPtr());
-    EXPECT_EQ(coo_path.colIdx(), direct.colIdx());
-    ASSERT_EQ(coo_path.values().size(), direct.values().size());
-    for (std::size_t i = 0; i < direct.values().size(); ++i)
-        EXPECT_NEAR(coo_path.values()[i], direct.values()[i], 1e-5)
-            << "value " << i;
-    EXPECT_EQ(rng_a.state(), rng_b.state());
-}
-
 /** FNV-1a-64 of @p bytes bytes at @p data, continuing from @p h. */
 std::uint64_t
 fnv1a64(std::uint64_t h, const void *data, std::size_t bytes)
@@ -412,35 +360,30 @@ generatorHash(const Csr &m, const Rng &rng)
 
 TEST(StreamingGenerators, RmatGeneratorsMatchGoldenHashes)
 {
-    // Both RMAT generators, bit for bit: row_ptr, col_idx and value
-    // bytes plus the end Rng state. The cases cover n=1 (no descent
-    // levels), tiny n with heavy duplication, the two allClose cases
-    // above, and a 2^16-row instance whose hub rows are longer than
-    // the insertion-sort cutoff.
+    // genRmatCsr bit for bit: row_ptr, col_idx and value bytes plus
+    // the end Rng state. The cases cover n=1 (no descent levels),
+    // tiny n with heavy duplication, two mid-size instances whose
+    // hub rows collide, and a 2^16-row instance whose hub rows are
+    // longer than the insertion-sort cutoff.
     struct Case
     {
         Index n;
         std::size_t nnz;
         std::uint64_t seed;
         const char *csr;
-        const char *coo;
     };
     const Case cases[] = {
-        {1, 10, 3, "df152c934b17ccc1", "df152c934b17ccc1"},
-        {2, 100, 4, "bf3ff665a0f7fc5c", "61a53b3c259a61ac"},
-        {64, 2000, 5, "3f797d8e08f736f3", "9cb4a8ebb8d735bd"},
-        {1024, 3000, 9, "97133c4393e134d8", "290c95700a0661c5"},
-        {65536, 524288, 7, "f082ea5d566fe5a7", "b0e5443f298210d7"},
+        {1, 10, 3, "df152c934b17ccc1"},
+        {2, 100, 4, "bf3ff665a0f7fc5c"},
+        {64, 2000, 5, "3f797d8e08f736f3"},
+        {1024, 3000, 9, "97133c4393e134d8"},
+        {65536, 524288, 7, "f082ea5d566fe5a7"},
     };
     for (const Case &c : cases) {
-        Rng rng_csr(c.seed), rng_coo(c.seed);
-        const Csr direct = genRmatCsr(c.n, c.nnz, rng_csr);
-        const Csr coo_path = genRmat(c.n, c.nnz, rng_coo);
-        EXPECT_EQ(generatorHash(direct, rng_csr), c.csr)
+        Rng rng(c.seed);
+        const Csr m = genRmatCsr(c.n, c.nnz, rng);
+        EXPECT_EQ(generatorHash(m, rng), c.csr)
             << "genRmatCsr(" << c.n << ", " << c.nnz << ", seed "
-            << c.seed << ")";
-        EXPECT_EQ(generatorHash(coo_path, rng_coo), c.coo)
-            << "genRmat(" << c.n << ", " << c.nnz << ", seed "
             << c.seed << ")";
     }
 }
@@ -449,8 +392,7 @@ TEST(StreamingGenerators, BandedCsrMatchesGoldenHashes)
 {
     // genBandedCsr bit for bit, hashed as above: n=1 (the diagonal
     // alone), a band wider than the matrix (every position is in
-    // band), the 300-row case genBanded was once checked against,
-    // and a few thousand rows.
+    // band), a 300-row case and a few thousand rows.
     struct Case
     {
         Index n;
@@ -466,16 +408,10 @@ TEST(StreamingGenerators, BandedCsrMatchesGoldenHashes)
         {4000, 24, 0.3, 12, "8a5a4053640660cc"},
     };
     for (const Case &c : cases) {
-        Rng rng_csr(c.seed), rng_coo(c.seed);
-        const Csr direct = genBandedCsr(c.n, c.bandwidth, c.fill,
-                                        rng_csr);
-        const Csr coo_path = genBanded(c.n, c.bandwidth, c.fill,
-                                       rng_coo);
-        EXPECT_EQ(generatorHash(direct, rng_csr), c.hash)
+        Rng rng(c.seed);
+        const Csr m = genBandedCsr(c.n, c.bandwidth, c.fill, rng);
+        EXPECT_EQ(generatorHash(m, rng), c.hash)
             << "genBandedCsr(" << c.n << ", " << c.bandwidth << ", "
-            << c.fill << ", seed " << c.seed << ")";
-        EXPECT_EQ(generatorHash(coo_path, rng_coo), c.hash)
-            << "genBanded(" << c.n << ", " << c.bandwidth << ", "
             << c.fill << ", seed " << c.seed << ")";
     }
 }
@@ -497,15 +433,6 @@ class TempMtx
   private:
     std::string _path;
 };
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
 
 TEST(StreamingMmIo, ReaderMatchesGoldenHashes)
 {
@@ -572,49 +499,11 @@ TEST(StreamingMmIo, ReaderMatchesGoldenHashes)
             std::ofstream out(file.path());
             out << c.text;
         }
-        const Csr m = readMatrixMarketStreaming(file.path());
+        const Csr m = readMatrixMarket(file.path());
         EXPECT_EQ(m.rows(), c.rows) << "fixture " << i;
         EXPECT_EQ(m.cols(), c.cols) << "fixture " << i;
         EXPECT_EQ(hex(arraysHash(m)), c.hash) << "fixture " << i;
     }
-}
-
-TEST(StreamingMmIo, WriterOutputMatchesWriteMatrixMarket)
-{
-    Rng rng(3);
-    Csr m = genUniform(40, 30, 0.1, rng);
-
-    TempMtx whole("via_mm_whole.mtx");
-    TempMtx streamed("via_mm_streamed.mtx");
-    writeMatrixMarket(m, whole.path());
-
-    MatrixMarketWriter w(streamed.path(), m.rows(), m.cols(),
-                         m.nnz());
-    for (Index r = 0; r < m.rows(); ++r)
-        for (Index k = m.rowPtr()[std::size_t(r)];
-             k < m.rowPtr()[std::size_t(r) + 1]; ++k)
-            w.add(r, m.colIdx()[std::size_t(k)],
-                  m.values()[std::size_t(k)]);
-    w.close();
-
-    EXPECT_EQ(slurp(whole.path()), slurp(streamed.path()));
-}
-
-TEST(StreamingMmIo, StreamingReadMatchesOnePassReader)
-{
-    Rng rng(13);
-    Csr m = genUniform(64, 64, 0.08, rng);
-    TempMtx file("via_mm_roundtrip.mtx");
-    writeMatrixMarket(m, file.path());
-
-    Csr one_pass = readMatrixMarket(file.path());
-    Csr streaming = readMatrixMarketStreaming(file.path());
-    EXPECT_EQ(one_pass.rowPtr(), streaming.rowPtr());
-    EXPECT_EQ(one_pass.colIdx(), streaming.colIdx());
-    EXPECT_EQ(one_pass.values(), streaming.values());
-    // And both round-trip the original matrix.
-    EXPECT_EQ(streaming.rowPtr(), m.rowPtr());
-    EXPECT_EQ(streaming.colIdx(), m.colIdx());
 }
 
 TEST(StreamingMmIo, StreamingReadSymmetricWithDuplicates)
@@ -634,14 +523,13 @@ TEST(StreamingMmIo, StreamingReadSymmetricWithDuplicates)
             << "4 2 -1.0\n"
             << "4 4 3.0\n";
     }
-    Csr one_pass = readMatrixMarket(file.path());
-    Csr streaming = readMatrixMarketStreaming(file.path());
-    EXPECT_EQ(one_pass.rowPtr(), streaming.rowPtr());
-    EXPECT_EQ(one_pass.colIdx(), streaming.colIdx());
-    EXPECT_EQ(one_pass.values(), streaming.values());
+    const Csr m = readMatrixMarket(file.path());
     // Unique positions: (0,0), (2,0)+mirror, (3,1)+mirror, (3,3) —
-    // the duplicated (3,1) entries merged to a single 2.0.
-    EXPECT_EQ(streaming.nnz(), 6u);
+    // the duplicated (2,0) entries merged to a single 2.0.
+    EXPECT_EQ(m.rowPtr(), (std::vector<Index>{0, 2, 3, 4, 6}));
+    EXPECT_EQ(m.colIdx(), (std::vector<Index>{0, 2, 3, 0, 1, 3}));
+    EXPECT_EQ(m.values(), (std::vector<Value>{2.0f, 2.0f, -1.0f, 2.0f,
+                                              -1.0f, 3.0f}));
 }
 
 } // namespace

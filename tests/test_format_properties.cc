@@ -30,12 +30,12 @@ makeMatrix(const FormatCase &c)
     auto [family, n, knob, seed] = c;
     Rng rng(std::uint64_t(seed) * 7919 + 13);
     if (family == "banded")
-        return genBanded(n, std::max<Index>(1, n / 16), knob, rng);
+        return genBandedCsr(n, std::max<Index>(1, n / 16), knob, rng);
     if (family == "uniform")
         return genUniform(n, n, knob, rng);
     if (family == "rmat")
-        return genRmat(n, std::size_t(knob * double(n) * double(n)),
-                       rng);
+        return genRmatCsr(n, std::size_t(knob * double(n) * double(n)),
+                          rng);
     if (family == "blocked")
         return genBlocked(n, 8, 0.3, knob, rng);
     return genDiagHeavy(n, knob * 10.0, rng);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Matrix Market I/O, generators, corpus and structure-statistics
+ * Matrix Market I/O, generators, corpus and corpus-bucketing
  * tests.
  */
 
@@ -15,7 +15,6 @@
 #include "sparse/corpus.hh"
 #include "sparse/generators.hh"
 #include "sparse/mm_io.hh"
-#include "sparse/structure_stats.hh"
 
 namespace via
 {
@@ -92,7 +91,7 @@ TEST(Generators, BandedStaysInBand)
 {
     Rng rng(1);
     Index bw = 3;
-    Csr m = genBanded(64, bw, 0.8, rng);
+    Csr m = genBandedCsr(64, bw, 0.8, rng);
     Coo coo = m.toCoo();
     for (const Triplet &t : coo.elems())
         EXPECT_LE(std::abs(t.row - t.col), bw);
@@ -112,7 +111,7 @@ TEST(Generators, UniformHitsTargetDensity)
 TEST(Generators, RmatIsSkewed)
 {
     Rng rng(3);
-    Csr m = genRmat(256, 4096, rng);
+    Csr m = genRmatCsr(256, 4096, rng);
     // Power-law: the busiest row should far exceed the mean.
     double mean = double(m.nnz()) / 256.0;
     EXPECT_GT(double(m.maxRowNnz()), 3.0 * mean);
@@ -195,18 +194,6 @@ TEST(Corpus, LoadDirReadsMtxFiles)
     ASSERT_EQ(corpus.size(), 2u);
     EXPECT_EQ(corpus[0].name, "a");
     EXPECT_EQ(corpus[1].matrix.rows(), 24);
-}
-
-TEST(StructureStats, ComputesBasics)
-{
-    Rng rng(6);
-    Csr m = genUniform(128, 128, 0.05, rng);
-    StructureStats s = computeStructure(m, 32);
-    EXPECT_EQ(s.rows, 128);
-    EXPECT_EQ(std::size_t(s.nnz), m.nnz());
-    EXPECT_NEAR(s.density, 0.05, 0.02);
-    EXPECT_GT(s.nnzPerBlock, 0.0);
-    EXPECT_GE(s.maxRowNnz, Index(s.meanRowNnz));
 }
 
 TEST(StructureStats, EvenBucketsBalancesAndOrders)

@@ -30,11 +30,11 @@ makeMatrix(const KernelCase &c)
     auto [family, n, seed] = c;
     Rng rng(std::uint64_t(seed) * 104729 + 7);
     if (family == "banded")
-        return genBanded(n, 4, 0.5, rng);
+        return genBandedCsr(n, 4, 0.5, rng);
     if (family == "uniform")
         return genUniform(n, n, 0.03, rng);
     if (family == "rmat")
-        return genRmat(n, 6 * std::size_t(n), rng);
+        return genRmatCsr(n, 6 * std::size_t(n), rng);
     if (family == "blocked")
         return genBlocked(n, 16, 0.25, 0.4, rng);
     return genDiagHeavy(n, 3.0, rng);

@@ -31,11 +31,11 @@ makeMatrix(const FamilyCase &c, int salt)
     auto [family, n, seed] = c;
     Rng rng(std::uint64_t(seed + salt) * 31337 + 11);
     if (family == "banded")
-        return genBanded(n, 3, 0.5, rng);
+        return genBandedCsr(n, 3, 0.5, rng);
     if (family == "uniform")
         return genUniform(n, n, 0.04, rng);
     if (family == "rmat")
-        return genRmat(n, 5 * std::size_t(n), rng);
+        return genRmatCsr(n, 5 * std::size_t(n), rng);
     if (family == "blocked")
         return genBlocked(n, 8, 0.3, 0.4, rng);
     return genDiagHeavy(n, 2.0, rng);

@@ -34,9 +34,9 @@ smallCases()
 {
     Rng rng(42);
     std::vector<SpmvCase> cases;
-    cases.push_back({"banded", genBanded(64, 3, 0.6, rng)});
+    cases.push_back({"banded", genBandedCsr(64, 3, 0.6, rng)});
     cases.push_back({"uniform", genUniform(96, 96, 0.05, rng)});
-    cases.push_back({"rmat", genRmat(128, 600, rng)});
+    cases.push_back({"rmat", genRmatCsr(128, 600, rng)});
     cases.push_back({"blocked", genBlocked(80, 8, 0.3, 0.5, rng)});
     cases.push_back({"diag", genDiagHeavy(72, 2.0, rng)});
     // Degenerate shapes.

@@ -64,7 +64,7 @@ dbOptions()
         .addString("script", "",
                    "command script (default: interactive stdin)")
         .addBool("echo", true, "echo script commands as they run");
-    kernels::addInputOptions(opts, 64, false);
+    kernels::addInputOptions(opts, 64);
     addMachineOptions(opts);
     addMultiCoreOptions(opts);
     return opts;

@@ -150,7 +150,7 @@ simOptions()
                    "SSPM sizes in KB to sweep (comma list)")
         .addString("sweep_ports", "2,4",
                    "SSPM port counts to sweep (comma list)");
-    kernels::addInputOptions(opts, 256, true);
+    kernels::addInputOptions(opts, 256);
     addThreadsOption(opts);
     addSelfProfOption(opts);
     addMachineOptions(opts);

@@ -7,6 +7,7 @@
 #include "cpu/machine.hh"
 #include "cpu/ooo_core.hh"
 #include "mem/mem_system.hh"
+#include "simcore/fnv.hh"
 #include "simcore/stats.hh"
 #include "via/sspm.hh"
 
@@ -139,20 +140,10 @@ infoStats(std::ostream &os, const Machine &m)
 std::uint64_t
 statsFingerprint(const StatSet &stats)
 {
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](const std::string &s) {
-        for (char c : s) {
-            h ^= std::uint8_t(c);
-            h *= 1099511628211ull;
-        }
-    };
-    for (const std::string &name : stats.names()) {
-        mix(name);
-        mix("=");
-        mix(num(stats.get(name)));
-        mix(";");
-    }
-    return h;
+    std::string text;
+    for (const std::string &name : stats.names())
+        text += name + "=" + num(stats.get(name)) + ";";
+    return fnv1a64(text);
 }
 
 } // namespace via::debug

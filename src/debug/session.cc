@@ -9,6 +9,7 @@
 #include "cpu/ooo_core.hh"
 #include "debug/inspect.hh"
 #include "isa/opcodes.hh"
+#include "simcore/fnv.hh"
 #include "simcore/serialize.hh"
 #include "via/sspm.hh"
 
@@ -580,18 +581,17 @@ DebugSession::combinedFingerprint()
 {
     if (_target.single())
         return statsFingerprint(_target.machine->stats());
-    // Fold per-core fingerprints with the shared-level stats.
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix64 = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 1099511628211ull;
-        }
+    // Hash the per-core fingerprints and the shared-level stats'
+    // one, each as 8 little-endian bytes.
+    std::string bytes;
+    auto append = [&bytes](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i)
+            bytes += char(v >> (8 * i));
     };
     for (unsigned c = 0; c < _target.cores(); ++c)
-        mix64(statsFingerprint(_target.core(c).stats()));
-    mix64(statsFingerprint(_target.multi->stats()));
-    return h;
+        append(statsFingerprint(_target.core(c).stats()));
+    append(statsFingerprint(_target.multi->stats()));
+    return fnv1a64(bytes);
 }
 
 void

@@ -24,6 +24,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "cpu/machine.hh"
 #include "cpu/multi_machine.hh"
@@ -31,6 +32,7 @@
 #include "debug/session.hh"
 #include "kernels/dispatch.hh"
 #include "kernels/parallel.hh"
+#include "simcore/fnv.hh"
 #include "simcore/rng.hh"
 #include "sparse/dense.hh"
 #include "sparse/generators.hh"
@@ -317,29 +319,22 @@ TEST(DebugSession, CheckpointRewindReplaysBitIdentical)
 // Streaming generators.
 // ------------------------------------------------------------------
 
-/** FNV-1a-64 of @p bytes bytes at @p data, continuing from @p h. */
-std::uint64_t
-fnv1a64(std::uint64_t h, const void *data, std::size_t bytes)
+/** The element bytes of a contiguous container, for hashing. */
+template <typename C>
+std::string_view
+bytesOf(const C &c)
 {
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < bytes; ++i) {
-        h ^= p[i];
-        h *= 1099511628211ull;
-    }
-    return h;
+    return {reinterpret_cast<const char *>(c.data()),
+            c.size() * sizeof(c[0])};
 }
 
 /** FNV-1a-64 of a matrix's row_ptr, col_idx and value bytes. */
 std::uint64_t
 arraysHash(const Csr &m)
 {
-    std::uint64_t h = 1469598103934665603ull;
-    h = fnv1a64(h, m.rowPtr().data(),
-                m.rowPtr().size() * sizeof(Index));
-    h = fnv1a64(h, m.colIdx().data(),
-                m.colIdx().size() * sizeof(Index));
-    return fnv1a64(h, m.values().data(),
-                   m.values().size() * sizeof(Value));
+    std::uint64_t h = fnv1a64(bytesOf(m.rowPtr()));
+    h = fnv1a64(bytesOf(m.colIdx()), h);
+    return fnv1a64(bytesOf(m.values()), h);
 }
 
 std::string
@@ -355,7 +350,7 @@ std::string
 generatorHash(const Csr &m, const Rng &rng)
 {
     const auto state = rng.state();
-    return hex(fnv1a64(arraysHash(m), state.data(), sizeof(state)));
+    return hex(fnv1a64(bytesOf(state), arraysHash(m)));
 }
 
 TEST(StreamingGenerators, RmatGeneratorsMatchGoldenHashes)

@@ -63,6 +63,7 @@
 #include "sample/checkpoint.hh"
 #include "sample/sampling.hh"
 #include "simcore/config.hh"
+#include "simcore/fnv.hh"
 #include "simcore/log.hh"
 #include "simcore/options.hh"
 #include "serve/executor.hh"
@@ -103,17 +104,6 @@ struct ModeTiming
  */
 constexpr double kSeedWallSpmv = 1.4200;
 constexpr double kSeedWallSpma = 0.4172;
-
-std::uint64_t
-fnv64(const std::string &text)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : text) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 /** One timed workload: wall clock plus the stats fingerprint. */
 struct SpeedLeg
@@ -161,7 +151,7 @@ timeLeg(const std::string &name, double seed_wall,
         leg.insts = m.core().stats().insts;
         std::ostringstream os;
         m.stats().dumpJson(os);
-        leg.statsHash = fnv64(os.str());
+        leg.statsHash = fnv1a64(os.str());
     }
     return leg;
 }
@@ -450,7 +440,7 @@ runServing(const Options &opts)
                 finger_ok = false;
                 continue;
             }
-            std::uint64_t hash = fnv64(leg.fingerprint());
+            std::uint64_t hash = fnv1a64(leg.fingerprint());
             if (hash != bhash) {
                 std::fprintf(
                     stderr,
@@ -541,7 +531,7 @@ runServing(const Options &opts)
             leg.speedupP99(), leg.base.energyPerRequestPj,
             leg.via.energyPerRequestPj,
             static_cast<unsigned long long>(
-                fnv64(leg.fingerprint())));
+                fnv1a64(leg.fingerprint())));
     std::fprintf(f,
                  "  \"pass\": {\"fingerprint_identical\": %s, "
                  "\"via_p99_no_worse\": %s}\n}\n",

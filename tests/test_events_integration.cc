@@ -51,7 +51,7 @@ TEST(EventsIntegration, PeriodicSamplerSeesMonotoneProgress)
             m->events().scheduleIn<&Sampler::tick>(200, this);
         }
     };
-    Sampler sampler{&m};
+    Sampler sampler{&m, {}};
     m.events().scheduleIn<&Sampler::tick>(200, &sampler);
 
     Rng rng(1);

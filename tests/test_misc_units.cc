@@ -28,8 +28,9 @@ TEST(Opcodes, EveryOpHasMnemonicAndFuClass)
         // SsrCfg occupies the SSR backend's descriptor sequencer,
         // not a core FU (see OooCore::issueOne), so like Nop it has
         // no functional-unit class.
-        if (op != Op::Nop && op != Op::SsrCfg)
+        if (op != Op::Nop && op != Op::SsrCfg) {
             EXPECT_NE(int(fuClassOf(op)), int(FuClass::None)) << o;
+        }
     }
 }
 
@@ -41,8 +42,9 @@ TEST(Opcodes, ClassPredicatesAreConsistent)
             EXPECT_EQ(int(fuClassOf(op)), int(FuClass::Fivu));
             EXPECT_FALSE(isMemOp(op));
         }
-        if (isCamOp(op))
+        if (isCamOp(op)) {
             EXPECT_TRUE(isViaOp(op));
+        }
     }
 }
 

@@ -82,6 +82,12 @@ parseMmHeader(std::istream &in, const std::string &what)
                   " exceed the 32-bit simulated index type");
     h.pattern = field == "pattern";
     h.symmetric = symmetry == "symmetric";
+    // CSR offsets are Index, and a symmetric line can store two
+    // entries.
+    if (h.entries >
+        std::numeric_limits<Index>::max() / (h.symmetric ? 2 : 1))
+        via_fatal(what, ": ", h.entries, " entries exceed the 32-bit "
+                  "simulated index type");
     return h;
 }
 

@@ -69,6 +69,11 @@ TEST(MatrixMarketDeathTest, RejectsMalformedInput)
         "2 2 1\n"
         "5 5 1.0\n");
     EXPECT_DEATH(readMatrixMarketStream(bad3), "bad entry");
+    std::istringstream bad4(
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "2 2 1073741824\n"
+        "1 1 1.0\n");
+    EXPECT_DEATH(readMatrixMarketStream(bad4), "entries exceed");
 }
 
 TEST(MatrixMarket, FileRoundTrip)

@@ -134,9 +134,13 @@ Csr
 readMatrixMarketStream(std::istream &in, const std::string &what)
 {
     const auto start = in.tellg();
-    if (start == std::istream::pos_type(-1))
-        via_fatal(what, ": the input cannot be rewound (the reader "
-                  "makes two passes)");
+    if (start == std::istream::pos_type(-1)) {
+        // A pipe cannot be rewound for pass two: read it into
+        // memory, which can.
+        std::stringstream copy;
+        copy << in.rdbuf();
+        return readMatrixMarketStream(copy, what);
+    }
 
     // Pass 1: count entries per row (symmetric mirrors included).
     const MmHeader h = parseMmHeader(in, what);

@@ -22,12 +22,12 @@ namespace via
 /**
  * Parse a Matrix Market stream; fatal() on malformed input. The
  * reader makes two passes: pass one counts entries per row, then it
- * rewinds @p in (which must therefore be seekable, as files and
- * string streams are) and pass two places each entry into its row's
+ * rewinds @p in and pass two places each entry into its row's
  * segment of pre-sized CSR arrays. Csr::fromRows then sorts each row
  * and sums duplicates in file order. Peak memory is the final CSR
  * plus one counter per row: no triplet set and no global sort, so
- * 10^6+-row files stay tractable.
+ * 10^6+-row files stay tractable. A stream that cannot seek (a
+ * pipe) is first read into memory.
  */
 Csr readMatrixMarketStream(std::istream &in,
                            const std::string &what = "<stream>");

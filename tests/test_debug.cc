@@ -429,6 +429,27 @@ class TempMtx
     std::string _path;
 };
 
+/** A stream buffer that cannot seek, as a pipe's cannot. */
+class UnseekableBuf : public std::stringbuf
+{
+  public:
+    using std::stringbuf::stringbuf;
+
+  protected:
+    pos_type
+    seekoff(off_type, std::ios_base::seekdir,
+            std::ios_base::openmode) override
+    {
+        return pos_type(off_type(-1));
+    }
+
+    pos_type
+    seekpos(pos_type, std::ios_base::openmode) override
+    {
+        return pos_type(off_type(-1));
+    }
+};
+
 TEST(StreamingMmIo, ReaderMatchesGoldenHashes)
 {
     // The .mtx reader bit for bit: row_ptr, col_idx and value bytes
@@ -498,6 +519,12 @@ TEST(StreamingMmIo, ReaderMatchesGoldenHashes)
         EXPECT_EQ(m.rows(), c.rows) << "fixture " << i;
         EXPECT_EQ(m.cols(), c.cols) << "fixture " << i;
         EXPECT_EQ(hex(arraysHash(m)), c.hash) << "fixture " << i;
+
+        UnseekableBuf pipe{std::string(c.text)};
+        std::istream piped(&pipe);
+        EXPECT_EQ(hex(arraysHash(readMatrixMarketStream(piped))),
+                  c.hash)
+            << "fixture " << i << " through a stream that cannot seek";
     }
 }
 

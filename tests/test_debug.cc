@@ -455,9 +455,9 @@ TEST(StreamingMmIo, ReaderMatchesGoldenHashes)
     // The .mtx reader bit for bit: row_ptr, col_idx and value bytes
     // for symmetric expansion, a pattern field, an integer field,
     // comments and blank lines between entries, and one position
-    // given three times. Its three values sum to 0 only in file
-    // order (1e8 + 1 rounds back to 1e8 in float), and the exact
-    // zero is kept.
+    // given three times. Its values 1e8, 1 and -1e8 sum to 0 in
+    // file order (1e8 + 1 rounds back to 1e8 in float) but to 1 if
+    // the two large ones were summed first; the exact zero is kept.
     struct Case
     {
         const char *text;

@@ -455,9 +455,12 @@ TEST(StreamingMmIo, ReaderMatchesGoldenHashes)
     // The .mtx reader bit for bit: row_ptr, col_idx and value bytes
     // for symmetric expansion, a pattern field, an integer field,
     // comments and blank lines between entries, and one position
-    // given three times. Its values 1e8, 1 and -1e8 sum to 0 in
-    // file order (1e8 + 1 rounds back to 1e8 in float) but to 1 if
-    // the two large ones were summed first; the exact zero is kept.
+    // given three times, twice. The values 1e8, 1 and -1e8 sum to 0
+    // in file order (1e8 + 1 rounds back to 1e8 in float) but to 1
+    // if the two large ones were summed first; the exact zero is
+    // kept. The values 1, 0.2 and -1 round differently for each
+    // pair summed first, so file order (1 + 0.2 first) gives a sum
+    // that neither reverse order nor 1 + -1 first gives.
     struct Case
     {
         const char *text;
@@ -506,6 +509,12 @@ TEST(StreamingMmIo, ReaderMatchesGoldenHashes)
          "1 2 1\n"
          "1 2 -100000000\n",
          2, 2, "5e8b54452005ebfc"},
+        {"%%MatrixMarket matrix coordinate real general\n"
+         "1 1 3\n"
+         "1 1 1.0\n"
+         "1 1 0.2\n"
+         "1 1 -1.0\n",
+         1, 1, "f8dd1b1131fa35d8"},
     };
     for (std::size_t i = 0; i < std::size(cases); ++i) {
         const Case &c = cases[i];

@@ -4,8 +4,10 @@
 #include <cctype>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -82,6 +84,11 @@ parseMmHeader(std::istream &in, const std::string &what)
                   " exceed the 32-bit simulated index type");
     h.pattern = field == "pattern";
     h.symmetric = symmetry == "symmetric";
+    // A symmetric entry (r, c) is also stored at (c, r), which is
+    // only in bounds for a square matrix.
+    if (h.symmetric && h.rows != h.cols)
+        via_fatal(what, ": symmetric matrix must be square, not ",
+                  h.rows, "x", h.cols);
     // CSR offsets are Index, and a symmetric line can store two
     // entries.
     if (h.entries >
@@ -91,21 +98,30 @@ parseMmHeader(std::istream &in, const std::string &what)
     return h;
 }
 
-/** Parse one entry line; false for comment/blank lines. */
+/**
+ * Parse one entry line; false for comment/blank lines. @p v, if not
+ * null, receives the value (1.0 for a pattern matrix); the count
+ * pass leaves it out, as parsing a double costs more than the two
+ * indices. @p ls is reused from line to line, since constructing a
+ * stream costs more than parsing one line with it.
+ */
 bool
-parseEntry(const std::string &line, const MmHeader &h,
-           const std::string &what, std::int64_t &r, std::int64_t &c,
-           double &v)
+parseEntry(std::istringstream &ls, const std::string &line,
+           const MmHeader &h, const std::string &what, std::int64_t &r,
+           std::int64_t &c, double *v)
 {
     if (line.empty() || line[0] == '%')
         return false;
-    std::istringstream ls(line);
+    ls.clear();
+    ls.str(line);
     r = 0;
     c = 0;
-    v = 1.0;
     ls >> r >> c;
-    if (!h.pattern)
-        ls >> v;
+    if (v) {
+        *v = 1.0;
+        if (!h.pattern)
+            ls >> *v;
+    }
     if (ls.fail() || r < 1 || r > h.rows || c < 1 || c > h.cols)
         via_fatal(what, ": bad entry line '", line, "'");
     return true;
@@ -128,33 +144,29 @@ rereadHeader(std::istream &in, std::istream::pos_type start,
         via_fatal(what, ": input changed between passes");
 }
 
-} // namespace
-
+/**
+ * The two passes over a stream that can seek; @p start is its
+ * position at the banner.
+ */
 Csr
-readMatrixMarketStream(std::istream &in, const std::string &what)
+readTwoPass(std::istream &in, std::istream::pos_type start,
+            const std::string &what)
 {
-    const auto start = in.tellg();
-    if (start == std::istream::pos_type(-1)) {
-        // A pipe cannot be rewound for pass two: read it into
-        // memory, which can.
-        std::stringstream copy;
-        copy << in.rdbuf();
-        return readMatrixMarketStream(copy, what);
-    }
-
     // Pass 1: count entries per row (symmetric mirrors included).
     const MmHeader h = parseMmHeader(in, what);
     const auto n_rows = std::size_t(h.rows);
     std::vector<Index> row_ptr(n_rows + 1, 0);
     std::string line;
-    auto forEachEntry = [&](auto &&visit) {
+    std::istringstream ls;
+    auto forEachEntry = [&](bool values, auto &&visit) {
         for (std::int64_t e = 0; e < h.entries; ++e) {
             if (!std::getline(in, line))
                 via_fatal(what, ": truncated after ", e, " of ",
                           h.entries, " entries");
             std::int64_t r = 0, c = 0;
             double v = 1.0;
-            if (!parseEntry(line, h, what, r, c, v)) {
+            if (!parseEntry(ls, line, h, what, r, c,
+                            values ? &v : nullptr)) {
                 --e;
                 continue;
             }
@@ -163,7 +175,7 @@ readMatrixMarketStream(std::istream &in, const std::string &what)
                 visit(c - 1, r - 1, v);
         }
     };
-    forEachEntry([&](std::int64_t r, std::int64_t, double) {
+    forEachEntry(false, [&](std::int64_t r, std::int64_t, double) {
         ++row_ptr[std::size_t(r) + 1];
     });
     for (std::size_t r = 0; r < n_rows; ++r)
@@ -171,12 +183,13 @@ readMatrixMarketStream(std::istream &in, const std::string &what)
     const auto total = std::size_t(row_ptr[n_rows]);
 
     // Pass 2: place entries into their rows' segments in file order.
+    // A malformed value is found here, as pass 1 skips values.
     rereadHeader(in, start, h, what);
     std::vector<Index> col_idx(total);
     std::vector<Value> values(total);
     std::vector<Index> next(row_ptr.begin(), row_ptr.end() - 1);
     std::size_t placed = 0;
-    forEachEntry([&](std::int64_t r, std::int64_t c, double v) {
+    forEachEntry(true, [&](std::int64_t r, std::int64_t c, double v) {
         const auto row = std::size_t(r);
         if (next[row] == row_ptr[row + 1])
             via_fatal(what, ": input changed between passes");
@@ -192,6 +205,22 @@ readMatrixMarketStream(std::istream &in, const std::string &what)
     return Csr::fromRows(Index(h.rows), Index(h.cols),
                          std::move(row_ptr), std::move(col_idx),
                          std::move(values));
+}
+
+} // namespace
+
+Csr
+readMatrixMarketStream(std::istream &in, const std::string &what)
+{
+    const auto start = in.tellg();
+    if (start != std::istream::pos_type(-1))
+        return readTwoPass(in, start, what);
+    // A pipe cannot be rewound for pass two: read the rest of it into
+    // memory, which can. The copy starts good whatever state @p in
+    // was in, so an empty pipe reads as empty input.
+    std::istringstream copy(
+        std::string(std::istreambuf_iterator<char>(in.rdbuf()), {}));
+    return readTwoPass(copy, copy.tellg(), what);
 }
 
 Csr

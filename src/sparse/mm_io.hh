@@ -5,7 +5,7 @@
  *
  * Supported: `%%MatrixMarket matrix coordinate (real|integer|pattern)
  * (general|symmetric)`. Pattern entries read as 1.0; symmetric
- * matrices are expanded to general on load.
+ * matrices must be square and are expanded to general on load.
  */
 
 #ifndef VIA_SPARSE_MM_IO_HH

@@ -563,5 +563,22 @@ TEST(StreamingMmIo, StreamingReadSymmetricWithDuplicates)
                                               -1.0f, 3.0f}));
 }
 
+TEST(StreamingMmIoDeathTest, EmptyInputThatCannotSeek)
+{
+    // An empty pipe, and a stream already read to its end, both
+    // cannot report a position; each is read into memory once and
+    // then rejected as empty.
+    UnseekableBuf empty{std::string()};
+    std::istream piped(&empty);
+    EXPECT_DEATH(readMatrixMarketStream(piped),
+                 "empty Matrix Market input");
+    std::istringstream spent("%%MatrixMarket\n");
+    std::string line;
+    while (std::getline(spent, line)) {
+    }
+    EXPECT_DEATH(readMatrixMarketStream(spent),
+                 "empty Matrix Market input");
+}
+
 } // namespace
 } // namespace via

@@ -69,11 +69,29 @@ TEST(MatrixMarketDeathTest, RejectsMalformedInput)
         "2 2 1\n"
         "5 5 1.0\n");
     EXPECT_DEATH(readMatrixMarketStream(bad3), "bad entry");
+    // The count pass skips values; the place pass still rejects one.
+    std::istringstream bad3v(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 2\n"
+        "1 1 1.0\n"
+        "2 2 x\n");
+    EXPECT_DEATH(readMatrixMarketStream(bad3v), "bad entry line '2 2 x'");
     std::istringstream bad4(
         "%%MatrixMarket matrix coordinate real symmetric\n"
         "2 2 1073741824\n"
         "1 1 1.0\n");
     EXPECT_DEATH(readMatrixMarketStream(bad4), "entries exceed");
+    // A symmetric entry's mirror must land inside the matrix.
+    std::istringstream bad5(
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "3 5 1\n"
+        "1 5 1.0\n");
+    EXPECT_DEATH(readMatrixMarketStream(bad5), "must be square");
+    std::istringstream bad6(
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "5 3 1\n"
+        "5 1 1.0\n");
+    EXPECT_DEATH(readMatrixMarketStream(bad6), "must be square");
 }
 
 TEST(MatrixMarket, FileRoundTrip)

@@ -15,7 +15,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <array>
 #include <string>
 #include <vector>
 
@@ -25,68 +25,48 @@
 #include "kernels/parallel.hh"
 #include "kernels/spma.hh"
 #include "kernels/spmm.hh"
+#include "simcore/fnv.hh"
 #include "simcore/rng.hh"
 #include "sparse/convert.hh"
 #include "sparse/csb.hh"
 #include "sparse/csc.hh"
 #include "sparse/csr.hh"
 
+#include "hash_util.hh"
+
 namespace via
 {
 namespace
 {
 
-/** Fold @p v's bytes into the FNV-1a-64 state @p h. */
-template <typename T>
-std::uint64_t
-fnv(std::uint64_t h, const std::vector<T> &v)
-{
-    const auto *p = reinterpret_cast<const unsigned char *>(v.data());
-    for (std::size_t i = 0; i < v.size() * sizeof(T); ++i) {
-        h ^= p[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-std::string
-hex(std::uint64_t h)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx", (unsigned long long)h);
-    return buf;
-}
-
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
-
 std::string
 hashOf(const Csr &m)
 {
-    std::uint64_t h = fnv(kFnvBasis, std::vector<Index>{m.rows(),
-                                                        m.cols()});
-    h = fnv(h, m.rowPtr());
-    h = fnv(h, m.colIdx());
-    return hex(fnv(h, m.values()));
+    const std::array<Index, 2> dims{m.rows(), m.cols()};
+    std::uint64_t h = fnv1a64(bytesOf(dims));
+    h = fnv1a64(bytesOf(m.rowPtr()), h);
+    h = fnv1a64(bytesOf(m.colIdx()), h);
+    return hex(fnv1a64(bytesOf(m.values()), h));
 }
 
 std::string
 hashOf(const Csc &m)
 {
-    std::uint64_t h = fnv(kFnvBasis, std::vector<Index>{m.rows(),
-                                                        m.cols()});
-    h = fnv(h, m.colPtr());
-    h = fnv(h, m.rowIdx());
-    return hex(fnv(h, m.values()));
+    const std::array<Index, 2> dims{m.rows(), m.cols()};
+    std::uint64_t h = fnv1a64(bytesOf(dims));
+    h = fnv1a64(bytesOf(m.colPtr()), h);
+    h = fnv1a64(bytesOf(m.rowIdx()), h);
+    return hex(fnv1a64(bytesOf(m.values()), h));
 }
 
 std::string
 hashOf(const Csb &m)
 {
-    std::uint64_t h = fnv(
-        kFnvBasis, std::vector<Index>{m.rows(), m.cols(), m.beta()});
-    h = fnv(h, m.blockPtr());
-    h = fnv(h, m.packedIdx());
-    return hex(fnv(h, m.values()));
+    const std::array<Index, 3> dims{m.rows(), m.cols(), m.beta()};
+    std::uint64_t h = fnv1a64(bytesOf(dims));
+    h = fnv1a64(bytesOf(m.blockPtr()), h);
+    h = fnv1a64(bytesOf(m.packedIdx()), h);
+    return hex(fnv1a64(bytesOf(m.values()), h));
 }
 
 /**

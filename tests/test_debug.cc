@@ -24,7 +24,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <string_view>
 
 #include "cpu/machine.hh"
 #include "cpu/multi_machine.hh"
@@ -37,6 +36,8 @@
 #include "sparse/dense.hh"
 #include "sparse/generators.hh"
 #include "sparse/mm_io.hh"
+
+#include "hash_util.hh"
 
 namespace via
 {
@@ -319,15 +320,6 @@ TEST(DebugSession, CheckpointRewindReplaysBitIdentical)
 // Streaming generators.
 // ------------------------------------------------------------------
 
-/** The element bytes of a contiguous container, for hashing. */
-template <typename C>
-std::string_view
-bytesOf(const C &c)
-{
-    return {reinterpret_cast<const char *>(c.data()),
-            c.size() * sizeof(c[0])};
-}
-
 /** FNV-1a-64 of a matrix's row_ptr, col_idx and value bytes. */
 std::uint64_t
 arraysHash(const Csr &m)
@@ -335,14 +327,6 @@ arraysHash(const Csr &m)
     std::uint64_t h = fnv1a64(bytesOf(m.rowPtr()));
     h = fnv1a64(bytesOf(m.colIdx()), h);
     return fnv1a64(bytesOf(m.values()), h);
-}
-
-std::string
-hex(std::uint64_t h)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx", (unsigned long long)h);
-    return buf;
 }
 
 /** Hex FNV-1a-64 of a matrix's arrays and the Rng state after it. */

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "simcore/log.hh"
-
 namespace via::bench
 {
 
@@ -68,18 +66,17 @@ makeExecutor(const Options &opts)
 sample::SampleOptions
 sampleOptions(const Options &opts)
 {
-    sample::SampleOptions sopts =
-        sample::SampleOptions::fromConfig(opts.config());
+    sample::SampleOptions sopts = sample::SampleOptions::fromOptions(opts);
     if (sopts.mode == sample::SimMode::Functional)
-        via_fatal("mode=functional models no timing; the bench "
-                  "harnesses need detailed or sampled");
+        opts.usageError("mode=functional models no timing; the bench "
+                        "harnesses need detailed or sampled");
     return sopts;
 }
 
 TraceOptions
 traceOptions(const Options &opts)
 {
-    TraceOptions topts = TraceOptions::fromConfig(opts.config());
+    TraceOptions topts = TraceOptions::fromOptions(opts);
     if (topts.summary && opts.getUInt("threads") != 1) {
         std::fprintf(stderr,
                      "trace_summary=1 requires threads=1 in the "

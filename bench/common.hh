@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "sample/sampling.hh"
-#include "simcore/config.hh"
 #include "simcore/options.hh"
 #include "simcore/parallel.hh"
 #include "simcore/rng.hh"
@@ -74,9 +73,9 @@ TraceOptions traceOptions(const Options &opts);
  * The shared sampled-simulation knobs (mode=, sample_interval=,
  * sample_warmup=, sample_measure=), parsed once per harness. The
  * figures compare cycle counts, so mode=functional (which models no
- * timing) is rejected here; mode=sampled lets a harness take inputs
- * far beyond what detailed simulation sustains, at the documented
- * error bound (docs/sampling.md).
+ * timing) is a usage error (exit 2) here; mode=sampled lets a
+ * harness take inputs far beyond what detailed simulation sustains,
+ * at the documented error bound (docs/sampling.md).
  */
 sample::SampleOptions sampleOptions(const Options &opts);
 

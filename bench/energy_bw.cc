@@ -48,7 +48,7 @@ main(int argc, char **argv)
     applySelfProfOption(opts);
     auto corpus = buildCorpus(bench::corpusSpec(opts, corpus_dflt));
 
-    MachineParams params = machineParamsFrom(opts.config());
+    MachineParams params = machineParamsFrom(opts);
     Rng rng(55);
 
     std::vector<double> energy_ratio, bw_ratio, cache_ratio;

@@ -93,7 +93,14 @@ main(int argc, char **argv)
         .addUInt("vec_seed", 1234, "dense-vector seed");
     opts.parse(argc, argv);
     applySelfProfOption(opts);
-    MachineParams params = machineParamsFrom(opts.config());
+    MachineParams params = machineParamsFrom(opts);
+    sample::SampleOptions sopts = bench::sampleOptions(opts);
+    auto cores = unsigned(opts.getUInt("cores"));
+    if (cores > 1 && sopts.mode != sample::SimMode::Detailed)
+        opts.usageError("cores>1 supports mode=detailed only");
+    auto part = kernels::parsePartition(opts.getString("partition"));
+    SharedLlcParams llcp = sharedLlcParamsFrom(opts, params, cores);
+    TraceOptions topts = bench::traceOptions(opts);
 
     std::vector<CorpusEntry> corpus =
         opts.given("corpus_dir")
@@ -102,16 +109,6 @@ main(int argc, char **argv)
 
     SweepExecutor exec = bench::makeExecutor(opts);
     std::uint64_t vec_seed = opts.getUInt("vec_seed");
-    TraceOptions topts = bench::traceOptions(opts);
-    sample::SampleOptions sopts = bench::sampleOptions(opts);
-
-    auto cores = unsigned(opts.getUInt("cores"));
-    auto part =
-        kernels::parsePartition(opts.getString("partition"));
-    if (cores > 1 && sopts.mode != sample::SimMode::Detailed)
-        via_fatal("cores>1 supports mode=detailed only");
-    SharedLlcParams llcp =
-        sharedLlcParamsFrom(opts.config(), params, cores);
 
     auto results = exec.run(corpus.size(), [&](std::size_t i) {
         const auto &entry = corpus[i];

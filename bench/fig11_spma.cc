@@ -46,7 +46,7 @@ main(int argc, char **argv)
     applySelfProfOption(opts);
     auto corpus = buildCorpus(bench::corpusSpec(opts, corpus_dflt));
 
-    MachineParams params = machineParamsFrom(opts.config());
+    MachineParams params = machineParamsFrom(opts);
     SweepExecutor exec = bench::makeExecutor(opts);
     std::uint64_t sib_seed = opts.getUInt("sibling_seed");
 

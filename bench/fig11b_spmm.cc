@@ -49,7 +49,7 @@ main(int argc, char **argv)
     applySelfProfOption(opts);
     auto corpus = buildCorpus(bench::corpusSpec(opts, corpus_dflt));
 
-    MachineParams params = machineParamsFrom(opts.config());
+    MachineParams params = machineParamsFrom(opts);
     SweepExecutor exec = bench::makeExecutor(opts);
 
     // Decide fits-the-CAM up front so skips print in corpus order

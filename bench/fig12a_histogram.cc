@@ -67,7 +67,7 @@ main(int argc, char **argv)
     auto buckets = Index(opts.getUInt("buckets"));
     Rng rng(opts.getUInt("seed"));
 
-    MachineParams params = machineParamsFrom(opts.config());
+    MachineParams params = machineParamsFrom(opts);
 
     struct Case
     {

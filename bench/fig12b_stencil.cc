@@ -51,7 +51,7 @@ main(int argc, char **argv)
     applySelfProfOption(opts);
     Rng rng(opts.getUInt("seed"));
 
-    MachineParams params = machineParamsFrom(opts.config());
+    MachineParams params = machineParamsFrom(opts);
 
     std::printf("== Figure 12.b: 4x4 Gaussian filter ==\n");
     const Index sides[] = {128, 256, 512};

@@ -12,7 +12,9 @@
 #define VIA_CPU_BACKEND_PARAMS_HH
 
 #include <cstdint>
+#include <string>
 #include <string_view>
+#include <vector>
 
 namespace via
 {
@@ -49,22 +51,25 @@ backendName(BackendKind kind)
     return "<bad-backend>";
 }
 
-/**
- * Parse a backend name. @return true and set @p out on success;
- * false for unknown names (callers decide whether that is fatal or
- * an exit-2 usage error).
- */
-inline bool
-parseBackendKind(std::string_view name, BackendKind &out)
+/** Every backendName, in enum order: the values of backend=. */
+inline std::vector<std::string>
+backendNames()
 {
-    if (name == "base") { out = BackendKind::Base; return true; }
-    if (name == "via") { out = BackendKind::Via; return true; }
-    if (name == "ssr") { out = BackendKind::Ssr; return true; }
-    if (name == "indexmac") {
-        out = BackendKind::IndexMac;
-        return true;
-    }
-    return false;
+    return {"base", "via", "ssr", "indexmac"};
+}
+
+/** The backend named @p name, one of backendNames() (the backend=
+ *  key accepts no other). */
+inline BackendKind
+parseBackendKind(std::string_view name)
+{
+    if (name == "base")
+        return BackendKind::Base;
+    if (name == "ssr")
+        return BackendKind::Ssr;
+    if (name == "indexmac")
+        return BackendKind::IndexMac;
+    return BackendKind::Via;
 }
 
 } // namespace via

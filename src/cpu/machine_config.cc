@@ -1,77 +1,62 @@
 #include "cpu/machine_config.hh"
 
-#include "simcore/log.hh"
-
 namespace via
 {
 
 MachineParams
-machineParamsFrom(const Config &cfg)
+machineParamsFrom(const Options &opts)
 {
     MachineParams p;
 
-    p.via = ViaConfig::make(
-        cfg.getUInt("sspm_kb", 16),
-        std::uint32_t(cfg.getUInt("ports", 2)));
-    if (cfg.has("cam_kb"))
-        p.via.camBytes = cfg.getUInt("cam_kb", 4) * 1024;
-    p.via.bankEntries =
-        std::uint32_t(cfg.getUInt("cam_bank", p.via.bankEntries));
+    const std::uint64_t sspm_kb = opts.getUInt("sspm_kb");
+    p.via = ViaConfig::make(sspm_kb,
+                            std::uint32_t(opts.getUInt("ports")));
+    // The CAM follows the SSPM (a quarter of it) unless cam_kb= is
+    // given, so only a given cam_kb= can outgrow the SRAM.
+    if (opts.given("cam_kb")) {
+        const std::uint64_t cam_kb = opts.getUInt("cam_kb");
+        if (cam_kb > sspm_kb)
+            opts.usageError(
+                "cam_kb=" + std::to_string(cam_kb) + " exceeds sspm_kb=" +
+                std::to_string(sspm_kb) +
+                ": the CAM cannot track more entries than the SRAM "
+                "holds");
+        p.via.camBytes = cam_kb * 1024;
+    }
+    p.via.bankEntries = std::uint32_t(opts.getUInt("cam_bank"));
 
-    std::string be = cfg.getString("backend", "via");
-    if (!parseBackendKind(be, p.backend.kind))
-        via_fatal("unknown backend '", be,
-                  "' (expected base|via|ssr|indexmac)");
-    p.backend.ssrStreams = std::uint32_t(
-        cfg.getUInt("ssr_streams", p.backend.ssrStreams));
-    p.backend.imacRows = std::uint32_t(
-        cfg.getUInt("imac_rows", p.backend.imacRows));
+    p.backend.kind = parseBackendKind(opts.getString("backend"));
+    p.backend.ssrStreams = std::uint32_t(opts.getUInt("ssr_streams"));
+    p.backend.imacRows = std::uint32_t(opts.getUInt("imac_rows"));
 
     CoreParams &core = p.core;
-    core.robSize = std::uint32_t(cfg.getUInt("rob", core.robSize));
-    core.dispatchWidth = std::uint32_t(
-        cfg.getUInt("dispatch", core.dispatchWidth));
-    core.commitWidth =
-        std::uint32_t(cfg.getUInt("commit", core.commitWidth));
-    core.lqEntries =
-        std::uint32_t(cfg.getUInt("lq", core.lqEntries));
-    core.sqEntries =
-        std::uint32_t(cfg.getUInt("sq", core.sqEntries));
-    core.viaAtCommit = cfg.getBool("via_at_commit",
-                                   core.viaAtCommit);
+    core.robSize = std::uint32_t(opts.getUInt("rob"));
+    core.dispatchWidth = std::uint32_t(opts.getUInt("dispatch"));
+    core.commitWidth = std::uint32_t(opts.getUInt("commit"));
+    core.lqEntries = std::uint32_t(opts.getUInt("lq"));
+    core.sqEntries = std::uint32_t(opts.getUInt("sq"));
+    core.viaAtCommit = opts.getBool("via_at_commit");
 
     OpLatencies &lat = core.latencies;
-    lat.gatherOverhead =
-        cfg.getUInt("gather_overhead", lat.gatherOverhead);
-    lat.gatherPortFactor =
-        cfg.getUInt("gather_ports", lat.gatherPortFactor);
-    lat.mispredictPenalty =
-        cfg.getUInt("mispredict", lat.mispredictPenalty);
-    lat.storeForwardPenalty =
-        cfg.getUInt("store_forward", lat.storeForwardPenalty);
-    lat.ssrSetup = cfg.getUInt("ssr_setup", lat.ssrSetup);
-    lat.imacOverhead =
-        cfg.getUInt("imac_overhead", lat.imacOverhead);
+    lat.gatherOverhead = opts.getUInt("gather_overhead");
+    lat.gatherPortFactor = opts.getUInt("gather_ports");
+    lat.mispredictPenalty = opts.getUInt("mispredict");
+    lat.storeForwardPenalty = opts.getUInt("store_forward");
+    lat.ssrSetup = opts.getUInt("ssr_setup");
+    lat.imacOverhead = opts.getUInt("imac_overhead");
 
     MemSystemParams &mem = p.mem;
-    if (cfg.has("l1_kb"))
-        mem.levels[0].sizeBytes = cfg.getUInt("l1_kb", 32) * 1024;
-    if (cfg.has("l2_kb"))
-        mem.levels[1].sizeBytes = cfg.getUInt("l2_kb", 1024) * 1024;
-    mem.levels[0].hitLatency =
-        cfg.getUInt("l1_lat", mem.levels[0].hitLatency);
-    mem.levels[1].hitLatency =
-        cfg.getUInt("l2_lat", mem.levels[1].hitLatency);
-    if (cfg.has("mshrs")) {
-        mem.levels[0].mshrs =
-            std::uint32_t(cfg.getUInt("mshrs", 16));
+    mem.levels[0].sizeBytes = opts.getUInt("l1_kb") * 1024;
+    mem.levels[1].sizeBytes = opts.getUInt("l2_kb") * 1024;
+    mem.levels[0].hitLatency = opts.getUInt("l1_lat");
+    mem.levels[1].hitLatency = opts.getUInt("l2_lat");
+    if (opts.given("mshrs")) {
+        mem.levels[0].mshrs = std::uint32_t(opts.getUInt("mshrs"));
         mem.levels[1].mshrs = 2 * mem.levels[0].mshrs;
     }
-    mem.dram.latency = cfg.getUInt("dram_lat", mem.dram.latency);
-    mem.dram.bytesPerCycle =
-        cfg.getDouble("dram_bw", mem.dram.bytesPerCycle);
-    mem.prefetch.degree = std::uint32_t(
-        cfg.getUInt("prefetch", mem.prefetch.degree));
+    mem.dram.latency = opts.getUInt("dram_lat");
+    mem.dram.bytesPerCycle = opts.getDouble("dram_bw");
+    mem.prefetch.degree = std::uint32_t(opts.getUInt("prefetch"));
 
     return p;
 }
@@ -106,7 +91,8 @@ addMachineOptions(Options &opts)
         .addBool("via_at_commit", core.viaAtCommit,
                  "strict commit-time VIA execution (Section IV-E)")
         .addString("backend", "via",
-                   "vector backend: base|via|ssr|indexmac")
+                   "vector backend: base|via|ssr|indexmac",
+                   backendNames())
         .addUInt("ssr_streams", d.backend.ssrStreams,
                  "SSR architected stream registers", 1, 32)
         .addUInt("imac_rows", d.backend.imacRows,
@@ -150,17 +136,18 @@ addMultiCoreOptions(Options &opts)
                  "single-core machine)",
                  1, 32)
         .addString("partition", "static",
-                   "multi-core work partitioning: static|steal")
+                   "multi-core work partitioning: static|steal",
+                   {"static", "steal"})
         .addUInt("llc_banks", d.banks,
                  "shared-LLC bank pipes (cores>1)", 1, 64);
 }
 
 SharedLlcParams
-sharedLlcParamsFrom(const Config &cfg, const MachineParams &params,
+sharedLlcParamsFrom(const Options &opts, const MachineParams &params,
                     unsigned cores)
 {
     SharedLlcParams llc = SharedLlcParams::from(params.mem, cores);
-    llc.banks = std::uint32_t(cfg.getUInt("llc_banks", llc.banks));
+    llc.banks = std::uint32_t(opts.getUInt("llc_banks"));
     return llc;
 }
 

@@ -1,20 +1,8 @@
 /**
  * @file
- * Build MachineParams from key=value configuration, so every
- * harness and the CLI expose the same sweep knobs.
- *
- * Recognized keys (all optional):
- *   sspm_kb, ports, cam_kb, cam_bank      — VIA hardware
- *   rob, dispatch, commit, lq, sq         — core window/widths
- *   l1_kb, l2_kb, l1_lat, l2_lat, mshrs   — caches
- *   dram_lat, dram_bw                     — memory (cycles, B/cyc)
- *   prefetch                              — L2 next-N-line degree
- *   gather_overhead, gather_ports         — indexed-access cost
- *   mispredict, store_forward             — penalty model
- *   via_at_commit                         — strict §IV-E reading
- *   backend                               — base|via|ssr|indexmac
- *   ssr_streams, ssr_setup                — SSR backend knobs
- *   imac_rows, imac_overhead              — IndexMAC backend knobs
+ * Build MachineParams from the machine keys of an Options registry,
+ * so every harness and the CLI expose the same sweep knobs;
+ * addMachineOptions registers them (help=1 lists them).
  */
 
 #ifndef VIA_CPU_MACHINE_CONFIG_HH
@@ -22,14 +10,17 @@
 
 #include "cpu/core_params.hh"
 #include "mem/shared_llc.hh"
-#include "simcore/config.hh"
 #include "simcore/options.hh"
 
 namespace via
 {
 
-/** Table I defaults overridden by whatever @p cfg carries. */
-MachineParams machineParamsFrom(const Config &cfg);
+/**
+ * The machine the keys of @p opts describe: Table I defaults with
+ * every given key applied. A cam_kb= above sspm_kb= is a usage
+ * error (exit 2). @p opts must have the addMachineOptions keys.
+ */
+MachineParams machineParamsFrom(const Options &opts);
 
 /**
  * Register every machineParamsFrom key with an Options registry —
@@ -52,7 +43,7 @@ void addMultiCoreOptions(Options &opts);
  * last level scaled by the core count (SharedLlcParams::from), with
  * the llc_banks= override applied.
  */
-SharedLlcParams sharedLlcParamsFrom(const Config &cfg,
+SharedLlcParams sharedLlcParamsFrom(const Options &opts,
                                     const MachineParams &params,
                                     unsigned cores);
 

@@ -126,11 +126,7 @@ assignRanges(unsigned cores, Index n, Partition part)
 Partition
 parsePartition(const std::string &name)
 {
-    if (name == "static")
-        return Partition::Static;
-    if (name == "steal")
-        return Partition::Steal;
-    via_fatal("unknown partition '", name, "' (static, steal)");
+    return name == "steal" ? Partition::Steal : Partition::Static;
 }
 
 const char *

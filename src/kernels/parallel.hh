@@ -54,7 +54,8 @@ enum class Partition
     Steal,  //!< greedy least-loaded chunk assignment
 };
 
-/** Parse "static" / "steal"; fatal on anything else. */
+/** The partition named @p name, one of the partition= key's values
+ *  (static|steal). */
 Partition parsePartition(const std::string &name);
 
 /** The harness-facing name of @p p. */

@@ -30,15 +30,6 @@ formatted(const char *fmt, ...)
     return buf;
 }
 
-std::string
-join(const std::vector<std::string> &items)
-{
-    std::string out;
-    for (const std::string &item : items)
-        out += (out.empty() ? "" : ", ") + item;
-    return out;
-}
-
 template <typename T>
 std::shared_ptr<const T>
 share(T value)
@@ -46,11 +37,18 @@ share(T value)
     return std::make_shared<const T>(std::move(value));
 }
 
+/** True when the input is a Matrix Market file (mtx= or matrix=). */
+bool
+fileInput(const Options &opts)
+{
+    return opts.given("matrix") || opts.given("mtx");
+}
+
 /** Synthetic-or-file matrix; @p rows sizes a synthetic one. */
 Csr
 loadMatrix(const Options &opts, Index rows, Rng &rng)
 {
-    if (opts.given("matrix") || opts.given("mtx"))
+    if (fileInput(opts))
         return readMatrixMarket(
             opts.getString(opts.given("matrix") ? "matrix" : "mtx"));
     const Index n = rows;
@@ -72,8 +70,6 @@ loadMatrix(const Options &opts, Index rows, Rng &rng)
                           rng);
     if (family == "diag")
         return genDiagHeavy(n, std::max(1.0, density * n), rng);
-    if (family != "uniform")
-        via_fatal("unknown family '", family, "'");
     return genUniform(n, n, density, rng);
 }
 
@@ -155,7 +151,10 @@ KernelInput
 buildSpma(const Options &opts, BackendKind backend, Rng &rng)
 {
     auto a = share(loadMatrix(opts, rowsOption(opts), rng));
-    auto b = share(loadMatrix(opts, rowsOption(opts), rng));
+    // A file is read once (a pipe cannot be read twice): B is A.
+    auto b = fileInput(opts)
+                 ? a
+                 : share(loadMatrix(opts, rowsOption(opts), rng));
     auto golden = share(addCsr(*a, *b));
     auto check = [golden](const SpmaResult &r) {
         return RunOutcome{r.cycles, closeElements(r.c, *golden, 1e-3)};
@@ -183,9 +182,10 @@ buildSpmm(const Options &opts, BackendKind backend, Rng &rng)
     // Inner-product SpMM is quadratic in the rows: a smaller default.
     const Index rows = opts.given("rows") ? rowsOption(opts) : 160;
     auto a = share(loadMatrix(opts, rows, rng));
-    Csr b_csr = loadMatrix(opts, rows, rng);
-    auto b = share(Csc::fromCsr(b_csr));
-    auto golden = share(mulCsr(*a, b_csr));
+    // A file is read once (a pipe cannot be read twice): B is A.
+    auto b_csr = fileInput(opts) ? a : share(loadMatrix(opts, rows, rng));
+    auto b = share(Csc::fromCsr(*b_csr));
+    auto golden = share(mulCsr(*a, *b_csr));
     auto check = [golden](const SpmmResult &r) {
         return RunOutcome{r.cycles, closeElements(r.c, *golden, 1e-2)};
     };
@@ -282,7 +282,6 @@ kernelRegistry()
     static const std::vector<KernelSpec> registry = {
         {.name = "spmv",
          .title = "SpMV",
-         .formats = spmvFormats(),
          .timeline = true,
          .build = buildSpmv},
         {.name = "spma", .title = "SpMA", .build = buildSpma},
@@ -307,10 +306,12 @@ addInputOptions(Options &opts, std::uint64_t px)
         .addDouble("density", 0.01, "synthetic matrix density", 0.0,
                    1.0)
         .addString("family", "uniform",
-                   "synthetic family: banded|uniform|rmat|blocked|diag")
+                   "synthetic family: banded|uniform|rmat|blocked|diag",
+                   {"banded", "uniform", "rmat", "blocked", "diag"})
         .addUInt("seed", 1, "input generator seed")
         .addString("format", "csb",
-                   "spmv sparse format: csr|spc5|sell|csb")
+                   "spmv sparse format: csr|spc5|sell|csb",
+                   spmvFormats())
         .addUInt("keys", 16384, "histogram input size", 1)
         .addUInt("buckets", 1024, "histogram buckets", 1)
         .addUInt("px", px, "stencil image side", 4);
@@ -327,38 +328,23 @@ requireFits(const KernelSpec &spec, const KernelInput &k,
               "(the CAM is a quarter of the SSPM) or cam_kb=");
 }
 
-const KernelSpec &
-selectKernel(const Options &opts, const std::string &name)
+std::vector<std::string>
+kernelNames()
 {
     std::vector<std::string> names;
-    const KernelSpec *spec = nullptr;
-    for (const KernelSpec &k : kernelRegistry()) {
+    for (const KernelSpec &k : kernelRegistry())
         names.push_back(k.name);
-        if (k.name == name)
-            spec = &k;
-    }
-    if (spec == nullptr)
-        opts.usageError("unknown kernel '" + name + "' (" +
-                        join(names) + ")");
+    return names;
+}
 
-    const auto &formats = spec->formats;
-    const std::string fmt = opts.getString("format");
-    if (!formats.empty() &&
-        std::find(formats.begin(), formats.end(), fmt) == formats.end())
-        opts.usageError("format '" + fmt + "' is not a " + name +
-                        " format (" + join(formats) + ")");
-
-    if (!opts.knows("partition"))
-        return *spec;
-    const std::vector<std::string> partitions = {
-        partitionName(Partition::Static),
-        partitionName(Partition::Steal)};
-    const std::string part = opts.getString("partition");
-    if (std::find(partitions.begin(), partitions.end(), part) ==
-        partitions.end())
-        opts.usageError("unknown partition '" + part + "' (" +
-                        join(partitions) + ")");
-    return *spec;
+const KernelSpec &
+selectKernel(const Options &opts)
+{
+    const std::string name = opts.getString("kernel");
+    const auto &registry = kernelRegistry();
+    return *std::find_if(
+        registry.begin(), registry.end(),
+        [&](const KernelSpec &k) { return k.name == name; });
 }
 
 } // namespace via::kernels

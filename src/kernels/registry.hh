@@ -84,8 +84,6 @@ struct KernelSpec
 {
     std::string name;  //!< kernel= value
     std::string title; //!< header title ("SpMV")
-    /** format= values; empty when the kernel takes no format. */
-    std::vector<std::string> formats{};
     /** timeline= samples the accelerated run (SpMV only). */
     bool timeline = false;
     /** inject_error= fails the result check (stencil only). */
@@ -99,10 +97,15 @@ struct KernelSpec
 /** Every kernel, in the order usage errors list them. */
 const std::vector<KernelSpec> &kernelRegistry();
 
+/** Every kernel name, in registry order: the values of kernel=. */
+std::vector<std::string> kernelNames();
+
 /**
  * Register the input keys the builders read: mtx=/matrix=, rows=,
  * density=, family=, seed=, format=, keys=, buckets= and px=
- * (default @p px; at least 4, the stencil filter's side).
+ * (default @p px; at least 4, the stencil filter's side). family=
+ * and format= accept only their listed values. With mtx=/matrix=,
+ * SpMA and SpMM read the file once and use it for both operands.
  */
 void addInputOptions(Options &opts, std::uint64_t px);
 
@@ -116,13 +119,11 @@ void requireFits(const KernelSpec &spec, const KernelInput &k,
                  const MachineParams &params);
 
 /**
- * The entry named @p name, once it and format= / partition= (when
- * the harness registers the multi-core keys) are known to be valid.
- * Anything else is a usage error (exit 2) naming the valid values,
- * before any input is built.
+ * The entry named by the kernel= key of @p opts, registered with
+ * kernelNames() as its values, so parse() has already rejected
+ * any other name (exit 2).
  */
-const KernelSpec &selectKernel(const Options &opts,
-                               const std::string &name);
+const KernelSpec &selectKernel(const Options &opts);
 
 } // namespace via::kernels
 

@@ -12,34 +12,34 @@ namespace sample
 SimMode
 modeFromString(const std::string &text)
 {
-    if (text == "detailed")
-        return SimMode::Detailed;
     if (text == "functional")
         return SimMode::Functional;
     if (text == "sampled")
         return SimMode::Sampled;
-    via_fatal("unknown mode '", text,
-              "' (detailed|functional|sampled)");
+    return SimMode::Detailed;
 }
 
 SampleOptions
-SampleOptions::fromConfig(const Config &cfg)
+SampleOptions::fromOptions(const Options &opts)
 {
-    SampleOptions opts;
-    opts.mode = modeFromString(cfg.getString("mode", "detailed"));
-    opts.interval = cfg.getUInt("sample_interval", opts.interval);
-    opts.warmup = cfg.getUInt("sample_warmup", opts.warmup);
-    opts.measure = cfg.getUInt("sample_measure", opts.measure);
-    if (opts.mode == SimMode::Sampled) {
-        if (opts.measure == 0)
-            via_fatal("sample_measure must be positive");
-        if (opts.warmup + opts.measure > opts.interval)
-            via_fatal("sample_warmup + sample_measure (",
-                      opts.warmup + opts.measure,
-                      ") exceeds sample_interval (", opts.interval,
-                      ")");
-    }
-    return opts;
+    SampleOptions s;
+    s.mode = modeFromString(opts.getString("mode"));
+    s.interval = opts.getUInt("sample_interval");
+    s.warmup = opts.getUInt("sample_warmup");
+    s.measure = opts.getUInt("sample_measure");
+    if (s.mode == SimMode::Sampled)
+        s.requirePhasesFit(opts);
+    return s;
+}
+
+void
+SampleOptions::requirePhasesFit(const Options &opts) const
+{
+    if (warmup + measure > interval)
+        opts.usageError("sample_warmup + sample_measure (" +
+                        std::to_string(warmup + measure) +
+                        ") exceeds sample_interval (" +
+                        std::to_string(interval) + ")");
 }
 
 void
@@ -47,7 +47,8 @@ addSampleOptions(Options &opts)
 {
     SampleOptions d;
     opts.addString("mode", "detailed",
-                   "simulation mode: detailed|functional|sampled")
+                   "simulation mode: detailed|functional|sampled",
+                   {"detailed", "functional", "sampled"})
         .addUInt("sample_interval", d.interval,
                  "instructions per sampling unit", 1)
         .addUInt("sample_warmup", d.warmup,

@@ -28,7 +28,6 @@
 
 #include "cpu/machine.hh"
 #include "sample/functional.hh"
-#include "simcore/config.hh"
 #include "simcore/options.hh"
 
 namespace via
@@ -44,7 +43,8 @@ enum class SimMode
     Sampled,    //!< interval sampling (this file)
 };
 
-/** Parse mode=detailed|functional|sampled (fatal on anything else). */
+/** The mode named @p text, one of the mode= key's values
+ *  (detailed|functional|sampled). */
 SimMode modeFromString(const std::string &text);
 
 /** Knobs of the sampling driver. */
@@ -57,10 +57,16 @@ struct SampleOptions
 
     /**
      * Read mode=, sample_interval=, sample_warmup= and
-     * sample_measure= from @p cfg. Fatal if the warmup and
-     * measurement phases do not fit in the interval.
+     * sample_measure= from @p opts. Under mode=sampled, warmup and
+     * measurement phases that do not fit in the interval are a
+     * usage error (exit 2).
      */
-    static SampleOptions fromConfig(const Config &cfg);
+    static SampleOptions fromOptions(const Options &opts);
+
+    /** Usage error (exit 2) through @p opts unless the warmup and
+     *  measurement phases fit in the interval (Sampler's
+     *  precondition). */
+    void requirePhasesFit(const Options &opts) const;
 };
 
 /**

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <sstream>
 #include <stdexcept>
 
 #include "simcore/log.hh"
@@ -77,9 +78,17 @@ Options::add(OptionSpec spec)
 
 Options &
 Options::addString(const std::string &key, const std::string &dflt,
-                   const std::string &help)
+                   const std::string &help,
+                   std::vector<std::string> values)
 {
-    return add({key, OptType::String, dflt, help});
+    via_assert(values.empty() || dflt.empty() ||
+                   std::find(values.begin(), values.end(), dflt) !=
+                       values.end(),
+               "default '", dflt, "' of '", key,
+               "' is not one of its values");
+    OptionSpec spec{key, OptType::String, dflt, help};
+    spec.values = std::move(values);
+    return add(std::move(spec));
 }
 
 Options &
@@ -166,8 +175,17 @@ Options::checkValue(const OptionSpec &spec,
     };
 
     switch (spec.type) {
-    case OptType::String:
-        return "";
+    case OptType::String: {
+        const auto &vs = spec.values;
+        if (vs.empty() || std::find(vs.begin(), vs.end(), value) !=
+                              vs.end())
+            return "";
+        std::string expected;
+        for (const std::string &v : vs)
+            expected += (expected.empty() ? "" : "|") + v;
+        return "unknown value '" + value + "' (expected " + expected +
+               ")";
+    }
     case OptType::Bool: {
         bool b;
         if (!parseBool(value, b))
@@ -240,13 +258,13 @@ Options::parse(const std::vector<std::string> &args)
         const OptionSpec *spec = find(key);
         if (spec == nullptr)
             usageError("unknown key '" + key + "'");
-        if (_values.has(key))
+        if (given(key))
             usageError("duplicate key '" + key +
                        "' (each key may be given once)");
         std::string diag = checkValue(*spec, value);
         if (!diag.empty())
             usageError("key '" + key + "': " + diag);
-        _values.set(key, value);
+        _given[key] = value;
     }
 
     if (help || getBool("help")) {
@@ -275,45 +293,93 @@ Options::require(const std::string &key, OptType type) const
     return *spec;
 }
 
+const std::string &
+Options::valueOf(const OptionSpec &spec) const
+{
+    auto it = _given.find(spec.key);
+    return it == _given.end() ? spec.dflt : it->second;
+}
+
+// Every given value passed checkValue and every default is
+// well-formed, so the conversions below cannot fail.
+
 std::string
 Options::getString(const std::string &key) const
 {
-    const OptionSpec &spec = require(key, OptType::String);
-    return _values.getString(key, spec.dflt);
+    return valueOf(require(key, OptType::String));
 }
 
 std::int64_t
 Options::getInt(const std::string &key) const
 {
-    const OptionSpec &spec = require(key, OptType::Int);
-    return _values.getInt(key, std::stoll(spec.dflt));
+    return std::stoll(valueOf(require(key, OptType::Int)));
 }
 
 std::uint64_t
 Options::getUInt(const std::string &key) const
 {
-    const OptionSpec &spec = require(key, OptType::UInt);
-    return _values.getUInt(key, std::stoull(spec.dflt));
+    return std::stoull(valueOf(require(key, OptType::UInt)));
 }
 
 double
 Options::getDouble(const std::string &key) const
 {
-    const OptionSpec &spec = require(key, OptType::Double);
-    return _values.getDouble(key, std::stod(spec.dflt));
+    return std::stod(valueOf(require(key, OptType::Double)));
 }
 
 bool
 Options::getBool(const std::string &key) const
 {
-    const OptionSpec &spec = require(key, OptType::Bool);
-    return _values.getBool(key, spec.dflt == "1");
+    bool b = false;
+    parseBool(valueOf(require(key, OptType::Bool)), b);
+    return b;
 }
 
 bool
 Options::given(const std::string &key) const
 {
-    return _values.has(key);
+    return _given.count(key) != 0;
+}
+
+std::vector<std::string>
+Options::getList(const std::string &key,
+                 const std::string &item_key) const
+{
+    const std::string text = getString(key);
+    const OptionSpec *item_spec = find(item_key);
+    via_assert(item_spec != nullptr, _binary,
+               " checks list items as unregistered key '", item_key,
+               "'");
+    std::vector<std::string> items;
+    std::stringstream ss(text);
+    std::string item;
+    while (std::getline(ss, item, ',')) {
+        if (item.empty())
+            continue;
+        std::string diag = checkValue(*item_spec, item);
+        if (!diag.empty())
+            usageError("key '" + key + "': item '" + item + "' (" +
+                       item_key + "): " + diag);
+        items.push_back(std::move(item));
+    }
+    if (items.empty())
+        usageError("key '" + key + "': empty list (expected " +
+                   item_key + " values, comma-separated)");
+    return items;
+}
+
+Options
+Options::with(const std::string &key, const std::string &value) const
+{
+    const OptionSpec *spec = find(key);
+    via_assert(spec != nullptr, _binary, " overrides unregistered key '",
+               key, "'");
+    std::string diag = checkValue(*spec, value);
+    if (!diag.empty())
+        usageError("key '" + key + "': " + diag);
+    Options out = *this;
+    out._given[key] = value;
+    return out;
 }
 
 void

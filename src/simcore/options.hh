@@ -3,23 +3,30 @@
  * The shared typed command-line options registry.
  *
  * Every harness in this repository — the bench/ figure binaries,
- * via_sim, via_fuzz and bench_report — takes "key=value" arguments.
- * Options is the one parser they all share: each binary registers
- * its keys (type, default, help text, optional numeric range) and
- * parse() enforces a uniform contract:
+ * via_sim, via_db, via_serve, via_fuzz and bench_report — takes
+ * "key=value" arguments. Options is the one option layer: each
+ * binary registers its keys (type, default, help text, numeric
+ * range, or the fixed set of values a string key accepts), parse()
+ * checks every given value against its key, and the readers
+ * (machineParamsFrom, SampleOptions::fromOptions,
+ * TraceOptions::fromOptions, the drivers) read through the typed
+ * getters, whose default is the registered one. The contract:
  *
  *   - unknown key        -> message + sorted valid-key list, exit 2
  *   - duplicate key      -> hard error, exit 2 (a repeated key on
  *                           one command line is almost always a
  *                           typo silently dropping the first value)
  *   - malformed value    -> type/range diagnosis, exit 2
+ *   - value outside a    -> the key and its valid values, exit 2
+ *     key's fixed set
  *   - help=1 or --help   -> generated key table, exit 0
  *
- * Parsed values land in a plain Config, so the existing typed
- * consumers (machineParamsFrom, SampleOptions::fromConfig,
- * TraceOptions::fromConfig) keep working unchanged. Programmatic
- * Config::set stays last-wins — sweep mode's per-point overrides
- * rely on that — only command-line redefinition is rejected.
+ * A reader that rejects a combination of valid values reports it
+ * through usageError(), so it exits 2 as well. Sweeps override a
+ * key per point: getList() checks every item of a comma list as a
+ * value of the key it overrides, and with() derives the point's
+ * options, so a point's value passes the same check as the command
+ * line before any point runs.
  */
 
 #ifndef VIA_SIMCORE_OPTIONS_HH
@@ -27,11 +34,10 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
-
-#include "simcore/config.hh"
 
 namespace via
 {
@@ -55,6 +61,8 @@ struct OptionSpec
     std::string help;
     double min = std::numeric_limits<double>::lowest();
     double max = std::numeric_limits<double>::max();
+    /** String keys: the values parse() accepts (empty = any). */
+    std::vector<std::string> values{};
 };
 
 /**
@@ -66,7 +74,7 @@ struct OptionSpec
  *   opts.addUInt("count", 24, "corpus matrices");
  *   addMachineOptions(opts);
  *   opts.parse(argc, argv);          // exits on error or help
- *   const Config &cfg = opts.config();
+ *   MachineParams params = machineParamsFrom(opts);
  */
 class Options
 {
@@ -76,10 +84,15 @@ class Options
     /** Register a key; fatal (programmer error) on duplicates. */
     Options &add(OptionSpec spec);
 
-    /** Typed registration conveniences. */
+    /**
+     * Typed registration conveniences. A string key with a fixed
+     * set of @p values accepts no other value; its default is one
+     * of them, or empty when the key has none (via_sim's kernel=).
+     */
     Options &addString(const std::string &key,
                        const std::string &dflt,
-                       const std::string &help);
+                       const std::string &help,
+                       std::vector<std::string> values = {});
     Options &addInt(const std::string &key, std::int64_t dflt,
                     const std::string &help,
                     std::int64_t min =
@@ -128,8 +141,22 @@ class Options
     /** True if the key was given on the command line. */
     bool given(const std::string &key) const;
 
-    /** The parsed values (command-line keys only, validated). */
-    const Config &config() const { return _values; }
+    /**
+     * The comma list in string key @p key, each item checked as a
+     * value of @p item_key, the key a sweep point overrides. An
+     * item that key rejects, or a list without items, is a usage
+     * error (exit 2).
+     */
+    std::vector<std::string> getList(const std::string &key,
+                                     const std::string &item_key) const;
+
+    /**
+     * A copy with @p key given as @p value, replacing any value the
+     * command line gave it: one sweep point's options. A value the
+     * key rejects is a usage error (exit 2).
+     */
+    Options with(const std::string &key,
+                 const std::string &value) const;
 
     /** Print the generated key table (help=1 / --help). */
     void printHelp(std::ostream &os) const;
@@ -137,11 +164,14 @@ class Options
     /** Sorted registered keys (help, docs, error messages). */
     std::vector<std::string> keys() const;
 
+    /** Every registered key, in registration order. */
+    const std::vector<OptionSpec> &specs() const { return _specs; }
+
     /**
      * Report a user error the way parse() does: @p message, then
-     * the sorted valid-key list; exits with status 2. Harnesses use
-     * it for values a key's type cannot check (a kernel= or
-     * format= name outside the known set).
+     * the sorted valid-key list; exits with status 2. Readers use
+     * it for a combination of values they reject (cam_kb= above
+     * sspm_kb=, mode=sampled at cores>1).
      */
     [[noreturn]] void usageError(const std::string &message) const;
 
@@ -156,11 +186,13 @@ class Options
      *  the empty string when the value is well-formed. */
     std::string checkValue(const OptionSpec &spec,
                            const std::string &value) const;
+    /** The given value of @p spec's key, else its default. */
+    const std::string &valueOf(const OptionSpec &spec) const;
 
     std::string _binary;
     std::string _description;
     std::vector<OptionSpec> _specs;
-    Config _values;
+    std::map<std::string, std::string> _given; //!< checked values
     bool _parsed = false;
 };
 

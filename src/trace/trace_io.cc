@@ -13,17 +13,14 @@ namespace via
 {
 
 TraceOptions
-TraceOptions::fromConfig(const Config &cfg)
+TraceOptions::fromOptions(const Options &opts)
 {
-    TraceOptions opts;
-    opts.path = cfg.getString("trace", "");
-    opts.format = cfg.getString("trace_format", "perfetto");
-    opts.limit = std::size_t(cfg.getUInt("trace_limit", 1u << 20));
-    opts.summary = cfg.getBool("trace_summary", false);
-    if (opts.format != "perfetto" && opts.format != "konata")
-        via_fatal("unknown trace_format '", opts.format,
-                  "' (expected perfetto or konata)");
-    return opts;
+    TraceOptions t;
+    t.path = opts.getString("trace");
+    t.format = opts.getString("trace_format");
+    t.limit = std::size_t(opts.getUInt("trace_limit"));
+    t.summary = opts.getBool("trace_summary");
+    return t;
 }
 
 void
@@ -33,7 +30,8 @@ addTraceOptions(Options &opts)
     opts.addString("trace", "",
                    "write an event trace to this path")
         .addString("trace_format", d.format,
-                   "trace export format: perfetto|konata")
+                   "trace export format: perfetto|konata",
+                   {"perfetto", "konata"})
         .addUInt("trace_limit", d.limit,
                  "event ring capacity (oldest dropped)", 1)
         .addBool("trace_summary", d.summary,

@@ -11,7 +11,6 @@
 
 #include <string>
 
-#include "simcore/config.hh"
 #include "simcore/options.hh"
 #include "simcore/types.hh"
 
@@ -29,11 +28,11 @@ struct TraceOptions
     bool summary = false;            //!< trace_summary=1
 
     /**
-     * Read the knobs from a Config. fatal() on an unknown format.
-     * trace_summary=1 alone (no trace=) still collects events for
-     * the roll-up, just writes no file.
+     * Read the knobs from @p opts. trace_summary=1 alone (no
+     * trace=) still collects events for the roll-up, just writes no
+     * file.
      */
-    static TraceOptions fromConfig(const Config &cfg);
+    static TraceOptions fromOptions(const Options &opts);
 
     /** True when any trace collection is requested. */
     bool

@@ -2,7 +2,8 @@
  * @file
  * The shared Options registry: typed parsing, registry defaults,
  * the exit-2 contract for unknown / duplicate / malformed /
- * out-of-range keys, and the generated help table.
+ * out-of-range keys and values outside a key's fixed set, per-point
+ * overrides, and the generated help table.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,9 @@ makeOpts()
 {
     Options opts("optest", "options test harness");
     opts.addString("name", "default", "a string")
+        .addString("shape", "open", "a fixed set: open|closed",
+                   {"open", "closed"})
+        .addString("list", "1,2", "a comma list of count values")
         .addInt("delta", -3, "a signed int", -10, 10)
         .addUInt("count", 7, "an unsigned int", 1, 100)
         .addDouble("ratio", 0.5, "a double", 0.0, 1.0)
@@ -60,14 +64,46 @@ TEST(Options, TypedValuesParse)
 
 TEST(Options, ConfigHoldsOnlyGivenKeys)
 {
-    // machineParamsFrom-style consumers depend on cfg.has() meaning
-    // "explicitly overridden", so defaults must not leak into the
-    // Config.
+    // machineParamsFrom depends on given() meaning "explicitly
+    // overridden" (cam_kb= follows sspm_kb= otherwise), so a
+    // default must not count as given.
     Options opts = makeOpts();
     opts.parse({"count=42"});
-    EXPECT_TRUE(opts.config().has("count"));
-    EXPECT_FALSE(opts.config().has("name"));
-    EXPECT_FALSE(opts.config().has("ratio"));
+    EXPECT_TRUE(opts.given("count"));
+    EXPECT_FALSE(opts.given("name"));
+    EXPECT_FALSE(opts.given("ratio"));
+}
+
+TEST(Options, FixedSetAcceptsItsValues)
+{
+    Options opts = makeOpts();
+    opts.parse({});
+    EXPECT_EQ(opts.getString("shape"), "open");
+    Options closed = makeOpts();
+    closed.parse({"shape=closed"});
+    EXPECT_EQ(closed.getString("shape"), "closed");
+}
+
+TEST(Options, WithOverridesOneKey)
+{
+    Options opts = makeOpts();
+    opts.parse({"count=42", "name=via"});
+    Options point = opts.with("count", "9").with("ratio", "0.75");
+    EXPECT_EQ(point.getUInt("count"), 9u);
+    EXPECT_DOUBLE_EQ(point.getDouble("ratio"), 0.75);
+    EXPECT_TRUE(point.given("ratio"));
+    EXPECT_EQ(point.getString("name"), "via");
+    // The original keeps its values.
+    EXPECT_EQ(opts.getUInt("count"), 42u);
+    EXPECT_FALSE(opts.given("ratio"));
+}
+
+TEST(Options, ListItemsAreCheckedAsTheirKey)
+{
+    Options opts = makeOpts();
+    opts.parse({"list=5,,60,"});
+    EXPECT_EQ(opts.getList("list", "count"),
+              (std::vector<std::string>{"5", "60"}));
 }
 
 TEST(Options, BoolSpellings)
@@ -134,8 +170,8 @@ TEST(OptionsDeath, UnknownKeyListsValidKeysSorted)
     Options opts = makeOpts();
     EXPECT_EXIT(opts.parse({"treads=4"}),
                 ::testing::ExitedWithCode(2),
-                "valid keys: count delta fast help name ratio "
-                "verbose");
+                "valid keys: count delta fast help list name ratio "
+                "shape verbose");
 }
 
 TEST(OptionsDeath, DuplicateKeyExits2)
@@ -172,6 +208,44 @@ TEST(OptionsDeath, OutOfRangeExits2)
     EXPECT_EXIT(opts2.parse({"ratio=1.5"}),
                 ::testing::ExitedWithCode(2),
                 "out of range \\[0, 1\\]");
+}
+
+TEST(OptionsDeath, ValueOutsideFixedSetExits2)
+{
+    Options opts = makeOpts();
+    EXPECT_EXIT(opts.parse({"shape=ajar"}),
+                ::testing::ExitedWithCode(2),
+                "key 'shape': unknown value 'ajar' \\(expected "
+                "open\\|closed\\)");
+}
+
+TEST(OptionsDeath, WithChecksTheValue)
+{
+    Options opts = makeOpts();
+    opts.parse({});
+    EXPECT_EXIT(opts.with("count", "0"), ::testing::ExitedWithCode(2),
+                "key 'count': value 0 out of range \\[1, 100\\]");
+    EXPECT_EXIT(opts.with("shape", "ajar"),
+                ::testing::ExitedWithCode(2), "unknown value 'ajar'");
+}
+
+TEST(OptionsDeath, BadListItemExits2)
+{
+    Options out_of_range = makeOpts();
+    out_of_range.parse({"list=4,0"});
+    EXPECT_EXIT(out_of_range.getList("list", "count"),
+                ::testing::ExitedWithCode(2),
+                "key 'list': item '0' \\(count\\): value 0 out of "
+                "range \\[1, 100\\]");
+    Options malformed = makeOpts();
+    malformed.parse({"list=abc"});
+    EXPECT_EXIT(malformed.getList("list", "count"),
+                ::testing::ExitedWithCode(2),
+                "item 'abc' \\(count\\): expected an integer");
+    Options empty = makeOpts();
+    empty.parse({"list=,"});
+    EXPECT_EXIT(empty.getList("list", "count"),
+                ::testing::ExitedWithCode(2), "key 'list': empty list");
 }
 
 TEST(OptionsDeath, MalformedArgumentExits2)

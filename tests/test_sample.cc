@@ -456,18 +456,47 @@ TEST(Sampling, EstimateWithinAuditBound)
     EXPECT_FALSE(audit.exact);
 }
 
+/** The sampling keys, parsed from @p args the way a harness does. */
+Options
+sampleKeys(const std::vector<std::string> &args)
+{
+    Options keys("sample_test", "sampling keys");
+    sample::addSampleOptions(keys);
+    keys.parse(args);
+    return keys;
+}
+
 TEST(Sampling, OptionValidation)
 {
-    Config cfg;
-    cfg.set("mode", "sampled");
-    cfg.set("sample_interval", "1000");
-    cfg.set("sample_warmup", "200");
-    cfg.set("sample_measure", "300");
-    auto opts = sample::SampleOptions::fromConfig(cfg);
+    auto opts = sample::SampleOptions::fromOptions(
+        sampleKeys({"mode=sampled", "sample_interval=1000",
+                    "sample_warmup=200", "sample_measure=300"}));
     EXPECT_EQ(opts.mode, sample::SimMode::Sampled);
     EXPECT_EQ(opts.interval, 1000u);
     EXPECT_EQ(opts.warmup, 200u);
     EXPECT_EQ(opts.measure, 300u);
+
+    // The registered defaults are SampleOptions' own.
+    auto dflt = sample::SampleOptions::fromOptions(sampleKeys({}));
+    sample::SampleOptions model;
+    EXPECT_EQ(dflt.mode, model.mode);
+    EXPECT_EQ(dflt.interval, model.interval);
+    EXPECT_EQ(dflt.warmup, model.warmup);
+    EXPECT_EQ(dflt.measure, model.measure);
+}
+
+TEST(SamplingDeath, PhasesBeyondTheIntervalExit2)
+{
+    EXPECT_EXIT(sample::SampleOptions::fromOptions(sampleKeys(
+                    {"mode=sampled", "sample_interval=1000",
+                     "sample_warmup=800", "sample_measure=300"})),
+                ::testing::ExitedWithCode(2),
+                "sample_warmup \\+ sample_measure \\(1100\\) exceeds "
+                "sample_interval \\(1000\\)");
+    // Only mode=sampled runs the phases.
+    auto detailed = sample::SampleOptions::fromOptions(sampleKeys(
+        {"sample_interval=1000", "sample_warmup=800"}));
+    EXPECT_EQ(detailed.mode, sample::SimMode::Detailed);
 }
 
 } // namespace

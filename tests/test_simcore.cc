@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the simulation-core utilities: Config, StatSet,
+ * Unit tests for the simulation-core utilities: StatSet,
  * Distribution, and the deterministic RNG.
  */
 
@@ -8,7 +8,6 @@
 
 #include <sstream>
 
-#include "simcore/config.hh"
 #include "simcore/rng.hh"
 #include "simcore/stats.hh"
 
@@ -16,51 +15,6 @@ namespace via
 {
 namespace
 {
-
-TEST(Config, ParsesKeyValueArgs)
-{
-    Config cfg = Config::fromArgs({"rows=128", "density=0.5",
-                                   "name=foo", "flag=true"});
-    EXPECT_EQ(cfg.getInt("rows", 0), 128);
-    EXPECT_DOUBLE_EQ(cfg.getDouble("density", 0.0), 0.5);
-    EXPECT_EQ(cfg.getString("name", ""), "foo");
-    EXPECT_TRUE(cfg.getBool("flag", false));
-}
-
-TEST(Config, DefaultsApplyWhenAbsent)
-{
-    Config cfg;
-    EXPECT_EQ(cfg.getInt("missing", 7), 7);
-    EXPECT_EQ(cfg.getUInt("missing", 9u), 9u);
-    EXPECT_DOUBLE_EQ(cfg.getDouble("missing", 1.5), 1.5);
-    EXPECT_FALSE(cfg.getBool("missing", false));
-    EXPECT_FALSE(cfg.has("missing"));
-}
-
-TEST(Config, BooleanSpellings)
-{
-    Config cfg;
-    for (const char *t : {"1", "true", "yes", "on"}) {
-        cfg.set("k", t);
-        EXPECT_TRUE(cfg.getBool("k", false)) << t;
-    }
-    for (const char *f : {"0", "false", "no", "off"}) {
-        cfg.set("k", f);
-        EXPECT_FALSE(cfg.getBool("k", true)) << f;
-    }
-}
-
-TEST(ConfigDeathTest, MalformedValuesAreFatal)
-{
-    Config cfg;
-    cfg.set("n", "12abc");
-    EXPECT_DEATH(cfg.getInt("n", 0), "not an integer");
-    cfg.set("d", "1..5");
-    EXPECT_DEATH(cfg.getDouble("d", 0.0), "not a number");
-    cfg.set("b", "maybe");
-    EXPECT_DEATH(cfg.getBool("b", false), "not a boolean");
-    EXPECT_DEATH(Config::fromArgs({"noequals"}), "malformed");
-}
 
 TEST(StatSet, ScalarViewsTrackTheCounter)
 {

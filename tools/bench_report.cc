@@ -62,7 +62,6 @@
 #include "kernels/spma.hh"
 #include "sample/checkpoint.hh"
 #include "sample/sampling.hh"
-#include "simcore/config.hh"
 #include "simcore/fnv.hh"
 #include "simcore/log.hh"
 #include "simcore/options.hh"
@@ -556,11 +555,13 @@ main(int argc, char **argv)
         .addDouble("density", 0.005, "reference matrix density",
                    0.0, 1.0)
         .addUInt("seed", 1, "generator seed")
-        .addString("format", "csb", "SpMV format: csr|spc5|sell|csb")
+        .addString("format", "csb", "SpMV format: csr|spc5|sell|csb",
+                   kernels::spmvFormats())
         .addString("backend", "via",
                    "sampling-leg accelerated backend: "
                    "base|via|ssr|indexmac (the simspeed/serve "
-                   "regression gates stay pinned to via)")
+                   "regression gates stay pinned to via)",
+                   backendNames())
         .addUInt("sample_interval", 100000,
                  "instructions per sampling unit", 1)
         .addUInt("sample_warmup", 500,
@@ -592,17 +593,6 @@ main(int argc, char **argv)
     opts.parse(argc, argv);
     applySelfProfOption(opts);
 
-    // Validate before dispatching to any leg so a typo'd backend is
-    // a usage error (exit 2), the same contract as an unknown key.
-    BackendKind backend = BackendKind::Via;
-    if (!parseBackendKind(opts.getString("backend"), backend)) {
-        std::fprintf(stderr,
-                     "bench_report: unknown backend '%s' (expected "
-                     "base|via|ssr|indexmac)\n",
-                     opts.getString("backend").c_str());
-        return 2;
-    }
-
     if (opts.getBool("simspeed"))
         return runSimspeed(opts);
     if (opts.getBool("serve"))
@@ -619,6 +609,7 @@ main(int argc, char **argv)
     sopts.interval = opts.getUInt("sample_interval");
     sopts.warmup = opts.getUInt("sample_warmup");
     sopts.measure = opts.getUInt("sample_measure");
+    sopts.requirePhasesFit(opts);
 
     Rng rng(opts.getUInt("seed"));
     Csr a = genUniform(rows, rows, density, rng);
@@ -629,7 +620,7 @@ main(int argc, char **argv)
                 fmt.c_str(), a.rows(), a.cols(), a.nnz());
 
     MachineParams params{};
-    params.backend.kind = backend;
+    params.backend.kind = parseBackendKind(opts.getString("backend"));
 
     // The timed region is machine construction + kernel execution:
     // exactly the work a mode changes. Input generation, the golden

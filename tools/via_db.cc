@@ -41,7 +41,6 @@
 #include "cpu/multi_machine.hh"
 #include "debug/session.hh"
 #include "kernels/registry.hh"
-#include "simcore/config.hh"
 #include "simcore/log.hh"
 #include "simcore/options.hh"
 #include "simcore/rng.hh"
@@ -60,7 +59,8 @@ dbOptions()
                  "inspection and checkpoint rewind");
     opts.addString("kernel", "spmv",
                    "kernel to debug: "
-                   "spmv|spma|spmm|histogram|stencil")
+                   "spmv|spma|spmm|histogram|stencil",
+                   kernels::kernelNames())
         .addString("script", "",
                    "command script (default: interactive stdin)")
         .addBool("echo", true, "echo script commands as they run");
@@ -77,24 +77,21 @@ main(int argc, char **argv)
 {
     Options opts = dbOptions();
     opts.parse(argc, argv);
-    const Config &cfg = opts.config();
 
-    const auto cores = unsigned(cfg.getUInt("cores", 1));
-    const kernels::KernelSpec &spec =
-        kernels::selectKernel(opts, opts.getString("kernel"));
-    MachineParams params = machineParamsFrom(cfg);
+    const auto cores = unsigned(opts.getUInt("cores"));
+    const kernels::KernelSpec &spec = kernels::selectKernel(opts);
+    MachineParams params = machineParamsFrom(opts);
 
     // The input and its golden are built once here, so every rewind
     // replay re-runs the identical work.
-    Rng rng(cfg.getUInt("seed", 1));
+    Rng rng(opts.getUInt("seed"));
     auto k = std::make_shared<const kernels::KernelInput>(
         spec.build(opts, params.backend.kind, rng));
     kernels::requireFits(spec, *k, params);
     std::string tag = k->variant.empty() ? "" : " (" + k->variant + ")";
     std::printf("target: %s%s, %s\n", spec.name.c_str(), tag.c_str(),
                 k->shape.c_str());
-    const auto part =
-        kernels::parsePartition(cfg.getString("partition", "static"));
+    const auto part = kernels::parsePartition(opts.getString("partition"));
     debug::KernelFn kfn = [k, part](debug::DebugTarget &t) {
         return t.single() ? k->accel(*t.machine).ok
                           : k->parallel(*t.multi, part, true).ok;
@@ -102,8 +99,7 @@ main(int argc, char **argv)
 
     debug::TargetFactory factory;
     if (cores > 1) {
-        SharedLlcParams llcp =
-            sharedLlcParamsFrom(cfg, params, cores);
+        SharedLlcParams llcp = sharedLlcParamsFrom(opts, params, cores);
         factory = [params, cores, llcp] {
             debug::DebugTarget t;
             t.multi = std::make_unique<MultiMachine>(params, cores,
@@ -126,7 +122,7 @@ main(int argc, char **argv)
         if (!script_in)
             via_fatal("cannot open script '", script, "'");
         scfg.commands = &script_in;
-        scfg.echo = cfg.getBool("echo", true);
+        scfg.echo = opts.getBool("echo");
         scfg.prompt = false;
     } else {
         scfg.commands = &std::cin;

@@ -39,7 +39,6 @@
  */
 
 #include <cstdio>
-#include <set>
 #include <string>
 
 #include "check/fuzz.hh"
@@ -58,9 +57,12 @@ main(int argc, char **argv)
     args.addUInt("seeds", 100, "seeds to run", 1)
         .addUInt("seed", 1, "first seed")
         .addString("kernel", "all",
-                   "all|spmv|spma|spmm|histogram|stencil")
+                   "all|spmv|spma|spmm|histogram|stencil",
+                   {"all", "spmv", "spma", "spmm", "histogram",
+                    "stencil"})
         .addString("backend", "via",
-                   "accelerated variant: base|via|ssr|indexmac")
+                   "accelerated variant: base|via|ssr|indexmac",
+                   backendNames())
         .addUInt("threads", 1,
                  "parallel seed workers (0 = hardware concurrency)")
         .addUInt("cores", 1,
@@ -82,23 +84,7 @@ main(int argc, char **argv)
     opts.threads = unsigned(args.getUInt("threads"));
     opts.cores = unsigned(args.getUInt("cores"));
     opts.verbose = args.getBool("verbose");
-
-    static const std::set<std::string> kernels = {
-        "all", "spmv", "spma", "spmm", "histogram", "stencil"};
-    if (!kernels.count(opts.kernel)) {
-        std::fprintf(stderr, "via_fuzz: unknown kernel '%s'\n",
-                     opts.kernel.c_str());
-        return 2;
-    }
-
-    std::string backend = args.getString("backend");
-    if (!parseBackendKind(backend, opts.backend)) {
-        std::fprintf(stderr,
-                     "via_fuzz: unknown backend '%s' (expected "
-                     "base|via|ssr|indexmac)\n",
-                     backend.c_str());
-        return 2;
-    }
+    opts.backend = parseBackendKind(args.getString("backend"));
 
     if (args.getBool("inject")) {
         // Deliberately corrupt a cache counter after each kernel

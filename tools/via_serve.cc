@@ -54,7 +54,6 @@
 #include "serve/executor.hh"
 #include "serve/request.hh"
 #include "serve/sim.hh"
-#include "simcore/config.hh"
 #include "simcore/log.hh"
 #include "simcore/options.hh"
 
@@ -72,7 +71,8 @@ serveOptions()
                  "and energy per request, base vs VIA");
     opts.addString("arrivals", "open",
                    "traffic shape: open (Poisson) | closed "
-                   "(client pool)")
+                   "(client pool)",
+                   {"open", "closed"})
         .addUInt("requests", 200, "requests to serve", 1)
         .addDouble("rate", 2.0,
                    "open loop: arrivals per million cycles", 1e-6)
@@ -200,17 +200,26 @@ printReportJson(const char *label, const serve::ServeReport &r,
 int
 runServeMain(const Options &opts)
 {
-    const Config &cfg = opts.config();
+    const bool closed = opts.getString("arrivals") == "closed";
+    serve::ExecutorConfig ex;
+    ex.params = machineParamsFrom(opts);
+    ex.cores = unsigned(opts.getUInt("cores"));
+    ex.warmDir = opts.getString("warm_dir");
+    if (!ex.warmDir.empty() && ex.cores > 1)
+        opts.usageError("warm_dir= needs the checkpointing cores=1 "
+                        "path");
+    // The shared-SSPM budget sweep reruns everything per SSPM size;
+    // every size is checked as an sspm_kb= value before any runs.
+    std::vector<std::string> sweep_kbs;
+    std::vector<MachineParams> sweep_params;
+    if (!opts.getString("sweep_sspm_kb").empty()) {
+        sweep_kbs = opts.getList("sweep_sspm_kb", "sspm_kb");
+        for (const std::string &kb : sweep_kbs)
+            sweep_params.push_back(
+                machineParamsFrom(opts.with("sspm_kb", kb)));
+    }
 
     auto mix = serve::parseMix(opts.getString("mix"));
-    bool closed = [&] {
-        std::string a = opts.getString("arrivals");
-        if (a == "open")
-            return false;
-        if (a == "closed")
-            return true;
-        via_fatal("arrivals=", a, " (expected open|closed)");
-    }();
 
     serve::ServeConfig scfg;
     scfg.closed = closed;
@@ -222,43 +231,22 @@ runServeMain(const Options &opts)
     scfg.seed = opts.getUInt("seed");
     scfg.keepTrace = opts.getBool("trace");
 
-    serve::ExecutorConfig ex;
-    ex.params = machineParamsFrom(cfg);
-    ex.cores = unsigned(cfg.getUInt("cores", 1));
     if (ex.cores > 1)
-        ex.llc = sharedLlcParamsFrom(cfg, ex.params, ex.cores);
-    ex.partition = kernels::parsePartition(
-        cfg.getString("partition", "static"));
+        ex.llc = sharedLlcParamsFrom(opts, ex.params, ex.cores);
+    ex.partition = kernels::parsePartition(opts.getString("partition"));
     ex.batchMax = scfg.batchMax;
     ex.threads = unsigned(opts.getUInt("threads"));
     ex.seed = scfg.seed;
-    ex.warmDir = opts.getString("warm_dir");
-    if (!ex.warmDir.empty() && ex.cores > 1)
-        via_fatal("warm_dir= needs the checkpointing cores=1 path");
 
-    // The shared-SSPM budget sweep: rerun everything per SSPM size.
-    std::string sweep = opts.getString("sweep_sspm_kb");
-    if (!sweep.empty()) {
+    if (!sweep_kbs.empty()) {
         std::printf("# sspm_kb base_p99 via_p99 via_speedup_p99 "
                     "base_pj via_pj\n");
-        std::string item;
-        std::vector<std::string> sizes;
-        for (char c : sweep + ",") {
-            if (c == ',') {
-                if (!item.empty())
-                    sizes.push_back(item);
-                item.clear();
-            } else {
-                item += c;
-            }
-        }
-        for (const std::string &kb : sizes) {
-            Config pc = cfg;
-            pc.set("sspm_kb", kb);
+        for (std::size_t i = 0; i < sweep_kbs.size(); ++i) {
             serve::ExecutorConfig pex = ex;
-            pex.params = machineParamsFrom(pc);
+            pex.params = sweep_params[i];
             RunResult r = runOnce(mix, pex, scfg);
-            std::printf("%s %.0f %.0f %.3f %.1f %.1f\n", kb.c_str(),
+            std::printf("%s %.0f %.0f %.3f %.1f %.1f\n",
+                        sweep_kbs[i].c_str(),
                         r.base.latency.p99(), r.via.latency.p99(),
                         r.via.latency.p99() > 0.0
                             ? r.base.latency.p99() /

@@ -13,73 +13,41 @@
  *   via_sim kernel=<kernel> [key=value ...]
  *
  * Kernels (kernels/registry.hh): spmv | spma | spmm | histogram |
- * stencil. An unknown kernel, a format= the kernel has no variant
- * for, or an unknown partition= is a usage error (exit 2), caught
- * before any input is built. An input the
- * VIA kernel cannot run (an SpMM row that overflows the CAM) exits
- * 1 as soon as it is built, before any baseline is simulated;
- * sweep=1 instead reports each such configuration as skipped.
+ * stencil. An input the VIA kernel cannot run (an SpMM row that
+ * overflows the CAM) exits 1 as soon as it is built, before any
+ * baseline is simulated; sweep=1 instead reports each such
+ * configuration as skipped.
  *
  * Keys are registered with the shared Options registry
  * (simcore/options.hh): help=1 / --help prints the generated key
- * table, and an unknown key is an error (exit 2) printing the valid
- * set, so a typo like treads=4 cannot silently run a default
- * configuration.
+ * table, with each key's type and default. An unknown key, a value
+ * outside a key's range or set (an unknown kernel, format= or
+ * partition=), and a key combination this driver rejects are usage
+ * errors (exit 2), caught before any input is built, so a typo like
+ * treads=4 cannot silently run a default configuration.
  *
- * Common keys:
- *   mtx=PATH        load a Matrix Market file (else synthetic)
- *   matrix=PATH     alias for mtx= (real-world workload entry)
- *   rows=N          synthetic matrix size         (default 512)
- *   density=D       synthetic matrix density      (default 0.01)
- *   family=F        banded|uniform|rmat|blocked|diag (default uniform)
- *   seed=S          generator seed                (default 1)
- *   sspm_kb=K       SSPM size in KB               (default 16)
- *   ports=P         SSPM ports                    (default 2)
- *   format=FMT      spmv only: csr|spc5|sell|csb  (default csb)
- *   keys=N          histogram input size          (default 16384)
- *   buckets=B       histogram buckets             (default 1024)
- *   px=N            stencil image side            (default 256)
- *   stats=1         dump the full statistics tables
- *   json=1          dump statistics as JSON instead
- *   timeline=C      (spmv) sample IPC every C simulated cycles
- *   debug=1         per-instruction debug log to stderr
+ * The modes:
  *
- * Multi-core (docs/multicore.md):
- *   cores=N         cores sharing one LLC/DRAM (default 1; the
- *                   cores=1 path is the unchanged, bit-identical
- *                   single-core machine). cores>1 runs the parallel
- *                   kernel variants and supports mode=detailed only
- *                   (no sweep/checkpoint/restore).
- *   partition=P     static | steal row partitioning
- *   llc_banks=B     shared-LLC bank pipes (default 8)
- *
- * Sampled simulation (the VIA run; see docs/sampling.md):
- *   mode=M          detailed | functional | sampled (default
- *                   detailed). functional warms caches/predictor
- *                   and checks the result but models no timing;
- *                   sampled extrapolates cycles from measured
- *                   windows with a 95% confidence interval. With
- *                   VIA_CHECK=1, mode=sampled also audits the
- *                   estimate against a detailed run and fails on a
- *                   >5% cycle error.
- *   sample_interval=N  instructions per sampling unit (default 100k)
- *   sample_warmup=N    detailed warmup per unit       (default 2000)
- *   sample_measure=N   measured instructions per unit (default 3000)
- *   checkpoint=PATH write the post-run machine state (all modes)
- *   restore=PATH    restore machine state before the run; the file
- *                   must come from an identically configured machine
- *
- * Tracing (the VIA-run Machine; see docs/tracing.md):
- *   trace=PATH      write an event trace of the VIA run
- *   trace_format=F  perfetto (Chrome trace-event JSON) | konata
- *   trace_limit=N   ring capacity in events (default 1M)
- *   trace_summary=1 print a per-component busy/stall breakdown
- *
- * Sweep mode (design-space exploration over one input):
- *   sweep=1         run the VIA kernel across sweep_kb x sweep_ports
- *   sweep_kb=LIST   SSPM sizes in KB              (default 4,8,16)
- *   sweep_ports=LIST SSPM port counts             (default 2,4)
- *   threads=N       sweep worker threads (0 = hardware concurrency)
+ *   cores=N         N cores sharing one LLC/DRAM run the parallel
+ *                   kernel variants (docs/multicore.md); cores=1 is
+ *                   the unchanged, bit-identical single-core
+ *                   machine. cores>1 supports mode=detailed only (no
+ *                   sweep/checkpoint/restore).
+ *   mode=M          detailed | functional | sampled, for the VIA run
+ *                   (docs/sampling.md). functional warms
+ *                   caches/predictor and checks the result but
+ *                   models no timing; sampled extrapolates cycles
+ *                   from measured windows with a 95% confidence
+ *                   interval. With VIA_CHECK=1, mode=sampled also
+ *                   audits the estimate against a detailed run and
+ *                   fails on a >5% cycle error. checkpoint= and
+ *                   restore= write and load the machine state (the
+ *                   image must come from an identically configured
+ *                   machine).
+ *   trace=PATH      an event trace of the VIA run (docs/tracing.md)
+ *   sweep=1         the VIA kernel across sweep_kb x sweep_ports,
+ *                   each item checked as the sspm_kb= / ports= value
+ *                   it replaces, on threads=N workers
  *
  * Every sweep point runs on its own Machine; results are collected
  * in submission order, so sweep output is bit-identical at any
@@ -93,7 +61,6 @@
 #include <cstdio>
 #include <functional>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "check/invariants.hh"
@@ -105,7 +72,6 @@
 #include "kernels/runner.hh"
 #include "sample/checkpoint.hh"
 #include "sample/sampling.hh"
-#include "simcore/config.hh"
 #include "simcore/log.hh"
 #include "simcore/options.hh"
 #include "simcore/parallel.hh"
@@ -131,7 +97,8 @@ simOptions()
                  "VIA (spmv|spma|spmm|histogram|stencil); sweep=1 "
                  "runs a grid of SSPM configurations instead");
     opts.addString("kernel", "",
-                   "kernel to run (or first positional argument)")
+                   "kernel to run (or first positional argument)",
+                   kernels::kernelNames())
         .addFlag("stats", "dump the full statistics tables")
         .addFlag("json", "dump statistics as JSON instead")
         .addUInt("timeline", 0,
@@ -176,21 +143,21 @@ report(const char *name, const Machine &m, Tick baseline_cycles)
 
 /** json=1/stats=1 statistics dump, uniform across all kernels. */
 void
-dumpStats(const Config &cfg, Machine &m)
+dumpStats(const Options &opts, Machine &m)
 {
-    if (cfg.getBool("json", false))
+    if (opts.getBool("json"))
         m.stats().dumpJson(std::cout);
-    else if (cfg.getBool("stats", false))
+    else if (opts.getBool("stats"))
         m.stats().dump(std::cout);
 }
 
 /** restore=PATH: load a machine image before the kernel runs. */
 void
-maybeRestore(const Config &cfg, Machine &m)
+maybeRestore(const Options &opts, Machine &m)
 {
-    if (!cfg.has("restore"))
+    if (!opts.given("restore"))
         return;
-    std::string path = cfg.getString("restore", "");
+    std::string path = opts.getString("restore");
     try {
         sample::Checkpoint::readFile(path).restore(m);
     } catch (const SerializeError &e) {
@@ -201,11 +168,11 @@ maybeRestore(const Config &cfg, Machine &m)
 
 /** checkpoint=PATH: write the post-run machine image. */
 void
-maybeCheckpoint(const Config &cfg, const Machine &m)
+maybeCheckpoint(const Options &opts, const Machine &m)
 {
-    if (!cfg.has("checkpoint"))
+    if (!opts.given("checkpoint"))
         return;
-    std::string path = cfg.getString("checkpoint", "");
+    std::string path = opts.getString("checkpoint");
     try {
         sample::Checkpoint::capture(m).writeFile(path);
     } catch (const SerializeError &e) {
@@ -248,12 +215,12 @@ reportEstimate(const std::string &name,
  * sampled-vs-detailed error audit folded into the exit code.
  */
 int
-runModal(const Config &cfg, const MachineParams &params,
+runModal(const Options &opts, const MachineParams &params,
          const sample::SampleOptions &sopts, const std::string &name,
          const std::function<bool(Machine &)> &body)
 {
     Machine m(params);
-    maybeRestore(cfg, m);
+    maybeRestore(opts, m);
     bool ok = false;
     sample::SampleEstimate est =
         sample::runWith(m, sopts, [&] { ok = body(m); });
@@ -268,8 +235,8 @@ runModal(const Config &cfg, const MachineParams &params,
         ok = ok && audit.ok;
     }
 
-    maybeCheckpoint(cfg, m);
-    dumpStats(cfg, m);
+    maybeCheckpoint(opts, m);
+    dumpStats(opts, m);
     return ok ? 0 : 1;
 }
 
@@ -335,9 +302,9 @@ struct Timeline
 /** inject_error=1: fail the result check to exercise the mismatch
  *  exit path (stencil only; sweep points ignore it). */
 bool
-injectError(const kernels::KernelSpec &spec, const Config &cfg)
+injectError(const kernels::KernelSpec &spec, const Options &opts)
 {
-    return spec.injectable && cfg.getBool("inject_error", false);
+    return spec.injectable && opts.getBool("inject_error");
 }
 
 /**
@@ -347,13 +314,13 @@ injectError(const kernels::KernelSpec &spec, const Config &cfg)
  */
 int
 runSingle(const kernels::KernelSpec &spec, const kernels::KernelInput &k,
-          const Config &cfg, const MachineParams &params)
+          const Options &opts, const MachineParams &params,
+          const sample::SampleOptions &sopts)
 {
     std::printf("%s: %s\n", spec.title.c_str(), k.shape.c_str());
-    const bool inject = injectError(spec, cfg);
-    auto sopts = sample::SampleOptions::fromConfig(cfg);
+    const bool inject = injectError(spec, opts);
     if (sopts.mode != sample::SimMode::Detailed)
-        return runModal(cfg, params, sopts, k.accelLabel,
+        return runModal(opts, params, sopts, k.accelLabel,
                         [&](Machine &m) {
                             return k.accel(m).ok && !inject;
                         });
@@ -368,13 +335,13 @@ runSingle(const kernels::KernelSpec &spec, const kernels::KernelInput &k,
     }
 
     Machine viam(params);
-    maybeRestore(cfg, viam);
-    TraceOptions topts = TraceOptions::fromConfig(cfg);
+    maybeRestore(opts, viam);
+    TraceOptions topts = TraceOptions::fromOptions(opts);
     enableTracing(viam, topts);
     viam.tracePhase(k.phase);
     Timeline timeline;
     if (spec.timeline)
-        timeline.install(viam, Tick(cfg.getUInt("timeline", 0)));
+        timeline.install(viam, Tick(opts.getUInt("timeline")));
     kernels::RunOutcome vres = k.accel(viam);
     report(k.accelLabel.c_str(), viam, base_cycles);
     timeline.print();
@@ -382,8 +349,8 @@ runSingle(const kernels::KernelSpec &spec, const kernels::KernelInput &k,
     bool ok = vres.ok && !inject;
     std::printf("result check: %s\n", ok ? "ok" : "MISMATCH");
     ok = finishTracing(viam, topts) && ok;
-    maybeCheckpoint(cfg, viam);
-    dumpStats(cfg, viam);
+    maybeCheckpoint(opts, viam);
+    dumpStats(opts, viam);
     return ok ? 0 : 1;
 }
 
@@ -410,9 +377,9 @@ reportMulti(const char *name, const MultiMachine &mm, Tick cycles,
 
 /** stats=1 / json=1 for a multi-core run: shared level + per core. */
 void
-dumpStatsMulti(const Config &cfg, MultiMachine &mm)
+dumpStatsMulti(const Options &opts, MultiMachine &mm)
 {
-    if (cfg.getBool("json", false)) {
+    if (opts.getBool("json")) {
         std::cout << "{\"shared\": ";
         mm.stats().dumpJson(std::cout);
         for (unsigned c = 0; c < mm.cores(); ++c) {
@@ -420,7 +387,7 @@ dumpStatsMulti(const Config &cfg, MultiMachine &mm)
             mm.core(c).stats().dumpJson(std::cout);
         }
         std::cout << "}\n";
-    } else if (cfg.getBool("stats", false)) {
+    } else if (opts.getBool("stats")) {
         std::cout << "== shared (llc/dram) ==\n";
         mm.stats().dump(std::cout);
         for (unsigned c = 0; c < mm.cores(); ++c) {
@@ -447,13 +414,12 @@ finishTracingMulti(MultiMachine &mm, const TraceOptions &topts)
  *  are the makespan, the slowest core's commit front. */
 int
 runParallel(const kernels::KernelSpec &spec,
-            const kernels::KernelInput &k, const Config &cfg,
+            const kernels::KernelInput &k, const Options &opts,
             const MachineParams &params, unsigned cores)
 {
-    auto part =
-        kernels::parsePartition(cfg.getString("partition", "static"));
-    SharedLlcParams llcp = sharedLlcParamsFrom(cfg, params, cores);
-    TraceOptions topts = TraceOptions::fromConfig(cfg);
+    auto part = kernels::parsePartition(opts.getString("partition"));
+    SharedLlcParams llcp = sharedLlcParamsFrom(opts, params, cores);
+    TraceOptions topts = TraceOptions::fromOptions(opts);
     std::printf("%s: %s  (%u cores, %s)\n", spec.title.c_str(),
                 k.shape.c_str(), cores, kernels::partitionName(part));
 
@@ -467,11 +433,11 @@ runParallel(const kernels::KernelSpec &spec,
     kernels::RunOutcome vres = k.parallel(viam, part, true);
     reportMulti(k.accelLabel.c_str(), viam, vres.cycles, bcycles);
 
-    bool ok = vres.ok && !injectError(spec, cfg);
+    bool ok = vres.ok && !injectError(spec, opts);
     std::printf("result check: %s\n", ok ? "ok" : "MISMATCH");
     if (topts.active())
         ok = finishTracingMulti(viam, topts) && ok;
-    dumpStatsMulti(cfg, viam);
+    dumpStatsMulti(opts, viam);
     return ok ? 0 : 1;
 }
 
@@ -487,36 +453,35 @@ struct SweepPoint
     bool skipped = false; //!< input does not fit this configuration
 };
 
-std::vector<std::uint64_t>
-parseU64List(const std::string &text, const char *what)
+/**
+ * The sweep_kb x sweep_ports grid. Each point's machine is the
+ * command line's with sspm_kb= and ports= replaced, and each item
+ * is checked as the key it replaces, so a bad point is a usage
+ * error (exit 2) before any point runs.
+ */
+std::vector<MachineParams>
+sweepGrid(const Options &opts)
 {
-    std::vector<std::uint64_t> out;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (item.empty())
-            continue;
-        try {
-            out.push_back(std::stoull(item));
-        } catch (const std::exception &) {
-            via_fatal("bad ", what, " entry '", item, "'");
-        }
-    }
-    if (out.empty())
-        via_fatal("empty list for ", what);
-    return out;
+    const auto kbs = opts.getList("sweep_kb", "sspm_kb");
+    const auto port_list = opts.getList("sweep_ports", "ports");
+    std::vector<MachineParams> grid;
+    for (const std::string &kb : kbs)
+        for (const std::string &ports : port_list)
+            grid.push_back(machineParamsFrom(
+                opts.with("sspm_kb", kb).with("ports", ports)));
+    return grid;
 }
 
 int
 runSweep(const kernels::KernelSpec &spec, const kernels::KernelInput &k,
-         const Config &cfg)
+         const Options &opts, const std::vector<MachineParams> &grid)
 {
     // Each sweep point has its own Machine, so tracing stays
     // race-free: every point writes its own file, distinguished by
     // a _<kb>_<ports>p suffix before the extension. The stdout
     // roll-up would interleave across worker threads, so it is
     // disabled here.
-    TraceOptions topts = TraceOptions::fromConfig(cfg);
+    TraceOptions topts = TraceOptions::fromOptions(opts);
     if (topts.summary) {
         std::fprintf(stderr,
                      "trace_summary=1 is ignored in sweep mode\n");
@@ -538,30 +503,11 @@ runSweep(const kernels::KernelSpec &spec, const kernels::KernelInput &k,
         return SweepPoint{res.cycles, ok && res.ok, false};
     };
 
-    auto kbs = parseU64List(cfg.getString("sweep_kb", "4,8,16"),
-                            "sweep_kb");
-    auto port_list = parseU64List(
-        cfg.getString("sweep_ports", "2,4"), "sweep_ports");
-
-    struct GridCfg
-    {
-        std::uint64_t kb;
-        std::uint32_t ports;
-    };
-    std::vector<GridCfg> grid;
-    for (std::uint64_t kb : kbs)
-        for (std::uint64_t p : port_list)
-            grid.push_back({kb, std::uint32_t(p)});
-
-    SweepExecutor exec(unsigned(cfg.getUInt("threads", 0)));
+    SweepExecutor exec(unsigned(opts.getUInt("threads")));
     std::fprintf(stderr, "sweeping %zu configs on %u threads\n",
                  grid.size(), exec.threads());
-    auto results = exec.run(grid.size(), [&](std::size_t i) {
-        Config pc = cfg;
-        pc.set("sspm_kb", std::to_string(grid[i].kb));
-        pc.set("ports", std::to_string(grid[i].ports));
-        return point(machineParamsFrom(pc));
-    });
+    auto results = exec.run(grid.size(),
+                            [&](std::size_t i) { return point(grid[i]); });
 
     // First non-skipped config is the normalization baseline.
     double base_cycles = 0.0;
@@ -575,8 +521,7 @@ runSweep(const kernels::KernelSpec &spec, const kernels::KernelInput &k,
                 "speedup", "check");
     bool all_ok = true;
     for (std::size_t i = 0; i < grid.size(); ++i) {
-        std::string name = std::to_string(grid[i].kb) + "_" +
-                           std::to_string(grid[i].ports) + "p";
+        std::string name = grid[i].via.name();
         if (results[i].skipped) {
             std::printf("%-10s %14s %9s  %s\n", name.c_str(), "-",
                         "-", "skipped (exceeds CAM)");
@@ -601,65 +546,57 @@ main(int argc, char **argv)
 
     // The kernel is either the first positional argument or a
     // kernel= key; everything else is key=value (or --help).
-    std::string kernel;
-    int first = 1;
-    if (argc >= 2) {
-        std::string head = argv[1];
-        if (head.find('=') == std::string::npos && head[0] != '-') {
-            kernel = head;
-            first = 2;
-        }
-    }
-    std::vector<std::string> args;
-    for (int i = first; i < argc; ++i)
-        args.emplace_back(argv[i]);
+    std::vector<std::string> args(argv + 1, argv + argc);
+    if (!args.empty() && args[0].find('=') == std::string::npos &&
+        args[0][0] != '-')
+        args[0] = "kernel=" + args[0];
     opts.parse(args);
     applySelfProfOption(opts);
-    const Config &cfg = opts.config();
-    if (kernel.empty())
-        kernel = opts.getString("kernel");
-    if (kernel.empty()) {
+    if (!opts.given("kernel")) {
         std::string names;
-        for (const kernels::KernelSpec &spec : kernels::kernelRegistry())
-            names += (names.empty() ? "" : "|") + spec.name;
+        for (const std::string &name : kernels::kernelNames())
+            names += (names.empty() ? "" : "|") + name;
         std::fprintf(stderr,
                      "usage: via_sim <%s> [key=value ...]\n"
                      "       (via_sim help=1 for the key table)\n",
                      names.c_str());
         return 2;
     }
-    auto cores = unsigned(cfg.getUInt("cores", 1));
-    const kernels::KernelSpec &spec =
-        kernels::selectKernel(opts, kernel);
+    const kernels::KernelSpec &spec = kernels::selectKernel(opts);
+    auto cores = unsigned(opts.getUInt("cores"));
 
-    if (cfg.getBool("debug", false))
+    if (opts.getBool("debug"))
         setLogLevel(LogLevel::Debug);
-    Rng rng(cfg.getUInt("seed", 1));
+    Rng rng(opts.getUInt("seed"));
 
-    MachineParams params = machineParamsFrom(cfg);
-    const bool sweep = cfg.getBool("sweep", false);
+    MachineParams params = machineParamsFrom(opts);
+    const sample::SampleOptions sopts =
+        sample::SampleOptions::fromOptions(opts);
+    const bool sweep = opts.getBool("sweep");
+    std::vector<MachineParams> grid;
     if (sweep) {
         if (cores > 1)
-            via_fatal("sweep=1 is single-core; drop cores=");
+            opts.usageError("sweep=1 is single-core; drop cores=");
         if (params.backend.kind != BackendKind::Via)
-            via_fatal("sweep=1 sweeps VIA SSPM configurations; "
-                      "it requires backend=via");
+            opts.usageError("sweep=1 sweeps VIA SSPM configurations; "
+                            "it requires backend=via");
+        grid = sweepGrid(opts);
     } else if (cores > 1) {
-        if (sample::SampleOptions::fromConfig(cfg).mode !=
-            sample::SimMode::Detailed)
-            via_fatal("cores>1 supports mode=detailed only (sampling "
-                      "and checkpoints are single-core)");
-        if (cfg.has("checkpoint") || cfg.has("restore"))
-            via_fatal("cores>1 cannot checkpoint/restore: the cores "
-                      "share one memory image");
+        if (sopts.mode != sample::SimMode::Detailed)
+            opts.usageError("cores>1 supports mode=detailed only "
+                            "(sampling and checkpoints are "
+                            "single-core)");
+        if (opts.given("checkpoint") || opts.given("restore"))
+            opts.usageError("cores>1 cannot checkpoint/restore: the "
+                            "cores share one memory image");
     }
 
     const kernels::KernelInput k =
         spec.build(opts, params.backend.kind, rng);
     if (sweep)
-        return runSweep(spec, k, cfg);
+        return runSweep(spec, k, opts, grid);
     kernels::requireFits(spec, k, params);
     if (cores > 1)
-        return runParallel(spec, k, cfg, params, cores);
-    return runSingle(spec, k, cfg, params);
+        return runParallel(spec, k, opts, params, cores);
+    return runSingle(spec, k, opts, params, sopts);
 }

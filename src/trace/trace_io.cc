@@ -4,7 +4,6 @@
 #include <iostream>
 
 #include "cpu/machine.hh"
-#include "simcore/log.hh"
 #include "trace/konata_export.hh"
 #include "trace/perfetto_export.hh"
 #include "trace/summary.hh"

@@ -54,7 +54,6 @@
 #include "serve/executor.hh"
 #include "serve/request.hh"
 #include "serve/sim.hh"
-#include "simcore/log.hh"
 #include "simcore/options.hh"
 
 namespace via

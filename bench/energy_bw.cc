@@ -46,9 +46,8 @@ main(int argc, char **argv)
     bench::addCorpusOptions(opts, corpus_dflt);
     opts.parse(argc, argv);
     applySelfProfOption(opts);
-    auto corpus = buildCorpus(bench::corpusSpec(opts, corpus_dflt));
-
     MachineParams params = machineParamsFrom(opts);
+    auto corpus = buildCorpus(bench::corpusSpec(opts, corpus_dflt));
     Rng rng(55);
 
     std::vector<double> energy_ratio, bw_ratio, cache_ratio;

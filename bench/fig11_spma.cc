@@ -44,9 +44,8 @@ main(int argc, char **argv)
     opts.addUInt("sibling_seed", 77, "sibling-matrix seed");
     opts.parse(argc, argv);
     applySelfProfOption(opts);
-    auto corpus = buildCorpus(bench::corpusSpec(opts, corpus_dflt));
-
     MachineParams params = machineParamsFrom(opts);
+    auto corpus = buildCorpus(bench::corpusSpec(opts, corpus_dflt));
     SweepExecutor exec = bench::makeExecutor(opts);
     std::uint64_t sib_seed = opts.getUInt("sibling_seed");
 

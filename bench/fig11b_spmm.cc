@@ -47,9 +47,8 @@ main(int argc, char **argv)
     bench::addCorpusOptions(opts, corpus_dflt);
     opts.parse(argc, argv);
     applySelfProfOption(opts);
-    auto corpus = buildCorpus(bench::corpusSpec(opts, corpus_dflt));
-
     MachineParams params = machineParamsFrom(opts);
+    auto corpus = buildCorpus(bench::corpusSpec(opts, corpus_dflt));
     SweepExecutor exec = bench::makeExecutor(opts);
 
     // Decide fits-the-CAM up front so skips print in corpus order

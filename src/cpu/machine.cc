@@ -65,7 +65,6 @@ Machine::Machine(const MachineParams &params,
     // skip its (unused) private DRAM counters.
     if (llc != nullptr)
         _memSys->attachShared(llc, core_id);
-    _core->attachEvents(&_events);
     _memSys->registerStats(_stats);
     _core->registerStats(_stats);
     _func->registerStats(_stats);
@@ -250,12 +249,6 @@ Machine::issue(const Inst &inst)
 void
 Machine::saveState(Serializer &ser) const
 {
-    // Event callbacks are std::functions and cannot be serialized;
-    // the drivers checkpoint at kernel boundaries where the queue
-    // has drained.
-    if (!_events.empty())
-        throw SerializeError("cannot checkpoint a machine with "
-                             "pending events");
     if (_mem != &_store)
         throw SerializeError("multi-core machines cannot be "
                              "checkpointed (shared memory)");
@@ -263,7 +256,9 @@ Machine::saveState(Serializer &ser) const
     ser.tag("MACH");
     ser.put(_params.valueType);
     ser.put(_params.indexType);
-    ser.put(_events.curTick());
+    // The commit front, written ahead of the core's state and
+    // checked against it on load.
+    ser.put(cycles());
     ser.put(_seq);
     for (int r = 0; r < NUM_VREGS; ++r)
         for (std::uint64_t raw : _vrf[r].raw)
@@ -283,8 +278,6 @@ Machine::saveState(Serializer &ser) const
 void
 Machine::loadState(Deserializer &des)
 {
-    if (!_events.empty())
-        throw SerializeError("cannot restore over pending events");
     if (_mem != &_store)
         throw SerializeError("multi-core machines cannot be "
                              "restored (shared memory)");
@@ -293,7 +286,7 @@ Machine::loadState(Deserializer &des)
     if (des.get<ElemType>() != _params.valueType ||
         des.get<ElemType>() != _params.indexType)
         throw SerializeError("machine element type mismatch");
-    Tick tick = des.get<Tick>();
+    Tick front = des.get<Tick>();
     SeqNum seq = des.get<SeqNum>();
     for (int r = 0; r < NUM_VREGS; ++r)
         for (std::uint64_t &raw : _vrf[r].raw)
@@ -306,8 +299,12 @@ Machine::loadState(Deserializer &des)
     _fivu->loadState(des);
     _core->loadState(des);
     _backend->loadState(des);
+    if (front != cycles())
+        throw SerializeError(
+            "machine clock " + std::to_string(front) +
+            " disagrees with the restored commit front " +
+            std::to_string(cycles()));
     _seq = seq;
-    _events.resetTick(tick);
 }
 
 // ================= scalar ======================================

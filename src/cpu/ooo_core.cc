@@ -212,11 +212,6 @@ OoOCore::push(const Inst &inst)
         // this instruction executed architecturally get its window.
         _trace->flushStaged(issue, complete, inst.op);
     }
-
-    // Simulated-time observers (stat sampling etc.) run as the
-    // commit front passes their scheduled ticks.
-    if (_events && commit > _events->curTick())
-        _events->advanceTo(commit);
 }
 
 void

@@ -43,7 +43,6 @@
 #include "cpu/vector_backend.hh"
 #include "isa/inst.hh"
 #include "mem/mem_system.hh"
-#include "simcore/event_queue.hh"
 #include "simcore/stats.hh"
 #include "simcore/types.hh"
 #include "trace/trace.hh"
@@ -146,13 +145,6 @@ class OoOCore
     void registerStats(StatSet &stats) const;
 
     /**
-     * Attach an event queue that is advanced to each commit tick:
-     * events scheduled on it (periodic stat sampling, watchdogs)
-     * fire at the right simulated times as the kernel runs.
-     */
-    void attachEvents(EventQueue *events) { _events = events; }
-
-    /**
      * Attach a trace sink (nullptr detaches). The core emits one
      * InstRetired record per push and stamps any events the
      * functional layer staged for the same instruction.
@@ -198,7 +190,6 @@ class OoOCore
     CoreParams _params;
     MemSystem &_mem;
     VectorBackend &_backend;
-    EventQueue *_events = nullptr;
 
     FuPool _fus;
     Resource _dispatchPorts;

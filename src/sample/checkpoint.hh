@@ -52,8 +52,7 @@ class Checkpoint
     /**
      * Capture @p m (and optionally the driver's RNG stream, so a
      * restored run draws the same random numbers). Throws
-     * SerializeError if the machine's event queue has pending
-     * callbacks.
+     * SerializeError for a core of a multi-core machine.
      */
     static Checkpoint capture(const Machine &m,
                               const Rng *rng = nullptr);

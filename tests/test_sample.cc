@@ -11,12 +11,14 @@
  * allocator brk with the pages is what makes post-restore
  * allocations land at the original addresses, so the property holds
  * for every kernel. Malformed images (bad magic, future version,
- * truncation, trailing bytes, mismatched machine geometry) must be
- * rejected with SerializeError, never partially applied silently.
+ * truncation, trailing bytes, mismatched machine geometry, a clock
+ * that disagrees with the restored core) must be rejected with
+ * SerializeError, never partially applied silently.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -265,11 +267,28 @@ TEST(Checkpoint, RejectsGeometryMismatch)
     EXPECT_THROW(cp.restore(m2), SerializeError);
 }
 
-TEST(Checkpoint, RejectsPendingEvents)
+TEST(Checkpoint, RejectsClockThatDisagreesWithCore)
 {
-    Machine m(MachineParams{});
-    m.events().scheduleIn(10, +[](void *) {}, nullptr, "test");
-    EXPECT_THROW(Checkpoint::capture(m), SerializeError);
+    Machine m1(MachineParams{});
+    kernelBody("spmv")(m1);
+    std::vector<std::uint8_t> bytes =
+        Checkpoint::capture(m1).bytes();
+    // The MACH record opens with the two element types, then the
+    // clock, which holds the commit front; each is 8 LE bytes.
+    const char tag[] = "MACH";
+    auto at = std::search(bytes.begin(), bytes.end(), tag, tag + 4);
+    ASSERT_NE(at, bytes.end());
+    const std::size_t clock = std::size_t(at - bytes.begin()) + 4 + 16;
+    Tick stored = 0;
+    for (int i = 7; i >= 0; --i)
+        stored = (stored << 8) | bytes[clock + std::size_t(i)];
+    ASSERT_GT(m1.cycles(), 0u);
+    EXPECT_EQ(stored, m1.cycles());
+
+    bytes[clock] ^= 1;
+    Machine m2(MachineParams{});
+    EXPECT_THROW(Checkpoint::fromBytes(bytes).restore(m2),
+                 SerializeError);
 }
 
 TEST(Checkpoint, RngStreamRoundTrips)

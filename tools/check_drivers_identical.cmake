@@ -6,10 +6,10 @@
 #
 # tools/goldens/drivers.sha256 pins via_sim, via_db, via_fuzz and
 # via_serve: every kernel on every backend, every SpMV format at
-# cores>1, the functional, sampled and sweep paths, each synthetic
-# family and input loader, the debugger at one and two cores, the
-# fuzzer, the serving table at one and two cores, and each driver's
-# help=1 table (which pins the option set).
+# cores>1, the functional, sampled, sweep and timeline= paths, each
+# synthetic family and input loader, the debugger at one and two
+# cores, the fuzzer, the serving table at one and two cores, and each
+# driver's help=1 table (which pins the option set).
 # tools/goldens/bench.sha256 pins the bench/ harnesses the same way:
 # each figure and ablation at a small size, fig10_spmv on every
 # backend, at cores=2 and in mode=sampled, and every help=1 table.

@@ -62,6 +62,7 @@
 #include <functional>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "check/invariants.hh"
 #include "check/sampling_audit.hh"
@@ -241,50 +242,55 @@ runModal(const Options &opts, const MachineParams &params,
 }
 
 /**
- * Periodic IPC sampling through the machine's simulated-time event
- * queue (timeline=CYCLES): prints instructions retired per window.
+ * Periodic IPC sampling (timeline=CYCLES): prints instructions
+ * retired per window. A commit observer on the accelerated machine's
+ * core: each committed instruction closes every window boundary at
+ * or before its commit tick, with the instructions retired so far.
+ * Windows start at the machine's commit front, so after restore=
+ * they continue from the restored cycle count.
  */
-struct Timeline
+class Timeline : public TimingObserver
 {
-    struct Sample
+  public:
+    Timeline() = default;
+    Timeline(const Timeline &) = delete;
+    Timeline &operator=(const Timeline &) = delete;
+    /** Declare after the machine, so this detaches first. */
+    ~Timeline() override
     {
-        Tick tick;
-        std::uint64_t insts;
-    };
+        if (_core != nullptr)
+            _core->removeTimingObserver(this);
+    }
 
     void
     install(Machine &m, Tick window)
     {
         if (window == 0)
             return;
-        _machine = &m;
+        _core = &m.core();
         _window = window;
-        m.events().scheduleIn<&Timeline::tick>(window, this,
-                                               "timeline");
+        _next = m.cycles() + window;
+        _core->addTimingObserver(this);
     }
 
     void
-    tick()
+    onInstTiming(const Inst &, const InstTiming &timing) override
     {
-        samples.push_back(Sample{_machine->events().curTick(),
-                                 _machine->core().stats().insts});
-        _machine->events().scheduleIn<&Timeline::tick>(_window, this,
-                                                       "timeline");
+        for (; _next <= timing.commit; _next += _window)
+            _samples.push_back(Sample{_next, _core->stats().insts});
     }
+
+    void onTimingReset() override {}
 
     void
     print() const
     {
-        if (samples.empty())
+        if (_samples.empty())
             return;
         std::printf("timeline (IPC per window):\n");
         std::uint64_t prev_i = 0;
         Tick prev_t = 0;
-        for (const Sample &s : samples) {
-            // A duplicate sample at the same tick would divide by
-            // zero; fold it into the next nonzero-width window.
-            if (s.tick == prev_t)
-                continue;
+        for (const Sample &s : _samples) {
             std::printf("  @%-10llu ipc %.2f\n",
                         static_cast<unsigned long long>(s.tick),
                         double(s.insts - prev_i) /
@@ -294,9 +300,17 @@ struct Timeline
         }
     }
 
-    std::vector<Sample> samples;
-    Machine *_machine = nullptr;
+  private:
+    struct Sample
+    {
+        Tick tick;
+        std::uint64_t insts;
+    };
+
+    OoOCore *_core = nullptr;
     Tick _window = 0;
+    Tick _next = 0;
+    std::vector<Sample> _samples;
 };
 
 /** inject_error=1: fail the result check to exercise the mismatch

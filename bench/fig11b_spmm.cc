@@ -30,6 +30,7 @@
 #include "cpu/machine_config.hh"
 #include "kernels/dispatch.hh"
 #include "simcore/rng.hh"
+#include "sparse/convert.hh"
 #include "sparse/corpus.hh"
 #include "sparse/csc.hh"
 
@@ -65,13 +66,7 @@ main(int argc, char **argv)
     auto speedup_of = exec.run(fits.size(), [&](std::size_t p) {
         const Csr &a = corpus[fits[p]].matrix;
         // B = A^T in CSC shares A's arrays structurally.
-        Csc b = [&] {
-            Coo coo = a.toCoo();
-            Coo t(a.cols(), a.rows());
-            for (const Triplet &e : coo.elems())
-                t.add(e.col, e.row, e.value);
-            return Csc::fromCoo(std::move(t));
-        }();
+        Csc b = Csc::fromCsr(transpose(a));
 
         Machine m1(params), m2(params);
         auto scalar = kernels::spmmScalarInner(m1, a, b);

@@ -74,5 +74,5 @@ main()
     }
     std::printf("\nestimated selectivity of `amount < p10`: %.1f%%\n",
                 100.0 * below / total);
-    return 0;
+    return ok ? 0 : 1;
 }

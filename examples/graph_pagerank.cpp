@@ -75,9 +75,8 @@ main()
     DenseVector base_rank = run(false, base_cycles);
     DenseVector via_rank = run(true, via_cycles);
 
-    std::printf("ranks agree: %s\n",
-                allClose(base_rank, via_rank, 1e-3, 1e-5) ? "yes"
-                                                          : "NO");
+    const bool agree = allClose(base_rank, via_rank, 1e-3, 1e-5);
+    std::printf("ranks agree: %s\n", agree ? "yes" : "NO");
     std::printf("%d iterations: baseline %llu cycles, VIA %llu "
                 "cycles (%.2fx)\n",
                 iterations,
@@ -99,5 +98,5 @@ main()
                     double(via_rank[std::size_t(order[
                         std::size_t(i)])]));
     std::printf("\n");
-    return 0;
+    return agree ? 0 : 1;
 }

@@ -45,10 +45,12 @@ main()
 
     // 4. Verify against the host golden kernel.
     DenseVector golden = a.multiply(x);
+    const bool scalar_ok = allClose(scalar.y, golden);
+    const bool vector_ok = allClose(vector.y, golden);
+    const bool via_ok = allClose(viak.y, golden);
     std::printf("results match golden: scalar=%s vector=%s via=%s\n",
-                allClose(scalar.y, golden) ? "yes" : "NO",
-                allClose(vector.y, golden) ? "yes" : "NO",
-                allClose(viak.y, golden) ? "yes" : "NO");
+                scalar_ok ? "yes" : "NO", vector_ok ? "yes" : "NO",
+                via_ok ? "yes" : "NO");
 
     // 5. Compare.
     std::printf("\n%-22s %12s %9s\n", "kernel", "cycles", "speedup");
@@ -67,5 +69,5 @@ main()
                     m_via.sspm().stats().directReads),
                 static_cast<unsigned long long>(
                     m_via.sspm().stats().directWrites));
-    return 0;
+    return scalar_ok && vector_ok && via_ok ? 0 : 1;
 }

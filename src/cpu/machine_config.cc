@@ -1,5 +1,7 @@
 #include "cpu/machine_config.hh"
 
+#include <limits>
+
 namespace via
 {
 
@@ -72,22 +74,29 @@ addMachineOptions(Options &opts)
     const CoreParams &core = d.core;
     const OpLatencies &lat = core.latencies;
     const MemSystemParams &mem = d.mem;
+    // Keys read into 32-bit fields stop at that field's maximum; the
+    // L2 gets twice mshrs=, so that key stops at half of it.
+    constexpr std::uint64_t u32max =
+        std::numeric_limits<std::uint32_t>::max();
 
     opts.addUInt("sspm_kb", 16, "VIA scratchpad (SSPM) size in KB",
                  1)
         .addUInt("ports", 2, "SSPM ports (element moves per cycle)",
-                 1)
+                 1, u32max)
         .addUInt("cam_kb", d.via.camBytes / 1024,
                  "VIA CAM capacity in KB", 1)
         .addUInt("cam_bank", d.via.bankEntries,
-                 "CAM entries compared per bank access", 1)
-        .addUInt("rob", core.robSize, "reorder-buffer entries", 1)
+                 "CAM entries compared per bank access", 1, u32max)
+        .addUInt("rob", core.robSize, "reorder-buffer entries", 1,
+                 u32max)
         .addUInt("dispatch", core.dispatchWidth,
-                 "instructions dispatched per cycle", 1)
+                 "instructions dispatched per cycle", 1, u32max)
         .addUInt("commit", core.commitWidth,
-                 "instructions committed per cycle", 1)
-        .addUInt("lq", core.lqEntries, "load-queue entries", 1)
-        .addUInt("sq", core.sqEntries, "store-queue entries", 1)
+                 "instructions committed per cycle", 1, u32max)
+        .addUInt("lq", core.lqEntries, "load-queue entries", 1,
+                 u32max)
+        .addUInt("sq", core.sqEntries, "store-queue entries", 1,
+                 u32max)
         .addBool("via_at_commit", core.viaAtCommit,
                  "strict commit-time VIA execution (Section IV-E)")
         .addString("backend", "via",
@@ -118,7 +127,7 @@ addMachineOptions(Options &opts)
         .addUInt("l2_lat", mem.levels[1].hitLatency,
                  "L2 hit latency in cycles", 1)
         .addUInt("mshrs", mem.levels[0].mshrs,
-                 "L1 MSHRs (L2 gets twice as many)", 1)
+                 "L1 MSHRs (L2 gets twice as many)", 1, u32max / 2)
         .addUInt("dram_lat", mem.dram.latency,
                  "DRAM access latency in cycles", 1)
         .addDouble("dram_bw", mem.dram.bytesPerCycle,

@@ -22,7 +22,6 @@ typeName(OptType t)
 {
     switch (t) {
     case OptType::String: return "string";
-    case OptType::Int: return "int";
     case OptType::UInt: return "uint";
     case OptType::Double: return "double";
     case OptType::Bool: return "bool";
@@ -88,17 +87,6 @@ Options::addString(const std::string &key, const std::string &dflt,
                "' is not one of its values");
     OptionSpec spec{key, OptType::String, dflt, help};
     spec.values = std::move(values);
-    return add(std::move(spec));
-}
-
-Options &
-Options::addInt(const std::string &key, std::int64_t dflt,
-                const std::string &help, std::int64_t min,
-                std::int64_t max)
-{
-    OptionSpec spec{key, OptType::Int, std::to_string(dflt), help};
-    spec.min = double(min);
-    spec.max = double(max);
     return add(std::move(spec));
 }
 
@@ -193,14 +181,13 @@ Options::checkValue(const OptionSpec &spec,
                    value + "'";
         return "";
     }
-    case OptType::Int:
     case OptType::UInt: {
         try {
             std::size_t pos = 0;
             std::int64_t v = std::stoll(value, &pos);
             if (pos != value.size())
                 throw std::invalid_argument(value);
-            if (spec.type == OptType::UInt && v < 0)
+            if (v < 0)
                 return "expected a non-negative integer, got '" +
                        value + "'";
             return rangeCheck(double(v));
@@ -307,12 +294,6 @@ std::string
 Options::getString(const std::string &key) const
 {
     return valueOf(require(key, OptType::String));
-}
-
-std::int64_t
-Options::getInt(const std::string &key) const
-{
-    return std::stoll(valueOf(require(key, OptType::Int)));
 }
 
 std::uint64_t

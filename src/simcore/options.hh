@@ -46,7 +46,6 @@ namespace via
 enum class OptType
 {
     String,
-    Int,    //!< signed 64-bit
     UInt,   //!< unsigned 64-bit
     Double,
     Bool,   //!< 1/0, true/false, yes/no, on/off
@@ -93,12 +92,6 @@ class Options
                        const std::string &dflt,
                        const std::string &help,
                        std::vector<std::string> values = {});
-    Options &addInt(const std::string &key, std::int64_t dflt,
-                    const std::string &help,
-                    std::int64_t min =
-                        std::numeric_limits<std::int64_t>::min(),
-                    std::int64_t max =
-                        std::numeric_limits<std::int64_t>::max());
     Options &addUInt(const std::string &key, std::uint64_t dflt,
                      const std::string &help,
                      std::uint64_t min = 0,
@@ -133,7 +126,6 @@ class Options
      * keys its help output documents.
      */
     std::string getString(const std::string &key) const;
-    std::int64_t getInt(const std::string &key) const;
     std::uint64_t getUInt(const std::string &key) const;
     double getDouble(const std::string &key) const;
     bool getBool(const std::string &key) const;

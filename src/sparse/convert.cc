@@ -60,6 +60,17 @@ cscToCsr(const Csc &m)
                           std::move(col_idx), std::move(values));
 }
 
+Csr
+transpose(const Csr &m)
+{
+    std::vector<Index> row_ptr, col_idx;
+    std::vector<Value> values;
+    transposeCompressed(m.cols(), m.rowPtr(), m.colIdx(), m.values(),
+                        row_ptr, col_idx, values);
+    return Csr::fromParts(m.cols(), m.rows(), std::move(row_ptr),
+                          std::move(col_idx), std::move(values));
+}
+
 bool
 closeElements(const Csr &a, const Csr &b, double atol)
 {

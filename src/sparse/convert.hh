@@ -21,6 +21,9 @@ Csr csbToCsr(const Csb &m);
 /** Csc -> Csr by a counting-sort transpose. */
 Csr cscToCsr(const Csc &m);
 
+/** The transpose of @p m, by the same counting-sort transpose. */
+Csr transpose(const Csr &m);
+
 /** Element-wise closeness (|diff| <= atol per element). */
 bool closeElements(const Csr &a, const Csr &b, double atol = 1e-4);
 

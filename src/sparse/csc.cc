@@ -35,34 +35,6 @@ transposeCompressed(Index inner, const std::vector<Index> &ptr,
 }
 
 Csc
-Csc::fromCoo(Coo coo)
-{
-    // Canonical CSC order is column-major: sort by (col, row).
-    std::sort(coo.elems().begin(), coo.elems().end(),
-              [](const Triplet &a, const Triplet &b) {
-                  return a.col != b.col ? a.col < b.col
-                                        : a.row < b.row;
-              });
-    Csc m;
-    m._rows = coo.rows();
-    m._cols = coo.cols();
-    Arrays a;
-    a.colPtr.assign(std::size_t(coo.cols()) + 1, 0);
-    a.rowIdx.reserve(coo.nnz());
-    a.values.reserve(coo.nnz());
-    for (const Triplet &t : coo.elems()) {
-        ++a.colPtr[std::size_t(t.col) + 1];
-        a.rowIdx.push_back(t.row);
-        a.values.push_back(t.value);
-    }
-    for (std::size_t c = 1; c < a.colPtr.size(); ++c)
-        a.colPtr[c] += a.colPtr[c - 1];
-    m._a = SharedArrays(std::move(a));
-    m.validate();
-    return m;
-}
-
-Csc
 Csc::fromCsr(const Csr &csr)
 {
     Csc m;

@@ -10,7 +10,6 @@
 
 #include <vector>
 
-#include "sparse/coo.hh"
 #include "sparse/csr.hh"
 #include "sparse/shared_arrays.hh"
 #include "sparse/sparse_types.hh"
@@ -23,8 +22,6 @@ class Csc
 {
   public:
     Csc() = default;
-
-    static Csc fromCoo(Coo coo);
 
     /** Column-compress an existing CSR matrix (same element set). */
     static Csc fromCsr(const Csr &csr);

@@ -73,7 +73,6 @@ otherValue(const OptionSpec &spec)
         return spec.dflt + "_other";
     case OptType::Bool:
         return spec.dflt == "1" ? "0" : "1";
-    case OptType::Int:
     case OptType::UInt: {
         const double v = std::stod(spec.dflt);
         return std::to_string(
@@ -178,6 +177,33 @@ TEST(MachineConfigDeath, CamAboveSspmExits2)
     EXPECT_EXIT(paramsFrom({"sspm_kb=4", "cam_kb=8"}),
                 ::testing::ExitedWithCode(2),
                 "cam_kb=8 exceeds sspm_kb=4");
+}
+
+TEST(MachineConfig, ThirtyTwoBitKeysLandUpToTheirFieldMaximum)
+{
+    MachineParams p = paramsFrom(
+        {"ports=4294967295", "cam_bank=4294967295", "rob=4294967295",
+         "dispatch=4294967295", "commit=4294967295", "lq=4294967295",
+         "sq=4294967295", "mshrs=2147483647"});
+    EXPECT_EQ(p.via.ports, 4294967295u);
+    EXPECT_EQ(p.via.bankEntries, 4294967295u);
+    EXPECT_EQ(p.core.robSize, 4294967295u);
+    EXPECT_EQ(p.core.dispatchWidth, 4294967295u);
+    EXPECT_EQ(p.core.commitWidth, 4294967295u);
+    EXPECT_EQ(p.core.lqEntries, 4294967295u);
+    EXPECT_EQ(p.core.sqEntries, 4294967295u);
+    EXPECT_EQ(p.mem.levels[0].mshrs, 2147483647u);
+    EXPECT_EQ(p.mem.levels[1].mshrs, 4294967294u);
+}
+
+TEST(MachineConfigDeath, ThirtyTwoBitKeyAboveItsFieldExits2)
+{
+    EXPECT_EXIT(paramsFrom({"rob=4294967296"}),
+                ::testing::ExitedWithCode(2),
+                "value 4294967296 out of range \\[1, 4294967295\\]");
+    EXPECT_EXIT(paramsFrom({"mshrs=2147483648"}),
+                ::testing::ExitedWithCode(2),
+                "value 2147483648 out of range \\[1, 2147483647\\]");
 }
 
 TEST(MachineConfig, ConfiguredMachineIsUsable)

@@ -266,6 +266,28 @@ TEST(Convert, MulCsrMatchesDense)
     EXPECT_EQ(c.rowNnz(1), 0);
 }
 
+TEST(Convert, TransposeOfRectangularMatrix)
+{
+    // [ 1 0 2 0 0 ]
+    // [ 0 0 0 0 0 ]  row 1 and columns 1 and 4 are empty
+    // [ 3 0 0 4 0 ]
+    Csr a = Csr::fromParts(3, 5, {0, 2, 2, 4}, {0, 2, 0, 3},
+                           {1, 2, 3, 4});
+    Csr t = transpose(a);
+    EXPECT_EQ(t.rows(), 5);
+    EXPECT_EQ(t.cols(), 3);
+    EXPECT_EQ(t.rowPtr(), (std::vector<Index>{0, 2, 2, 3, 4, 4}));
+    EXPECT_EQ(t.colIdx(), (std::vector<Index>{0, 2, 0, 2}));
+    EXPECT_EQ(t.values(), (std::vector<Value>{1, 3, 2, 4}));
+    EXPECT_TRUE(transpose(t) == a);
+
+    // A^T in CSC holds A's CSR arrays (the SpMM B operand).
+    Csc b = Csc::fromCsr(t);
+    EXPECT_EQ(b.colPtr(), a.rowPtr());
+    EXPECT_EQ(b.rowIdx(), a.colIdx());
+    EXPECT_EQ(b.values(), a.values());
+}
+
 TEST(Convert, CloseElementsDetectsStructureMismatch)
 {
     Csr a = tiny();

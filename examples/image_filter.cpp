@@ -3,8 +3,8 @@
  * Gaussian smoothing of a synthetic image — the stencil use case of
  * paper Section IV-F2. Applies the 4x4 filter twice (stronger blur)
  * on the simulated machine with the baseline vector kernel and with
- * VIA, and verifies the VIA result against the host reference (exit
- * 1 when any pixel is off by more than 1e-3).
+ * VIA, and verifies both against the host reference (exit 1 when a
+ * pixel of either is off by more than 1e-3).
  */
 
 #include <cstdio>
@@ -74,10 +74,14 @@ main()
 
     DenseMatrix golden =
         kernels::refConvolve4x4(kernels::refConvolve4x4(img));
-    double err = 0.0;
-    for (std::size_t i = 0; i < golden.data().size(); ++i)
-        err = std::max(err, std::abs(double(golden.data()[i]) -
-                                     double(out_via.data()[i])));
+    auto max_err = [&](const DenseMatrix &out) {
+        double e = 0.0;
+        for (std::size_t i = 0; i < golden.data().size(); ++i)
+            e = std::max(e, std::abs(double(golden.data()[i]) -
+                                     double(out.data()[i])));
+        return e;
+    };
+    const double err = max_err(out_via);
 
     std::printf("two blur passes -> %dx%d output, mean |px| %.1f, "
                 "max err vs reference %.2e\n",
@@ -87,5 +91,5 @@ main()
                 static_cast<unsigned long long>(base_cycles),
                 static_cast<unsigned long long>(via_cycles),
                 double(base_cycles) / double(via_cycles));
-    return err <= 1e-3 ? 0 : 1;
+    return err <= 1e-3 && max_err(out_base) <= 1e-3 ? 0 : 1;
 }

@@ -256,8 +256,7 @@ Machine::saveState(Serializer &ser) const
     ser.tag("MACH");
     ser.put(_params.valueType);
     ser.put(_params.indexType);
-    // The commit front, written ahead of the core's state and
-    // checked against it on load.
+    // The clock: the commit front, checked against the core on load.
     ser.put(cycles());
     ser.put(_seq);
     for (int r = 0; r < NUM_VREGS; ++r)

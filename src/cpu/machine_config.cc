@@ -87,16 +87,13 @@ addMachineOptions(Options &opts)
                  "VIA CAM capacity in KB", 1)
         .addUInt("cam_bank", d.via.bankEntries,
                  "CAM entries compared per bank access", 1, u32max)
-        .addUInt("rob", core.robSize, "reorder-buffer entries", 1,
-                 u32max)
+        .addUInt("rob", core.robSize, "reorder-buffer entries", 1, u32max)
         .addUInt("dispatch", core.dispatchWidth,
                  "instructions dispatched per cycle", 1, u32max)
         .addUInt("commit", core.commitWidth,
                  "instructions committed per cycle", 1, u32max)
-        .addUInt("lq", core.lqEntries, "load-queue entries", 1,
-                 u32max)
-        .addUInt("sq", core.sqEntries, "store-queue entries", 1,
-                 u32max)
+        .addUInt("lq", core.lqEntries, "load-queue entries", 1, u32max)
+        .addUInt("sq", core.sqEntries, "store-queue entries", 1, u32max)
         .addBool("via_at_commit", core.viaAtCommit,
                  "strict commit-time VIA execution (Section IV-E)")
         .addString("backend", "via",

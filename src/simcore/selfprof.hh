@@ -36,9 +36,8 @@ enum class Domain : std::uint8_t
     Cache,      //!< MemSystem/Cache walks
     Dram,       //!< DRAM pipe
     Fivu,       //!< VIA unit dispatch
-    /** No scope enters it: the simulator has no event queue, so
-     *  its report row reads zero. Kept so the domain list that
-     *  reports read (the benchmark's per-layer table) stays whole. */
+    /** Nothing enters it (there is no event queue), so its row reads
+     *  zero; kept so the benchmark's per-layer domain list holds. */
     EventQueue,
     N
 };

@@ -328,6 +328,32 @@ TEST(MeasureServiceTable, ThreadCountInvariant)
     }
 }
 
+/** warm_dir= sends each warm image through disk once per class;
+ *  the read-back image must price the same table as the in-memory
+ *  one, cost for cost and energy for energy. */
+TEST(MeasureServiceTable, WarmDirMatchesInMemory)
+{
+    auto mix = parseMix("spmv:csr:48:0.06:1,spmv:csb:48:0.06:1");
+    ExecutorConfig ex;
+    ex.batchMax = 2;
+    for (bool via : {false, true}) {
+        ex.via = via;
+        ex.warmDir.clear();
+        TableServiceModel memory = measureServiceTable(mix, ex);
+        ex.warmDir = ::testing::TempDir();
+        TableServiceModel disk = measureServiceTable(mix, ex);
+        for (std::size_t c = 0; c < mix.size(); ++c) {
+            for (unsigned n = 1; n <= ex.batchMax; ++n) {
+                EXPECT_EQ(memory.cost(c, n), disk.cost(c, n))
+                    << "via " << via << " class " << c << " n=" << n;
+                EXPECT_EQ(memory.energyPj(c, n), disk.energyPj(c, n))
+                    << "via " << via << " class " << c << " n=" << n;
+                EXPECT_GT(disk.cost(c, n), 0u);
+            }
+        }
+    }
+}
+
 TEST(MeasureServiceTable, BatchesAmortizeOnTheWarmMachine)
 {
     // Batched requests run against the restored warm image, so each

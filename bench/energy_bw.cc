@@ -10,7 +10,10 @@
  * backend= picks the accelerated CSB kernel (kernels/dispatch.hh):
  * VIA by default, or the SSR or IndexMAC variant.
  *
- * Usage: energy_bw [count=N] [seed=S] [max_rows=R]
+ * Matrices run as independent points on a SweepExecutor
+ * (threads=N); output is bit-identical at any thread count.
+ *
+ * Usage: energy_bw [count=N] [seed=S] [max_rows=R] [threads=T]
  *                  [backend=base|via|ssr|indexmac]
  */
 
@@ -30,11 +33,9 @@ using namespace via;
 int
 main(int argc, char **argv)
 {
-    // Serial harness (no sweep executor), so no threads= key.
-    Options opts("energy_bw",
-                 "Processor energy and DRAM traffic: VIA vs "
-                 "vectorized CSB");
-    addSelfProfOption(opts);
+    Options opts = bench::benchOptions(
+        "energy_bw",
+        "Processor energy and DRAM traffic: VIA vs vectorized CSB");
     addMachineOptions(opts);
     // The paper reports these numbers for the *best usage case*
     // (Section VII-A), so the corpus leans on the larger, denser
@@ -48,19 +49,31 @@ main(int argc, char **argv)
     applySelfProfOption(opts);
     MachineParams params = machineParamsFrom(opts);
     auto corpus = buildCorpus(bench::corpusSpec(opts, corpus_dflt));
-    Rng rng(55);
+    SweepExecutor exec = bench::makeExecutor(opts);
 
-    std::vector<double> energy_ratio, bw_ratio, cache_ratio;
-    for (const auto &entry : corpus) {
-        const Csr &a = entry.matrix;
-        DenseVector x = randomVector(a.cols(), rng);
+    // The x vectors come from one stream in corpus order, drawn
+    // before the sweep, so every point sees the same input at any
+    // thread count.
+    Rng rng(55);
+    std::vector<DenseVector> xs;
+    for (const auto &entry : corpus)
+        xs.push_back(randomVector(entry.matrix.cols(), rng));
+
+    struct PerMatrix
+    {
+        double energy = 0.0;
+        double bandwidth = 0.0; //!< 0 when either side has no traffic
+        double withDram = 0.0;
+    };
+    auto results = exec.run(corpus.size(), [&](std::size_t i) {
+        const Csr &a = corpus[i].matrix;
 
         Machine m1(params);
-        kernels::spmvBaseline(m1, a, x, "csb");
+        kernels::spmvBaseline(m1, a, xs[i], "csb");
         auto base = kernels::collectMetrics(m1);
 
         Machine m2(params);
-        kernels::spmvAccel(m2, a, x, "csb");
+        kernels::spmvAccel(m2, a, xs[i], "csb");
         auto accel = kernels::collectMetrics(m2);
 
         // The paper's 3.8x is McPAT scope: processor energy
@@ -71,17 +84,25 @@ main(int argc, char **argv)
                           base.energy.dramPj;
         double accel_cpu = accel.energy.totalPj() -
                            accel.energy.dramPj;
-        energy_ratio.push_back(base_cpu / accel_cpu);
+        PerMatrix pt;
+        pt.energy = std::max(base_cpu / accel_cpu, 1e-9);
         if (accel.dramBytesPerCycle > 0 &&
             base.dramBytesPerCycle > 0)
-            bw_ratio.push_back(accel.dramBytesPerCycle /
-                               base.dramBytesPerCycle);
-        energy_ratio.back() = std::max(energy_ratio.back(), 1e-9);
-        cache_ratio.push_back(base.energy.totalPj() /
-                              accel.energy.totalPj());
+            pt.bandwidth = accel.dramBytesPerCycle /
+                           base.dramBytesPerCycle;
+        pt.withDram = base.energy.totalPj() / accel.energy.totalPj();
+        return pt;
+    });
+
+    std::vector<double> energy_ratio, bw_ratio, cache_ratio;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const PerMatrix &pt = results[i];
+        energy_ratio.push_back(pt.energy);
+        if (pt.bandwidth > 0)
+            bw_ratio.push_back(pt.bandwidth);
+        cache_ratio.push_back(pt.withDram);
         std::printf("  %-28s energy %5.2fx  bandwidth %5.2fx\n",
-                    entry.name.c_str(), energy_ratio.back(),
-                    bw_ratio.empty() ? 0.0 : bw_ratio.back());
+                    corpus[i].name.c_str(), pt.energy, pt.bandwidth);
     }
 
     std::printf("\n== CSB SpMV: energy and bandwidth "

@@ -59,19 +59,5 @@ auditEstimate(const MachineParams &params,
     return audit;
 }
 
-SamplingAudit
-auditSampling(const MachineParams &params,
-              const sample::SampleOptions &opts,
-              const std::function<void(Machine &)> &body,
-              double bound)
-{
-    Machine sampled(params);
-    sample::SampleOptions sopts = opts;
-    sopts.mode = sample::SimMode::Sampled;
-    sample::SampleEstimate est =
-        sample::runWith(sampled, sopts, [&] { body(sampled); });
-    return auditEstimate(params, est, body, bound);
-}
-
 } // namespace check
 } // namespace via

@@ -53,23 +53,13 @@ struct SamplingAudit
 };
 
 /**
- * Audit an existing estimate: run @p body once on a fresh detailed
- * machine configured with @p params and compare against @p est.
- * Use this when the sampled run already happened (via_sim).
+ * Audit an estimate: run @p body once on a fresh detailed machine
+ * configured with @p params and compare against @p est, which the
+ * caller took from its own sampled run (sample::runWith).
  */
 SamplingAudit
 auditEstimate(const MachineParams &params,
               const sample::SampleEstimate &est,
-              const std::function<void(Machine &)> &body,
-              double bound = 0.05);
-
-/**
- * Run @p body under detailed and sampled execution on identically
- * configured machines and compare end-to-end cycles.
- */
-SamplingAudit
-auditSampling(const MachineParams &params,
-              const sample::SampleOptions &opts,
               const std::function<void(Machine &)> &body,
               double bound = 0.05);
 

@@ -486,8 +486,7 @@ DebugSession::cmdCheckpointSave(const std::string &name)
         sample::Checkpoint cp =
             sample::Checkpoint::capture(*_target.machine);
         const std::size_t bytes = cp.bytes().size();
-        _cache.put(name, std::move(cp));
-        _markers[name] = _instCount;
+        _saved.insert_or_assign(name, Saved{_instCount, std::move(cp)});
         *_out << "checkpoint '" << name << "' saved at inst "
               << _instCount << " (" << bytes << " bytes)\n";
     } catch (const SerializeError &e) {
@@ -500,12 +499,13 @@ bool
 DebugSession::cmdCheckpointLoad(const std::string &name,
                                 bool at_pause)
 {
-    if (_markers.find(name) == _markers.end()) {
+    auto saved = _saved.find(name);
+    if (saved == _saved.end()) {
         *_out << "no checkpoint '" << name << "'\n";
         return false;
     }
     *_out << "rewinding to checkpoint '" << name << "' (inst "
-          << _markers[name] << ") via deterministic replay\n";
+          << saved->second.inst << ") via deterministic replay\n";
     if (at_pause && _running)
         throw RewindRequest{name};
     // Pre-run or post-run: rewind from the session driver instead
@@ -537,7 +537,7 @@ DebugSession::prepareReplay(const std::string &name)
     _instCount = 0;
     clearResumeConditions();
     _replayName = name;
-    _replayUntil = _markers.at(name);
+    _replayUntil = _saved.at(name).inst;
     if (_replayUntil == 0) {
         // Captured before the first instruction: verify against
         // the fresh target and hand control back immediately.
@@ -558,7 +558,8 @@ DebugSession::verifyReplay()
     try {
         const sample::Checkpoint now =
             sample::Checkpoint::capture(*_target.machine);
-        const sample::Checkpoint &saved = _cache.get(_replayName);
+        const sample::Checkpoint &saved =
+            _saved.at(_replayName).image;
         if (now.bytes() == saved.bytes()) {
             *_out << "checkpoint '" << _replayName
                   << "': replayed to inst " << _instCount

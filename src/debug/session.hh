@@ -18,7 +18,7 @@
  * `checkpoint load` abandons the current run via an exception,
  * rebuilds a fresh target from the factory, re-runs the kernel
  * suppressing every pause until the saved instruction marker, then
- * re-captures and byte-compares against the cached image — turning
+ * re-captures and byte-compares against the saved image — turning
  * every rewind into a machine-level determinism proof.
  */
 
@@ -170,9 +170,14 @@ class DebugSession
     DebugTarget _target;
     std::vector<std::unique_ptr<CoreTap>> _taps;
     BreakpointEngine _engine;
-    sample::CheckpointCache _cache;
-    /** Checkpoint name -> global instruction count at capture. */
-    std::map<std::string, std::uint64_t> _markers;
+    /** A saved checkpoint: the global instruction count at capture
+     *  and the image the replay is compared against. */
+    struct Saved
+    {
+        std::uint64_t inst = 0;
+        sample::Checkpoint image;
+    };
+    std::map<std::string, Saved> _saved;
 
     std::uint64_t _instCount = 0;
 

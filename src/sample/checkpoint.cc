@@ -100,48 +100,5 @@ Checkpoint::fromBytes(std::vector<std::uint8_t> bytes)
     return cp;
 }
 
-const Checkpoint &
-CheckpointCache::get(const std::string &key)
-{
-    auto it = _images.find(key);
-    if (it != _images.end()) {
-        ++_hits;
-        return it->second;
-    }
-    ++_misses;
-    auto [pos, inserted] =
-        _images.emplace(key, Checkpoint::readFile(key));
-    return pos->second;
-}
-
-void
-CheckpointCache::put(const std::string &key, Checkpoint cp)
-{
-    _images.insert_or_assign(key, std::move(cp));
-}
-
-bool
-CheckpointCache::contains(const std::string &key) const
-{
-    return _images.count(key) != 0;
-}
-
-std::size_t
-CheckpointCache::bytes() const
-{
-    std::size_t total = 0;
-    for (const auto &[key, cp] : _images)
-        total += cp.bytes().size();
-    return total;
-}
-
-void
-CheckpointCache::clear()
-{
-    _images.clear();
-    _hits = 0;
-    _misses = 0;
-}
-
 } // namespace sample
 } // namespace via

@@ -1,6 +1,6 @@
 /**
  * @file
- * Machine checkpoints: capture, restore, clone, disk round-trip.
+ * Machine checkpoints: capture, restore, disk round-trip.
  *
  * A checkpoint is a versioned binary image of the complete machine
  * state after a drain point: architectural memory (backing-store
@@ -14,11 +14,12 @@
  * original run — which is what makes "restore, then re-run kernel B"
  * bit-identical to "run kernel A, then kernel B" (tests/test_sample).
  *
- * The in-memory image is a flat byte vector, so cloning a warm
- * checkpoint for every sweep point is a memcpy; writeFile/readFile
- * provide the disk round-trip. Any mismatch — wrong magic, newer
- * version, truncated file, different machine geometry — throws
- * SerializeError instead of restoring garbage.
+ * The in-memory image is a flat byte vector that restore() only
+ * reads, so one warm image serves every sweep point that restores
+ * it, from any thread; writeFile/readFile provide the disk
+ * round-trip. Any mismatch — wrong magic, newer version, truncated
+ * file, different machine geometry — throws SerializeError instead
+ * of restoring garbage.
  */
 
 #ifndef VIA_SAMPLE_CHECKPOINT_HH
@@ -26,7 +27,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "simcore/rng.hh"
@@ -66,9 +66,6 @@ class Checkpoint
      */
     void restore(Machine &m, Rng *rng = nullptr) const;
 
-    /** Cheap in-memory copy (one warm image per sweep point). */
-    Checkpoint clone() const { return *this; }
-
     /** The raw image, header included. */
     const std::vector<std::uint8_t> &bytes() const { return _bytes; }
 
@@ -86,52 +83,6 @@ class Checkpoint
 
   private:
     std::vector<std::uint8_t> _bytes;
-};
-
-/**
- * An in-memory cache of checkpoint images keyed by name.
- *
- * The serving executor restores a warm matrix image once per batch;
- * without a cache every restore re-reads and re-validates the image
- * from disk. get() reads the file on the first miss and serves every
- * later request from memory, so a per-batch restore costs one
- * memcpy-clone. put() registers an image captured in-process under a
- * caller-chosen key (no disk involved at all); get() for that key
- * never touches the filesystem.
- *
- * A cached image is byte-identical to the file it came from
- * (tests/test_sample verifies restore-from-cache == restore-from-
- * disk bit for bit), so the fast path cannot change results.
- */
-class CheckpointCache
-{
-  public:
-    /**
-     * The image for @p key. On a miss the key is treated as a file
-     * path and read with Checkpoint::readFile (header validation
-     * included); on a hit the cached image is returned untouched.
-     */
-    const Checkpoint &get(const std::string &key);
-
-    /** Register an in-process image under @p key (replaces). */
-    void put(const std::string &key, Checkpoint cp);
-
-    bool contains(const std::string &key) const;
-
-    /** Cached images / total cached bytes (footprint reporting). */
-    std::size_t size() const { return _images.size(); }
-    std::size_t bytes() const;
-
-    /** get() calls served from memory / from disk. */
-    std::uint64_t hits() const { return _hits; }
-    std::uint64_t misses() const { return _misses; }
-
-    void clear();
-
-  private:
-    std::unordered_map<std::string, Checkpoint> _images;
-    std::uint64_t _hits = 0;
-    std::uint64_t _misses = 0;
 };
 
 } // namespace sample

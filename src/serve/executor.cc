@@ -48,24 +48,17 @@ measureSingleCore(const std::vector<RequestClass> &mix,
         return w;
     });
 
-    // Stage the images in the cache (single-threaded: the cache is
-    // not synchronized). warm_dir routes them through disk so the
-    // read-back path runs once per class; every batch restore below
-    // is then served from memory.
-    sample::CheckpointCache cache;
-    std::vector<const sample::Checkpoint *> images(mix.size());
-    for (std::size_t i = 0; i < mix.size(); ++i) {
-        std::string key;
-        if (!cfg.warmDir.empty()) {
-            key = cfg.warmDir + "/warm_" + std::to_string(i) +
-                  (cfg.via ? "_via" : "_base") + ".ckpt";
-            warms[i].image.writeFile(key);
-        } else {
-            key = "warm:" + std::to_string(i);
-            cache.put(key, warms[i].image.clone());
+    // warm_dir= routes each image through disk once per class: the
+    // file is written, read back into the class's one slot, and
+    // every batch restore below uses the image read back.
+    if (!cfg.warmDir.empty())
+        for (std::size_t i = 0; i < mix.size(); ++i) {
+            std::string path = cfg.warmDir + "/warm_" +
+                               std::to_string(i) +
+                               (cfg.via ? "_via" : "_base") + ".ckpt";
+            warms[i].image.writeFile(path);
+            warms[i].image = sample::Checkpoint::readFile(path);
         }
-        images[i] = &cache.get(key);
-    }
 
     // Phase 2 — fan out (class x batch size): restore the warm
     // image onto a fresh machine, run the batch, take the marginal
@@ -82,7 +75,7 @@ measureSingleCore(const std::vector<RequestClass> &mix,
         const WarmState &w = warms[cls];
 
         Machine m(cfg.params);
-        images[cls]->restore(m);
+        w.image.restore(m);
 
         Rng rx(SweepExecutor::pointSeed(cfg.seed,
                                         2 * mix.size() + p));

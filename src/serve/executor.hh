@@ -5,13 +5,13 @@
  *
  * Single-core path (cores=1): each class's matrix is made resident
  * on a fresh machine (kernels::SpmvResident — convert + upload
- * once), warmed with one run, and captured as a PR-4 checkpoint.
- * The warm image sits in a sample::CheckpointCache — optionally
- * round-tripped through disk (warm_dir) — and every batch-size
- * measurement restores it onto a fresh machine (fan-out: one warm
- * image, batchMax restores per class) and runs n requests back to
- * back. The measured cost is the marginal cycles past the warm
- * point; energy is the marginal energy-model total.
+ * once), warmed with one run, and captured as a checkpoint. Every
+ * batch-size measurement restores that one image onto a fresh
+ * machine (fan-out: one warm image, batchMax restores per class)
+ * and runs n requests back to back; with warm_dir the image is
+ * first written to disk and read back in its place. The measured
+ * cost is the marginal cycles past the warm point; energy is the
+ * marginal energy-model total.
  *
  * Multi-core path (cores=N): MultiMachine cannot checkpoint (the
  * shared LLC carries unserializable in-flight analytic state), so
@@ -56,9 +56,9 @@ struct ExecutorConfig
     unsigned threads = 1;   //!< measurement pool width (0 = auto)
     std::uint64_t seed = 1;
     /** When non-empty (cores=1): write each warm image to this
-     *  directory and reload it through the CheckpointCache, so the
-     *  disk round-trip is part of the measured path exactly once
-     *  per class. Empty keeps the image in memory only. */
+     *  directory and read it back in place of the in-memory one,
+     *  so the disk round-trip is part of the measured path exactly
+     *  once per class. Empty keeps the image in memory only. */
     std::string warmDir;
 };
 

@@ -312,83 +312,14 @@ TEST(Checkpoint, CloneIsIndependent)
     Machine m1(MachineParams{});
     kernelBody("spmv")(m1);
     Checkpoint cp = Checkpoint::capture(m1);
-    Checkpoint copy = cp.clone();
+    Checkpoint copy = cp;
     EXPECT_EQ(cp.bytes(), copy.bytes());
 
-    // Restoring from the clone works on a fresh machine (the sweep
+    // Restoring from the copy works on a fresh machine (the sweep
     // amortization path: one warm image, many points).
     Machine m2(MachineParams{});
     copy.restore(m2);
     expectStatsEqual(m1, m2);
-}
-
-// ------------------------------------------------------------------
-// CheckpointCache (the serving executor's fan-out fast path)
-// ------------------------------------------------------------------
-
-TEST(CheckpointCache, RestoreFromCacheMatchesRestoreFromDisk)
-{
-    MachineParams params{};
-    Machine warm(params);
-    kernelBody("spmv")(warm);
-    Checkpoint cp = Checkpoint::capture(warm);
-
-    std::string path = ::testing::TempDir() + "via_cp_cache.bin";
-    cp.writeFile(path);
-
-    sample::CheckpointCache cache;
-    const Checkpoint &cached = cache.get(path);
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.hits(), 0u);
-
-    // The cached image is byte-identical to a direct disk read...
-    EXPECT_EQ(cached.bytes(), Checkpoint::readFile(path).bytes());
-
-    // ...and restoring a clone of it is indistinguishable from
-    // restoring the disk image: same stats, re-capture byte-equal.
-    Machine from_disk(params);
-    Checkpoint::readFile(path).restore(from_disk);
-    Machine from_cache(params);
-    cache.get(path).clone().restore(from_cache);
-    expectStatsEqual(from_disk, from_cache);
-    EXPECT_EQ(Checkpoint::capture(from_disk).bytes(),
-              Checkpoint::capture(from_cache).bytes());
-
-    // Later gets never touch the filesystem: delete the file and
-    // the cache still serves the image.
-    std::remove(path.c_str());
-    const Checkpoint &again = cache.get(path);
-    EXPECT_EQ(again.bytes(), cp.bytes());
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.hits(), 2u);
-}
-
-TEST(CheckpointCache, PutServesInProcessImagesWithoutDisk)
-{
-    Machine m(MachineParams{});
-    kernelBody("histogram")(m);
-    Checkpoint cp = Checkpoint::capture(m);
-
-    sample::CheckpointCache cache;
-    // The key is not a path; a miss would throw from readFile.
-    std::string key = "warm:histogram";
-    EXPECT_FALSE(cache.contains(key));
-    cache.put(key, cp.clone());
-    ASSERT_TRUE(cache.contains(key));
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.bytes(), cp.bytes().size());
-
-    EXPECT_EQ(cache.get(key).bytes(), cp.bytes());
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.misses(), 0u);
-
-    // A key that is neither cached nor a readable file still fails
-    // loudly rather than restoring garbage.
-    EXPECT_THROW(cache.get("warm:missing"), SerializeError);
-
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_FALSE(cache.contains(key));
 }
 
 // ------------------------------------------------------------------
@@ -466,10 +397,14 @@ TEST(Sampling, EstimateWithinAuditBound)
     opts.interval = 5000;
     opts.warmup = 300;
     opts.measure = 700;
-    check::SamplingAudit audit = check::auditSampling(
-        params, opts,
-        [&](Machine &m) { kernels::spmvAccel(m, a, x, "csb"); },
-        /*bound=*/0.10);
+    auto body = [&](Machine &m) {
+        kernels::spmvAccel(m, a, x, "csb");
+    };
+    Machine sampled(params);
+    sample::SampleEstimate est =
+        sample::runWith(sampled, opts, [&] { body(sampled); });
+    check::SamplingAudit audit =
+        check::auditEstimate(params, est, body, /*bound=*/0.10);
     EXPECT_TRUE(audit.ok) << audit.summary();
     EXPECT_GT(audit.intervals, 3u);
     EXPECT_FALSE(audit.exact);

@@ -691,7 +691,7 @@ main(int argc, char **argv)
     std::vector<int> identical =
         exec.run(sweep_points, [&](std::size_t) {
             Machine m(params);
-            cp.clone().restore(m);
+            cp.restore(m);
             return m.cycles() == warm_cycles ? 1 : 0;
         });
     double restore_s = secondsSince(restore_start) /

@@ -153,12 +153,6 @@ Machine::vreg(VReg r)
     return _vrf[r.id];
 }
 
-const VecValue &
-Machine::vreg(VReg r) const
-{
-    return _vrf[r.id];
-}
-
 std::uint64_t
 Machine::sregRaw(SReg r) const
 {
@@ -543,13 +537,6 @@ Machine::vpatternI(VReg dst, const std::vector<std::int64_t> &lanes)
                          REG_NONE));
 }
 
-void
-Machine::vmove(VReg dst, VReg src)
-{
-    _vrf[dst.id] = _vrf[src.id];
-    issue(makeInst(Op::VMove, int(vl()), vid(dst), vid(src)));
-}
-
 double
 Machine::combineF(ArithKind k, double a, double b) const
 {
@@ -575,20 +562,6 @@ Machine::vaddF(VReg dst, VReg a, VReg b, int vl_)
     for (std::uint32_t l = 0; l < n; ++l)
         d.setFAs(t, l, x.fAs(t, l) + y.fAs(t, l));
     issue(makeInst(Op::VAddF, int(n), vid(dst), vid(a),
-                         vid(b)));
-}
-
-void
-Machine::vsubF(VReg dst, VReg a, VReg b, int vl_)
-{
-    ElemType t = valueType();
-    std::uint32_t n = resolveVl(t, vl_);
-    VecValue &d = _vrf[dst.id];
-    const VecValue &x = _vrf[a.id];
-    const VecValue &y = _vrf[b.id];
-    for (std::uint32_t l = 0; l < n; ++l)
-        d.setFAs(t, l, x.fAs(t, l) - y.fAs(t, l));
-    issue(makeInst(Op::VSubF, int(n), vid(dst), vid(a),
                          vid(b)));
 }
 
@@ -648,19 +621,6 @@ Machine::vsubI(VReg dst, VReg a, VReg b, int vl_)
 }
 
 void
-Machine::vmulI(VReg dst, VReg a, VReg b, int vl_)
-{
-    std::uint32_t n = vl_ < 0 ? MAX_LANES : std::uint32_t(vl_);
-    VecValue &d = _vrf[dst.id];
-    const VecValue &x = _vrf[a.id];
-    const VecValue &y = _vrf[b.id];
-    for (std::uint32_t l = 0; l < n; ++l)
-        d.setI(l, x.i(l) * y.i(l));
-    issue(makeInst(Op::VMulI, int(n), vid(dst), vid(a),
-                         vid(b)));
-}
-
-void
 Machine::vandI(VReg dst, VReg src, std::int64_t imm, int vl_)
 {
     std::uint32_t n = vl_ < 0 ? MAX_LANES : std::uint32_t(vl_);
@@ -680,19 +640,6 @@ Machine::vshrI(VReg dst, VReg src, std::uint32_t shift, int vl_)
     for (std::uint32_t l = 0; l < n; ++l)
         d.setI(l, x.i(l) >> shift);
     issue(makeInst(Op::VShrI, int(n), vid(dst), vid(src)));
-}
-
-void
-Machine::vcmpEqI(VReg dst, VReg a, VReg b, int vl_)
-{
-    std::uint32_t n = vl_ < 0 ? MAX_LANES : std::uint32_t(vl_);
-    VecValue &d = _vrf[dst.id];
-    const VecValue &x = _vrf[a.id];
-    const VecValue &y = _vrf[b.id];
-    for (std::uint32_t l = 0; l < n; ++l)
-        d.setI(l, x.i(l) == y.i(l) ? 1 : 0);
-    issue(makeInst(Op::VCmpEqI, int(n), vid(dst), vid(a),
-                         vid(b)));
 }
 
 void
@@ -739,22 +686,6 @@ Machine::vcompress(VReg dst, VReg src, VReg mask, int vl_)
 }
 
 void
-Machine::vexpand(VReg dst, VReg src, VReg mask, int vl_)
-{
-    std::uint32_t n = vl_ < 0 ? MAX_LANES : std::uint32_t(vl_);
-    const VecValue s = _vrf[src.id];
-    const VecValue m = _vrf[mask.id];
-    VecValue &d = _vrf[dst.id];
-    std::uint32_t k = 0;
-    for (std::uint32_t l = 0; l < n; ++l)
-        d.raw[l] = (m.i(l) != 0) ? s.raw[k++] : 0;
-    for (std::uint32_t l = n; l < MAX_LANES; ++l)
-        d.raw[l] = 0;
-    issue(makeInst(Op::VExpand, int(n), vid(dst), vid(src),
-                         vid(mask)));
-}
-
-void
 Machine::vexpandMask(VReg dst, VReg src, std::uint32_t mask, int vl_,
                      SReg mask_dep)
 {
@@ -768,21 +699,6 @@ Machine::vexpandMask(VReg dst, VReg src, std::uint32_t mask, int vl_,
         d.raw[l] = 0;
     issue(makeInst(Op::VExpand, int(n), vid(dst), vid(src),
                          sid(mask_dep)));
-}
-
-void
-Machine::vpermute(VReg dst, VReg src, VReg perm, int vl_)
-{
-    std::uint32_t n = vl_ < 0 ? MAX_LANES : std::uint32_t(vl_);
-    const VecValue s = _vrf[src.id];
-    const VecValue p = _vrf[perm.id];
-    VecValue &d = _vrf[dst.id];
-    for (std::uint32_t l = 0; l < n; ++l) {
-        auto sel = std::uint64_t(p.i(l)) % n;
-        d.raw[l] = s.raw[sel];
-    }
-    issue(makeInst(Op::VPermute, int(n), vid(dst), vid(src),
-                         vid(perm)));
 }
 
 void

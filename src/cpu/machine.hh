@@ -197,7 +197,6 @@ class Machine
 
     // --- architectural state (tests, result extraction) ----------
     VecValue &vreg(VReg r);
-    const VecValue &vreg(VReg r) const;
     std::uint64_t sregRaw(SReg r) const;
     std::int64_t sregI(SReg r) const;
     void setSregI(SReg r, std::int64_t v); //!< host-side poke
@@ -281,19 +280,14 @@ class Machine
      * ALU op). Missing lanes read zero.
      */
     void vpatternI(VReg dst, const std::vector<std::int64_t> &lanes);
-    void vmove(VReg dst, VReg src);
 
     void vaddF(VReg dst, VReg a, VReg b, int vl = -1);
-    void vsubF(VReg dst, VReg a, VReg b, int vl = -1);
     void vmulF(VReg dst, VReg a, VReg b, int vl = -1);
     /** dst[l] = a[l]*b[l] + c[l]. */
     void vfmaF(VReg dst, VReg a, VReg b, VReg c, int vl = -1);
 
     void vaddI(VReg dst, VReg a, VReg b, int vl = -1);
     void vsubI(VReg dst, VReg a, VReg b, int vl = -1);
-    void vmulI(VReg dst, VReg a, VReg b, int vl = -1);
-    /** dst[l] = (a[l] == b[l]) ? 1 : 0. */
-    void vcmpEqI(VReg dst, VReg a, VReg b, int vl = -1);
     /** dst[l] = (a[l] <  b[l]) ? 1 : 0. */
     void vcmpLtI(VReg dst, VReg a, VReg b, int vl = -1);
 
@@ -311,17 +305,13 @@ class Machine
 
     /** Pack lanes with mask[l] != 0 to the front of dst. */
     void vcompress(VReg dst, VReg src, VReg mask, int vl = -1);
-    /** Scatter front lanes of src to positions with mask[l] != 0. */
-    void vexpand(VReg dst, VReg src, VReg mask, int vl = -1);
     /**
-     * vexpand with an immediate bitmask (AVX-512 k-register style):
+     * Expand with an immediate bitmask (AVX-512 k-register style):
      * dst[l] = (mask >> l) & 1 ? src[k++] : 0. The optional scalar
      * dependence models the mask arriving from a header load.
      */
     void vexpandMask(VReg dst, VReg src, std::uint32_t mask,
                      int vl = -1, SReg mask_dep = NO_SREG);
-    /** dst[l] = src[perm[l] mod vl]. */
-    void vpermute(VReg dst, VReg src, VReg perm, int vl = -1);
     /** AVX512CD-like: dst[l] = bitmask of lanes j<l, idx[j]==idx[l]. */
     void vconflict(VReg dst, VReg idx, int vl = -1);
     /**

@@ -51,22 +51,6 @@ isViaOp(Op op)
 }
 
 bool
-isCamOp(Op op)
-{
-    switch (op) {
-      case Op::VidxLoadC:
-      case Op::VidxAddC:
-      case Op::VidxSubC:
-      case Op::VidxMulC:
-      case Op::VidxKeys:
-      case Op::VidxVals:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
 isSsrOp(Op op)
 {
     switch (op) {
@@ -89,8 +73,6 @@ fuClassOf(Op op)
       case Op::SAlu:
       case Op::SBranch:
         return FuClass::IntAlu;
-      case Op::SMul:
-        return FuClass::IntMul;
       case Op::SFAdd:
         return FuClass::VecFp;
       case Op::SFMul:
@@ -111,27 +93,22 @@ fuClassOf(Op op)
       case Op::SsrCfg:
         return FuClass::None;
       case Op::VAddF:
-      case Op::VSubF:
         return FuClass::VecFp;
       case Op::VMulF:
       case Op::VFmaF:
         return FuClass::VecFpMul;
       case Op::VAddI:
-      case Op::VMulI:
       case Op::VAndI:
       case Op::VShrI:
-      case Op::VCmpEqI:
       case Op::VCmpLtI:
       case Op::VBroadcastF:
       case Op::VBroadcastI:
       case Op::VIota:
-      case Op::VMove:
         return FuClass::VecAlu;
       case Op::VRedSumF:
         return FuClass::VecRed;
       case Op::VCompress:
       case Op::VExpand:
-      case Op::VPermute:
       case Op::VConflict:
       case Op::VMergeIdx:
         return FuClass::VecPerm;
@@ -149,7 +126,6 @@ mnemonic(Op op)
     switch (op) {
       case Op::Nop: return "nop";
       case Op::SAlu: return "salu";
-      case Op::SMul: return "smul";
       case Op::SFAdd: return "sfadd";
       case Op::SFMul: return "sfmul";
       case Op::SBranch: return "sbr";
@@ -160,23 +136,18 @@ mnemonic(Op op)
       case Op::VGather: return "vgather";
       case Op::VScatter: return "vscatter";
       case Op::VAddF: return "vaddf";
-      case Op::VSubF: return "vsubf";
       case Op::VMulF: return "vmulf";
       case Op::VFmaF: return "vfmaf";
       case Op::VAddI: return "vaddi";
-      case Op::VMulI: return "vmuli";
       case Op::VAndI: return "vandi";
       case Op::VShrI: return "vshri";
-      case Op::VCmpEqI: return "vcmpeqi";
       case Op::VCmpLtI: return "vcmplti";
       case Op::VRedSumF: return "vredsumf";
       case Op::VBroadcastF: return "vbcastf";
       case Op::VBroadcastI: return "vbcasti";
       case Op::VIota: return "viota";
-      case Op::VMove: return "vmove";
       case Op::VCompress: return "vcompress";
       case Op::VExpand: return "vexpand";
-      case Op::VPermute: return "vpermute";
       case Op::VConflict: return "vconflict";
       case Op::VMergeIdx: return "vmergeidx";
       case Op::VidxLoadD: return "vidx.load.d";

@@ -34,7 +34,6 @@ enum class Op : std::uint8_t
 
     // --- scalar ---
     SAlu,    //!< integer ALU op (add, and, shifts, ...)
-    SMul,    //!< integer multiply
     SFAdd,   //!< scalar FP add (shares the vector FP adder)
     SFMul,   //!< scalar FP multiply (shares the FP multiplier)
     SBranch, //!< (predicted) conditional branch
@@ -48,19 +47,17 @@ enum class Op : std::uint8_t
     VScatter, //!< indexed store, one cache access per active element
 
     // --- vector arithmetic ---
-    VAddF, VSubF, VMulF, VFmaF,
-    VAddI, VMulI,
+    VAddF, VMulF, VFmaF,
+    VAddI,
     VAndI, VShrI, //!< immediate bitwise ops (CSB index unpack)
-    VCmpEqI, VCmpLtI,
+    VCmpLtI,
     VRedSumF, //!< horizontal sum into a scalar register
     VBroadcastF, VBroadcastI,
     VIota,    //!< lane-index constant generation
-    VMove,
 
     // --- vector shuffles / AVX512CD-style helpers ---
     VCompress, //!< pack active lanes to the front
     VExpand,   //!< inverse of compress
-    VPermute,  //!< arbitrary lane shuffle
     VConflict, //!< vpconflictd-like duplicate-index detection
     VMergeIdx, //!< conflict-merge macro-op: sum lanes w/ equal index
                //!< (the log2(VL) permute+add sequence of [39])
@@ -96,7 +93,7 @@ enum class FuClass : std::uint8_t
 {
     None = 0, //!< zero-latency / folded
     IntAlu,
-    IntMul,
+    IntMul,   //!< no op issues to it; its window keeps the image layout
     VecAlu,   //!< vector int/compare/mask
     VecFp,    //!< vector FP add/sub
     VecFpMul, //!< vector FP mul / FMA
@@ -113,9 +110,6 @@ bool isMemOp(Op op);
 
 /** True for any VIA instruction (executes at commit in the FIVU). */
 bool isViaOp(Op op);
-
-/** True if the VIA op reads or writes the SSPM in CAM mode. */
-bool isCamOp(Op op);
 
 /** True for the SSR stream ops (backend=ssr only). */
 bool isSsrOp(Op op);

@@ -135,18 +135,6 @@ Cache::invalidate(Addr line_addr)
     return false;
 }
 
-void
-Cache::flush()
-{
-    for (auto &line : _lines)
-        line = Line{};
-    _inflight.clear();
-    _inflightHorizon = 0;
-    std::fill(_mshrBusyUntil.begin(), _mshrBusyUntil.end(), Tick(0));
-    _recentFills.clear();
-    _fillNext = 0;
-}
-
 bool
 Cache::mshrLookup(Addr line_addr, Tick when, Tick &complete) const
 {

@@ -134,9 +134,6 @@ class Cache
      */
     bool invalidate(Addr line_addr);
 
-    /** Invalidate everything (e.g. between benchmark phases). */
-    void flush();
-
     /**
      * Warm-only access (functional fast-forward): identical tag,
      * LRU, dirty and hit/miss accounting to access(), but since no

@@ -80,14 +80,6 @@ Distribution::percentile(double p) const
     return _max;
 }
 
-void
-Distribution::reset()
-{
-    std::fill(_buckets.begin(), _buckets.end(), 0);
-    _count = 0;
-    _sum = _min = _max = 0.0;
-}
-
 StatId
 StatSet::insert(Entry entry)
 {
@@ -113,19 +105,6 @@ StatSet::addScalar(const std::string &name, const std::string &desc,
     e.name = name;
     e.desc = desc;
     e.kind = Kind::U64;
-    e.ptr = value;
-    return insert(std::move(e));
-}
-
-StatId
-StatSet::addScalar(const std::string &name, const std::string &desc,
-                   const double *value)
-{
-    via_assert(value, "null counter for stat ", name);
-    Entry e;
-    e.name = name;
-    e.desc = desc;
-    e.kind = Kind::F64;
     e.ptr = value;
     return insert(std::move(e));
 }

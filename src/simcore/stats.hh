@@ -44,9 +44,6 @@ class Distribution
     /** Record one sample. */
     void sample(double v);
 
-    /** Remove all samples. */
-    void reset();
-
     std::uint64_t count() const { return _count; }
     double sum() const { return _sum; }
     double min() const { return _min; }
@@ -100,10 +97,6 @@ class StatSet
     StatId addScalar(const std::string &name, const std::string &desc,
                      const std::uint64_t *value);
 
-    /** Register a view over a floating-point value. */
-    StatId addScalar(const std::string &name, const std::string &desc,
-                     const double *value);
-
     /** Register a derived quantity computed on demand. */
     StatId addFormula(const std::string &name,
                       const std::string &desc,
@@ -139,7 +132,7 @@ class StatSet
      * Scalar views keep their raw pointer (no std::function
      * indirection on reads); only formulas pay for one.
      */
-    enum class Kind : std::uint8_t { U64, F64, Formula };
+    enum class Kind : std::uint8_t { U64, Formula };
 
     struct Entry
     {
@@ -157,8 +150,6 @@ class StatSet
         case Kind::U64:
             return double(
                 *static_cast<const std::uint64_t *>(e.ptr));
-        case Kind::F64:
-            return *static_cast<const double *>(e.ptr);
         case Kind::Formula:
             return e.fn();
         }

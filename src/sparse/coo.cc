@@ -58,12 +58,4 @@ Coo::isCanonical() const
     return true;
 }
 
-double
-Coo::density() const
-{
-    if (_rows == 0 || _cols == 0)
-        return 0.0;
-    return double(nnz()) / (double(_rows) * double(_cols));
-}
-
 } // namespace via

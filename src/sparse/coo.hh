@@ -54,9 +54,6 @@ class Coo
     const std::vector<Triplet> &elems() const { return _elems; }
     std::vector<Triplet> &elems() { return _elems; }
 
-    /** Fraction of positions that are non-zero. */
-    double density() const;
-
   private:
     Index _rows = 0;
     Index _cols = 0;

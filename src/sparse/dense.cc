@@ -40,18 +40,6 @@ randomVector(Index n, Rng &rng)
     return v;
 }
 
-double
-maxAbsDiff(const DenseVector &a, const DenseVector &b)
-{
-    via_assert(a.size() == b.size(), "vector size mismatch: ",
-               a.size(), " vs ", b.size());
-    double worst = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        worst = std::max(worst,
-                         std::abs(double(a[i]) - double(b[i])));
-    return worst;
-}
-
 bool
 allClose(const DenseVector &a, const DenseVector &b, double rtol,
          double atol)

@@ -44,9 +44,6 @@ class DenseMatrix
 /** Uniform random vector in [-1, 1). */
 DenseVector randomVector(Index n, Rng &rng);
 
-/** Max-norm distance between two vectors (fatal on size mismatch). */
-double maxAbsDiff(const DenseVector &a, const DenseVector &b);
-
 /**
  * Approximate equality with mixed absolute/relative tolerance,
  * suitable for float32 accumulations of different orders.

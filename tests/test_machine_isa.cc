@@ -128,8 +128,6 @@ TEST_F(MachineIsa, FpArithmetic)
     setF(v1, {10, 20, 30, 40, 50, 60, 70, 80});
     m.vaddF(v2, v0, v1);
     EXPECT_FLOAT_EQ(m.vreg(v2).f32(7), 88.0f);
-    m.vsubF(v2, v1, v0);
-    EXPECT_FLOAT_EQ(m.vreg(v2).f32(0), 9.0f);
     m.vmulF(v2, v0, v1);
     EXPECT_FLOAT_EQ(m.vreg(v2).f32(1), 40.0f);
     m.vfmaF(v3, v0, v1, v2); // v0*v1 + v2 = 2*40
@@ -142,10 +140,6 @@ TEST_F(MachineIsa, IntArithmeticAndCompares)
     setI(v1, {8, 7, 6, 5, 4, 3, 2, 1});
     m.vaddI(v2, v0, v1);
     EXPECT_EQ(m.vreg(v2).i(0), 9);
-    m.vmulI(v2, v0, v1);
-    EXPECT_EQ(m.vreg(v2).i(1), 14);
-    m.vcmpEqI(v2, v0, v1);
-    EXPECT_EQ(m.vreg(v2).i(0), 0);
     m.vcmpLtI(v2, v0, v1);
     EXPECT_EQ(m.vreg(v2).i(0), 1);
     EXPECT_EQ(m.vreg(v2).i(7), 0);
@@ -166,8 +160,6 @@ TEST_F(MachineIsa, BroadcastIotaPatternMove)
     m.vpatternI(v1, {5, 4, 3});
     EXPECT_EQ(m.vreg(v1).i(0), 5);
     EXPECT_EQ(m.vreg(v1).i(3), 0);
-    m.vmove(v2, v1);
-    EXPECT_EQ(m.vreg(v2).i(1), 4);
 }
 
 TEST_F(MachineIsa, RedSum)
@@ -188,18 +180,9 @@ TEST_F(MachineIsa, CompressExpandPermute)
     EXPECT_FLOAT_EQ(m.vreg(v2).f32(3), 8.0f);
     EXPECT_EQ(m.vreg(v2).raw[4], 0u);
 
-    m.vexpand(v3, v2, v1);
-    EXPECT_FLOAT_EQ(m.vreg(v3).f32(1), 2.0f);
-    EXPECT_EQ(m.vreg(v3).raw[0], 0u);
-
     m.vexpandMask(v3, v2, 0b10101010u);
     EXPECT_FLOAT_EQ(m.vreg(v3).f32(1), 2.0f);
     EXPECT_FLOAT_EQ(m.vreg(v3).f32(7), 8.0f);
-
-    setI(v1, {7, 6, 5, 4, 3, 2, 1, 0});
-    m.vpermute(v2, v0, v1);
-    EXPECT_FLOAT_EQ(m.vreg(v2).f32(0), 8.0f);
-    EXPECT_FLOAT_EQ(m.vreg(v2).f32(7), 1.0f);
 }
 
 TEST_F(MachineIsa, ConflictDetection)

@@ -295,14 +295,6 @@ TEST(Cache, DirtyEvictionReportsWriteback)
     EXPECT_EQ(c.stats().writebacks, 1u);
 }
 
-TEST(Cache, FlushInvalidatesEverything)
-{
-    Cache c(smallCache());
-    c.access(0, false);
-    c.flush();
-    EXPECT_FALSE(c.contains(0));
-}
-
 TEST(Cache, MshrTracksInflightLines)
 {
     Cache c(smallCache());

@@ -42,9 +42,6 @@ TEST(Opcodes, ClassPredicatesAreConsistent)
             EXPECT_EQ(int(fuClassOf(op)), int(FuClass::Fivu));
             EXPECT_FALSE(isMemOp(op));
         }
-        if (isCamOp(op)) {
-            EXPECT_TRUE(isViaOp(op));
-        }
     }
 }
 
@@ -183,7 +180,6 @@ TEST(Dense, AllCloseAndMaxDiff)
     EXPECT_TRUE(allClose(a, b));
     EXPECT_FALSE(allClose(a, DenseVector{1.0f, 3.0f}));
     EXPECT_FALSE(allClose(a, DenseVector{1.0f}));
-    EXPECT_NEAR(maxAbsDiff(a, b), 0.0001, 1e-6);
 }
 
 TEST(Dense, RandomVectorInRange)

@@ -81,15 +81,6 @@ TEST(Distribution, OutOfRangeSamplesClampToEndBuckets)
     EXPECT_EQ(d.buckets().back(), 1u);
 }
 
-TEST(Distribution, ResetClears)
-{
-    Distribution d(0.0, 1.0, 4);
-    d.sample(0.5);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.sum(), 0.0);
-}
-
 TEST(Rng, DeterministicForSameSeed)
 {
     Rng a(123), b(123);

@@ -46,15 +46,6 @@ TEST(Coo, CanonicalizeSortsAndMergesDuplicates)
     EXPECT_FLOAT_EQ(coo.elems()[1].value, 4.0f);
 }
 
-TEST(Coo, DensityOfEmptyAndFull)
-{
-    Coo empty(10, 10);
-    EXPECT_DOUBLE_EQ(empty.density(), 0.0);
-    Coo one(1, 1);
-    one.add(0, 0, 1);
-    EXPECT_DOUBLE_EQ(one.density(), 1.0);
-}
-
 TEST(CooDeathTest, OutOfRangeTripletPanics)
 {
     Coo coo(2, 2);

@@ -92,27 +92,6 @@ TEST(Distribution, FirstSampleSetsMinAndMax)
     EXPECT_DOUBLE_EQ(d.mean(), -1.0);
 }
 
-TEST(Distribution, ResetClearsEverything)
-{
-    Distribution d(0.0, 4.0, 4);
-    d.sample(1.0);
-    d.sample(3.5);
-    d.reset();
-
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.sum(), 0.0);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    for (std::uint64_t b : d.buckets())
-        EXPECT_EQ(b, 0u);
-
-    // The next sample after a reset re-establishes min/max from
-    // scratch rather than comparing against stale values.
-    d.sample(2.0);
-    EXPECT_DOUBLE_EQ(d.min(), 2.0);
-    EXPECT_DOUBLE_EQ(d.max(), 2.0);
-    EXPECT_EQ(d.count(), 1u);
-}
-
 TEST(Distribution, PercentileOfEmptyDistributionIsZero)
 {
     Distribution d(0.0, 10.0, 10);
@@ -257,8 +236,8 @@ TEST(StatSetJson, RoundTripsNonIntegralValuesExactly)
     double ipc = 0.1 + 0.2; // not exactly representable
     double tiny = 1.0 / 3.0;
     StatSet set;
-    set.addScalar("ipc", "", &ipc);
-    set.addScalar("tiny", "", &tiny);
+    set.addFormula("ipc", "", [&] { return ipc; });
+    set.addFormula("tiny", "", [&] { return tiny; });
 
     std::ostringstream os;
     set.dumpJson(os);

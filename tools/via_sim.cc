@@ -246,8 +246,9 @@ runModal(const Options &opts, const MachineParams &params,
  * retired per window. A commit observer on the accelerated machine's
  * core: each committed instruction closes every window boundary at
  * or before its commit tick, with the instructions retired so far.
- * Windows start at the machine's commit front, so after restore=
- * they continue from the restored cycle count.
+ * Windows start at the machine's commit front and instruction count
+ * when the observer is installed, so after restore= the first window
+ * counts only its own instructions.
  */
 class Timeline : public TimingObserver
 {
@@ -269,7 +270,8 @@ class Timeline : public TimingObserver
             return;
         _core = &m.core();
         _window = window;
-        _next = m.cycles() + window;
+        _start = Sample{m.cycles(), _core->stats().insts};
+        _next = _start.tick + window;
         _core->addTimingObserver(this);
     }
 
@@ -288,15 +290,13 @@ class Timeline : public TimingObserver
         if (_samples.empty())
             return;
         std::printf("timeline (IPC per window):\n");
-        std::uint64_t prev_i = 0;
-        Tick prev_t = 0;
+        Sample prev = _start;
         for (const Sample &s : _samples) {
             std::printf("  @%-10llu ipc %.2f\n",
                         static_cast<unsigned long long>(s.tick),
-                        double(s.insts - prev_i) /
-                            double(s.tick - prev_t));
-            prev_i = s.insts;
-            prev_t = s.tick;
+                        double(s.insts - prev.insts) /
+                            double(s.tick - prev.tick));
+            prev = s;
         }
     }
 
@@ -310,6 +310,7 @@ class Timeline : public TimingObserver
     OoOCore *_core = nullptr;
     Tick _window = 0;
     Tick _next = 0;
+    Sample _start{0, 0};
     std::vector<Sample> _samples;
 };
 

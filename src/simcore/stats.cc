@@ -104,8 +104,7 @@ StatSet::addScalar(const std::string &name, const std::string &desc,
     Entry e;
     e.name = name;
     e.desc = desc;
-    e.kind = Kind::U64;
-    e.ptr = value;
+    e.counter = value;
     return insert(std::move(e));
 }
 
@@ -117,7 +116,6 @@ StatSet::addFormula(const std::string &name, const std::string &desc,
     Entry e;
     e.name = name;
     e.desc = desc;
-    e.kind = Kind::Formula;
     e.fn = std::move(fn);
     return insert(std::move(e));
 }

@@ -129,31 +129,22 @@ class StatSet
 
   private:
     /**
-     * Scalar views keep their raw pointer (no std::function
-     * indirection on reads); only formulas pay for one.
+     * A scalar view keeps its raw counter pointer (no std::function
+     * indirection on reads); only formulas, whose counter is null,
+     * pay for one.
      */
-    enum class Kind : std::uint8_t { U64, Formula };
-
     struct Entry
     {
         std::string name;
         std::string desc;
-        Kind kind = Kind::U64;
-        const void *ptr = nullptr;
+        const std::uint64_t *counter = nullptr;
         std::function<double()> fn;
     };
 
     double
     eval(const Entry &e) const
     {
-        switch (e.kind) {
-        case Kind::U64:
-            return double(
-                *static_cast<const std::uint64_t *>(e.ptr));
-        case Kind::Formula:
-            return e.fn();
-        }
-        return 0.0;
+        return e.counter != nullptr ? double(*e.counter) : e.fn();
     }
 
     StatId insert(Entry entry);

@@ -201,6 +201,9 @@ TEST(Checkpoint, DiskRoundTrip)
     back.restore(m2);
     expectStatsEqual(m1, m2);
     std::remove(path.c_str());
+
+    // A missing file fails loudly rather than restoring nothing.
+    EXPECT_THROW(Checkpoint::readFile(path), SerializeError);
 }
 
 TEST(Checkpoint, RejectsBadMagic)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <vector>
 
 #include "serve/arrivals.hh"
@@ -334,13 +335,16 @@ TEST(MeasureServiceTable, ThreadCountInvariant)
 TEST(MeasureServiceTable, WarmDirMatchesInMemory)
 {
     auto mix = parseMix("spmv:csr:48:0.06:1,spmv:csb:48:0.06:1");
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / "via_warm_dir";
+    std::filesystem::create_directories(dir);
     ExecutorConfig ex;
     ex.batchMax = 2;
     for (bool via : {false, true}) {
         ex.via = via;
         ex.warmDir.clear();
         TableServiceModel memory = measureServiceTable(mix, ex);
-        ex.warmDir = ::testing::TempDir();
+        ex.warmDir = dir.string();
         TableServiceModel disk = measureServiceTable(mix, ex);
         for (std::size_t c = 0; c < mix.size(); ++c) {
             for (unsigned n = 1; n <= ex.batchMax; ++n) {
@@ -352,6 +356,7 @@ TEST(MeasureServiceTable, WarmDirMatchesInMemory)
             }
         }
     }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(MeasureServiceTable, BatchesAmortizeOnTheWarmMachine)

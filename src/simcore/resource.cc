@@ -9,8 +9,7 @@ namespace via
 {
 
 Resource::Resource(std::uint32_t units)
-    : _units(std::max<std::uint32_t>(units, 1)),
-      _counts(windowSize, 0)
+    : _units(std::max<std::uint32_t>(units, 1))
 {
 }
 
@@ -21,8 +20,23 @@ Resource::slot(Tick t)
 }
 
 void
+Resource::setBase(Tick base)
+{
+    _base = base;
+    _end = _counts.empty() ? 0 : base + windowSize;
+}
+
+void
 Resource::slide(Tick when)
 {
+    if (_counts.empty()) {
+        // The first booking allocates the window at the current
+        // base; it slides only if the booking lies beyond it.
+        _counts.assign(windowSize, 0);
+        setBase(_base);
+        if (when < _end)
+            return;
+    }
     // Clear the cycles that fall out of the window. Bookings there
     // are in the past relative to every future request (dispatch is
     // monotone), so dropping them is safe.
@@ -32,7 +46,7 @@ Resource::slide(Tick when)
     Tick clear_to = std::min(new_base, _base + windowSize);
     for (Tick t = clear_from; t < clear_to; ++t)
         slot(t) = 0;
-    _base = new_base;
+    setBase(new_base);
 }
 
 Tick
@@ -67,7 +81,7 @@ void
 Resource::resetTiming()
 {
     std::fill(_counts.begin(), _counts.end(), std::uint16_t(0));
-    _base = 0;
+    setBase(0);
     _horizon = 0;
 }
 
@@ -100,13 +114,18 @@ Resource::loadState(Deserializer &des)
     auto units = des.get<std::uint32_t>();
     if (units != _units)
         throw SerializeError("resource unit count mismatch");
-    _base = des.get<Tick>();
+    Tick base = des.get<Tick>();
     _busy = des.get<std::uint64_t>();
     _horizon = des.get<Tick>();
     Tick live = des.get<Tick>();
     if (live > windowSize)
         throw SerializeError("resource window overflow");
-    std::fill(_counts.begin(), _counts.end(), std::uint16_t(0));
+    // An empty live slice leaves an unbooked resource unallocated.
+    if (live > 0 && _counts.empty())
+        _counts.assign(windowSize, 0);
+    else
+        std::fill(_counts.begin(), _counts.end(), std::uint16_t(0));
+    setBase(base);
     for (Tick t = 0; t < live; ++t)
         slot(_base + t) = des.get<std::uint16_t>();
 }

@@ -29,6 +29,9 @@ class Deserializer;
  * Bookings before the window base (older than any live instruction's
  * dispatch tick) can no longer occur because dispatch is monotone;
  * the window slides forward accordingly.
+ *
+ * The window is allocated by the first booking, so a resource that
+ * is never booked costs no window memory.
  */
 class Resource
 {
@@ -94,20 +97,27 @@ class Resource
 
     std::uint16_t &slot(Tick t);
 
-    /** Slide check, inline; the slide itself is rare and cold. */
+    /**
+     * Slide check, inline; the slide itself is rare and cold. Before
+     * the first booking _end is 0, so that booking lands in slide(),
+     * which allocates the window.
+     */
     void
     maybeSlide(Tick t)
     {
-        if (t >= _base + windowSize) [[unlikely]]
+        if (t >= _end) [[unlikely]]
             slide(t);
     }
 
     void slide(Tick when);
+    /** Move the window to @p base, keeping _end in step. */
+    void setBase(Tick base);
     Tick acquireSlow(Tick when, Tick occupancy);
 
     std::uint32_t _units = 1;
-    std::vector<std::uint16_t> _counts;
+    std::vector<std::uint16_t> _counts; //!< empty until first booked
     Tick _base = 0; //!< first cycle represented by the window
+    Tick _end = 0;  //!< _base + windowSize once allocated, else 0
     std::uint64_t _busy = 0;
     Tick _horizon = 0; //!< one past the latest booked cycle
 };

@@ -77,6 +77,36 @@ Resource::acquireSlow(Tick when, Tick occupancy)
     return when;
 }
 
+Tick
+Resource::acquireRun(Tick when, std::uint32_t n,
+                     std::uint32_t perCycle)
+{
+    via_assert(n >= 1 && perCycle >= 1, "empty element run");
+    Tick due = when;        // element e's own start
+    std::uint32_t phase = 0; // elements already due at `due`
+    Tick cursor = 0;        // the cycle the previous element booked
+    for (std::uint32_t e = 0; e < n; ++e) {
+        Tick t = std::max(due, _base);
+        // Every cycle in [t, cursor) was probed full, and its slide
+        // check made, by an earlier element.
+        t = std::max(t, cursor);
+        maybeSlide(t + 1);
+        while (slot(t) >= _units) {
+            ++t;
+            maybeSlide(t + 1);
+        }
+        ++slot(t);
+        cursor = t;
+        if (++phase == perCycle) {
+            phase = 0;
+            ++due;
+        }
+    }
+    _busy += n;
+    _horizon = std::max(_horizon, cursor + 1);
+    return cursor;
+}
+
 void
 Resource::resetTiming()
 {

@@ -71,6 +71,18 @@ class Resource
         return acquireSlow(when, occupancy);
     }
 
+    /**
+     * Book a run of @p n single cycles, element e at or after
+     * when + e / perCycle: the same cycles as n calls of
+     * acquire(when + e / perCycle), in one scan. A cycle an earlier
+     * element found full stays full, so element e resumes at the
+     * later of its own start and the cycle element e-1 booked.
+     *
+     * @return the cycle the last element booked
+     */
+    Tick acquireRun(Tick when, std::uint32_t n,
+                    std::uint32_t perCycle);
+
     /** Release all bookings (new kernel run). */
     void resetTiming();
 

@@ -15,10 +15,7 @@ Fivu::bookPorts(Tick when, std::uint32_t elems)
     // Element moves share the SSPM ports; consecutive VIA
     // instructions pipeline through the pre/post-processing stages,
     // so the ports behave as a bandwidth resource, not a lock.
-    Tick last = when;
-    for (std::uint32_t e = 0; e < elems; ++e)
-        last = _ports.acquire(when + e / _config.ports);
-    return last + 1;
+    return _ports.acquireRun(when, elems, _config.ports) + 1;
 }
 
 Fivu::Timing

@@ -1,19 +1,32 @@
 /**
  * @file
  * Properties of the per-cycle bandwidth Resource: capacity limits,
- * no head-of-line blocking, and multi-cycle occupancy.
+ * no head-of-line blocking, multi-cycle occupancy, element runs, and
+ * the window's slide rule and checkpoint record.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "simcore/resource.hh"
+#include "simcore/rng.hh"
+#include "simcore/serialize.hh"
 
 namespace via
 {
 namespace
 {
+
+/** @p r's checkpoint record, written into @p out. */
+void
+image(const Resource &r, std::vector<std::uint8_t> &out)
+{
+    out.clear();
+    Serializer ser(out);
+    r.saveState(ser);
+}
 
 TEST(Resource, SingleUnitSerializesSameCycleRequests)
 {
@@ -115,6 +128,93 @@ TEST(Resource, InterleavedTimesRespectTotalCapacity)
     }
     for (const auto &kv : shadow)
         EXPECT_LE(kv.second, 2) << "cycle " << kv.first;
+}
+
+TEST(Resource, RunBookingMatchesElementBookings)
+{
+    // One acquireRun books what the per-element loop books, call by
+    // call, through window slides, jumps past the window and starts
+    // behind the window base.
+    std::vector<std::uint8_t> run_image, loop_image;
+    for (std::uint32_t units = 1; units <= 4; ++units) {
+        for (std::uint32_t per_cycle = 1; per_cycle <= 4;
+             ++per_cycle) {
+            Rng rng(16 * units + per_cycle);
+            Resource run(units), loop(units);
+            Tick front = 0;
+            for (int call = 0; call < 80; ++call) {
+                std::uint64_t kind = rng.below(100);
+                front += kind < 4 ? 65'536 + rng.below(100'000)
+                                  : rng.below(4);
+                Tick when = front;
+                if (kind >= 4 && kind < 12)
+                    when -= std::min<Tick>(
+                        front, 30'000 + rng.below(20'000));
+                if (rng.below(4) == 0) {
+                    Tick occupancy = 1 + rng.below(3);
+                    ASSERT_EQ(run.acquire(when, occupancy),
+                              loop.acquire(when, occupancy))
+                        << "call " << call;
+                } else {
+                    auto n = std::uint32_t(1 + rng.below(16));
+                    Tick last = 0;
+                    for (std::uint32_t e = 0; e < n; ++e)
+                        last = loop.acquire(when + e / per_cycle);
+                    ASSERT_EQ(run.acquireRun(when, n, per_cycle), last)
+                        << "call " << call << " n=" << n;
+                }
+                ASSERT_EQ(run.busy(), loop.busy());
+                ASSERT_EQ(run.horizon(), loop.horizon());
+                image(run, run_image);
+                image(loop, loop_image);
+                ASSERT_EQ(run_image, loop_image) << "call " << call;
+            }
+        }
+    }
+}
+
+TEST(Resource, FarFirstBookingKeepsTheSlideRule)
+{
+    // The first booking slides the window to t + 1 - 32,768, as a
+    // window allocated up front would: a later booking behind that
+    // base lands on it, one inside books its own cycle.
+    Resource r(1);
+    EXPECT_EQ(r.acquire(1'000'000), 1'000'000u);
+    EXPECT_EQ(r.acquire(960'000), 967'233u);
+    EXPECT_EQ(r.acquire(970'000), 970'000u);
+}
+
+TEST(Resource, UnbookedSavesTheSameRecord)
+{
+    // A never-booked resource saves base 0, busy 0, horizon 0 and an
+    // empty live slice, whether or not its window exists.
+    std::vector<std::uint8_t> expect = {'R', 'S', 'R', 'C'};
+    for (std::uint64_t v : {3, 0, 0, 0, 0})
+        for (int i = 0; i < 8; ++i)
+            expect.push_back(std::uint8_t(v >> (8 * i)));
+    std::vector<std::uint8_t> bytes;
+    Resource fresh(3);
+    image(fresh, bytes);
+    EXPECT_EQ(bytes, expect);
+    fresh.resetTiming();
+    image(fresh, bytes);
+    EXPECT_EQ(bytes, expect);
+
+    // Loading a booked image into a never-booked resource books the
+    // next cycles exactly as the original does.
+    Resource booked(3);
+    for (Tick t = 0; t < 40; ++t)
+        booked.acquire(70'000 + t / 4);
+    image(booked, bytes);
+    Resource restored(3);
+    Deserializer des(bytes);
+    restored.loadState(des);
+    for (Tick when : {70'005u, 70'000u, 69'000u, 80'000u})
+        EXPECT_EQ(restored.acquire(when), booked.acquire(when)) << when;
+    std::vector<std::uint8_t> restored_bytes;
+    image(restored, restored_bytes);
+    image(booked, bytes);
+    EXPECT_EQ(restored_bytes, bytes);
 }
 
 } // namespace

@@ -183,6 +183,25 @@ TimingInvariantChecker::checkFivu()
 }
 
 void
+TimingInvariantChecker::checkWindows()
+{
+    // A booking behind a window base is moved up to the base, which
+    // delays it. A single core books inside the window's slack; the
+    // cores of a multi-core machine do not yet (ROADMAP), so the
+    // check covers the machines without a shared LLC.
+    if (_machine.memSystem().shared() != nullptr)
+        return;
+    std::uint64_t clamps = _machine.core().windowClamps() +
+                           _machine.memSystem().dram().pipeClamps() +
+                           _machine.fivu().portClamps() +
+                           _machine.backend().windowClamps();
+    if (clamps != 0)
+        fail("window-clamp",
+             std::to_string(clamps) +
+                 " bookings moved up to a resource window base");
+}
+
+void
 TimingInvariantChecker::checkCore()
 {
     const OoOCore &core = _machine.core();
@@ -226,6 +245,7 @@ TimingInvariantChecker::finalize()
     checkDram();
     checkCam();
     checkFivu();
+    checkWindows();
     checkCore();
     checkTrace();
 }

@@ -21,6 +21,8 @@
  *   - SSPM traffic and CAM searches agree
  *     (camWrites <= searches <= camReads + camWrites),
  *   - FIVU occupancy covers its SSPM port phases,
+ *   - on a single core, no resource booking asked for a cycle behind
+ *     its window base (which would move it up to the base),
  *   - trace roll-up busy + idle == run cycles per component.
  *
  * The checker is observation-only: it never feeds anything back into
@@ -114,6 +116,7 @@ class TimingInvariantChecker : public TimingObserver
     void checkDram();
     void checkCam();
     void checkFivu();
+    void checkWindows();
     void checkCore();
     void checkTrace();
 

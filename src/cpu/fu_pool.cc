@@ -33,6 +33,15 @@ FuPool::resetTiming()
         r.resetTiming();
 }
 
+std::uint64_t
+FuPool::clamps() const
+{
+    std::uint64_t n = 0;
+    for (const auto &r : _resources)
+        n += r.clamps();
+    return n;
+}
+
 void
 FuPool::saveState(Serializer &ser) const
 {

@@ -37,6 +37,9 @@ class FuPool
 
     void resetTiming();
 
+    /** Bookings every class resource moved up to its window base. */
+    std::uint64_t clamps() const;
+
     /** Serialize every class resource (checkpoints). */
     void saveState(Serializer &ser) const;
     /** Restore state saved by saveState. */

@@ -160,6 +160,15 @@ class OoOCore
     const SlotPool &storeQueue() const { return _storeQueue; }
     const StoreTracker &stores() const { return _stores; }
 
+    /** Bookings the core's FU, dispatch and commit resources moved
+     *  up to their window bases. */
+    std::uint64_t
+    windowClamps() const
+    {
+        return _fus.clamps() + _dispatchPorts.clamps() +
+               _rob.commitClamps();
+    }
+
     /** Attach a timing observer (notified on every push/reset). */
     void addTimingObserver(TimingObserver *obs);
     /** Detach a previously attached observer (no-op if absent). */

@@ -62,6 +62,9 @@ class RobModel
         return n;
     }
 
+    /** Commit bookings moved up to the window base. */
+    std::uint64_t commitClamps() const { return _commitPorts.clamps(); }
+
     /** Reset for a new kernel run. */
     void resetTiming();
 

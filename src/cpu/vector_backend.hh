@@ -96,6 +96,10 @@ class VectorBackend
     /** Reset timing (not statistics) between kernels. */
     virtual void resetTiming() { _fivu.resetTiming(); }
 
+    /** Bookings the backend's own resources moved up to their
+     *  window bases (the FIVU's ports are the Machine's). */
+    virtual std::uint64_t windowClamps() const { return 0; }
+
     /**
      * Serialize backend state appended to the machine checkpoint.
      * Via/Base write nothing (checkpoint byte-identity); stateful
@@ -218,6 +222,12 @@ class SsrBackend : public VectorBackend
         VectorBackend::resetTiming();
         _cfgUnit.resetTiming();
         _lastCfgComplete = 0;
+    }
+
+    std::uint64_t
+    windowClamps() const override
+    {
+        return _cfgUnit.clamps();
     }
 
     void saveState(Serializer &ser) const override;

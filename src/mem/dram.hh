@@ -86,6 +86,9 @@ class Dram
     /** Latest tick the pipe has been booked to (timing-reset aware). */
     Tick pipeHorizon() const { return _pipe.horizon(); }
 
+    /** Pipe bookings moved up to the window base. */
+    std::uint64_t pipeClamps() const { return _pipe.clamps(); }
+
     /** Attach a trace sink for burst start/end events. */
     void setTrace(TraceManager *trace) { _trace = trace; }
 

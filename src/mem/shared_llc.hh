@@ -19,9 +19,12 @@
  *  - a single shared DRAM behind the tags, which all cores' misses
  *    serialize on.
  *
- * Timing is analytic, like MemSystem: no event scheduling, and
- * out-of-order bookings across cores are legal because Resource
- * clamps acquisitions before its window base.
+ * Timing is analytic, like MemSystem: no event scheduling. The cores
+ * book the banks and the DRAM out of simulated-time order, and a
+ * booking that asks for a cycle behind a Resource's window base is
+ * moved up to the base, which delays it. That is not harmless: one
+ * static-partitioned chunk runs far past the window's slack, and
+ * spma_4core moves 770 bookings, by up to 1.1M cycles (ROADMAP).
  */
 
 #ifndef VIA_MEM_SHARED_LLC_HH

@@ -53,7 +53,10 @@ Tick
 Resource::acquireSlow(Tick when, Tick occupancy)
 {
     via_assert(occupancy >= 1, "zero occupancy booking");
-    when = std::max(when, _base);
+    if (when < _base) {
+        when = _base;
+        ++_clamps;
+    }
     maybeSlide(when + occupancy);
 
     for (;;) {
@@ -86,7 +89,11 @@ Resource::acquireRun(Tick when, std::uint32_t n,
     std::uint32_t phase = 0; // elements already due at `due`
     Tick cursor = 0;        // the cycle the previous element booked
     for (std::uint32_t e = 0; e < n; ++e) {
-        Tick t = std::max(due, _base);
+        Tick t = due;
+        if (t < _base) {
+            t = _base;
+            ++_clamps;
+        }
         // Every cycle in [t, cursor) was probed full, and its slide
         // check made, by an earlier element.
         t = std::max(t, cursor);

@@ -53,8 +53,10 @@ class Resource
     acquire(Tick when, Tick occupancy = 1)
     {
         if (occupancy == 1) [[likely]] {
-            if (when < _base)
+            if (when < _base) [[unlikely]] {
                 when = _base;
+                ++_clamps;
+            }
             maybeSlide(when + 1);
             std::size_t idx = std::size_t(when) & (windowSize - 1);
             while (_counts[idx] >= _units) [[unlikely]] {
@@ -98,6 +100,13 @@ class Resource
      */
     Tick horizon() const { return _horizon; }
 
+    /**
+     * Bookings asked for a cycle behind the window base and moved up
+     * to it, which delays them. Never reset or checkpointed: the
+     * invariant checker requires it to stay 0 on a single core.
+     */
+    std::uint64_t clamps() const { return _clamps; }
+
     /** Serialize booking state (checkpoints). */
     void saveState(Serializer &ser) const;
     /** Restore state saved by saveState; validates unit count. */
@@ -132,6 +141,7 @@ class Resource
     Tick _end = 0;  //!< _base + windowSize once allocated, else 0
     std::uint64_t _busy = 0;
     Tick _horizon = 0; //!< one past the latest booked cycle
+    std::uint64_t _clamps = 0;
 };
 
 

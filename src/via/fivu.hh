@@ -67,6 +67,9 @@ class Fivu
     /** First tick the unit can accept a new instruction. */
     Tick nextFree() const { return _nextFree; }
 
+    /** SSPM port bookings moved up to the window base. */
+    std::uint64_t portClamps() const { return _ports.clamps(); }
+
     /** Reset timing (not statistics), e.g. between kernels. */
     void
     resetTiming()

@@ -190,6 +190,21 @@ TEST(InvariantChecker, CatchesCamComparatorMiscount)
     EXPECT_EQ(checker.violations()[0].invariant, "cam-comparators");
 }
 
+TEST(InvariantChecker, CatchesWindowClamp)
+{
+    EnvGuard guard;
+    Machine m{MachineParams{}};
+    auto &checker = m.attachChecker();
+    // The first request slides the pipe's window far past tick 0, so
+    // the second is moved up to the window base.
+    m.memSystem().dram().serve(64, 1'000'000, false);
+    m.memSystem().dram().serve(64, 0, false);
+    EXPECT_EQ(m.memSystem().dram().pipeClamps(), 1u);
+    EXPECT_FALSE(checker.checkAll());
+    ASSERT_FALSE(checker.violations().empty());
+    EXPECT_EQ(checker.violations()[0].invariant, "window-clamp");
+}
+
 TEST(InvariantChecker, CatchesNonMonotoneInstTiming)
 {
     EnvGuard guard;

@@ -143,13 +143,16 @@ TEST(Resource, RunBookingMatchesElementBookings)
             Resource run(units), loop(units);
             Tick front = 0;
             for (int call = 0; call < 80; ++call) {
-                std::uint64_t kind = rng.below(100);
-                front += kind < 4 ? 65'536 + rng.below(100'000)
-                                  : rng.below(4);
+                // Every 20 calls the front jumps past the window, and
+                // some of the calls after a jump ask for cycles up to
+                // 80,000 behind it.
+                bool jump = call % 20 == 10;
+                front += jump ? 65'536 + rng.below(100'000)
+                              : rng.below(4);
                 Tick when = front;
-                if (kind >= 4 && kind < 12)
+                if (call % 20 > 10 && rng.below(3) == 0)
                     when -= std::min<Tick>(
-                        front, 30'000 + rng.below(20'000));
+                        front, 30'000 + rng.below(50'000));
                 if (rng.below(4) == 0) {
                     Tick occupancy = 1 + rng.below(3);
                     ASSERT_EQ(run.acquire(when, occupancy),
@@ -165,10 +168,14 @@ TEST(Resource, RunBookingMatchesElementBookings)
                 }
                 ASSERT_EQ(run.busy(), loop.busy());
                 ASSERT_EQ(run.horizon(), loop.horizon());
+                ASSERT_EQ(run.clamps(), loop.clamps());
                 image(run, run_image);
                 image(loop, loop_image);
                 ASSERT_EQ(run_image, loop_image) << "call " << call;
             }
+            // The sequence reached behind the window base.
+            EXPECT_GT(run.clamps(), 0u)
+                << "units=" << units << " perCycle=" << per_cycle;
         }
     }
 }
@@ -182,6 +189,7 @@ TEST(Resource, FarFirstBookingKeepsTheSlideRule)
     EXPECT_EQ(r.acquire(1'000'000), 1'000'000u);
     EXPECT_EQ(r.acquire(960'000), 967'233u);
     EXPECT_EQ(r.acquire(970'000), 970'000u);
+    EXPECT_EQ(r.clamps(), 1u);
 }
 
 TEST(Resource, UnbookedSavesTheSameRecord)

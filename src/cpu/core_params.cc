@@ -13,8 +13,6 @@ CoreParams::unitsFor(FuClass cls) const
         return 0;
       case FuClass::IntAlu:
         return intAluUnits;
-      case FuClass::IntMul:
-        return intMulUnits;
       case FuClass::VecAlu:
         return vecAluUnits;
       case FuClass::VecFp:

@@ -34,7 +34,6 @@ struct CoreParams
 
     // Functional-unit counts.
     std::uint32_t intAluUnits = 4;
-    std::uint32_t intMulUnits = 1;
     std::uint32_t vecAluUnits = 2;
     std::uint32_t vecFpUnits = 2;
     std::uint32_t vecFpMulUnits = 2;

@@ -13,7 +13,7 @@ FuPool::FuPool(const CoreParams &params)
 {
     for (std::size_t c = 1; c < std::size_t(FuClass::NumClasses);
          ++c) {
-        _resources[c] =
+        _resources[c - 1] =
             Resource(params.unitsFor(FuClass(c)));
     }
 }
@@ -23,7 +23,7 @@ FuPool::forClass(FuClass cls)
 {
     via_assert(cls != FuClass::None && cls < FuClass::NumClasses,
                "no resource for FU class ", int(cls));
-    return _resources[std::size_t(cls)];
+    return _resources[std::size_t(cls) - 1];
 }
 
 void

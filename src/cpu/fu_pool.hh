@@ -27,7 +27,7 @@ struct CoreParams;
 class Serializer;
 class Deserializer;
 
-/** One Resource per functional-unit class. */
+/** One Resource per functional-unit class (FuClass::None has none). */
 class FuPool
 {
   public:
@@ -46,8 +46,9 @@ class FuPool
     void loadState(Deserializer &des);
 
   private:
+    /** Class c's resource sits at c - 1. */
     std::array<Resource,
-               std::size_t(FuClass::NumClasses)> _resources;
+               std::size_t(FuClass::NumClasses) - 1> _resources;
 };
 
 } // namespace via

@@ -17,8 +17,6 @@ OpLatencies::latencyOf(Op op) const
         return 0;
       case FuClass::IntAlu:
         return intAlu;
-      case FuClass::IntMul:
-        return intMul;
       case FuClass::VecAlu:
         return vecAlu;
       case FuClass::VecFp:

@@ -83,7 +83,6 @@ struct Inst
 struct OpLatencies
 {
     Tick intAlu = 1;
-    Tick intMul = 3;
     Tick vecAlu = 1;
     Tick vecFp = 4;      //!< FP add/sub
     Tick vecFpMul = 5;   //!< FP mul / FMA

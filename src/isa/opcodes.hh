@@ -93,7 +93,6 @@ enum class FuClass : std::uint8_t
 {
     None = 0, //!< zero-latency / folded
     IntAlu,
-    IntMul,   //!< no op issues to it; its window keeps the image layout
     VecAlu,   //!< vector int/compare/mask
     VecFp,    //!< vector FP add/sub
     VecFpMul, //!< vector FP mul / FMA

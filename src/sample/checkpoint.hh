@@ -45,7 +45,9 @@ class Checkpoint
   public:
     /** 'VIAC' little-endian. */
     static constexpr std::uint64_t MAGIC = 0x43414956;
-    static constexpr std::uint64_t VERSION = 1;
+    /** 2: the FU pool saves no window for FuClass::None and none
+     *  for the deleted integer-multiply class. */
+    static constexpr std::uint64_t VERSION = 2;
 
     Checkpoint() = default;
 

@@ -39,8 +39,11 @@
  *   - VIA must not lose to the baseline at the p99 latency tail
  *
  * When the baseline file is missing a leg bootstraps: it writes
- * the report and passes. CI runs all legs on every push (see
- * .github/workflows/ci.yml).
+ * the report and passes. A gated leg never writes its report over
+ * the baseline it gates against unless update=1 asks it to: the
+ * same path for both is a usage error (exit 2), since the next run
+ * would gate against this run's output. CI runs all legs on every
+ * push (see .github/workflows/ci.yml).
  *
  * Usage:
  *   bench_report [key=value ...]      (help=1 for the key table)
@@ -50,6 +53,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -192,14 +196,39 @@ jsonHash(const std::string &sect, const std::string &key,
     return true;
 }
 
+/**
+ * The baseline path a gated leg reads: @p base_key, or the
+ * @p out_key report path when it is empty. The report may not
+ * overwrite it unless update=1 is given (usage error, exit 2).
+ */
+std::string
+baselinePath(const Options &opts, const std::string &out_key,
+             const std::string &base_key)
+{
+    namespace fs = std::filesystem;
+    std::string out = opts.getString(out_key);
+    std::string base = opts.getString(base_key);
+    if (base.empty())
+        base = out;
+    std::error_code eo, eb;
+    fs::path co = fs::weakly_canonical(fs::absolute(out), eo);
+    fs::path cb = fs::weakly_canonical(fs::absolute(base), eb);
+    bool same = (eo || eb) ? out == base : co == cb;
+    if (same && !opts.getBool("update"))
+        opts.usageError(out_key + "= and " + base_key +
+                        "= name the same file (" + out +
+                        "); write the report elsewhere, or pass "
+                        "update=1 to rewrite the baseline");
+    return base;
+}
+
 int
 runSimspeed(const Options &opts)
 {
+    std::string base_path =
+        baselinePath(opts, "simspeed_out", "simspeed_baseline");
     auto repeats = std::size_t(opts.getUInt("repeats"));
     std::string out_path = opts.getString("simspeed_out");
-    std::string base_path = opts.getString("simspeed_baseline");
-    if (base_path.empty())
-        base_path = out_path;
 
     std::printf("bench_report: simspeed gate (detailed mode, "
                 "best of %zu)\n",
@@ -364,10 +393,9 @@ struct ServeLeg
 int
 runServing(const Options &opts)
 {
+    std::string base_path =
+        baselinePath(opts, "serve_out", "serve_baseline");
     std::string out_path = opts.getString("serve_out");
-    std::string base_path = opts.getString("serve_baseline");
-    if (base_path.empty())
-        base_path = out_path;
 
     // The reference serving configuration: two SpMV classes (CSR and
     // SELL-C-sigma), arrivals fast enough that the scheduler
@@ -587,7 +615,10 @@ main(int argc, char **argv)
                    "serving-leg JSON report path")
         .addString("serve_baseline", "",
                    "baseline JSON to gate against (default: the "
-                   "serve_out path)");
+                   "serve_out path)")
+        .addFlag("update",
+                 "let simspeed_out/serve_out write over the "
+                 "baseline they gate against (re-baseline)");
     addThreadsOption(opts);
     addSelfProfOption(opts);
     opts.parse(argc, argv);

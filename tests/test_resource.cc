@@ -142,17 +142,31 @@ TEST(Resource, RunBookingMatchesElementBookings)
             Rng rng(16 * units + per_cycle);
             Resource run(units), loop(units);
             Tick front = 0;
-            for (int call = 0; call < 80; ++call) {
-                // Every 20 calls the front jumps past the window, and
-                // some of the calls after a jump ask for cycles up to
-                // 80,000 behind it.
-                bool jump = call % 20 == 10;
-                front += jump ? 65'536 + rng.below(100'000)
-                              : rng.below(4);
-                Tick when = front;
-                if (call % 20 > 10 && rng.below(3) == 0)
-                    when -= std::min<Tick>(
-                        front, 30'000 + rng.below(50'000));
+            // Up to `behind` cycles before the front, never below 0.
+            auto before = [&](Tick behind) {
+                return front - std::min(front, behind);
+            };
+            for (int call = 0; call < 69; ++call) {
+                // 60 calls inside the first window, slightly out of
+                // order. Then three rounds of: a jump past the window
+                // (which slides the base to about front - 32,767), a
+                // call that starts just behind that base, and one
+                // that starts far behind it. The saved window of a
+                // slid resource is 32,768 cycles, so the rounds are
+                // few.
+                int round = call < 60 ? -1 : (call - 60) % 3;
+                Tick when;
+                if (round == 0) {
+                    front += 65'536 + rng.below(100'000);
+                    when = front;
+                } else if (round == 1) {
+                    when = before(32'768 + rng.below(8));
+                } else if (round == 2) {
+                    when = before(40'000 + rng.below(40'000));
+                } else {
+                    front += rng.below(4);
+                    when = before(rng.below(8));
+                }
                 if (rng.below(4) == 0) {
                     Tick occupancy = 1 + rng.below(3);
                     ASSERT_EQ(run.acquire(when, occupancy),
@@ -178,6 +192,19 @@ TEST(Resource, RunBookingMatchesElementBookings)
                 << "units=" << units << " perCycle=" << per_cycle;
         }
     }
+
+    // A run whose scan reaches the window's last cycle slides the
+    // window there, before the run ends, as the loop's acquire does.
+    Resource run(1), loop(1);
+    for (Tick t = 0; t + 1 < 65'536; ++t) {
+        run.acquire(t);
+        loop.acquire(t);
+    }
+    EXPECT_EQ(run.acquireRun(65'533, 1, 1), 65'535u);
+    EXPECT_EQ(loop.acquire(65'533), 65'535u);
+    image(run, run_image);
+    image(loop, loop_image);
+    EXPECT_EQ(run_image, loop_image);
 }
 
 TEST(Resource, FarFirstBookingKeepsTheSlideRule)

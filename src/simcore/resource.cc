@@ -33,7 +33,7 @@ Resource::slide(Tick when)
         // The first booking allocates the window at the current
         // base; it slides only if the booking lies beyond it.
         _counts.assign(windowSize, 0);
-        setBase(_base);
+        _end = _base + windowSize;
         if (when < _end)
             return;
     }

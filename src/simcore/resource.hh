@@ -27,8 +27,10 @@ class Deserializer;
  * cache ports behave in an out-of-order core.
  *
  * Bookings before the window base (older than any live instruction's
- * dispatch tick) can no longer occur because dispatch is monotone;
- * the window slides forward accordingly.
+ * dispatch tick) cannot occur on a single core because dispatch is
+ * monotone; the window slides forward accordingly. A booking that
+ * asks for such a cycle anyway is moved up to the base and counted
+ * (clamps()).
  *
  * The window is allocated by the first booking, so a resource that
  * is never booked costs no window memory.

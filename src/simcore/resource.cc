@@ -13,6 +13,17 @@ Resource::Resource(std::uint32_t units)
 {
 }
 
+Tick
+Resource::liveSlice(Tick base, Tick horizon)
+{
+    // Nonzero bookings live only in [base, horizon): cycles below
+    // base were cleared when the window slid, cycles at or beyond
+    // horizon were never booked. Storing just that slice keeps
+    // checkpoints compact without losing a single booking.
+    return horizon > base ? std::min<Tick>(horizon - base, windowSize)
+                          : 0;
+}
+
 std::uint16_t &
 Resource::slot(Tick t)
 {
@@ -130,13 +141,7 @@ Resource::saveState(Serializer &ser) const
     ser.put(_base);
     ser.put(_busy);
     ser.put(_horizon);
-    // Nonzero bookings live only in [_base, _horizon): cycles below
-    // _base were cleared when the window slid, cycles at or beyond
-    // _horizon were never booked. Storing just that slice keeps
-    // checkpoints compact without losing a single booking.
-    Tick live = _horizon > _base
-                    ? std::min<Tick>(_horizon - _base, windowSize)
-                    : 0;
+    Tick live = liveSlice(_base, _horizon);
     ser.put(live);
     for (Tick t = 0; t < live; ++t) {
         auto &self = const_cast<Resource &>(*this);
@@ -152,11 +157,18 @@ Resource::loadState(Deserializer &des)
     if (units != _units)
         throw SerializeError("resource unit count mismatch");
     Tick base = des.get<Tick>();
-    _busy = des.get<std::uint64_t>();
-    _horizon = des.get<Tick>();
+    auto busy = des.get<std::uint64_t>();
+    Tick horizon = des.get<Tick>();
     Tick live = des.get<Tick>();
-    if (live > windowSize)
-        throw SerializeError("resource window overflow");
+    // saveState writes exactly the slice its base and horizon span.
+    // Any other count is a damaged image, and a window left
+    // unallocated under a nonempty slice would be read out of bounds
+    // by the next saveState.
+    if (live != liveSlice(base, horizon))
+        throw SerializeError("resource live slice does not match "
+                             "its base and horizon");
+    _busy = busy;
+    _horizon = horizon;
     // An empty live slice leaves an unbooked resource unallocated.
     if (live > 0 && _counts.empty())
         _counts.assign(windowSize, 0);

@@ -111,12 +111,19 @@ class Resource
 
     /** Serialize booking state (checkpoints). */
     void saveState(Serializer &ser) const;
-    /** Restore state saved by saveState; validates unit count. */
+    /**
+     * Restore state saved by saveState. Throws SerializeError on a
+     * unit count mismatch, or on a live slice that the record's base
+     * and horizon contradict.
+     */
     void loadState(Deserializer &des);
 
   private:
     /** Cycles tracked by the sliding window (a power of two). */
     static constexpr std::size_t windowSize = 1 << 16;
+
+    /** Cycles of the window a checkpoint record stores. */
+    static Tick liveSlice(Tick base, Tick horizon);
 
     std::uint16_t &slot(Tick t);
 

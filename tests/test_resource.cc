@@ -219,14 +219,22 @@ TEST(Resource, FarFirstBookingKeepsTheSlideRule)
     EXPECT_EQ(r.clamps(), 1u);
 }
 
+/** A checkpoint record: units, base, busy, horizon, live, slots. */
+std::vector<std::uint8_t>
+record(std::initializer_list<std::uint64_t> fields)
+{
+    std::vector<std::uint8_t> out = {'R', 'S', 'R', 'C'};
+    for (std::uint64_t v : fields)
+        for (int i = 0; i < 8; ++i)
+            out.push_back(std::uint8_t(v >> (8 * i)));
+    return out;
+}
+
 TEST(Resource, UnbookedSavesTheSameRecord)
 {
     // A never-booked resource saves base 0, busy 0, horizon 0 and an
     // empty live slice, whether or not its window exists.
-    std::vector<std::uint8_t> expect = {'R', 'S', 'R', 'C'};
-    for (std::uint64_t v : {3, 0, 0, 0, 0})
-        for (int i = 0; i < 8; ++i)
-            expect.push_back(std::uint8_t(v >> (8 * i)));
+    std::vector<std::uint8_t> expect = record({3, 0, 0, 0, 0});
     std::vector<std::uint8_t> bytes;
     Resource fresh(3);
     image(fresh, bytes);
@@ -250,6 +258,33 @@ TEST(Resource, UnbookedSavesTheSameRecord)
     image(restored, restored_bytes);
     image(booked, bytes);
     EXPECT_EQ(restored_bytes, bytes);
+}
+
+TEST(Resource, LoadRejectsALiveSliceItsWindowDoesNotHold)
+{
+    // saveState stores the slice [base, horizon); a record whose live
+    // count disagrees is refused before anything is applied, so a
+    // never-booked resource keeps its window unallocated and saves
+    // its empty record afterwards instead of reading past it.
+    for (const auto &bad :
+         {record({1, 0, 2, 5, 0}), record({1, 0, 2, 5, 4, 1, 1, 0, 0}),
+          record({1, 0, 1, 0, 1, 1}),
+          record({1, 100, 1, 90, 1, 1})}) {
+        Resource r(1);
+        Deserializer des(bad);
+        EXPECT_THROW(r.loadState(des), SerializeError);
+        std::vector<std::uint8_t> bytes;
+        image(r, bytes);
+        EXPECT_EQ(bytes, record({1, 0, 0, 0, 0}));
+    }
+    // The consistent record for those first two loads and saves back.
+    auto good = record({1, 0, 2, 5, 5, 1, 1, 0, 0, 0});
+    Resource r(1);
+    Deserializer des(good);
+    r.loadState(des);
+    std::vector<std::uint8_t> bytes;
+    image(r, bytes);
+    EXPECT_EQ(bytes, good);
 }
 
 } // namespace

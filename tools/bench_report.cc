@@ -38,12 +38,14 @@
  *   - the serving fingerprint must match the baseline bit-for-bit
  *   - VIA must not lose to the baseline at the p99 latency tail
  *
- * When the baseline file is missing a leg bootstraps: it writes
- * the report and passes. A gated leg never writes its report over
- * the baseline it gates against unless update=1 asks it to: the
- * same path for both is a usage error (exit 2), since the next run
- * would gate against this run's output. CI runs all legs on every
- * push (see .github/workflows/ci.yml).
+ * A gated leg reads the committed baseline and writes its report
+ * to a file of its own (BENCH_simspeed_ci.json,
+ * BENCH_serving_ci.json); naming one file for both is a usage error
+ * (exit 2), since the next run would gate against this run's
+ * output. To re-baseline, copy the report over the baseline. When
+ * the baseline file is missing a leg bootstraps: it writes the
+ * report and passes. CI runs all legs on every push (see
+ * .github/workflows/ci.yml).
  *
  * Usage:
  *   bench_report [key=value ...]      (help=1 for the key table)
@@ -197,38 +199,43 @@ jsonHash(const std::string &sect, const std::string &key,
 }
 
 /**
- * The baseline path a gated leg reads: @p base_key, or the
- * @p out_key report path when it is empty. The report may not
- * overwrite it unless update=1 is given (usage error, exit 2).
+ * A gated leg's report path @p out_key and baseline path @p base_key
+ * must each name a file, and not the same one (usage error, exit 2).
  */
-std::string
-baselinePath(const Options &opts, const std::string &out_key,
-             const std::string &base_key)
+void
+requireSeparatePaths(const Options &opts, const std::string &out_key,
+                     const std::string &base_key)
 {
     namespace fs = std::filesystem;
     std::string out = opts.getString(out_key);
     std::string base = opts.getString(base_key);
+    if (out.empty())
+        opts.usageError(out_key + "= must name a file");
     if (base.empty())
-        base = out;
+        opts.usageError(base_key + "= must name a file");
+    // Compare the files the paths resolve to, or the strings when
+    // either cannot be resolved.
+    auto resolve = [](const std::string &path, std::error_code &ec) {
+        fs::path abs = fs::absolute(path, ec);
+        return ec ? abs : fs::weakly_canonical(abs, ec);
+    };
     std::error_code eo, eb;
-    fs::path co = fs::weakly_canonical(fs::absolute(out), eo);
-    fs::path cb = fs::weakly_canonical(fs::absolute(base), eb);
-    bool same = (eo || eb) ? out == base : co == cb;
-    if (same && !opts.getBool("update"))
+    fs::path ro = resolve(out, eo);
+    fs::path rb = resolve(base, eb);
+    if ((eo || eb) ? out == base : ro == rb)
         opts.usageError(out_key + "= and " + base_key +
                         "= name the same file (" + out +
-                        "); write the report elsewhere, or pass "
-                        "update=1 to rewrite the baseline");
-    return base;
+                        "); write the report elsewhere and copy it "
+                        "over the baseline to re-baseline");
 }
 
 int
 runSimspeed(const Options &opts)
 {
-    std::string base_path =
-        baselinePath(opts, "simspeed_out", "simspeed_baseline");
+    requireSeparatePaths(opts, "simspeed_out", "simspeed_baseline");
     auto repeats = std::size_t(opts.getUInt("repeats"));
     std::string out_path = opts.getString("simspeed_out");
+    std::string base_path = opts.getString("simspeed_baseline");
 
     std::printf("bench_report: simspeed gate (detailed mode, "
                 "best of %zu)\n",
@@ -393,9 +400,9 @@ struct ServeLeg
 int
 runServing(const Options &opts)
 {
-    std::string base_path =
-        baselinePath(opts, "serve_out", "serve_baseline");
+    requireSeparatePaths(opts, "serve_out", "serve_baseline");
     std::string out_path = opts.getString("serve_out");
+    std::string base_path = opts.getString("serve_baseline");
 
     // The reference serving configuration: two SpMV classes (CSR and
     // SELL-C-sigma), arrivals fast enough that the scheduler
@@ -603,22 +610,17 @@ main(int argc, char **argv)
         .addFlag("simspeed",
                  "run the detailed-mode simulator speed gate "
                  "instead of the sampling leg")
-        .addString("simspeed_out", "BENCH_simspeed.json",
+        .addString("simspeed_out", "BENCH_simspeed_ci.json",
                    "simspeed-leg JSON report path")
-        .addString("simspeed_baseline", "",
-                   "baseline JSON to gate against (default: the "
-                   "simspeed_out path)")
+        .addString("simspeed_baseline", "BENCH_simspeed.json",
+                   "baseline JSON to gate against")
         .addFlag("serve",
                  "run the serving-subsystem gate instead of the "
                  "sampling leg")
-        .addString("serve_out", "BENCH_serving.json",
+        .addString("serve_out", "BENCH_serving_ci.json",
                    "serving-leg JSON report path")
-        .addString("serve_baseline", "",
-                   "baseline JSON to gate against (default: the "
-                   "serve_out path)")
-        .addFlag("update",
-                 "let simspeed_out/serve_out write over the "
-                 "baseline they gate against (re-baseline)");
+        .addString("serve_baseline", "BENCH_serving.json",
+                   "baseline JSON to gate against");
     addThreadsOption(opts);
     addSelfProfOption(opts);
     opts.parse(argc, argv);

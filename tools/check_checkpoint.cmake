@@ -1,10 +1,18 @@
 # Checkpoint round trip through the CLI: run a kernel and write the
 # post-run image, then restore it into a fresh machine and run again.
 # Both invocations must self-verify (exit 0), and the restore must
-# report that it consumed the file. The restored run samples a
-# timeline, whose first window must close at the restored cycle
-# count plus the window. Driven by add_test in tools/CMakeLists.txt
-# with -DVIA_SIM=... -DCP=<scratch path>.
+# report that it consumed the file. The image's SHA-256 must match
+# the first word of the GOLDEN file, so any change to what a
+# checkpoint holds shows here. The restored run samples a timeline,
+# whose first window must close at the restored cycle count plus the
+# window. Driven by add_test in tools/CMakeLists.txt with
+# -DVIA_SIM=... -DCP=<scratch path> -DGOLDEN=<golden file>.
+#
+# Recapture the golden in place, only when the image is meant to
+# change (a new checkpoint VERSION):
+#   cmake -DVIA_SIM=build/tools/via_sim -DCP=/tmp/cp.bin
+#         -DGOLDEN=tools/goldens/checkpoint.sha256 -DUPDATE=1
+#         -P tools/check_checkpoint.cmake
 
 execute_process(
     COMMAND ${VIA_SIM} spmv rows=128 density=0.03 checkpoint=${CP}
@@ -19,6 +27,21 @@ if(NOT save_out MATCHES "checkpoint written to")
 endif()
 if(NOT EXISTS ${CP})
     message(FATAL_ERROR "checkpoint file ${CP} was not written")
+endif()
+set(command "via_sim spmv rows=128 density=0.03 checkpoint=<file>")
+file(SHA256 ${CP} image_hash)
+if(UPDATE)
+    file(WRITE ${GOLDEN} "${image_hash} ${command}\n")
+    message(STATUS "recaptured ${GOLDEN}: ${image_hash}")
+else()
+    file(STRINGS ${GOLDEN} golden_line LIMIT_COUNT 1)
+    if(NOT golden_line MATCHES "^([0-9a-f]+) ")
+        message(FATAL_ERROR "malformed golden ${GOLDEN}: ${golden_line}")
+    endif()
+    if(NOT image_hash STREQUAL CMAKE_MATCH_1)
+        message(FATAL_ERROR "checkpoint image of `${command}` changed:\n"
+                "  golden  ${CMAKE_MATCH_1}\n  now     ${image_hash}")
+    endif()
 endif()
 if(NOT save_out MATCHES "VIA csb +([0-9]+) cycles")
     message(FATAL_ERROR "no VIA cycle count:\n${save_out}")

@@ -5,11 +5,11 @@
  * Each core is a full single-core Machine (private L1, SSPM, FIVU,
  * index table, OoO core) whose architectural memory is this
  * object's shared BackingStore and whose last private cache level
- * misses into the shared SharedLlc. Parallel kernels
- * (src/kernels/parallel.hh) drive the cores with partitioned work;
- * each core's emit stream is independent, so per-core timing stays
- * deterministic and the shared level resolves contention and
- * coherence analytically.
+ * misses into the shared SharedLlc. The kernel runners
+ * (src/kernels/parallel.hh) drive the cores with partitioned work,
+ * through the Cores view below; each core's emit stream is
+ * independent, so per-core timing stays deterministic and the shared
+ * level resolves contention and coherence analytically.
  *
  * cores=1 drivers must construct a plain Machine instead: the
  * single-core path is bit-identical to the pre-multicore simulator
@@ -80,6 +80,34 @@ class MultiMachine
     std::unique_ptr<SharedLlc> _llc;
     std::vector<std::unique_ptr<Machine>> _cores;
     StatSet _stats;
+};
+
+/**
+ * The cores a run emits on: one Machine, or every core of a
+ * MultiMachine. A non-owning view, built implicitly from either, so
+ * the kernel runners (kernels/parallel.hh) take one path at every
+ * core count and a run on one Machine is the single-core run.
+ */
+class Cores
+{
+  public:
+    Cores(Machine &m) : _one(&m) {}
+    Cores(MultiMachine &mm) : _many(&mm) {}
+
+    unsigned count() const { return _many ? _many->cores() : 1; }
+    Machine &core(unsigned i) const
+    {
+        return _many ? _many->core(i) : *_one;
+    }
+    /** Makespan: the latest commit front (one Machine's cycles()). */
+    Tick cycles() const
+    {
+        return _many ? _many->cycles() : _one->cycles();
+    }
+
+  private:
+    Machine *_one = nullptr;
+    MultiMachine *_many = nullptr;
 };
 
 } // namespace via

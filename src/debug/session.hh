@@ -65,6 +65,8 @@ struct DebugTarget
     {
         return machine ? machine->cycles() : multi->cycles();
     }
+    /** Every core, for a kernel runner. */
+    Cores view() { return machine ? Cores(*machine) : Cores(*multi); }
 };
 
 /** Rebuilds a fresh target (used at start and on every rewind). */

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "kernels/ranges.hh"
+#include "kernels/parallel.hh"
 #include "simcore/log.hh"
 
 namespace via::kernels
@@ -44,37 +44,20 @@ convertAndUpload(Machine &m, const Csr &a, const std::string &fmt)
     return s;
 }
 
-namespace
-{
-
-/** Emit y = A x with the @p kind body against @p s. */
-SpmvResult
-spmvAt(Machine &m, BackendKind kind, const Csr &a,
-       const SpmvStorage &s, const DenseVector &x)
-{
-    return visitSpmv(kind, a, s,
-                     [&](const auto &mat, const auto &img,
-                         const auto &body) {
-                         return spmvWhole(m, body, mat, img, x);
-                     });
-}
-
-} // namespace
-
 SpmvResult
 spmvBaseline(Machine &m, const Csr &a, const DenseVector &x,
              const std::string &fmt)
 {
-    return spmvAt(m, BackendKind::Base, a, convertAndUpload(m, a, fmt),
-                  x);
+    return spmvRun(m, BackendKind::Base, a, convertAndUpload(m, a, fmt),
+                   x);
 }
 
 SpmvResult
 spmvAccel(Machine &m, const Csr &a, const DenseVector &x,
           const std::string &fmt)
 {
-    return spmvAt(m, m.backendKind(), a, convertAndUpload(m, a, fmt),
-                  x);
+    return spmvRun(m, m.backendKind(), a, convertAndUpload(m, a, fmt),
+                   x);
 }
 
 SpmaResult
@@ -116,7 +99,7 @@ SpmvResident::SpmvResident(Machine &m, const Csr &a,
 SpmvResult
 SpmvResident::run(Machine &m, const DenseVector &x) const
 {
-    return spmvAt(m, _kind, _csr, _storage, x);
+    return spmvRun(m, _kind, _csr, _storage, x);
 }
 
 } // namespace via::kernels

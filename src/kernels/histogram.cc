@@ -189,23 +189,86 @@ histBody(BackendKind kind)
 }
 
 HistResult
-histRun(Machine &m, BackendKind kind, const std::vector<Index> &keys,
-        Index buckets)
+histRun(Cores cores, BackendKind kind, const std::vector<Index> &keys,
+        Index buckets, Partition part)
 {
     histCheckKeys(keys, buckets);
-    HistOp op{upload(m, keys), {allocValues(m, std::size_t(buckets))}};
+    Machine &m0 = cores.core(0);
+    const unsigned count = cores.count();
+    const auto slots = std::size_t(buckets);
+    HistOp op{upload(m0, keys), {}};
+    // At cores>1 the reduction target comes first, then one partial
+    // histogram per core; one core's histogram is the result.
+    const Addr hist = count > 1 ? allocValues(m0, slots) : 0;
+    for (unsigned c = 0; c < count; ++c)
+        op.out.push_back(allocValues(m0, slots));
     const HistBody &body = histBody(kind);
-    CoreState core;
-    body.setup(m, op, core, 0);
-    for (const HistPass &pass : body.passes(m, buckets)) {
+
+    // The bucket-tiled VIA flow re-walks a core's whole key share
+    // once per bucket range, so each core needs its full range list
+    // up front (pre-assigned rather than dispatched per chunk).
+    auto shares = assignRanges(cores, Index(keys.size()), part);
+    std::size_t rounds = 0;
+    for (unsigned c = 0; c < count; ++c)
+        rounds = std::max(rounds, shares[c].size());
+    std::vector<CoreState> state(count);
+    for (unsigned c = 0; c < count; ++c)
+        state[c].region = c;
+    auto each_core = [&](auto &&fn) {
+        for (unsigned c = 0; c < count; ++c)
+            if (!shares[c].empty())
+                fn(cores.core(c), state[c], shares[c].front().first);
+    };
+    // Emission interleaves across cores, one range per core per
+    // round: the cores run concurrently, and emitting one core's
+    // whole share first would slide the shared resources' booking
+    // windows past its siblings' start times (see dispatchUnits).
+    auto each_range = [&](auto &&fn) {
+        for (std::size_t j = 0; j < rounds; ++j)
+            for (unsigned c = 0; c < count; ++c)
+                if (j < shares[c].size())
+                    fn(cores.core(c), state[c], shares[c][j].first,
+                       shares[c][j].second);
+    };
+
+    each_core([&](Machine &m, CoreState &core, Index lo) {
+        body.setup(m, op, core, lo);
+    });
+    for (const HistPass &pass : body.passes(m0, buckets)) {
         if (body.begin)
-            body.begin(m, pass);
-        body.keys(m, op, core, pass, 0, Index(keys.size()));
+            each_core([&](Machine &m, CoreState &, Index) {
+                body.begin(m, pass);
+            });
+        each_range([&](Machine &m, CoreState &core, Index lo, Index hi) {
+            body.keys(m, op, core, pass, lo, hi);
+        });
         if (body.drain)
-            body.drain(m, op, core, pass);
+            each_core([&](Machine &m, CoreState &core, Index) {
+                body.drain(m, op, core, pass);
+            });
     }
-    return HistResult{downloadValues(m, op.out[0], std::size_t(buckets)),
-                      m.cycles()};
+    if (count == 1)
+        return HistResult{downloadValues(m0, op.out[0], slots),
+                          cores.cycles()};
+
+    // Core 0 reduces the partial histograms. The reduction runs on
+    // core 0's own timeline after its share; the barrier itself is
+    // not modeled beyond cycles() taking the slowest core.
+    const int vl = int(m0.vl());
+    VReg v_acc{0}, v_p{1};
+    SReg s_i{3};
+    for (Index i = 0; i < buckets; i += vl) {
+        int n = std::min<Index>(vl, buckets - i);
+        m0.vbroadcastF(v_acc, 0.0);
+        for (unsigned c = 0; c < count; ++c) {
+            m0.vload(v_p, op.out[c] + 4 * Addr(i), VT, n);
+            m0.vaddF(v_acc, v_acc, v_p, n);
+        }
+        m0.vstore(hist + 4 * Addr(i), v_acc, VT, n, s_i);
+        m0.salu(s_i, i + vl, s_i);
+        m0.sbranch(s_i);
+    }
+    return HistResult{downloadValues(m0, hist, slots), cores.cycles()};
 }
 
 void

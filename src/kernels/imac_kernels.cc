@@ -71,7 +71,7 @@ spmaImacSetup(Machine &m, SpmaOp &op, CoreState &core, Index)
     // exchange for a cols-sized buffer per core (the footprint
     // honesty note in backend_kernels.hh).
     core.acc = allocValues(m, std::size_t(op.a.cols()));
-    op.out.storeHead(m, core, SReg{6});
+    op.out.storeHead(m, SReg{6});
     VReg v_zero{4};
     m.vbroadcastF(v_zero, 0.0);
 }
@@ -213,7 +213,7 @@ spmmImacSetup(Machine &m, SpmmOp &op, CoreState &core, Index)
     // full-row re-merge.
     core.acc = allocValues(m, std::size_t(op.b.cols()));
     core.mark = allocValues(m, std::size_t(op.b.cols()));
-    op.out.storeHead(m, core, SReg{6});
+    op.out.storeHead(m, SReg{6});
     VReg v_ones{4};
     SReg s_zero{10};
     m.vbroadcastF(v_ones, 1.0);

@@ -1,20 +1,21 @@
 /**
  * @file
- * Multi-core variants of the five kernels, driving a MultiMachine.
+ * The kernel runners: every kernel on the cores a run emits on, one
+ * Machine or every core of a MultiMachine (the Cores view).
  *
- * Each kernel uploads its operands once into the shared backing
- * store, partitions the work across the cores, and emits one
- * independent instruction stream per core by running the range body
- * the single-core kernel runs (kernels/ranges.hh) on each chunk. The
- * bool accel argument picks the machine's backend variant (VIA,
- * SSR, IndexMAC) over the software baseline; on backend=base both
- * are the baseline.
- * Output regions are disjoint per core (rows, block rows, key
- * chunks, image stripes), so the kernels need no locks; the shared
- * LLC resolves the timing side (bank contention, coherence)
- * analytically.
+ * Each kernel has one runner, defined next to its body table
+ * (kernels/ranges.hh). It uploads the operands once into core 0's
+ * memory image (the cores of a MultiMachine share one backing
+ * store), partitions the work across the cores, and runs the body of
+ * the requested BackendKind on each range. On one core the runner
+ * hands the whole iteration space to that core, so a one-core run is
+ * the single-core run: every single-core entry point (spmvViaCsr,
+ * spmaAccel, ...) is a one-line call of its runner. Output regions
+ * are disjoint per core (rows, block rows, key chunks, image
+ * stripes), so the kernels need no locks; the shared LLC resolves
+ * the timing side (bank contention, coherence) analytically.
  *
- * Two partitioning policies:
+ * Two partitioning policies, which differ only at cores>1:
  *
  *  - Static: one balanced contiguous range per core. Zero scheduling
  *    overhead, but skewed inputs (a few dense rows) idle most cores.
@@ -37,17 +38,13 @@
 #include <vector>
 
 #include "cpu/multi_machine.hh"
-#include "kernels/histogram.hh"
-#include "kernels/spma.hh"
-#include "kernels/spmm.hh"
-#include "kernels/spmv.hh"
-#include "kernels/stencil.hh"
+#include "kernels/dispatch.hh"
 #include "sparse/csc.hh"
 
 namespace via::kernels
 {
 
-/** How parallel kernels split their iteration space over cores. */
+/** How the runners split their iteration space over cores. */
 enum class Partition
 {
     Static, //!< balanced contiguous ranges
@@ -69,36 +66,62 @@ const char *partitionName(Partition p);
 std::vector<std::pair<Index, Index>> staticRanges(Index n,
                                                   unsigned cores);
 
+/** The body kind a run emits: core 0's backend when @p accel, else
+ *  the software baseline. */
+BackendKind bodyKind(Cores cores, bool accel);
+
 /**
- * Multi-core SpMV. @p fmt is any of spmvFormats() (fatal otherwise);
- * @p accel picks the kernel of the machine's backend (VIA, SSR,
- * IndexMAC) over the vector baseline. Rows (csr, spc5), block rows
- * (csb) or chunks (sell) partition.
+ * y = A x with the @p kind body of the format convertAndUpload put
+ * in @p s (uploaded onto core 0); csr reads @p a itself. Rows (csr,
+ * spc5), block rows (csb) or chunks (sell) partition.
+ */
+SpmvResult spmvRun(Cores cores, BackendKind kind, const Csr &a,
+                   const SpmvStorage &s, const DenseVector &x,
+                   Partition part = Partition::Static);
+
+/** C = A + B over row ranges; per-core output regions are assembled
+ *  host-side. */
+SpmaResult spmaRun(Cores cores, BackendKind kind, const Csr &a,
+                   const Csr &b, Partition part = Partition::Static);
+
+/** C = A * B, partitioning A's rows. */
+SpmmResult spmmRun(Cores cores, BackendKind kind, const Csr &a,
+                   const Csc &b, Partition part = Partition::Static);
+
+/**
+ * Histogram of @p keys. At cores>1 each core counts a contiguous
+ * share of the keys into its own partial histogram, which core 0
+ * then reduces; one core's histogram is the result. Steal
+ * degenerates to round-robin chunk interleaving (uniform chunk
+ * cost).
+ */
+HistResult histRun(Cores cores, BackendKind kind,
+                   const std::vector<Index> &keys, Index buckets,
+                   Partition part = Partition::Static);
+
+/** 4x4 stencil over output-row stripes (each core reads a 3-row
+ *  halo of its neighbour's input rows). */
+StencilResult stencilRun(Cores cores, BackendKind kind,
+                         const DenseMatrix &img,
+                         Partition part = Partition::Static);
+
+/**
+ * The runners on every core of @p mm, with @p accel picking the
+ * kernel of the machine's backend (VIA, SSR, IndexMAC) over the
+ * software baseline; on backend=base both are the baseline.
+ * spmvParallel converts @p a to @p fmt, any of spmvFormats() (fatal
+ * otherwise).
  */
 SpmvResult spmvParallel(MultiMachine &mm, const Csr &a,
                         const DenseVector &x, const std::string &fmt,
                         Partition part, bool accel);
-
-/** Multi-core SpMA over row ranges; per-core output regions are
- *  assembled host-side. */
 SpmaResult spmaParallel(MultiMachine &mm, const Csr &a, const Csr &b,
                         Partition part, bool accel);
-
-/** Multi-core SpMM partitioning A's rows. */
 SpmmResult spmmParallel(MultiMachine &mm, const Csr &a, const Csc &b,
                         Partition part, bool accel);
-
-/**
- * Multi-core histogram: contiguous key chunks per core into private
- * partial arrays, reduced by core 0. Steal degenerates to
- * round-robin chunk interleaving (uniform chunk cost).
- */
 HistResult histParallel(MultiMachine &mm,
                         const std::vector<Index> &keys, Index buckets,
                         Partition part, bool accel);
-
-/** Multi-core 4x4 stencil over output-row stripes (each core reads
- *  a 3-row halo of its neighbour's input rows). */
 StencilResult stencilParallel(MultiMachine &mm, const DenseMatrix &img,
                               Partition part, bool accel);
 

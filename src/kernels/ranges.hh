@@ -2,28 +2,25 @@
  * @file
  * The kernels' range bodies: each kernel split into its setup and a
  * body that emits one [lo, hi) range of its iteration space, on
- * every vector backend.
+ * every vector backend, and runRanges, the one driver of the bodies.
  *
  * Each kernel has one table of bodies indexed by BackendKind (base,
- * VIA, SSR, IndexMAC), and two runners read it. The single-core
- * runner (spmv.cc, spma.cc, ...) uploads the operands, then runs the
- * setup and one body call over the whole range. The parallel runner
- * (parallel.cc) uploads the same operands once into core 0's memory
- * image (the cores share one backing store), cuts the range into
- * chunks, runs the setup once per core and the body per chunk on
- * the core it assigns. So every kernel's emit loop exists once per
- * backend.
- *
- * A parallel run on one core emits the single-core instruction
- * stream, with three exceptions (tests/test_stream_identity.cc pins
- * each by its instruction count):
- *   - the single-core SpMA and SpMM runners store c_ptr[0] (the
- *     CoreState::head store); the parallel runner does not;
- *   - the cores>1 vector CSR baseline is the VIA body with x
- *     gathered (vgather, vmulF, vaddF), where single-core vector
- *     CSR runs its own body with vfmaF;
- *   - the parallel histogram ends with core 0 reducing the per-core
- *     partial histograms, six instructions per vector of buckets.
+ * VIA, SSR, IndexMAC) and one runner that reads it (spmvRun,
+ * spmaRun, ... in kernels/parallel.hh, defined next to the table).
+ * A runner uploads the operands once into core 0's memory image,
+ * and runRanges cuts the range into chunks, runs the setup once per
+ * core and the body per chunk on the core it assigns. So every
+ * kernel's emit loop exists once per backend, and one core running
+ * [0, n) is the single-core run. Three rules keep it so:
+ *   - SpMA and SpMM store c_ptr[0] exactly when the output has one
+ *     region, which is then the result's row_ptr (storeHead);
+ *   - the histogram of one core is its partial histogram: there is
+ *     no reduction target and no reduction (histRun);
+ *   - one core gets its whole range even when it is empty, so it
+ *     still emits the setup (and the histogram's per-pass begin and
+ *     drain); at cores>1 an empty iteration space emits nothing.
+ * tests/test_stream_identity.cc checks that a one-core MultiMachine
+ * emits the single-core stream for every kernel.
  *
  * The ranges:
  *   - SpMV: rows (CSR, and SPC5, whose blocks are sorted by row),
@@ -44,16 +41,14 @@
 #define VIA_KERNELS_RANGES_HH
 
 #include <algorithm>
+#include <functional>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "kernels/dispatch.hh"
-#include "kernels/histogram.hh"
 #include "kernels/kernel_utils.hh"
-#include "kernels/spma.hh"
-#include "kernels/spmm.hh"
-#include "kernels/spmv.hh"
-#include "kernels/stencil.hh"
+#include "kernels/parallel.hh"
 #include "simcore/log.hh"
 #include "sparse/csc.hh"
 #include "sparse/csr.hh"
@@ -66,9 +61,6 @@ namespace via::kernels
 struct CoreState
 {
     unsigned region = 0; //!< its output region or partial histogram
-    /** Set by the single-core SpMA/SpMM runner: the setup stores
-     *  c_ptr[0]. */
-    bool head = false;
     /** SSR: the range start its streams are bound for (-1: none). */
     Index next = -1;
     /** IndexMAC SpMA/SpMM: the core's dense accumulators. */
@@ -99,15 +91,49 @@ struct RangeBody
                  Index hi) = nullptr;
 };
 
-/** The single-core run of a body: its setup, then [0, n). */
+/**
+ * Hand contiguous ranges of [0, n) to the cores, @p body(core, lo,
+ * hi) per range (parallel.cc). One core gets all of [0, n), even
+ * when it is empty. At cores>1, Static gives one balanced range per
+ * core, emitted in chunk-sized slices round-robin; Steal hands each
+ * chunk, in range order, to the core whose commit front is earliest
+ * (ties to the lowest core id, so the schedule is deterministic).
+ */
+void dispatchUnits(Cores cores, Index n, Partition part,
+                   const std::function<void(unsigned, Index, Index)>
+                       &body);
+
+/**
+ * Each core's ranges of [0, n), for a kernel that must see all of a
+ * core's work before emitting (the histogram's bucket-tiled passes
+ * re-walk the core's whole key share per bucket range). One core
+ * gets [0, n), even when it is empty. At cores>1 the shares are
+ * dispatchUnits' chunks, and Steal becomes round-robin: chunk costs
+ * are uniform, so least-loaded and round-robin coincide.
+ */
+std::vector<std::vector<std::pair<Index, Index>>>
+assignRanges(Cores cores, Index n, Partition part);
+
+/** Run @p body over [0, n) on @p cores: its setup once per core,
+ *  before the first range dispatchUnits hands that core. */
 template <typename Op, typename Body>
 void
-runWhole(Machine &m, Op &op, const Body &body, Index n,
-         CoreState core = {})
+runRanges(Cores cores, Index n, Partition part, Op &op,
+          const Body &body)
 {
-    if (body.setup)
-        body.setup(m, op, core, 0);
-    body.rows(m, op, core, 0, n);
+    std::vector<CoreState> state(cores.count());
+    std::vector<char> ready(cores.count(), 0);
+    for (unsigned c = 0; c < cores.count(); ++c)
+        state[c].region = c;
+    dispatchUnits(cores, n, part, [&](unsigned c, Index lo, Index hi) {
+        Machine &m = cores.core(c);
+        if (!ready[c]) {
+            if (body.setup)
+                body.setup(m, op, state[c], lo);
+            ready[c] = 1;
+        }
+        body.rows(m, op, state[c], lo, hi);
+    });
 }
 
 // ------------------------------------------------------------- SpMV
@@ -158,21 +184,24 @@ const RangeBody<CsbOp> &spmvCsbBody(BackendKind kind);
 const RangeBody<Spc5Op> &spmvSpc5Body(BackendKind kind);
 const RangeBody<SellOp> &spmvSellBody(BackendKind kind);
 
-/** Single-core SpMV of @p body against an uploaded matrix. */
+/** SpMV of @p body against a matrix uploaded onto core 0: x is
+ *  uploaded and y allocated there, then the body runs on the cores. */
 template <typename Mat, typename Img>
 SpmvResult
-spmvWhole(Machine &m, const RangeBody<SpmvOp<Mat, Img>> &body,
-          const Mat &a, const Img &img, const DenseVector &x)
+spmvRun(Cores cores, const RangeBody<SpmvOp<Mat, Img>> &body,
+        const Mat &a, const Img &img, const DenseVector &x,
+        Partition part = Partition::Static)
 {
-    SpmvOp<Mat, Img> op(m, a, img, x);
-    runWhole(m, op, body, op.units());
-    return SpmvResult{op.readY(m), m.cycles()};
+    Machine &m0 = cores.core(0);
+    SpmvOp<Mat, Img> op(m0, a, img, x);
+    runRanges(cores, op.units(), part, op, body);
+    return SpmvResult{op.readY(m0), cores.cycles()};
 }
 
 /**
  * Call @p fn(matrix, image, body) for the format convertAndUpload
  * put in @p s (csr reads @p a itself), with the format's @p kind
- * body. Every SpMV run, single-core or parallel, goes through here.
+ * body. Every SpMV run by format goes through here.
  */
 template <typename Fn>
 SpmvResult
@@ -288,11 +317,6 @@ sellChunkLoop(Machine &m, const SellOp &op, Index lo, Index hi,
     }
 }
 
-/** The VIA CSR rows with x always gathered: the cores>1 vector CSR
- *  baseline. */
-void spmvGatherCsrRows(Machine &m, CsrOp &op, CoreState &core,
-                       Index lo, Index hi);
-
 // ------------------------------------------------------ SpMA, SpMM
 
 /** Base addresses of the two sparse operands of SpMA (CSR + CSR)
@@ -373,13 +397,14 @@ struct RowOutput
                              std::move(col_idx), std::move(vals));
     }
 
-    /** The single-core runner's c_ptr[0] store (CoreState::head),
-     *  through the kernel's output-count register @p s_out. */
+    /** Store c_ptr[0] through the kernel's output-count register
+     *  @p s_out when there is one region, which is then the result's
+     *  row_ptr; per-core regions are stitched host-side instead. */
     void
-    storeHead(Machine &m, const CoreState &core, SReg s_out) const
+    storeHead(Machine &m, SReg s_out) const
     {
-        if (core.head)
-            m.sstore(regions[core.region].ptr, s_out, 4);
+        if (regions.size() == 1)
+            m.sstore(regions[0].ptr, s_out, 4);
     }
 
     std::vector<Region> regions;
@@ -397,9 +422,6 @@ struct SpmaOp
 
 /** The SpMA rows body of @p kind. */
 const RangeBody<SpmaOp> &spmaBody(BackendKind kind);
-/** Single-core SpMA of @p kind. */
-SpmaResult spmaRun(Machine &m, BackendKind kind, const Csr &a,
-                   const Csr &b);
 
 /** One SpMM run: the operands, their upload and the output. */
 struct SpmmOp
@@ -426,9 +448,6 @@ struct SpmmBody
 
 /** The SpMM variant of @p kind. */
 const SpmmBody &spmmBody(BackendKind kind);
-/** Single-core SpMM of @p kind. */
-SpmmResult spmmRun(Machine &m, BackendKind kind, const Csr &a,
-                   const Csc &b);
 
 /**
  * Output entries an SpMM region holds: min(rows * cols, nnz(A) *
@@ -473,9 +492,6 @@ struct HistBody
 
 /** The histogram variant of @p kind. */
 const HistBody &histBody(BackendKind kind);
-/** Single-core histogram of @p kind. */
-HistResult histRun(Machine &m, BackendKind kind,
-                   const std::vector<Index> &keys, Index buckets);
 
 /** Fatal unless every key lies in [0, buckets). */
 void histCheckKeys(const std::vector<Index> &keys, Index buckets);
@@ -505,9 +521,6 @@ struct StencilOp
 
 /** The stencil rows body of @p kind. */
 const RangeBody<StencilOp> &stencilBody(BackendKind kind);
-/** Single-core stencil of @p kind. */
-StencilResult stencilRun(Machine &m, BackendKind kind,
-                         const DenseMatrix &img);
 
 /** The output-pixel loop every backend's body runs: @p pixel(y, x)
  *  emits the pixel's taps and reduces them into s0, which the loop

@@ -137,12 +137,11 @@ buildSpmv(const Options &opts, BackendKind backend, Rng &rng)
                         return spmvVectorCsr(m, *a, *x).cycles;
                     }}};
     k.accelLabel = std::string(accelPrefix(backend)) + " " + fmt;
-    k.accel = [=](Machine &m) {
-        return check(spmvAccel(m, *a, *x, fmt));
-    };
     k.parallelBaseLabel = "vector " + fmt;
-    k.parallel = [=](MultiMachine &mm, Partition p, bool accel) {
-        return check(spmvParallel(mm, *a, *x, fmt, p, accel));
+    k.run = [=](Cores c, Partition p, bool accel) {
+        return check(spmvRun(c, bodyKind(c, accel), *a,
+                             convertAndUpload(c.core(0), *a, fmt), *x,
+                             p));
     };
     return k;
 }
@@ -168,10 +167,9 @@ buildSpma(const Options &opts, BackendKind backend, Rng &rng)
                         return spmaScalarCsr(m, *a, *b).cycles;
                     }}};
     k.accelLabel = spmaAccelName(backend);
-    k.accel = [=](Machine &m) { return check(spmaAccel(m, *a, *b)); };
     k.parallelBaseLabel = "scalar merge";
-    k.parallel = [=](MultiMachine &mm, Partition p, bool accel) {
-        return check(spmaParallel(mm, *a, *b, p, accel));
+    k.run = [=](Cores c, Partition p, bool accel) {
+        return check(spmaRun(c, bodyKind(c, accel), *a, *b, p));
     };
     return k;
 }
@@ -199,10 +197,9 @@ buildSpmm(const Options &opts, BackendKind backend, Rng &rng)
                         return spmmScalarInner(m, *a, *b).cycles;
                     }}};
     k.accelLabel = spmmAccelName(backend);
-    k.accel = [=](Machine &m) { return check(spmmAccel(m, *a, *b)); };
     k.parallelBaseLabel = "scalar inner";
-    k.parallel = [=](MultiMachine &mm, Partition p, bool accel) {
-        return check(spmmParallel(mm, *a, *b, p, accel));
+    k.run = [=](Cores c, Partition p, bool accel) {
+        return check(spmmRun(c, bodyKind(c, accel), *a, *b, p));
     };
     k.fits = [a](const MachineParams &params) {
         return spmmFits(params, *a);
@@ -235,12 +232,9 @@ buildHistogram(const Options &opts, BackendKind backend, Rng &rng)
                         return histVector(m, *keys, buckets).cycles;
                     }}};
     k.accelLabel = accelPrefix(backend);
-    k.accel = [=](Machine &m) {
-        return check(histAccel(m, *keys, buckets));
-    };
     k.parallelBaseLabel = "vector CD";
-    k.parallel = [=](MultiMachine &mm, Partition p, bool accel) {
-        return check(histParallel(mm, *keys, buckets, p, accel));
+    k.run = [=](Cores c, Partition p, bool accel) {
+        return check(histRun(c, bodyKind(c, accel), *keys, buckets, p));
     };
     return k;
 }
@@ -266,10 +260,9 @@ buildStencil(const Options &opts, BackendKind backend, Rng &rng)
                         return stencilVector(m, *img).cycles;
                     }}};
     k.accelLabel = accelPrefix(backend);
-    k.accel = [=](Machine &m) { return check(stencilAccel(m, *img)); };
     k.parallelBaseLabel = "vector";
-    k.parallel = [=](MultiMachine &mm, Partition p, bool accel) {
-        return check(stencilParallel(mm, *img, p, accel));
+    k.run = [=](Cores c, Partition p, bool accel) {
+        return check(stencilRun(c, bodyKind(c, accel), *img, p));
     };
     return k;
 }

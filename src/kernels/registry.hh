@@ -6,14 +6,16 @@
  * An entry names a kernel and builds its input from the shared input
  * keys (addInputOptions). The built KernelInput carries the header
  * shape, the report labels and closures for every way a driver runs
- * the kernel: the single-core software baselines, the accelerated
- * kernel matching the machine's backend, and the cores>1 kernel,
- * each checked against a host golden computed once. A driver is
- * then one generic loop over an entry, whatever the kernel.
+ * the kernel: the single-core software baselines, and one run
+ * closure over any cores (a Machine or a MultiMachine) for the
+ * accelerated kernel matching the machine's backend or the vector
+ * baseline, each checked against a host golden computed once. A
+ * driver is then one generic loop over an entry, whatever the kernel
+ * and however many cores.
  *
- * Adding a kernel: write its range bodies and their backend table
- * (kernels/ranges.hh), its single-core and parallel entry points,
- * and one builder here.
+ * Adding a kernel: write its range bodies, their backend table and
+ * its runner (kernels/ranges.hh, kernels/parallel.hh), and one
+ * builder here.
  */
 
 #ifndef VIA_KERNELS_REGISTRY_HH
@@ -64,14 +66,11 @@ struct KernelInput
     std::vector<Baseline> baselines;
 
     std::string accelLabel;
-    /** The kernel variant matching the machine's backend. */
-    std::function<RunOutcome(Machine &)> accel;
-
+    /** cores>1: the label of the run with accel=false. */
     std::string parallelBaseLabel;
-    /** cores>1: the kernel of the machine's backend, or with
-     *  accel=false the baseline. */
-    std::function<RunOutcome(MultiMachine &, Partition, bool accel)>
-        parallel;
+    /** The kernel's runner on @p cores: the variant matching the
+     *  machine's backend, or with accel=false the vector baseline. */
+    std::function<RunOutcome(Cores cores, Partition, bool accel)> run;
 
     /** False when the accelerated kernel cannot run on a machine
      *  (SpMM on backend=via: every row of A must fit the CAM);

@@ -16,9 +16,9 @@ constexpr ElemType VT = ElemType::F32;
 constexpr ElemType IT = ElemType::I32;
 
 void
-headSetup(Machine &m, SpmaOp &op, CoreState &core, Index)
+headSetup(Machine &m, SpmaOp &op, CoreState &, Index)
 {
-    op.out.storeHead(m, core, SReg{6});
+    op.out.storeHead(m, SReg{6});
 }
 
 /** SSR: bind the four element streams (A cols, A values, B cols, B
@@ -260,14 +260,19 @@ spmaBody(BackendKind kind)
 }
 
 SpmaResult
-spmaRun(Machine &m, BackendKind kind, const Csr &a, const Csr &b)
+spmaRun(Cores cores, BackendKind kind, const Csr &a, const Csr &b,
+        Partition part)
 {
     via_assert(a.rows() == b.rows() && a.cols() == b.cols(),
                "SpMA shape mismatch");
-    SpmaOp op{a, b, uploadPair(m, a, b),
-              RowOutput(m, 1, a.rows(), a.nnz() + b.nnz())};
-    runWhole(m, op, spmaBody(kind), a.rows(), CoreState{.head = true});
-    return SpmaResult{op.out.collect(m, a.cols()), m.cycles()};
+    Machine &m0 = cores.core(0);
+    // Chunks move between cores under stealing, so every core gets a
+    // full worst-case output region; the host stitches rows back
+    // together afterwards.
+    SpmaOp op{a, b, uploadPair(m0, a, b),
+              RowOutput(m0, cores.count(), a.rows(), a.nnz() + b.nnz())};
+    runRanges(cores, a.rows(), part, op, spmaBody(kind));
+    return SpmaResult{op.out.collect(m0, a.cols()), cores.cycles()};
 }
 
 PairImage

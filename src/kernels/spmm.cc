@@ -38,9 +38,9 @@ viaPrepare(Machine &m0, const Csr &a, const Csc &b, unsigned regions)
 }
 
 void
-headSetup(Machine &m, SpmmOp &op, CoreState &core, Index)
+headSetup(Machine &m, SpmmOp &op, CoreState &, Index)
 {
-    op.out.storeHead(m, core, SReg{7});
+    op.out.storeHead(m, SReg{7});
 }
 
 /**
@@ -246,13 +246,15 @@ spmmBody(BackendKind kind)
 }
 
 SpmmResult
-spmmRun(Machine &m, BackendKind kind, const Csr &a, const Csc &b)
+spmmRun(Cores cores, BackendKind kind, const Csr &a, const Csc &b,
+        Partition part)
 {
     via_assert(a.cols() == b.rows(), "SpMM shape mismatch");
+    Machine &m0 = cores.core(0);
     const SpmmBody &body = spmmBody(kind);
-    SpmmOp op = body.prepare(m, a, b, 1);
-    runWhole(m, op, body, a.rows(), CoreState{.head = true});
-    return SpmmResult{op.out.collect(m, b.cols()), m.cycles()};
+    SpmmOp op = body.prepare(m0, a, b, cores.count());
+    runRanges(cores, a.rows(), part, op, body);
+    return SpmmResult{op.out.collect(m0, b.cols()), cores.cycles()};
 }
 
 SpmmResult

@@ -372,6 +372,30 @@ viaSellRows(Machine &m, SellOp &op, CoreState &, Index lo, Index hi)
     });
 }
 
+/** The VIA CSR rows with x always gathered: the cores>1 vector CSR
+ *  baseline. */
+void
+gatherCsrRows(Machine &m, CsrOp &op, CoreState &, Index lo, Index hi)
+{
+    csrRows(m, op, false, lo, hi);
+}
+
+/** The body a run emits: its format's, except that the cores>1
+ *  vector CSR baseline gathers x in the VIA body. */
+template <typename Body>
+const Body &
+runBody(const Body &body, BackendKind, unsigned)
+{
+    return body;
+}
+
+const RangeBody<CsrOp> &
+runBody(const RangeBody<CsrOp> &body, BackendKind kind, unsigned cores)
+{
+    static constexpr RangeBody<CsrOp> gather{.rows = gatherCsrRows};
+    return kind == BackendKind::Base && cores > 1 ? gather : body;
+}
+
 } // namespace
 
 const RangeBody<CsrOp> &
@@ -519,14 +543,14 @@ SpmvResult
 spmvVectorCsrAt(Machine &m, const Csr &a, const CsrImage &img,
                 const DenseVector &x)
 {
-    return spmvWhole(m, spmvCsrBody(BackendKind::Base), a, img, x);
+    return spmvRun(m, spmvCsrBody(BackendKind::Base), a, img, x);
 }
 
 SpmvResult
 spmvVectorCsb(Machine &m, const Csb &a, const DenseVector &x)
 {
-    return spmvWhole(m, spmvCsbBody(BackendKind::Base), a,
-                     uploadCsb(m, a), x);
+    return spmvRun(m, spmvCsbBody(BackendKind::Base), a,
+                   uploadCsb(m, a), x);
 }
 
 SpmvResult
@@ -584,14 +608,7 @@ SpmvResult
 spmvViaCsrAt(Machine &m, const Csr &a, const CsrImage &img,
              const DenseVector &x)
 {
-    return spmvWhole(m, spmvCsrBody(BackendKind::Via), a, img, x);
-}
-
-void
-spmvGatherCsrRows(Machine &m, CsrOp &op, CoreState &, Index lo,
-                  Index hi)
-{
-    csrRows(m, op, false, lo, hi);
+    return spmvRun(m, spmvCsrBody(BackendKind::Via), a, img, x);
 }
 
 SpmvResult
@@ -604,7 +621,22 @@ SpmvResult
 spmvViaCsbAt(Machine &m, const Csb &a, const CsbImage &img,
              const DenseVector &x)
 {
-    return spmvWhole(m, spmvCsbBody(BackendKind::Via), a, img, x);
+    return spmvRun(m, spmvCsbBody(BackendKind::Via), a, img, x);
+}
+
+SpmvResult
+spmvRun(Cores cores, BackendKind kind, const Csr &a,
+        const SpmvStorage &s, const DenseVector &x, Partition part)
+{
+    via_assert(a.cols() == Index(x.size()), "SpMV shape mismatch");
+    return visitSpmv(kind, a, s,
+                     [&](const auto &mat, const auto &img,
+                         const auto &body) {
+                         return spmvRun(cores,
+                                        runBody(body, kind,
+                                                cores.count()),
+                                        mat, img, x, part);
+                     });
 }
 
 } // namespace via::kernels

@@ -132,12 +132,15 @@ stencilBody(BackendKind kind)
 }
 
 StencilResult
-stencilRun(Machine &m, BackendKind kind, const DenseMatrix &img)
+stencilRun(Cores cores, BackendKind kind, const DenseMatrix &img,
+           Partition part)
 {
     via_assert(img.rows() >= 4 && img.cols() >= 4, "image too small");
-    StencilOp op{img, uploadStencil(m, img)};
-    runWhole(m, op, stencilBody(kind), img.rows() - 3);
-    return StencilResult{stencilCollect(m, op.s, img), m.cycles()};
+    Machine &m0 = cores.core(0);
+    // Output-row stripes; each core loads the taps once.
+    StencilOp op{img, uploadStencil(m0, img)};
+    runRanges(cores, img.rows() - 3, part, op, stencilBody(kind));
+    return StencilResult{stencilCollect(m0, op.s, img), cores.cycles()};
 }
 
 StencilImage

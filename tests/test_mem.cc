@@ -578,8 +578,8 @@ TEST(MappedUploads, KernelsLeaveTheirInputsBitIdentical)
             kernels::visitSpmv(kind, a, st,
                                [&](const auto &mat, const auto &im,
                                    const auto &body) {
-                                   return kernels::spmvWhole(m, body, mat,
-                                                             im, x);
+                                   return kernels::spmvRun(m, body, mat,
+                                                           im, x);
                                });
             EXPECT_EQ(formats(), converted) << name << " " << fmt;
 

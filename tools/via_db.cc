@@ -93,8 +93,7 @@ main(int argc, char **argv)
                 k->shape.c_str());
     const auto part = kernels::parsePartition(opts.getString("partition"));
     debug::KernelFn kfn = [k, part](debug::DebugTarget &t) {
-        return t.single() ? k->accel(*t.machine).ok
-                          : k->parallel(*t.multi, part, true).ok;
+        return k->run(t.view(), part, true).ok;
     };
 
     debug::TargetFactory factory;

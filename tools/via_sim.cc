@@ -337,7 +337,10 @@ runSingle(const kernels::KernelSpec &spec, const kernels::KernelInput &k,
     if (sopts.mode != sample::SimMode::Detailed)
         return runModal(opts, params, sopts, k.accelLabel,
                         [&](Machine &m) {
-                            return k.accel(m).ok && !inject;
+                            return k.run(m, kernels::Partition::Static,
+                                         true)
+                                       .ok &&
+                                   !inject;
                         });
 
     Tick base_cycles = 0;
@@ -357,7 +360,8 @@ runSingle(const kernels::KernelSpec &spec, const kernels::KernelInput &k,
     Timeline timeline;
     if (spec.timeline)
         timeline.install(viam, Tick(opts.getUInt("timeline")));
-    kernels::RunOutcome vres = k.accel(viam);
+    kernels::RunOutcome vres =
+        k.run(viam, kernels::Partition::Static, true);
     report(k.accelLabel.c_str(), viam, base_cycles);
     timeline.print();
 
@@ -439,13 +443,13 @@ runParallel(const kernels::KernelSpec &spec,
                 k.shape.c_str(), cores, kernels::partitionName(part));
 
     MultiMachine base(params, cores, llcp);
-    Tick bcycles = k.parallel(base, part, false).cycles;
+    Tick bcycles = k.run(base, part, false).cycles;
     reportMulti(k.parallelBaseLabel.c_str(), base, bcycles, 0);
 
     MultiMachine viam(params, cores, llcp);
     if (topts.active())
         viam.enableTracing(topts.limit);
-    kernels::RunOutcome vres = k.parallel(viam, part, true);
+    kernels::RunOutcome vres = k.run(viam, part, true);
     reportMulti(k.accelLabel.c_str(), viam, vres.cycles, bcycles);
 
     bool ok = vres.ok && !injectError(spec, opts);
@@ -513,7 +517,8 @@ runSweep(const kernels::KernelSpec &spec, const kernels::KernelInput &k,
         Machine m(params);
         enableTracing(m, topts);
         m.tracePhase(k.phase);
-        kernels::RunOutcome res = k.accel(m);
+        kernels::RunOutcome res =
+            k.run(m, kernels::Partition::Static, true);
         bool ok = finishTracing(m, topts, "_" + params.via.name());
         return SweepPoint{res.cycles, ok && res.ok, false};
     };

@@ -91,15 +91,6 @@ viaMac(Machine &m, const Op &op, Index k, int n, bool x_fits,
     m.vaddF(v_acc, v_acc, v_prod, n);
 }
 
-/** The VIA CSR rows; without @p x_fits x is gathered. */
-void
-csrRows(Machine &m, const CsrOp &op, bool x_fits, Index lo, Index hi)
-{
-    csrRowLoop(m, op, lo, hi, [&](Index k, int n) {
-        viaMac(m, op, k, n, x_fits, VReg{5});
-    });
-}
-
 void
 vectorCsrRows(Machine &m, CsrOp &op, CoreState &, Index lo, Index hi)
 {
@@ -119,7 +110,10 @@ viaCsrSetup(Machine &m, CsrOp &op, CoreState &, Index)
 void
 viaCsrRows(Machine &m, CsrOp &op, CoreState &, Index lo, Index hi)
 {
-    csrRows(m, op, xFits(m, op.a.cols()), lo, hi);
+    const bool x_fits = xFits(m, op.a.cols());
+    csrRowLoop(m, op, lo, hi, [&](Index k, int n) {
+        viaMac(m, op, k, n, x_fits, VReg{5});
+    });
 }
 
 /**
@@ -372,30 +366,6 @@ viaSellRows(Machine &m, SellOp &op, CoreState &, Index lo, Index hi)
     });
 }
 
-/** The VIA CSR rows with x always gathered: the cores>1 vector CSR
- *  baseline. */
-void
-gatherCsrRows(Machine &m, CsrOp &op, CoreState &, Index lo, Index hi)
-{
-    csrRows(m, op, false, lo, hi);
-}
-
-/** The body a run emits: its format's, except that the cores>1
- *  vector CSR baseline gathers x in the VIA body. */
-template <typename Body>
-const Body &
-runBody(const Body &body, BackendKind, unsigned)
-{
-    return body;
-}
-
-const RangeBody<CsrOp> &
-runBody(const RangeBody<CsrOp> &body, BackendKind kind, unsigned cores)
-{
-    static constexpr RangeBody<CsrOp> gather{.rows = gatherCsrRows};
-    return kind == BackendKind::Base && cores > 1 ? gather : body;
-}
-
 } // namespace
 
 const RangeBody<CsrOp> &
@@ -632,10 +602,7 @@ spmvRun(Cores cores, BackendKind kind, const Csr &a,
     return visitSpmv(kind, a, s,
                      [&](const auto &mat, const auto &img,
                          const auto &body) {
-                         return spmvRun(cores,
-                                        runBody(body, kind,
-                                                cores.count()),
-                                        mat, img, x, part);
+                         return spmvRun(cores, body, mat, img, x, part);
                      });
 }
 

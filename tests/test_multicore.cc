@@ -274,6 +274,24 @@ TEST(ParallelKernels, SpmvMatchesGolden)
     }
 }
 
+// The cores>1 vector CSR baseline is the single-core vector CSR
+// kernel (gather x, vfmaF, reduce per row): split over two cores it
+// commits the single-core instruction count of this input
+// (tests/test_stream_identity.cc).
+TEST(ParallelKernels, VectorCsrBaselineIsTheSingleCoreKernel)
+{
+    Rng rng(3);
+    Csr a = genUniform(256, 256, 0.03, rng);
+    DenseVector x = randomVector(a.cols(), rng);
+    MultiMachine mm(MachineParams{}, 2);
+    auto res = kernels::spmvParallel(mm, a, x, "csr", Partition::Static,
+                                     false);
+    EXPECT_TRUE(allClose(res.y, a.multiply(x)));
+    EXPECT_EQ(mm.core(0).core().stats().insts +
+                  mm.core(1).core().stats().insts,
+              3636u);
+}
+
 TEST(ParallelKernels, SpmaMatchesGolden)
 {
     Rng rng(12);

@@ -27,8 +27,6 @@ CoreParams::unitsFor(FuClass cls) const
         return loadPorts;
       case FuClass::StorePort:
         return storePorts;
-      case FuClass::Fivu:
-        return 1;
       default:
         via_panic("unitsFor: bad FU class");
     }

@@ -63,7 +63,8 @@ struct CoreParams
 
     OpLatencies latencies;
 
-    /** Units available for a given FU class. */
+    /** Units available for a given core FU class, None through
+     *  StorePort (the FIVU is not a core FU). */
     std::uint32_t unitsFor(FuClass cls) const;
 };
 

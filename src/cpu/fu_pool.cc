@@ -11,17 +11,14 @@ namespace via
 
 FuPool::FuPool(const CoreParams &params)
 {
-    for (std::size_t c = 1; c < std::size_t(FuClass::NumClasses);
-         ++c) {
-        _resources[c - 1] =
-            Resource(params.unitsFor(FuClass(c)));
-    }
+    for (std::size_t c = 1; c <= _resources.size(); ++c)
+        _resources[c - 1] = Resource(params.unitsFor(FuClass(c)));
 }
 
 Resource &
 FuPool::forClass(FuClass cls)
 {
-    via_assert(cls != FuClass::None && cls < FuClass::NumClasses,
+    via_assert(cls != FuClass::None && cls <= FuClass::StorePort,
                "no resource for FU class ", int(cls));
     return _resources[std::size_t(cls) - 1];
 }

@@ -27,7 +27,9 @@ struct CoreParams;
 class Serializer;
 class Deserializer;
 
-/** One Resource per functional-unit class (FuClass::None has none). */
+/** One Resource per core functional-unit class, IntAlu through
+ *  StorePort. FuClass::None has none, and VIA instructions book the
+ *  FIVU's own ports (via/fivu.hh) through the vector backend. */
 class FuPool
 {
   public:
@@ -47,8 +49,7 @@ class FuPool
 
   private:
     /** Class c's resource sits at c - 1. */
-    std::array<Resource,
-               std::size_t(FuClass::NumClasses) - 1> _resources;
+    std::array<Resource, std::size_t(FuClass::StorePort)> _resources;
 };
 
 } // namespace via

@@ -46,8 +46,9 @@ class Checkpoint
     /** 'VIAC' little-endian. */
     static constexpr std::uint64_t MAGIC = 0x43414956;
     /** 2: the FU pool saves no window for FuClass::None and none
-     *  for the deleted integer-multiply class. */
-    static constexpr std::uint64_t VERSION = 2;
+     *  for the deleted integer-multiply class. 3: none for
+     *  FuClass::Fivu, which no instruction books there. */
+    static constexpr std::uint64_t VERSION = 3;
 
     Checkpoint() = default;
 

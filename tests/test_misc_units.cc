@@ -73,7 +73,7 @@ TEST(ViaConfig, MakeKeepsTheCamRatio)
 TEST(CoreParams, UnitsForCoversEveryClass)
 {
     CoreParams p;
-    for (int c = 1; c < int(FuClass::NumClasses); ++c)
+    for (int c = 1; c <= int(FuClass::StorePort); ++c)
         EXPECT_GT(p.unitsFor(FuClass(c)), 0u) << c;
     EXPECT_EQ(p.unitsFor(FuClass::None), 0u);
 }

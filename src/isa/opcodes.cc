@@ -1,177 +1,151 @@
 #include "isa/opcodes.hh"
 
+#include <iterator>
+
 #include "simcore/log.hh"
 
 namespace via
 {
 
+namespace
+{
+
+/** The op properties a row can set. */
+enum OpFlags : unsigned
+{
+    kMem = 1, //!< visits the caches (isMemOp)
+    kVia = 2, //!< a VIA instruction (isViaOp)
+    kSsr = 4, //!< an SSR stream op (isSsrOp)
+};
+
+/** Everything the simulator asks of one op. */
+struct OpInfo
+{
+    Op op;
+    std::string_view mnemonic;
+    FuClass fu;
+    unsigned flags = 0;
+};
+
+/** One row per Op, in enum order. */
+constexpr OpInfo kOps[] = {
+    {Op::Nop, "nop", FuClass::None},
+
+    {Op::SAlu, "salu", FuClass::IntAlu},
+    {Op::SFAdd, "sfadd", FuClass::VecFp},
+    {Op::SFMul, "sfmul", FuClass::VecFpMul},
+    {Op::SBranch, "sbr", FuClass::IntAlu},
+    {Op::SLoad, "sld", FuClass::LoadPort, kMem},
+    {Op::SStore, "sst", FuClass::StorePort, kMem},
+
+    {Op::VLoad, "vld", FuClass::LoadPort, kMem},
+    {Op::VStore, "vst", FuClass::StorePort, kMem},
+    {Op::VGather, "vgather", FuClass::LoadPort, kMem},
+    {Op::VScatter, "vscatter", FuClass::StorePort, kMem},
+
+    {Op::VAddF, "vaddf", FuClass::VecFp},
+    {Op::VMulF, "vmulf", FuClass::VecFpMul},
+    {Op::VFmaF, "vfmaf", FuClass::VecFpMul},
+    {Op::VAddI, "vaddi", FuClass::VecAlu},
+    {Op::VAndI, "vandi", FuClass::VecAlu},
+    {Op::VShrI, "vshri", FuClass::VecAlu},
+    {Op::VCmpLtI, "vcmplti", FuClass::VecAlu},
+    {Op::VRedSumF, "vredsumf", FuClass::VecRed},
+    {Op::VBroadcastF, "vbcastf", FuClass::VecAlu},
+    {Op::VBroadcastI, "vbcasti", FuClass::VecAlu},
+    {Op::VIota, "viota", FuClass::VecAlu},
+
+    {Op::VCompress, "vcompress", FuClass::VecPerm},
+    {Op::VExpand, "vexpand", FuClass::VecPerm},
+    {Op::VConflict, "vconflict", FuClass::VecPerm},
+    {Op::VMergeIdx, "vmergeidx", FuClass::VecPerm},
+
+    {Op::VidxLoadD, "vidx.load.d", FuClass::Fivu, kVia},
+    {Op::VidxLoadC, "vidx.load.c", FuClass::Fivu, kVia},
+    {Op::VidxMov, "vidx.mov", FuClass::Fivu, kVia},
+    {Op::VidxKeys, "vidx.keys", FuClass::Fivu, kVia},
+    {Op::VidxVals, "vidx.vals", FuClass::Fivu, kVia},
+    {Op::VidxCount, "vidx.count", FuClass::Fivu, kVia},
+    {Op::VidxClear, "vidx.clear", FuClass::Fivu, kVia},
+    {Op::VidxAddD, "vidx.add.d", FuClass::Fivu, kVia},
+    {Op::VidxAddC, "vidx.add.c", FuClass::Fivu, kVia},
+    {Op::VidxSubD, "vidx.sub.d", FuClass::Fivu, kVia},
+    {Op::VidxSubC, "vidx.sub.c", FuClass::Fivu, kVia},
+    {Op::VidxMulD, "vidx.mul.d", FuClass::Fivu, kVia},
+    {Op::VidxMulC, "vidx.mul.c", FuClass::Fivu, kVia},
+    {Op::VidxBlkMulD, "vidx.blkmul.d", FuClass::Fivu, kVia},
+
+    {Op::SsrCfg, "ssr.cfg", FuClass::None, kSsr},
+    {Op::SsrPopV, "ssr.popv", FuClass::LoadPort, kMem | kSsr},
+    {Op::SsrPopS, "ssr.pops", FuClass::LoadPort, kMem | kSsr},
+    {Op::SsrFma, "ssr.fma", FuClass::LoadPort, kMem | kSsr},
+
+    {Op::VImacF, "vimac.f", FuClass::LoadPort, kMem},
+    {Op::VImacStF, "vimac.st.f", FuClass::StorePort, kMem},
+};
+
+static_assert(std::size(kOps) == std::size_t(Op::NumOps),
+              "one kOps row per Op");
+
+constexpr bool
+rowsInEnumOrder()
+{
+    for (std::size_t i = 0; i < std::size(kOps); ++i)
+        if (kOps[i].op != Op(i))
+            return false;
+    return true;
+}
+static_assert(rowsInEnumOrder(), "kOps rows must follow the Op enum");
+
+/** The row of @p op; null for a value past the last op. */
+const OpInfo *
+infoOf(Op op)
+{
+    return std::size_t(op) < std::size(kOps) ? &kOps[std::size_t(op)]
+                                             : nullptr;
+}
+
+bool
+hasFlag(Op op, unsigned flag)
+{
+    const OpInfo *row = infoOf(op);
+    return row != nullptr && (row->flags & flag) != 0;
+}
+
+} // namespace
+
 bool
 isMemOp(Op op)
 {
-    switch (op) {
-      case Op::SLoad:
-      case Op::SStore:
-      case Op::VLoad:
-      case Op::VStore:
-      case Op::VGather:
-      case Op::VScatter:
-      case Op::SsrPopV:
-      case Op::SsrPopS:
-      case Op::SsrFma:
-      case Op::VImacF:
-      case Op::VImacStF:
-        return true;
-      default:
-        return false;
-    }
+    return hasFlag(op, kMem);
 }
 
 bool
 isViaOp(Op op)
 {
-    switch (op) {
-      case Op::VidxLoadD:
-      case Op::VidxLoadC:
-      case Op::VidxMov:
-      case Op::VidxKeys:
-      case Op::VidxVals:
-      case Op::VidxCount:
-      case Op::VidxClear:
-      case Op::VidxAddD:
-      case Op::VidxAddC:
-      case Op::VidxSubD:
-      case Op::VidxSubC:
-      case Op::VidxMulD:
-      case Op::VidxMulC:
-      case Op::VidxBlkMulD:
-        return true;
-      default:
-        return false;
-    }
+    return hasFlag(op, kVia);
 }
 
 bool
 isSsrOp(Op op)
 {
-    switch (op) {
-      case Op::SsrCfg:
-      case Op::SsrPopV:
-      case Op::SsrPopS:
-      case Op::SsrFma:
-        return true;
-      default:
-        return false;
-    }
+    return hasFlag(op, kSsr);
 }
 
 FuClass
 fuClassOf(Op op)
 {
-    switch (op) {
-      case Op::Nop:
-        return FuClass::None;
-      case Op::SAlu:
-      case Op::SBranch:
-        return FuClass::IntAlu;
-      case Op::SFAdd:
-        return FuClass::VecFp;
-      case Op::SFMul:
-        return FuClass::VecFpMul;
-      case Op::SLoad:
-      case Op::VLoad:
-      case Op::VGather:
-      case Op::SsrPopV:
-      case Op::SsrPopS:
-      case Op::SsrFma:
-      case Op::VImacF:
-        return FuClass::LoadPort;
-      case Op::SStore:
-      case Op::VStore:
-      case Op::VScatter:
-      case Op::VImacStF:
-        return FuClass::StorePort;
-      case Op::SsrCfg:
-        return FuClass::None;
-      case Op::VAddF:
-        return FuClass::VecFp;
-      case Op::VMulF:
-      case Op::VFmaF:
-        return FuClass::VecFpMul;
-      case Op::VAddI:
-      case Op::VAndI:
-      case Op::VShrI:
-      case Op::VCmpLtI:
-      case Op::VBroadcastF:
-      case Op::VBroadcastI:
-      case Op::VIota:
-        return FuClass::VecAlu;
-      case Op::VRedSumF:
-        return FuClass::VecRed;
-      case Op::VCompress:
-      case Op::VExpand:
-      case Op::VConflict:
-      case Op::VMergeIdx:
-        return FuClass::VecPerm;
-      default:
-        break;
-    }
-    if (isViaOp(op))
-        return FuClass::Fivu;
-    via_panic("fuClassOf: unhandled op ", int(op));
+    const OpInfo *row = infoOf(op);
+    if (row == nullptr)
+        via_panic("fuClassOf: unhandled op ", int(op));
+    return row->fu;
 }
 
 std::string_view
 mnemonic(Op op)
 {
-    switch (op) {
-      case Op::Nop: return "nop";
-      case Op::SAlu: return "salu";
-      case Op::SFAdd: return "sfadd";
-      case Op::SFMul: return "sfmul";
-      case Op::SBranch: return "sbr";
-      case Op::SLoad: return "sld";
-      case Op::SStore: return "sst";
-      case Op::VLoad: return "vld";
-      case Op::VStore: return "vst";
-      case Op::VGather: return "vgather";
-      case Op::VScatter: return "vscatter";
-      case Op::VAddF: return "vaddf";
-      case Op::VMulF: return "vmulf";
-      case Op::VFmaF: return "vfmaf";
-      case Op::VAddI: return "vaddi";
-      case Op::VAndI: return "vandi";
-      case Op::VShrI: return "vshri";
-      case Op::VCmpLtI: return "vcmplti";
-      case Op::VRedSumF: return "vredsumf";
-      case Op::VBroadcastF: return "vbcastf";
-      case Op::VBroadcastI: return "vbcasti";
-      case Op::VIota: return "viota";
-      case Op::VCompress: return "vcompress";
-      case Op::VExpand: return "vexpand";
-      case Op::VConflict: return "vconflict";
-      case Op::VMergeIdx: return "vmergeidx";
-      case Op::VidxLoadD: return "vidx.load.d";
-      case Op::VidxLoadC: return "vidx.load.c";
-      case Op::VidxMov: return "vidx.mov";
-      case Op::VidxKeys: return "vidx.keys";
-      case Op::VidxVals: return "vidx.vals";
-      case Op::VidxCount: return "vidx.count";
-      case Op::VidxClear: return "vidx.clear";
-      case Op::VidxAddD: return "vidx.add.d";
-      case Op::VidxAddC: return "vidx.add.c";
-      case Op::VidxSubD: return "vidx.sub.d";
-      case Op::VidxSubC: return "vidx.sub.c";
-      case Op::VidxMulD: return "vidx.mul.d";
-      case Op::VidxMulC: return "vidx.mul.c";
-      case Op::VidxBlkMulD: return "vidx.blkmul.d";
-      case Op::SsrCfg: return "ssr.cfg";
-      case Op::SsrPopV: return "ssr.popv";
-      case Op::SsrPopS: return "ssr.pops";
-      case Op::SsrFma: return "ssr.fma";
-      case Op::VImacF: return "vimac.f";
-      case Op::VImacStF: return "vimac.st.f";
-      default: return "<bad-op>";
-    }
+    const OpInfo *row = infoOf(op);
+    return row != nullptr ? row->mnemonic : "<bad-op>";
 }
 
 } // namespace via

@@ -58,8 +58,8 @@ struct FuzzOptions
      * IndexMAC baseline backends (machines are built over the
      * matching VectorBackend). backend=base re-runs the software
      * kernels in the accelerated slot — a self-consistency mode.
-     * Every backend also runs at cores>1: the parallel runner reads
-     * the same per-backend range bodies as the single-core one.
+     * Every backend also runs at cores>1: each kernel's one runner
+     * reads the same per-backend range bodies at any core count.
      */
     BackendKind backend = BackendKind::Via;
 

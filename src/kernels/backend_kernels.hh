@@ -6,8 +6,8 @@
  * each using its own instruction family on a Machine built over the
  * matching backend (Machine::backendKind() must be Ssr / IndexMac).
  * Every variant is a range body (kernels/ranges.hh), listed in its
- * kernel's backend table and run by both the single-core and the
- * parallel runner. Where an SSR variant only streams a software
+ * kernel's backend table and run by the kernel's one runner at every
+ * core count. Where an SSR variant only streams a software
  * baseline's loads (SPC5 and CSB SpMV, SpMA, SpMM, histogram), it is
  * that baseline's body with Streamed set, next to it:
  *

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "kernels/kernel_utils.hh"
 #include "kernels/ranges.hh"
-#include "simcore/log.hh"
 
 namespace via::kernels
 {

@@ -125,16 +125,6 @@ TEST(StreamIdentity, SpmvEveryFormatAndBackend)
             EXPECT_EQ(s, p) << label(kind, fmt);
         }
     }
-    // The vector CSR baseline, which the cores>1 comparison divides
-    // by, is the single-core vector CSR kernel on one core.
-    Stream s = singleStream(BackendKind::Via, [&](Machine &m) {
-        kernels::spmvVectorCsr(m, a, x);
-    });
-    Stream p = parallelStream(BackendKind::Via, [&](MultiMachine &mm) {
-        kernels::spmvParallel(mm, a, x, "csr", Partition::Static, false);
-    });
-    EXPECT_EQ(s.size(), 3636u);
-    EXPECT_EQ(s, p);
 }
 
 TEST(StreamIdentity, SpmaAndSpmmMatch)

@@ -337,10 +337,9 @@ runSingle(const kernels::KernelSpec &spec, const kernels::KernelInput &k,
     if (sopts.mode != sample::SimMode::Detailed)
         return runModal(opts, params, sopts, k.accelLabel,
                         [&](Machine &m) {
-                            return k.run(m, kernels::Partition::Static,
-                                         true)
-                                       .ok &&
-                                   !inject;
+                            bool ok =
+                                k.run(m, kernels::Partition::Static, true).ok;
+                            return ok && !inject;
                         });
 
     Tick base_cycles = 0;

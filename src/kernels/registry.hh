@@ -8,7 +8,7 @@
  * shape, the report labels and closures for every way a driver runs
  * the kernel: the single-core software baselines, and one run
  * closure over any cores (a Machine or a MultiMachine) for the
- * accelerated kernel matching the machine's backend or the vector
+ * accelerated kernel matching the machine's backend or the software
  * baseline, each checked against a host golden computed once. A
  * driver is then one generic loop over an entry, whatever the kernel
  * and however many cores.
@@ -69,7 +69,7 @@ struct KernelInput
     /** cores>1: the label of the run with accel=false. */
     std::string parallelBaseLabel;
     /** The kernel's runner on @p cores: the variant matching the
-     *  machine's backend, or with accel=false the vector baseline. */
+     *  machine's backend, or with accel=false the software baseline. */
     std::function<RunOutcome(Cores cores, Partition, bool accel)> run;
 
     /** False when the accelerated kernel cannot run on a machine

@@ -322,5 +322,57 @@ TEST(Fuzz, InjectedBugIsCaught)
     EXPECT_EQ(stats.seedsRun, 0u);
 }
 
+/** What runFuzz(@p opts) prints on stderr. */
+std::string
+fuzzStderr(const check::FuzzOptions &opts)
+{
+    ::testing::internal::CaptureStderr();
+    check::runFuzz(opts);
+    return ::testing::internal::GetCapturedStderr();
+}
+
+// The failure text is the fuzzer's interface: the FAIL line names
+// the run, the checker's report follows, and the replay line
+// reproduces it.
+TEST(Fuzz, SingleCoreFailureTextIsPinned)
+{
+    EnvGuard guard;
+    check::FuzzOptions opts;
+    opts.seeds = 1;
+    opts.inject = [](Machine &m) {
+        m.memSystem().level(0).stats().reads += 1;
+    };
+    EXPECT_EQ(fuzzStderr(opts),
+              "via_fuzz: FAIL kernel=spmv format=csr variant=base "
+              "config=16_2p seed=1 (invariant violation)\n"
+              "invariant violations: 1 (360 insts observed)\n"
+              "  [cache-accounting] l1d: accesses 301 != hits 128 + "
+              "misses 28 + merges 144\n"
+              "replay: via_fuzz seeds=1 seed=1 kernel=spmv\n");
+}
+
+// Perturbing only the cores of a shared-LLC machine lets every
+// single-core run pass, so the first failure is a multi-core one.
+TEST(Fuzz, MultiCoreFailureTextIsPinned)
+{
+    EnvGuard guard;
+    check::FuzzOptions opts;
+    opts.seeds = 1;
+    opts.cores = 2;
+    opts.inject = [](Machine &m) {
+        if (m.memSystem().shared() != nullptr)
+            m.memSystem().level(0).stats().reads += 1;
+    };
+    EXPECT_EQ(fuzzStderr(opts),
+              "via_fuzz: FAIL kernel=spmv format=csr variant=base "
+              "cores=2 partition=steal config=16_2p seed=1 "
+              "(invariant violation)\n"
+              "core 0:\n"
+              "invariant violations: 1 (186 insts observed)\n"
+              "  [cache-accounting] l1d: accesses 156 != hits 33 + "
+              "misses 28 + merges 94\n"
+              "replay: via_fuzz seeds=1 seed=1 kernel=spmv cores=2\n");
+}
+
 } // namespace
 } // namespace via

@@ -23,13 +23,19 @@ MultiMachine::privateParams(const MachineParams &params)
 MultiMachine::MultiMachine(const MachineParams &params,
                            unsigned cores,
                            const SharedLlcParams &llc_params)
-    : _params(params), _llc(std::make_unique<SharedLlc>(llc_params))
+    : _params(params)
 {
     via_assert(cores >= 1, "need at least one core");
     via_assert(cores <= 32, "directory sharer mask holds 32 cores");
+    if (cores == 1) {
+        _cores.push_back(std::make_unique<Machine>(params));
+        return;
+    }
+    _store = std::make_unique<BackingStore>();
+    _llc = std::make_unique<SharedLlc>(llc_params);
     MachineParams per_core = privateParams(params);
     for (unsigned c = 0; c < cores; ++c)
-        _cores.push_back(std::make_unique<Machine>(per_core, _store,
+        _cores.push_back(std::make_unique<Machine>(per_core, *_store,
                                                    *_llc, c));
     _llc->registerStats(_stats);
 }
@@ -39,6 +45,20 @@ MultiMachine::MultiMachine(const MachineParams &params,
     : MultiMachine(params, cores,
                    SharedLlcParams::from(params.mem, cores))
 {
+}
+
+SharedLlc &
+MultiMachine::llc()
+{
+    via_assert(_llc != nullptr, "a one-core machine has no shared LLC");
+    return *_llc;
+}
+
+const SharedLlc &
+MultiMachine::llc() const
+{
+    via_assert(_llc != nullptr, "a one-core machine has no shared LLC");
+    return *_llc;
 }
 
 Tick
@@ -55,7 +75,8 @@ MultiMachine::enableTracing(std::size_t limit)
 {
     for (auto &c : _cores)
         c->enableTracing(limit);
-    _llc->setTrace(_cores.front()->trace());
+    if (_llc)
+        _llc->setTrace(_cores.front()->trace());
 }
 
 void

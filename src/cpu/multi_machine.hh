@@ -1,19 +1,20 @@
 /**
  * @file
- * The multi-core machine: N Machines over one shared LLC and DRAM.
+ * The machine at any core count: one Machine, or N Machines over one
+ * shared LLC and DRAM.
  *
- * Each core is a full single-core Machine (private L1, SSPM, FIVU,
- * index table, OoO core) whose architectural memory is this
- * object's shared BackingStore and whose last private cache level
- * misses into the shared SharedLlc. The kernel runners
+ * One core is the single-core machine, Machine(params): its own
+ * memory, its private cache hierarchy, DRAM and prefetcher, and no
+ * shared LLC. That is the machine of the paper's numbers and of
+ * every single-core fingerprint, so the constructor is the one place
+ * that decides it. At cores>1 each core is a full Machine (private
+ * L1, SSPM, FIVU, index table, OoO core) whose architectural memory
+ * is this object's shared BackingStore and whose last private cache
+ * level misses into the shared SharedLlc. The kernel runners
  * (src/kernels/parallel.hh) drive the cores with partitioned work,
  * through the Cores view below; each core's emit stream is
  * independent, so per-core timing stays deterministic and the shared
  * level resolves contention and coherence analytically.
- *
- * cores=1 drivers must construct a plain Machine instead: the
- * single-core path is bit-identical to the pre-multicore simulator
- * and is what the benchmark fingerprints are pinned to.
  */
 
 #ifndef VIA_CPU_MULTI_MACHINE_HH
@@ -28,15 +29,17 @@
 namespace via
 {
 
-/** N cores, one shared LLC, one shared DRAM, one shared memory. */
+/** One core, or N cores over one shared LLC, DRAM and memory. */
 class MultiMachine
 {
   public:
     /**
-     * Build @p cores cores from @p params. Each core keeps only the
-     * first (L1) private cache level; the remaining levels are
-     * replaced by the shared LLC described by @p llc_params
-     * (typically SharedLlcParams::from(params.mem, cores)).
+     * Build @p cores cores from @p params. One core is
+     * Machine(params), and @p llc_params goes unused. At cores>1
+     * each core keeps only the first (L1) private cache level; the
+     * remaining levels are replaced by the shared LLC described by
+     * @p llc_params (typically SharedLlcParams::from(params.mem,
+     * cores)).
      */
     MultiMachine(const MachineParams &params, unsigned cores,
                  const SharedLlcParams &llc_params);
@@ -48,13 +51,15 @@ class MultiMachine
     Machine &core(unsigned i) { return *_cores.at(i); }
     const Machine &core(unsigned i) const { return *_cores.at(i); }
 
-    BackingStore &mem() { return _store; }
-    const BackingStore &mem() const { return _store; }
-    SharedLlc &llc() { return *_llc; }
-    const SharedLlc &llc() const { return *_llc; }
+    /** The architectural memory every core reads and writes. */
+    BackingStore &mem() { return _cores.front()->mem(); }
+    const BackingStore &mem() const { return _cores.front()->mem(); }
+    /** The shared LLC; only a machine of cores>1 has one. */
+    SharedLlc &llc();
+    const SharedLlc &llc() const;
 
-    /** Shared-level statistics (llc.*, dram.*). Per-core counters
-     *  live in core(i).stats(). */
+    /** Shared-level statistics (llc.*, dram.*), empty at one core.
+     *  Per-core counters live in core(i).stats(). */
     StatSet &stats() { return _stats; }
 
     /** Makespan: the slowest core's commit front. */
@@ -76,7 +81,8 @@ class MultiMachine
 
   private:
     MachineParams _params;
-    BackingStore _store;
+    /** The shared memory and LLC, at cores>1 only. */
+    std::unique_ptr<BackingStore> _store;
     std::unique_ptr<SharedLlc> _llc;
     std::vector<std::unique_ptr<Machine>> _cores;
     StatSet _stats;

@@ -63,13 +63,16 @@ computeEnergyMulti(const MultiMachine &mm,
         total.leakagePj += (params.coreLeakageMw + accel_leak_mw) *
                            1e-3 * seconds * 1e12;
     }
-    // The shared level: LLC tag walks cost an L2-class access,
-    // misses pay the single shared DRAM per byte.
-    total.cachePj += double(mm.llc().tags().stats().accesses()) *
-                     params.l2AccessPj;
-    const DramStats &ds = mm.llc().dram().stats();
-    total.dramPj += double(ds.bytesRead + ds.bytesWritten) *
-                    params.dramPjPerByte;
+    // The shared level (cores>1): LLC tag walks cost an L2-class
+    // access, misses pay the single shared DRAM per byte. One core
+    // has none, so its breakdown is computeEnergy's.
+    if (mm.cores() > 1) {
+        total.cachePj += double(mm.llc().tags().stats().accesses()) *
+                         params.l2AccessPj;
+        const DramStats &ds = mm.llc().dram().stats();
+        total.dramPj += double(ds.bytesRead + ds.bytesWritten) *
+                        params.dramPjPerByte;
+    }
     return total;
 }
 

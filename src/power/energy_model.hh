@@ -69,11 +69,12 @@ class MultiMachine;
 
 /**
  * The breakdown for a multi-core machine: per-core terms summed
- * over every core, plus the shared level the cores' private DRAM
- * counters never see (LLC tag walks at the L2 access energy, shared
- * DRAM traffic per byte). Leakage integrates every core over the
- * makespan — an early-finishing core keeps leaking until the
- * slowest core commits its last instruction.
+ * over every core, plus, at cores>1, the shared level the cores'
+ * private DRAM counters never see (LLC tag walks at the L2 access
+ * energy, shared DRAM traffic per byte). Leakage integrates every
+ * core over the makespan — an early-finishing core keeps leaking
+ * until the slowest core commits its last instruction. At one core
+ * it equals computeEnergy(mm.core(0)).
  */
 EnergyBreakdown computeEnergyMulti(const MultiMachine &mm,
                                    const EnergyParams &params = {});

@@ -2,10 +2,15 @@
  * @file
  * The multi-core machine (docs/multicore.md): shared-LLC bank
  * contention and directory coherence at the unit level, the
- * MultiMachine parameter derivation, the partitioning helpers, and
+ * MultiMachine parameter derivation, the partitioning helpers,
  * every parallel kernel against the host goldens — including
- * determinism of the timed makespan.
+ * determinism of the timed makespan — and the one-core machine being
+ * the single-core one.
  */
+
+#include <functional>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +20,8 @@
 #include "kernels/reference.hh"
 #include "mem/mem_system.hh"
 #include "mem/shared_llc.hh"
+#include "power/energy_model.hh"
+#include "sample/checkpoint.hh"
 #include "simcore/rng.hh"
 #include "sparse/convert.hh"
 #include "sparse/csc.hh"
@@ -402,6 +409,71 @@ TEST(ParallelKernels, SkewStealBeatsStatic)
             .cycles;
     };
     EXPECT_LE(run(Partition::Steal), run(Partition::Static));
+}
+
+// ------------------------------------------------------- one core
+
+std::string
+statsJson(const StatSet &stats)
+{
+    std::ostringstream os;
+    stats.dumpJson(os);
+    return os.str();
+}
+
+void
+expectSameEnergy(const EnergyBreakdown &a, const EnergyBreakdown &b)
+{
+    EXPECT_EQ(a.corePj, b.corePj);
+    EXPECT_EQ(a.cachePj, b.cachePj);
+    EXPECT_EQ(a.dramPj, b.dramPj);
+    EXPECT_EQ(a.sspmPj, b.sspmPj);
+    EXPECT_EQ(a.leakagePj, b.leakagePj);
+}
+
+// A one-core MultiMachine is the single-core Machine: after the same
+// run it has the same counters, clock, energy and checkpoint image.
+TEST(MultiMachineOneCore, IsTheSingleCoreMachine)
+{
+    Rng rng(5);
+    Csr a = genUniform(64, 64, 0.08, rng);
+    Csr b = genUniform(64, 64, 0.06, rng);
+    DenseVector x = randomVector(a.cols(), rng);
+    const std::pair<const char *,
+                    std::function<void(Machine &, MultiMachine &)>>
+        runs[] = {
+            {"spma",
+             [&](Machine &m, MultiMachine &mm) {
+                 kernels::spmaAccel(m, a, b);
+                 kernels::spmaParallel(mm, a, b, Partition::Static,
+                                       true);
+             }},
+            {"csb spmv",
+             [&](Machine &m, MultiMachine &mm) {
+                 kernels::spmvAccel(m, a, x, "csb");
+                 kernels::spmvParallel(mm, a, x, "csb",
+                                       Partition::Static, true);
+             }},
+        };
+    for (BackendKind kind : {BackendKind::Base, BackendKind::Via,
+                             BackendKind::Ssr, BackendKind::IndexMac}) {
+        for (const auto &[name, run] : runs) {
+            SCOPED_TRACE(std::string(backendName(kind)) + " " + name);
+            Machine m(smallParams(kind));
+            MultiMachine mm(smallParams(kind), 1);
+            EXPECT_EQ(mm.core(0).memSystem().shared(), nullptr);
+            EXPECT_EQ(&mm.mem(), &mm.core(0).mem());
+            run(m, mm);
+
+            EXPECT_EQ(statsJson(mm.core(0).stats()),
+                      statsJson(m.stats()));
+            EXPECT_EQ(statsJson(mm.stats()), statsJson(StatSet{}));
+            EXPECT_EQ(mm.cycles(), m.cycles());
+            expectSameEnergy(computeEnergyMulti(mm), computeEnergy(m));
+            EXPECT_EQ(sample::Checkpoint::capture(mm.core(0)).bytes(),
+                      sample::Checkpoint::capture(m).bytes());
+        }
+    }
 }
 
 } // namespace

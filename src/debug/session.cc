@@ -95,11 +95,11 @@ void
 DebugSession::attachTaps()
 {
     _taps.clear();
-    for (unsigned c = 0; c < _target.cores(); ++c) {
+    for (unsigned c = 0; c < _target->cores(); ++c) {
         auto tap = std::make_unique<CoreTap>();
         tap->sess = this;
         tap->core = c;
-        _target.core(c).core().addTimingObserver(tap.get());
+        _target->core(c).core().addTimingObserver(tap.get());
         _taps.push_back(std::move(tap));
     }
 }
@@ -107,13 +107,13 @@ DebugSession::attachTaps()
 void
 DebugSession::detachTaps()
 {
-    if (_target.machine == nullptr && _target.multi == nullptr) {
+    if (_target == nullptr) {
         _taps.clear();
         return;
     }
-    for (unsigned c = 0; c < _target.cores() && c < _taps.size();
+    for (unsigned c = 0; c < _target->cores() && c < _taps.size();
          ++c)
-        _target.core(c).core().removeTimingObserver(_taps[c].get());
+        _target->core(c).core().removeTimingObserver(_taps[c].get());
     _taps.clear();
 }
 
@@ -130,7 +130,7 @@ DebugSession::run()
         bool rewound = false;
         _running = true;
         try {
-            ok = _kernel(_target);
+            ok = _kernel(*_target);
         } catch (const RewindRequest &rr) {
             rewound = true;
             _running = false;
@@ -183,7 +183,7 @@ DebugSession::onInst(unsigned core_id, const Inst &inst,
         reason = "run-to-inst " + std::to_string(_runToInst);
     }
 
-    const Machine &m = _target.core(core_id);
+    const Machine &m = _target->core(core_id);
     StopContext ctx;
     ctx.inst = &inst;
     ctx.camCount = m.sspm().count();
@@ -208,7 +208,7 @@ DebugSession::pause(const std::string &reason, unsigned core_id,
 {
     clearResumeConditions();
     *_out << "stopped: " << reason;
-    if (_target.cores() > 1)
+    if (_target->cores() > 1)
         *_out << " core " << core_id;
     *_out << " at inst " << _instCount << " cycle " << timing.commit
           << " (" << mnemonic(inst.op) << ")\n";
@@ -321,8 +321,8 @@ DebugSession::execute(const std::string &line, bool at_pause)
             return false;
         }
         if (cmd == "run-to-cycle") {
-            if (_running && _target.cycles() >= Tick(n)) {
-                *_out << "already at cycle " << _target.cycles()
+            if (_running && _target->cycles() >= Tick(n)) {
+                *_out << "already at cycle " << _target->cycles()
                       << "\n";
                 return false;
             }
@@ -388,11 +388,11 @@ DebugSession::cmdInfo(const std::vector<std::string> &words)
     std::uint64_t core_id = 0;
     if (words.size() > arg_idx &&
         (!parseU64(words[arg_idx], core_id) ||
-         core_id >= _target.cores())) {
+         core_id >= _target->cores())) {
         *_out << "info: bad core index\n";
         return false;
     }
-    const Machine &m = _target.core(unsigned(core_id));
+    const Machine &m = _target->core(unsigned(core_id));
 
     if (what == "rob")
         infoRob(*_out, m);
@@ -460,7 +460,7 @@ DebugSession::cmdWatch(const std::vector<std::string> &words)
         id = _engine.addAddrWatch(Addr(a), bytes, once);
     } else if (kind == "line") {
         id = _engine.addLineWatch(
-            Addr(a), _target.core(0).memSystem().lineBytes(), once);
+            Addr(a), _target->core(0).memSystem().lineBytes(), once);
     } else if (kind == "cam") {
         id = _engine.addCamWatch(a, once);
     } else if (kind == "sspm") {
@@ -477,14 +477,14 @@ DebugSession::cmdWatch(const std::vector<std::string> &words)
 void
 DebugSession::cmdCheckpointSave(const std::string &name)
 {
-    if (!_target.single()) {
+    if (_target->cores() > 1) {
         *_out << "checkpoint: multi-core targets cannot be "
                  "checkpointed\n";
         return;
     }
     try {
         sample::Checkpoint cp =
-            sample::Checkpoint::capture(*_target.machine);
+            sample::Checkpoint::capture(_target->core(0));
         const std::size_t bytes = cp.bytes().size();
         _saved.insert_or_assign(name, Saved{_instCount, std::move(cp)});
         *_out << "checkpoint '" << name << "' saved at inst "
@@ -531,7 +531,7 @@ void
 DebugSession::prepareReplay(const std::string &name)
 {
     detachTaps();
-    _target = DebugTarget{};
+    _target.reset();
     buildTarget();
     attachTaps();
     _instCount = 0;
@@ -551,13 +551,13 @@ DebugSession::prepareReplay(const std::string &name)
 void
 DebugSession::verifyReplay()
 {
-    if (!_target.single()) {
+    if (_target->cores() > 1) {
         *_out << "replay verification skipped (multi-core)\n";
         return;
     }
     try {
         const sample::Checkpoint now =
-            sample::Checkpoint::capture(*_target.machine);
+            sample::Checkpoint::capture(_target->core(0));
         const sample::Checkpoint &saved =
             _saved.at(_replayName).image;
         if (now.bytes() == saved.bytes()) {
@@ -580,8 +580,8 @@ DebugSession::verifyReplay()
 std::uint64_t
 DebugSession::combinedFingerprint()
 {
-    if (_target.single())
-        return statsFingerprint(_target.machine->stats());
+    if (_target->cores() == 1)
+        return statsFingerprint(_target->core(0).stats());
     // Hash the per-core fingerprints and the shared-level stats'
     // one, each as 8 little-endian bytes.
     std::string bytes;
@@ -589,9 +589,9 @@ DebugSession::combinedFingerprint()
         for (int i = 0; i < 8; ++i)
             bytes += char(v >> (8 * i));
     };
-    for (unsigned c = 0; c < _target.cores(); ++c)
-        append(statsFingerprint(_target.core(c).stats()));
-    append(statsFingerprint(_target.multi->stats()));
+    for (unsigned c = 0; c < _target->cores(); ++c)
+        append(statsFingerprint(_target->core(c).stats()));
+    append(statsFingerprint(_target->stats()));
     return fnv1a64(bytes);
 }
 
@@ -599,7 +599,7 @@ void
 DebugSession::printFinal(bool ok)
 {
     *_out << "result: " << (ok ? "ok" : "MISMATCH") << "\n";
-    *_out << "final: cycles=" << _target.cycles()
+    *_out << "final: cycles=" << _target->cycles()
           << " insts=" << _instCount
           << " stats_fnv64=" << hex64(combinedFingerprint()) << "\n";
 }

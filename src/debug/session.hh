@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "cpu/machine.hh"
 #include "cpu/multi_machine.hh"
 #include "debug/breakpoints.hh"
 #include "sample/checkpoint.hh"
@@ -42,42 +41,19 @@
 namespace via::debug
 {
 
-/** The machine under debug: one core or a MultiMachine. */
-struct DebugTarget
-{
-    std::unique_ptr<Machine> machine;    //!< cores == 1
-    std::unique_ptr<MultiMachine> multi; //!< cores > 1
-
-    bool single() const { return machine != nullptr; }
-    unsigned cores() const
-    {
-        return machine ? 1 : multi->cores();
-    }
-    Machine &core(unsigned i)
-    {
-        return machine ? *machine : multi->core(i);
-    }
-    const Machine &core(unsigned i) const
-    {
-        return machine ? *machine : multi->core(i);
-    }
-    Tick cycles() const
-    {
-        return machine ? machine->cycles() : multi->cycles();
-    }
-    /** Every core, for a kernel runner. */
-    Cores view() { return machine ? Cores(*machine) : Cores(*multi); }
-};
-
-/** Rebuilds a fresh target (used at start and on every rewind). */
-using TargetFactory = std::function<DebugTarget()>;
+/**
+ * Rebuilds a fresh machine under debug, of one core or several
+ * (used at start and on every rewind). Only a one-core machine
+ * checkpoints.
+ */
+using TargetFactory = std::function<std::unique_ptr<MultiMachine>()>;
 
 /**
  * Runs the kernel under debug against the target; returns whether
  * the result check passed. Must be deterministic: the factory +
  * kernel pair is re-invoked verbatim on rewind.
  */
-using KernelFn = std::function<bool(DebugTarget &)>;
+using KernelFn = std::function<bool(MultiMachine &)>;
 
 /** I/O wiring for a session. */
 struct SessionConfig
@@ -169,7 +145,7 @@ class DebugSession
     std::istream *_in = nullptr;
     std::ostream *_out = nullptr;
 
-    DebugTarget _target;
+    std::unique_ptr<MultiMachine> _target;
     std::vector<std::unique_ptr<CoreTap>> _taps;
     BreakpointEngine _engine;
     /** A saved checkpoint: the global instruction count at capture

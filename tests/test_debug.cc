@@ -7,7 +7,7 @@
  * observes commits through the passive TimingObserver hook, so a
  * session that stops, inspects, and continues must print a `final:`
  * line (cycles / insts / stats fingerprint) bit-identical to an
- * uninterrupted run — per backend, and on a MultiMachine. The
+ * uninterrupted run — per backend, at one core and at two. The
  * BreakpointEngine itself is tested as a pure condition evaluator:
  * opcode matches, access-window overlap, line alignment, once
  * removal, and the edge-trigger/re-arm latch on threshold watches.
@@ -25,11 +25,9 @@
 #include <sstream>
 #include <string>
 
-#include "cpu/machine.hh"
 #include "cpu/multi_machine.hh"
 #include "debug/breakpoints.hh"
 #include "debug/session.hh"
-#include "kernels/dispatch.hh"
 #include "kernels/parallel.hh"
 #include "simcore/fnv.hh"
 #include "simcore/rng.hh"
@@ -206,28 +204,13 @@ runSession(BackendKind kind, unsigned cores,
         randomVector(a->cols(), rng));
     auto golden = std::make_shared<DenseVector>(a->multiply(*x));
 
-    debug::TargetFactory factory;
-    if (cores > 1) {
-        factory = [params, cores] {
-            debug::DebugTarget t;
-            t.multi = std::make_unique<MultiMachine>(params, cores);
-            return t;
-        };
-    } else {
-        factory = [params] {
-            debug::DebugTarget t;
-            t.machine = std::make_unique<Machine>(params);
-            return t;
-        };
-    }
-    debug::KernelFn kfn = [a, x, golden,
-                           cores](debug::DebugTarget &t) {
-        auto res = cores > 1
-                       ? kernels::spmvParallel(
-                             *t.multi, *a, *x, "csr",
-                             kernels::Partition::Static, true)
-                       : kernels::spmvAccel(*t.machine, *a, *x,
-                                            "csr");
+    debug::TargetFactory factory = [params, cores] {
+        return std::make_unique<MultiMachine>(params, cores);
+    };
+    debug::KernelFn kfn = [a, x, golden](MultiMachine &mm) {
+        auto res = kernels::spmvParallel(mm, *a, *x, "csr",
+                                         kernels::Partition::Static,
+                                         true);
         return allClose(res.y, *golden);
     };
 

@@ -21,8 +21,8 @@
  *   keys=N buckets=B px=N             histogram / stencil inputs
  *   script=PATH     read commands from PATH instead of stdin
  *   echo=0          suppress command echo in script mode
- *   cores=N         debug the parallel kernels on a MultiMachine
- *                   (checkpoints unsupported)
+ *   cores=N         debug the kernel on N cores over a shared LLC
+ *                   (checkpoints need cores=1)
  *
  * The machine group (backend=, sspm_kb=, rob=, ...) matches every
  * other harness. The observer-based stop engine cannot perturb the
@@ -36,7 +36,6 @@
 #include <memory>
 #include <string>
 
-#include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
 #include "cpu/multi_machine.hh"
 #include "debug/session.hh"
@@ -92,26 +91,13 @@ main(int argc, char **argv)
     std::printf("target: %s%s, %s\n", spec.name.c_str(), tag.c_str(),
                 k->shape.c_str());
     const auto part = kernels::parsePartition(opts.getString("partition"));
-    debug::KernelFn kfn = [k, part](debug::DebugTarget &t) {
-        return k->run(t.view(), part, true).ok;
+    debug::KernelFn kfn = [k, part](MultiMachine &mm) {
+        return k->run(mm, part, true).ok;
     };
-
-    debug::TargetFactory factory;
-    if (cores > 1) {
-        SharedLlcParams llcp = sharedLlcParamsFrom(opts, params, cores);
-        factory = [params, cores, llcp] {
-            debug::DebugTarget t;
-            t.multi = std::make_unique<MultiMachine>(params, cores,
-                                                     llcp);
-            return t;
-        };
-    } else {
-        factory = [params] {
-            debug::DebugTarget t;
-            t.machine = std::make_unique<Machine>(params);
-            return t;
-        };
-    }
+    SharedLlcParams llcp = sharedLlcParamsFrom(opts, params, cores);
+    debug::TargetFactory factory = [params, cores, llcp] {
+        return std::make_unique<MultiMachine>(params, cores, llcp);
+    };
 
     const std::string script = opts.getString("script");
     std::ifstream script_in;

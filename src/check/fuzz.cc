@@ -5,15 +5,11 @@
 #include <cstdio>
 
 #include "check/invariants.hh"
-#include "cpu/machine.hh"
 #include "cpu/multi_machine.hh"
 #include "kernels/dispatch.hh"
 #include "kernels/histogram.hh"
 #include "kernels/parallel.hh"
 #include "kernels/reference.hh"
-#include "kernels/spma.hh"
-#include "kernels/spmm.hh"
-#include "kernels/stencil.hh"
 #include "simcore/log.hh"
 #include "simcore/parallel.hh"
 #include "sparse/convert.hh"
@@ -56,7 +52,7 @@ appendf(std::string &out, const char *fmt, ...)
 
 void
 printReplay(const SeedCtx &ctx, const std::string &kernel,
-            bool multicore = false)
+            unsigned cores)
 {
     appendf(ctx.out, "replay: via_fuzz seeds=1 seed=%llu kernel=%s",
             static_cast<unsigned long long>(ctx.seed),
@@ -65,8 +61,8 @@ printReplay(const SeedCtx &ctx, const std::string &kernel,
     // pre-multicore fuzzer; only a multi-core failure needs the
     // extra knob to reproduce, and only another backend than the
     // default needs backend=.
-    if (multicore)
-        appendf(ctx.out, " cores=%u", ctx.opts.cores);
+    if (cores > 1)
+        appendf(ctx.out, " cores=%u", cores);
     if (ctx.opts.backend != BackendKind::Via)
         ctx.out += " backend=" + std::string(backendName(ctx.opts.backend));
     appendf(ctx.out, "\n");
@@ -80,80 +76,50 @@ seedPartition(std::uint64_t seed)
                       : kernels::Partition::Static;
 }
 
+/** The core counts every kernel runs at: one, then opts.cores. */
+std::vector<unsigned>
+coreCounts(const FuzzOptions &opts)
+{
+    if (opts.cores > 1)
+        return {1, opts.cores};
+    return {1};
+}
+
 /**
- * The accelerated slot's variant= tag. With the default backend the
- * campaign output stays byte-identical to the pre-backend fuzzer
- * ("variant=via").
+ * A run's variant= tag: the backend's name for the accelerated
+ * kernel (so the default backend's stays "variant=via", as before
+ * the backends), or @p baseline for the software baseline.
  */
 std::string
-accelTag(const MachineParams &params)
+variantTag(const MachineParams &params, bool accel, const char *baseline)
 {
     return "variant=" +
-           std::string(backendName(params.backend.kind));
-}
-
-/** A parallel run's variant= tag: the backend's, or @p baseline. */
-std::string
-multiTag(const MachineParams &params, bool accel, const char *baseline)
-{
-    return accel ? accelTag(params) : std::string("variant=") + baseline;
+           std::string(accel ? backendName(params.backend.kind)
+                             : std::string_view(baseline));
 }
 
 /**
- * Run one kernel variant on a fresh machine with an invariant
- * checker attached; @p body executes the kernel and returns whether
- * the result matched the golden reference.
+ * Run one kernel variant on a fresh machine of @p cores cores with
+ * an invariant checker attached to every core; @p body executes the
+ * kernel and returns whether the result matched the golden
+ * reference. The inject hook hits core 0, so the self-test covers
+ * every core count.
  *
  * @return false when the campaign must stop (failure recorded)
  */
 bool
-runOne(const SeedCtx &ctx, const MachineParams &params,
+runOne(const SeedCtx &ctx, const MachineParams &params, unsigned cores,
        const std::string &kernel, const std::string &label,
-       const std::function<bool(Machine &)> &body)
+       const std::function<bool(MultiMachine &)> &body)
 {
-    Machine m(params);
-    TimingInvariantChecker &checker = m.attachChecker();
-    bool ref_ok = body(m);
-    if (ctx.opts.inject)
-        ctx.opts.inject(m);
-    bool inv_ok = checker.checkAll();
-    ++ctx.stats.kernelRuns;
-    if (ref_ok && inv_ok)
-        return true;
-
-    ++ctx.stats.failures;
-    appendf(ctx.out,
-            "via_fuzz: FAIL %s config=%s seed=%llu (%s)\n",
-            label.c_str(), params.via.name().c_str(),
-            static_cast<unsigned long long>(ctx.seed),
-            !ref_ok ? "reference mismatch"
-                    : "invariant violation");
-    if (!inv_ok)
-        ctx.out += checker.report();
-    printReplay(ctx, kernel);
-    return false;
-}
-
-/**
- * Multi-core counterpart of runOne: a fresh opts.cores-core
- * MultiMachine with an invariant checker attached to every core;
- * @p body runs the parallel kernel and returns whether the result
- * matched the golden. The inject hook hits core 0, so the self-test
- * covers the multi-core checkers too.
- */
-bool
-runOneMulti(const SeedCtx &ctx, const MachineParams &params,
-            const std::string &kernel, const std::string &label,
-            const std::function<bool(MultiMachine &)> &body)
-{
-    MultiMachine mm(params, ctx.opts.cores);
+    MultiMachine mm(params, cores);
     mm.attachCheckers();
     bool ref_ok = body(mm);
     if (ctx.opts.inject)
         ctx.opts.inject(mm.core(0));
     bool inv_ok = true;
     unsigned bad_core = 0;
-    for (unsigned c = 0; c < mm.cores() && inv_ok; ++c) {
+    for (unsigned c = 0; c < cores && inv_ok; ++c) {
         if (!mm.core(c).checker()->checkAll()) {
             inv_ok = false;
             bad_core = c;
@@ -164,19 +130,20 @@ runOneMulti(const SeedCtx &ctx, const MachineParams &params,
         return true;
 
     ++ctx.stats.failures;
-    appendf(ctx.out,
-            "via_fuzz: FAIL %s cores=%u partition=%s config=%s "
-            "seed=%llu (%s)\n",
-            label.c_str(), ctx.opts.cores,
-            kernels::partitionName(seedPartition(ctx.seed)),
-            params.via.name().c_str(),
+    std::string where;
+    if (cores > 1)
+        where = " cores=" + std::to_string(cores) + " partition=" +
+                kernels::partitionName(seedPartition(ctx.seed));
+    appendf(ctx.out, "via_fuzz: FAIL %s%s config=%s seed=%llu (%s)\n",
+            label.c_str(), where.c_str(), params.via.name().c_str(),
             static_cast<unsigned long long>(ctx.seed),
             !ref_ok ? "reference mismatch" : "invariant violation");
     if (!inv_ok) {
-        appendf(ctx.out, "core %u:\n", bad_core);
+        if (cores > 1)
+            appendf(ctx.out, "core %u:\n", bad_core);
         ctx.out += mm.core(bad_core).checker()->report();
     }
-    printReplay(ctx, kernel, true);
+    printReplay(ctx, kernel, cores);
     return false;
 }
 
@@ -186,41 +153,20 @@ fuzzSpmv(const SeedCtx &ctx, const MachineParams &params, Rng &rng)
     Csr a = genAdversarial(rng);
     DenseVector x = randomVector(a.cols(), rng);
     DenseVector golden = a.multiply(x);
-    for (const std::string &fmt : kernels::spmvFormats()) {
-        auto diff = [&](kernels::SpmvResult res) {
-            return allClose(res.y, golden);
-        };
-        if (!runOne(ctx, params, "spmv",
-                    "kernel=spmv format=" + fmt + " variant=base",
-                    [&](Machine &m) {
-                        return diff(kernels::spmvBaseline(m, a, x,
-                                                          fmt));
-                    }))
-            return false;
-        if (!runOne(ctx, params, "spmv",
-                    "kernel=spmv format=" + fmt + " " +
-                        accelTag(params),
-                    [&](Machine &m) {
-                        return diff(
-                            kernels::spmvAccel(m, a, x, fmt));
-                    }))
-            return false;
-    }
-    if (ctx.opts.cores > 1) {
-        kernels::Partition part = seedPartition(ctx.seed);
+    kernels::Partition part = seedPartition(ctx.seed);
+    for (unsigned cores : coreCounts(ctx.opts)) {
         for (const std::string &fmt : kernels::spmvFormats()) {
             for (bool accel : {false, true}) {
-                if (!runOneMulti(
-                        ctx, params, "spmv",
-                        "kernel=spmv format=" + fmt + " " +
-                            multiTag(params, accel, "base"),
-                        [&](MultiMachine &mm) {
-                            return allClose(
-                                kernels::spmvParallel(mm, a, x, fmt,
-                                                      part, accel)
-                                    .y,
-                                golden);
-                        }))
+                if (!runOne(ctx, params, cores, "spmv",
+                            "kernel=spmv format=" + fmt + " " +
+                                variantTag(params, accel, "base"),
+                            [&](MultiMachine &mm) {
+                                return allClose(
+                                    kernels::spmvParallel(
+                                        mm, a, x, fmt, part, accel)
+                                        .y,
+                                    golden);
+                            }))
                     return false;
             }
         }
@@ -238,30 +184,19 @@ fuzzSpma(const SeedCtx &ctx, const MachineParams &params, Rng &rng)
                        std::min(1.0, 0.05 + rng.uniform() * 0.3),
                        rng);
     Csr golden = addCsr(a, b);
-    auto diff = [&](const kernels::SpmaResult &res) {
-        return closeElements(res.c, golden, 1e-3);
-    };
-    if (!runOne(ctx, params, "spma",
-                "kernel=spma variant=scalar", [&](Machine &m) {
-                    return diff(kernels::spmaScalarCsr(m, a, b));
-                }))
-        return false;
-    if (!runOne(ctx, params, "spma",
-                "kernel=spma " + accelTag(params),
-                [&](Machine &m) {
-                    return diff(kernels::spmaAccel(m, a, b));
-                }))
-        return false;
-    if (ctx.opts.cores > 1) {
-        kernels::Partition part = seedPartition(ctx.seed);
+    kernels::Partition part = seedPartition(ctx.seed);
+    for (unsigned cores : coreCounts(ctx.opts)) {
         for (bool accel : {false, true}) {
-            if (!runOneMulti(ctx, params, "spma",
-                             "kernel=spma " +
-                                 multiTag(params, accel, "scalar"),
-                             [&](MultiMachine &mm) {
-                                 return diff(kernels::spmaParallel(
-                                     mm, a, b, part, accel));
-                             }))
+            if (!runOne(ctx, params, cores, "spma",
+                        "kernel=spma " +
+                            variantTag(params, accel, "scalar"),
+                        [&](MultiMachine &mm) {
+                            return closeElements(
+                                kernels::spmaParallel(mm, a, b, part,
+                                                      accel)
+                                    .c,
+                                golden, 1e-3);
+                        }))
                 return false;
         }
     }
@@ -278,42 +213,29 @@ fuzzSpmm(const SeedCtx &ctx, const MachineParams &params, Rng &rng)
                            rng);
     Csc b = Csc::fromCsr(b_csr);
     Csr golden = mulCsr(a, b_csr);
-    auto diff = [&](const kernels::SpmmResult &res) {
-        return closeElements(res.c, golden, 1e-2);
-    };
-    if (!runOne(ctx, params, "spmm",
-                "kernel=spmm variant=scalar", [&](Machine &m) {
-                    return diff(kernels::spmmScalarInner(m, a, b));
-                }))
-        return false;
     // The VIA kernel loads whole A rows into the CAM; rows longer
     // than the table cannot run on this configuration. The other
     // backends have no such capacity cliff.
     bool via_fits =
         params.backend.kind != BackendKind::Via ||
         a.maxRowNnz() <= Index(params.via.camEntries());
-    if (!via_fits)
-        ++ctx.stats.skipped;
-    else if (!runOne(ctx, params, "spmm",
-                     "kernel=spmm " + accelTag(params),
-                     [&](Machine &m) {
-                         return diff(kernels::spmmAccel(m, a, b));
-                     }))
-        return false;
-    if (ctx.opts.cores > 1) {
-        kernels::Partition part = seedPartition(ctx.seed);
+    kernels::Partition part = seedPartition(ctx.seed);
+    for (unsigned cores : coreCounts(ctx.opts)) {
         for (bool accel : {false, true}) {
             if (accel && !via_fits) {
                 ++ctx.stats.skipped;
                 continue;
             }
-            if (!runOneMulti(ctx, params, "spmm",
-                             "kernel=spmm " +
-                                 multiTag(params, accel, "scalar"),
-                             [&](MultiMachine &mm) {
-                                 return diff(kernels::spmmParallel(
-                                     mm, a, b, part, accel));
-                             }))
+            if (!runOne(ctx, params, cores, "spmm",
+                        "kernel=spmm " +
+                            variantTag(params, accel, "scalar"),
+                        [&](MultiMachine &mm) {
+                            return closeElements(
+                                kernels::spmmParallel(mm, a, b, part,
+                                                      accel)
+                                    .c,
+                                golden, 1e-2);
+                        }))
                 return false;
         }
     }
@@ -334,41 +256,26 @@ fuzzHistogram(const SeedCtx &ctx, const MachineParams &params,
                 ? hot
                 : Index(rng.below(std::uint64_t(buckets)));
     std::vector<Value> golden = kernels::refHistogram(keys, buckets);
-    auto diff = [&](const kernels::HistResult &res) {
-        return res.hist == golden;
-    };
-    if (!runOne(ctx, params, "histogram",
+    // The scalar kernel has no parallel form: it runs on one core.
+    if (!runOne(ctx, params, 1, "histogram",
                 "kernel=histogram variant=scalar",
-                [&](Machine &m) {
-                    return diff(
-                        kernels::histScalar(m, keys, buckets));
+                [&](MultiMachine &mm) {
+                    return kernels::histScalar(mm.core(0), keys,
+                                               buckets)
+                               .hist == golden;
                 }))
         return false;
-    if (!runOne(ctx, params, "histogram",
-                "kernel=histogram variant=vector",
-                [&](Machine &m) {
-                    return diff(
-                        kernels::histVector(m, keys, buckets));
-                }))
-        return false;
-    if (!runOne(ctx, params, "histogram",
-                "kernel=histogram " + accelTag(params),
-                [&](Machine &m) {
-                    return diff(
-                        kernels::histAccel(m, keys, buckets));
-                }))
-        return false;
-    if (ctx.opts.cores > 1) {
-        kernels::Partition part = seedPartition(ctx.seed);
+    kernels::Partition part = seedPartition(ctx.seed);
+    for (unsigned cores : coreCounts(ctx.opts)) {
         for (bool accel : {false, true}) {
-            if (!runOneMulti(
-                    ctx, params, "histogram",
-                    "kernel=histogram " +
-                        multiTag(params, accel, "vector"),
-                    [&](MultiMachine &mm) {
-                        return diff(kernels::histParallel(
-                            mm, keys, buckets, part, accel));
-                    }))
+            if (!runOne(ctx, params, cores, "histogram",
+                        "kernel=histogram " +
+                            variantTag(params, accel, "vector"),
+                        [&](MultiMachine &mm) {
+                            return kernels::histParallel(
+                                       mm, keys, buckets, part, accel)
+                                       .hist == golden;
+                        }))
                 return false;
         }
     }
@@ -386,31 +293,19 @@ fuzzStencil(const SeedCtx &ctx, const MachineParams &params,
     for (auto &p : img.data())
         p = Value(rng.uniform() * 255.0);
     DenseMatrix golden = kernels::refConvolve4x4(img);
-    auto diff = [&](const kernels::StencilResult &res) {
-        return allClose(res.out.data(), golden.data());
-    };
-    if (!runOne(ctx, params, "stencil",
-                "kernel=stencil variant=vector", [&](Machine &m) {
-                    return diff(kernels::stencilVector(m, img));
-                }))
-        return false;
-    if (!runOne(ctx, params, "stencil",
-                "kernel=stencil " + accelTag(params),
-                [&](Machine &m) {
-                    return diff(kernels::stencilAccel(m, img));
-                }))
-        return false;
-    if (ctx.opts.cores > 1) {
-        kernels::Partition part = seedPartition(ctx.seed);
+    kernels::Partition part = seedPartition(ctx.seed);
+    for (unsigned cores : coreCounts(ctx.opts)) {
         for (bool accel : {false, true}) {
-            if (!runOneMulti(
-                    ctx, params, "stencil",
-                    "kernel=stencil " +
-                        multiTag(params, accel, "vector"),
-                    [&](MultiMachine &mm) {
-                        return diff(kernels::stencilParallel(
-                            mm, img, part, accel));
-                    }))
+            if (!runOne(ctx, params, cores, "stencil",
+                        "kernel=stencil " +
+                            variantTag(params, accel, "vector"),
+                        [&](MultiMachine &mm) {
+                            return allClose(
+                                kernels::stencilParallel(mm, img, part,
+                                                         accel)
+                                    .out.data(),
+                                golden.data());
+                        }))
                 return false;
         }
     }

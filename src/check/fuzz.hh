@@ -64,20 +64,23 @@ struct FuzzOptions
     BackendKind backend = BackendKind::Via;
 
     /**
-     * With cores > 1 each seed additionally runs the parallel
-     * kernel variants (src/kernels/parallel.hh) on a cores-core
-     * MultiMachine, diffed against the same host goldens with an
-     * invariant checker on every core. The partitioning policy
-     * alternates with the seed's parity (even = static, odd =
+     * Every kernel runs through its runner (src/kernels/parallel.hh)
+     * on a one-core MultiMachine, which is the single-core machine;
+     * with cores > 1 each seed runs the kernels again on a
+     * cores-core MultiMachine, diffed against the same host goldens
+     * with an invariant checker on every core. The partitioning
+     * policy alternates with the seed's parity (even = static, odd =
      * steal), so both schedulers fuzz without a separate knob; a
-     * failing multi-core run's replay line carries cores=N.
+     * failing multi-core run's FAIL line carries cores=N and the
+     * partition, and its replay line cores=N.
      */
     unsigned cores = 1;
 
     /**
-     * Self-test hook: applied to each machine after its kernel ran
-     * but before the invariant checks, so a deliberate counter
-     * perturbation must be caught and reported with a replay seed.
+     * Self-test hook: applied to core 0 of each machine after its
+     * kernel ran but before the invariant checks, so a deliberate
+     * counter perturbation must be caught and reported with a
+     * replay seed.
      */
     std::function<void(Machine &)> inject;
 };

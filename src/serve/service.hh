@@ -3,10 +3,11 @@
  * The service model: what a batch costs.
  *
  * The serving DES (serve/sim.hh) is a service-level simulation — it
- * never runs the cycle-level machine itself. It asks a ServiceModel
- * what a batch of n same-class requests costs in cycles and energy,
- * and the model answers from a table the batch executor measured
- * with the cycle-level simulator up front (serve/executor.hh).
+ * never runs the cycle-level machine itself. It asks a
+ * TableServiceModel what a batch of n same-class requests costs in
+ * cycles and energy, and the model answers from a table the batch
+ * executor measured with the cycle-level simulator up front
+ * (serve/executor.hh).
  *
  * This is exact, not an approximation: kernel timing is
  * value-independent for a fixed matrix structure, so every batch of
@@ -27,24 +28,11 @@
 namespace via::serve
 {
 
-/** Batch costs for every (class, batch size) the DES can form. */
-class ServiceModel
-{
-  public:
-    virtual ~ServiceModel() = default;
-
-    /** Largest batch the model can price. */
-    virtual unsigned batchMax() const = 0;
-
-    /** Service cycles for n same-class requests run as one batch. */
-    virtual Tick cost(std::size_t cls, unsigned n) const = 0;
-
-    /** Dynamic + leakage energy of that batch, picojoules. */
-    virtual double energyPj(std::size_t cls, unsigned n) const = 0;
-};
-
-/** A dense measured table (the batch executor's product). */
-class TableServiceModel : public ServiceModel
+/**
+ * Batch costs for every (class, batch size) the DES can form: a
+ * dense measured table, the batch executor's product.
+ */
+class TableServiceModel
 {
   public:
     TableServiceModel(std::size_t classes, unsigned batch_max)
@@ -61,16 +49,19 @@ class TableServiceModel : public ServiceModel
         _energy.at(index(cls, n)) = energy_pj;
     }
 
-    unsigned batchMax() const override { return _batch_max; }
+    /** Largest batch the model can price. */
+    unsigned batchMax() const { return _batch_max; }
 
+    /** Service cycles for n same-class requests run as one batch. */
     Tick
-    cost(std::size_t cls, unsigned n) const override
+    cost(std::size_t cls, unsigned n) const
     {
         return _cost.at(index(cls, n));
     }
 
+    /** Dynamic + leakage energy of that batch, picojoules. */
     double
-    energyPj(std::size_t cls, unsigned n) const override
+    energyPj(std::size_t cls, unsigned n) const
     {
         return _energy.at(index(cls, n));
     }

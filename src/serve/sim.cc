@@ -32,7 +32,7 @@ toDistribution(const std::vector<double> &samples)
 
 ServeReport
 runServe(const std::vector<RequestClass> &mix,
-         const ServiceModel &model, const ServeConfig &cfg)
+         const TableServiceModel &model, const ServeConfig &cfg)
 {
     via_assert(!mix.empty(), "empty traffic mix");
     via_assert(cfg.batchMax > 0, "batchMax must be > 0");

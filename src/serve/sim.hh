@@ -8,10 +8,10 @@
  * oldest waiting request — its class defines the batch — and
  * coalesces up to batch_max already-arrived requests of the same
  * class, in arrival order, into one batch. The batch's service time
- * and energy come from the ServiceModel; each member's end-to-end
- * latency is its queueing delay plus the whole batch's service time
- * (members complete together, like requests sharing a fused kernel
- * launch).
+ * and energy come from the TableServiceModel; each member's
+ * end-to-end latency is its queueing delay plus the whole batch's
+ * service time (members complete together, like requests sharing a
+ * fused kernel launch).
  *
  * Traffic is either an open-loop Poisson trace or a closed-loop
  * client pool (serve/arrivals.hh). All times are simulated cycles;
@@ -76,7 +76,7 @@ struct ServeReport
  * the model cannot cost).
  */
 ServeReport runServe(const std::vector<RequestClass> &mix,
-                     const ServiceModel &model,
+                     const TableServiceModel &model,
                      const ServeConfig &cfg);
 
 } // namespace via::serve

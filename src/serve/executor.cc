@@ -48,18 +48,6 @@ measureSingleCore(const std::vector<RequestClass> &mix,
         return w;
     });
 
-    // warm_dir= routes each image through disk once per class: the
-    // file is written, read back into the class's one slot, and
-    // every batch restore below uses the image read back.
-    if (!cfg.warmDir.empty())
-        for (std::size_t i = 0; i < mix.size(); ++i) {
-            std::string path = cfg.warmDir + "/warm_" +
-                               std::to_string(i) +
-                               (cfg.via ? "_via" : "_base") + ".ckpt";
-            warms[i].image.writeFile(path);
-            warms[i].image = sample::Checkpoint::readFile(path);
-        }
-
     // Phase 2 — fan out (class x batch size): restore the warm
     // image onto a fresh machine, run the batch, take the marginal
     // cycles and energy.

@@ -8,12 +8,11 @@
  * once), warmed with one run, and captured as a checkpoint. Every
  * batch-size measurement restores that one image onto a fresh
  * machine (fan-out: one warm image, batchMax restores per class)
- * and runs n requests back to back; with warm_dir the image is
- * first written to disk and read back in its place. The measured
- * cost is the marginal cycles past the warm point; energy is the
- * marginal energy-model total.
+ * and runs n requests back to back. The measured cost is the
+ * marginal cycles past the warm point; energy is the marginal
+ * energy-model total.
  *
- * Multi-core path (cores=N): MultiMachine cannot checkpoint (the
+ * Multi-core path (cores=N): its cores cannot checkpoint (the
  * shared LLC carries unserializable in-flight analytic state), so
  * each (class, n) point builds a fresh machine, warms it with one
  * parallel run, and measures n more runs. Every SpMV format is
@@ -31,7 +30,6 @@
 #define VIA_SERVE_EXECUTOR_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "cpu/machine.hh"
@@ -55,11 +53,6 @@ struct ExecutorConfig
     unsigned batchMax = 8;  //!< largest batch to price
     unsigned threads = 1;   //!< measurement pool width (0 = auto)
     std::uint64_t seed = 1;
-    /** When non-empty (cores=1): write each warm image to this
-     *  directory and read it back in place of the in-memory one,
-     *  so the disk round-trip is part of the measured path exactly
-     *  once per class. Empty keeps the image in memory only. */
-    std::string warmDir;
 };
 
 /**

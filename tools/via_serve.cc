@@ -29,9 +29,6 @@
  * Execution:
  *   cores=N, partition=, llc_banks=   multi-core machine
  *   machine keys (sspm_kb=, rob=, ...) as in via_sim
- *   warm_dir=PATH   round-trip warm images through this directory
- *                   (cores=1; exercises the checkpoint-cache disk
- *                   path once per class)
  *   threads=N       measurement pool width (0 = hardware)
  *
  * Output:
@@ -84,9 +81,6 @@ serveOptions()
         .addUInt("batch", 8, "max requests coalesced per batch", 1,
                  64)
         .addUInt("seed", 1, "traffic and matrix seed")
-        .addString("warm_dir", "",
-                   "directory for warm checkpoint images "
-                   "(cores=1; default: in-memory only)")
         .addFlag("json", "machine-readable report")
         .addFlag("trace", "also dump the request trace")
         .addString("sweep_sspm_kb", "",
@@ -203,10 +197,6 @@ runServeMain(const Options &opts)
     serve::ExecutorConfig ex;
     ex.params = machineParamsFrom(opts);
     ex.cores = unsigned(opts.getUInt("cores"));
-    ex.warmDir = opts.getString("warm_dir");
-    if (!ex.warmDir.empty() && ex.cores > 1)
-        opts.usageError("warm_dir= needs the checkpointing cores=1 "
-                        "path");
     // The shared-SSPM budget sweep reruns everything per SSPM size;
     // every size is checked as an sspm_kb= value before any runs.
     std::vector<std::string> sweep_kbs;

@@ -208,9 +208,6 @@ histRun(Cores cores, BackendKind kind, const std::vector<Index> &keys,
     // once per bucket range, so each core needs its full range list
     // up front (pre-assigned rather than dispatched per chunk).
     auto shares = assignRanges(cores, Index(keys.size()), part);
-    std::size_t rounds = 0;
-    for (unsigned c = 0; c < count; ++c)
-        rounds = std::max(rounds, shares[c].size());
     std::vector<CoreState> state(count);
     for (unsigned c = 0; c < count; ++c)
         state[c].region = c;
@@ -219,18 +216,6 @@ histRun(Cores cores, BackendKind kind, const std::vector<Index> &keys,
             if (!shares[c].empty())
                 fn(cores.core(c), state[c], shares[c].front().first);
     };
-    // Emission interleaves across cores, one range per core per
-    // round: the cores run concurrently, and emitting one core's
-    // whole share first would slide the shared resources' booking
-    // windows past its siblings' start times (see dispatchUnits).
-    auto each_range = [&](auto &&fn) {
-        for (std::size_t j = 0; j < rounds; ++j)
-            for (unsigned c = 0; c < count; ++c)
-                if (j < shares[c].size())
-                    fn(cores.core(c), state[c], shares[c][j].first,
-                       shares[c][j].second);
-    };
-
     each_core([&](Machine &m, CoreState &core, Index lo) {
         body.setup(m, op, core, lo);
     });
@@ -239,8 +224,8 @@ histRun(Cores cores, BackendKind kind, const std::vector<Index> &keys,
             each_core([&](Machine &m, CoreState &, Index) {
                 body.begin(m, pass);
             });
-        each_range([&](Machine &m, CoreState &core, Index lo, Index hi) {
-            body.keys(m, op, core, pass, lo, hi);
+        roundRobin(shares, [&](unsigned c, Index lo, Index hi) {
+            body.keys(cores.core(c), op, state[c], pass, lo, hi);
         });
         if (body.drain)
             each_core([&](Machine &m, CoreState &core, Index) {

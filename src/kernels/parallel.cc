@@ -27,36 +27,8 @@ dispatchUnits(Cores cores, Index n, Partition part,
               const std::function<void(unsigned, Index, Index)> &body)
 {
     const unsigned count = cores.count();
-    if (count == 1) {
-        body(0, 0, n);
-        return;
-    }
-    if (n <= 0)
-        return;
-    if (part == Partition::Static) {
-        // The assignment is static, but the *emission* interleaves
-        // chunk-sized slices of the per-core ranges round-robin.
-        // The cores run concurrently, so their timelines must
-        // advance together: the shared LLC banks and DRAM pipe book
-        // cycles on a sliding window (Resource), and emitting one
-        // core's whole share first would slide the window past its
-        // siblings' start times, serializing them behind it.
-        auto ranges = staticRanges(n, count);
-        const Index chunk = stealChunk(n, count);
-        for (bool more = true; more;) {
-            more = false;
-            for (unsigned c = 0; c < count; ++c) {
-                Index lo = ranges[c].first;
-                if (lo >= ranges[c].second)
-                    continue;
-                Index hi =
-                    std::min<Index>(lo + chunk, ranges[c].second);
-                body(c, lo, hi);
-                ranges[c].first = hi;
-                if (hi < ranges[c].second)
-                    more = true;
-            }
-        }
+    if (count == 1 || part == Partition::Static) {
+        roundRobin(assignRanges(cores, n, part), body);
         return;
     }
     const Index chunk = stealChunk(n, count);
@@ -81,14 +53,12 @@ assignRanges(Cores cores, Index n, Partition part)
     }
     if (n <= 0)
         return out;
+    const Index chunk = stealChunk(n, count);
     if (part == Partition::Static) {
-        // Same contiguous share per core as dispatchUnits' static
-        // split, but sliced into chunk-sized consecutive pieces so
-        // the caller can interleave emission across cores (one
-        // piece per core per round) and keep the concurrent
-        // timelines within the shared resources' booking windows.
+        // One balanced contiguous share per core, sliced into
+        // chunk-sized consecutive pieces, so that emission can
+        // interleave the cores (roundRobin).
         auto ranges = staticRanges(n, count);
-        const Index chunk = stealChunk(n, count);
         for (unsigned c = 0; c < count; ++c)
             for (Index lo = ranges[c].first; lo < ranges[c].second;
                  lo += chunk)
@@ -97,13 +67,30 @@ assignRanges(Cores cores, Index n, Partition part)
                                          ranges[c].second)});
         return out;
     }
-    const Index chunk = stealChunk(n, count);
     unsigned c = 0;
     for (Index lo = 0; lo < n; lo += chunk) {
         out[c].push_back({lo, std::min<Index>(lo + chunk, n)});
         c = (c + 1) % count;
     }
     return out;
+}
+
+void
+roundRobin(const std::vector<std::vector<std::pair<Index, Index>>> &shares,
+           const std::function<void(unsigned, Index, Index)> &body)
+{
+    // The cores run concurrently, so their timelines must advance
+    // together: the shared LLC banks and DRAM pipe book cycles on a
+    // sliding window (Resource), and emitting one core's whole share
+    // first would slide the window past its siblings' start times,
+    // serializing them behind it.
+    std::size_t rounds = 0;
+    for (const auto &share : shares)
+        rounds = std::max(rounds, share.size());
+    for (std::size_t j = 0; j < rounds; ++j)
+        for (unsigned c = 0; c < shares.size(); ++c)
+            if (j < shares[c].size())
+                body(c, shares[c][j].first, shares[c][j].second);
 }
 
 Partition

@@ -94,25 +94,35 @@ struct RangeBody
 /**
  * Hand contiguous ranges of [0, n) to the cores, @p body(core, lo,
  * hi) per range (parallel.cc). One core gets all of [0, n), even
- * when it is empty. At cores>1, Static gives one balanced range per
- * core, emitted in chunk-sized slices round-robin; Steal hands each
- * chunk, in range order, to the core whose commit front is earliest
- * (ties to the lowest core id, so the schedule is deterministic).
+ * when it is empty. At cores>1, Static emits assignRanges' shares
+ * through roundRobin; Steal hands each chunk, in range order, to
+ * the core whose commit front is earliest (ties to the lowest core
+ * id, so the schedule is deterministic).
  */
 void dispatchUnits(Cores cores, Index n, Partition part,
                    const std::function<void(unsigned, Index, Index)>
                        &body);
 
 /**
- * Each core's ranges of [0, n), for a kernel that must see all of a
- * core's work before emitting (the histogram's bucket-tiled passes
- * re-walk the core's whole key share per bucket range). One core
- * gets [0, n), even when it is empty. At cores>1 the shares are
- * dispatchUnits' chunks, and Steal becomes round-robin: chunk costs
- * are uniform, so least-loaded and round-robin coincide.
+ * Each core's ranges of [0, n), decided before any is emitted. One
+ * core gets [0, n), even when it is empty. At cores>1, Static gives
+ * each core one balanced contiguous share in chunk-sized pieces,
+ * and Steal deals the chunks round-robin: a kernel that must see all
+ * of a core's work up front (the histogram's bucket-tiled passes
+ * re-walk the core's whole key share per bucket range) assumes
+ * uniform chunk cost, where least-loaded and round-robin coincide.
  */
 std::vector<std::vector<std::pair<Index, Index>>>
 assignRanges(Cores cores, Index n, Partition part);
+
+/**
+ * Emit @p shares (one range list per core) round-robin, @p body(core,
+ * lo, hi) per range: every core's j-th range, in core order, before
+ * any core's (j+1)-th.
+ */
+void roundRobin(
+    const std::vector<std::vector<std::pair<Index, Index>>> &shares,
+    const std::function<void(unsigned, Index, Index)> &body);
 
 /** Run @p body over [0, n) on @p cores: its setup once per core,
  *  before the first range dispatchUnits hands that core. */

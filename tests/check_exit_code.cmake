@@ -4,14 +4,20 @@
 # through this script instead. With -DEMPTY_STDOUT=1 the binary must
 # also print nothing on stdout (a usage error caught before any work),
 # and with -DSTDOUT_MATCH=<regex> or -DSTDERR_MATCH=<regex> that
-# stream must match the regex.
+# stream must match the regex. -DVMEM_KB=<n> runs the binary under
+# `ulimit -v <n>`.
 #
 # Usage:
 #   cmake -DBIN=<path> -DARGS=<space-separated args> -DEXPECT=<code>
 #         [-DEMPTY_STDOUT=1] [-DSTDOUT_MATCH=<regex>]
-#         [-DSTDERR_MATCH=<regex>] -P check_exit_code.cmake
+#         [-DSTDERR_MATCH=<regex>] [-DVMEM_KB=<n>]
+#         -P check_exit_code.cmake
 separate_arguments(ARG_LIST UNIX_COMMAND "${ARGS}")
-execute_process(COMMAND ${BIN} ${ARG_LIST}
+set(launcher)
+if(DEFINED VMEM_KB)
+    set(launcher sh -c "ulimit -v ${VMEM_KB} && exec \"$0\" \"$@\"")
+endif()
+execute_process(COMMAND ${launcher} ${BIN} ${ARG_LIST}
                 RESULT_VARIABLE rc
                 OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL "${EXPECT}")

@@ -47,13 +47,6 @@ MultiMachine::MultiMachine(const MachineParams &params,
 {
 }
 
-SharedLlc &
-MultiMachine::llc()
-{
-    via_assert(_llc != nullptr, "a one-core machine has no shared LLC");
-    return *_llc;
-}
-
 const SharedLlc &
 MultiMachine::llc() const
 {

@@ -55,7 +55,6 @@ class MultiMachine
     BackingStore &mem() { return _cores.front()->mem(); }
     const BackingStore &mem() const { return _cores.front()->mem(); }
     /** The shared LLC; only a machine of cores>1 has one. */
-    SharedLlc &llc();
     const SharedLlc &llc() const;
 
     /** Shared-level statistics (llc.*, dram.*), empty at one core.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <string_view>
 
 #include "check/invariants.hh"
 #include "cpu/multi_machine.hh"

@@ -54,7 +54,7 @@ computeEnergyMulti(const MultiMachine &mm,
         EnergyBreakdown e = computeEnergy(m, params);
         total.corePj += e.corePj;
         total.cachePj += e.cachePj;
-        total.dramPj += e.dramPj; // private DRAM: zero in practice
+        total.dramPj += e.dramPj; // zero at cores>1 (shared DRAM)
         total.sspmPj += e.sspmPj;
         // Re-integrate this core's leakage over the makespan: the
         // per-machine breakdown stops at the core's own commit

@@ -6,10 +6,22 @@
 #include <mutex>
 #include <thread>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "simcore/log.hh"
 
 namespace via
 {
+
+namespace
+{
+
+/** Set on every pool worker: a nested forEach runs inline there. */
+thread_local bool poolWorker = false;
+
+} // namespace
 
 SweepExecutor::SweepExecutor(unsigned threads)
     : _threads(threads ? threads : hardwareThreads())
@@ -19,8 +31,26 @@ SweepExecutor::SweepExecutor(unsigned threads)
 unsigned
 SweepExecutor::hardwareThreads()
 {
+    // hardware_concurrency() counts the online CPUs, also those the
+    // affinity mask excludes.
+#ifdef __linux__
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0 &&
+        CPU_COUNT(&set) > 0)
+        return unsigned(CPU_COUNT(&set));
+#endif
     unsigned n = std::thread::hardware_concurrency();
     return n ? n : 1;
+}
+
+unsigned
+SweepExecutor::workersFor(std::size_t items)
+{
+    const std::size_t per_grain = items >> 16;
+    if (per_grain <= 1)
+        return 1;
+    return unsigned(std::min<std::size_t>(hardwareThreads(), per_grain));
 }
 
 std::uint64_t
@@ -43,7 +73,7 @@ SweepExecutor::forEach(std::size_t count,
 {
     via_assert(fn, "SweepExecutor needs a point function");
     std::size_t workers = std::min<std::size_t>(_threads, count);
-    if (workers <= 1) {
+    if (workers <= 1 || poolWorker) {
         for (std::size_t i = 0; i < count; ++i)
             fn(i);
         return;
@@ -54,6 +84,7 @@ SweepExecutor::forEach(std::size_t count,
     std::mutex error_mutex;
 
     auto worker = [&] {
+        poolWorker = true;
         for (;;) {
             std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);

@@ -16,6 +16,11 @@
  * atomic but should only be set before the sweep starts) and no
  * printing from inside a point — formatting belongs after
  * collection, in submission order.
+ *
+ * Library code fans host work out on the same pool (RMAT generation,
+ * Csr::fromRows). A forEach issued from inside a pool worker runs its
+ * points inline on that worker, so a threads=N sweep whose points
+ * build inputs never runs more than N threads.
  */
 
 #ifndef VIA_SIMCORE_PARALLEL_HH
@@ -34,14 +39,25 @@ namespace via
 class SweepExecutor
 {
   public:
-    /** @param threads worker count; 0 means hardware concurrency. */
+    /** @param threads worker count; 0 means hardwareThreads(). */
     explicit SweepExecutor(unsigned threads = 0);
 
     /** Resolved worker count (never 0). */
     unsigned threads() const { return _threads; }
 
-    /** Worker count used for threads=0 (at least 1). */
+    /**
+     * Worker count used for threads=0: the CPUs the calling thread
+     * may run on (its affinity mask, which `taskset` narrows), at
+     * least 1.
+     */
     static unsigned hardwareThreads();
+
+    /**
+     * Workers worth starting for @p items items of host work: one per
+     * CPU from hardwareThreads(), at most one per 2^16 items and at
+     * least 1, so small inputs stay on the calling thread.
+     */
+    static unsigned workersFor(std::size_t items);
 
     /**
      * The RNG seed for point @p index of a sweep with base seed
@@ -75,7 +91,10 @@ class SweepExecutor
         return out;
     }
 
-    /** Run fn(i) for i in [0, count) with no result collection. */
+    /**
+     * Run fn(i) for i in [0, count) with no result collection. On a
+     * pool worker, the points run inline in index order.
+     */
     void forEach(std::size_t count,
                  const std::function<void(std::size_t)> &fn) const;
 

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <chrono>
 #include <set>
 #include <stdexcept>
@@ -45,6 +47,49 @@ TEST(SweepExecutor, ZeroThreadsResolvesToHardwareConcurrency)
     SweepExecutor exec(0);
     EXPECT_GE(exec.threads(), 1u);
     EXPECT_EQ(exec.threads(), SweepExecutor::hardwareThreads());
+}
+
+TEST(SweepExecutor, HardwareThreadsFollowAffinity)
+{
+    // Pin this thread to the first CPU it may use: the count must
+    // follow the mask, not the CPUs online.
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &saved))
+        ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const unsigned pinned = SweepExecutor::hardwareThreads();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(pinned, 1u);
+    EXPECT_EQ(SweepExecutor::hardwareThreads(),
+              unsigned(CPU_COUNT(&saved)));
+}
+
+TEST(SweepExecutor, NestedForEachRunsInline)
+{
+    // A forEach issued on a pool worker runs every inner point on
+    // that worker's thread, so nested fan-outs add no threads.
+    SweepExecutor outer(4), inner(4);
+    struct Ids
+    {
+        std::thread::id outer;
+        std::vector<std::thread::id> inner;
+    };
+    auto ids = outer.run(8, [&](std::size_t) {
+        Ids out{std::this_thread::get_id(), {}};
+        out.inner.resize(16);
+        inner.forEach(16, [&](std::size_t j) {
+            out.inner[j] = std::this_thread::get_id();
+        });
+        return out;
+    });
+    for (const Ids &point : ids)
+        for (std::thread::id id : point.inner)
+            EXPECT_EQ(id, point.outer);
 }
 
 TEST(SweepExecutor, HandlesEmptyAndSingletonSweeps)

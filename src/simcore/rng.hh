@@ -80,6 +80,15 @@ class Rng
     /** Bernoulli trial. */
     bool chance(double p) { return uniform() < p; }
 
+    /**
+     * Advance the generator exactly as @p n calls of next() would,
+     * in O(log n) squarings of the 256x256 GF(2) matrix of
+     * xoshiro256's linear state update: the jump of Blackman and
+     * Vigna (arXiv 1805.01407) at any distance. A stream can thus be
+     * split into segments that separate threads draw.
+     */
+    void discard(std::uint64_t n);
+
     /** Number of 64-bit state words (xoshiro256). */
     static constexpr std::size_t stateWords = 4;
 

@@ -97,6 +97,30 @@ TEST(Rng, DifferentSeedsDiverge)
     EXPECT_LT(same, 2);
 }
 
+TEST(Rng, DiscardMatchesRepeatedNext)
+{
+    // The jump crosses every power-of-two boundary of the matrix
+    // powering up to 2^8, and one distance of 21 segments of 2^16.
+    const std::uint64_t distances[] = {0,   1,   2,   63,  64,
+                                       65,  255, 256, 257,
+                                       21 * 65536 + 5};
+    for (std::uint64_t seed : {1ull, 7ull, 0x9e3779b97f4a7c15ull}) {
+        for (std::uint64_t n : distances) {
+            Rng stepped(seed), jumped(seed);
+            for (std::uint64_t i = 0; i < n; ++i)
+                stepped.next();
+            jumped.discard(n);
+            EXPECT_EQ(jumped.state(), stepped.state())
+                << "seed " << seed << ", n " << n;
+        }
+        Rng split(seed), whole(seed);
+        split.discard(1000003);
+        split.discard(65);
+        whole.discard(1000003 + 65);
+        EXPECT_EQ(split.state(), whole.state()) << "seed " << seed;
+    }
+}
+
 TEST(Rng, UniformStaysInRange)
 {
     Rng rng(9);

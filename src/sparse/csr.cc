@@ -1,8 +1,10 @@
 #include "sparse/csr.hh"
 
 #include <algorithm>
+#include <ranges>
 
 #include "simcore/log.hh"
+#include "simcore/parallel.hh"
 
 namespace via
 {
@@ -67,49 +69,108 @@ Csr
 Csr::fromRows(Index rows, Index cols, std::vector<Index> row_ptr,
               std::vector<Index> col_idx, std::vector<Value> values)
 {
+    const unsigned ranges =
+        SweepExecutor::workersFor(std::size_t(rows) + values.size());
+    return fromRows(rows, cols, std::move(row_ptr), std::move(col_idx),
+                    std::move(values), ranges);
+}
+
+Csr
+Csr::fromRows(Index rows, Index cols, std::vector<Index> row_ptr,
+              std::vector<Index> col_idx, std::vector<Value> values,
+              unsigned ranges)
+{
     via_assert(row_ptr.size() == std::size_t(rows) + 1 &&
                    row_ptr.front() == 0 &&
                    col_idx.size() == values.size(),
                "malformed row arrays");
-    // Per-row stable sort by column, then an in-place duplicate
-    // merge that sums in stored order (exact zeros are kept, as in
-    // Coo::canonicalize). Short rows sort in place; longer ones go
-    // through std::stable_sort on a pair copy. row_ptr is rewritten
-    // to the merged offsets as the walk passes each row.
+    via_assert(ranges > 0, "fromRows needs at least one range");
+    // Cut the rows into ranges of about equal work, one unit per row
+    // and one per entry. The work before row r, row_ptr[r] + r,
+    // grows with every row, so a cut may also fall inside a run of
+    // empty rows. Each range's first slot is read here, before the
+    // fan-out, because the range before it rewrites that entry.
+    const std::size_t work = std::size_t(rows) + values.size();
+    const auto all_rows = std::views::iota(Index(0), rows);
+    std::vector<Index> first_row(ranges + 1, rows);
+    std::vector<std::size_t> first_slot(ranges);
+    for (std::size_t p = 0; p < ranges; ++p) {
+        const std::size_t target = work * p / ranges;
+        const auto cut = std::ranges::partition_point(
+            all_rows, [&](Index r) {
+                return std::size_t(row_ptr[std::size_t(r)]) +
+                           std::size_t(r) <
+                       target;
+            });
+        first_row[p] = Index(cut - all_rows.begin());
+        first_slot[p] = std::size_t(row_ptr[std::size_t(first_row[p])]);
+    }
+
+    // Each range sorts and merges its rows in place from its own first
+    // slot, as one serial walk over all rows would: per-row stable
+    // sort by column, then an in-place duplicate merge that sums in
+    // stored order (exact zeros are kept, as in Coo::canonicalize).
+    // Short rows sort in place; longer ones go through
+    // std::stable_sort on a pair copy. row_ptr is rewritten to the
+    // merged offsets as the walk passes each row.
     constexpr std::size_t insertion_max = 32;
-    std::vector<std::pair<Index, Value>> tmp;
-    std::size_t w = 0, lo = 0;
-    for (Index r = 0; r < rows; ++r) {
-        const auto hi = std::size_t(row_ptr[std::size_t(r) + 1]);
-        if (hi - lo <= insertion_max) {
-            insertionSortRow(col_idx.data() + lo, values.data() + lo,
-                             hi - lo);
-        } else {
-            tmp.clear();
-            for (std::size_t i = lo; i < hi; ++i)
-                tmp.emplace_back(col_idx[i], values[i]);
-            std::stable_sort(tmp.begin(), tmp.end(),
-                             [](const auto &x, const auto &y) {
-                                 return x.first < y.first;
-                             });
-            for (std::size_t i = lo; i < hi; ++i) {
-                col_idx[i] = tmp[i - lo].first;
-                values[i] = tmp[i - lo].second;
+    std::vector<std::size_t> merged(ranges);
+    SweepExecutor(ranges).forEach(ranges, [&](std::size_t p) {
+        std::vector<std::pair<Index, Value>> tmp;
+        std::size_t w = first_slot[p], lo = first_slot[p];
+        for (Index r = first_row[p]; r < first_row[p + 1]; ++r) {
+            const auto hi = std::size_t(row_ptr[std::size_t(r) + 1]);
+            if (hi - lo <= insertion_max) {
+                insertionSortRow(col_idx.data() + lo,
+                                 values.data() + lo, hi - lo);
+            } else {
+                tmp.clear();
+                for (std::size_t i = lo; i < hi; ++i)
+                    tmp.emplace_back(col_idx[i], values[i]);
+                std::stable_sort(tmp.begin(), tmp.end(),
+                                 [](const auto &x, const auto &y) {
+                                     return x.first < y.first;
+                                 });
+                for (std::size_t i = lo; i < hi; ++i) {
+                    col_idx[i] = tmp[i - lo].first;
+                    values[i] = tmp[i - lo].second;
+                }
             }
+            for (std::size_t i = lo; i < hi;) {
+                const Index col = col_idx[i];
+                Value sum = values[i];
+                std::size_t j = i + 1;
+                for (; j < hi && col_idx[j] == col; ++j)
+                    sum += values[j];
+                col_idx[w] = col;
+                values[w] = sum;
+                ++w;
+                i = j;
+            }
+            row_ptr[std::size_t(r) + 1] = Index(w);
+            lo = hi;
         }
-        for (std::size_t i = lo; i < hi;) {
-            const Index col = col_idx[i];
-            Value sum = values[i];
-            std::size_t j = i + 1;
-            for (; j < hi && col_idx[j] == col; ++j)
-                sum += values[j];
-            col_idx[w] = col;
-            values[w] = sum;
-            ++w;
-            i = j;
+        merged[p] = w - first_slot[p];
+    });
+
+    // Close the gaps the merges left: move each range left to its
+    // final offset and shift its row ends by the same distance.
+    std::size_t w = 0;
+    for (std::size_t p = 0; p < ranges; ++p) {
+        const std::size_t from = first_slot[p];
+        if (from != w) {
+            const auto end = from + merged[p];
+            std::copy(col_idx.begin() + std::ptrdiff_t(from),
+                      col_idx.begin() + std::ptrdiff_t(end),
+                      col_idx.begin() + std::ptrdiff_t(w));
+            std::copy(values.begin() + std::ptrdiff_t(from),
+                      values.begin() + std::ptrdiff_t(end),
+                      values.begin() + std::ptrdiff_t(w));
+            const auto shift = Index(from - w);
+            for (Index r = first_row[p]; r < first_row[p + 1]; ++r)
+                row_ptr[std::size_t(r) + 1] -= shift;
         }
-        row_ptr[std::size_t(r) + 1] = Index(w);
-        lo = hi;
+        w += merged[p];
     }
     col_idx.resize(w);
     values.resize(w);

@@ -40,12 +40,21 @@ class Csr
      * stably sorted by column (insertion sort up to 32 entries,
      * std::stable_sort beyond) and equal columns are summed in their
      * stored order; exact zeros are kept. The arrays are compacted
-     * in place, with no triplet copy and no global sort.
+     * in place, with no triplet copy and no global sort. Large
+     * inputs are cut into ranges of rows, one per CPU this process
+     * may run on and at most one per 2^16 rows plus entries, which
+     * threads canonicalize side by side.
      */
     static Csr fromRows(Index rows, Index cols,
                         std::vector<Index> row_ptr,
                         std::vector<Index> col_idx,
                         std::vector<Value> values);
+
+    /** fromRows over @p ranges row ranges (tests): same result. */
+    static Csr fromRows(Index rows, Index cols,
+                        std::vector<Index> row_ptr,
+                        std::vector<Index> col_idx,
+                        std::vector<Value> values, unsigned ranges);
 
     Index rows() const { return _rows; }
     Index cols() const { return _cols; }

@@ -103,6 +103,48 @@ TEST(CsrDeathTest, FromPartsValidates)
                  "out of range");
 }
 
+TEST(CsrFromRows, RangesMatchOneRange)
+{
+    // Unsorted rows with repeated columns (summed in stored order),
+    // two rows longer than the 32-entry insertion-sort cutoff, and
+    // runs of empty rows: at 2 to 5 ranges a cut falls inside the
+    // 40 empty rows 7..46.
+    const Index rows = 60, cols = 40;
+    std::vector<Index> row_ptr{0}, col_idx;
+    std::vector<Value> values;
+    auto add = [&](Index c, Value v) {
+        col_idx.push_back(c);
+        values.push_back(v);
+    };
+    for (Index r = 0; r < rows; ++r) {
+        if (r == 5) {
+            add(3, 1.0f);
+            add(1, 2.0f);
+            add(3, 0.5f);
+            add(0, -1.0f);
+        }
+        if (r == 6 || r == 48)
+            for (Index i = 0; i < (r == 6 ? 45 : 70); ++i)
+                add((i * 17) % cols, Value(i) * 0.25f);
+        if (r == 47)
+            for (int i = 0; i < 3; ++i)
+                add(7, 1.0f);
+        if (r == 59)
+            add(2, 4.0f);
+        row_ptr.push_back(Index(col_idx.size()));
+    }
+    const Csr one =
+        Csr::fromRows(rows, cols, row_ptr, col_idx, values, 1);
+    EXPECT_EQ(one.nnz(), 3u + 40u + 1u + 40u + 1u);
+    EXPECT_EQ(one.colIdx()[2], 3);
+    EXPECT_EQ(one.values()[2], 1.5f);
+    for (unsigned ranges = 2; ranges <= 5; ++ranges)
+        EXPECT_EQ(Csr::fromRows(rows, cols, row_ptr, col_idx, values,
+                                ranges),
+                  one)
+            << ranges << " ranges";
+}
+
 TEST(Csc, TransposesCorrectly)
 {
     Csc m = Csc::fromCsr(tiny());

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "simcore/log.hh"
+#include "simcore/parallel.hh"
 #include "sparse/coo.hh"
 
 namespace via
@@ -73,6 +75,14 @@ class RmatDescent
         return Index(r);
     }
 
+    /**
+     * Draws per edge: one per level, then the value, which the place
+     * pass draws with randValue() and the count pass skips with one
+     * next(). Edge e thus owns draws [draws() e, draws() (e + 1)),
+     * and a segment starting at edge e starts there.
+     */
+    std::uint64_t draws() const { return std::uint64_t(_levels) + 1; }
+
   private:
     static std::uint64_t
     scaled(double p)
@@ -96,13 +106,17 @@ genUniform(Index rows, Index cols, double density, Rng &rng)
     via_assert(rows > 0 && cols > 0, "bad shape");
     via_assert(density >= 0.0 && density <= 1.0, "bad density ",
                density);
+    double total = double(rows) * double(cols);
+    auto target = std::size_t(total * density);
+    if (target > std::size_t(std::numeric_limits<Index>::max()))
+        via_fatal("uniform target of ", target, " entries exceeds "
+                  "the 32-bit simulated index type (at most ",
+                  std::numeric_limits<Index>::max(), ")");
     Coo coo(rows, cols);
     if (density == 0.0)
         return Csr::fromCoo(std::move(coo));
     // Sample nnz positions without materializing the dense grid:
     // geometric skipping over the linearized index space.
-    double total = double(rows) * double(cols);
-    auto target = std::size_t(total * density);
     double skip_mean = total / double(std::max<std::size_t>(target,
                                                             1));
     double pos = 0.0;
@@ -154,57 +168,105 @@ genBandedCsr(Index n, Index bandwidth, double fill, Rng &rng)
 Csr
 genRmatCsr(Index n, std::size_t nnz_target, Rng &rng)
 {
+    // Each segment keeps one n-entry cursor array, so at most
+    // 2 ceil(nnz / n) segments keep them within about the output
+    // arrays' 8 bytes per entry.
+    const std::size_t per_row =
+        n > 0 ? (nnz_target + std::size_t(n) - 1) / std::size_t(n) : 1;
+    const auto segments = std::max<std::size_t>(
+        1, std::min<std::size_t>(SweepExecutor::workersFor(nnz_target),
+                                 2 * per_row));
+    return genRmatCsr(n, nnz_target, rng, unsigned(segments));
+}
+
+Csr
+genRmatCsr(Index n, std::size_t nnz_target, Rng &rng, unsigned segments)
+{
+    if (nnz_target > std::size_t(std::numeric_limits<Index>::max()))
+        via_fatal("RMAT target of ", nnz_target, " edges exceeds "
+                  "the 32-bit simulated index type (at most ",
+                  std::numeric_limits<Index>::max(), ")");
+    via_assert(segments > 0, "RMAT needs at least one segment");
     const RmatDescent descent(n);
-    // Both passes draw a block of edges before counting or placing
-    // them, so the block's scattered row accesses are independent
-    // and their cache misses overlap.
+    // Allocated first, both before either is filled, so a target the
+    // host cannot hold fails at once; all of it is live in the place
+    // pass anyway.
+    std::vector<Index> col_idx;
+    std::vector<Value> values;
+    col_idx.reserve(nnz_target);
+    values.reserve(nnz_target);
+    col_idx.resize(nnz_target);
+    values.resize(nnz_target);
+
+    // Segment k draws edges [first(k), first(k + 1)) from its own
+    // copy of the stream, jumped ahead to the first of them, and
+    // counts and places them through its own cursors: cursor[k][r + 1]
+    // belongs to row r. Both passes draw a block of edges before
+    // counting or placing them, so the block's scattered row accesses
+    // are independent and their cache misses overlap.
+    auto first = [&](std::size_t k) { return nnz_target * k / segments; };
+    std::vector<Rng> at(segments, rng);
+    std::vector<std::vector<Index>> cursor(segments);
+    const SweepExecutor pool(segments);
     constexpr std::size_t block = 512;
 
-    // Pass 1: count edges per row on a copy of the stream. Only the
-    // row is computed; the value draw is consumed and discarded so
-    // both passes read the random sequence identically.
-    std::vector<Index> row_ptr(std::size_t(n) + 1, 0);
-    {
-        Rng probe = rng;
+    // Pass 1: count each segment's edges per row. Only the row is
+    // computed; the value draw is skipped with one next().
+    pool.forEach(segments, [&](std::size_t k) {
+        at[k].discard(descent.draws() * first(k));
+        std::vector<Index> &rows_of = cursor[k];
+        rows_of.assign(std::size_t(n) + 1, 0);
+        Rng probe = at[k];
         Index rows[block]{};
-        for (std::size_t e0 = 0; e0 < nnz_target; e0 += block) {
-            const std::size_t m = std::min(block, nnz_target - e0);
+        for (std::size_t e0 = first(k); e0 < first(k + 1); e0 += block) {
+            const std::size_t m = std::min(block, first(k + 1) - e0);
             for (std::size_t i = 0; i < m; ++i) {
                 rows[i] = descent.row(probe);
                 probe.next();
             }
             for (std::size_t i = 0; i < m; ++i)
-                ++row_ptr[std::size_t(rows[i]) + 1];
+                ++rows_of[std::size_t(rows[i]) + 1];
+        }
+    });
+
+    // Row r's segment of the output holds segment 0's edges, then
+    // segment 1's, and so on: draw order within every row.
+    Index base = 0;
+    for (std::size_t r = 1; r <= std::size_t(n); ++r) {
+        for (std::vector<Index> &rows_of : cursor) {
+            const Index c = rows_of[r];
+            rows_of[r] = base;
+            base += c;
         }
     }
-    for (Index r = 0; r < n; ++r)
-        row_ptr[std::size_t(r) + 1] += row_ptr[std::size_t(r)];
 
-    // Pass 2: place each edge into its row's segment, consuming the
-    // caller's rng.
-    std::vector<Index> col_idx(nnz_target);
-    std::vector<Value> values(nnz_target);
-    {
-        std::vector<Index> next(row_ptr.begin(), row_ptr.end() - 1);
+    // Pass 2: each segment redraws its edges and places them.
+    pool.forEach(segments, [&](std::size_t k) {
+        Rng &draw = at[k];
+        std::vector<Index> &next = cursor[k];
         Index rows[block]{}, cols[block]{};
         Value vals[block]{};
-        for (std::size_t e0 = 0; e0 < nnz_target; e0 += block) {
-            const std::size_t m = std::min(block, nnz_target - e0);
+        for (std::size_t e0 = first(k); e0 < first(k + 1); e0 += block) {
+            const std::size_t m = std::min(block, first(k + 1) - e0);
             for (std::size_t i = 0; i < m; ++i) {
-                descent.edge(rng, rows[i], cols[i]);
-                vals[i] = randValue(rng);
+                descent.edge(draw, rows[i], cols[i]);
+                vals[i] = randValue(draw);
             }
             for (std::size_t i = 0; i < m; ++i) {
                 const auto slot =
-                    std::size_t(next[std::size_t(rows[i])]++);
+                    std::size_t(next[std::size_t(rows[i]) + 1]++);
                 col_idx[slot] = cols[i];
                 values[slot] = vals[i];
             }
         }
-    }
+    });
 
-    // Each row holds its edges in draw order, so duplicate edges sum
-    // in draw order.
+    // The last segment ends where the whole stream does, and its
+    // cursors at the row ends: they are row_ptr.
+    rng = at.back();
+    std::vector<Index> row_ptr = std::move(cursor.back());
+    cursor.clear();
+    // Duplicate edges sum in draw order.
     return Csr::fromRows(n, n, std::move(row_ptr), std::move(col_idx),
                          std::move(values));
 }

@@ -30,29 +30,41 @@ namespace via
 Csr genBandedCsr(Index n, Index bandwidth, double fill, Rng &rng);
 
 /** Uniformly random: each position non-zero with prob `density`
- *  (0 gives the empty matrix). */
+ *  (0 gives the empty matrix). A rows * cols * density above the
+ *  32-bit index range is fatal. */
 Csr genUniform(Index rows, Index cols, double density, Rng &rng);
 
 /**
  * RMAT-style power-law graph adjacency matrix (a=0.57, b=c=0.19,
  * d=0.05) with @p nnz_target edge draws on a power-of-two @p n, the
- * structure of social/web graphs. Duplicate edges merge.
+ * structure of social/web graphs. Duplicate edges merge. A target
+ * above the 32-bit index range is fatal.
  *
- * CSR storage is built in two passes over a replayed random stream.
- * Pass one counts per-row edges on a copy of @p rng and computes
- * only each edge's row; pass two draws whole edges on @p rng and
- * places them. Both passes draw blocks of edges before touching the
- * per-row arrays, so the scattered accesses of a block overlap in
- * the cache. Each edge descends one quadrant per level without
- * data-dependent branches: the raw 53-bit draw is compared against
- * the quadrant thresholds scaled by 2^53, which decides exactly as
- * comparing uniform() does. The rows then go through Csr::fromRows,
- * which sorts each one stably and sums duplicates in draw order.
+ * The edge stream is cut into contiguous segments, one per CPU this
+ * process may run on, at most one per 2^16 edges, and at most
+ * 2 ceil(nnz_target / n) so the per-segment cursors stay within
+ * about the output arrays. Each segment starts from an exact jump of
+ * @p rng to its first edge (Rng::discard) and runs on its own
+ * thread. A count pass tallies its rows into its own cursor array;
+ * a prefix over rows gives segment k's part of row r the slots after
+ * segments 0..k-1; a place pass redraws the edges and places them.
+ * Every row thus holds its edges in draw order, and one segment is
+ * the plain two-pass algorithm. Each edge descends one quadrant per
+ * level without data-dependent branches: the raw 53-bit draw is
+ * compared against the quadrant thresholds scaled by 2^53, which
+ * decides exactly as comparing uniform() does. The rows then go
+ * through Csr::fromRows, which sorts each one stably and sums
+ * duplicates in draw order. @p rng ends where the whole stream does.
  * Golden hashes in tests/test_debug.cc pin the output and the Rng
- * end state bit for bit. Peak memory is O(n + nnz_target), with no
- * global triplet sort.
+ * end state bit for bit, and the output is the same at every segment
+ * count. Peak memory is O(segments n + nnz_target), with no global
+ * triplet sort.
  */
 Csr genRmatCsr(Index n, std::size_t nnz_target, Rng &rng);
+
+/** genRmatCsr with @p segments segments (tests): same output. */
+Csr genRmatCsr(Index n, std::size_t nnz_target, Rng &rng,
+               unsigned segments);
 
 /**
  * Block-clustered: a grid of `blockSide` blocks where each block is

@@ -350,6 +350,32 @@ TEST(StreamingGenerators, RmatGeneratorsMatchGoldenHashes)
     }
 }
 
+TEST(StreamingGenerators, RmatIsIdenticalAtEverySegmentCount)
+{
+    // Every segment count gives one segment's arrays and end state:
+    // the golden cases above, and more segments than edges.
+    struct Case
+    {
+        Index n;
+        std::size_t nnz;
+        std::uint64_t seed;
+    };
+    const Case cases[] = {{1, 10, 3},      {2, 100, 4},
+                          {64, 2000, 5},   {1024, 3000, 9},
+                          {65536, 524288, 7}, {16, 3, 11}};
+    for (const Case &c : cases) {
+        Rng one_rng(c.seed);
+        const Csr one = genRmatCsr(c.n, c.nnz, one_rng, 1);
+        for (unsigned segments : {2u, 3u, 4u, 5u, 7u}) {
+            Rng rng(c.seed);
+            const Csr m = genRmatCsr(c.n, c.nnz, rng, segments);
+            EXPECT_TRUE(m == one && rng.state() == one_rng.state())
+                << "genRmatCsr(" << c.n << ", " << c.nnz << ", seed "
+                << c.seed << ") at " << segments << " segments";
+        }
+    }
+}
+
 TEST(StreamingGenerators, BandedCsrMatchesGoldenHashes)
 {
     // genBandedCsr bit for bit, hashed as above: n=1 (the diagonal

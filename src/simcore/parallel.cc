@@ -48,7 +48,7 @@ unsigned
 SweepExecutor::workersFor(std::size_t items)
 {
     const std::size_t per_grain = items >> 16;
-    if (per_grain <= 1)
+    if (per_grain <= 1 || poolWorker)
         return 1;
     return unsigned(std::min<std::size_t>(hardwareThreads(), per_grain));
 }

@@ -18,9 +18,10 @@
  * collection, in submission order.
  *
  * Library code fans host work out on the same pool (RMAT generation,
- * Csr::fromRows). A forEach issued from inside a pool worker runs its
- * points inline on that worker, so a threads=N sweep whose points
- * build inputs never runs more than N threads.
+ * Csr::fromRows), sized by workersFor(). A forEach issued from inside
+ * a pool worker runs its points inline on that worker, and
+ * workersFor() is 1 there, so a threads=N sweep whose points build
+ * inputs never runs more than N threads.
  */
 
 #ifndef VIA_SIMCORE_PARALLEL_HH
@@ -55,7 +56,8 @@ class SweepExecutor
     /**
      * Workers worth starting for @p items items of host work: one per
      * CPU from hardwareThreads(), at most one per 2^16 items and at
-     * least 1, so small inputs stay on the calling thread.
+     * least 1, so small inputs stay on the calling thread. On a pool
+     * worker it is 1: the pool already occupies the CPUs.
      */
     static unsigned workersFor(std::size_t items);
 

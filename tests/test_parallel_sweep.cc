@@ -72,24 +72,29 @@ TEST(SweepExecutor, HardwareThreadsFollowAffinity)
 TEST(SweepExecutor, NestedForEachRunsInline)
 {
     // A forEach issued on a pool worker runs every inner point on
-    // that worker's thread, so nested fan-outs add no threads.
+    // that worker's thread, and library fan-outs size themselves to
+    // one worker there, so nested fan-outs add no threads.
     SweepExecutor outer(4), inner(4);
     struct Ids
     {
         std::thread::id outer;
         std::vector<std::thread::id> inner;
+        unsigned workers = 0;
     };
     auto ids = outer.run(8, [&](std::size_t) {
-        Ids out{std::this_thread::get_id(), {}};
+        Ids out{std::this_thread::get_id(), {}, 0};
         out.inner.resize(16);
         inner.forEach(16, [&](std::size_t j) {
             out.inner[j] = std::this_thread::get_id();
         });
+        out.workers = SweepExecutor::workersFor(std::size_t(1) << 30);
         return out;
     });
-    for (const Ids &point : ids)
+    for (const Ids &point : ids) {
         for (std::thread::id id : point.inner)
             EXPECT_EQ(id, point.outer);
+        EXPECT_EQ(point.workers, 1u);
+    }
 }
 
 TEST(SweepExecutor, HandlesEmptyAndSingletonSweeps)

@@ -18,7 +18,8 @@ namespace via
 namespace
 {
 
-/** Set on every pool worker: a nested forEach runs inline there. */
+/** Set on every pool worker: a nested forEach runs inline there,
+ *  and workersFor() is 1. */
 thread_local bool poolWorker = false;
 
 } // namespace

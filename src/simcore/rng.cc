@@ -49,9 +49,8 @@ Gf2Matrix
 square(const Gf2Matrix &m)
 {
     Gf2Matrix out{};
-    std::array<Bits, 256> sums;
+    std::array<Bits, 256> sums{};
     for (std::size_t g = 0; g < stateBits / 8; ++g) {
-        sums[0] = {};
         for (unsigned t = 1; t < 256; ++t) {
             sums[t] = sums[t & (t - 1)];
             xorInto(sums[t], m.col[8 * g + std::countr_zero(t)]);
@@ -71,7 +70,7 @@ Rng::discard(std::uint64_t n)
     // next() updates the state by shifts, rotations and XORs only, so
     // one step multiplies it by a fixed matrix M and n steps by M^n,
     // applied here bit by bit of n as M, M^2, M^4, ...
-    Gf2Matrix step;
+    Gf2Matrix step{};
     for (std::size_t j = 0; j < stateBits; ++j) {
         Bits unit{};
         unit[j / 64] = std::uint64_t(1) << (j % 64);

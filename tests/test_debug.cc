@@ -12,13 +12,15 @@
  * opcode matches, access-window overlap, line alignment, once
  * removal, and the edge-trigger/re-arm latch on threshold watches.
  *
- * Golden hashes pin the banded and RMAT generators' arrays and Rng
- * end state, and the two-pass .mtx reader's arrays on hand-written
- * fixtures, bit for bit.
+ * Golden hashes pin the banded, RMAT, uniform and diagonal-heavy
+ * generators' arrays and Rng end state, and the two-pass .mtx
+ * reader's arrays on hand-written fixtures, bit for bit.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -31,6 +33,7 @@
 #include "kernels/parallel.hh"
 #include "simcore/fnv.hh"
 #include "simcore/rng.hh"
+#include "sparse/coo.hh"
 #include "sparse/dense.hh"
 #include "sparse/generators.hh"
 #include "sparse/mm_io.hh"
@@ -373,6 +376,126 @@ TEST(StreamingGenerators, RmatIsIdenticalAtEverySegmentCount)
                 << "genRmatCsr(" << c.n << ", " << c.nnz << ", seed "
                 << c.seed << ") at " << segments << " segments";
         }
+    }
+}
+
+/** One genUniform golden case. */
+struct UniformCase
+{
+    Index rows, cols;
+    double density;
+    std::uint64_t seed;
+    const char *hash;
+};
+
+/**
+ * genUniform bit for bit: 16384^2 seeds whose runs of three draws on
+ * one position sum to different floats in different orders (at seed
+ * 8, summing them in draw order rather than in Coo's sort order
+ * changes three values), an 8192^2 seed with one such run, a dense
+ * 10x10 with long runs, a non-square shape, a target of 0 (so the
+ * draws outrun the target), and density 0 (the empty matrix, with
+ * the Rng untouched).
+ */
+const UniformCase kUniformCases[] = {
+    {16384, 16384, 0.005, 1, "2f3761d5b4c0fe16"},
+    {16384, 16384, 0.005, 2, "301a42f78dccff87"},
+    {16384, 16384, 0.005, 8, "94ade1caa3a68412"},
+    {8192, 8192, 0.004, 2, "601160541ce0ed79"},
+    {10, 10, 1.0, 3, "a35aee38dd938009"},
+    {300, 70, 0.5, 4, "79f71e382d040dd0"},
+    {3, 1000000, 1e-7, 7, "6c0807e2ddf29fdd"},
+    {1000, 1000, 0.0, 6, "ab51e64b8c8a35e5"},
+};
+
+TEST(StreamingGenerators, UniformMatchesGoldenHashes)
+{
+    for (const UniformCase &c : kUniformCases) {
+        Rng rng(c.seed);
+        const Csr m = genUniform(c.rows, c.cols, c.density, rng);
+        EXPECT_EQ(generatorHash(m, rng), c.hash)
+            << "genUniform(" << c.rows << ", " << c.cols << ", "
+            << c.density << ", seed " << c.seed << ")";
+    }
+    Rng rng(6);
+    EXPECT_EQ(genUniform(1000, 1000, 0.0, rng).nnz(), 0u);
+    EXPECT_EQ(rng.state(), Rng(6).state());
+}
+
+/**
+ * The uniform generator as a triplet loop: exponential gaps over the
+ * linearized positions, one value per entry, then Coo's sort, which
+ * sums the draws of one position in std::sort's order.
+ */
+Csr
+uniformViaCoo(Index rows, Index cols, double density, Rng &rng)
+{
+    const double total = double(rows) * double(cols);
+    const auto target = std::size_t(total * density);
+    Coo coo(rows, cols);
+    if (density == 0.0)
+        return Csr::fromCoo(std::move(coo));
+    const double skip_mean =
+        total / double(std::max<std::size_t>(target, 1));
+    double pos = 0.0;
+    while (true) {
+        const double u = std::max(rng.uniform(), 1e-12);
+        pos += -std::log(u) * skip_mean;
+        if (pos >= total)
+            break;
+        const auto linear = std::uint64_t(pos);
+        coo.add(Index(linear / std::uint64_t(cols)),
+                Index(linear % std::uint64_t(cols)),
+                Value(rng.uniform() * 2.0 - 1.0));
+    }
+    return Csr::fromCoo(std::move(coo));
+}
+
+TEST(StreamingGenerators, UniformMatchesTheTripletLoop)
+{
+    // Random shapes from one row or column up, sparse to full, where
+    // a full matrix draws each position about once, so runs of three
+    // or more draws on one position are common.
+    Rng shapes(17);
+    for (int i = 0; i < 60; ++i) {
+        const auto rows = Index(1 + shapes.below(i % 3 ? 200 : 4));
+        const auto cols = Index(1 + shapes.below(i % 4 ? 300 : 3));
+        const double density =
+            i % 5 == 0 ? 1.0 : shapes.uniform() * (i % 2 ? 1.0 : 0.05);
+        const std::uint64_t seed = shapes.next();
+        Rng want_rng(seed), rng(seed);
+        const Csr want = uniformViaCoo(rows, cols, density, want_rng);
+        const Csr m = genUniform(rows, cols, density, rng);
+        EXPECT_TRUE(m == want && rng.state() == want_rng.state())
+            << "genUniform(" << rows << ", " << cols << ", " << density
+            << ", seed " << seed << ")";
+    }
+}
+
+TEST(StreamingGenerators, DiagHeavyMatchesGoldenHashes)
+{
+    // genDiagHeavy bit for bit: n=1 (every extra lands on the
+    // diagonal and is dropped), a 4-row case whose rows draw the same
+    // extra column twice, and two larger ones.
+    struct Case
+    {
+        Index n;
+        double off_diag;
+        std::uint64_t seed;
+        const char *hash;
+    };
+    const Case cases[] = {
+        {1, 3.0, 1, "3106a08f0b35f712"},
+        {4, 3.5, 2, "38f258c31f16fe76"},
+        {300, 2.5, 3, "310e319489dee862"},
+        {5000, 4.2, 4, "c1bbe0f30c179cfc"},
+    };
+    for (const Case &c : cases) {
+        Rng rng(c.seed);
+        const Csr m = genDiagHeavy(c.n, c.off_diag, rng);
+        EXPECT_EQ(generatorHash(m, rng), c.hash)
+            << "genDiagHeavy(" << c.n << ", " << c.off_diag
+            << ", seed " << c.seed << ")";
     }
 }
 

@@ -111,8 +111,9 @@ Csr::fromRows(Index rows, Index cols, std::vector<Index> row_ptr,
     // sort by column, then an in-place duplicate merge that sums in
     // stored order (exact zeros are kept, as in Coo::canonicalize).
     // Short rows sort in place; longer ones go through
-    // std::stable_sort on a pair copy. row_ptr is rewritten to the
-    // merged offsets as the walk passes each row.
+    // std::stable_sort on a pair copy unless already in column order,
+    // where a stable sort changes nothing. row_ptr is rewritten to
+    // the merged offsets as the walk passes each row.
     constexpr std::size_t insertion_max = 32;
     std::vector<std::size_t> merged(ranges);
     SweepExecutor(ranges).forEach(ranges, [&](std::size_t p) {
@@ -123,7 +124,10 @@ Csr::fromRows(Index rows, Index cols, std::vector<Index> row_ptr,
             if (hi - lo <= insertion_max) {
                 insertionSortRow(col_idx.data() + lo,
                                  values.data() + lo, hi - lo);
-            } else {
+            } else if (!std::is_sorted(col_idx.begin() +
+                                           std::ptrdiff_t(lo),
+                                       col_idx.begin() +
+                                           std::ptrdiff_t(hi))) {
                 tmp.clear();
                 for (std::size_t i = lo; i < hi; ++i)
                     tmp.emplace_back(col_idx[i], values[i]);

@@ -106,9 +106,10 @@ TEST(CsrDeathTest, FromPartsValidates)
 TEST(CsrFromRows, RangesMatchOneRange)
 {
     // Unsorted rows with repeated columns (summed in stored order),
-    // two rows longer than the 32-entry insertion-sort cutoff, and
-    // runs of empty rows: at 2 to 5 ranges a cut falls inside the
-    // 40 empty rows 7..46.
+    // two unsorted rows longer than the 32-entry insertion-sort
+    // cutoff, a longer one already in column order with repeated
+    // columns (no sort), and runs of empty rows: at 2 to 5 ranges a
+    // cut falls inside the 40 empty rows 7..46.
     const Index rows = 60, cols = 40;
     std::vector<Index> row_ptr{0}, col_idx;
     std::vector<Value> values;
@@ -129,15 +130,21 @@ TEST(CsrFromRows, RangesMatchOneRange)
         if (r == 47)
             for (int i = 0; i < 3; ++i)
                 add(7, 1.0f);
+        if (r == 50)
+            for (Index i = 0; i < 40; ++i)
+                add(i / 2, Value(i) * 0.5f);
         if (r == 59)
             add(2, 4.0f);
         row_ptr.push_back(Index(col_idx.size()));
     }
     const Csr one =
         Csr::fromRows(rows, cols, row_ptr, col_idx, values, 1);
-    EXPECT_EQ(one.nnz(), 3u + 40u + 1u + 40u + 1u);
+    EXPECT_EQ(one.nnz(), 3u + 40u + 1u + 40u + 20u + 1u);
     EXPECT_EQ(one.colIdx()[2], 3);
     EXPECT_EQ(one.values()[2], 1.5f);
+    const auto col3 = std::size_t(one.rowPtr()[50]) + 3;
+    EXPECT_EQ(one.colIdx()[col3], 3);
+    EXPECT_EQ(one.values()[col3], 6.5f);
     for (unsigned ranges = 2; ranges <= 5; ++ranges)
         EXPECT_EQ(Csr::fromRows(rows, cols, row_ptr, col_idx, values,
                                 ranges),

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "simcore/log.hh"
 #include "simcore/parallel.hh"
@@ -98,47 +99,204 @@ class RmatDescent
     std::uint64_t _a = 0, _ab = 0, _abc = 0;
 };
 
+/** The uniform generator's entry target, after checking its inputs. */
+std::size_t
+uniformTarget(Index rows, Index cols, double density)
+{
+    via_assert(rows > 0 && cols > 0, "bad shape");
+    via_assert(density >= 0.0 && density <= 1.0, "bad density ",
+               density);
+    const auto target = std::size_t(double(rows) * double(cols) * density);
+    if (target > std::size_t(std::numeric_limits<Index>::max()))
+        via_fatal("uniform target of ", target, " entries exceeds "
+                  "the 32-bit simulated index type (at most ",
+                  std::numeric_limits<Index>::max(), ")");
+    return target;
+}
+
 } // namespace
 
 Csr
 genUniform(Index rows, Index cols, double density, Rng &rng)
 {
-    via_assert(rows > 0 && cols > 0, "bad shape");
-    via_assert(density >= 0.0 && density <= 1.0, "bad density ",
-               density);
-    double total = double(rows) * double(cols);
-    auto target = std::size_t(total * density);
-    if (target > std::size_t(std::numeric_limits<Index>::max()))
-        via_fatal("uniform target of ", target, " entries exceeds "
-                  "the 32-bit simulated index type (at most ",
-                  std::numeric_limits<Index>::max(), ")");
-    Coo coo(rows, cols);
+    return genUniform(
+        rows, cols, density, rng,
+        SweepExecutor::workersFor(uniformTarget(rows, cols, density)));
+}
+
+Csr
+genUniform(Index rows, Index cols, double density, Rng &rng,
+           unsigned segments)
+{
+    const std::size_t target = uniformTarget(rows, cols, density);
+    via_assert(segments > 0, "uniform generation needs a segment");
     if (density == 0.0)
-        return Csr::fromCoo(std::move(coo));
-    // Sample nnz positions without materializing the dense grid:
-    // geometric skipping over the linearized index space.
-    double skip_mean = total / double(std::max<std::size_t>(target,
-                                                            1));
+        return Csr::fromParts(rows, cols,
+                              std::vector<Index>(std::size_t(rows) + 1),
+                              {}, {});
+    // Sample positions without materializing the dense grid:
+    // exponential gaps with mean skip_mean over the linearized index
+    // space. Iteration i draws its gap's u (draw 2i) and, if the gap
+    // sum stays below total, its value (draw 2i + 1), so n entries
+    // leave the stream 2n + 1 draws on.
+    const double total = double(rows) * double(cols);
+    const double skip_mean =
+        total / double(std::max<std::size_t>(target, 1));
+    const auto ucols = std::uint64_t(cols);
+
+    // About 8 standard deviations above the target's draws. All of
+    // it is reserved before any is written, so a target the host
+    // cannot hold fails at once. buf holds each draw's gap, then its
+    // position, then its tie proxy: 16 bytes per draw in all.
+    std::size_t want =
+        target + std::size_t(8.0 * std::sqrt(double(target))) + 64;
+    auto buf = std::make_unique_for_overwrite<std::uint64_t[]>(want);
+    std::vector<Index> row_ptr, col_idx;
+    std::vector<Value> values;
+    col_idx.reserve(want);
+    values.reserve(want);
+    row_ptr.reserve(std::size_t(rows) + 1);
+
+    // The stream state at every mark-th iteration's first draw, and
+    // the stream at any iteration's first draw (2i) from there.
+    constexpr std::size_t mark = 256;
+    std::vector<Rng> marks;
+    auto streamAt = [&](std::size_t i) {
+        Rng at = marks[i / mark];
+        for (std::size_t d = 0; d < 2 * (i % mark); ++d)
+            at.next();
+        return at;
+    };
+
+    // Pass 1: segment k draws its share of iterations [drawn, want)
+    // from a copy of the stream jumped to its first draw (none for
+    // the first segment): each gap, and the marks. Pass 2 sums the
+    // gaps in draw order on one thread, exactly the additions of one
+    // serial loop, and turns each sum below total into an integer
+    // position, while two more threads zero-fill the output arrays.
+    // The estimate falls short about once in 10^15 inputs; then both
+    // passes run again on a longer stretch.
+    const SweepExecutor pool(segments);
+    std::size_t drawn = 0, n = 0;
     double pos = 0.0;
-    while (true) {
-        // Exponential gap with mean skip_mean.
-        double u = std::max(rng.uniform(), 1e-12);
-        pos += -std::log(u) * skip_mean;
-        if (pos >= total)
+    for (;;) {
+        marks.resize((want + mark - 1) / mark);
+        pool.forEach(segments, [&](std::size_t k) {
+            const std::size_t lo = drawn + (want - drawn) * k / segments;
+            const std::size_t hi =
+                drawn + (want - drawn) * (k + 1) / segments;
+            Rng draw = rng;
+            if (lo > 0)
+                draw.discard(2 * std::uint64_t(lo));
+            for (std::size_t i = lo; i < hi; ++i) {
+                if (i % mark == 0)
+                    marks[i / mark] = draw;
+                const double u = std::max(draw.uniform(), 1e-12);
+                buf[i] = std::bit_cast<std::uint64_t>(-std::log(u) *
+                                                      skip_mean);
+                draw.next(); // the value, drawn again in pass 3
+            }
+        });
+        pool.forEach(3, [&](std::size_t job) {
+            if (job == 1) {
+                values.resize(want);
+            } else if (job == 2) {
+                col_idx.resize(want);
+                row_ptr.resize(std::size_t(rows) + 1);
+            } else {
+                for (; n < want; ++n) {
+                    pos += std::bit_cast<double>(buf[n]);
+                    if (pos >= total)
+                        break;
+                    buf[n] = std::uint64_t(pos);
+                }
+            }
+        });
+        if (n < want)
             break;
-        auto linear = std::uint64_t(pos);
-        coo.add(Index(linear / std::uint64_t(cols)),
-                Index(linear % std::uint64_t(cols)),
-                randValue(rng));
+        drawn = want;
+        want += want / 2;
+        auto longer = std::make_unique_for_overwrite<std::uint64_t[]>(want);
+        std::copy_n(buf.get(), drawn, longer.get());
+        buf = std::move(longer);
     }
-    // Positions arrive in row-major order, but two draws can land on
-    // the same position, and Coo::canonicalize sums those in
-    // std::sort's unstable order. That order fixes the values this
-    // generator has always produced, so it stays on Coo: building
-    // the rows directly (Csr::fromRows) sums in draw order, which at
-    // 16384^2 and 0.5% density gives the same structure but
-    // different values for 6 of seeds 1-20.
-    return Csr::fromCoo(std::move(coo));
+    if (n > std::size_t(std::numeric_limits<Index>::max()))
+        via_fatal("uniform draws of ", n, " entries exceed the 32-bit "
+                  "simulated index type (at most ",
+                  std::numeric_limits<Index>::max(), ")");
+    // Positions never decrease, so the last one bounds them all.
+    via_assert(n == 0 || buf[n - 1] / ucols < std::uint64_t(rows),
+               "position ", buf[n - 1], " outside ", rows, "x", cols);
+    rng = streamAt(n);
+    rng.next();
+    values.resize(n);
+    col_idx.resize(n);
+
+    // Pass 3: segment k draws its entries' values again from the
+    // marks. Entry i goes to row buf[i] / cols, and row r starts at
+    // the first entry in row r or later: each segment writes the
+    // starts of the rows after its previous entry's row up to its
+    // last entry's row. It also looks for a run of three or more
+    // draws on one position: positions never decrease, so such a
+    // run holds an entry equal to the one two before it.
+    std::vector<std::uint8_t> triple(segments);
+    pool.forEach(segments, [&](std::size_t k) {
+        const std::size_t lo = n * k / segments, hi = n * (k + 1) / segments;
+        Rng draw = streamAt(lo);
+        std::uint64_t r = lo == 0 ? 0 : buf[lo - 1] / ucols + 1;
+        for (std::size_t i = lo; i < hi; ++i) {
+            draw.next(); // the gap
+            values[i] = randValue(draw);
+            const std::uint64_t row = buf[i] / ucols;
+            for (; r <= row; ++r)
+                row_ptr[r] = Index(i);
+            col_idx[i] = Index(buf[i] - row * ucols);
+            if (i >= 2 && buf[i] == buf[i - 2])
+                triple[k] = 1;
+        }
+        if (k + 1 == segments)
+            for (; r <= std::uint64_t(rows); ++r)
+                row_ptr[r] = Index(n);
+    });
+
+    // Two draws on one position sum the same in either order, but
+    // three or more can sum differently in different orders; Coo's
+    // triplet sort put them in std::sort's order, and so does this.
+    // std::sort with a custom comparator moves elements as a function
+    // of the comparison outcomes and the length alone. Proxies that
+    // hold the run index (which orders as the (row, col) keys do)
+    // above the draw index, compared on the run index alone, thus
+    // end where the triplets did: the standard library's tie order.
+    if (std::ranges::find(triple, 1) != triple.end()) {
+        std::uint64_t run = 0, prev = buf[0];
+        for (std::size_t i = 0; i < n; ++i) {
+            run += buf[i] != prev;
+            prev = buf[i];
+            buf[i] = run << 32 | i;
+        }
+        std::sort(buf.get(), buf.get() + n,
+                  [](std::uint64_t a, std::uint64_t b) {
+                      return a >> 32 < b >> 32;
+                  });
+        std::vector<Value> run_values;
+        for (std::size_t lo = 0; lo < n;) {
+            std::size_t hi = lo + 1;
+            while (hi < n && buf[hi] >> 32 == buf[lo] >> 32)
+                ++hi;
+            if (hi - lo >= 3) {
+                run_values.clear();
+                for (std::size_t i = lo; i < hi; ++i)
+                    run_values.push_back(values[buf[i] & 0xffffffffu]);
+                std::ranges::copy(run_values,
+                                  values.begin() + std::ptrdiff_t(lo));
+            }
+            lo = hi;
+        }
+    }
+    buf.reset();
+    // Duplicates sum in stored order.
+    return Csr::fromRows(rows, cols, std::move(row_ptr),
+                         std::move(col_idx), std::move(values));
 }
 
 Csr

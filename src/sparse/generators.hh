@@ -7,7 +7,7 @@
  * real applications — banded FEM/stencil operators, block-clustered
  * engineering matrices, power-law graphs, and unstructured random
  * matrices. All generators are deterministic given the Rng. The
- * banded and RMAT generators emit CSR arrays directly; the uniform,
+ * banded, RMAT and uniform generators emit CSR arrays directly; the
  * blocked and diagonal-heavy ones collect their entries in a Coo.
  */
 
@@ -29,10 +29,34 @@ namespace via
  */
 Csr genBandedCsr(Index n, Index bandwidth, double fill, Rng &rng);
 
-/** Uniformly random: each position non-zero with prob `density`
- *  (0 gives the empty matrix). A rows * cols * density above the
- *  32-bit index range is fatal. */
+/**
+ * Uniformly random: each position non-zero with probability
+ * @p density; 0 gives the empty matrix and leaves @p rng untouched.
+ * A rows * cols * density above the 32-bit index range is fatal.
+ *
+ * Positions come from exponential gaps over the row-major linear
+ * index space. Iteration i draws its gap (draw 2i) and, while the gap
+ * sum stays below rows * cols, its value (draw 2i + 1), so n entries
+ * leave @p rng 2n + 1 draws on. The draws are cut into contiguous
+ * segments, one per CPU this process may run on and at most one per
+ * 2^16 target entries, each drawn on its own thread from an exact
+ * jump of @p rng (Rng::discard). One thread sums the gaps in draw
+ * order, as a serial loop would, and the segments then write the
+ * columns, row starts and values directly, with no triplet list.
+ * Entries arrive row-major with the draws on one position adjacent.
+ * Two such draws sum the same in either order; when a run of three
+ * or more exists, the draws are put in the order std::sort gave the
+ * triplet sort this generator used to make, by sorting one 8-byte
+ * proxy per draw with the same std::sort. Csr::fromRows then sums
+ * each run in stored order. Golden hashes in tests/test_debug.cc pin
+ * the output and the Rng end state bit for bit at every segment
+ * count. Peak memory is 16 bytes per draw.
+ */
 Csr genUniform(Index rows, Index cols, double density, Rng &rng);
+
+/** genUniform with @p segments segments (tests): same output. */
+Csr genUniform(Index rows, Index cols, double density, Rng &rng,
+               unsigned segments);
 
 /**
  * RMAT-style power-law graph adjacency matrix (a=0.57, b=c=0.19,

@@ -422,6 +422,23 @@ TEST(StreamingGenerators, UniformMatchesGoldenHashes)
     EXPECT_EQ(rng.state(), Rng(6).state());
 }
 
+TEST(StreamingGenerators, UniformIsIdenticalAtEverySegmentCount)
+{
+    // The golden arrays and end state at every segment count, also
+    // with more segments than entries (3 entries, and none).
+    for (const UniformCase &c : kUniformCases) {
+        for (unsigned segments : {1u, 2u, 3u, 4u, 5u, 7u}) {
+            Rng rng(c.seed);
+            const Csr m =
+                genUniform(c.rows, c.cols, c.density, rng, segments);
+            EXPECT_EQ(generatorHash(m, rng), c.hash)
+                << "genUniform(" << c.rows << ", " << c.cols << ", "
+                << c.density << ", seed " << c.seed << ") at "
+                << segments << " segments";
+        }
+    }
+}
+
 /**
  * The uniform generator as a triplet loop: exponential gaps over the
  * linearized positions, one value per entry, then Coo's sort, which

@@ -472,7 +472,6 @@ genDiagHeavy(Index n, double off_diag, Rng &rng)
                 coo.add(r, c, randValue(rng));
         }
     }
-    coo.canonicalize();
     return Csr::fromCoo(std::move(coo));
 }
 

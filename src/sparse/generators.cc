@@ -260,13 +260,15 @@ genUniform(Index rows, Index cols, double density, Rng &rng,
     });
 
     // Two draws on one position sum the same in either order, but
-    // three or more can sum differently in different orders; Coo's
-    // triplet sort put them in std::sort's order, and so does this.
+    // three or more can sum differently in different orders. This
+    // generator used to sort its triplets with Coo::canonicalize,
+    // which left each run in std::sort's order, and that order stays:
     // std::sort with a custom comparator moves elements as a function
-    // of the comparison outcomes and the length alone. Proxies that
+    // of the comparison outcomes and the length alone, so proxies that
     // hold the run index (which orders as the (row, col) keys do)
-    // above the draw index, compared on the run index alone, thus
-    // end where the triplets did: the standard library's tie order.
+    // above the draw index, compared on the run index alone, end
+    // where the triplets did. This is the standard library's tie
+    // order, as the triplet sort's was.
     if (std::ranges::find(triple, 1) != triple.end()) {
         std::uint64_t run = 0, prev = buf[0];
         for (std::size_t i = 0; i < n; ++i) {

@@ -144,12 +144,17 @@ genUniform(Index rows, Index cols, double density, Rng &rng,
         total / double(std::max<std::size_t>(target, 1));
     const auto ucols = std::uint64_t(cols);
 
-    // About 8 standard deviations above the target's draws. All of
-    // it is reserved before any is written, so a target the host
-    // cannot hold fails at once. buf holds each draw's gap, then its
-    // position, then its tie proxy: 16 bytes per draw in all.
-    std::size_t want =
-        target + std::size_t(8.0 * std::sqrt(double(target))) + 64;
+    // The entry count is Poisson about the target, so it lies within
+    // 8 standard deviations of it but for about once in 10^15 inputs.
+    // Draws up to the upper bound are reserved before any is written,
+    // so a target the host cannot hold fails at once. The output
+    // arrays are written only up to the lower bound until the count
+    // is known, so their unused tail stays out of memory. buf holds
+    // each draw's gap, then its position, then its tie proxy: 16
+    // bytes per draw in all.
+    const auto margin = std::size_t(8.0 * std::sqrt(double(target)));
+    const std::size_t fewest = target - std::min(target, margin);
+    std::size_t want = target + margin + 64;
     auto buf = std::make_unique_for_overwrite<std::uint64_t[]>(want);
     std::vector<Index> row_ptr, col_idx;
     std::vector<Value> values;
@@ -173,9 +178,10 @@ genUniform(Index rows, Index cols, double density, Rng &rng,
     // the first segment): each gap, and the marks. Pass 2 sums the
     // gaps in draw order on one thread, exactly the additions of one
     // serial loop, and turns each sum below total into an integer
-    // position, while two more threads zero-fill the output arrays.
-    // The estimate falls short about once in 10^15 inputs; then both
-    // passes run again on a longer stretch.
+    // position. With more than one segment, two more threads
+    // zero-fill the output arrays up to the lower bound meanwhile.
+    // When the upper bound falls short, both passes run again on a
+    // longer stretch.
     const SweepExecutor pool(segments);
     std::size_t drawn = 0, n = 0;
     double pos = 0.0;
@@ -197,12 +203,11 @@ genUniform(Index rows, Index cols, double density, Rng &rng,
                 draw.next(); // the value, drawn again in pass 3
             }
         });
-        pool.forEach(3, [&](std::size_t job) {
+        pool.forEach(segments > 1 ? 3 : 1, [&](std::size_t job) {
             if (job == 1) {
-                values.resize(want);
+                values.resize(fewest);
             } else if (job == 2) {
-                col_idx.resize(want);
-                row_ptr.resize(std::size_t(rows) + 1);
+                col_idx.resize(fewest);
             } else {
                 for (; n < want; ++n) {
                     pos += std::bit_cast<double>(buf[n]);
@@ -229,8 +234,15 @@ genUniform(Index rows, Index cols, double density, Rng &rng,
                "position ", buf[n - 1], " outside ", rows, "x", cols);
     rng = streamAt(n);
     rng.next();
+    if (segments == 1) {
+        // No thread zero-filled beside pass 2, so the output arrays
+        // can take the exact count and keep no unused capacity.
+        values = std::vector<Value>();
+        col_idx = std::vector<Index>();
+    }
     values.resize(n);
     col_idx.resize(n);
+    row_ptr.resize(std::size_t(rows) + 1);
 
     // Pass 3: segment k draws its entries' values again from the
     // marks. Entry i goes to row buf[i] / cols, and row r starts at

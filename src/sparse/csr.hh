@@ -40,11 +40,11 @@ class Csr
      * stably sorted by column (insertion sort up to 32 entries,
      * std::stable_sort beyond unless the row is in column order
      * already) and equal columns are summed in their stored order;
-     * exact zeros are kept. The arrays are compacted
-     * in place, with no triplet copy and no global sort. Large
-     * inputs are cut into ranges of rows, one per CPU this process
-     * may run on and at most one per 2^16 rows plus entries, which
-     * threads canonicalize side by side.
+     * exact zeros are kept. The arrays are compacted in place, with
+     * no triplet copy and no global sort. Large inputs are cut into
+     * ranges of rows, one per CPU this process may run on and at
+     * most one per 2^16 rows plus entries, which threads
+     * canonicalize side by side.
      */
     static Csr fromRows(Index rows, Index cols,
                         std::vector<Index> row_ptr,

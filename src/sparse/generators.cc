@@ -178,10 +178,9 @@ genUniform(Index rows, Index cols, double density, Rng &rng,
     // the first segment): each gap, and the marks. Pass 2 sums the
     // gaps in draw order on one thread, exactly the additions of one
     // serial loop, and turns each sum below total into an integer
-    // position. With more than one segment, two more threads
-    // zero-fill the output arrays up to the lower bound meanwhile.
-    // When the upper bound falls short, both passes run again on a
-    // longer stretch.
+    // position. With more than one segment, the pool zero-fills the
+    // output arrays up to the lower bound beside it. When the upper
+    // bound falls short, both passes run again on a longer stretch.
     const SweepExecutor pool(segments);
     std::size_t drawn = 0, n = 0;
     double pos = 0.0;

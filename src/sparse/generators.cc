@@ -231,6 +231,7 @@ genUniform(Index rows, Index cols, double density, Rng &rng,
     // Positions never decrease, so the last one bounds them all.
     via_assert(n == 0 || buf[n - 1] / ucols < std::uint64_t(rows),
                "position ", buf[n - 1], " outside ", rows, "x", cols);
+    // Draw 2n, the gap that reached total, was the stream's last.
     rng = streamAt(n);
     rng.next();
     if (segments == 1) {

@@ -470,9 +470,18 @@ uniformViaCoo(Index rows, Index cols, double density, Rng &rng)
 
 TEST(StreamingGenerators, UniformMatchesTheTripletLoop)
 {
-    // Random shapes from one row or column up, sparse to full, where
-    // a full matrix draws each position about once, so runs of three
-    // or more draws on one position are common.
+    // Every golden case, so each golden hash is also the serial
+    // loop's, then random shapes from one row or column up, sparse to
+    // full, where a full matrix draws each position about once, so
+    // runs of three or more draws on one position are common.
+    for (const UniformCase &c : kUniformCases) {
+        Rng want_rng(c.seed), rng(c.seed);
+        const Csr want = uniformViaCoo(c.rows, c.cols, c.density, want_rng);
+        const Csr m = genUniform(c.rows, c.cols, c.density, rng);
+        EXPECT_TRUE(m == want && rng.state() == want_rng.state())
+            << "genUniform(" << c.rows << ", " << c.cols << ", "
+            << c.density << ", seed " << c.seed << ")";
+    }
     Rng shapes(17);
     for (int i = 0; i < 60; ++i) {
         const auto rows = Index(1 + shapes.below(i % 3 ? 200 : 4));
@@ -493,7 +502,8 @@ TEST(StreamingGenerators, DiagHeavyMatchesGoldenHashes)
 {
     // genDiagHeavy bit for bit: n=1 (every extra lands on the
     // diagonal and is dropped), a 4-row case whose rows draw the same
-    // extra column twice, and two larger ones.
+    // extra column twice, and three larger ones, the last with 262,138
+    // entries.
     struct Case
     {
         Index n;
@@ -506,6 +516,7 @@ TEST(StreamingGenerators, DiagHeavyMatchesGoldenHashes)
         {4, 3.5, 2, "38f258c31f16fe76"},
         {300, 2.5, 3, "310e319489dee862"},
         {5000, 4.2, 4, "c1bbe0f30c179cfc"},
+        {65536, 3.0, 5, "da7a9c97008eccdb"},
     };
     for (const Case &c : cases) {
         Rng rng(c.seed);

@@ -21,7 +21,6 @@ makeSibling(const Csr &a, Rng &rng)
                     Index(rng.below(std::uint64_t(a.cols()))),
                     Value(rng.uniform() * 2 - 1));
     }
-    coo.canonicalize();
     return Csr::fromCoo(std::move(coo));
 }
 

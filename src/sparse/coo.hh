@@ -1,7 +1,11 @@
 /**
  * @file
- * Coordinate-list (triplet) sparse matrix — the construction format
- * all generators emit and all compressed formats build from.
+ * Coordinate-list (triplet) sparse matrix: entries appended in any
+ * order, with repeated coordinates allowed, for Csr::fromCoo to
+ * compress. The blocked and diagonal-heavy generators, the fuzzer's
+ * mutations, the harnesses' sibling matrices and the examples build
+ * through it; the other generators and the .mtx reader fill CSR rows
+ * directly.
  */
 
 #ifndef VIA_SPARSE_COO_HH
@@ -41,15 +45,6 @@ class Coo
 
     /** Append one element (bounds-checked). */
     void add(Index row, Index col, Value value);
-
-    /**
-     * Sort by (row, col) and combine duplicates by addition.
-     * Elements that sum to exactly zero are kept (structural nnz).
-     */
-    void canonicalize();
-
-    /** True if sorted by (row, col) with no duplicates. */
-    bool isCanonical() const;
 
     const std::vector<Triplet> &elems() const { return _elems; }
     std::vector<Triplet> &elems() { return _elems; }

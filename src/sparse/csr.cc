@@ -34,22 +34,23 @@ insertionSortRow(Index *cols, Value *vals, std::size_t len)
 Csr
 Csr::fromCoo(Coo coo)
 {
-    coo.canonicalize();
+    // Count per row, prefix-sum, then place each row's triplets in
+    // insertion order through per-row cursors.
     std::vector<Index> row_ptr(std::size_t(coo.rows()) + 1, 0);
-    std::vector<Index> col_idx;
-    std::vector<Value> values;
-    col_idx.reserve(coo.nnz());
-    values.reserve(coo.nnz());
-
-    for (const Triplet &t : coo.elems()) {
+    for (const Triplet &t : coo.elems())
         ++row_ptr[std::size_t(t.row) + 1];
-        col_idx.push_back(t.col);
-        values.push_back(t.value);
-    }
     for (std::size_t r = 1; r < row_ptr.size(); ++r)
         row_ptr[r] += row_ptr[r - 1];
-    return fromParts(coo.rows(), coo.cols(), std::move(row_ptr),
-                     std::move(col_idx), std::move(values));
+    std::vector<Index> next(row_ptr.begin(), row_ptr.end() - 1);
+    std::vector<Index> col_idx(coo.nnz());
+    std::vector<Value> values(coo.nnz());
+    for (const Triplet &t : coo.elems()) {
+        const auto slot = std::size_t(next[std::size_t(t.row)]++);
+        col_idx[slot] = t.col;
+        values[slot] = t.value;
+    }
+    return fromRows(coo.rows(), coo.cols(), std::move(row_ptr),
+                    std::move(col_idx), std::move(values));
 }
 
 Csr
@@ -109,7 +110,7 @@ Csr::fromRows(Index rows, Index cols, std::vector<Index> row_ptr,
     // Each range sorts and merges its rows in place from its own first
     // slot, as one serial walk over all rows would: per-row stable
     // sort by column, then an in-place duplicate merge that sums in
-    // stored order (exact zeros are kept, as in Coo::canonicalize).
+    // stored order (exact zeros are kept).
     // Short rows sort in place; longer ones go through
     // std::stable_sort on a pair copy unless already in column order,
     // where a stable sort changes nothing. row_ptr is rewritten to

@@ -25,7 +25,12 @@ class Csr
   public:
     Csr() = default;
 
-    /** Build from (possibly unsorted, duplicated) triplets. */
+    /**
+     * Build from triplets in any order, with repeated coordinates
+     * allowed: each row's triplets are placed in insertion order and
+     * go through fromRows, so repeated coordinates sum in the order
+     * they were added.
+     */
     static Csr fromCoo(Coo coo);
 
     /** Build directly from raw arrays (validated). */

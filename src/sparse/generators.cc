@@ -150,8 +150,7 @@ genUniform(Index rows, Index cols, double density, Rng &rng,
     // so a target the host cannot hold fails at once. The output
     // arrays are written only up to the lower bound until the count
     // is known, so their unused tail stays out of memory. buf holds
-    // each draw's gap, then its position, then its tie proxy: 16
-    // bytes per draw in all.
+    // each draw's gap, then its position: 16 bytes per draw in all.
     const auto margin = std::size_t(8.0 * std::sqrt(double(target)));
     const std::size_t fewest = target - std::min(target, margin);
     std::size_t want = target + margin + 64;
@@ -248,10 +247,7 @@ genUniform(Index rows, Index cols, double density, Rng &rng,
     // marks. Entry i goes to row buf[i] / cols, and row r starts at
     // the first entry in row r or later: each segment writes the
     // starts of the rows after its previous entry's row up to its
-    // last entry's row. It also looks for a run of three or more
-    // draws on one position: positions never decrease, so such a
-    // run holds an entry equal to the one two before it.
-    std::vector<std::uint8_t> triple(segments);
+    // last entry's row.
     pool.forEach(segments, [&](std::size_t k) {
         const std::size_t lo = n * k / segments, hi = n * (k + 1) / segments;
         Rng draw = streamAt(lo);
@@ -263,52 +259,14 @@ genUniform(Index rows, Index cols, double density, Rng &rng,
             for (; r <= row; ++r)
                 row_ptr[r] = Index(i);
             col_idx[i] = Index(buf[i] - row * ucols);
-            if (i >= 2 && buf[i] == buf[i - 2])
-                triple[k] = 1;
         }
         if (k + 1 == segments)
             for (; r <= std::uint64_t(rows); ++r)
                 row_ptr[r] = Index(n);
     });
 
-    // Two draws on one position sum the same in either order, but
-    // three or more can sum differently in different orders. This
-    // generator used to sort its triplets with Coo::canonicalize,
-    // which left each run in std::sort's order, and that order stays:
-    // std::sort with a custom comparator moves elements as a function
-    // of the comparison outcomes and the length alone, so proxies that
-    // hold the run index (which orders as the (row, col) keys do)
-    // above the draw index, compared on the run index alone, end
-    // where the triplets did. This is the standard library's tie
-    // order, as the triplet sort's was.
-    if (std::ranges::find(triple, 1) != triple.end()) {
-        std::uint64_t run = 0, prev = buf[0];
-        for (std::size_t i = 0; i < n; ++i) {
-            run += buf[i] != prev;
-            prev = buf[i];
-            buf[i] = run << 32 | i;
-        }
-        std::sort(buf.get(), buf.get() + n,
-                  [](std::uint64_t a, std::uint64_t b) {
-                      return a >> 32 < b >> 32;
-                  });
-        std::vector<Value> run_values;
-        for (std::size_t lo = 0; lo < n;) {
-            std::size_t hi = lo + 1;
-            while (hi < n && buf[hi] >> 32 == buf[lo] >> 32)
-                ++hi;
-            if (hi - lo >= 3) {
-                run_values.clear();
-                for (std::size_t i = lo; i < hi; ++i)
-                    run_values.push_back(values[buf[i] & 0xffffffffu]);
-                std::ranges::copy(run_values,
-                                  values.begin() + std::ptrdiff_t(lo));
-            }
-            lo = hi;
-        }
-    }
     buf.reset();
-    // Duplicates sum in stored order.
+    // Draws on one position sum in draw order.
     return Csr::fromRows(rows, cols, std::move(row_ptr),
                          std::move(col_idx), std::move(values));
 }

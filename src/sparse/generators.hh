@@ -8,7 +8,9 @@
  * engineering matrices, power-law graphs, and unstructured random
  * matrices. All generators are deterministic given the Rng. The
  * banded, RMAT and uniform generators emit CSR arrays directly; the
- * blocked and diagonal-heavy ones collect their entries in a Coo.
+ * blocked and diagonal-heavy ones collect their entries in a Coo for
+ * Csr::fromCoo. Either way a position drawn more than once holds the
+ * sum of its draws, added in draw order by Csr::fromRows.
  */
 
 #ifndef VIA_SPARSE_GENERATORS_HH
@@ -43,14 +45,11 @@ Csr genBandedCsr(Index n, Index bandwidth, double fill, Rng &rng);
  * jump of @p rng (Rng::discard). One thread sums the gaps in draw
  * order, as a serial loop would, and the segments then write the
  * columns, row starts and values directly, with no triplet list.
- * Entries arrive row-major with the draws on one position adjacent.
- * Two such draws sum the same in either order; when a run of three
- * or more exists, the draws are put in the order std::sort gave the
- * triplet sort this generator used to make, by sorting one 8-byte
- * proxy per draw with the same std::sort. Csr::fromRows then sums
- * each run in stored order. Golden hashes in tests/test_debug.cc pin
- * the output and the Rng end state bit for bit at every segment
- * count. Peak memory is 16 bytes per draw.
+ * Entries arrive row-major with the draws on one position adjacent
+ * and in draw order, and Csr::fromRows sums them in that order.
+ * Golden hashes in tests/test_debug.cc pin the output and the Rng
+ * end state bit for bit at every segment count. Peak memory is 16
+ * bytes per draw.
  */
 Csr genUniform(Index rows, Index cols, double density, Rng &rng);
 

@@ -502,8 +502,9 @@ TEST(StreamingGenerators, DiagHeavyMatchesGoldenHashes)
 {
     // genDiagHeavy bit for bit: n=1 (every extra lands on the
     // diagonal and is dropped), a 4-row case whose rows draw the same
-    // extra column twice, and three larger ones, the last with 262,138
-    // entries.
+    // extra column twice, and three larger ones, the last with rows
+    // plus entries above 2^17, so Csr::fromRows merges its rows on
+    // more than one thread where more than one CPU is free.
     struct Case
     {
         Index n;

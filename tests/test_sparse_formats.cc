@@ -33,17 +33,34 @@ tiny()
     return Csr::fromCoo(std::move(coo));
 }
 
-TEST(Coo, CanonicalizeSortsAndMergesDuplicates)
+TEST(Csr, FromCooSortsAndMergesDuplicates)
 {
     Coo coo(4, 4);
     coo.add(2, 1, 1.0f);
     coo.add(0, 3, 2.0f);
     coo.add(2, 1, 3.0f); // duplicate
-    coo.canonicalize();
-    ASSERT_EQ(coo.nnz(), 2u);
-    EXPECT_TRUE(coo.isCanonical());
-    EXPECT_EQ(coo.elems()[0].row, 0);
-    EXPECT_FLOAT_EQ(coo.elems()[1].value, 4.0f);
+    Csr m = Csr::fromCoo(std::move(coo));
+    EXPECT_EQ(m.rowPtr(), (std::vector<Index>{0, 1, 1, 2, 2}));
+    EXPECT_EQ(m.colIdx(), (std::vector<Index>{3, 1}));
+    EXPECT_EQ(m.values(), (std::vector<Value>{2.0f, 4.0f}));
+}
+
+TEST(Csr, FromCooSumsDuplicatesInInsertionOrder)
+{
+    // 1e8 - 1e8 + 1 is 1 in insertion order; 1e8 + 1 rounds to 1e8
+    // in float, so an order that adds 1 before -1e8 gives 0. Fourteen
+    // more rows, added from the last up, make a list that a sort of
+    // all the triplets reorders: libstdc++'s std::sort sums the three
+    // to 0 here, and so does placing a row's triplets in reverse.
+    Coo coo(18, 1);
+    coo.add(0, 0, 1e8f);
+    coo.add(0, 0, -1e8f);
+    coo.add(0, 0, 1.0f);
+    for (Index r = 17; r >= 4; --r)
+        coo.add(r, 0, 1.0f);
+    Csr m = Csr::fromCoo(std::move(coo));
+    ASSERT_EQ(m.nnz(), 15u);
+    EXPECT_EQ(m.values()[0], 1.0f);
 }
 
 TEST(CooDeathTest, OutOfRangeTripletPanics)

@@ -42,7 +42,6 @@ perturb(const Csr &a, Rng &rng)
                     Index(rng.below(std::uint64_t(a.cols()))),
                     Value(rng.uniform()));
     }
-    coo.canonicalize();
     return Csr::fromCoo(std::move(coo));
 }
 
@@ -95,7 +94,6 @@ TEST(SpmaKernels, ViaTilesRowsBeyondCamCapacity)
     }
     for (Index c = 0; c < 4096; c += 4)
         cb.add(0, c, 1.0f); // overlapping part
-    cb.canonicalize();
     Csr a = Csr::fromCoo(std::move(ca));
     Csr b = Csr::fromCoo(std::move(cb));
     Machine m(defaultParams());

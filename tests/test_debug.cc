@@ -389,21 +389,20 @@ struct UniformCase
 };
 
 /**
- * genUniform bit for bit: 16384^2 seeds whose runs of three draws on
- * one position sum to different floats in different orders (at seed
- * 8, summing them in draw order rather than in Coo's sort order
- * changes three values), an 8192^2 seed with one such run, a dense
- * 10x10 with long runs, a non-square shape, a target of 0 (so the
- * draws outrun the target), and density 0 (the empty matrix, with
- * the Rng untouched).
+ * genUniform bit for bit: 16384^2 seeds with runs of three draws on
+ * one position (at seed 8 some of them sum to different floats in
+ * different orders; they sum in draw order), an 8192^2 seed with one
+ * such run, a dense 10x10 with long runs, a non-square shape, a
+ * target of 0 (so the draws outrun the target), and density 0 (the
+ * empty matrix, with the Rng untouched).
  */
 const UniformCase kUniformCases[] = {
     {16384, 16384, 0.005, 1, "2f3761d5b4c0fe16"},
     {16384, 16384, 0.005, 2, "301a42f78dccff87"},
-    {16384, 16384, 0.005, 8, "94ade1caa3a68412"},
+    {16384, 16384, 0.005, 8, "6ed1b6965e991ee3"},
     {8192, 8192, 0.004, 2, "601160541ce0ed79"},
     {10, 10, 1.0, 3, "a35aee38dd938009"},
-    {300, 70, 0.5, 4, "79f71e382d040dd0"},
+    {300, 70, 0.5, 4, "87a39ece8e2abf9b"},
     {3, 1000000, 1e-7, 7, "6c0807e2ddf29fdd"},
     {1000, 1000, 0.0, 6, "ab51e64b8c8a35e5"},
 };

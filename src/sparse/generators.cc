@@ -431,7 +431,17 @@ Csr
 genDiagHeavy(Index n, double off_diag, Rng &rng)
 {
     via_assert(n > 0, "bad size");
+    // A row holds its diagonal and at most floor(off_diag) + 1
+    // extras. Room for that many is reserved before any draw, so a
+    // bound the host cannot hold fails at once.
+    const std::size_t most =
+        std::size_t(n) * (std::size_t(off_diag) + 2);
+    if (most > std::size_t(std::numeric_limits<Index>::max()))
+        via_fatal("diagonal-heavy bound of ", most, " entries exceeds "
+                  "the 32-bit simulated index type (at most ",
+                  std::numeric_limits<Index>::max(), ")");
     Coo coo(n, n);
+    coo.elems().reserve(most);
     for (Index r = 0; r < n; ++r) {
         coo.add(r, r, Value(2.0 + rng.uniform()));
         // Poisson(off_diag) off-diagonal entries via thinning.

@@ -100,6 +100,8 @@ Csr genBlocked(Index n, Index block_side, double block_fill,
 /**
  * Diagonally dominant with a few random off-diagonals per row
  * (Poisson-like mean `off_diag`). Models iterative-solver inputs.
+ * A bound of n (floor(off_diag) + 2) entries above the 32-bit index
+ * range is fatal.
  */
 Csr genDiagHeavy(Index n, double off_diag, Rng &rng);
 

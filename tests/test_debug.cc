@@ -503,7 +503,7 @@ TEST(StreamingGenerators, DiagHeavyMatchesGoldenHashes)
     // diagonal and is dropped), a 4-row case whose rows draw the same
     // extra column twice, and three larger ones, the last with rows
     // plus entries above 2^17, so Csr::fromRows merges its rows on
-    // more than one thread where more than one CPU is free.
+    // more than one thread when the process may use more than one CPU.
     struct Case
     {
         Index n;

@@ -440,8 +440,8 @@ TEST(StreamingGenerators, UniformIsIdenticalAtEverySegmentCount)
 
 /**
  * The uniform generator as a triplet loop: exponential gaps over the
- * linearized positions, one value per entry, then Coo's sort, which
- * sums the draws of one position in std::sort's order.
+ * linearized positions, one value per entry, then Csr::fromCoo, which
+ * sums the draws of one position in draw order.
  */
 Csr
 uniformViaCoo(Index rows, Index cols, double density, Rng &rng)

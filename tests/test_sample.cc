@@ -246,6 +246,52 @@ TEST(Checkpoint, RejectsTruncatedImage)
                  SerializeError);
 }
 
+TEST(Checkpoint, RejectsEveryTruncation)
+{
+    // Every prefix of a post-kernel image is refused with
+    // SerializeError: at a stride over the whole image, and at every
+    // length within each section's first 64 bytes, where the tags,
+    // counts and geometry checks sit.
+    Machine m1(MachineParams{});
+    kernelBody("spmv")(m1);
+    const std::vector<std::uint8_t> bytes =
+        Checkpoint::capture(m1).bytes();
+
+    std::vector<std::size_t> lengths;
+    for (std::size_t n = 0; n < bytes.size(); n += bytes.size() / 64)
+        lengths.push_back(n);
+    for (const char *tag :
+         {"MACH", "BSTR", "MSYS", "CACH", "DRAM", "RSRC", "SSPM",
+          "IDXT", "FIVU", "CORE", "FUPL", "ROBM", "STRK", "SLOT"}) {
+        std::size_t sections = 0;
+        for (auto at = bytes.begin();
+             (at = std::search(at, bytes.end(), tag, tag + 4)) !=
+             bytes.end();
+             ++at, ++sections) {
+            const auto start = std::size_t(at - bytes.begin());
+            for (std::size_t k = 0;
+                 k < 64 && start + k < bytes.size(); ++k)
+                lengths.push_back(start + k);
+        }
+        EXPECT_GT(sections, 0u) << tag;
+    }
+    std::sort(lengths.begin(), lengths.end());
+    lengths.erase(std::unique(lengths.begin(), lengths.end()),
+                  lengths.end());
+
+    // Each throw leaves the machine half-written. The whole image
+    // then restores over what they left, so the teardown check that
+    // VIA_CHECK=1 arms sees a consistent machine.
+    Machine m2(MachineParams{});
+    for (std::size_t n : lengths) {
+        Checkpoint prefix = Checkpoint::fromBytes(
+            {bytes.begin(), bytes.begin() + std::ptrdiff_t(n)});
+        EXPECT_THROW(prefix.restore(m2), SerializeError) << n;
+    }
+    Checkpoint::fromBytes(bytes).restore(m2);
+    EXPECT_EQ(Checkpoint::capture(m2).bytes(), bytes);
+}
+
 TEST(Checkpoint, RejectsTrailingBytes)
 {
     Machine m1(MachineParams{});

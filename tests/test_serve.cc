@@ -231,6 +231,47 @@ TEST(RunServe, TraceIsSeedDeterministicBothLoops)
     }
 }
 
+TEST(RunServe, OpenLoopAdmitsTheDrawnTrace)
+{
+    // The open loop admits the Poisson stream one Rng(seed) draws
+    // request by request: the gap, then the class. The last point
+    // arrives faster than the table can serve.
+    auto mix = twoClassMix();
+    TableServiceModel table = flatTable(mix.size(), 4, 3000);
+    struct Point
+    {
+        double rate;
+        std::uint64_t requests;
+        std::uint64_t seed;
+    };
+    for (const Point &p : {Point{5.0, 200, 42}, Point{60.0, 300, 7},
+                           Point{2000.0, 250, 3}}) {
+        std::vector<Request> expect;
+        Rng rng(p.seed);
+        double now = 0.0;
+        for (std::uint64_t i = 0; i < p.requests; ++i) {
+            now += expDraw(rng, 1e6 / p.rate);
+            Request r;
+            r.id = i;
+            r.cls = sampleClass(mix, rng);
+            r.arrival = Tick(now);
+            expect.push_back(r);
+        }
+        ServeConfig cfg;
+        cfg.requests = p.requests;
+        cfg.ratePerMcycle = p.rate;
+        cfg.batchMax = 4;
+        cfg.seed = p.seed;
+        cfg.keepTrace = true;
+        ServeReport r = runServe(mix, table, cfg);
+        EXPECT_EQ(r.requests, p.requests) << p.rate;
+        EXPECT_EQ(traceBytes(r.trace), traceBytes(expect)) << p.rate;
+        if (p.rate > 1000.0) {
+            EXPECT_GT(r.meanBatch, 3.0); // saturated: full batches
+        }
+    }
+}
+
 TEST(RunServe, ClosedLoopServesExactlyTheConfiguredRequests)
 {
     // Closed-loop clients keep issuing forever, and the loop

@@ -33,27 +33,43 @@ sampleClass(const std::vector<RequestClass> &mix, Rng &rng)
     return std::uint32_t(mix.size() - 1); // rounding fell off the end
 }
 
-std::vector<Request>
-openLoopTrace(const std::vector<RequestClass> &mix,
-              std::uint64_t requests, double rate_per_mcycle,
-              std::uint64_t seed)
+OpenLoop::OpenLoop(const std::vector<RequestClass> &mix,
+                   std::uint64_t requests, double rate_per_mcycle,
+                   std::uint64_t seed)
+    : _mix(mix), _requests(requests),
+      _meanGap(1e6 / rate_per_mcycle), _rng(seed)
 {
     via_assert(rate_per_mcycle > 0.0, "open-loop rate must be > 0");
-    double mean_gap = 1e6 / rate_per_mcycle;
+    draw();
+}
 
-    Rng rng(seed);
-    std::vector<Request> trace;
-    trace.reserve(std::size_t(requests));
-    double now = 0.0;
-    for (std::uint64_t i = 0; i < requests; ++i) {
-        now += expDraw(rng, mean_gap);
-        Request r;
-        r.id = i;
-        r.cls = sampleClass(mix, rng);
-        r.arrival = Tick(now);
-        trace.push_back(r);
+void
+OpenLoop::draw()
+{
+    if (_next.id >= _requests)
+        return;
+    _now += expDraw(_rng, _meanGap);
+    _next.cls = sampleClass(_mix, _rng);
+    _next.arrival = Tick(_now);
+}
+
+bool
+OpenLoop::nextIssue(Tick &when) const
+{
+    if (_next.id >= _requests)
+        return false;
+    when = _next.arrival;
+    return true;
+}
+
+void
+OpenLoop::issueUpTo(Tick now, std::vector<Request> &out)
+{
+    while (_next.id < _requests && _next.arrival <= now) {
+        out.push_back(_next);
+        ++_next.id;
+        draw();
     }
-    return trace;
 }
 
 ClientPool::ClientPool(const std::vector<RequestClass> &mix,

@@ -4,10 +4,11 @@
  *
  * Two traffic shapes, both deterministic per seed:
  *
- *  - Open loop: a Poisson process at a configured rate. The whole
- *    trace (arrival cycle + class per request) is generated up
- *    front from one RNG stream, so the same seed always yields the
- *    byte-identical trace regardless of host thread count.
+ *  - Open loop: a Poisson process at a configured rate. One RNG
+ *    stream draws each request's gap, then its class, one request
+ *    ahead of admission, so the same seed always yields the
+ *    byte-identical trace regardless of host thread count, and a run
+ *    holds one future arrival, not the whole trace.
  *
  *  - Closed loop: a fixed pool of clients, each keeping at most one
  *    request outstanding and thinking an exponential time between
@@ -41,13 +42,38 @@ std::uint32_t sampleClass(const std::vector<RequestClass> &mix,
                           Rng &rng);
 
 /**
- * The open-loop trace: @p requests Poisson arrivals at
+ * The open-loop source: @p requests Poisson arrivals at
  * @p rate_per_mcycle requests per million cycles, classes sampled
- * by mix weight. Arrivals are non-decreasing; ids are issue order.
+ * by mix weight. The DES calls nextIssue()/issueUpTo() as it does
+ * on the ClientPool. Arrivals are non-decreasing; ids are issue
+ * order.
  */
-std::vector<Request> openLoopTrace(
-    const std::vector<RequestClass> &mix, std::uint64_t requests,
-    double rate_per_mcycle, std::uint64_t seed);
+class OpenLoop
+{
+  public:
+    OpenLoop(const std::vector<RequestClass> &mix,
+             std::uint64_t requests, double rate_per_mcycle,
+             std::uint64_t seed);
+
+    /** The next request's arrival cycle; false once all
+     *  @p requests are issued. */
+    bool nextIssue(Tick &when) const;
+
+    /** Append every arrival at or before @p now to @p out, drawing
+     *  the request after each. */
+    void issueUpTo(Tick now, std::vector<Request> &out);
+
+  private:
+    /** Draw request _next.id: its gap, then its class. */
+    void draw();
+
+    const std::vector<RequestClass> &_mix;
+    std::uint64_t _requests;
+    double _meanGap;
+    Rng _rng;
+    double _now = 0.0; //!< _next's arrival before rounding
+    Request _next;     //!< drawn while _next.id < _requests
+};
 
 /**
  * The closed-loop client pool. The DES calls nextIssue()/issue() to

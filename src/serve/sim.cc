@@ -41,69 +41,65 @@ runServe(const std::vector<RequestClass> &mix,
                model.batchMax(), " but the scheduler forms up to ",
                cfg.batchMax);
 
+    ServeReport report;
+    report.perClass.assign(mix.size(), 0);
+
+    // One sample of each per request, reserved before the first
+    // draw, so a count the host cannot hold fails at once.
+    std::vector<double> latencies, queueings;
+    if (cfg.requests > latencies.max_size())
+        via_fatal("requests=", cfg.requests, " exceeds the ",
+                  latencies.max_size(), " samples a run can hold");
+    latencies.reserve(std::size_t(cfg.requests));
+    queueings.reserve(std::size_t(cfg.requests));
+
     // Traffic sources: exactly one of these is active.
-    std::vector<Request> open_trace;
-    std::size_t next_open = 0;
+    std::unique_ptr<OpenLoop> open;
     std::unique_ptr<ClientPool> pool;
     if (cfg.closed)
         pool = std::make_unique<ClientPool>(
             mix, cfg.clients, cfg.thinkCycles, cfg.seed);
     else
-        open_trace = openLoopTrace(mix, cfg.requests,
-                                   cfg.ratePerMcycle, cfg.seed);
-
-    ServeReport report;
-    report.perClass.assign(mix.size(), 0);
+        open = std::make_unique<OpenLoop>(
+            mix, cfg.requests, cfg.ratePerMcycle, cfg.seed);
 
     std::vector<Request> pending;
-    std::vector<double> latencies, queueings;
     double energy_total = 0.0;
     std::uint64_t batch_size_sum = 0;
     Tick now = 0;
 
     // Admit every arrival at or before t into the pending set.
     auto admit = [&](Tick t) {
-        if (cfg.closed) {
-            std::size_t before = pending.size();
+        std::size_t before = pending.size();
+        if (cfg.closed)
             pool->issueUpTo(t, pending);
-            if (cfg.keepTrace) {
-                // issueUpTo scans clients in id order, but the trace
-                // contract is (arrival, id) order. Chunks admitted at
-                // successive ticks never interleave — everything a
-                // later admit issues arrived strictly after the
-                // previous admit tick — so sorting each chunk keeps
-                // the whole trace monotonic.
-                std::vector<Request> chunk(
-                    pending.begin() + std::ptrdiff_t(before),
-                    pending.end());
-                std::sort(chunk.begin(), chunk.end(),
-                          [](const Request &a, const Request &b) {
-                              if (a.arrival != b.arrival)
-                                  return a.arrival < b.arrival;
-                              return a.id < b.id;
-                          });
-                report.trace.insert(report.trace.end(),
-                                    chunk.begin(), chunk.end());
-            }
-        } else {
-            while (next_open < open_trace.size() &&
-                   open_trace[next_open].arrival <= t) {
-                pending.push_back(open_trace[next_open]);
-                if (cfg.keepTrace)
-                    report.trace.push_back(open_trace[next_open]);
-                ++next_open;
-            }
+        else
+            open->issueUpTo(t, pending);
+        if (cfg.keepTrace) {
+            // The closed loop issues in client order, but the trace
+            // contract is (arrival, id) order. Chunks admitted at
+            // successive ticks never interleave — everything a later
+            // admit issues arrived strictly after the previous admit
+            // tick — so sorting each chunk keeps the whole trace
+            // monotonic. An open-loop chunk is already in order.
+            std::vector<Request> chunk(
+                pending.begin() + std::ptrdiff_t(before),
+                pending.end());
+            std::sort(chunk.begin(), chunk.end(),
+                      [](const Request &a, const Request &b) {
+                          if (a.arrival != b.arrival)
+                              return a.arrival < b.arrival;
+                          return a.id < b.id;
+                      });
+            report.trace.insert(report.trace.end(), chunk.begin(),
+                                chunk.end());
         }
     };
 
     // The next arrival after t, if any traffic remains.
     auto nextArrival = [&](Tick &when) {
-        if (cfg.closed)
-            return pool->nextIssue(when);
-        if (next_open >= open_trace.size())
-            return false;
-        when = open_trace[next_open].arrival;
-        return true;
+        return cfg.closed ? pool->nextIssue(when)
+                          : open->nextIssue(when);
     };
 
     while (report.requests < cfg.requests) {
@@ -111,7 +107,7 @@ runServe(const std::vector<RequestClass> &mix,
         if (pending.empty()) {
             Tick when = 0;
             if (!nextArrival(when))
-                break; // open loop: trace exhausted
+                break; // open loop: every request issued
             now = std::max(now, when);
             admit(now);
             continue;

@@ -13,7 +13,7 @@
  * service time (members complete together, like requests sharing a
  * fused kernel launch).
  *
- * Traffic is either an open-loop Poisson trace or a closed-loop
+ * Traffic is either an open-loop Poisson source or a closed-loop
  * client pool (serve/arrivals.hh). All times are simulated cycles;
  * the loop is single-threaded host code, so for a fixed service
  * table the whole run — trace, batches, every percentile — is a

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "serve/arrivals.hh"
@@ -77,11 +78,20 @@ TEST(ClassMatrix, DependsOnlyOnSeedAndIndex)
     EXPECT_NE(a.colIdx(), c.colIdx());
 }
 
+/** Every request of an open-loop source, in issue order. */
+std::vector<Request>
+drain(OpenLoop src)
+{
+    std::vector<Request> trace;
+    src.issueUpTo(std::numeric_limits<Tick>::max(), trace);
+    return trace;
+}
+
 TEST(OpenLoopTrace, SameSeedIsByteIdentical)
 {
     auto mix = twoClassMix();
-    auto t1 = openLoopTrace(mix, 200, 5.0, 42);
-    auto t2 = openLoopTrace(mix, 200, 5.0, 42);
+    auto t1 = drain(OpenLoop(mix, 200, 5.0, 42));
+    auto t2 = drain(OpenLoop(mix, 200, 5.0, 42));
     ASSERT_EQ(t1.size(), 200u);
     EXPECT_EQ(traceBytes(t1), traceBytes(t2));
     // Arrivals are non-decreasing and ids are dense issue order.
@@ -92,14 +102,14 @@ TEST(OpenLoopTrace, SameSeedIsByteIdentical)
         }
     }
     // A different seed gives a different trace.
-    auto t3 = openLoopTrace(mix, 200, 5.0, 43);
+    auto t3 = drain(OpenLoop(mix, 200, 5.0, 43));
     EXPECT_NE(traceBytes(t1), traceBytes(t3));
 }
 
 TEST(OpenLoopTrace, RespectsMixWeights)
 {
     auto mix = twoClassMix(); // weights 1 and 3
-    auto t = openLoopTrace(mix, 4000, 5.0, 1);
+    auto t = drain(OpenLoop(mix, 4000, 5.0, 1));
     std::size_t cls1 = 0;
     for (const Request &r : t)
         cls1 += r.cls == 1;
@@ -334,6 +344,21 @@ TEST(RunServe, RejectsUnpriceableBatchLimit)
     ServeConfig cfg;
     cfg.batchMax = 8; // table only prices up to 2
     EXPECT_DEATH(runServe(mix, table, cfg), "batch");
+}
+
+TEST(RunServe, RejectsARequestCountNoRunCanHold)
+{
+    // runServe reserves one latency sample per request before its
+    // first draw; a count above what a vector can hold exits with a
+    // message instead of aborting on std::length_error.
+    auto mix = twoClassMix();
+    TableServiceModel table = flatTable(mix.size(), 8, 100);
+    for (bool closed : {false, true}) {
+        ServeConfig cfg;
+        cfg.closed = closed;
+        cfg.requests = std::uint64_t(1) << 62; // via_serve's maximum
+        EXPECT_DEATH(runServe(mix, table, cfg), "samples a run can hold");
+    }
 }
 
 /** The measured table must not depend on the measurement pool

@@ -30,9 +30,11 @@ if(NOT EXISTS ${CP})
 endif()
 set(command "via_sim spmv rows=128 density=0.03 checkpoint=<file>")
 file(SHA256 ${CP} image_hash)
+file(SIZE ${CP} image_bytes)
 if(UPDATE)
     file(WRITE ${GOLDEN} "${image_hash} ${command}\n")
-    message(STATUS "recaptured ${GOLDEN}: ${image_hash}")
+    message(STATUS "recaptured ${GOLDEN}: ${image_hash} "
+            "(${image_bytes} bytes)")
 else()
     file(STRINGS ${GOLDEN} golden_line LIMIT_COUNT 1)
     if(NOT golden_line MATCHES "^([0-9a-f]+) ")
@@ -40,7 +42,8 @@ else()
     endif()
     if(NOT image_hash STREQUAL CMAKE_MATCH_1)
         message(FATAL_ERROR "checkpoint image of `${command}` changed:\n"
-                "  golden  ${CMAKE_MATCH_1}\n  now     ${image_hash}")
+                "  golden  ${CMAKE_MATCH_1}\n"
+                "  now     ${image_hash} (${image_bytes} bytes)")
     endif()
 endif()
 if(NOT save_out MATCHES "VIA csb +([0-9]+) cycles")

@@ -47,8 +47,11 @@ class Checkpoint
     static constexpr std::uint64_t MAGIC = 0x43414956;
     /** 2: the FU pool saves no window for FuClass::None and none
      *  for the deleted integer-multiply class. 3: none for
-     *  FuClass::Fivu, which no instruction books there. */
-    static constexpr std::uint64_t VERSION = 3;
+     *  FuClass::Fivu, which no instruction books there. 4: every
+     *  field after the header takes its own width, not 8 bytes (a
+     *  resource slot 2, an element type 1); the header keeps three
+     *  8-byte words, so an older image fails on its version. */
+    static constexpr std::uint64_t VERSION = 4;
 
     Checkpoint() = default;
 

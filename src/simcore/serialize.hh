@@ -2,13 +2,17 @@
  * @file
  * Binary serialization helpers for machine checkpoints.
  *
- * The format is deliberately simple: every integral value is written
- * as 8 little-endian bytes, doubles as their 8-byte bit pattern, and
- * containers as a count followed by their elements. Each component
- * prefixes its state with a 4-character section tag so a truncated or
- * mismatched stream fails with a named section instead of silently
- * misaligned reads. All read-side failures (underflow, bad tag,
- * geometry mismatch) throw SerializeError; the checkpoint layer
+ * The format is deliberately simple: every integral or enum value is
+ * written at its own width, sizeof(T) little-endian bytes (a 2-byte
+ * resource slot takes 2), doubles as their 8-byte bit pattern, and
+ * containers as an 8-byte count followed by their elements. The
+ * writer and the reader of a field must name the same type: put()
+ * deduces it from its argument, so a saveState casts to the field's
+ * type wherever an expression could deduce another. Each component
+ * prefixes its state with a 4-character section tag so a truncated
+ * or mismatched stream fails with a named section instead of
+ * silently misaligned reads. All read-side failures (underflow, bad
+ * tag, geometry mismatch) throw SerializeError; the checkpoint layer
  * (src/sample) turns that into a rejected restore.
  */
 
@@ -46,14 +50,14 @@ class Serializer
         : _out(out)
     {}
 
-    /** Write any integral (or enum) value as 8 LE bytes. */
+    /** Write any integral (or enum) value as sizeof(T) LE bytes. */
     template <typename T>
     void
     put(T v)
     {
         static_assert(std::is_integral_v<T> || std::is_enum_v<T>);
         auto raw = std::uint64_t(v);
-        for (int i = 0; i < 8; ++i)
+        for (std::size_t i = 0; i < sizeof(T); ++i)
             _out.push_back(std::uint8_t(raw >> (8 * i)));
     }
 
@@ -117,18 +121,17 @@ class Deserializer
         : Deserializer(buf.data(), buf.size())
     {}
 
-    /** Read one integral value written by Serializer::put. */
+    /** Read one value Serializer::put wrote as a T: sizeof(T) bytes. */
     template <typename T = std::uint64_t>
     T
     get()
     {
         static_assert(std::is_integral_v<T> || std::is_enum_v<T>);
-        need(8);
+        need(sizeof(T));
         std::uint64_t raw = 0;
-        for (int i = 0; i < 8; ++i)
-            raw |= std::uint64_t(_data[_pos + std::size_t(i)])
-                   << (8 * i);
-        _pos += 8;
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            raw |= std::uint64_t(_data[_pos + i]) << (8 * i);
+        _pos += sizeof(T);
         return T(raw);
     }
 
@@ -164,7 +167,7 @@ class Deserializer
             throw SerializeError("container count " +
                                  std::to_string(n) +
                                  " exceeds sanity bound");
-        checkCount(n);
+        checkCount(n, sizeof(T));
         std::vector<T> v;
         v.reserve(std::size_t(n));
         for (std::uint64_t i = 0; i < n; ++i)
@@ -178,7 +181,7 @@ class Deserializer
         std::uint64_t n = get();
         if (n > max_count)
             throw SerializeError("bitmap count too large");
-        checkCount(n);
+        checkCount(n, sizeof(std::uint8_t));
         std::vector<bool> v(std::size_t(n), false);
         for (std::uint64_t i = 0; i < n; ++i)
             v[std::size_t(i)] = get<std::uint8_t>() != 0;
@@ -211,11 +214,12 @@ class Deserializer
                                  std::to_string(_size - _pos));
     }
 
-    /** Each element occupies 8 bytes; reject impossible counts. */
+    /** Each element occupies @p width bytes (its type's width);
+     *  reject a count the remaining bytes cannot hold. */
     void
-    checkCount(std::uint64_t n)
+    checkCount(std::uint64_t n, std::size_t width)
     {
-        if (n > (_size - _pos) / 8)
+        if (n > (_size - _pos) / width)
             throw SerializeError("truncated stream: container "
                                  "larger than remaining bytes");
     }

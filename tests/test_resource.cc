@@ -219,14 +219,19 @@ TEST(Resource, FarFirstBookingKeepsTheSlideRule)
     EXPECT_EQ(r.clamps(), 1u);
 }
 
-/** A checkpoint record: units, base, busy, horizon, live, slots. */
+/** A checkpoint record: units (4 bytes), base, busy, horizon and
+ *  live (8 bytes each), then 2-byte slots. */
 std::vector<std::uint8_t>
 record(std::initializer_list<std::uint64_t> fields)
 {
     std::vector<std::uint8_t> out = {'R', 'S', 'R', 'C'};
-    for (std::uint64_t v : fields)
-        for (int i = 0; i < 8; ++i)
+    std::size_t field = 0;
+    for (std::uint64_t v : fields) {
+        const int width = field == 0 ? 4 : field <= 4 ? 8 : 2;
+        for (int i = 0; i < width; ++i)
             out.push_back(std::uint8_t(v >> (8 * i)));
+        ++field;
+    }
     return out;
 }
 

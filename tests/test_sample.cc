@@ -322,12 +322,13 @@ TEST(Checkpoint, RejectsClockThatDisagreesWithCore)
     kernelBody("spmv")(m1);
     std::vector<std::uint8_t> bytes =
         Checkpoint::capture(m1).bytes();
-    // The MACH record opens with the two element types, then the
-    // clock, which holds the commit front; each is 8 LE bytes.
+    // The MACH record opens with the two element types, one byte
+    // each, then the clock, which holds the commit front in 8 LE
+    // bytes.
     const char tag[] = "MACH";
     auto at = std::search(bytes.begin(), bytes.end(), tag, tag + 4);
     ASSERT_NE(at, bytes.end());
-    const std::size_t clock = std::size_t(at - bytes.begin()) + 4 + 16;
+    const std::size_t clock = std::size_t(at - bytes.begin()) + 4 + 2;
     Tick stored = 0;
     for (int i = 7; i >= 0; --i)
         stored = (stored << 8) | bytes[clock + std::size_t(i)];

@@ -1,14 +1,16 @@
 /**
  * @file
  * Unit tests for the simulation-core utilities: StatSet,
- * Distribution, and the deterministic RNG.
+ * Distribution, the deterministic RNG and the checkpoint serializer.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "simcore/rng.hh"
+#include "simcore/serialize.hh"
 #include "simcore/stats.hh"
 
 namespace via
@@ -166,6 +168,50 @@ TEST(Rng, ChanceExtremes)
         EXPECT_FALSE(rng.chance(0.0));
         EXPECT_TRUE(rng.chance(1.0));
     }
+}
+
+TEST(Serializer, FieldsTakeTheirOwnWidth)
+{
+    // Each integral field takes sizeof its type, little-endian.
+    std::vector<std::uint8_t> out;
+    Serializer ser(out);
+    ser.put(std::uint8_t(0xab));
+    ser.put(std::uint16_t(0xbeef));
+    ser.put(std::int32_t(-2));
+    ser.put(std::uint64_t(0x0102030405060708));
+    EXPECT_EQ(out, (std::vector<std::uint8_t>{0xab, 0xef, 0xbe, 0xfe,
+                                              0xff, 0xff, 0xff, 8, 7,
+                                              6, 5, 4, 3, 2, 1}));
+    Deserializer des(out);
+    EXPECT_EQ(des.get<std::uint8_t>(), 0xabu);
+    EXPECT_EQ(des.get<std::uint16_t>(), 0xbeefu);
+    EXPECT_EQ(des.get<std::int32_t>(), -2);
+    EXPECT_EQ(des.get<std::uint64_t>(), 0x0102030405060708u);
+    EXPECT_EQ(des.remaining(), 0u);
+
+    // A vector's 8-byte count is checked against the bytes left at
+    // the element's width: three 2-byte slots fit in 6, four do not.
+    std::vector<std::uint8_t> vec;
+    Serializer vser(vec);
+    vser.putVec(std::vector<std::uint16_t>{1, 2, 3});
+    ASSERT_EQ(vec.size(), 8u + 6u);
+    Deserializer vdes(vec);
+    EXPECT_EQ(vdes.getVec<std::uint16_t>(),
+              (std::vector<std::uint16_t>{1, 2, 3}));
+    vec[0] = 4;
+    Deserializer too_many(vec);
+    EXPECT_THROW(too_many.getVec<std::uint16_t>(), SerializeError);
+
+    // A 4-byte field read as 8 bytes swallows the next tag, so the
+    // reader fails there instead of going on misaligned.
+    std::vector<std::uint8_t> mixed;
+    Serializer mser(mixed);
+    mser.put(std::uint32_t(7));
+    mser.tag("NEXT");
+    mser.put(std::uint32_t(9));
+    Deserializer mdes(mixed);
+    mdes.get<std::uint64_t>();
+    EXPECT_THROW(mdes.expectTag("NEXT"), SerializeError);
 }
 
 } // namespace

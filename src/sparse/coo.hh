@@ -24,12 +24,6 @@ struct Triplet
     Index row = 0;
     Index col = 0;
     Value value = 0;
-
-    bool
-    operator==(const Triplet &o) const
-    {
-        return row == o.row && col == o.col && value == o.value;
-    }
 };
 
 /** Triplet-form sparse matrix. */

@@ -10,7 +10,8 @@
  * arrays (including CSB's in-block order and the summation order of
  * duplicate keys) for inputs with rectangular shapes, empty rows and
  * columns, a block side that divides neither dimension, rows longer
- * than 32 entries and sums that cancel to exact zeros.
+ * than 32 entries and sums that cancel to exact zeros, and for two
+ * generated CSB inputs large enough to convert on every CPU.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +32,7 @@
 #include "sparse/csb.hh"
 #include "sparse/csc.hh"
 #include "sparse/csr.hh"
+#include "sparse/generators.hh"
 
 #include "hash_util.hh"
 
@@ -177,6 +179,37 @@ TEST(BuilderHashes, CsbFromCsrAndBack)
             << c.src->rows() << " rows, beta " << c.beta;
         EXPECT_EQ(hashOf(csbToCsr(csb)), c.src_hash)
             << c.src->rows() << " rows, beta " << c.beta;
+    }
+}
+
+TEST(BuilderHashes, CsbOfGeneratedInputs)
+{
+    // Inputs large enough to convert on every CPU: the spmv_csb
+    // benchmark's seed-1 matrix at the default machine's beta, and a
+    // skewed RMAT matrix with 1024 block rows, most of its blocks
+    // empty and its hub rows' blocks long.
+    Rng uniform_rng(1), rmat_rng(5);
+    struct Case
+    {
+        const char *name;
+        Csr src;
+        Index beta;
+        const char *src_hash;
+        const char *csb;
+    };
+    const Case cases[] = {
+        {"uniform 16384^2 at 0.5%",
+         genUniform(16384, 16384, 0.005, uniform_rng), 2048,
+         "2cbf2d8d2416f606", "67f801f1fd8c9181"},
+        {"rmat 2^17 rows, 2^19 entries",
+         genRmatCsr(1 << 17, 1 << 19, rmat_rng), 128,
+         "a711452863f21f27", "af100ad6f9869f49"},
+    };
+    for (const Case &c : cases) {
+        EXPECT_EQ(hashOf(c.src), c.src_hash) << c.name;
+        const Csb csb = Csb::fromCsr(c.src, c.beta);
+        EXPECT_EQ(hashOf(csb), c.csb) << c.name;
+        EXPECT_EQ(hashOf(csbToCsr(csb)), c.src_hash) << c.name;
     }
 }
 

@@ -17,19 +17,24 @@
  * printing from inside a point — formatting belongs after
  * collection, in submission order.
  *
- * Library code fans host work out on the same pool (RMAT generation,
- * Csr::fromRows), sized by workersFor(). A forEach issued from inside
- * a pool worker runs its points inline on that worker, and
- * workersFor() is 1 there, so a threads=N sweep whose points build
- * inputs never runs more than N threads.
+ * Library code fans host work out on the same pool, sized by
+ * workersFor(): RMAT and uniform generation, Csr::fromRows, the CSB
+ * conversion Csb::fromCsr, and the format validators Csr::validate
+ * and Csb::validate, which check ranges of rows or blocks side by side
+ * (cutByWork() cuts them). A forEach issued from inside a pool worker
+ * runs its points inline on that worker, and workersFor() is 1 there,
+ * so a threads=N sweep whose points build inputs never runs more than
+ * N threads.
  */
 
 #ifndef VIA_SIMCORE_PARALLEL_HH
 #define VIA_SIMCORE_PARALLEL_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <ranges>
 #include <type_traits>
 #include <vector>
 
@@ -103,6 +108,29 @@ class SweepExecutor
   private:
     unsigned _threads;
 };
+
+/**
+ * Cut items [0, n) into @p ranges runs of about equal work for a
+ * fan-out. @p before(i) is the work before item i and never decreases
+ * in i; before(n) is the total. Run p starts at the first item i with
+ * before(i) >= before(n) * p / ranges, and a run may be empty.
+ * Returns the ranges + 1 run starts, the last of them n.
+ */
+template <typename Before>
+std::vector<std::size_t>
+cutByWork(std::size_t n, unsigned ranges, const Before &before)
+{
+    const std::size_t total = before(n);
+    const auto items = std::views::iota(std::size_t(0), n);
+    std::vector<std::size_t> first(std::size_t(ranges) + 1, n);
+    for (std::size_t p = 0; p < ranges; ++p) {
+        const std::size_t target = total * p / ranges;
+        const auto cut = std::ranges::partition_point(
+            items, [&](std::size_t i) { return before(i) < target; });
+        first[p] = std::size_t(cut - items.begin());
+    }
+    return first;
+}
 
 } // namespace via
 

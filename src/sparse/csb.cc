@@ -5,75 +5,127 @@
 #include <limits>
 
 #include "simcore/log.hh"
+#include "simcore/parallel.hh"
 
 namespace via
 {
 
 Csb
-Csb::fromCsr(const Csr &csr, Index beta)
+Csb::shaped(Index rows, Index cols, Index beta)
 {
     via_assert(beta > 0 && (beta & (beta - 1)) == 0,
                "CSB block side must be a power of two, got ", beta);
     Csb m;
-    m._rows = csr.rows();
-    m._cols = csr.cols();
+    m._rows = rows;
+    m._cols = cols;
     m._beta = beta;
     m._colBits = std::uint32_t(std::countr_zero(std::uint32_t(beta)));
-    const std::uint32_t shift = m._colBits;
-    const Index mask = beta - 1;
 
     // The largest packed index must fit an Index: at beta = 65536 an
     // in-block row of 32768 or more would wrap.
-    if (m._rows > 0 && m._cols > 0) {
-        const std::int64_t top_row = std::min(beta, m._rows) - 1;
-        const std::int64_t top_col = std::min(beta, m._cols) - 1;
-        if (((top_row << shift) | top_col) >
+    if (rows > 0 && cols > 0) {
+        const std::int64_t top_row = std::min(beta, rows) - 1;
+        const std::int64_t top_col = std::min(beta, cols) - 1;
+        if (((top_row << m._colBits) | top_col) >
             std::numeric_limits<Index>::max())
             via_fatal("CSB block side ", beta, " cannot pack the "
-                      "in-block indices of a ", m._rows, "x", m._cols,
+                      "in-block indices of a ", rows, "x", cols,
                       " matrix into 32 bits; use a smaller block "
                       "side (a smaller sspm_kb)");
     }
+    return m;
+}
 
-    const Index bcols = m.blockCols();
-    const std::size_t nblocks =
-        std::size_t(m.blockRows()) * std::size_t(bcols);
+Csb
+Csb::fromCsr(const Csr &csr, Index beta)
+{
+    return fromCsr(csr, beta,
+                   SweepExecutor::workersFor(std::size_t(csr.rows()) +
+                                             csr.nnz()));
+}
+
+Csb
+Csb::fromCsr(const Csr &csr, Index beta, unsigned ranges)
+{
+    via_assert(ranges > 0, "fromCsr needs at least one range");
+    const Csb m = shaped(csr.rows(), csr.cols(), beta);
+    const std::uint32_t shift = m._colBits;
+    const Index mask = beta - 1;
+    const auto rows = std::size_t(m._rows);
+    const auto brows = std::size_t(m.blockRows());
+    const auto bcols = std::size_t(m.blockCols());
     const auto &row_ptr = csr.rowPtr();
     const auto &col_idx = csr.colIdx();
     const auto &values = csr.values();
-    auto block_of = [&](Index r, Index c) {
-        return std::size_t(r >> shift) * std::size_t(bcols) +
-               std::size_t(c >> shift);
+
+    // Cut the block rows into ranges of about equal work, one unit
+    // per row and one per entry, as Csr::fromRows cuts rows. A block
+    // row's blocks are contiguous in block-row-major order, so the
+    // ranges share no block and no output slot.
+    const auto parts = unsigned(std::clamp<std::size_t>(brows, 1, ranges));
+    auto first_row = [&](std::size_t br) {
+        return std::min(br << shift, rows);
     };
+    const auto first = cutByWork(brows, parts, [&](std::size_t br) {
+        const std::size_t r = first_row(br);
+        return std::size_t(row_ptr[r]) + r;
+    });
 
     // Count elements per block, prefix-sum, then scatter in CSR
     // order, so each block keeps its elements row-major. The counts
-    // become the scatter cursors.
-    std::vector<Index> next(nblocks, 0);
-    for (Index r = 0; r < m._rows; ++r)
-        for (Index k = row_ptr[std::size_t(r)];
-             k < row_ptr[std::size_t(r) + 1]; ++k)
-            ++next[block_of(r, col_idx[std::size_t(k)])];
+    // become the scatter cursors. Each range counts and scatters its
+    // own rows; beside the count, two jobs size the output arrays,
+    // whose zero-fill is most of a serial conversion's time.
+    std::vector<Index> next(brows * bcols, 0);
     Arrays a;
-    a.blockPtr.assign(nblocks + 1, 0);
-    for (std::size_t b = 0; b < nblocks; ++b) {
+    const SweepExecutor pool(parts);
+    pool.forEach(std::size_t(parts) + 2, [&](std::size_t job) {
+        if (job == 0) {
+            a.packedIdx.resize(csr.nnz());
+        } else if (job == 1) {
+            a.values.resize(csr.nnz());
+        } else {
+            const std::size_t p = job - 2;
+            for (std::size_t r = first_row(first[p]);
+                 r < first_row(first[p + 1]); ++r) {
+                Index *count = next.data() + (r >> shift) * bcols;
+                for (auto k = std::size_t(row_ptr[r]);
+                     k < std::size_t(row_ptr[r + 1]); ++k)
+                    ++count[col_idx[k] >> shift];
+            }
+        }
+    });
+    a.blockPtr.assign(next.size() + 1, 0);
+    for (std::size_t b = 0; b < next.size(); ++b) {
         a.blockPtr[b + 1] = a.blockPtr[b] + next[b];
         next[b] = a.blockPtr[b];
     }
-
-    a.packedIdx.resize(csr.nnz());
-    a.values.resize(csr.nnz());
-    for (Index r = 0; r < m._rows; ++r) {
-        const Index in_row = (r & mask) << shift;
-        for (Index k = row_ptr[std::size_t(r)];
-             k < row_ptr[std::size_t(r) + 1]; ++k) {
-            const Index c = col_idx[std::size_t(k)];
-            const auto slot = std::size_t(next[block_of(r, c)]++);
-            a.packedIdx[slot] = in_row | (c & mask);
-            a.values[slot] = values[std::size_t(k)];
+    pool.forEach(parts, [&](std::size_t p) {
+        for (std::size_t r = first_row(first[p]);
+             r < first_row(first[p + 1]); ++r) {
+            Index *cursor = next.data() + (r >> shift) * bcols;
+            const Index in_row = (Index(r) & mask) << shift;
+            for (auto k = std::size_t(row_ptr[r]);
+                 k < std::size_t(row_ptr[r + 1]); ++k) {
+                const Index c = col_idx[k];
+                const auto slot = std::size_t(cursor[c >> shift]++);
+                a.packedIdx[slot] = in_row | (c & mask);
+                a.values[slot] = values[k];
+            }
         }
-    }
-    m._a = SharedArrays(std::move(a));
+    });
+    return fromParts(m._rows, m._cols, beta, std::move(a.blockPtr),
+                     std::move(a.packedIdx), std::move(a.values));
+}
+
+Csb
+Csb::fromParts(Index rows, Index cols, Index beta,
+               std::vector<Index> block_ptr,
+               std::vector<Index> packed_idx, std::vector<Value> values)
+{
+    Csb m = shaped(rows, cols, beta);
+    m._a = SharedArrays(Arrays{std::move(block_ptr),
+                               std::move(packed_idx), std::move(values)});
     m.validate();
     return m;
 }
@@ -146,28 +198,50 @@ void
 Csb::validate() const
 {
     const Arrays &a = *_a;
-    via_assert(a.blockPtr.size() ==
-                   std::size_t(numBlocks()) + 1,
+    const auto blocks = std::size_t(numBlocks());
+    via_assert(a.blockPtr.size() == blocks + 1,
                "block_ptr size mismatch");
     via_assert(a.packedIdx.size() == a.values.size(),
                "index / data length mismatch");
+    via_assert(a.blockPtr.front() == 0, "block_ptr must start at 0");
     via_assert(std::size_t(a.blockPtr.back()) == a.values.size(),
                "block_ptr end does not match nnz");
-    std::int64_t bcols = blockCols();
-    for (std::int64_t b = 0; b < numBlocks(); ++b) {
-        Index base_row = Index(b / bcols) * _beta;
-        Index base_col = Index(b % bcols) * _beta;
-        for (Index k = a.blockPtr[std::size_t(b)];
-             k < a.blockPtr[std::size_t(b) + 1]; ++k) {
-            Index packed = a.packedIdx[std::size_t(k)];
-            Index in_col = packed & (_beta - 1);
-            Index in_row = packed >> _colBits;
-            via_assert(base_row + in_row < _rows &&
-                           base_col + in_col < _cols,
-                       "packed index escapes the matrix in block ",
-                       b);
+    for (std::size_t b = 1; b < a.blockPtr.size(); ++b)
+        via_assert(a.blockPtr[b] >= a.blockPtr[b - 1],
+                   "block_ptr not monotone at block ", b);
+
+    // With block_ptr monotone, check the packed indices in ranges of
+    // blocks cut by work (one unit per block and one per entry) side
+    // by side. Each range stops at its first bad block, and the
+    // lowest of those is reported, as a serial walk would.
+    const auto bcols = std::size_t(blockCols());
+    const unsigned ranges =
+        SweepExecutor::workersFor(blocks + a.values.size());
+    const auto first = cutByWork(blocks, ranges, [&](std::size_t b) {
+        return std::size_t(a.blockPtr[b]) + b;
+    });
+    std::vector<std::size_t> bad(ranges, blocks);
+    SweepExecutor(ranges).forEach(ranges, [&](std::size_t p) {
+        for (std::size_t b = first[p]; b < first[p + 1]; ++b) {
+            // The block's extent, clipped to the matrix.
+            const auto row_end = Index(std::min<std::int64_t>(
+                _beta, _rows - std::int64_t(b / bcols) * _beta));
+            const auto col_end = Index(std::min<std::int64_t>(
+                _beta, _cols - std::int64_t(b % bcols) * _beta));
+            for (auto k = std::size_t(a.blockPtr[b]);
+                 k < std::size_t(a.blockPtr[b + 1]); ++k) {
+                const Index packed = a.packedIdx[k];
+                if (packed < 0 || (packed >> _colBits) >= row_end ||
+                    (packed & (_beta - 1)) >= col_end) {
+                    bad[p] = b;
+                    return;
+                }
+            }
         }
-    }
+    });
+    const std::size_t b = *std::ranges::min_element(bad);
+    if (b < blocks)
+        via_panic("packed index escapes block ", b, " or the matrix");
 }
 
 } // namespace via

@@ -36,10 +36,23 @@ class Csb
     /**
      * Tile @p csr into beta x beta blocks, elements row-major inside
      * each block. Fatal if the largest packed in-block index does
-     * not fit an Index (at beta = 65536, 32768 rows or more).
+     * not fit an Index (at beta = 65536, 32768 rows or more). Count
+     * and scatter run on ranges of whole block rows, one per CPU
+     * this process may run on and at most one per 2^16 rows plus
+     * entries, cut by rows plus entries; each range counts and fills
+     * only its own blocks, so every block keeps CSR order.
      * @param beta block side; must be a power of two
      */
     static Csb fromCsr(const Csr &csr, Index beta);
+
+    /** fromCsr over @p ranges block-row ranges (tests): same result. */
+    static Csb fromCsr(const Csr &csr, Index beta, unsigned ranges);
+
+    /** Build directly from raw arrays (validated). */
+    static Csb fromParts(Index rows, Index cols, Index beta,
+                         std::vector<Index> block_ptr,
+                         std::vector<Index> packed_idx,
+                         std::vector<Value> values);
 
     Index rows() const { return _rows; }
     Index cols() const { return _cols; }
@@ -87,6 +100,12 @@ class Csb
     /** Mean non-zeros over non-empty blocks (Fig 10's x-axis). */
     double meanNnzPerNonEmptyBlock() const;
 
+    /**
+     * Consistency of the three arrays, every packed index inside its
+     * block and the matrix; panics on violation. Blocks are checked
+     * in ranges side by side, and the message names the lowest bad
+     * block.
+     */
     void validate() const;
 
   private:
@@ -96,6 +115,9 @@ class Csb
         std::vector<Index> packedIdx;
         std::vector<Value> values;
     };
+
+    /** An empty matrix of this shape, checked (see fromCsr). */
+    static Csb shaped(Index rows, Index cols, Index beta);
 
     Index _rows = 0;
     Index _cols = 0;

@@ -1,7 +1,6 @@
 #include "sparse/csr.hh"
 
 #include <algorithm>
-#include <ranges>
 
 #include "simcore/log.hh"
 #include "simcore/parallel.hh"
@@ -91,21 +90,12 @@ Csr::fromRows(Index rows, Index cols, std::vector<Index> row_ptr,
     // grows with every row, so a cut may also fall inside a run of
     // empty rows. Each range's first slot is read here, before the
     // fan-out, because the range before it rewrites that entry.
-    const std::size_t work = std::size_t(rows) + values.size();
-    const auto all_rows = std::views::iota(Index(0), rows);
-    std::vector<Index> first_row(ranges + 1, rows);
+    const auto first_row = cutByWork(
+        std::size_t(rows), ranges,
+        [&](std::size_t r) { return std::size_t(row_ptr[r]) + r; });
     std::vector<std::size_t> first_slot(ranges);
-    for (std::size_t p = 0; p < ranges; ++p) {
-        const std::size_t target = work * p / ranges;
-        const auto cut = std::ranges::partition_point(
-            all_rows, [&](Index r) {
-                return std::size_t(row_ptr[std::size_t(r)]) +
-                           std::size_t(r) <
-                       target;
-            });
-        first_row[p] = Index(cut - all_rows.begin());
-        first_slot[p] = std::size_t(row_ptr[std::size_t(first_row[p])]);
-    }
+    for (std::size_t p = 0; p < ranges; ++p)
+        first_slot[p] = std::size_t(row_ptr[first_row[p]]);
 
     // Each range sorts and merges its rows in place from its own first
     // slot, as one serial walk over all rows would: per-row stable
@@ -120,8 +110,8 @@ Csr::fromRows(Index rows, Index cols, std::vector<Index> row_ptr,
     SweepExecutor(ranges).forEach(ranges, [&](std::size_t p) {
         std::vector<std::pair<Index, Value>> tmp;
         std::size_t w = first_slot[p], lo = first_slot[p];
-        for (Index r = first_row[p]; r < first_row[p + 1]; ++r) {
-            const auto hi = std::size_t(row_ptr[std::size_t(r) + 1]);
+        for (std::size_t r = first_row[p]; r < first_row[p + 1]; ++r) {
+            const auto hi = std::size_t(row_ptr[r + 1]);
             if (hi - lo <= insertion_max) {
                 insertionSortRow(col_idx.data() + lo,
                                  values.data() + lo, hi - lo);
@@ -152,7 +142,7 @@ Csr::fromRows(Index rows, Index cols, std::vector<Index> row_ptr,
                 ++w;
                 i = j;
             }
-            row_ptr[std::size_t(r) + 1] = Index(w);
+            row_ptr[r + 1] = Index(w);
             lo = hi;
         }
         merged[p] = w - first_slot[p];
@@ -172,8 +162,8 @@ Csr::fromRows(Index rows, Index cols, std::vector<Index> row_ptr,
                       values.begin() + std::ptrdiff_t(end),
                       values.begin() + std::ptrdiff_t(w));
             const auto shift = Index(from - w);
-            for (Index r = first_row[p]; r < first_row[p + 1]; ++r)
-                row_ptr[std::size_t(r) + 1] -= shift;
+            for (std::size_t r = first_row[p]; r < first_row[p + 1]; ++r)
+                row_ptr[r + 1] -= shift;
         }
         w += merged[p];
     }
@@ -254,17 +244,42 @@ Csr::validate() const
     for (std::size_t r = 1; r < a.rowPtr.size(); ++r)
         via_assert(a.rowPtr[r] >= a.rowPtr[r - 1],
                    "row_ptr not monotone at row ", r);
-    for (Index r = 0; r < _rows; ++r) {
-        for (Index k = a.rowPtr[std::size_t(r)];
-             k < a.rowPtr[std::size_t(r) + 1]; ++k) {
-            Index c = a.colIdx[std::size_t(k)];
-            via_assert(c >= 0 && c < _cols, "column ", c,
-                       " out of range in row ", r);
-            if (k > a.rowPtr[std::size_t(r)])
-                via_assert(a.colIdx[std::size_t(k) - 1] < c,
-                           "columns not strictly increasing in row ",
-                           r);
+
+    // With row_ptr monotone, check the entries in ranges of rows cut
+    // by work side by side. Each range stops at its first bad row; the
+    // lowest of those is walked again below, so the message is the
+    // one a serial walk over all rows stops at.
+    const unsigned ranges =
+        SweepExecutor::workersFor(std::size_t(_rows) + a.values.size());
+    const auto first = cutByWork(
+        std::size_t(_rows), ranges,
+        [&](std::size_t r) { return std::size_t(a.rowPtr[r]) + r; });
+    std::vector<std::size_t> bad(ranges, std::size_t(_rows));
+    SweepExecutor(ranges).forEach(ranges, [&](std::size_t p) {
+        for (std::size_t r = first[p]; r < first[p + 1]; ++r) {
+            Index prev = -1;
+            for (auto k = std::size_t(a.rowPtr[r]);
+                 k < std::size_t(a.rowPtr[r + 1]); ++k) {
+                const Index c = a.colIdx[k];
+                if (c <= prev || c >= _cols) {
+                    bad[p] = r;
+                    return;
+                }
+                prev = c;
+            }
         }
+    });
+    const auto r = Index(*std::ranges::min_element(bad));
+    if (r == _rows)
+        return;
+    for (Index k = a.rowPtr[std::size_t(r)];
+         k < a.rowPtr[std::size_t(r) + 1]; ++k) {
+        Index c = a.colIdx[std::size_t(k)];
+        via_assert(c >= 0 && c < _cols, "column ", c,
+                   " out of range in row ", r);
+        if (k > a.rowPtr[std::size_t(r)])
+            via_assert(a.colIdx[std::size_t(k) - 1] < c,
+                       "columns not strictly increasing in row ", r);
     }
 }
 

@@ -88,7 +88,11 @@ class Csr
     /** Structural + value equality. */
     bool operator==(const Csr &o) const;
 
-    /** Consistency of the three arrays; panics on violation. */
+    /**
+     * Consistency of the three arrays; panics on violation. Once
+     * row_ptr is checked, rows are checked in ranges side by side,
+     * and the message names the lowest bad row.
+     */
     void validate() const;
 
   private:

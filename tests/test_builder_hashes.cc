@@ -213,6 +213,48 @@ TEST(BuilderHashes, CsbOfGeneratedInputs)
     }
 }
 
+TEST(CsbFromCsr, RangesMatchOneRange)
+{
+    // 60x45 at beta 8: block rows 1..3 (rows 8..31) are empty, the
+    // last block row (rows 56..59) and block column (columns 40..44)
+    // are partial, and row 5 fills every column.
+    Coo coo(60, 45);
+    for (Index c = 0; c < 45; ++c)
+        coo.add(5, c, Value(c) + 0.5f);
+    for (Index r = 32; r < 60; ++r)
+        for (Index c = r % 3; c < 45; c += 4 + r % 5)
+            coo.add(r, c, Value(r) - Value(c));
+    const Csr gaps = Csr::fromCoo(std::move(coo));
+    // A skewed input whose 512 x 512 grid at beta 16 is large enough
+    // for validate() to check its blocks side by side too.
+    Rng rng(11);
+    const Csr skewed = genRmatCsr(8192, 100000, rng);
+    const Inputs &in = inputs();
+    struct Case
+    {
+        const Csr *src;
+        Index beta;
+    };
+    // Beta 64 and 1024 are above the row count of the 60- and 71-row
+    // inputs: one block row, whatever the range count.
+    const Case cases[] = {
+        {&gaps, 8},   {&gaps, 64},  {&in.a, 2},   {&in.a, 64},
+        {&in.a, 1024}, {&in.m, 2},  {&in.m, 64},  {&in.m, 1024},
+        {&skewed, 16},
+    };
+    for (const Case &c : cases) {
+        const Csb one = Csb::fromCsr(*c.src, c.beta, 1);
+        for (unsigned ranges : {2u, 3u, 4u, 5u, 7u}) {
+            const Csb m = Csb::fromCsr(*c.src, c.beta, ranges);
+            EXPECT_TRUE(m.blockPtr() == one.blockPtr() &&
+                        m.packedIdx() == one.packedIdx() &&
+                        m.values() == one.values())
+                << c.src->rows() << "x" << c.src->cols() << ", beta "
+                << c.beta << ", " << ranges << " ranges";
+        }
+    }
+}
+
 TEST(BuilderHashes, CscFromCsrAndBack)
 {
     const Inputs &in = inputs();

@@ -120,6 +120,23 @@ TEST(CsrDeathTest, FromPartsValidates)
                  "out of range");
 }
 
+TEST(ValidateDeathTest, CsrNamesTheLowestBadRow)
+{
+    // 200,000 rows of one entry each are checked in ranges side by
+    // side on a host with two or more CPUs; rows 10 and 150,000 hold
+    // a column past the last, and the message names row 10.
+    const Index n = 200'000;
+    const auto rows = std::size_t(n);
+    std::vector<Index> row_ptr(rows + 1), col_idx(rows);
+    for (Index r = 0; r < n; ++r) {
+        row_ptr[std::size_t(r) + 1] = r + 1;
+        col_idx[std::size_t(r)] = r == 10 || r == 150'000 ? n : r;
+    }
+    EXPECT_DEATH(Csr::fromParts(n, n, row_ptr, col_idx,
+                                std::vector<Value>(rows, 1.0f)),
+                 "column 200000 out of range in row 10\n");
+}
+
 TEST(CsrFromRows, RangesMatchOneRange)
 {
     // Unsorted rows with repeated columns (summed in stored order),
@@ -221,11 +238,29 @@ lastRowOnly(Index n)
 TEST(CsbDeathTest, PackedIndexOverflowIsFatal)
 {
     // beta = 65536 (sspm_kb=512) packs (row % beta) << 16 into an
-    // Index: in-block row 39999 would wrap to a negative index that
-    // still passes validate(). Refuse the shape instead.
+    // Index: in-block row 39999 would wrap to a negative index.
+    // Refuse the shape instead.
     const Csr m = lastRowOnly(40000);
     EXPECT_EXIT(Csb::fromCsr(m, 65536), ::testing::ExitedWithCode(1),
                 "block side 65536 cannot pack.*40000x40000.*sspm_kb");
+}
+
+TEST(ValidateDeathTest, CsbNamesTheLowestBadBlock)
+{
+    // 200,000^2 at beta 512 is a 391 x 391 grid. Each block holds one
+    // entry, at its top left; blocks 390 and 150,143, in the last
+    // block column (columns 199,680..199,999), hold one at in-block
+    // column 400, past the matrix. The blocks are checked in ranges
+    // side by side, and the message names block 390.
+    const Index n = 200'000, beta = 512;
+    const std::size_t blocks = 391 * 391;
+    std::vector<Index> block_ptr(blocks + 1), packed_idx(blocks, 0);
+    for (std::size_t b = 0; b <= blocks; ++b)
+        block_ptr[b] = Index(b);
+    packed_idx[390] = packed_idx[150'143] = 400;
+    EXPECT_DEATH(Csb::fromParts(n, n, beta, block_ptr, packed_idx,
+                                std::vector<Value>(blocks, 1.0f)),
+                 "escapes block 390 or the matrix");
 }
 
 TEST(Csb, PackedIndexFitsUpTo32768RowsAtBeta65536)

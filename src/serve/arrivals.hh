@@ -109,8 +109,6 @@ class ClientPool
      *  schedule its next issue. */
     void complete(std::uint64_t id, Tick now);
 
-    std::uint64_t issued() const { return _issued; }
-
   private:
     struct Client
     {

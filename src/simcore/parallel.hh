@@ -18,10 +18,12 @@
  * collection, in submission order.
  *
  * Library code fans host work out on the same pool, sized by
- * workersFor(): RMAT and uniform generation, Csr::fromRows, the CSB
- * conversion Csb::fromCsr, and the format validators Csr::validate
- * and Csb::validate, which check ranges of rows or blocks side by side
- * (cutByWork() cuts them). A forEach issued from inside a pool worker
+ * workersFor(): RMAT and uniform generation, Csr::fromRows and the
+ * CSB conversion Csb::fromCsr, which work on ranges cut by
+ * cutByWork(), and the format validators Csr::validate and
+ * Csb::validate, which search ranges of rows or blocks side by side
+ * for the first bad one (findFirst()). A forEach issued from inside a
+ * pool worker
  * runs its points inline on that worker, and workersFor() is 1 there,
  * so a threads=N sweep whose points build inputs never runs more than
  * N threads.
@@ -130,6 +132,30 @@ cutByWork(std::size_t n, unsigned ranges, const Before &before)
         first[p] = std::size_t(cut - items.begin());
     }
     return first;
+}
+
+/**
+ * The lowest item in [0, n) for which @p found(i) holds, or n if none
+ * does. The items are searched in workersFor(before(n)) ranges cut by
+ * @p before (see cutByWork) side by side, each stopping at its first
+ * find, so the answer is the one a serial search gives.
+ */
+template <typename Before, typename Found>
+std::size_t
+findFirst(std::size_t n, const Before &before, const Found &found)
+{
+    const unsigned ranges = SweepExecutor::workersFor(before(n));
+    const auto first = cutByWork(n, ranges, before);
+    std::vector<std::size_t> hit(ranges, n);
+    SweepExecutor(ranges).forEach(ranges, [&](std::size_t p) {
+        for (std::size_t i = first[p]; i < first[p + 1]; ++i) {
+            if (found(i)) {
+                hit[p] = i;
+                return;
+            }
+        }
+    });
+    return *std::ranges::min_element(hit);
 }
 
 } // namespace via

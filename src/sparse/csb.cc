@@ -210,36 +210,28 @@ Csb::validate() const
         via_assert(a.blockPtr[b] >= a.blockPtr[b - 1],
                    "block_ptr not monotone at block ", b);
 
-    // With block_ptr monotone, check the packed indices in ranges of
-    // blocks cut by work (one unit per block and one per entry) side
-    // by side. Each range stops at its first bad block, and the
-    // lowest of those is reported, as a serial walk would.
+    // With block_ptr monotone, search ranges of blocks cut by work
+    // (one unit per block and one per entry) side by side for the
+    // first block with a packed index outside its extent, clipped to
+    // the matrix, as a serial walk would.
     const auto bcols = std::size_t(blockCols());
-    const unsigned ranges =
-        SweepExecutor::workersFor(blocks + a.values.size());
-    const auto first = cutByWork(blocks, ranges, [&](std::size_t b) {
-        return std::size_t(a.blockPtr[b]) + b;
-    });
-    std::vector<std::size_t> bad(ranges, blocks);
-    SweepExecutor(ranges).forEach(ranges, [&](std::size_t p) {
-        for (std::size_t b = first[p]; b < first[p + 1]; ++b) {
-            // The block's extent, clipped to the matrix.
+    const std::size_t b = findFirst(
+        blocks,
+        [&](std::size_t i) { return std::size_t(a.blockPtr[i]) + i; },
+        [&](std::size_t i) {
             const auto row_end = Index(std::min<std::int64_t>(
-                _beta, _rows - std::int64_t(b / bcols) * _beta));
+                _beta, _rows - std::int64_t(i / bcols) * _beta));
             const auto col_end = Index(std::min<std::int64_t>(
-                _beta, _cols - std::int64_t(b % bcols) * _beta));
-            for (auto k = std::size_t(a.blockPtr[b]);
-                 k < std::size_t(a.blockPtr[b + 1]); ++k) {
+                _beta, _cols - std::int64_t(i % bcols) * _beta));
+            for (auto k = std::size_t(a.blockPtr[i]);
+                 k < std::size_t(a.blockPtr[i + 1]); ++k) {
                 const Index packed = a.packedIdx[k];
                 if (packed < 0 || (packed >> _colBits) >= row_end ||
-                    (packed & (_beta - 1)) >= col_end) {
-                    bad[p] = b;
-                    return;
-                }
+                    (packed & (_beta - 1)) >= col_end)
+                    return true;
             }
-        }
-    });
-    const std::size_t b = *std::ranges::min_element(bad);
+            return false;
+        });
     if (b < blocks)
         via_panic("packed index escapes block ", b, " or the matrix");
 }

@@ -245,31 +245,24 @@ Csr::validate() const
         via_assert(a.rowPtr[r] >= a.rowPtr[r - 1],
                    "row_ptr not monotone at row ", r);
 
-    // With row_ptr monotone, check the entries in ranges of rows cut
-    // by work side by side. Each range stops at its first bad row; the
-    // lowest of those is walked again below, so the message is the
+    // With row_ptr monotone, search ranges of rows cut by work (one
+    // unit per row and one per entry) side by side for the first bad
+    // row, then walk it again with the asserts, so the message is the
     // one a serial walk over all rows stops at.
-    const unsigned ranges =
-        SweepExecutor::workersFor(std::size_t(_rows) + a.values.size());
-    const auto first = cutByWork(
-        std::size_t(_rows), ranges,
-        [&](std::size_t r) { return std::size_t(a.rowPtr[r]) + r; });
-    std::vector<std::size_t> bad(ranges, std::size_t(_rows));
-    SweepExecutor(ranges).forEach(ranges, [&](std::size_t p) {
-        for (std::size_t r = first[p]; r < first[p + 1]; ++r) {
+    const auto r = Index(findFirst(
+        std::size_t(_rows),
+        [&](std::size_t i) { return std::size_t(a.rowPtr[i]) + i; },
+        [&](std::size_t i) {
             Index prev = -1;
-            for (auto k = std::size_t(a.rowPtr[r]);
-                 k < std::size_t(a.rowPtr[r + 1]); ++k) {
+            for (auto k = std::size_t(a.rowPtr[i]);
+                 k < std::size_t(a.rowPtr[i + 1]); ++k) {
                 const Index c = a.colIdx[k];
-                if (c <= prev || c >= _cols) {
-                    bad[p] = r;
-                    return;
-                }
+                if (c <= prev || c >= _cols)
+                    return true;
                 prev = c;
             }
-        }
-    });
-    const auto r = Index(*std::ranges::min_element(bad));
+            return false;
+        }));
     if (r == _rows)
         return;
     for (Index k = a.rowPtr[std::size_t(r)];

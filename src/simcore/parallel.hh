@@ -22,11 +22,10 @@
  * CSB conversion Csb::fromCsr, which work on ranges cut by
  * cutByWork(), and the format validators Csr::validate and
  * Csb::validate, which search ranges of rows or blocks side by side
- * for the first bad one (findFirst()). A forEach issued from inside a
- * pool worker
- * runs its points inline on that worker, and workersFor() is 1 there,
- * so a threads=N sweep whose points build inputs never runs more than
- * N threads.
+ * for the first bad one (findFirst()). A forEach issued from inside
+ * a pool worker runs its points inline on that worker, and
+ * workersFor() is 1 there, so a threads=N sweep whose points build
+ * inputs never runs more than N threads.
  */
 
 #ifndef VIA_SIMCORE_PARALLEL_HH

@@ -252,8 +252,13 @@ MemSystem::warmAccess(Addr addr, std::uint64_t bytes, bool is_write)
     const std::uint64_t line = lineBytes();
     Addr first = addr & ~(Addr(line) - 1);
     Addr last = (addr + bytes - 1) & ~(Addr(line) - 1);
-    for (Addr la = first; la <= last; la += line)
+    // Stop at the last line itself: past the top line of the address
+    // space, la + line wraps to 0.
+    for (Addr la = first;; la += line) {
         warmLine(la, is_write);
+        if (la == last)
+            break;
+    }
 }
 
 void
@@ -317,10 +322,12 @@ MemSystem::access(Addr addr, std::uint64_t bytes, bool is_write,
         return accessLine(first, is_write, when);
 
     MemResult worst{when, 0};
-    for (Addr la = first; la <= last; la += line) {
+    for (Addr la = first;; la += line) {
         MemResult r = accessLine(la, is_write, when);
         if (r.complete > worst.complete)
             worst = r;
+        if (la == last)
+            break;
     }
     return worst;
 }

@@ -60,11 +60,41 @@ SharedLlc::invalidatePrivate(unsigned c, Addr line_addr)
     return dirty;
 }
 
+SharedLlc::DirEntry &
+SharedLlc::dirEntry(Addr line_addr)
+{
+    const std::uint64_t line = line_addr / _params.cache.lineBytes;
+    const std::uint64_t pn = line / dirPageLines;
+    if (pn != _dirPn) {
+        auto &page = _dirPages[pn];
+        if (!page)
+            page = std::make_unique<DirEntry[]>(dirPageLines);
+        _dirPn = pn;
+        _dirPage = page.get();
+    }
+    return _dirPage[line % dirPageLines];
+}
+
+SharedLlc::DirEntry *
+SharedLlc::findDirEntry(Addr line_addr)
+{
+    const std::uint64_t line = line_addr / _params.cache.lineBytes;
+    const std::uint64_t pn = line / dirPageLines;
+    if (pn != _dirPn) {
+        auto it = _dirPages.find(pn);
+        if (it == _dirPages.end())
+            return nullptr;
+        _dirPn = pn;
+        _dirPage = it->second.get();
+    }
+    return &_dirPage[line % dirPageLines];
+}
+
 Tick
 SharedLlc::coherenceActions(unsigned core, Addr line_addr,
                             bool is_write)
 {
-    DirEntry &e = _dir[line_addr];
+    DirEntry &e = dirEntry(line_addr);
     const std::uint32_t me = std::uint32_t(1) << core;
     Tick extra = 0;
 
@@ -102,16 +132,16 @@ SharedLlc::coherenceActions(unsigned core, Addr line_addr,
 void
 SharedLlc::backInvalidate(Addr line_addr)
 {
-    auto it = _dir.find(line_addr);
-    if (it == _dir.end())
+    DirEntry *e = findDirEntry(line_addr);
+    if (e == nullptr)
         return;
-    std::uint32_t sharers = it->second.sharers;
+    std::uint32_t sharers = e->sharers;
     for (unsigned c = 0; sharers != 0; ++c, sharers >>= 1)
         if (sharers & 1) {
             invalidatePrivate(c, line_addr);
             ++_stats.invalidations;
         }
-    _dir.erase(it);
+    *e = DirEntry{};
 }
 
 Tick
@@ -227,7 +257,7 @@ SharedLlc::writeback(unsigned core, Addr line_addr, Tick when)
 
     // The evicting core loses its copy; the LLC copy becomes the
     // (dirty) home. No forward latency: nobody waits on a victim.
-    DirEntry &e = _dir[line_addr];
+    DirEntry &e = dirEntry(line_addr);
     e.sharers &= ~(std::uint32_t(1) << core);
     if (e.owner == int(core))
         e.owner = -1;
@@ -272,7 +302,7 @@ SharedLlc::warmAccess(unsigned core, Addr line_addr, bool is_write)
 void
 SharedLlc::warmWriteback(unsigned core, Addr line_addr)
 {
-    DirEntry &e = _dir[line_addr];
+    DirEntry &e = dirEntry(line_addr);
     e.sharers &= ~(std::uint32_t(1) << core);
     if (e.owner == int(core))
         e.owner = -1;

@@ -138,13 +138,32 @@ class SharedLlc
     /** Bank index serving @p line_addr (exposed for tests). */
     std::uint32_t bankOf(Addr line_addr) const;
 
+    /**
+     * Drop every core's private copies of an LLC victim and reset its
+     * directory entry (public for tests). A line no core holds,
+     * touched or not, changes nothing.
+     */
+    void backInvalidate(Addr line_addr);
+
+    /** Directory pages allocated so far (see DirEntry). */
+    std::size_t directoryPages() const { return _dirPages.size(); }
+
   private:
-    /** Directory entry: which cores cache the line, who owns it. */
+    /**
+     * Directory entry: which cores cache the line, who owns it. The
+     * default entry, no sharers and no owner, is a line no core holds.
+     * Entries live in pages of dirPageLines consecutive lines (a 64 KB
+     * BackingStore page of 64-byte lines, 8 KB of entries), each
+     * allocated when one of its lines is first touched. A clean LLC
+     * victim keeps its private copies and so its entry, and a dirty
+     * one resets it, so a page is never freed.
+     */
     struct DirEntry
     {
         std::uint32_t sharers = 0; //!< bitmask of caching cores
         int owner = -1;            //!< core with a modified copy
     };
+    static constexpr std::uint64_t dirPageLines = 1024;
 
     /**
      * Apply the coherence filter for an access by @p core and
@@ -155,8 +174,11 @@ class SharedLlc
     Tick coherenceActions(unsigned core, Addr line_addr,
                           bool is_write);
 
-    /** Drop every core's private copies of an LLC victim. */
-    void backInvalidate(Addr line_addr);
+    /** @p line_addr's entry; the first touch allocates its page. */
+    DirEntry &dirEntry(Addr line_addr);
+
+    /** @p line_addr's entry, or nullptr if its page is untouched. */
+    DirEntry *findDirEntry(Addr line_addr);
 
     /** Invalidate @p line_addr in core @p c's private levels. */
     bool invalidatePrivate(unsigned c, Addr line_addr);
@@ -166,7 +188,12 @@ class SharedLlc
     Dram _dram;
     std::vector<Resource> _banks;
     std::vector<MemSystem *> _cores;
-    std::unordered_map<Addr, DirEntry> _dir;
+    std::unordered_map<std::uint64_t, std::unique_ptr<DirEntry[]>>
+        _dirPages; //!< by page number: line number / dirPageLines
+    // Last-page cache, as in BackingStore: coherence traffic is local,
+    // and a page never moves once allocated.
+    std::uint64_t _dirPn = ~std::uint64_t(0);
+    DirEntry *_dirPage = nullptr;
     SharedLlcStats _stats;
     std::uint64_t _prefetches = 0;
     TraceManager *_trace = nullptr;

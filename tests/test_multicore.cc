@@ -240,6 +240,91 @@ TEST(SharedLlcCoherence, TransitionTable)
     EXPECT_EQ(llc.stats().dirtyForwards, 1u); // no owner, no forward
 }
 
+// ----------------------------------------------------- directory
+
+/**
+ * The directory keeps one entry per line in pages of 1,024 lines,
+ * allocated on first touch. These drive it where a paged layout could
+ * go wrong: the same slot of two pages, the last page of the address
+ * space, lines it never saw, and the top sharer bit.
+ */
+TEST(SharedLlcDirectory, LinesAPageApartKeepSeparateEntries)
+{
+    LlcRig rig(8);
+    SharedLlc &llc = *rig.llc;
+    const Addr a = rig.lineAddr(5), b = rig.lineAddr(5 + 1024);
+    llc.access(0, a, false, 1000);
+    rig.mems[0]->warmAccess(a, 8, false);
+    // Core 1 writes b: core 0 shares a, not b, and keeps its copy.
+    llc.access(1, b, true, 2000);
+    EXPECT_EQ(llc.stats().invalidations, 0u);
+    EXPECT_TRUE(rig.mems[0]->level(0).contains(a));
+    EXPECT_EQ(llc.directoryPages(), 2u);
+    // a still lists core 0, and b still has core 1 as its owner.
+    llc.access(1, a, true, 3000);
+    EXPECT_EQ(llc.stats().invalidations, 1u);
+    EXPECT_FALSE(rig.mems[0]->level(0).contains(a));
+    llc.access(0, b, false, 4000);
+    EXPECT_EQ(llc.stats().dirtyForwards, 1u);
+}
+
+TEST(SharedLlcDirectory, LineAtTheTopOfTheAddressSpace)
+{
+    LlcRig rig(8);
+    SharedLlc &llc = *rig.llc;
+    const Addr top = ~Addr(0) - (rig.params.cache.lineBytes - 1);
+    const Tick hit = rig.params.cache.hitLatency;
+    const Tick fwd = rig.params.dirtyForwardLatency;
+    llc.access(0, top, false, 1000);
+    rig.mems[0]->warmAccess(top, 8, false);
+    llc.access(1, top, true, 2000);
+    EXPECT_EQ(llc.stats().invalidations, 1u);
+    EXPECT_FALSE(rig.mems[0]->level(0).contains(top));
+    EXPECT_EQ(llc.access(0, top, false, 3000), 3000 + hit + fwd);
+    EXPECT_EQ(llc.stats().dirtyForwards, 1u);
+    EXPECT_EQ(llc.directoryPages(), 1u);
+}
+
+TEST(SharedLlcDirectory, BackInvalidatingAnUntouchedLineChangesNothing)
+{
+    LlcRig rig(8);
+    SharedLlc &llc = *rig.llc;
+    const Addr held = rig.lineAddr(7);
+    // Core 0 caches three lines; the directory saw only `held`. Line
+    // 8 shares its page, line 5000 lies in a page never touched.
+    llc.access(0, held, false, 1000);
+    for (std::uint64_t line : {7, 8, 5000})
+        rig.mems[0]->warmAccess(rig.lineAddr(line), 8, false);
+    llc.backInvalidate(rig.lineAddr(8));
+    llc.backInvalidate(rig.lineAddr(5000));
+    EXPECT_EQ(llc.stats().invalidations, 0u);
+    EXPECT_EQ(llc.directoryPages(), 1u);
+    for (std::uint64_t line : {7, 8, 5000})
+        EXPECT_TRUE(rig.mems[0]->level(0).contains(rig.lineAddr(line)))
+            << "line " << line;
+    // The held line's copy drops once, and its entry resets.
+    llc.backInvalidate(held);
+    llc.backInvalidate(held);
+    EXPECT_EQ(llc.stats().invalidations, 1u);
+    EXPECT_FALSE(rig.mems[0]->level(0).contains(held));
+}
+
+TEST(SharedLlcDirectory, WriteByCoreZeroInvalidatesCore31)
+{
+    LlcRig rig(8, 32);
+    SharedLlc &llc = *rig.llc;
+    const Addr line = rig.lineAddr(9);
+    llc.access(31, line, false, 1000);
+    rig.mems[31]->warmAccess(line, 8, false);
+    llc.access(0, line, true, 2000);
+    EXPECT_EQ(llc.stats().invalidations, 1u);
+    EXPECT_FALSE(rig.mems[31]->level(0).contains(line));
+    // Core 31 reads it back from the owner, core 0.
+    llc.access(31, line, false, 3000);
+    EXPECT_EQ(llc.stats().dirtyForwards, 1u);
+    EXPECT_EQ(llc.stats().invalidations, 2u);
+}
+
 // ------------------------------------------- parallel kernels
 
 MachineParams

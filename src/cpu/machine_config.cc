@@ -2,6 +2,8 @@
 
 #include <limits>
 
+#include "simcore/resource.hh"
+
 namespace via
 {
 
@@ -75,23 +77,26 @@ addMachineOptions(Options &opts)
     const OpLatencies &lat = core.latencies;
     const MemSystemParams &mem = d.mem;
     // Keys read into 32-bit fields stop at that field's maximum; the
-    // L2 gets twice mshrs=, so that key stops at half of it.
+    // L2 gets twice mshrs=, so that key stops at half of it. The keys
+    // that size a per-cycle Resource (ports=, dispatch=, commit=) stop
+    // at the units its one-byte slot counts.
     constexpr std::uint64_t u32max =
         std::numeric_limits<std::uint32_t>::max();
+    constexpr std::uint64_t slot_max = Resource::maxUnits;
 
     opts.addUInt("sspm_kb", 16, "VIA scratchpad (SSPM) size in KB",
                  1)
         .addUInt("ports", 2, "SSPM ports (element moves per cycle)",
-                 1, u32max)
+                 1, slot_max)
         .addUInt("cam_kb", d.via.camBytes / 1024,
                  "VIA CAM capacity in KB", 1)
         .addUInt("cam_bank", d.via.bankEntries,
                  "CAM entries compared per bank access", 1, u32max)
         .addUInt("rob", core.robSize, "reorder-buffer entries", 1, u32max)
         .addUInt("dispatch", core.dispatchWidth,
-                 "instructions dispatched per cycle", 1, u32max)
+                 "instructions dispatched per cycle", 1, slot_max)
         .addUInt("commit", core.commitWidth,
-                 "instructions committed per cycle", 1, u32max)
+                 "instructions committed per cycle", 1, slot_max)
         .addUInt("lq", core.lqEntries, "load-queue entries", 1, u32max)
         .addUInt("sq", core.sqEntries, "store-queue entries", 1, u32max)
         .addBool("via_at_commit", core.viaAtCommit,

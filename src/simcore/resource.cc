@@ -1,6 +1,7 @@
 #include "simcore/resource.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "simcore/log.hh"
 #include "simcore/serialize.hh"
@@ -11,6 +12,8 @@ namespace via
 Resource::Resource(std::uint32_t units)
     : _units(std::max<std::uint32_t>(units, 1))
 {
+    via_assert(units <= maxUnits, "a resource books at most ", maxUnits,
+               " units per cycle, got ", units);
 }
 
 Tick
@@ -24,7 +27,7 @@ Resource::liveSlice(Tick base, Tick horizon)
                           : 0;
 }
 
-std::uint16_t &
+std::uint8_t &
 Resource::slot(Tick t)
 {
     return _counts[std::size_t(t % windowSize)];
@@ -128,7 +131,7 @@ Resource::acquireRun(Tick when, std::uint32_t n,
 void
 Resource::resetTiming()
 {
-    std::fill(_counts.begin(), _counts.end(), std::uint16_t(0));
+    std::fill(_counts.begin(), _counts.end(), std::uint8_t(0));
     setBase(0);
     _horizon = 0;
 }
@@ -143,9 +146,11 @@ Resource::saveState(Serializer &ser) const
     ser.put(_horizon);
     Tick live = liveSlice(_base, _horizon);
     ser.put(live);
+    // A slot takes two bytes in the image, as it did before slots
+    // narrowed to one byte, so images keep their bytes.
     for (Tick t = 0; t < live; ++t) {
         auto &self = const_cast<Resource &>(*this);
-        ser.put(self.slot(_base + t));
+        ser.put(std::uint16_t(self.slot(_base + t)));
     }
 }
 
@@ -167,16 +172,27 @@ Resource::loadState(Deserializer &des)
     if (live != liveSlice(base, horizon))
         throw SerializeError("resource live slice does not match "
                              "its base and horizon");
+    // No cycle books more than the units, so a larger slot is a
+    // damaged image, not a count to truncate to a byte.
+    std::vector<std::uint8_t> slots(live);
+    for (std::uint8_t &count : slots) {
+        const auto booked = des.get<std::uint16_t>();
+        if (booked > _units)
+            throw SerializeError("resource slot books " +
+                                 std::to_string(booked) + " of " +
+                                 std::to_string(_units) + " units");
+        count = std::uint8_t(booked);
+    }
     _busy = busy;
     _horizon = horizon;
     // An empty live slice leaves an unbooked resource unallocated.
     if (live > 0 && _counts.empty())
         _counts.assign(windowSize, 0);
     else
-        std::fill(_counts.begin(), _counts.end(), std::uint16_t(0));
+        std::fill(_counts.begin(), _counts.end(), std::uint8_t(0));
     setBase(base);
     for (Tick t = 0; t < live; ++t)
-        slot(_base + t) = des.get<std::uint16_t>();
+        slot(_base + t) = slots[std::size_t(t)];
 }
 
 

@@ -33,11 +33,17 @@ class Deserializer;
  * (clamps()).
  *
  * The window is allocated by the first booking, so a resource that
- * is never booked costs no window memory.
+ * is never booked costs no window memory. A slot counts the bookings
+ * of one cycle, never more than the unit count, so it takes one byte
+ * and a resource at most maxUnits units.
  */
 class Resource
 {
   public:
+    /** The most units a one-byte slot can count. */
+    static constexpr std::uint32_t maxUnits = 255;
+
+    /** @p units per cycle; 0 means 1, above maxUnits dies. */
     explicit Resource(std::uint32_t units = 1);
 
     /**
@@ -112,9 +118,10 @@ class Resource
     /** Serialize booking state (checkpoints). */
     void saveState(Serializer &ser) const;
     /**
-     * Restore state saved by saveState. Throws SerializeError on a
-     * unit count mismatch, or on a live slice that the record's base
-     * and horizon contradict.
+     * Restore state saved by saveState. Throws SerializeError,
+     * leaving the resource unchanged, on a unit count mismatch, on a
+     * live slice that the record's base and horizon contradict, or on
+     * a slot above the unit count.
      */
     void loadState(Deserializer &des);
 
@@ -125,7 +132,7 @@ class Resource
     /** Cycles of the window a checkpoint record stores. */
     static Tick liveSlice(Tick base, Tick horizon);
 
-    std::uint16_t &slot(Tick t);
+    std::uint8_t &slot(Tick t);
 
     /**
      * Slide check, inline; the slide itself is rare and cold. Before
@@ -145,7 +152,7 @@ class Resource
     Tick acquireSlow(Tick when, Tick occupancy);
 
     std::uint32_t _units = 1;
-    std::vector<std::uint16_t> _counts; //!< empty until first booked
+    std::vector<std::uint8_t> _counts; //!< empty until first booked
     Tick _base = 0; //!< first cycle represented by the window
     Tick _end = 0;  //!< _base + windowSize once allocated, else 0
     std::uint64_t _busy = 0;

@@ -182,14 +182,10 @@ TEST(MachineConfigDeath, CamAboveSspmExits2)
 TEST(MachineConfig, ThirtyTwoBitKeysLandUpToTheirFieldMaximum)
 {
     MachineParams p = paramsFrom(
-        {"ports=4294967295", "cam_bank=4294967295", "rob=4294967295",
-         "dispatch=4294967295", "commit=4294967295", "lq=4294967295",
+        {"cam_bank=4294967295", "rob=4294967295", "lq=4294967295",
          "sq=4294967295", "mshrs=2147483647"});
-    EXPECT_EQ(p.via.ports, 4294967295u);
     EXPECT_EQ(p.via.bankEntries, 4294967295u);
     EXPECT_EQ(p.core.robSize, 4294967295u);
-    EXPECT_EQ(p.core.dispatchWidth, 4294967295u);
-    EXPECT_EQ(p.core.commitWidth, 4294967295u);
     EXPECT_EQ(p.core.lqEntries, 4294967295u);
     EXPECT_EQ(p.core.sqEntries, 4294967295u);
     EXPECT_EQ(p.mem.levels[0].mshrs, 2147483647u);
@@ -204,6 +200,34 @@ TEST(MachineConfigDeath, ThirtyTwoBitKeyAboveItsFieldExits2)
     EXPECT_EXIT(paramsFrom({"mshrs=2147483648"}),
                 ::testing::ExitedWithCode(2),
                 "value 2147483648 out of range \\[1, 2147483647\\]");
+}
+
+TEST(MachineConfig, ResourceKeysLandUpToTheSlotMaximum)
+{
+    // ports=, dispatch= and commit= each size a per-cycle Resource,
+    // whose one-byte slots count at most Resource::maxUnits.
+    MachineParams p =
+        paramsFrom({"ports=255", "dispatch=255", "commit=255"});
+    EXPECT_EQ(p.via.ports, Resource::maxUnits);
+    EXPECT_EQ(p.core.dispatchWidth, Resource::maxUnits);
+    EXPECT_EQ(p.core.commitWidth, Resource::maxUnits);
+    // A machine that wide books its ports and widths.
+    Machine m(p);
+    VReg v0{0}, v1{1};
+    m.viotaI(v1, 0);
+    m.vbroadcastF(v0, 2.0);
+    m.vidxClear();
+    m.vidxLoadD(v0, v1);
+    m.vidxMov(v0, v1);
+    EXPECT_FLOAT_EQ(m.vreg(v0).f32(3), 2.0f);
+}
+
+TEST(MachineConfigDeath, ResourceKeyAboveTheSlotMaximumExits2)
+{
+    for (const char *arg : {"ports=256", "dispatch=256", "commit=256"})
+        EXPECT_EXIT(paramsFrom({arg}), ::testing::ExitedWithCode(2),
+                    "value 256 out of range \\[1, 255\\]")
+            << arg;
 }
 
 TEST(MachineConfig, ConfiguredMachineIsUsable)

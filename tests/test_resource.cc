@@ -45,6 +45,21 @@ TEST(Resource, CapacityPerCycle)
     EXPECT_EQ(r.acquire(0), 1u); // fourth spills to the next cycle
 }
 
+TEST(Resource, WidestResourceFillsOneCycle)
+{
+    // A one-byte slot counts every unit of the widest resource.
+    Resource r(Resource::maxUnits);
+    for (std::uint32_t i = 0; i < Resource::maxUnits; ++i)
+        ASSERT_EQ(r.acquire(7), 7u) << "booking " << i;
+    EXPECT_EQ(r.acquire(7), 8u);
+}
+
+TEST(ResourceDeathTest, MoreUnitsThanASlotCountsDies)
+{
+    EXPECT_DEATH(Resource(256),
+                 "at most 255 units per cycle, got 256");
+}
+
 TEST(Resource, NoHeadOfLineBlocking)
 {
     // A far-future booking must not delay a present-time one.
@@ -290,6 +305,32 @@ TEST(Resource, LoadRejectsALiveSliceItsWindowDoesNotHold)
     std::vector<std::uint8_t> bytes;
     image(r, bytes);
     EXPECT_EQ(bytes, good);
+}
+
+TEST(Resource, LoadRejectsASlotAboveItsUnits)
+{
+    // No cycle books more than the units, so a record whose slot does
+    // is refused before anything is applied; 256 at 255 units would
+    // wrap a one-byte slot to 0.
+    for (const auto &[units, bad] :
+         {std::pair{2u, record({2, 0, 4, 2, 2, 1, 3})},
+          std::pair{255u, record({255, 0, 256, 1, 1, 256})}}) {
+        Resource r(units);
+        Deserializer des(bad);
+        EXPECT_THROW(r.loadState(des), SerializeError) << units;
+        std::vector<std::uint8_t> bytes;
+        image(r, bytes);
+        EXPECT_EQ(bytes, record({units, 0, 0, 0, 0})) << units;
+    }
+    // A full slot loads, saves back and stays full.
+    auto full = record({255, 0, 255, 1, 1, 255});
+    Resource r(255);
+    Deserializer des(full);
+    r.loadState(des);
+    std::vector<std::uint8_t> bytes;
+    image(r, bytes);
+    EXPECT_EQ(bytes, full);
+    EXPECT_EQ(r.acquire(0), 1u);
 }
 
 } // namespace

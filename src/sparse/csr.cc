@@ -28,6 +28,24 @@ insertionSortRow(Index *cols, Value *vals, std::size_t len)
     }
 }
 
+/**
+ * The row_ptr contract every row walk relies on: @p rows + 1 offsets
+ * from 0 to @p nnz that never decrease.
+ */
+void
+checkRowPtr(const std::vector<Index> &row_ptr, Index rows,
+            std::size_t nnz)
+{
+    via_assert(row_ptr.size() == std::size_t(rows) + 1, "row_ptr has ",
+               row_ptr.size(), " entries for ", rows, " rows");
+    via_assert(row_ptr.front() == 0, "row_ptr must start at 0");
+    via_assert(std::size_t(row_ptr.back()) == nnz,
+               "row_ptr end does not match nnz");
+    for (std::size_t r = 1; r < row_ptr.size(); ++r)
+        via_assert(row_ptr[r] >= row_ptr[r - 1],
+                   "row_ptr not monotone at row ", r);
+}
+
 } // namespace
 
 Csr
@@ -80,10 +98,11 @@ Csr::fromRows(Index rows, Index cols, std::vector<Index> row_ptr,
               std::vector<Index> col_idx, std::vector<Value> values,
               unsigned ranges)
 {
-    via_assert(row_ptr.size() == std::size_t(rows) + 1 &&
-                   row_ptr.front() == 0 &&
-                   col_idx.size() == values.size(),
-               "malformed row arrays");
+    via_assert(col_idx.size() == values.size(),
+               "col_idx / data length mismatch");
+    // cutByWork binary-searches row_ptr, and each range walks its
+    // rows' entries, so row_ptr must hold before any range is cut.
+    checkRowPtr(row_ptr, rows, values.size());
     via_assert(ranges > 0, "fromRows needs at least one range");
     // Cut the rows into ranges of about equal work, one unit per row
     // and one per entry. The work before row r, row_ptr[r] + r,
@@ -233,17 +252,9 @@ void
 Csr::validate() const
 {
     const Arrays &a = *_a;
-    via_assert(a.rowPtr.size() == std::size_t(_rows) + 1,
-               "row_ptr has ", a.rowPtr.size(), " entries for ",
-               _rows, " rows");
     via_assert(a.colIdx.size() == a.values.size(),
                "col_idx / data length mismatch");
-    via_assert(a.rowPtr.front() == 0, "row_ptr must start at 0");
-    via_assert(std::size_t(a.rowPtr.back()) == a.values.size(),
-               "row_ptr end does not match nnz");
-    for (std::size_t r = 1; r < a.rowPtr.size(); ++r)
-        via_assert(a.rowPtr[r] >= a.rowPtr[r - 1],
-                   "row_ptr not monotone at row ", r);
+    checkRowPtr(a.rowPtr, _rows, a.values.size());
 
     // With row_ptr monotone, search ranges of rows cut by work (one
     // unit per row and one per entry) side by side for the first bad

@@ -186,6 +186,26 @@ TEST(CsrFromRows, RangesMatchOneRange)
             << ranges << " ranges";
 }
 
+TEST(CsrFromRowsDeathTest, RowPtrMustEndAtTheEntryCount)
+{
+    // Three entries, but row_ptr ends at 1: the compaction would drop
+    // two of them before validate() saw the arrays.
+    EXPECT_DEATH(Csr::fromRows(2, 4, {0, 1, 1}, {0, 1, 2}, {1, 2, 3}),
+                 "row_ptr end does not match nnz");
+    EXPECT_DEATH(Csr::fromRows(2, 4, {0, 1, 1}, {0, 1, 2}, {1, 2, 3}, 2),
+                 "row_ptr end does not match nnz");
+}
+
+TEST(CsrFromRowsDeathTest, RowPtrMustNeverDecrease)
+{
+    // The ranges are cut by a binary search over row_ptr, and row 0
+    // would walk past the two entries.
+    EXPECT_DEATH(Csr::fromRows(2, 4, {0, 3, 2}, {0, 1}, {1, 2}),
+                 "row_ptr not monotone at row 2");
+    EXPECT_DEATH(Csr::fromRows(2, 4, {0, 3, 2}, {0, 1}, {1, 2}, 2),
+                 "row_ptr not monotone at row 2");
+}
+
 TEST(Csc, TransposesCorrectly)
 {
     Csc m = Csc::fromCsr(tiny());

@@ -146,8 +146,9 @@ Resource::saveState(Serializer &ser) const
     ser.put(_horizon);
     Tick live = liveSlice(_base, _horizon);
     ser.put(live);
-    // A slot takes two bytes in the image, as it did before slots
-    // narrowed to one byte, so images keep their bytes.
+    // The image stores a slot in two bytes, which keeps images (and
+    // checkpoint.sha256) at Checkpoint::VERSION 4; a one-byte field
+    // needs a new VERSION.
     for (Tick t = 0; t < live; ++t) {
         auto &self = const_cast<Resource &>(*this);
         ser.put(std::uint16_t(self.slot(_base + t)));

@@ -23,7 +23,7 @@
 #include "common.hh"
 #include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
-#include "kernels/dispatch.hh"
+#include "kernels/parallel.hh"
 #include "kernels/runner.hh"
 #include "simcore/rng.hh"
 #include "sparse/corpus.hh"
@@ -69,11 +69,11 @@ main(int argc, char **argv)
         const Csr &a = corpus[i].matrix;
 
         Machine m1(params);
-        kernels::spmvBaseline(m1, a, xs[i], "csb");
+        kernels::spmvRun(m1, BackendKind::Base, a, "csb", xs[i]);
         auto base = kernels::collectMetrics(m1);
 
         Machine m2(params);
-        kernels::spmvAccel(m2, a, xs[i], "csb");
+        kernels::spmvRun(m2, m2.backendKind(), a, "csb", xs[i]);
         auto accel = kernels::collectMetrics(m2);
 
         // The paper's 3.8x is McPAT scope: processor energy

@@ -52,7 +52,6 @@
 #include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
 #include "cpu/multi_machine.hh"
-#include "kernels/dispatch.hh"
 #include "kernels/parallel.hh"
 #include "kernels/spmv.hh"
 #include "simcore/rng.hh"
@@ -127,12 +126,13 @@ main(int argc, char **argv)
         };
         auto software = [&](const std::string &fmt) {
             return cycles([&](Machine &m) {
-                kernels::spmvBaseline(m, a, x, fmt);
+                kernels::spmvRun(m, BackendKind::Base, a, fmt, x);
             });
         };
         auto accel = [&](const std::string &fmt) {
-            return cycles(
-                [&](Machine &m) { kernels::spmvAccel(m, a, x, fmt); });
+            return cycles([&](Machine &m) {
+                kernels::spmvRun(m, m.backendKind(), a, fmt, x);
+            });
         };
 
         // cores>1: the CSR and CSB columns compare the parallel
@@ -140,8 +140,9 @@ main(int argc, char **argv)
         // fresh machine set, and the makespan is the slowest core.
         auto run_par = [&](const std::string &fmt, bool accel) {
             MultiMachine mm(params, cores, llcp);
-            return double(kernels::spmvParallel(mm, a, x, fmt, part,
-                                                accel)
+            return double(kernels::spmvRun(mm,
+                                           kernels::bodyKind(mm, accel),
+                                           a, fmt, x, part)
                               .cycles);
         };
 
@@ -161,7 +162,7 @@ main(int argc, char **argv)
             enableTracing(m, topts);
             m.tracePhase("spmv_csb");
             auto est = sample::runWith(m, sopts, [&] {
-                kernels::spmvAccel(m, a, x, "csb");
+                kernels::spmvRun(m, m.backendKind(), a, "csb", x);
             });
             finishTracing(m, topts, "_" + entry.name);
             return est.cycles;

@@ -25,7 +25,7 @@
 #include "common.hh"
 #include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
-#include "kernels/dispatch.hh"
+#include "kernels/parallel.hh"
 #include "simcore/rng.hh"
 #include "sparse/corpus.hh"
 #include "sparse/csr.hh"
@@ -61,7 +61,7 @@ main(int argc, char **argv)
 
         Machine m1(params), m2(params);
         auto scalar = kernels::spmaScalarCsr(m1, a, b);
-        auto accel = kernels::spmaAccel(m2, a, b);
+        auto accel = kernels::spmaRun(m2, m2.backendKind(), a, b);
         return PerMatrix{double(a.nnz() + b.nnz()),
                          double(scalar.cycles) /
                              double(accel.cycles)};

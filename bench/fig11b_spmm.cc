@@ -28,7 +28,7 @@
 #include "common.hh"
 #include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
-#include "kernels/dispatch.hh"
+#include "kernels/parallel.hh"
 #include "simcore/rng.hh"
 #include "sparse/convert.hh"
 #include "sparse/corpus.hh"
@@ -70,7 +70,7 @@ main(int argc, char **argv)
 
         Machine m1(params), m2(params);
         auto scalar = kernels::spmmScalarInner(m1, a, b);
-        auto accel = kernels::spmmAccel(m2, a, b);
+        auto accel = kernels::spmmRun(m2, m2.backendKind(), a, b);
         return double(scalar.cycles) / double(accel.cycles);
     });
 

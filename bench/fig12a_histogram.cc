@@ -25,7 +25,7 @@
 #include "common.hh"
 #include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
-#include "kernels/dispatch.hh"
+#include "kernels/parallel.hh"
 #include "simcore/rng.hh"
 
 using namespace via;
@@ -102,7 +102,8 @@ main(int argc, char **argv)
             auto scalar = kernels::histScalar(m1, inputs[i],
                                               buckets);
             auto vec = kernels::histVector(m2, inputs[i], buckets);
-            auto accel = kernels::histAccel(m3, inputs[i], buckets);
+            auto accel = kernels::histRun(m3, m3.backendKind(),
+                                          inputs[i], buckets);
             return Speedups{
                 double(scalar.cycles) / double(accel.cycles),
                 double(vec.cycles) / double(accel.cycles)};

@@ -20,7 +20,7 @@
 #include "common.hh"
 #include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
-#include "kernels/dispatch.hh"
+#include "kernels/parallel.hh"
 #include "simcore/rng.hh"
 
 using namespace via;
@@ -68,7 +68,8 @@ main(int argc, char **argv)
     auto results = exec.run(images.size(), [&](std::size_t i) {
         Machine m1(params), m2(params);
         auto vec = kernels::stencilVector(m1, images[i]);
-        auto accel = kernels::stencilAccel(m2, images[i]);
+        auto accel =
+            kernels::stencilRun(m2, m2.backendKind(), images[i]);
         return Point{vec.cycles, accel.cycles};
     });
 

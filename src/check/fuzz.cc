@@ -163,8 +163,9 @@ fuzzSpmv(const SeedCtx &ctx, const MachineParams &params, Rng &rng)
                                 variantTag(params, accel, "base"),
                             [&](MultiMachine &mm) {
                                 return allClose(
-                                    kernels::spmvParallel(
-                                        mm, a, x, fmt, part, accel)
+                                    kernels::spmvRun(
+                                        mm, kernels::bodyKind(mm, accel),
+                                        a, fmt, x, part)
                                         .y,
                                     golden);
                             }))
@@ -193,8 +194,9 @@ fuzzSpma(const SeedCtx &ctx, const MachineParams &params, Rng &rng)
                             variantTag(params, accel, "scalar"),
                         [&](MultiMachine &mm) {
                             return closeElements(
-                                kernels::spmaParallel(mm, a, b, part,
-                                                      accel)
+                                kernels::spmaRun(
+                                    mm, kernels::bodyKind(mm, accel), a,
+                                    b, part)
                                     .c,
                                 golden, 1e-3);
                         }))
@@ -217,13 +219,11 @@ fuzzSpmm(const SeedCtx &ctx, const MachineParams &params, Rng &rng)
     // The VIA kernel loads whole A rows into the CAM; rows longer
     // than the table cannot run on this configuration. The other
     // backends have no such capacity cliff.
-    bool via_fits =
-        params.backend.kind != BackendKind::Via ||
-        a.maxRowNnz() <= Index(params.via.camEntries());
+    bool fits = kernels::spmmFits(params, a);
     kernels::Partition part = seedPartition(ctx.seed);
     for (unsigned cores : coreCounts(ctx.opts)) {
         for (bool accel : {false, true}) {
-            if (accel && !via_fits) {
+            if (accel && !fits) {
                 ++ctx.stats.skipped;
                 continue;
             }
@@ -232,8 +232,9 @@ fuzzSpmm(const SeedCtx &ctx, const MachineParams &params, Rng &rng)
                             variantTag(params, accel, "scalar"),
                         [&](MultiMachine &mm) {
                             return closeElements(
-                                kernels::spmmParallel(mm, a, b, part,
-                                                      accel)
+                                kernels::spmmRun(
+                                    mm, kernels::bodyKind(mm, accel), a,
+                                    b, part)
                                     .c,
                                 golden, 1e-2);
                         }))
@@ -273,8 +274,9 @@ fuzzHistogram(const SeedCtx &ctx, const MachineParams &params,
                         "kernel=histogram " +
                             variantTag(params, accel, "vector"),
                         [&](MultiMachine &mm) {
-                            return kernels::histParallel(
-                                       mm, keys, buckets, part, accel)
+                            return kernels::histRun(
+                                       mm, kernels::bodyKind(mm, accel),
+                                       keys, buckets, part)
                                        .hist == golden;
                         }))
                 return false;
@@ -302,8 +304,9 @@ fuzzStencil(const SeedCtx &ctx, const MachineParams &params,
                             variantTag(params, accel, "vector"),
                         [&](MultiMachine &mm) {
                             return allClose(
-                                kernels::stencilParallel(mm, img, part,
-                                                         accel)
+                                kernels::stencilRun(
+                                    mm, kernels::bodyKind(mm, accel),
+                                    img, part)
                                     .out.data(),
                                 golden.data());
                         }))

@@ -44,51 +44,11 @@ convertAndUpload(Machine &m, const Csr &a, const std::string &fmt)
     return s;
 }
 
-SpmvResult
-spmvBaseline(Machine &m, const Csr &a, const DenseVector &x,
-             const std::string &fmt)
-{
-    return spmvRun(m, BackendKind::Base, a, convertAndUpload(m, a, fmt),
-                   x);
-}
-
-SpmvResult
-spmvAccel(Machine &m, const Csr &a, const DenseVector &x,
-          const std::string &fmt)
-{
-    return spmvRun(m, m.backendKind(), a, convertAndUpload(m, a, fmt),
-                   x);
-}
-
-SpmaResult
-spmaAccel(Machine &m, const Csr &a, const Csr &b)
-{
-    return spmaRun(m, m.backendKind(), a, b);
-}
-
-SpmmResult
-spmmAccel(Machine &m, const Csr &a, const Csc &b)
-{
-    return spmmRun(m, m.backendKind(), a, b);
-}
-
 bool
 spmmFits(const MachineParams &params, const Csr &a)
 {
     return params.backend.kind != BackendKind::Via ||
            a.maxRowNnz() <= Index(params.via.camEntries());
-}
-
-HistResult
-histAccel(Machine &m, const std::vector<Index> &keys, Index buckets)
-{
-    return histRun(m, m.backendKind(), keys, buckets);
-}
-
-StencilResult
-stencilAccel(Machine &m, const DenseMatrix &img)
-{
-    return stencilRun(m, m.backendKind(), img);
 }
 
 SpmvResident::SpmvResident(Machine &m, const Csr &a,

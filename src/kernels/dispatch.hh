@@ -1,13 +1,14 @@
 /**
  * @file
- * Kernel dispatch shared by the drivers (via_sim, via_db, via_fuzz)
- * and the bench harnesses.
+ * SpMV format dispatch shared by the drivers (via_sim, via_db,
+ * via_fuzz, via_serve) and the bench harnesses.
  *
- * A format name selects the SpMV storage conversion (CSR stays
+ * A format name selects the SpMV storage conversion: CSR stays
  * as-is, SPC5/SELL-C-sigma/CSB are built from the CSR with the
- * machine-appropriate geometry) and the kernel: the baseline vector
- * variant or the variant of the machine's backend. The *Accel entry
- * points pick every kernel's backend variant the same way. Keeping
+ * machine-appropriate geometry. convertAndUpload does it once for
+ * every path that runs SpMV by format name: spmvRun's format-name
+ * overload (kernels/parallel.hh), which the drivers and harnesses
+ * call with the BackendKind they want, and SpmvResident. Keeping
  * the mapping in one place means the fuzzer and the figures exercise
  * exactly the conversions the interactive driver runs.
  */
@@ -19,11 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "kernels/histogram.hh"
-#include "kernels/spma.hh"
-#include "kernels/spmm.hh"
 #include "kernels/spmv.hh"
-#include "kernels/stencil.hh"
 
 namespace via::kernels
 {
@@ -35,42 +32,10 @@ const std::vector<std::string> &spmvFormats();
 bool isSpmvFormat(const std::string &fmt);
 
 /**
- * Run the baseline (non-VIA) vector SpMV kernel for @p fmt on the
- * same converted storage the accelerated variant uses. Fatal on an
- * unknown format name.
- *
- * spmvBaseline/spmvAccel convert and upload the matrix on every
- * call, so repeated runs on one machine touch fresh cold addresses.
- */
-SpmvResult spmvBaseline(Machine &m, const Csr &a,
-                        const DenseVector &x, const std::string &fmt);
-
-/**
- * Run the SpMV kernel matching the machine's vector backend: the
- * VIA kernels on backend=via, the SSR / IndexMAC variants on their
- * backends, and the plain vector kernels on backend=base. This is
- * the entry point drivers use when the accelerated column of a
- * comparison should follow `backend=`.
- */
-SpmvResult spmvAccel(Machine &m, const Csr &a, const DenseVector &x,
-                     const std::string &fmt);
-
-/**
- * The other kernels' backend-following entry points: the accelerated
- * variant matching Machine::backendKind() (VIA CAM / SSR streams /
- * IndexMAC), or the software baseline on backend=base. Each runs
- * its kernel's body table (kernels/ranges.hh) at that kind.
- */
-SpmaResult spmaAccel(Machine &m, const Csr &a, const Csr &b);
-SpmmResult spmmAccel(Machine &m, const Csr &a, const Csc &b);
-HistResult histAccel(Machine &m, const std::vector<Index> &keys,
-                     Index buckets);
-StencilResult stencilAccel(Machine &m, const DenseMatrix &img);
-
-/**
- * True when spmmAccel can run @p a on a machine built from
- * @p params: the VIA kernel does not tile, so on backend=via every
- * row of A must fit the CAM; the other backends take any input.
+ * True when spmmRun can run the backend's kernel on @p a on a
+ * machine built from @p params: the VIA kernel does not tile, so on
+ * backend=via every row of A must fit the CAM; the other backends
+ * take any input.
  */
 bool spmmFits(const MachineParams &params, const Csr &a);
 
@@ -78,7 +43,7 @@ bool spmmFits(const MachineParams &params, const Csr &a);
  * A CSR matrix converted to one SpMV format and uploaded onto a
  * machine: the converted copy (none for csr, whose kernels read the
  * source matrix) and the base addresses the kernels emit against.
- * The one-shot entry points, SpmvResident and spmvParallel share it.
+ * spmvRun's format-name overload and SpmvResident share it.
  */
 struct SpmvStorage
 {
@@ -114,7 +79,7 @@ SpmvStorage convertAndUpload(Machine &m, const Csr &a,
  * run() must only be called on that machine, or on machines
  * restored from its checkpoints / built from the same MachineConfig.
  * The first run() on the constructing machine is bit-identical to
- * the matching spmvAccel/spmvBaseline one-shot call.
+ * the one-shot spmvRun call by format name at the same kind.
  */
 class SpmvResident
 {
@@ -127,7 +92,8 @@ class SpmvResident
     SpmvResident(Machine &m, const Csr &a, const std::string &fmt,
                  BackendKind kind);
 
-    /** Back-compat: via selects BackendKind::Via, else Base. */
+    /** via selects BackendKind::Via, else Base. Kept for
+     *  perfbench/, its only caller. */
     SpmvResident(Machine &m, const Csr &a, const std::string &fmt,
                  bool via)
         : SpmvResident(m, a, fmt,

@@ -127,40 +127,11 @@ bodyKind(Cores cores, bool accel)
     return accel ? cores.core(0).backendKind() : BackendKind::Base;
 }
 
-SpmvResult
-spmvParallel(MultiMachine &mm, const Csr &a, const DenseVector &x,
-             const std::string &fmt, Partition part, bool accel)
-{
-    return spmvRun(mm, bodyKind(mm, accel), a,
-                   convertAndUpload(mm.core(0), a, fmt), x, part);
-}
-
 SpmaResult
 spmaParallel(MultiMachine &mm, const Csr &a, const Csr &b,
              Partition part, bool accel)
 {
     return spmaRun(mm, bodyKind(mm, accel), a, b, part);
-}
-
-SpmmResult
-spmmParallel(MultiMachine &mm, const Csr &a, const Csc &b,
-             Partition part, bool accel)
-{
-    return spmmRun(mm, bodyKind(mm, accel), a, b, part);
-}
-
-HistResult
-histParallel(MultiMachine &mm, const std::vector<Index> &keys,
-             Index buckets, Partition part, bool accel)
-{
-    return histRun(mm, bodyKind(mm, accel), keys, buckets, part);
-}
-
-StencilResult
-stencilParallel(MultiMachine &mm, const DenseMatrix &img,
-                Partition part, bool accel)
-{
-    return stencilRun(mm, bodyKind(mm, accel), img, part);
 }
 
 } // namespace via::kernels

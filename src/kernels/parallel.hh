@@ -9,9 +9,11 @@
  * store), partitions the work across the cores, and runs the body of
  * the requested BackendKind on each range. On one core the runner
  * hands the whole iteration space to that core, so a one-core run is
- * the single-core run: every single-core entry point (spmvViaCsr,
- * spmaAccel, ...) is a one-line call of its runner. Output regions
- * are disjoint per core (rows, block rows, key chunks, image
+ * the single-core run. The runners are the entry points: a caller
+ * passes the kind it wants, m.backendKind() for the kernel of the
+ * machine's backend (VIA, SSR, IndexMAC), BackendKind::Base for the
+ * software baseline, or bodyKind() to pick between the two. Output
+ * regions are disjoint per core (rows, block rows, key chunks, image
  * stripes), so the kernels need no locks; the shared LLC resolves
  * the timing side (bank contention, coherence) analytically.
  *
@@ -39,6 +41,10 @@
 
 #include "cpu/multi_machine.hh"
 #include "kernels/dispatch.hh"
+#include "kernels/histogram.hh"
+#include "kernels/spma.hh"
+#include "kernels/spmm.hh"
+#include "kernels/stencil.hh"
 #include "sparse/csc.hh"
 
 namespace via::kernels
@@ -79,6 +85,16 @@ SpmvResult spmvRun(Cores cores, BackendKind kind, const Csr &a,
                    const SpmvStorage &s, const DenseVector &x,
                    Partition part = Partition::Static);
 
+/**
+ * y = A x with @p a converted to @p fmt, any of spmvFormats() (fatal
+ * otherwise), and uploaded onto core 0 by convertAndUpload on every
+ * call, so repeated runs on one machine touch fresh cold addresses
+ * (SpmvResident uploads once).
+ */
+SpmvResult spmvRun(Cores cores, BackendKind kind, const Csr &a,
+                   const std::string &fmt, const DenseVector &x,
+                   Partition part = Partition::Static);
+
 /** C = A + B over row ranges; per-core output regions are assembled
  *  host-side. */
 SpmaResult spmaRun(Cores cores, BackendKind kind, const Csr &a,
@@ -105,25 +121,10 @@ StencilResult stencilRun(Cores cores, BackendKind kind,
                          const DenseMatrix &img,
                          Partition part = Partition::Static);
 
-/**
- * The runners on every core of @p mm, with @p accel picking the
- * kernel of the machine's backend (VIA, SSR, IndexMAC) over the
- * software baseline; on backend=base both are the baseline.
- * spmvParallel converts @p a to @p fmt, any of spmvFormats() (fatal
- * otherwise).
- */
-SpmvResult spmvParallel(MultiMachine &mm, const Csr &a,
-                        const DenseVector &x, const std::string &fmt,
-                        Partition part, bool accel);
+/** spmaRun at bodyKind(@p mm, @p accel). Kept for perfbench/, its
+ *  only caller. */
 SpmaResult spmaParallel(MultiMachine &mm, const Csr &a, const Csr &b,
                         Partition part, bool accel);
-SpmmResult spmmParallel(MultiMachine &mm, const Csr &a, const Csc &b,
-                        Partition part, bool accel);
-HistResult histParallel(MultiMachine &mm,
-                        const std::vector<Index> &keys, Index buckets,
-                        Partition part, bool accel);
-StencilResult stencilParallel(MultiMachine &mm, const DenseMatrix &img,
-                              Partition part, bool accel);
 
 } // namespace via::kernels
 

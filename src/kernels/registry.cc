@@ -139,9 +139,7 @@ buildSpmv(const Options &opts, BackendKind backend, Rng &rng)
     k.accelLabel = std::string(accelPrefix(backend)) + " " + fmt;
     k.parallelBaseLabel = "vector " + fmt;
     k.run = [=](Cores c, Partition p, bool accel) {
-        return check(spmvRun(c, bodyKind(c, accel), *a,
-                             convertAndUpload(c.core(0), *a, fmt), *x,
-                             p));
+        return check(spmvRun(c, bodyKind(c, accel), *a, fmt, *x, p));
     };
     return k;
 }

@@ -569,12 +569,6 @@ spmvScalarCsb(Machine &m, const Csb &a, const DenseVector &x)
 }
 
 SpmvResult
-spmvViaCsr(Machine &m, const Csr &a, const DenseVector &x)
-{
-    return spmvViaCsrAt(m, a, uploadCsr(m, a), x);
-}
-
-SpmvResult
 spmvViaCsrAt(Machine &m, const Csr &a, const CsrImage &img,
              const DenseVector &x)
 {
@@ -604,6 +598,14 @@ spmvRun(Cores cores, BackendKind kind, const Csr &a,
                          const auto &body) {
                          return spmvRun(cores, body, mat, img, x, part);
                      });
+}
+
+SpmvResult
+spmvRun(Cores cores, BackendKind kind, const Csr &a,
+        const std::string &fmt, const DenseVector &x, Partition part)
+{
+    return spmvRun(cores, kind, a,
+                   convertAndUpload(cores.core(0), a, fmt), x, part);
 }
 
 } // namespace via::kernels

@@ -19,8 +19,8 @@
  *   - VIA CSR / SPC5 / Sell-C-sigma / CSB (Section IV)
  *
  * The vector and VIA variants of every format are range bodies
- * (kernels/ranges.hh); SPC5 and Sell-C-sigma are reached by format
- * name through kernels/dispatch.hh (spmvBaseline, spmvAccel).
+ * (kernels/ranges.hh); every format is reached by name through
+ * spmvRun (kernels/parallel.hh) at the BackendKind the caller picks.
  */
 
 #ifndef VIA_KERNELS_SPMV_HH
@@ -56,7 +56,6 @@ SpmvResult spmvVectorCsb(Machine &m, const Csb &a,
 SpmvResult spmvScalarCsb(Machine &m, const Csb &a,
                          const DenseVector &x);
 
-SpmvResult spmvViaCsr(Machine &m, const Csr &a, const DenseVector &x);
 SpmvResult spmvViaCsb(Machine &m, const Csb &a, const DenseVector &x);
 
 /**

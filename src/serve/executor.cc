@@ -107,18 +107,18 @@ measureMultiCore(const std::vector<RequestClass> &mix,
 
         Rng rx(SweepExecutor::pointSeed(cfg.seed,
                                         2 * mix.size() + p));
+        const BackendKind kind = kernels::bodyKind(mm, cfg.via);
         // Warm run (not part of the priced batch).
-        kernels::spmvParallel(mm, a, randomVector(a.cols(), rx),
-                              rc.format, cfg.partition, cfg.via);
+        kernels::spmvRun(mm, kind, a, rc.format,
+                         randomVector(a.cols(), rx), cfg.partition);
         Tick warm_cycles = mm.cycles();
         double warm_energy = computeEnergyMulti(mm).totalPj();
 
         for (unsigned r = 0; r < n; ++r)
             for (unsigned v = 0; v < rc.vecs; ++v)
-                kernels::spmvParallel(mm, a,
-                                      randomVector(a.cols(), rx),
-                                      rc.format, cfg.partition,
-                                      cfg.via);
+                kernels::spmvRun(mm, kind, a, rc.format,
+                                 randomVector(a.cols(), rx),
+                                 cfg.partition);
 
         Point pt;
         pt.cost = mm.cycles() - warm_cycles;

@@ -16,10 +16,9 @@
  * shared LLC carries unserializable in-flight analytic state), so
  * each (class, n) point builds a fresh machine, warms it with one
  * parallel run, and measures n more runs. Every SpMV format is
- * servable multi-core (kernels::spmvParallel runs them all), but
- * because the parallel kernels re-upload per run, multi-core
- * batches amortize scheduling only, not residency — the documented
- * PR-6 limitation.
+ * servable multi-core (kernels::spmvRun by format name runs them
+ * all), but because that entry point converts and uploads per run,
+ * multi-core batches amortize scheduling only, not residency.
  *
  * Points fan out across a SweepExecutor; every per-point stream is
  * derived from (seed, point index), so the table is bit-identical

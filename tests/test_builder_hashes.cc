@@ -299,23 +299,24 @@ TEST(BuilderHashes, SpmaKernelResults)
     {
         const char *name;
         MachineParams params;
-        kernels::SpmaResult (*kernel)(Machine &, const Csr &,
-                                      const Csr &);
+        BackendKind kind;
     };
     const Run runs[] = {
-        {"scalar", paramsFor(BackendKind::Via), kernels::spmaScalarCsr},
-        {"via", paramsFor(BackendKind::Via), kernels::spmaViaCsr},
-        {"via, 64-entry CAM", small_cam, kernels::spmaViaCsr},
-        {"ssr", paramsFor(BackendKind::Ssr), kernels::spmaAccel},
+        {"scalar", paramsFor(BackendKind::Via), BackendKind::Base},
+        {"via", paramsFor(BackendKind::Via), BackendKind::Via},
+        {"via, 64-entry CAM", small_cam, BackendKind::Via},
+        {"ssr", paramsFor(BackendKind::Ssr), BackendKind::Ssr},
         {"indexmac", paramsFor(BackendKind::IndexMac),
-         kernels::spmaAccel},
+         BackendKind::IndexMac},
     };
     for (const Run &run : runs) {
         Machine mab(run.params);
-        EXPECT_EQ(hashOf(run.kernel(mab, in.a, in.b).c), kSumAB)
+        EXPECT_EQ(hashOf(kernels::spmaRun(mab, run.kind, in.a, in.b).c),
+                  kSumAB)
             << run.name;
         Machine mmn(run.params);
-        EXPECT_EQ(hashOf(run.kernel(mmn, in.m, in.n).c), kSumMN)
+        EXPECT_EQ(hashOf(kernels::spmaRun(mmn, run.kind, in.m, in.n).c),
+                  kSumMN)
             << run.name;
     }
 }
@@ -326,16 +327,16 @@ TEST(BuilderHashes, SpmaParallelResults)
     using kernels::Partition;
     for (Partition part : {Partition::Static, Partition::Steal}) {
         for (bool via : {false, true}) {
+            const BackendKind kind =
+                via ? BackendKind::Via : BackendKind::Base;
             MultiMachine mab(MachineParams{}, 4);
             EXPECT_EQ(
-                hashOf(kernels::spmaParallel(mab, in.a, in.b, part, via)
-                           .c),
+                hashOf(kernels::spmaRun(mab, kind, in.a, in.b, part).c),
                 kSumAB)
                 << kernels::partitionName(part) << ", via=" << via;
             MultiMachine mmn(MachineParams{}, 4);
             EXPECT_EQ(
-                hashOf(kernels::spmaParallel(mmn, in.m, in.n, part, via)
-                           .c),
+                hashOf(kernels::spmaRun(mmn, kind, in.m, in.n, part).c),
                 kSumMN)
                 << kernels::partitionName(part) << ", via=" << via;
         }

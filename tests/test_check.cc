@@ -12,7 +12,7 @@
 #include "check/fuzz.hh"
 #include "check/invariants.hh"
 #include "cpu/machine.hh"
-#include "kernels/dispatch.hh"
+#include "kernels/parallel.hh"
 #include "kernels/spmv.hh"
 #include "simcore/rng.hh"
 #include "sparse/generators.hh"
@@ -111,7 +111,7 @@ TEST(InvariantChecker, PassesWithTracingAttached)
     Csr a = smallMatrix();
     Rng rng(4);
     DenseVector x = randomVector(a.cols(), rng);
-    kernels::spmvViaCsr(m, a, x);
+    kernels::spmvRun(m, BackendKind::Via, a, "csr", x);
     EXPECT_TRUE(checker.checkAll());
 }
 
@@ -269,11 +269,13 @@ TEST(SpmvDispatch, BaselineAndViaAgreeWithGolden)
     for (const std::string &fmt : kernels::spmvFormats()) {
         Machine mb{MachineParams{}};
         EXPECT_TRUE(allClose(
-            kernels::spmvBaseline(mb, a, x, fmt).y, golden))
+            kernels::spmvRun(mb, BackendKind::Base, a, fmt, x).y,
+            golden))
             << "baseline " << fmt;
         Machine mv{MachineParams{}};
-        EXPECT_TRUE(
-            allClose(kernels::spmvAccel(mv, a, x, fmt).y, golden))
+        EXPECT_TRUE(allClose(
+            kernels::spmvRun(mv, mv.backendKind(), a, fmt, x).y,
+            golden))
             << "via " << fmt;
     }
 }

@@ -210,10 +210,8 @@ runSession(BackendKind kind, unsigned cores,
     debug::TargetFactory factory = [params, cores] {
         return std::make_unique<MultiMachine>(params, cores);
     };
-    debug::KernelFn kfn = [a, x, golden](MultiMachine &mm) {
-        auto res = kernels::spmvParallel(mm, *a, *x, "csr",
-                                         kernels::Partition::Static,
-                                         true);
+    debug::KernelFn kfn = [a, x, golden, kind](MultiMachine &mm) {
+        auto res = kernels::spmvRun(mm, kind, *a, "csr", *x);
         return allClose(res.y, *golden);
     };
 

@@ -12,7 +12,7 @@
 #include <tuple>
 
 #include "cpu/machine.hh"
-#include "kernels/dispatch.hh"
+#include "kernels/parallel.hh"
 #include "kernels/histogram.hh"
 #include "kernels/reference.hh"
 #include "kernels/spma.hh"
@@ -84,7 +84,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(KernelCorners, ViaCsrFallsBackToGathersWhenXTooBig)
 {
-    // cols > sramEntries forces the gather path of spmvViaCsr.
+    // cols > sramEntries forces the gather path of VIA CSR.
     MachineParams p;
     p.via = ViaConfig::make(4, 2); // 1024 entries
     Machine m(p);
@@ -93,8 +93,9 @@ TEST(KernelCorners, ViaCsrFallsBackToGathersWhenXTooBig)
     ASSERT_GT(std::uint64_t(a.cols()),
               m.sspm().config().sramEntries());
     DenseVector x = randomVector(a.cols(), rng);
-    EXPECT_TRUE(
-        allClose(kernels::spmvViaCsr(m, a, x).y, a.multiply(x)));
+    EXPECT_TRUE(allClose(
+        kernels::spmvRun(m, BackendKind::Via, a, "csr", x).y,
+        a.multiply(x)));
     EXPECT_GT(m.core().stats().gatherElements, 0u);
 }
 
@@ -106,8 +107,9 @@ TEST(KernelCorners, ViaSellFallsBackToGathersWhenXTooBig)
     Rng rng(5);
     Csr a = genUniform(64, 2048, 0.01, rng);
     DenseVector x = randomVector(a.cols(), rng);
-    EXPECT_TRUE(allClose(kernels::spmvAccel(m, a, x, "sell").y,
-                         a.multiply(x)));
+    EXPECT_TRUE(allClose(
+        kernels::spmvRun(m, m.backendKind(), a, "sell", x).y,
+        a.multiply(x)));
     EXPECT_GT(m.core().stats().gatherElements, 0u);
 }
 
@@ -122,8 +124,9 @@ TEST(KernelCorners, ViaSpc5SegmentsTallMatrices)
     ASSERT_GT(std::uint64_t(a.rows()),
               m.sspm().config().sramEntries());
     DenseVector x = randomVector(a.cols(), rng);
-    EXPECT_TRUE(allClose(kernels::spmvAccel(m, a, x, "spc5").y,
-                         a.multiply(x)));
+    EXPECT_TRUE(allClose(
+        kernels::spmvRun(m, m.backendKind(), a, "spc5", x).y,
+        a.multiply(x)));
 }
 
 TEST(KernelCorners, OneByOneMatrixWorksEverywhere)

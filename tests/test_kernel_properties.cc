@@ -12,7 +12,7 @@
 #include <tuple>
 
 #include "cpu/machine.hh"
-#include "kernels/dispatch.hh"
+#include "kernels/parallel.hh"
 #include "kernels/spmv.hh"
 #include "simcore/rng.hh"
 #include "sparse/generators.hh"
@@ -59,8 +59,9 @@ TEST_P(SpmvProperty, AllVariantsMatchGolden)
     }
     {
         Machine m(params);
-        EXPECT_TRUE(
-            allClose(kernels::spmvViaCsr(m, a, x).y, golden));
+        EXPECT_TRUE(allClose(
+            kernels::spmvRun(m, BackendKind::Via, a, "csr", x).y,
+            golden));
     }
     {
         Machine m(params);
@@ -76,13 +77,15 @@ TEST_P(SpmvProperty, AllVariantsMatchGolden)
     }
     {
         Machine m(params);
-        EXPECT_TRUE(
-            allClose(kernels::spmvAccel(m, a, x, "sell").y, golden));
+        EXPECT_TRUE(allClose(
+            kernels::spmvRun(m, m.backendKind(), a, "sell", x).y,
+            golden));
     }
     {
         Machine m(params);
-        EXPECT_TRUE(
-            allClose(kernels::spmvAccel(m, a, x, "spc5").y, golden));
+        EXPECT_TRUE(allClose(
+            kernels::spmvRun(m, m.backendKind(), a, "spc5", x).y,
+            golden));
     }
 }
 

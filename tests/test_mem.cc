@@ -584,7 +584,7 @@ TEST(MappedUploads, KernelsLeaveTheirInputsBitIdentical)
             EXPECT_EQ(formats(), converted) << name << " " << fmt;
 
             MultiMachine mm(params, 2);
-            kernels::spmvParallel(mm, a, x, fmt, Partition::Static, true);
+            kernels::spmvRun(mm, kind, a, fmt, x);
             EXPECT_GT(mm.mem().pagesShared(), 0u) << name << " " << fmt;
         }
         Machine m1(params), m2(params), m3(params), m4(params);
@@ -597,10 +597,10 @@ TEST(MappedUploads, KernelsLeaveTheirInputsBitIdentical)
 
         MultiMachine p1(params, 2), p2(params, 2), p3(params, 2),
             p4(params, 2);
-        kernels::spmaParallel(p1, a, b, Partition::Static, true);
-        kernels::spmmParallel(p2, a, bc, Partition::Static, true);
-        kernels::histParallel(p3, keys, 100, Partition::Static, true);
-        kernels::stencilParallel(p4, img, Partition::Static, true);
+        kernels::spmaRun(p1, kind, a, b);
+        kernels::spmmRun(p2, kind, a, bc);
+        kernels::histRun(p3, kind, keys, 100);
+        kernels::stencilRun(p4, kind, img);
         EXPECT_EQ(snapshot(), before) << name;
     }
 }

@@ -352,8 +352,9 @@ TEST(ParallelKernels, SpmvMatchesGolden)
                 for (const std::string &fmt : kernels::spmvFormats()) {
                     for (bool accel : {false, true}) {
                         MultiMachine mm(smallParams(kind), cores);
-                        auto res = kernels::spmvParallel(
-                            mm, a, x, fmt, part, accel);
+                        auto res = kernels::spmvRun(
+                            mm, kernels::bodyKind(mm, accel), a, fmt,
+                            x, part);
                         EXPECT_TRUE(allClose(res.y, golden))
                             << backendName(kind) << " " << fmt
                             << " cores=" << cores
@@ -376,8 +377,7 @@ TEST(ParallelKernels, VectorCsrBaselineIsTheSingleCoreKernel)
     Csr a = genUniform(256, 256, 0.03, rng);
     DenseVector x = randomVector(a.cols(), rng);
     MultiMachine mm(MachineParams{}, 2);
-    auto res = kernels::spmvParallel(mm, a, x, "csr", Partition::Static,
-                                     false);
+    auto res = kernels::spmvRun(mm, BackendKind::Base, a, "csr", x);
     EXPECT_TRUE(allClose(res.y, a.multiply(x)));
     EXPECT_EQ(mm.core(0).core().stats().insts +
                   mm.core(1).core().stats().insts,
@@ -393,8 +393,8 @@ TEST(ParallelKernels, SpmaMatchesGolden)
     for (BackendKind kind : kAccelKinds) {
         for (bool accel : {false, true}) {
             MultiMachine mm(smallParams(kind), 2);
-            auto res = kernels::spmaParallel(mm, a, b,
-                                             Partition::Static, accel);
+            auto res =
+                kernels::spmaRun(mm, kernels::bodyKind(mm, accel), a, b);
             EXPECT_TRUE(closeElements(res.c, golden, 1e-3))
                 << backendName(kind) << " accel=" << accel;
         }
@@ -411,8 +411,8 @@ TEST(ParallelKernels, SpmmMatchesGolden)
     for (BackendKind kind : kAccelKinds) {
         for (bool accel : {false, true}) {
             MultiMachine mm(smallParams(kind), 3);
-            auto res = kernels::spmmParallel(mm, a, b,
-                                             Partition::Steal, accel);
+            auto res = kernels::spmmRun(mm, kernels::bodyKind(mm, accel),
+                                        a, b, Partition::Steal);
             EXPECT_TRUE(closeElements(res.c, golden, 1e-2))
                 << backendName(kind) << " accel=" << accel;
         }
@@ -430,8 +430,8 @@ TEST(ParallelKernels, HistogramMatchesGolden)
     for (BackendKind kind : kAccelKinds) {
         for (bool accel : {false, true}) {
             MultiMachine mm(smallParams(kind), 2);
-            auto res = kernels::histParallel(mm, keys, buckets,
-                                             Partition::Static, accel);
+            auto res = kernels::histRun(mm, kernels::bodyKind(mm, accel),
+                                        keys, buckets);
             EXPECT_EQ(res.hist, golden)
                 << backendName(kind) << " accel=" << accel;
         }
@@ -448,8 +448,8 @@ TEST(ParallelKernels, StencilMatchesGolden)
     for (BackendKind kind : kAccelKinds) {
         for (bool accel : {false, true}) {
             MultiMachine mm(smallParams(kind), 4);
-            auto res = kernels::stencilParallel(mm, img,
-                                                Partition::Steal, accel);
+            auto res = kernels::stencilRun(
+                mm, kernels::bodyKind(mm, accel), img, Partition::Steal);
             EXPECT_TRUE(allClose(res.out.data(), golden.data()))
                 << backendName(kind) << " accel=" << accel;
         }
@@ -464,7 +464,8 @@ TEST(ParallelKernels, MakespanIsDeterministic)
     for (Partition part : {Partition::Static, Partition::Steal}) {
         auto run = [&] {
             MultiMachine mm(smallParams(), 3);
-            return kernels::spmvParallel(mm, a, x, "csr", part, true)
+            return kernels::spmvRun(mm, BackendKind::Via, a, "csr", x,
+                                    part)
                 .cycles;
         };
         Tick first = run();
@@ -490,7 +491,7 @@ TEST(ParallelKernels, SkewStealBeatsStatic)
 
     auto run = [&](Partition part) {
         MultiMachine mm(smallParams(), 4);
-        return kernels::spmvParallel(mm, a, x, "csr", part, true)
+        return kernels::spmvRun(mm, BackendKind::Via, a, "csr", x, part)
             .cycles;
     };
     EXPECT_LE(run(Partition::Steal), run(Partition::Static));
@@ -529,15 +530,13 @@ TEST(MultiMachineOneCore, IsTheSingleCoreMachine)
         runs[] = {
             {"spma",
              [&](Machine &m, MultiMachine &mm) {
-                 kernels::spmaAccel(m, a, b);
-                 kernels::spmaParallel(mm, a, b, Partition::Static,
-                                       true);
+                 kernels::spmaRun(m, m.backendKind(), a, b);
+                 kernels::spmaRun(mm, m.backendKind(), a, b);
              }},
             {"csb spmv",
              [&](Machine &m, MultiMachine &mm) {
-                 kernels::spmvAccel(m, a, x, "csb");
-                 kernels::spmvParallel(mm, a, x, "csb",
-                                       Partition::Static, true);
+                 kernels::spmvRun(m, m.backendKind(), a, "csb", x);
+                 kernels::spmvRun(mm, m.backendKind(), a, "csb", x);
              }},
         };
     for (BackendKind kind : {BackendKind::Base, BackendKind::Via,

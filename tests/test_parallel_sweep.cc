@@ -17,7 +17,7 @@
 
 #include "cpu/machine.hh"
 #include "kernels/runner.hh"
-#include "kernels/spmv.hh"
+#include "kernels/parallel.hh"
 #include "simcore/parallel.hh"
 #include "simcore/rng.hh"
 #include "sparse/generators.hh"
@@ -158,7 +158,7 @@ simPoint(std::size_t i)
     MachineParams params;
     params.via = ViaConfig::make(i % 2 ? 16 : 4, i % 3 ? 2 : 4);
     Machine m(params);
-    auto res = kernels::spmvViaCsr(m, a, x);
+    auto res = kernels::spmvRun(m, BackendKind::Via, a, "csr", x);
     auto metrics = kernels::collectMetrics(m);
     return PointResult{res.cycles, metrics.insts,
                        metrics.dramReadBytes,

@@ -131,8 +131,7 @@ TEST(EnergyModel, MultiCoreCountsTheSharedLevel)
     DenseVector x = randomVector(a.cols(), rng);
 
     MultiMachine mm(MachineParams{}, 2);
-    kernels::spmvParallel(mm, a, x, "csr",
-                          kernels::Partition::Static, false);
+    kernels::spmvRun(mm, BackendKind::Base, a, "csr", x);
 
     auto e = computeEnergyMulti(mm);
     EXPECT_GT(e.corePj, 0.0);

@@ -26,7 +26,7 @@
 
 #include "check/sampling_audit.hh"
 #include "cpu/machine.hh"
-#include "kernels/dispatch.hh"
+#include "kernels/parallel.hh"
 #include "kernels/histogram.hh"
 #include "kernels/reference.hh"
 #include "kernels/spma.hh"
@@ -56,7 +56,7 @@ kernelBody(const std::string &name)
             Rng rng(11);
             Csr a = genUniform(96, 96, 0.05, rng);
             DenseVector x = randomVector(a.cols(), rng);
-            auto res = kernels::spmvAccel(m, a, x, "csb");
+            auto res = kernels::spmvRun(m, m.backendKind(), a, "csb", x);
             ASSERT_TRUE(allClose(res.y, a.multiply(x)));
         };
     }
@@ -387,13 +387,13 @@ TEST(Functional, WarmsCachesLikeDetailed)
     DenseVector x = randomVector(a.cols(), rng);
 
     Machine det(params);
-    kernels::spmvAccel(det, a, x, "csb");
+    kernels::spmvRun(det, det.backendKind(), a, "csb", x);
 
     Machine warm(params);
     sample::SampleOptions fopts;
     fopts.mode = sample::SimMode::Functional;
     auto est = sample::runWith(warm, fopts, [&] {
-        auto res = kernels::spmvAccel(warm, a, x, "csb");
+        auto res = kernels::spmvRun(warm, warm.backendKind(), a, "csb", x);
         EXPECT_TRUE(allClose(res.y, a.multiply(x)));
     });
     EXPECT_GT(est.totalInsts, 0u);
@@ -448,7 +448,7 @@ TEST(Sampling, EstimateWithinAuditBound)
     opts.warmup = 300;
     opts.measure = 700;
     auto body = [&](Machine &m) {
-        kernels::spmvAccel(m, a, x, "csb");
+        kernels::spmvRun(m, m.backendKind(), a, "csb", x);
     };
     Machine sampled(params);
     sample::SampleEstimate est =

@@ -17,7 +17,7 @@
 #include "serve/service.hh"
 #include "serve/sim.hh"
 #include "cpu/machine.hh"
-#include "kernels/dispatch.hh"
+#include "kernels/parallel.hh"
 #include "simcore/rng.hh"
 #include "sparse/generators.hh"
 
@@ -411,7 +411,8 @@ TEST(MeasureServiceTable, BatchesAmortizeOnTheWarmMachine)
     Csr a = classMatrix(mix[0], 0, ex.seed);
     Rng xr(99);
     DenseVector x = randomVector(a.cols(), xr);
-    Tick one_shot = kernels::spmvBaseline(m, a, x, "csr").cycles;
+    Tick one_shot =
+        kernels::spmvRun(m, BackendKind::Base, a, "csr", x).cycles;
     EXPECT_LT(t.cost(0, 2) - t.cost(0, 1), one_shot);
     EXPECT_LT(t.cost(0, 3) - t.cost(0, 2), one_shot);
 }

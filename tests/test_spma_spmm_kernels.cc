@@ -175,12 +175,13 @@ TEST(SpmmKernels, OutputFitsRowsDenserThanColumns)
         MachineParams params = defaultParams();
         params.backend.kind = kind;
         Machine m(params);
-        EXPECT_TRUE(closeElements(kernels::spmmAccel(m, a, b).c, golden))
+        EXPECT_TRUE(
+            closeElements(kernels::spmmRun(m, kind, a, b).c, golden))
             << backendName(kind);
         for (bool accel : {false, true}) {
             MultiMachine mm(params, 2);
-            auto res = kernels::spmmParallel(
-                mm, a, b, kernels::Partition::Static, accel);
+            auto res =
+                kernels::spmmRun(mm, kernels::bodyKind(mm, accel), a, b);
             EXPECT_TRUE(closeElements(res.c, golden))
                 << backendName(kind) << " accel=" << accel;
         }

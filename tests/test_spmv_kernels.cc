@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "cpu/machine.hh"
-#include "kernels/dispatch.hh"
+#include "kernels/parallel.hh"
 #include "kernels/spmv.hh"
 #include "simcore/rng.hh"
 #include "sparse/generators.hh"
@@ -79,7 +79,11 @@ TEST(SpmvKernels, VectorCsrMatchesGolden)
 
 TEST(SpmvKernels, ViaCsrMatchesGolden)
 {
-    checkCsrVariant(&kernels::spmvViaCsr, "via-csr");
+    checkCsrVariant(
+        [](Machine &m, const Csr &a, const DenseVector &x) {
+            return kernels::spmvRun(m, BackendKind::Via, a, "csr", x);
+        },
+        "via-csr");
 }
 
 TEST(SpmvKernels, VectorSpc5MatchesGolden)
@@ -88,7 +92,8 @@ TEST(SpmvKernels, VectorSpc5MatchesGolden)
     for (const auto &c : smallCases()) {
         Machine m(defaultParams());
         DenseVector x = randomVector(c.matrix.cols(), rng);
-        auto res = kernels::spmvBaseline(m, c.matrix, x, "spc5");
+        auto res = kernels::spmvRun(m, BackendKind::Base, c.matrix,
+                                    "spc5", x);
         EXPECT_TRUE(allClose(res.y, c.matrix.multiply(x)))
             << "spc5 wrong on " << c.name;
     }
@@ -100,7 +105,8 @@ TEST(SpmvKernels, ViaSpc5MatchesGolden)
     for (const auto &c : smallCases()) {
         Machine m(defaultParams());
         DenseVector x = randomVector(c.matrix.cols(), rng);
-        auto res = kernels::spmvAccel(m, c.matrix, x, "spc5");
+        auto res = kernels::spmvRun(m, m.backendKind(), c.matrix,
+                                    "spc5", x);
         EXPECT_TRUE(allClose(res.y, c.matrix.multiply(x)))
             << "via-spc5 wrong on " << c.name;
     }
@@ -112,7 +118,8 @@ TEST(SpmvKernels, VectorSellMatchesGolden)
     for (const auto &c : smallCases()) {
         Machine m(defaultParams());
         DenseVector x = randomVector(c.matrix.cols(), rng);
-        auto res = kernels::spmvBaseline(m, c.matrix, x, "sell");
+        auto res = kernels::spmvRun(m, BackendKind::Base, c.matrix,
+                                    "sell", x);
         EXPECT_TRUE(allClose(res.y, c.matrix.multiply(x)))
             << "sell wrong on " << c.name;
     }
@@ -124,7 +131,8 @@ TEST(SpmvKernels, ViaSellMatchesGolden)
     for (const auto &c : smallCases()) {
         Machine m(defaultParams());
         DenseVector x = randomVector(c.matrix.cols(), rng);
-        auto res = kernels::spmvAccel(m, c.matrix, x, "sell");
+        auto res = kernels::spmvRun(m, m.backendKind(), c.matrix,
+                                    "sell", x);
         EXPECT_TRUE(allClose(res.y, c.matrix.multiply(x)))
             << "via-sell wrong on " << c.name;
     }
@@ -201,9 +209,9 @@ TEST(SpmvKernels, ViaCsbFasterThanVectorCsr)
 // Resident-matrix path (upload once, run per request)
 // ------------------------------------------------------------------
 
-// The one-shot dispatcher is exactly "upload + At", so a resident
-// matrix's first run must emit the identical instruction stream:
-// same result bits, same cycle count.
+// The one-shot spmvRun by format name is exactly "upload + At", so a
+// resident matrix's first run must emit the identical instruction
+// stream: same result bits, same cycle count.
 TEST(SpmvResident, FirstRunIsBitIdenticalToOneShot)
 {
     Rng rng(21);
@@ -212,13 +220,13 @@ TEST(SpmvResident, FirstRunIsBitIdenticalToOneShot)
 
     for (const std::string &fmt : kernels::spmvFormats()) {
         for (bool via : {false, true}) {
+            const BackendKind kind =
+                via ? BackendKind::Via : BackendKind::Base;
             Machine one_shot(defaultParams());
-            auto r1 = via
-                ? kernels::spmvAccel(one_shot, a, x, fmt)
-                : kernels::spmvBaseline(one_shot, a, x, fmt);
+            auto r1 = kernels::spmvRun(one_shot, kind, a, fmt, x);
 
             Machine warm(defaultParams());
-            kernels::SpmvResident res(warm, a, fmt, via);
+            kernels::SpmvResident res(warm, a, fmt, kind);
             auto r2 = res.run(warm, x);
 
             EXPECT_EQ(r1.cycles, r2.cycles)
@@ -246,7 +254,8 @@ TEST(SpmvResident, RepeatRunsAreCorrectAndWarm)
     for (const std::string &fmt : kernels::spmvFormats()) {
         for (bool via : {false, true}) {
             Machine m(defaultParams());
-            kernels::SpmvResident res(m, a, fmt, via);
+            kernels::SpmvResident res(
+                m, a, fmt, via ? BackendKind::Via : BackendKind::Base);
 
             DenseVector x1 = randomVector(a.cols(), rng);
             auto r1 = res.run(m, x1);

@@ -115,11 +115,10 @@ TEST(StreamIdentity, SpmvEveryFormatAndBackend)
     for (BackendKind kind : kKinds) {
         for (const std::string &fmt : kernels::spmvFormats()) {
             Stream s = singleStream(kind, [&](Machine &m) {
-                kernels::spmvAccel(m, a, x, fmt);
+                kernels::spmvRun(m, kind, a, fmt, x);
             });
             Stream p = parallelStream(kind, [&](MultiMachine &mm) {
-                kernels::spmvParallel(mm, a, x, fmt, Partition::Static,
-                                      true);
+                kernels::spmvRun(mm, kind, a, fmt, x);
             });
             EXPECT_FALSE(s.empty()) << label(kind, fmt);
             EXPECT_EQ(s, p) << label(kind, fmt);
@@ -135,17 +134,17 @@ TEST(StreamIdentity, SpmaAndSpmmMatch)
     Csc bc = Csc::fromCsr(b);
     for (BackendKind kind : kKinds) {
         Stream s = singleStream(
-            kind, [&](Machine &m) { kernels::spmaAccel(m, a, b); });
+            kind, [&](Machine &m) { kernels::spmaRun(m, kind, a, b); });
         Stream p = parallelStream(kind, [&](MultiMachine &mm) {
-            kernels::spmaParallel(mm, a, b, Partition::Static, true);
+            kernels::spmaRun(mm, kind, a, b);
         });
         EXPECT_FALSE(s.empty()) << label(kind, "spma");
         EXPECT_EQ(s, p) << label(kind, "spma");
 
         s = singleStream(
-            kind, [&](Machine &m) { kernels::spmmAccel(m, a, bc); });
+            kind, [&](Machine &m) { kernels::spmmRun(m, kind, a, bc); });
         p = parallelStream(kind, [&](MultiMachine &mm) {
-            kernels::spmmParallel(mm, a, bc, Partition::Static, true);
+            kernels::spmmRun(mm, kind, a, bc);
         });
         EXPECT_FALSE(s.empty()) << label(kind, "spmm");
         EXPECT_EQ(s, p) << label(kind, "spmm");
@@ -161,11 +160,10 @@ TEST(StreamIdentity, HistogramMatches)
         k = Index(rng.below(buckets));
     for (BackendKind kind : kKinds) {
         Stream s = singleStream(kind, [&](Machine &m) {
-            kernels::histAccel(m, keys, buckets);
+            kernels::histRun(m, kind, keys, buckets);
         });
         Stream p = parallelStream(kind, [&](MultiMachine &mm) {
-            kernels::histParallel(mm, keys, buckets, Partition::Static,
-                                  true);
+            kernels::histRun(mm, kind, keys, buckets);
         });
         EXPECT_FALSE(s.empty()) << label(kind, "hist");
         EXPECT_EQ(s, p) << label(kind, "hist");
@@ -183,11 +181,10 @@ TEST(StreamIdentity, ZeroKeyHistogramMatches)
     const std::size_t want[] = {1, 42, 2, 1};
     for (BackendKind kind : kKinds) {
         Stream s = singleStream(kind, [&](Machine &m) {
-            kernels::histAccel(m, none, buckets);
+            kernels::histRun(m, kind, none, buckets);
         });
         Stream p = parallelStream(kind, [&](MultiMachine &mm) {
-            kernels::histParallel(mm, none, buckets, Partition::Steal,
-                                  true);
+            kernels::histRun(mm, kind, none, buckets, Partition::Steal);
         });
         EXPECT_EQ(s.size(), want[std::size_t(kind)])
             << label(kind, "hist");
@@ -203,9 +200,9 @@ TEST(StreamIdentity, StencilMatches)
         px = Value(rng.uniform() * 255.0);
     for (BackendKind kind : kKinds) {
         Stream s = singleStream(
-            kind, [&](Machine &m) { kernels::stencilAccel(m, img); });
+            kind, [&](Machine &m) { kernels::stencilRun(m, kind, img); });
         Stream p = parallelStream(kind, [&](MultiMachine &mm) {
-            kernels::stencilParallel(mm, img, Partition::Static, true);
+            kernels::stencilRun(mm, kind, img);
         });
         EXPECT_FALSE(s.empty()) << label(kind, "stencil");
         EXPECT_EQ(s, p) << label(kind, "stencil");

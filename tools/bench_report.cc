@@ -63,7 +63,7 @@
 
 #include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
-#include "kernels/dispatch.hh"
+#include "kernels/parallel.hh"
 #include "kernels/reference.hh"
 #include "kernels/spma.hh"
 #include "sample/checkpoint.hh"
@@ -249,7 +249,8 @@ runSimspeed(const Options &opts)
         DenseVector x = randomVector(a.cols(), rng);
         legs.push_back(timeLeg("spmv", kSeedWallSpmv, repeats,
                                [&](Machine &m) {
-                                   kernels::spmvAccel(m, a, x, "csb");
+                                   kernels::spmvRun(m, m.backendKind(),
+                                                    a, "csb", x);
                                }));
     }
     {
@@ -667,8 +668,9 @@ main(int argc, char **argv)
         mopts.mode = mode;
         auto start = std::chrono::steady_clock::now();
         Machine m(params);
-        sample::SampleEstimate est = sample::runWith(
-            m, mopts, [&] { kernels::spmvAccel(m, a, x, fmt); });
+        sample::SampleEstimate est = sample::runWith(m, mopts, [&] {
+            kernels::spmvRun(m, m.backendKind(), a, fmt, x);
+        });
         double wall = secondsSince(start);
         if (r == 0 || wall < best.wall) {
             best.wall = wall;
@@ -691,8 +693,9 @@ main(int argc, char **argv)
         sample::SampleOptions mopts = sopts;
         mopts.mode = sample::SimMode::Functional;
         kernels::SpmvResult res;
-        sample::runWith(m, mopts,
-                        [&] { res = kernels::spmvAccel(m, a, x, fmt); });
+        sample::runWith(m, mopts, [&] {
+            res = kernels::spmvRun(m, m.backendKind(), a, fmt, x);
+        });
         if (!allClose(res.y, golden)) {
             std::fprintf(stderr,
                          "bench_report: result MISMATCH in "
@@ -712,7 +715,7 @@ main(int argc, char **argv)
     // machine state without re-running the kernel, and must report
     // the identical cycle count.
     Machine warm(params);
-    kernels::spmvAccel(warm, a, x, fmt);
+    kernels::spmvRun(warm, warm.backendKind(), a, fmt, x);
     Tick warm_cycles = warm.cycles();
 
     auto cap_start = std::chrono::steady_clock::now();

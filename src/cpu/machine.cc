@@ -597,7 +597,7 @@ Machine::vfmaF(VReg dst, VReg a, VReg b, VReg c, int vl_)
 void
 Machine::vaddI(VReg dst, VReg a, VReg b, int vl_)
 {
-    std::uint32_t n = vl_ < 0 ? MAX_LANES : std::uint32_t(vl_);
+    std::uint32_t n = resolveVl(ElemType::I32, vl_);
     VecValue &d = _vrf[dst.id];
     const VecValue &x = _vrf[a.id];
     const VecValue &y = _vrf[b.id];
@@ -610,7 +610,7 @@ Machine::vaddI(VReg dst, VReg a, VReg b, int vl_)
 void
 Machine::vsubI(VReg dst, VReg a, VReg b, int vl_)
 {
-    std::uint32_t n = vl_ < 0 ? MAX_LANES : std::uint32_t(vl_);
+    std::uint32_t n = resolveVl(ElemType::I32, vl_);
     VecValue &d = _vrf[dst.id];
     const VecValue &x = _vrf[a.id];
     const VecValue &y = _vrf[b.id];
@@ -623,7 +623,7 @@ Machine::vsubI(VReg dst, VReg a, VReg b, int vl_)
 void
 Machine::vandI(VReg dst, VReg src, std::int64_t imm, int vl_)
 {
-    std::uint32_t n = vl_ < 0 ? MAX_LANES : std::uint32_t(vl_);
+    std::uint32_t n = resolveVl(ElemType::I32, vl_);
     VecValue &d = _vrf[dst.id];
     const VecValue &x = _vrf[src.id];
     for (std::uint32_t l = 0; l < n; ++l)
@@ -634,7 +634,7 @@ Machine::vandI(VReg dst, VReg src, std::int64_t imm, int vl_)
 void
 Machine::vshrI(VReg dst, VReg src, std::uint32_t shift, int vl_)
 {
-    std::uint32_t n = vl_ < 0 ? MAX_LANES : std::uint32_t(vl_);
+    std::uint32_t n = resolveVl(ElemType::I32, vl_);
     VecValue &d = _vrf[dst.id];
     const VecValue &x = _vrf[src.id];
     for (std::uint32_t l = 0; l < n; ++l)
@@ -645,7 +645,7 @@ Machine::vshrI(VReg dst, VReg src, std::uint32_t shift, int vl_)
 void
 Machine::vcmpLtI(VReg dst, VReg a, VReg b, int vl_)
 {
-    std::uint32_t n = vl_ < 0 ? MAX_LANES : std::uint32_t(vl_);
+    std::uint32_t n = resolveVl(ElemType::I32, vl_);
     VecValue &d = _vrf[dst.id];
     const VecValue &x = _vrf[a.id];
     const VecValue &y = _vrf[b.id];
@@ -671,7 +671,7 @@ Machine::vredsumF(SReg dst, VReg src, int vl_)
 void
 Machine::vcompress(VReg dst, VReg src, VReg mask, int vl_)
 {
-    std::uint32_t n = vl_ < 0 ? MAX_LANES : std::uint32_t(vl_);
+    std::uint32_t n = resolveVl(ElemType::I32, vl_);
     const VecValue s = _vrf[src.id]; // copy: dst may alias src
     const VecValue m = _vrf[mask.id];
     VecValue &d = _vrf[dst.id];
@@ -689,7 +689,7 @@ void
 Machine::vexpandMask(VReg dst, VReg src, std::uint32_t mask, int vl_,
                      SReg mask_dep)
 {
-    std::uint32_t n = vl_ < 0 ? MAX_LANES : std::uint32_t(vl_);
+    std::uint32_t n = resolveVl(ElemType::I32, vl_);
     const VecValue s = _vrf[src.id];
     VecValue &d = _vrf[dst.id];
     std::uint32_t k = 0;
@@ -704,7 +704,7 @@ Machine::vexpandMask(VReg dst, VReg src, std::uint32_t mask, int vl_,
 void
 Machine::vconflict(VReg dst, VReg idx, int vl_)
 {
-    std::uint32_t n = vl_ < 0 ? MAX_LANES : std::uint32_t(vl_);
+    std::uint32_t n = resolveVl(ElemType::I32, vl_);
     const VecValue ix = _vrf[idx.id];
     VecValue &d = _vrf[dst.id];
     for (std::uint32_t l = 0; l < n; ++l) {

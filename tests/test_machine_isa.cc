@@ -388,5 +388,22 @@ TEST_F(MachineIsa, CyclesAdvanceMonotonically)
     EXPECT_GT(m.cycles(), 0u);
 }
 
+// A register holds MAX_LANES (8) 32-bit lanes; an integer emit asked
+// for more would write past the register, so it dies naming the vl.
+TEST(MachineIsaDeathTest, IntegerEmitsRejectAVlPastTheLanes)
+{
+    Machine m{MachineParams{}};
+    const VReg v0{0}, v1{1}, v2{2};
+    const char *why = "vl 9 exceeds lanes";
+    EXPECT_DEATH(m.vaddI(v0, v1, v2, 9), why);
+    EXPECT_DEATH(m.vsubI(v0, v1, v2, 9), why);
+    EXPECT_DEATH(m.vandI(v0, v1, 3, 9), why);
+    EXPECT_DEATH(m.vshrI(v0, v1, 1, 9), why);
+    EXPECT_DEATH(m.vcmpLtI(v0, v1, v2, 9), why);
+    EXPECT_DEATH(m.vcompress(v0, v1, v2, 9), why);
+    EXPECT_DEATH(m.vexpandMask(v0, v1, 0x1ffu, 9), why);
+    EXPECT_DEATH(m.vconflict(v0, v1, 9), why);
+}
+
 } // namespace
 } // namespace via

@@ -117,7 +117,7 @@ Machine::Machine(const MachineParams &params,
 
 Machine::~Machine()
 {
-    if (_checker && check::envEnabled())
+    if (_checker && !_halfLoaded && check::envEnabled())
         _checker->checkOrDie();
 }
 
@@ -275,6 +275,7 @@ Machine::loadState(Deserializer &des)
         throw SerializeError("multi-core machines cannot be "
                              "restored (shared memory)");
 
+    _halfLoaded = true;
     des.expectTag("MACH");
     if (des.get<ElemType>() != _params.valueType ||
         des.get<ElemType>() != _params.indexType)
@@ -298,6 +299,7 @@ Machine::loadState(Deserializer &des)
             " disagrees with the restored commit front " +
             std::to_string(cycles()));
     _seq = seq;
+    _halfLoaded = false;
 }
 
 // ================= scalar ======================================

@@ -100,7 +100,8 @@ class Machine
     /**
      * Runs the attached invariant checker (if any) and aborts on
      * violation; with VIA_CHECK=1 every Machine teardown therefore
-     * verifies the whole run. Out of line for the checker's type.
+     * verifies the whole run, unless a loadState threw and left the
+     * machine half-written. Out of line for the checker's type.
      */
     ~Machine();
 
@@ -191,7 +192,10 @@ class Machine
      * machine must be configured identically (element types, cache
      * geometry, SSPM size, core sizing) or SerializeError is thrown,
      * as it is when the stored clock disagrees with the restored
-     * core's commit front.
+     * core's commit front. Each section is applied as it is read, so
+     * a throw leaves the machine half-written: it must be discarded,
+     * and its teardown skips the invariant check until a later
+     * loadState completes.
      */
     void loadState(Deserializer &des);
 
@@ -493,6 +497,8 @@ class Machine
     StatSet _stats;
     SeqNum _seq = 0;
     std::unique_ptr<TraceManager> _trace;
+    /** A loadState threw part-way (see loadState). */
+    bool _halfLoaded = false;
     /** Declared last: detaches from _core before it is destroyed. */
     std::unique_ptr<check::TimingInvariantChecker> _checker;
 };

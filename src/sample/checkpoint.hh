@@ -68,7 +68,8 @@ class Checkpoint
      * the captured machine. @p rng receives the captured stream
      * state when one was saved (ignored otherwise). Throws
      * SerializeError on any mismatch; the machine may be partially
-     * restored after a throw and must be discarded.
+     * restored after a throw and must be discarded (its teardown
+     * skips the invariant check, Machine::loadState).
      */
     void restore(Machine &m, Rng *rng = nullptr) const;
 

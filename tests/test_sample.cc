@@ -250,8 +250,9 @@ TEST(Checkpoint, RejectsEveryTruncation)
 {
     // Every prefix of a post-kernel image is refused with
     // SerializeError: at a stride over the whole image, and at every
-    // length within each section's first 64 bytes, where the tags,
-    // counts and geometry checks sit.
+    // length within 64 bytes of each section tag, on both sides: the
+    // tags, counts and geometry checks sit at a section's start, and
+    // statistics at the end of the section before it.
     Machine m1(MachineParams{});
     kernelBody("spmv")(m1);
     const std::vector<std::uint8_t> bytes =
@@ -272,6 +273,8 @@ TEST(Checkpoint, RejectsEveryTruncation)
             for (std::size_t k = 0;
                  k < 64 && start + k < bytes.size(); ++k)
                 lengths.push_back(start + k);
+            for (std::size_t k = 1; k <= 64 && k <= start; ++k)
+                lengths.push_back(start - k);
         }
         EXPECT_GT(sections, 0u) << tag;
     }
@@ -279,9 +282,19 @@ TEST(Checkpoint, RejectsEveryTruncation)
     lengths.erase(std::unique(lengths.begin(), lengths.end()),
                   lengths.end());
 
-    // Each throw leaves the machine half-written. The whole image
-    // then restores over what they left, so the teardown check that
-    // VIA_CHECK=1 arms sees a consistent machine.
+    // Each throw leaves the machine half-written, and the caller
+    // discards it: a fresh machine per prefix, destroyed after the
+    // throw, must pass the teardown check that VIA_CHECK=1 arms.
+    for (std::size_t n : lengths) {
+        Checkpoint prefix = Checkpoint::fromBytes(
+            {bytes.begin(), bytes.begin() + std::ptrdiff_t(n)});
+        Machine fresh(MachineParams{});
+        EXPECT_THROW(prefix.restore(fresh), SerializeError) << n;
+    }
+
+    // On one machine the whole image then restores over what the
+    // failed prefixes left, so its teardown checks a consistent
+    // machine again.
     Machine m2(MachineParams{});
     for (std::size_t n : lengths) {
         Checkpoint prefix = Checkpoint::fromBytes(

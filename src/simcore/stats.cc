@@ -163,14 +163,29 @@ StatSet::names() const
     return out;
 }
 
+std::string
+jsonNumber(double v)
+{
+    if (!std::isfinite(v))
+        return "null";
+    char buf[40];
+    if (v == std::floor(v) && std::abs(v) < 9.0e15) {
+        // Integral and within the double-exact range: print
+        // without a decimal point or exponent (9e15 < 2^53).
+        std::snprintf(buf, sizeof(buf), "%lld",
+                      static_cast<long long>(v));
+    } else {
+        std::snprintf(buf, sizeof(buf), "%.17g", v);
+    }
+    return buf;
+}
+
 void
 StatSet::dumpJson(std::ostream &os) const
 {
-    // Values are formatted into a local buffer rather than through
-    // the stream's (caller-controlled, possibly truncating) float
-    // settings: counters print as exact integers, everything else
-    // with max_digits10 so a parse-back round-trips bit-exactly.
-    char buf[40];
+    // Values are formatted by jsonNumber rather than through the
+    // stream's (caller-controlled, possibly truncating) float
+    // settings.
     os << "{";
     bool first = true;
     for (StatId i : sortedIds()) {
@@ -178,20 +193,7 @@ StatSet::dumpJson(std::ostream &os) const
         if (!first)
             os << ",";
         first = false;
-        double v = eval(e);
-        os << "\n  \"" << e.name << "\": ";
-        if (!std::isfinite(v)) {
-            os << "null";
-        } else if (v == std::floor(v) && std::abs(v) < 9.0e15) {
-            // Integral and within the double-exact range: print
-            // without a decimal point or exponent (9e15 < 2^53).
-            std::snprintf(buf, sizeof(buf), "%lld",
-                          static_cast<long long>(v));
-            os << buf;
-        } else {
-            std::snprintf(buf, sizeof(buf), "%.17g", v);
-            os << buf;
-        }
+        os << "\n  \"" << e.name << "\": " << jsonNumber(eval(e));
     }
     os << "\n}\n";
 }

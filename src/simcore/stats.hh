@@ -84,6 +84,13 @@ class Distribution
 using StatId = std::size_t;
 
 /**
+ * The JSON form of one number, as every JSON report writes it: null
+ * when not finite, an exact integer when integral and below 9e15,
+ * otherwise %.17g, which parses back to the same double.
+ */
+std::string jsonNumber(double v);
+
+/**
  * A named collection of statistic views.
  *
  * Views are non-owning: the registering component guarantees the
@@ -124,7 +131,8 @@ class StatSet
     /** Print "name  value  # desc" rows, sorted by name. */
     void dump(std::ostream &os) const;
 
-    /** Print the statistics as a flat JSON object. */
+    /** Print the statistics as a flat JSON object, each value
+     *  formatted by jsonNumber. */
     void dumpJson(std::ostream &os) const;
 
   private:

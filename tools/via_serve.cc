@@ -42,7 +42,6 @@
  * byte-identical stdout at any threads=N.
  */
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -52,6 +51,7 @@
 #include "serve/request.hh"
 #include "serve/sim.hh"
 #include "simcore/options.hh"
+#include "simcore/stats.hh"
 
 namespace via
 {
@@ -91,23 +91,6 @@ serveOptions()
     addMachineOptions(opts);
     addMultiCoreOptions(opts);
     return opts;
-}
-
-/** JSON number formatting matching StatSet::dumpJson: integers
- *  print exactly, doubles round-trip. */
-std::string
-jsonNum(double v)
-{
-    char buf[40];
-    if (!std::isfinite(v))
-        return "null";
-    if (v == std::floor(v) && std::abs(v) < 9.0e15) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-    } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-    }
-    return buf;
 }
 
 struct RunResult
@@ -162,31 +145,31 @@ printReportJson(const char *label, const serve::ServeReport &r,
 {
     std::printf("  \"%s\": {\n", label);
     std::printf("    \"requests\": %s,\n",
-                jsonNum(double(r.requests)).c_str());
+                jsonNumber(double(r.requests)).c_str());
     std::printf("    \"batches\": %s,\n",
-                jsonNum(double(r.batches)).c_str());
+                jsonNumber(double(r.batches)).c_str());
     std::printf("    \"mean_batch\": %s,\n",
-                jsonNum(r.meanBatch).c_str());
+                jsonNumber(r.meanBatch).c_str());
     std::printf("    \"makespan_cycles\": %s,\n",
-                jsonNum(double(r.makespan)).c_str());
+                jsonNumber(double(r.makespan)).c_str());
     std::printf("    \"throughput_per_mcycle\": %s,\n",
-                jsonNum(r.throughputPerMcycle).c_str());
+                jsonNumber(r.throughputPerMcycle).c_str());
     std::printf("    \"energy_per_request_pj\": %s,\n",
-                jsonNum(r.energyPerRequestPj).c_str());
+                jsonNumber(r.energyPerRequestPj).c_str());
     std::printf("    \"latency_mean\": %s,\n",
-                jsonNum(r.latency.mean()).c_str());
+                jsonNumber(r.latency.mean()).c_str());
     std::printf("    \"latency_p50\": %s,\n",
-                jsonNum(r.latency.p50()).c_str());
+                jsonNumber(r.latency.p50()).c_str());
     std::printf("    \"latency_p95\": %s,\n",
-                jsonNum(r.latency.p95()).c_str());
+                jsonNumber(r.latency.p95()).c_str());
     std::printf("    \"latency_p99\": %s,\n",
-                jsonNum(r.latency.p99()).c_str());
+                jsonNumber(r.latency.p99()).c_str());
     std::printf("    \"latency_max\": %s,\n",
-                jsonNum(r.latency.max()).c_str());
+                jsonNumber(r.latency.max()).c_str());
     std::printf("    \"queueing_mean\": %s,\n",
-                jsonNum(r.queueing.mean()).c_str());
+                jsonNumber(r.queueing.mean()).c_str());
     std::printf("    \"queueing_p99\": %s\n",
-                jsonNum(r.queueing.p99()).c_str());
+                jsonNumber(r.queueing.p99()).c_str());
     std::printf("  }%s\n", last ? "" : ",");
 }
 
@@ -267,9 +250,9 @@ runServeMain(const Options &opts)
         printReportJson("base", r.base, false);
         printReportJson("via", r.via, false);
         std::printf("  \"via_speedup_p99\": %s,\n",
-                    jsonNum(speedup_p99).c_str());
+                    jsonNumber(speedup_p99).c_str());
         std::printf("  \"via_energy_ratio\": %s\n",
-                    jsonNum(energy_ratio).c_str());
+                    jsonNumber(energy_ratio).c_str());
         std::printf("}\n");
     } else {
         std::printf("serving %llu requests (%s loop), %zu classes, "
